@@ -24,7 +24,7 @@ from .errors import (EnvironmentGenerationError, FormatError,
                      InvalidQueryError, InvalidStateError, PathbenchError,
                      PresetLookupError)
 from .geometry import (Bounds, Circle, CollisionField, Point2, Polygon,
-                       dist, edge_free, free_mask, path_length,
+                       dist, edge_free, path_length,
                        point_free, point_in_polygon, point_segment_distance,
                        segment_circle_collides, segment_polygon_collides,
                        segments_intersect)
@@ -41,7 +41,7 @@ __all__ = [
     "Point2", "Bounds", "Circle", "Polygon", "dist", "path_length",
     "point_segment_distance", "segments_intersect", "point_in_polygon",
     "segment_circle_collides", "segment_polygon_collides", "point_free",
-    "edge_free", "CollisionField", "free_mask",
+    "edge_free", "CollisionField",
     # environment
     "DEFAULT_BOUNDS", "Environment", "Query", "QueryViolation",
     "validate_query", "generate_random_env", "environment_to_dict",

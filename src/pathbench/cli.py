@@ -37,9 +37,9 @@ from .benchmark import (RandomEnvFactory, plan_once, result_record,
                         run_trials, summarize, table1_suite,
                         write_results_csv, write_summary, write_table1_csv)
 from .environment import (DEFAULT_BOUNDS, Environment, Query,
-                          environment_from_dict, environment_to_dict,
-                          irregular_preset, load_environment, preset_names,
-                          validate_query)
+                          _reject_unknown, environment_from_dict,
+                          environment_to_dict, irregular_preset,
+                          load_environment, preset_names, validate_query)
 from .errors import FormatError, InvalidQueryError, PathbenchError
 from .geometry import Bounds, Point2
 from .pso import PsoParams
@@ -85,12 +85,6 @@ def _as_num(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise FormatError(f"{where} must be a number, got {value!r}")
     return float(value)
-
-
-def _reject_unknown(doc: dict, allowed: set[str], where: str) -> None:
-    unknown = set(doc) - allowed
-    if unknown:
-        raise FormatError(f"unknown field(s) {sorted(unknown)} in {where}")
 
 
 def _parse_query(doc, where: str) -> Query:

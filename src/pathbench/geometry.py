@@ -169,16 +169,6 @@ def segments_intersect(p1, p2, q1, q2) -> bool:
     return False
 
 
-def segment_segment_distance(p1, p2, q1, q2) -> float:
-    """Minimum distance between two closed segments (0 if they intersect)."""
-    if segments_intersect(p1, p2, q1, q2):
-        return 0.0
-    return min(point_segment_distance(p1, q1, q2),
-               point_segment_distance(p2, q1, q2),
-               point_segment_distance(q1, p1, p2),
-               point_segment_distance(q2, p1, p2))
-
-
 def point_in_polygon(p: Sequence[float], vertices: Sequence[Sequence[float]]) -> bool:
     """Even-odd (ray casting) containment test.
 
@@ -232,52 +222,31 @@ def segment_polygon_collides(segment: Segment,
     return point_in_polygon(a, vertices) or point_in_polygon(b, vertices)
 
 
-def _point_blocked_by(obs: Obstacle, p, inflate: float) -> bool:
+def _point_blocked_by(obs: Obstacle, p) -> bool:
     if isinstance(obs, Circle):
         dx = p[0] - obs.center.x
         dy = p[1] - obs.center.y
-        r = obs.radius + inflate
-        return dx * dx + dy * dy < r * r
-    if point_in_polygon(p, obs.vertices):
-        return True
-    if inflate > 0.0:
-        n = len(obs.vertices)
-        for i in range(n):
-            if point_segment_distance(p, obs.vertices[i], obs.vertices[(i + 1) % n]) < inflate:
-                return True
-    return False
+        return dx * dx + dy * dy < obs.radius * obs.radius
+    return point_in_polygon(p, obs.vertices)
 
 
-def _segment_blocked_by(obs: Obstacle, a, b, inflate: float) -> bool:
+def _segment_blocked_by(obs: Obstacle, a, b) -> bool:
     if isinstance(obs, Circle):
-        return point_segment_distance(obs.center, a, b) < obs.radius + inflate
-    if segment_polygon_collides((a, b), obs.vertices):
-        return True
-    if inflate > 0.0:
-        n = len(obs.vertices)
-        for i in range(n):
-            v1, v2 = obs.vertices[i], obs.vertices[(i + 1) % n]
-            if segment_segment_distance(a, b, v1, v2) < inflate:
-                return True
-    return False
+        return point_segment_distance(obs.center, a, b) < obs.radius
+    return segment_polygon_collides((a, b), obs.vertices)
 
 
-def point_free(p: Sequence[float], env: "Environment", inflate: float = 0.0) -> bool:
-    """True iff p lies inside the workspace bounds and outside every obstacle.
-
-    `inflate` grows each obstacle by a margin, for callers that want the
-    moving body treated as a disk rather than a point.
-    """
+def point_free(p: Sequence[float], env: "Environment") -> bool:
+    """True iff p lies inside the workspace bounds and outside every obstacle."""
     if not env.bounds.contains(p):
         return False
     for obs in env.obstacles:
-        if _point_blocked_by(obs, p, inflate):
+        if _point_blocked_by(obs, p):
             return False
     return True
 
 
-def edge_free(a: Sequence[float], b: Sequence[float], env: "Environment",
-              inflate: float = 0.0) -> bool:
+def edge_free(a: Sequence[float], b: Sequence[float], env: "Environment") -> bool:
     """True iff segment (a, b) stays in bounds and clears every obstacle.
 
     Also requires the far endpoint b itself to be free, mirroring how the
@@ -285,34 +254,34 @@ def edge_free(a: Sequence[float], b: Sequence[float], env: "Environment",
     """
     if not (env.bounds.contains(a) and env.bounds.contains(b)):
         return False
-    if not point_free(b, env, inflate):
+    if not point_free(b, env):
         return False
     for obs in env.obstacles:
-        if _segment_blocked_by(obs, a, b, inflate):
+        if _segment_blocked_by(obs, a, b):
             return False
     return True
 
 
-class CollisionField:
-    """Vectorized free-space test over many points at once.
+def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
 
-    Semantics match point_free exactly: strict interior tests, inclusive
-    bounds. Built once per environment and reused across evaluations.
+
+class CollisionField:
+    """Vectorized free-space tests over many points or segments at once.
+
+    Point semantics match point_free exactly: strict interior tests,
+    inclusive bounds. Built once per environment and reused across
+    evaluations.
     """
 
-    def __init__(self, env: "Environment", inflate: float = 0.0):
+    def __init__(self, env: "Environment"):
         self.bounds = env.bounds
-        self.inflate = float(inflate)
         circles = [o for o in env.obstacles if isinstance(o, Circle)]
         self._circle_xy = np.array([[c.center.x, c.center.y] for c in circles],
                                    dtype=np.float64).reshape(len(circles), 2)
-        self._circle_r = np.array([c.radius + self.inflate for c in circles],
-                                  dtype=np.float64)
+        self._circle_r = np.array([c.radius for c in circles], dtype=np.float64)
         self._polygons = [np.asarray(o.vertices, dtype=np.float64)
                           for o in env.obstacles if isinstance(o, Polygon)]
-        if self.inflate > 0.0 and self._polygons:
-            raise NotImplementedError(
-                "inflated polygon obstacles are not supported in batch mode")
 
     def free(self, points: np.ndarray) -> np.ndarray:
         """points: (N, 2) array -> boolean (N,) mask of free points."""
@@ -341,7 +310,45 @@ class CollisionField:
             ok &= ~inside
         return ok
 
+    def blocked_lengths(self, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+        """(N, 2) start and end points -> (N,) exact blocked length per segment.
 
-def free_mask(points: np.ndarray, env: "Environment", inflate: float = 0.0) -> np.ndarray:
-    """One-shot vectorized point_free over an (N, 2) array of points."""
-    return CollisionField(env, inflate).free(points)
+        A segment's blocked length is the length of it lying inside an
+        obstacle or out of bounds. The segment is cut at every parameter
+        t where it crosses a disk rim, a polygon edge or a bound line, so
+        each piece between cuts is wholly free or wholly blocked and its
+        midpoint, classified by `free`, decides it. Overlapping obstacles
+        therefore count once.
+        """
+        a = np.asarray(starts, dtype=np.float64).reshape(-1, 2)
+        d = np.asarray(ends, dtype=np.float64).reshape(-1, 2) - a
+        b = self.bounds
+        cuts = [np.zeros((len(a), 1)), np.ones((len(a), 1))]
+        # Misses, parallels and zero-length segments give nan or inf cuts,
+        # which the clip below folds onto t = 0 or t = 1.
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            cuts.append((np.array([[b.x_min, b.x_max]]) - a[:, :1]) / d[:, :1])
+            cuts.append((np.array([[b.y_min, b.y_max]]) - a[:, 1:]) / d[:, 1:])
+            if self._circle_r.size:
+                # |a + t d - c|^2 = r^2, a quadratic in t per disk.
+                f = a[:, None, :] - self._circle_xy[None, :, :]
+                dd = (d * d).sum(axis=1)[:, None]
+                half_b = (f * d[:, None, :]).sum(axis=2)
+                root = np.sqrt(half_b * half_b
+                               - dd * ((f * f).sum(axis=2) - self._circle_r ** 2))
+                cuts += [(-half_b - root) / dd, (-half_b + root) / dd]
+            for verts in self._polygons:
+                # a + t d = v + s e, kept where s lies on the edge.
+                e = (np.roll(verts, -1, axis=0) - verts)[None, :, :]
+                w = verts[None, :, :] - a[:, None, :]
+                den = _cross(d[:, None, :], e)
+                s = _cross(w, d[:, None, :]) / den
+                cuts.append(np.where((s >= 0.0) & (s <= 1.0), _cross(w, e) / den, np.nan))
+        t = np.concatenate(cuts, axis=1)
+        t = np.sort(np.clip(np.nan_to_num(t, nan=1.0), 0.0, 1.0), axis=1)
+        piece = np.diff(t, axis=1)
+        mid = a[:, None, :] + (t[:, :-1] + 0.5 * piece)[:, :, None] * d[:, None, :]
+        keep = piece > 0.0
+        blocked = np.zeros(piece.shape, dtype=bool)
+        blocked[keep] = ~self.free(mid[keep])
+        return (piece * blocked).sum(axis=1) * np.hypot(d[:, 0], d[:, 1])

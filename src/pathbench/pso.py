@@ -3,9 +3,11 @@
 Each particle is a flat vector [x1, y1, ..., xn, yn] of intermediate
 waypoints; decoding prepends the query start and appends the target.
 Fitness is geometric path length plus a penalty proportional to the
-length of path lying inside obstacles (or out of bounds), measured by
-sub-sampling every segment at a fixed resolution. The swarm stops early
-once the global best has been flat for a full stagnation window.
+length of path lying inside obstacles (or out of bounds), computed
+exactly by `CollisionField.blocked_lengths`. The swarm stops early once
+the global best has been flat for a full stagnation window. A result is
+feasible only when every segment of the best path passes `edge_free`,
+the same check `audit_path` makes.
 """
 
 from __future__ import annotations
@@ -19,17 +21,14 @@ import numpy as np
 
 from .environment import Environment, Query, validate_query
 from .errors import InvalidQueryError
-from .geometry import CollisionField, Point2, path_length
+from .geometry import CollisionField, Point2, edge_free, path_length
 from .result import PlanResult
 
 __all__ = [
     "PsoParams", "Particle", "PsoRun", "plan_pso", "decode", "encode",
     "fitness", "path_violation", "update_velocity", "update_position",
-    "update_inertia", "VIOLATION_RESOLUTION",
+    "update_inertia",
 ]
-
-#: Segment sub-sampling resolution (workspace units) for the penalty term.
-VIOLATION_RESOLUTION = 0.1
 
 
 @dataclass(frozen=True)
@@ -111,38 +110,20 @@ def _waypoint_tensor(positions: np.ndarray, query: Query) -> np.ndarray:
 
 def _lengths_and_violations(wp: np.ndarray,
                             field: CollisionField) -> tuple[np.ndarray, np.ndarray]:
-    """Per-particle geometric length and blocked-length measure.
-
-    Every segment is sampled at VIOLATION_RESOLUTION spacing (midpoints of
-    equal sub-intervals); each blocked sample contributes its spacing.
-    """
+    """Per-particle geometric length and exact blocked length."""
     m, k, _ = wp.shape
-    segs = k - 1
     vec = wp[:, 1:, :] - wp[:, :-1, :]
-    seg_len = np.hypot(vec[:, :, 0], vec[:, :, 1])
-    lengths = seg_len.sum(axis=1)
-
-    flat_len = seg_len.ravel()
-    flat_a = wp[:, :-1, :].reshape(-1, 2)
-    flat_v = vec.reshape(-1, 2)
-    n_sub = np.maximum(1, np.ceil(flat_len / VIOLATION_RESOLUTION).astype(np.int64))
-    total = int(n_sub.sum())
-    seg_of = np.repeat(np.arange(flat_len.size), n_sub)
-    first = np.concatenate(([0], np.cumsum(n_sub)[:-1]))
-    within = np.arange(total) - np.repeat(first, n_sub)
-    t = (within + 0.5) / n_sub[seg_of]
-    pts = flat_a[seg_of] + t[:, None] * flat_v[seg_of]
-    blocked = ~field.free(pts)
-    spacing = flat_len[seg_of] / n_sub[seg_of]
-    contrib = np.where(blocked, spacing, 0.0)
-    violations = np.bincount(seg_of // segs, weights=contrib, minlength=m)
-    return lengths, violations
+    lengths = np.hypot(vec[:, :, 0], vec[:, :, 1]).sum(axis=1)
+    blocked = field.blocked_lengths(wp[:, :-1, :].reshape(-1, 2),
+                                    wp[:, 1:, :].reshape(-1, 2))
+    return lengths, blocked.reshape(m, k - 1).sum(axis=1)
 
 
 def path_violation(path: Sequence[Sequence[float]], env: Environment) -> float:
-    """Blocked length of an explicit waypoint path, by sub-sampling.
+    """Exact blocked length of an explicit waypoint path.
 
-    Zero iff the path is collision-free at VIOLATION_RESOLUTION.
+    The length of path inside obstacles or out of bounds; zero for a path
+    that only touches obstacle boundaries.
     """
     wp = np.asarray(path, dtype=np.float64)[None, :, :]
     _, viol = _lengths_and_violations(wp, CollisionField(env))
@@ -151,7 +132,7 @@ def path_violation(path: Sequence[Sequence[float]], env: Environment) -> float:
 
 def fitness(position: Sequence[float], query: Query, env: Environment,
             penalty_lambda: float) -> float:
-    """Path length plus penalty_lambda times the blocked-length measure."""
+    """Path length plus penalty_lambda times the exact blocked length."""
     vec = np.asarray(position, dtype=np.float64).ravel()
     if vec.size == 0 or vec.size % 2 != 0:
         raise ValueError(f"waypoint vector length must be a positive even number, got {vec.size}")
@@ -298,18 +279,18 @@ class PsoRun:
         snapshot = asdict(self.params)
         path = decode(self.gbest_position, self.query)
         violation = path_violation(path, self.env)
-        feasible = violation == 0.0
+        feasible = all(edge_free(a, b, self.env) for a, b in zip(path, path[1:]))
         return PlanResult(
             planner_id="pso", seed=self.params.rng_seed, feasible=feasible,
             length=path_length(path) if feasible else math.nan,
             elapsed=elapsed, iterations_used=self.iteration,
-            closest_approach=0.0, path=path if feasible else None,
+            closest_approach=violation, path=path if feasible else None,
             params=snapshot)
 
 
 def plan_pso(env: Environment, query: Query,
              params: PsoParams = PsoParams()) -> PlanResult:
-    """Optimize a waypoint path; feasible iff the best path samples clean."""
+    """Optimize a waypoint path; feasible iff every best-path segment is edge_free."""
     t0 = time.perf_counter()
     run = PsoRun(env, query, params)
     while not run.should_stop:

@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from pathbench.benchmark import audit_path
 from pathbench.environment import Environment, Query, generate_random_env
 from pathbench.errors import InvalidQueryError
-from pathbench.geometry import Bounds, Circle, Point2, path_length
+from pathbench.geometry import Bounds, Circle, Point2, Polygon, path_length
 from pathbench.pso import (PsoParams, PsoRun, decode, encode, fitness,
                            path_violation, plan_pso, update_inertia,
                            update_position, update_velocity)
@@ -219,10 +220,26 @@ def test_feasible_result_is_audit_clean():
     env = generate_random_env(12, query=Q_EAST)
     res = plan_pso(env, Q_EAST, PsoParams(max_iterations=300, rng_seed=0))
     assert res.feasible
-    assert path_violation(res.path, env) == 0.0
+    assert audit_path(res.path, env)
     assert res.length == pytest.approx(path_length(res.path))
     assert len(res.path) == 7
     assert res.params["penalty_lambda"] == 1000.0
+
+
+def test_infeasible_reports_blocked_length():
+    # A wall spans the whole workspace height, so no path is clear.
+    wall = Polygon((Point2(4.0, -41.0), Point2(6.0, -41.0),
+                    Point2(6.0, 21.0), Point2(4.0, 21.0)))
+    env = Environment(EMPTY.bounds, (wall,))
+    run = PsoRun(env, Q_EAST, PsoParams(max_iterations=40, population=10,
+                                        rng_seed=1))
+    while not run.should_stop:
+        run.step()
+    res = run.result(0.0)
+    assert not res.feasible and res.path is None
+    assert res.closest_approach >= 2.0
+    assert res.closest_approach == path_violation(
+        decode(run.gbest_position, Q_EAST), env)
 
 
 def test_rejects_bad_query():
