@@ -165,16 +165,20 @@ def run_trials(env: EnvSource, query: Query, planner_id: str,
 
     `env` may be a fixed Environment or a seed -> Environment callable, in
     which case each trial gets the environment built from its own seed.
-    Trials are independent, so `jobs` > 1 fans them out over processes;
-    results always come back in seed order.
+    Trials are independent, so `jobs` > 1 fans them out over at most
+    min(jobs, n_trials) processes; results always come back in seed order.
     """
     if planner_id not in _PLANNERS:
         raise ValueError(f"unknown planner {planner_id!r}; expected one of {sorted(_PLANNERS)}")
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     seeds = [base_seed + i for i in range(n_trials)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # Under fork every worker starts with the pool, so never ask for idle ones.
+    workers = min(jobs, n_trials)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(plan_once, [env] * n_trials,
                                     [query] * n_trials, [planner_id] * n_trials,
                                     [params] * n_trials, seeds))

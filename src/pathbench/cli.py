@@ -21,6 +21,15 @@ A scenario config is a JSON object; every field is optional::
 
 Unknown keys anywhere are an error. The seed precedence is config
 base_seed, then the PATHBENCH_SEED environment variable, then --seed.
+
+`parse_config` resolves the environment and query while it parses: a
+preset or file is loaded and an inline document is built (each falls
+back to its own query when the config gives none), and kind "random"
+becomes a RandomEnvFactory, whose defaults are the ones shown above and
+which needs the config's query. For a random field, `plan` draws it from
+`environment.seed` when given, else from the effective seed; `bench`
+draws each trial's field from that trial's seed and rejects
+`environment.seed`; `table1` rejects kind "random".
 """
 
 from __future__ import annotations
@@ -33,15 +42,15 @@ import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .benchmark import (RandomEnvFactory, plan_once, result_record,
-                        run_trials, summarize, table1_suite,
+from .benchmark import (EnvSource, RandomEnvFactory, plan_once,
+                        result_record, run_trials, summarize, table1_suite,
                         write_results_csv, write_summary, write_table1_csv)
-from .environment import (DEFAULT_BOUNDS, Environment, Query,
-                          _reject_unknown, environment_from_dict,
-                          environment_to_dict, irregular_preset,
-                          load_environment, preset_names, validate_query)
+from .environment import (Environment, Query, _reject_unknown,
+                          environment_from_dict, irregular_preset,
+                          load_environment, preset_names, query_from_dict,
+                          validate_query)
 from .errors import FormatError, InvalidQueryError, PathbenchError
-from .geometry import Bounds, Point2
+from .geometry import Bounds
 from .pso import PsoParams
 from .render import environment_svg
 from .result import PlanResult
@@ -51,23 +60,17 @@ SEED_ENV_VAR = "PATHBENCH_SEED"
 
 
 @dataclass(frozen=True)
-class EnvSpec:
-    kind: str  # "preset" | "file" | "inline" | "random"
-    name: str = "irregular-a"
-    path: str = ""
-    inline_env: Optional[Environment] = None
-    inline_query: Optional[Query] = None
-    seed: Optional[int] = None
-    n_obstacles: int = 12
-    radius_range: tuple[float, float] = (2.0, 6.0)
-    bounds: Bounds = DEFAULT_BOUNDS
-    clearance: float = 1.0
-
-
-@dataclass(frozen=True)
 class ScenarioConfig:
-    env_spec: EnvSpec = EnvSpec(kind="preset")
-    query: Optional[Query] = None
+    """A parsed config: the environment and query are already resolved.
+
+    `environment` is an Environment, or for kind "random" a
+    RandomEnvFactory that builds one per seed; `env_seed` is the random
+    kind's optional `seed` field (None for every other kind).
+    """
+
+    environment: EnvSource
+    query: Query
+    env_seed: Optional[int] = None
     rrtstar: RrtParams = RrtParams()
     pso: PsoParams = PsoParams()
     trials: int = 50
@@ -87,57 +90,63 @@ def _as_num(value, where: str) -> float:
     return float(value)
 
 
-def _parse_query(doc, where: str) -> Query:
-    if not isinstance(doc, dict):
-        raise FormatError(f"{where} must be an object")
-    _reject_unknown(doc, {"start", "target"}, where)
-    try:
-        start, target = doc["start"], doc["target"]
-    except KeyError as exc:
-        raise FormatError(f"{where} is missing {exc}") from None
-    for name, p in (("start", start), ("target", target)):
-        if not (isinstance(p, list) and len(p) == 2):
-            raise FormatError(f"{where}.{name} must be [x, y]")
-    return Query(Point2(_as_num(start[0], where), _as_num(start[1], where)),
-                 Point2(_as_num(target[0], where), _as_num(target[1], where)))
+def _as_list(value, n: int, message: str) -> list:
+    if not (isinstance(value, list) and len(value) == n):
+        raise FormatError(message)
+    return value
 
 
-def _parse_env_spec(doc) -> EnvSpec:
+def _parse_random(doc: dict, query: Optional[Query]):
+    _reject_unknown(doc, {"kind", "seed", "n_obstacles", "radius_range",
+                          "bounds", "clearance"}, "environment")
+    seed = _as_int(doc["seed"], "environment.seed") if "seed" in doc else None
+    # Only the keys the config gives; RandomEnvFactory holds the defaults.
+    given: dict = {}
+    if "n_obstacles" in doc:
+        given["n_obstacles"] = _as_int(doc["n_obstacles"], "environment.n_obstacles")
+    if "radius_range" in doc:
+        rr = _as_list(doc["radius_range"], 2, "environment.radius_range must be [lo, hi]")
+        given["radius_range"] = tuple(_as_num(v, "radius_range") for v in rr)
+    if "bounds" in doc:
+        b = _as_list(doc["bounds"], 4,
+                     "environment.bounds must be [x_min, x_max, y_min, y_max]")
+        given["bounds"] = Bounds(*(_as_num(v, "bounds") for v in b))
+    if "clearance" in doc:
+        given["clearance"] = _as_num(doc["clearance"], "environment.clearance")
+    if query is None:
+        raise FormatError("a random environment needs an explicit query")
+    return RandomEnvFactory(query=query, **given), query, seed
+
+
+def _parse_environment(doc, query: Optional[Query]):
+    """Return (environment, query, env_seed); the config's query wins."""
     if not isinstance(doc, dict) or "kind" not in doc:
         raise FormatError("environment must be an object with a 'kind'")
     kind = doc["kind"]
+    if kind == "random":
+        return _parse_random(doc, query)
     if kind == "preset":
         _reject_unknown(doc, {"kind", "name"}, "environment")
         name = doc.get("name", "irregular-a")
         if name not in preset_names():
             raise FormatError(f"unknown preset {name!r}; available: {', '.join(preset_names())}")
-        return EnvSpec(kind="preset", name=name)
-    if kind == "file":
+        env, own_query = irregular_preset(name)
+        source = f"preset {name}"
+    elif kind == "file":
         _reject_unknown(doc, {"kind", "path"}, "environment")
         if not doc.get("path"):
             raise FormatError("environment kind 'file' needs a 'path'")
-        return EnvSpec(kind="file", path=str(doc["path"]))
-    if kind == "inline":
-        body = {k: v for k, v in doc.items() if k != "kind"}
-        env, query = environment_from_dict(body)
-        return EnvSpec(kind="inline", inline_env=env, inline_query=query)
-    if kind == "random":
-        _reject_unknown(doc, {"kind", "seed", "n_obstacles", "radius_range",
-                              "bounds", "clearance"}, "environment")
-        seed = _as_int(doc["seed"], "environment.seed") if "seed" in doc else None
-        n = _as_int(doc.get("n_obstacles", 12), "environment.n_obstacles")
-        rr = doc.get("radius_range", [2.0, 6.0])
-        if not (isinstance(rr, list) and len(rr) == 2):
-            raise FormatError("environment.radius_range must be [lo, hi]")
-        bounds_doc = doc.get("bounds", list(DEFAULT_BOUNDS))
-        if not (isinstance(bounds_doc, list) and len(bounds_doc) == 4):
-            raise FormatError("environment.bounds must be [x_min, x_max, y_min, y_max]")
-        return EnvSpec(kind="random", seed=seed, n_obstacles=n,
-                       radius_range=(_as_num(rr[0], "radius_range"),
-                                     _as_num(rr[1], "radius_range")),
-                       bounds=Bounds(*(_as_num(v, "bounds") for v in bounds_doc)),
-                       clearance=_as_num(doc.get("clearance", 1.0), "environment.clearance"))
-    raise FormatError(f"unknown environment kind {kind!r}")
+        source = str(doc["path"])
+        env, own_query = load_environment(source)
+    elif kind == "inline":
+        env, own_query = environment_from_dict({k: v for k, v in doc.items() if k != "kind"})
+        source = "inline environment"
+    else:
+        raise FormatError(f"unknown environment kind {kind!r}")
+    query = query or own_query
+    if query is None:
+        raise FormatError(f"{source} has no query and the config gives none")
+    return env, query, None
 
 
 def _parse_params(doc, defaults, where: str):
@@ -164,8 +173,9 @@ def parse_config(doc: dict) -> ScenarioConfig:
         raise FormatError("config must be a JSON object")
     _reject_unknown(doc, {"environment", "query", "rrtstar", "pso",
                           "trials", "base_seed", "out"}, "config")
-    spec = _parse_env_spec(doc["environment"]) if "environment" in doc else EnvSpec(kind="preset")
-    query = _parse_query(doc["query"], "query") if "query" in doc else None
+    query = query_from_dict(doc["query"]) if "query" in doc else None
+    environment, query, env_seed = _parse_environment(
+        doc.get("environment", {"kind": "preset"}), query)
     rrt = _parse_params(doc.get("rrtstar", {}), RrtParams(), "rrtstar")
     pso = _parse_params(doc.get("pso", {}), PsoParams(), "pso")
     trials = _as_int(doc.get("trials", 50), "trials")
@@ -175,40 +185,9 @@ def parse_config(doc: dict) -> ScenarioConfig:
     out = doc.get("out", "output")
     if not isinstance(out, str):
         raise FormatError(f"out must be a string, got {out!r}")
-    return ScenarioConfig(env_spec=spec, query=query, rrtstar=rrt, pso=pso,
-                          trials=trials, base_seed=base_seed, out=out)
-
-
-def config_to_dict(cfg: ScenarioConfig) -> dict:
-    """Serialize a config to its canonical JSON object (full round-trip)."""
-    spec = cfg.env_spec
-    if spec.kind == "preset":
-        env_doc: dict = {"kind": "preset", "name": spec.name}
-    elif spec.kind == "file":
-        env_doc = {"kind": "file", "path": spec.path}
-    elif spec.kind == "inline":
-        env_doc = {"kind": "inline",
-                   **environment_to_dict(spec.inline_env, spec.inline_query)}
-    else:
-        env_doc = {"kind": "random", "n_obstacles": spec.n_obstacles,
-                   "radius_range": list(spec.radius_range),
-                   "bounds": list(spec.bounds), "clearance": spec.clearance}
-        if spec.seed is not None:
-            env_doc["seed"] = spec.seed
-    doc: dict = {"environment": env_doc}
-    if cfg.query is not None:
-        doc["query"] = {"start": [cfg.query.start.x, cfg.query.start.y],
-                        "target": [cfg.query.target.x, cfg.query.target.y]}
-    rrt_doc = dataclasses.asdict(cfg.rrtstar)
-    pso_doc = dataclasses.asdict(cfg.pso)
-    rrt_doc.pop("rng_seed")
-    pso_doc.pop("rng_seed")
-    doc["rrtstar"] = rrt_doc
-    doc["pso"] = pso_doc
-    doc["trials"] = cfg.trials
-    doc["base_seed"] = cfg.base_seed
-    doc["out"] = cfg.out
-    return doc
+    return ScenarioConfig(environment=environment, query=query, env_seed=env_seed,
+                          rrtstar=rrt, pso=pso, trials=trials,
+                          base_seed=base_seed, out=out)
 
 
 def load_config(path) -> ScenarioConfig:
@@ -233,44 +212,12 @@ def _effective_seed(cfg: ScenarioConfig, flag_seed: Optional[int]) -> int:
     return seed
 
 
-def _resolve_environment(cfg: ScenarioConfig):
-    """Return (env_source, query); env_source may be a per-seed factory."""
-    spec = cfg.env_spec
-    if spec.kind == "preset":
-        env, preset_query = irregular_preset(spec.name)
-        return env, cfg.query or preset_query
-    if spec.kind == "file":
-        env, file_query = load_environment(spec.path)
-        query = cfg.query or file_query
-        if query is None:
-            raise FormatError(f"{spec.path} has no query and the config gives none")
-        return env, query
-    if spec.kind == "inline":
-        query = cfg.query or spec.inline_query
-        if query is None:
-            raise FormatError("inline environment has no query and the config gives none")
-        return spec.inline_env, query
-    # random
-    if cfg.query is None:
-        raise FormatError("a random environment needs an explicit query")
-    factory = RandomEnvFactory(query=cfg.query, n_obstacles=spec.n_obstacles,
-                               bounds=spec.bounds, radius_range=spec.radius_range,
-                               clearance=spec.clearance)
-    return factory, cfg.query
-
-
 def _plan_json(result: PlanResult) -> dict:
-    return {
-        "planner": result.planner_id,
-        "seed": result.seed,
-        "feasible": result.feasible,
-        "length": result.length,
-        "elapsed_s": result.elapsed,
-        "iterations_used": result.iterations_used,
-        "closest_approach": result.closest_approach,
-        "path": [[p.x, p.y] for p in result.path] if result.path else None,
-        "params": result.params,
-    }
+    record = result_record(result)
+    del record["case_id"]
+    return {**record,
+            "path": [[p.x, p.y] for p in result.path] if result.path else None,
+            "params": result.params}
 
 
 def _ensure_out(cfg: ScenarioConfig, flag_out: Optional[str]) -> str:
@@ -287,13 +234,11 @@ def _check_query(env: Environment, query: Query) -> None:
 
 
 def cmd_plan(args) -> int:
-    cfg = load_config(args.config) if args.config else ScenarioConfig()
+    cfg = load_config(args.config) if args.config else parse_config({})
     seed = _effective_seed(cfg, args.seed)
-    env_source, query = _resolve_environment(cfg)
-    if callable(env_source):
-        env = env_source(cfg.env_spec.seed if cfg.env_spec.seed is not None else seed)
-    else:
-        env = env_source
+    env, query = cfg.environment, cfg.query
+    if isinstance(env, RandomEnvFactory):
+        env = env(cfg.env_seed if cfg.env_seed is not None else seed)
     _check_query(env, query)
     planner = args.planner or "rrtstar"
     result = plan_once(env, query, planner,
@@ -315,19 +260,24 @@ def cmd_plan(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    cfg = load_config(args.config) if args.config else ScenarioConfig()
+    cfg = load_config(args.config) if args.config else parse_config({})
     seed = _effective_seed(cfg, args.seed)
     trials = args.trials if args.trials is not None else cfg.trials
-    env_source, query = _resolve_environment(cfg)
-    if not callable(env_source):
-        _check_query(env_source, query)
+    for flag, value in (("--trials", trials), ("--jobs", args.jobs)):
+        if value < 1:
+            raise FormatError(f"{flag} must be >= 1, got {value}")
+    if cfg.env_seed is not None:
+        raise FormatError("bench draws each trial's random field from the trial "
+                          "seed; remove environment.seed")
+    if not isinstance(cfg.environment, RandomEnvFactory):
+        _check_query(cfg.environment, cfg.query)
     planners = [args.planner] if args.planner else ["rrtstar", "pso"]
     records = []
     report = {}
     for planner in planners:
         params = cfg.rrtstar if planner == "rrtstar" else cfg.pso
-        stats = run_trials(env_source, query, planner, params, trials, seed,
-                           jobs=args.jobs)
+        stats = run_trials(cfg.environment, cfg.query, planner, params,
+                           trials, seed, jobs=args.jobs)
         records.extend(result_record(r) for r in stats.results)
         report[planner] = summarize(stats)
         feas = f"{stats.n_feasible}/{stats.n_trials}"
@@ -340,12 +290,11 @@ def cmd_bench(args) -> int:
 
 
 def cmd_table1(args) -> int:
-    cfg = load_config(args.config) if args.config else ScenarioConfig()
+    cfg = load_config(args.config) if args.config else parse_config({})
     seed = _effective_seed(cfg, args.seed)
-    if cfg.env_spec.kind == "random":
+    if isinstance(cfg.environment, RandomEnvFactory):
         raise FormatError("the ten-case suite needs a fixed environment, not 'random'")
-    env_source, _ = _resolve_environment(cfg)
-    rows = table1_suite(env=env_source,
+    rows = table1_suite(env=cfg.environment,
                         specs=[("rrtstar", cfg.rrtstar), ("pso", cfg.pso)],
                         seed=seed)
     out = _ensure_out(cfg, args.out)

@@ -21,7 +21,7 @@ import json
 import math
 from dataclasses import dataclass
 from importlib import resources
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -191,7 +191,8 @@ def environment_to_dict(env: Environment, query: Optional[Query] = None) -> dict
 
 def _point_from(doc, what: str) -> Point2:
     if (not isinstance(doc, (list, tuple)) or len(doc) != 2
-            or not all(isinstance(v, (int, float)) for v in doc)):
+            or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                       for v in doc)):
         raise FormatError(f"{what} must be a [x, y] pair, got {doc!r}")
     return Point2(float(doc[0]), float(doc[1]))
 
@@ -200,6 +201,17 @@ def _reject_unknown(doc: dict, allowed: set[str], where: str) -> None:
     unknown = set(doc) - allowed
     if unknown:
         raise FormatError(f"unknown field(s) {sorted(unknown)} in {where}")
+
+
+def query_from_dict(doc) -> Query:
+    """Parse a {"start": [x, y], "target": [x, y]} query object."""
+    if not isinstance(doc, dict):
+        raise FormatError("query must be an object")
+    _reject_unknown(doc, {"start", "target"}, "query")
+    if "start" not in doc or "target" not in doc:
+        raise FormatError("query needs both 'start' and 'target'")
+    return Query(_point_from(doc["start"], "query start"),
+                 _point_from(doc["target"], "query target"))
 
 
 def environment_from_dict(doc: dict) -> tuple[Environment, Optional[Query]]:
@@ -236,16 +248,7 @@ def environment_from_dict(doc: dict) -> tuple[Environment, Optional[Query]]:
         else:
             raise FormatError(f"obstacle {i} has unknown kind {kind!r}")
 
-    query = None
-    if "query" in doc:
-        qdoc = doc["query"]
-        if not isinstance(qdoc, dict):
-            raise FormatError("query must be an object")
-        _reject_unknown(qdoc, {"start", "target"}, "query")
-        if "start" not in qdoc or "target" not in qdoc:
-            raise FormatError("query needs both 'start' and 'target'")
-        query = Query(_point_from(qdoc["start"], "query start"),
-                      _point_from(qdoc["target"], "query target"))
+    query = query_from_dict(doc["query"]) if "query" in doc else None
     return Environment(bounds, tuple(obstacles)), query
 
 

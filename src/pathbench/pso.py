@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import asdict, dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -25,9 +25,8 @@ from .geometry import CollisionField, Point2, edge_free, path_length
 from .result import PlanResult
 
 __all__ = [
-    "PsoParams", "Particle", "PsoRun", "plan_pso", "decode", "encode",
-    "fitness", "path_violation", "update_velocity", "update_position",
-    "update_inertia",
+    "PsoParams", "PsoRun", "plan_pso", "decode", "encode", "fitness",
+    "path_violation", "update_inertia",
 ]
 
 
@@ -63,17 +62,6 @@ class PsoParams:
             raise ValueError(f"stop_epsilon must be >= 0, got {self.stop_epsilon}")
         if self.stagnation_window < 1:
             raise ValueError(f"stagnation_window must be >= 1, got {self.stagnation_window}")
-
-
-@dataclass(frozen=True)
-class Particle:
-    """Read-only snapshot of one swarm member."""
-
-    position: np.ndarray
-    velocity: np.ndarray
-    fitness: float
-    pbest_position: np.ndarray
-    pbest_fitness: float
 
 
 def decode(position: Sequence[float], query: Query) -> tuple[Point2, ...]:
@@ -141,23 +129,6 @@ def fitness(position: Sequence[float], query: Query, env: Environment,
     return float(lengths[0] + penalty_lambda * violations[0])
 
 
-def update_velocity(velocity: np.ndarray, position: np.ndarray,
-                    pbest: np.ndarray, gbest: np.ndarray, omega: float,
-                    c1: float, c2: float, rng: np.random.Generator,
-                    v_max: float) -> np.ndarray:
-    """One particle's velocity update; r1 and r2 are fresh scalar draws."""
-    r1 = rng.random()
-    r2 = rng.random()
-    v = omega * velocity + c1 * r1 * (pbest - position) + c2 * r2 * (gbest - position)
-    return np.clip(v, -v_max, v_max)
-
-
-def update_position(position: np.ndarray, velocity: np.ndarray,
-                    lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Apply the velocity, clamping every coordinate to the bounds."""
-    return np.clip(position + velocity, lo, hi)
-
-
 def update_inertia(iteration: int, max_iterations: int, omega_start: float,
                    omega_end: float, stagnant: bool,
                    rng: np.random.Generator) -> float:
@@ -223,13 +194,6 @@ class PsoRun:
         wp = _waypoint_tensor(positions, self.query)
         lengths, violations = _lengths_and_violations(wp, self._field)
         return lengths + self.params.penalty_lambda * violations
-
-    def particle(self, i: int) -> Particle:
-        return Particle(position=self.positions[i].copy(),
-                        velocity=self.velocities[i].copy(),
-                        fitness=float(self.fitnesses[i]),
-                        pbest_position=self.pbest_positions[i].copy(),
-                        pbest_fitness=float(self.pbest_fitnesses[i]))
 
     @property
     def stagnant(self) -> bool:

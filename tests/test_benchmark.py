@@ -132,6 +132,40 @@ def test_run_trials_parallel_matches_serial():
         assert s.iterations_used == p.iterations_used
 
 
+def test_run_trials_caps_and_checks_jobs(monkeypatch):
+    started = []
+
+    class SerialPool:
+        """ProcessPoolExecutor stand-in: records max_workers, maps serially."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr("pathbench.benchmark.ProcessPoolExecutor", SerialPool)
+    env, _ = irregular_preset("empty")
+    params = RrtParams(iterations_num=20)
+    stats = run_trials(env, QUERY_A, "rrtstar", params, n_trials=3,
+                       base_seed=0, jobs=5000)
+    assert started == [3]
+    assert [r.seed for r in stats.results] == [0, 1, 2]
+    # One trial never needs a pool, whatever jobs asks for.
+    run_trials(env, QUERY_A, "rrtstar", params, n_trials=1, base_seed=0, jobs=4)
+    assert started == [3]
+    for jobs in (0, -1):
+        with pytest.raises(ValueError):
+            run_trials(env, QUERY_A, "rrtstar", params, n_trials=2,
+                       base_seed=0, jobs=jobs)
+
+
 def test_random_env_factory_is_picklable_and_seeded():
     factory = RandomEnvFactory(query=QUERY_A)
     clone = pickle.loads(pickle.dumps(factory))

@@ -5,11 +5,13 @@ import math
 
 import pytest
 
-from pathbench.cli import (SEED_ENV_VAR, ScenarioConfig, config_to_dict,
-                           main, parse_config)
-from pathbench.environment import (Environment, Query, save_environment)
+from pathbench.benchmark import RandomEnvFactory
+from pathbench.cli import SEED_ENV_VAR, load_config, main, parse_config
+from pathbench.environment import (Environment, Query, irregular_preset,
+                                   save_environment)
 from pathbench.errors import FormatError
 from pathbench.geometry import Bounds, Circle, Point2
+from pathbench.render import environment_svg
 
 EMPTY_INLINE = {
     "kind": "inline",
@@ -34,9 +36,8 @@ def write_config(tmp_path, doc, name="config.json"):
 
 def test_parse_config_defaults():
     cfg = parse_config({})
-    assert cfg.env_spec.kind == "preset"
-    assert cfg.env_spec.name == "irregular-a"
-    assert cfg.query is None
+    assert (cfg.environment, cfg.query) == irregular_preset("irregular-a")
+    assert cfg.env_seed is None
     assert cfg.trials == 50
     assert cfg.base_seed == 0
     assert cfg.out == "output"
@@ -57,11 +58,41 @@ def test_parse_config_defaults():
      "pso": {"population": 20, "omega_start": 0.8},
      "base_seed": 4, "out": "elsewhere"},
 ])
-def test_config_round_trip(doc):
+def test_config_round_trip(doc, tmp_path, monkeypatch):
+    # A config written to disk loads back to the config its document parses to.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "somewhere").mkdir()
+    save_environment(tmp_path / "somewhere" / "env.json",
+                     *irregular_preset("empty"))
     cfg = parse_config(doc)
-    again = parse_config(config_to_dict(cfg))
-    assert again == cfg
-    assert config_to_dict(again) == config_to_dict(cfg)
+    assert load_config(write_config(tmp_path, doc)) == cfg
+
+
+def test_parse_config_resolves_the_environment(tmp_path):
+    query_doc = {"start": [20.0, -15.0], "target": [-25.0, 15.0]}
+    query = Query(Point2(20.0, -15.0), Point2(-25.0, 15.0))
+    cfg = parse_config({"environment": {"kind": "random", "seed": 7,
+                                        "n_obstacles": 5,
+                                        "radius_range": [1.0, 2.0],
+                                        "bounds": [-30, 30, -30, 30],
+                                        "clearance": 0.5},
+                        "query": query_doc})
+    assert cfg.environment == RandomEnvFactory(
+        query=query, n_obstacles=5, radius_range=(1.0, 2.0),
+        bounds=Bounds(-30.0, 30.0, -30.0, 30.0), clearance=0.5)
+    assert (cfg.query, cfg.env_seed) == (query, 7)
+    cfg = parse_config({"environment": {"kind": "random"}, "query": query_doc})
+    assert cfg.environment == RandomEnvFactory(query=query)
+    assert cfg.env_seed is None
+
+    env, own_query = irregular_preset("empty")
+    save_environment(tmp_path / "env.json", env, own_query)
+    file_doc = {"kind": "file", "path": str(tmp_path / "env.json")}
+    cfg = parse_config({"environment": file_doc})
+    assert (cfg.environment, cfg.query, cfg.env_seed) == (env, own_query, None)
+    # The config's own query wins over the one the environment carries.
+    cfg = parse_config({"environment": file_doc, "query": query_doc})
+    assert cfg.query == query
 
 
 @pytest.mark.parametrize("doc", [
@@ -78,6 +109,11 @@ def test_config_round_trip(doc):
     {"trials": 0},
     {"trials": "many"},
     {"out": 7},
+    {"query": {"start": [True, 0.0], "target": [1.0, 1.0]}},
+    {"environment": {"kind": "random"}},
+    {"environment": {"kind": "random", "radius_range": [1.0]},
+     "query": {"start": [0.0, 0.0], "target": [1.0, 1.0]}},
+    {"environment": {"kind": "inline", "bounds": [-5.0, 5.0, -5.0, 5.0]}},
 ])
 def test_parse_config_rejections(doc):
     with pytest.raises(FormatError):
@@ -229,6 +265,40 @@ def test_bench_random_env_needs_a_query(tmp_path, capsys):
     cfg = write_config(tmp_path, {"environment": {"kind": "random", "seed": 1}})
     assert main(["bench", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
     assert "query" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--trials", "--jobs"])
+def test_bench_rejects_a_non_positive_count(tmp_path, capsys, flag):
+    cfg = write_config(tmp_path, {"environment": EMPTY_INLINE})
+    assert main(["bench", "--config", cfg, "--out", str(tmp_path / "x"),
+                 flag, "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert flag in err
+
+
+def test_bench_rejects_a_random_field_seed(tmp_path, capsys):
+    cfg = write_config(tmp_path, {
+        "environment": {"kind": "random", "seed": 2},
+        "query": {"start": [20.0, -15.0], "target": [-25.0, 15.0]}})
+    assert main(["bench", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    assert "environment.seed" in capsys.readouterr().err
+
+
+def test_plan_draws_a_random_field_from_its_seed(tmp_path):
+    doc = {"environment": {"kind": "random", "seed": 5},
+           "query": {"start": [20.0, -15.0], "target": [-25.0, 15.0]},
+           "rrtstar": {"iterations_num": 50}}
+    out = tmp_path / "run"
+    main(["plan", "--config", write_config(tmp_path, doc), "--out", str(out),
+          "--seed", "1"])
+    query = Query(Point2(20.0, -15.0), Point2(-25.0, 15.0))
+    field = RandomEnvFactory(query=query)(5)
+
+    def circles(svg):
+        return [ln for ln in svg.splitlines() if "<circle " in ln]
+    drawn = circles((out / "plan.svg").read_text(encoding="utf-8"))
+    assert drawn and drawn == circles(environment_svg(field, query=query))
 
 
 def test_table1_runs_the_suite(tmp_path, capsys):

@@ -205,6 +205,17 @@ def test_malformed_documents():
         environment_from_dict({"bounds": [0, 1, 0, 1], "query": {"start": [0, 0]}})
 
 
+def test_boolean_coordinates_are_rejected():
+    # JSON true is an int to Python; a coordinate must be a real number.
+    with pytest.raises(FormatError):
+        environment_from_dict({"bounds": [0, 1, 0, 1],
+                               "query": {"start": [True, 0], "target": [1, 1]}})
+    with pytest.raises(FormatError):
+        environment_from_dict({"bounds": [0, 1, 0, 1],
+                               "obstacles": [{"kind": "circle", "center": [0.5, False],
+                                              "radius": 0.1}]})
+
+
 def test_load_rejects_bad_json(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json", encoding="utf-8")

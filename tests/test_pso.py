@@ -10,11 +10,24 @@ from pathbench.environment import Environment, Query, generate_random_env
 from pathbench.errors import InvalidQueryError
 from pathbench.geometry import Bounds, Circle, Point2, Polygon, path_length
 from pathbench.pso import (PsoParams, PsoRun, decode, encode, fitness,
-                           path_violation, plan_pso, update_inertia,
-                           update_position, update_velocity)
+                           path_violation, plan_pso, update_inertia)
 
 EMPTY = Environment(Bounds(-40.0, 40.0, -40.0, 20.0), ())
 Q_EAST = Query(Point2(0.0, 0.0), Point2(10.0, 0.0))
+
+
+def update_velocity(velocity, position, pbest, gbest, omega, c1, c2, rng,
+                    v_max):
+    """Scalar oracle for one particle's velocity update in PsoRun.step."""
+    r1 = rng.random()
+    r2 = rng.random()
+    v = omega * velocity + c1 * r1 * (pbest - position) + c2 * r2 * (gbest - position)
+    return np.clip(v, -v_max, v_max)
+
+
+def update_position(position, velocity, lo, hi):
+    """Scalar oracle: apply the velocity, clamping every coordinate to the bounds."""
+    return np.clip(position + velocity, lo, hi)
 
 
 class StubRng:
