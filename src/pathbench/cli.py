@@ -45,7 +45,7 @@ from typing import Optional, Sequence
 from .benchmark import (EnvSource, RandomEnvFactory, plan_once,
                         result_record, run_trials, summarize, table1_suite,
                         write_results_csv, write_summary, write_table1_csv)
-from .environment import (Environment, Query, _reject_unknown,
+from .environment import (Environment, Query, _point_from, _reject_unknown,
                           environment_from_dict, irregular_preset,
                           load_environment, preset_names, query_from_dict,
                           validate_query)
@@ -319,8 +319,12 @@ def cmd_render(args) -> int:
         for entry in entries:
             if not isinstance(entry, dict) or "path" not in entry:
                 raise FormatError(f"{args.results}: expected result records with a 'path'")
-            if entry["path"]:
-                paths.append([(float(p[0]), float(p[1])) for p in entry["path"]])
+            path = entry["path"]
+            if path:
+                if not isinstance(path, list):
+                    raise FormatError(f"{args.results}: a path must be a list of "
+                                      f"[x, y] points, got {path!r}")
+                paths.append([_point_from(p, f"{args.results}: path point") for p in path])
     out = args.out or "output"
     os.makedirs(out, exist_ok=True)
     target = os.path.join(out, "render.svg")

@@ -189,10 +189,14 @@ def environment_to_dict(env: Environment, query: Optional[Query] = None) -> dict
     return doc
 
 
+def _is_number(v) -> bool:
+    # JSON true is an int to Python; a coordinate must be a real number.
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _point_from(doc, what: str) -> Point2:
     if (not isinstance(doc, (list, tuple)) or len(doc) != 2
-            or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                       for v in doc)):
+            or not all(_is_number(v) for v in doc)):
         raise FormatError(f"{what} must be a [x, y] pair, got {doc!r}")
     return Point2(float(doc[0]), float(doc[1]))
 
@@ -222,7 +226,8 @@ def environment_from_dict(doc: dict) -> tuple[Environment, Optional[Query]]:
     if "bounds" not in doc:
         raise FormatError("environment document is missing 'bounds'")
     bounds_doc = doc["bounds"]
-    if not isinstance(bounds_doc, (list, tuple)) or len(bounds_doc) != 4:
+    if (not isinstance(bounds_doc, (list, tuple)) or len(bounds_doc) != 4
+            or not all(_is_number(v) for v in bounds_doc)):
         raise FormatError(f"bounds must be [x_min, x_max, y_min, y_max], got {bounds_doc!r}")
     bounds = _check_bounds(Bounds(*(float(v) for v in bounds_doc)))
 
@@ -235,10 +240,12 @@ def environment_from_dict(doc: dict) -> tuple[Environment, Optional[Query]]:
             _reject_unknown(entry, {"kind", "center", "radius"}, f"obstacle {i}")
             try:
                 center = _point_from(entry["center"], f"obstacle {i} center")
-                radius = float(entry["radius"])
+                radius = entry["radius"]
             except KeyError as exc:
                 raise FormatError(f"obstacle {i} is missing {exc}") from None
-            obstacles.append(Circle(center, radius))
+            if not _is_number(radius):
+                raise FormatError(f"obstacle {i} radius must be a number, got {radius!r}")
+            obstacles.append(Circle(center, float(radius)))
         elif kind == "polygon":
             _reject_unknown(entry, {"kind", "vertices"}, f"obstacle {i}")
             verts = entry.get("vertices")

@@ -38,33 +38,46 @@ class RrtParams:
     rng_seed: int = 0
 
     def __post_init__(self):
+        if isinstance(self.iterations_num, bool) or not isinstance(self.iterations_num, int):
+            raise ValueError(f"iterations_num must be an integer, got {self.iterations_num!r}")
         if self.iterations_num < 1:
             raise ValueError(f"iterations_num must be >= 1, got {self.iterations_num}")
         if not (self.step_size > 0 and math.isfinite(self.step_size)):
             raise ValueError(f"step_size must be > 0, got {self.step_size}")
         if not (self.min_threshold > 0 and math.isfinite(self.min_threshold)):
             raise ValueError(f"min_threshold must be > 0, got {self.min_threshold}")
-        if self.neighbor_radius < self.step_size:
+        # Written so that NaN fails too: a NaN radius finds no neighbours
+        # and would silently turn RRT* into plain RRT.
+        if not self.neighbor_radius >= self.step_size:
             raise ValueError(
                 f"neighbor_radius ({self.neighbor_radius}) must be >= "
                 f"step_size ({self.step_size})")
 
 
 class RrtTree:
-    """Rooted tree of 2D nodes with parent links and cost-to-come."""
+    """Rooted tree of 2D nodes with parent links and cost-to-come.
+
+    Coordinates live in float64 arrays that double when full; costs stay
+    scalar math.hypot sums, as np.hypot rounds differently in rare cases.
+    """
+
+    _INITIAL_CAPACITY = 64
 
     def __init__(self, root: Sequence[float]):
-        self._xs: list[float] = [float(root[0])]
-        self._ys: list[float] = [float(root[1])]
+        self._x = np.empty(self._INITIAL_CAPACITY)
+        self._y = np.empty(self._INITIAL_CAPACITY)
+        self._x[0], self._y[0] = float(root[0]), float(root[1])
         self._parent: list[int] = [-1]
         self._cost: list[float] = [0.0]
         self._children: list[list[int]] = [[]]
 
     def __len__(self) -> int:
-        return len(self._xs)
+        return len(self._cost)
 
     def position(self, i: int) -> Point2:
-        return Point2(self._xs[i], self._ys[i])
+        if not 0 <= i < len(self._cost):
+            raise IndexError(f"node index {i} out of range")
+        return Point2(self._x.item(i), self._y.item(i))
 
     def parent(self, i: int) -> Optional[int]:
         p = self._parent[i]
@@ -79,16 +92,27 @@ class RrtTree:
     def add(self, position: Sequence[float], parent_index: int) -> int:
         """Insert a node; its cost is the parent's plus the edge length."""
         x, y = float(position[0]), float(position[1])
-        idx = len(self._xs)
-        self._xs.append(x)
-        self._ys.append(y)
+        px, py = self.position(parent_index)
+        idx = len(self._cost)
+        if idx == len(self._x):
+            self._x = np.concatenate((self._x, np.empty_like(self._x)))
+            self._y = np.concatenate((self._y, np.empty_like(self._y)))
+        self._x[idx], self._y[idx] = x, y
         self._parent.append(parent_index)
-        self._cost.append(self._cost[parent_index]
-                          + math.hypot(x - self._xs[parent_index],
-                                       y - self._ys[parent_index]))
+        self._cost.append(self._cost[parent_index] + math.hypot(x - px, y - py))
         self._children.append([])
         self._children[parent_index].append(idx)
         return idx
+
+    def positions(self, indices: Sequence[int]) -> list[tuple[float, float]]:
+        """(x, y) of the given nodes, as Python floats."""
+        idx = np.asarray(indices, dtype=np.intp)
+        return list(zip(self._x[idx].tolist(), self._y[idx].tolist()))
+
+    def squared_distances(self, p: Sequence[float]) -> np.ndarray:
+        """Squared distance from p to every node; numpy squares by product."""
+        n = len(self._cost)
+        return (self._x[:n] - p[0]) ** 2 + (self._y[:n] - p[1]) ** 2
 
     def all_costs(self) -> list[float]:
         return list(self._cost)
@@ -108,15 +132,7 @@ def find_nearest(tree: RrtTree, p: Sequence[float]) -> int:
     """Index of the node closest to p; ties go to the lowest index."""
     if len(tree) == 0:
         raise InvalidStateError("find_nearest on an empty tree")
-    px, py = p[0], p[1]
-    best = 0
-    best_d = math.inf
-    for i, (x, y) in enumerate(zip(tree._xs, tree._ys)):
-        d = (x - px) ** 2 + (y - py) ** 2
-        if d < best_d:
-            best_d = d
-            best = i
-    return best
+    return int(np.argmin(tree.squared_distances(p)))
 
 
 def steering(p_rand: Sequence[float], p_near: Sequence[float],
@@ -133,13 +149,7 @@ def steering(p_rand: Sequence[float], p_near: Sequence[float],
 
 def get_neighbors(tree: RrtTree, p: Sequence[float], radius: float) -> list[int]:
     """Indices of all nodes within radius of p, in ascending index order."""
-    px, py = p[0], p[1]
-    rr = radius * radius
-    out = []
-    for i, (x, y) in enumerate(zip(tree._xs, tree._ys)):
-        if (x - px) ** 2 + (y - py) ** 2 <= rr:
-            out.append(i)
-    return out
+    return np.flatnonzero(tree.squared_distances(p) <= radius * radius).tolist()
 
 
 def choose_parent(tree: RrtTree, neighbors: Sequence[int], p_near_idx: int,
@@ -150,10 +160,10 @@ def choose_parent(tree: RrtTree, neighbors: Sequence[int], p_near_idx: int,
     index); the first whose edge to p_new is free wins. Falls back to
     p_near_idx when no neighbor qualifies.
     """
-    ranked = sorted(neighbors,
-                    key=lambda i: (tree._cost[i] + dist(tree.position(i), p_new), i))
-    for i in ranked:
-        if edge_free(tree.position(i), p_new, env):
+    ranked = sorted((tree._cost[i] + math.hypot(x - p_new[0], y - p_new[1]), i, x, y)
+                    for i, (x, y) in zip(neighbors, tree.positions(neighbors)))
+    for _, i, x, y in ranked:
+        if edge_free(Point2(x, y), p_new, env):
             return i
     return p_near_idx
 
@@ -163,9 +173,10 @@ def _propagate_cost(tree: RrtTree, start: int) -> None:
     stack = [start]
     while stack:
         i = stack.pop()
+        xi, yi = tree._x.item(i), tree._y.item(i)
         for c in tree._children[i]:
             tree._cost[c] = tree._cost[i] + math.hypot(
-                tree._xs[c] - tree._xs[i], tree._ys[c] - tree._ys[i])
+                tree._x.item(c) - xi, tree._y.item(c) - yi)
             stack.append(c)
 
 
@@ -178,11 +189,12 @@ def rewire(tree: RrtTree, neighbors: Sequence[int], new_index: int,
     account. Costs never increase.
     """
     p_new = tree.position(new_index)
-    for i in sorted(neighbors):
+    order = sorted(neighbors)
+    for i, (x, y) in zip(order, tree.positions(order)):
         if i == new_index:
             continue
-        cand = tree._cost[new_index] + dist(p_new, tree.position(i))
-        if cand < tree._cost[i] and edge_free(p_new, tree.position(i), env):
+        cand = tree._cost[new_index] + math.hypot(p_new.x - x, p_new.y - y)
+        if cand < tree._cost[i] and edge_free(p_new, Point2(x, y), env):
             old_parent = tree._parent[i]
             tree._children[old_parent].remove(i)
             tree._parent[i] = new_index

@@ -358,6 +358,19 @@ def test_render_rejects_malformed_results(tmp_path, capsys):
     assert "path" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("path", [[[1.0], [2.0, 3.0]], [[0.0, True]],
+                                  [["1", "2"]], "not a path"],
+                         ids=["short-point", "boolean", "strings", "not-a-list"])
+def test_render_rejects_malformed_path_points(tmp_path, capsys, path):
+    env_path = tmp_path / "env.json"
+    save_environment(env_path, Environment(Bounds(-5.0, 5.0, -5.0, 5.0), ()))
+    results = tmp_path / "bad.json"
+    results.write_text(json.dumps({"path": path}), encoding="utf-8")
+    assert main(["render", str(env_path), "--results", str(results),
+                 "--out", str(tmp_path / "x")]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_default_out_comes_from_config(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     cfg = write_config(tmp_path, {"environment": EMPTY_INLINE,

@@ -216,6 +216,22 @@ def test_boolean_coordinates_are_rejected():
                                               "radius": 0.1}]})
 
 
+def test_non_numeric_bounds_and_radius_are_rejected():
+    for bounds in ([True, 5, 0, 1], [0, "5", 0, 1], [0, 1, None, 1]):
+        with pytest.raises(FormatError):
+            environment_from_dict({"bounds": bounds})
+    for radius in (True, "0.2", None):
+        with pytest.raises(FormatError):
+            environment_from_dict({"bounds": [0, 1, 0, 1],
+                                   "obstacles": [{"kind": "circle", "center": [0.5, 0.5],
+                                                  "radius": radius}]})
+    env, _ = environment_from_dict({"bounds": [0, 5, 0, 1.5],
+                                    "obstacles": [{"kind": "circle", "center": [1, 1],
+                                                   "radius": 1}]})
+    assert env.bounds == Bounds(0.0, 5.0, 0.0, 1.5)
+    assert type(env.obstacles[0].radius) is float
+
+
 def test_load_rejects_bad_json(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json", encoding="utf-8")

@@ -1,11 +1,15 @@
 """RRT* primitives against hand-worked cases, then whole-run behavior."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pathbench.environment import Environment, Query, generate_random_env
+from pathbench.environment import (Environment, Query, generate_random_env,
+                                   irregular_preset)
 from pathbench.errors import InvalidQueryError, InvalidStateError
 from pathbench.geometry import Bounds, Circle, Point2, dist, path_length
 from pathbench.rrtstar import (RrtParams, RrtStarRun, RrtTree, choose_parent,
@@ -28,6 +32,13 @@ def test_params_validation():
         RrtParams(min_threshold=-1.0)
     with pytest.raises(ValueError):
         RrtParams(step_size=2.0, neighbor_radius=1.0)
+    # NaN fails every comparison, so it would find no neighbours at all.
+    with pytest.raises(ValueError):
+        RrtParams(neighbor_radius=math.nan)
+    with pytest.raises(ValueError):
+        RrtParams(iterations_num=2.5)
+    with pytest.raises(ValueError):
+        RrtParams(iterations_num=True)
 
 
 def test_steering():
@@ -73,6 +84,68 @@ def test_get_neighbors():
     # Radius is inclusive.
     assert get_neighbors(tree, (8.0, 0.0), 2.0) == [2]
     assert get_neighbors(tree, (30.0, 30.0), 2.0) == []
+
+
+# Brute-force scalar scans, the reference for the tree's array scans.
+# Squares are products: `d ** 2` goes through libm's pow, which rounded
+# about one square in 1,200 differently from d * d with glibc 2.36.
+def nearest_oracle(points, p):
+    best, best_d = 0, math.inf
+    for i, (x, y) in enumerate(points):
+        d = (x - p[0]) * (x - p[0]) + (y - p[1]) * (y - p[1])
+        if d < best_d:
+            best, best_d = i, d
+    return best
+
+
+def neighbors_oracle(points, p, radius):
+    rr = radius * radius
+    return [i for i, (x, y) in enumerate(points)
+            if (x - p[0]) * (x - p[0]) + (y - p[1]) * (y - p[1]) <= rr]
+
+
+# A 13x13 integer lattice gives duplicates, exact distance ties and points
+# exactly on integer radii; taking up to 169 of its points grows the tree
+# past its initial array capacity.
+LATTICE = [(float(i % 13 - 6), float(i // 13 - 6)) for i in range(169)]
+scan_coords = st.one_of(st.integers(-6, 6).map(float),
+                        st.floats(-50.0, 50.0, allow_nan=False))
+scan_points = st.tuples(scan_coords, scan_coords)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(scan_points, min_size=1, max_size=40),
+       st.integers(0, len(LATTICE)), scan_points,
+       st.one_of(st.integers(0, 9).map(float), st.floats(0.0, 80.0)))
+def test_scans_match_scalar_oracle(drawn, n_lattice, p, radius):
+    points = drawn + LATTICE[:n_lattice]
+    tree = RrtTree(points[0])
+    for q in points[1:]:
+        tree.add(q, 0)
+    assert len(tree) == len(points)
+    for i in (0, len(points) // 2, len(points) - 1):
+        pos = tree.position(i)
+        assert pos == points[i] and type(pos.x) is float and type(pos.y) is float
+    nearest = find_nearest(tree, p)
+    assert type(nearest) is int
+    assert nearest == nearest_oracle(points, p)
+    found = get_neighbors(tree, p, radius)
+    assert all(type(i) is int for i in found)
+    assert found == neighbors_oracle(points, p, radius)
+
+
+def test_tree_grows_past_its_initial_capacity():
+    tree = RrtTree((0.0, 0.0))
+    n = 5 * RrtTree._INITIAL_CAPACITY
+    for k in range(1, n):
+        tree.add((float(k), 0.0), k - 1)
+    assert len(tree) == n
+    assert tree.position(n - 1) == Point2(float(n - 1), 0.0)
+    assert tree.cost_to_come(n - 1) == float(n - 1)
+    assert find_nearest(tree, (n + 5.0, 0.0)) == n - 1
+    assert get_neighbors(tree, (n - 1.0, 0.0), 1.0) == [n - 2, n - 1]
+    with pytest.raises(IndexError):
+        tree.position(n)
 
 
 def test_choose_parent_prefers_cheapest_total():
@@ -179,6 +252,45 @@ def test_determinism():
     assert a.path == b.path
     assert a.length == b.length
     assert a.iterations_used == b.iterations_used == 300
+
+
+FIELD_QUERY = Query(Point2(20.0, -15.0), Point2(-25.0, 15.0))
+
+
+def _pinned_case(name):
+    if name == "field-1000":
+        return generate_random_env(1000, query=FIELD_QUERY), FIELD_QUERY
+    return irregular_preset(name)
+
+
+def _sha(value):
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+# Seeded runs recorded on the pure-Python list tree that the array tree
+# replaced: the length, a sha256 of repr((path, length)) and a sha256 of
+# repr(all_costs()). A drifted cost rarely moves the path, so the cost
+# digest is what catches a one-ulp change in the tree's edge arithmetic.
+@pytest.mark.parametrize("name, iterations, length, path_digest, cost_digest", [
+    ("empty", 600, 59.923765086818655,
+     "0188e79c53f1177030d130d90c0767195352bc052f182af5b4e36c6b4fd8678c",
+     "1bc550c5d730ac4f6036fba8251af50293a79bac529b12c759f4a53a78611861"),
+    ("field-1000", 2000, 60.23338395584719,
+     "abb333335d1567f9ac406ee01a94f61646f64ee828aecf36a6a7991de2ff63da",
+     "4ae8f572b379fc302a325fd84d8cbed8839554ce7080b3ccabe114b7b69f8b01"),
+    ("irregular-a", 2000, 56.73317797074336,
+     "94f531f5bbb72fcfa255ebd7a125909c0f6237ac5691f0b0c089dbd20157a346",
+     "e0d4fe7fd0d77674866b27d09114b87f9740cfe5a2649fd186622a884589745f"),
+], ids=["empty", "field-1000", "irregular-a"])
+def test_seeded_runs_are_pinned(name, iterations, length, path_digest, cost_digest):
+    env, query = _pinned_case(name)
+    run = RrtStarRun(env, query, RrtParams(iterations_num=iterations))
+    for _ in range(iterations):
+        run.step()
+    res = run.result(0.0)
+    assert res.length == length
+    assert _sha((res.path, res.length)) == path_digest
+    assert _sha(run.tree.all_costs()) == cost_digest
 
 
 def test_infeasible_reports_closest_approach():
