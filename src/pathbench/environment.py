@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 from typing import Callable, Optional
 
@@ -83,6 +84,17 @@ class Environment:
             if not _obstacle_touches_rect(obs, self.bounds):
                 raise InvalidObstacleError(
                     f"obstacle {obs!r} lies entirely outside bounds {self.bounds}")
+
+    @cached_property
+    def disks(self) -> tuple[tuple[float, float, float], ...]:
+        """(cx, cy, r) of every circle obstacle as plain floats, in order."""
+        return tuple((float(o.center.x), float(o.center.y), float(o.radius))
+                     for o in self.obstacles if isinstance(o, Circle))
+
+    @cached_property
+    def polygons(self) -> tuple[tuple[Point2, ...], ...]:
+        """Vertices of every polygon obstacle, in order."""
+        return tuple(o.vertices for o in self.obstacles if isinstance(o, Polygon))
 
 
 @dataclass(frozen=True)

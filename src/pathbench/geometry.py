@@ -222,48 +222,68 @@ def segment_polygon_collides(segment: Segment,
     return point_in_polygon(a, vertices) or point_in_polygon(b, vertices)
 
 
-def _point_blocked_by(obs: Obstacle, p) -> bool:
-    if isinstance(obs, Circle):
-        dx = p[0] - obs.center.x
-        dy = p[1] - obs.center.y
-        return dx * dx + dy * dy < obs.radius * obs.radius
-    return point_in_polygon(p, obs.vertices)
-
-
-def _segment_blocked_by(obs: Obstacle, a, b) -> bool:
-    if isinstance(obs, Circle):
-        return point_segment_distance(obs.center, a, b) < obs.radius
-    return segment_polygon_collides((a, b), obs.vertices)
-
-
 def point_free(p: Sequence[float], env: "Environment") -> bool:
     """True iff p lies inside the workspace bounds and outside every obstacle."""
     if not env.bounds.contains(p):
         return False
-    for obs in env.obstacles:
-        if _point_blocked_by(obs, p):
+    for cx, cy, r in env.disks:
+        dx, dy = p[0] - cx, p[1] - cy
+        if dx * dx + dy * dy < r * r:
             return False
-    return True
+    return not any(point_in_polygon(p, vertices) for vertices in env.polygons)
 
 
 def edge_free(a: Sequence[float], b: Sequence[float], env: "Environment") -> bool:
     """True iff segment (a, b) stays in bounds and clears every obstacle.
 
     Also requires the far endpoint b itself to be free, mirroring how the
-    tree planner uses it (b is the candidate new node).
+    tree planner uses it (b is the candidate new node). Each disk of the
+    environment's `disks` table is checked in one pass: b strictly inside,
+    then `point_segment_distance` from the center below the radius,
+    written out inline on plain floats. Polygons use `point_in_polygon`
+    and `segment_polygon_collides`.
     """
     if not (env.bounds.contains(a) and env.bounds.contains(b)):
         return False
-    if not point_free(b, env):
-        return False
-    for obs in env.obstacles:
-        if _segment_blocked_by(obs, a, b):
+    ax, ay = a[0], a[1]
+    bx, by = b[0], b[1]
+    vx, vy = bx - ax, by - ay
+    vv = vx * vx + vy * vy
+    for cx, cy, r in env.disks:
+        dx, dy = bx - cx, by - cy
+        if dx * dx + dy * dy < r * r:
+            return False
+        wx, wy = cx - ax, cy - ay
+        if vv == 0.0:
+            if math.hypot(wx, wy) < r:
+                return False
+            continue
+        t = (wx * vx + wy * vy) / vv
+        if t < 0.0:
+            t = 0.0
+        elif t > 1.0:
+            t = 1.0
+        if math.hypot(wx - t * vx, wy - t * vy) < r:
+            return False
+    # Every polygon's cheap test for b first: steered nodes often land
+    # inside one, and then no edge needs walking.
+    for vertices in env.polygons:
+        if point_in_polygon(b, vertices):
+            return False
+    for vertices in env.polygons:
+        if segment_polygon_collides((a, b), vertices):
             return False
     return True
 
 
 def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
+
+
+#: Relative widening of each disk's discriminant when `blocked_lengths`
+#: picks the rows that need its exact pass. Far above double rounding
+#: (about 1e-16), far below any gap a planner could exploit.
+NEAR_MARGIN = 1e-9
 
 
 class CollisionField:
@@ -276,12 +296,12 @@ class CollisionField:
 
     def __init__(self, env: "Environment"):
         self.bounds = env.bounds
-        circles = [o for o in env.obstacles if isinstance(o, Circle)]
-        self._circle_xy = np.array([[c.center.x, c.center.y] for c in circles],
-                                   dtype=np.float64).reshape(len(circles), 2)
-        self._circle_r = np.array([c.radius for c in circles], dtype=np.float64)
-        self._polygons = [np.asarray(o.vertices, dtype=np.float64)
-                          for o in env.obstacles if isinstance(o, Polygon)]
+        disks = np.array(env.disks, dtype=np.float64).reshape(-1, 3)
+        self._circle_xy = disks[:, :2].copy()
+        self._circle_r2 = disks[:, 2] ** 2
+        # r^2 + |c|^2 per disk: the scale of the rounding in the row test.
+        self._circle_scale = self._circle_r2 + (self._circle_xy ** 2).sum(axis=1)
+        self._polygons = [np.asarray(v, dtype=np.float64) for v in env.polygons]
 
     def free(self, points: np.ndarray) -> np.ndarray:
         """points: (N, 2) array -> boolean (N,) mask of free points."""
@@ -291,10 +311,10 @@ class CollisionField:
         b = self.bounds
         ok = ((px >= b.x_min) & (px <= b.x_max)
               & (py >= b.y_min) & (py <= b.y_max))
-        if self._circle_r.size:
+        if self._circle_r2.size:
             dx = px[:, None] - self._circle_xy[None, :, 0]
             dy = py[:, None] - self._circle_xy[None, :, 1]
-            inside = (dx * dx + dy * dy) < (self._circle_r * self._circle_r)[None, :]
+            inside = (dx * dx + dy * dy) < self._circle_r2[None, :]
             ok &= ~inside.any(axis=1)
         for verts in self._polygons:
             xi = verts[:, 0]
@@ -314,28 +334,62 @@ class CollisionField:
         """(N, 2) start and end points -> (N,) exact blocked length per segment.
 
         A segment's blocked length is the length of it lying inside an
-        obstacle or out of bounds. The segment is cut at every parameter
-        t where it crosses a disk rim, a polygon edge or a bound line, so
-        each piece between cuts is wholly free or wholly blocked and its
-        midpoint, classified by `free`, decides it. Overlapping obstacles
-        therefore count once.
+        obstacle or out of bounds. The exact pass cuts the segment at
+        every parameter t where it crosses a disk rim, a polygon edge or a
+        bound line, so each piece between cuts is wholly free or wholly
+        blocked and its midpoint, classified by `free`, decides it.
+        Overlapping obstacles therefore count once.
+
+        Only rows that can come out non-zero take the exact pass: an
+        endpoint out of bounds (or not finite), any polygon in the field,
+        a squared length below 1e-100 (where the products below
+        underflow), or a disk whose root interval, with the discriminant
+        widened by NEAR_MARGIN relative to its scale, meets [0, 1]. Every
+        other row is 0.0, which is what the exact pass returns for it:
+        its endpoints are in the convex bounds, and every point of it,
+        so every piece midpoint even after rounding, stays outside each
+        disk by far more than a rounding error.
         """
         a = np.asarray(starts, dtype=np.float64).reshape(-1, 2)
-        d = np.asarray(ends, dtype=np.float64).reshape(-1, 2) - a
+        end = np.asarray(ends, dtype=np.float64).reshape(-1, 2)
+        d = end - a
+        dd = d[:, :1] * d[:, :1] + d[:, 1:] * d[:, 1:]
         b = self.bounds
+        lo, hi = (b.x_min, b.y_min), (b.x_max, b.y_max)
+        exact = ~((a >= lo) & (a <= hi) & (end >= lo) & (end <= hi)).all(axis=1)
+        if self._polygons:
+            exact[:] = True
+        with np.errstate(invalid="ignore", over="ignore"):
+            if self._circle_r2.size:
+                # |a + t d - c|^2 = r^2, a quadratic in t per disk, with
+                # roots (-half_b -+ sqrt(disc)) / dd. Per-coordinate
+                # products, as a sum over a length-2 axis costs 4x more.
+                fx = a[:, :1] - self._circle_xy[:, 0]
+                fy = a[:, 1:] - self._circle_xy[:, 1]
+                ff = fx * fx + fy * fy
+                half_b = fx * d[:, :1] + fy * d[:, 1:]
+                disc = half_b * half_b - dd * (ff - self._circle_r2)
+                if not self._polygons:
+                    # The widened interval [t0, t1] meets [0, 1] iff
+                    # dd t1 >= 0 and dd t0 <= dd; a negative widened
+                    # disc gives nan, which compares as a miss.
+                    reach = np.sqrt(disc + (ff + self._circle_scale) * (NEAR_MARGIN * dd))
+                    exact |= (reach >= np.maximum(half_b, -half_b - dd)).any(axis=1)
+                    exact |= dd[:, 0] < 1e-100
+        out = np.zeros(len(a))
+        if not exact.any():
+            return out
+        rows = slice(None) if exact.all() else np.flatnonzero(exact)
+        a, d, dd = a[rows], d[rows], dd[rows]
         cuts = [np.zeros((len(a), 1)), np.ones((len(a), 1))]
         # Misses, parallels and zero-length segments give nan or inf cuts,
         # which the clip below folds onto t = 0 or t = 1.
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             cuts.append((np.array([[b.x_min, b.x_max]]) - a[:, :1]) / d[:, :1])
             cuts.append((np.array([[b.y_min, b.y_max]]) - a[:, 1:]) / d[:, 1:])
-            if self._circle_r.size:
-                # |a + t d - c|^2 = r^2, a quadratic in t per disk.
-                f = a[:, None, :] - self._circle_xy[None, :, :]
-                dd = (d * d).sum(axis=1)[:, None]
-                half_b = (f * d[:, None, :]).sum(axis=2)
-                root = np.sqrt(half_b * half_b
-                               - dd * ((f * f).sum(axis=2) - self._circle_r ** 2))
+            if self._circle_r2.size:
+                half_b = half_b[rows]
+                root = np.sqrt(disc[rows])
                 cuts += [(-half_b - root) / dd, (-half_b + root) / dd]
             for verts in self._polygons:
                 # a + t d = v + s e, kept where s lies on the edge.
@@ -347,8 +401,10 @@ class CollisionField:
         t = np.concatenate(cuts, axis=1)
         t = np.sort(np.clip(np.nan_to_num(t, nan=1.0), 0.0, 1.0), axis=1)
         piece = np.diff(t, axis=1)
-        mid = a[:, None, :] + (t[:, :-1] + 0.5 * piece)[:, :, None] * d[:, None, :]
         keep = piece > 0.0
+        i, j = np.nonzero(keep)
+        mid = a[i] + (t[i, j] + 0.5 * piece[i, j])[:, None] * d[i]
         blocked = np.zeros(piece.shape, dtype=bool)
-        blocked[keep] = ~self.free(mid[keep])
-        return (piece * blocked).sum(axis=1) * np.hypot(d[:, 0], d[:, 1])
+        blocked[keep] = ~self.free(mid)
+        out[rows] = (piece * blocked).sum(axis=1) * np.hypot(d[:, 0], d[:, 1])
+        return out

@@ -22,7 +22,7 @@ import numpy as np
 from .environment import Environment, Query, validate_query
 from .errors import InvalidQueryError
 from .geometry import CollisionField, Point2, edge_free, path_length
-from .result import PlanResult
+from .result import PlanResult, check_param_types
 
 __all__ = [
     "PsoParams", "PsoRun", "plan_pso", "decode", "encode", "fitness",
@@ -46,21 +46,27 @@ class PsoParams:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.max_iterations < 1:
+        check_param_types(
+            self, ("max_iterations", "population", "n_waypoints",
+                   "stagnation_window", "rng_seed"),
+            ("c1", "c2", "omega_start", "omega_end", "v_max",
+             "penalty_lambda", "stop_epsilon"))
+        # Each test is written to fail on NaN as well.
+        if not self.max_iterations >= 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
-        if self.population < 1:
+        if not self.population >= 1:
             raise ValueError(f"population must be >= 1, got {self.population}")
-        if self.n_waypoints < 1:
+        if not self.n_waypoints >= 1:
             raise ValueError(f"n_waypoints must be >= 1, got {self.n_waypoints}")
-        if self.omega_start < self.omega_end:
+        if not self.omega_start >= self.omega_end:
             raise ValueError("omega_start must be >= omega_end")
-        if not (self.v_max > 0):
+        if not self.v_max > 0:
             raise ValueError(f"v_max must be > 0, got {self.v_max}")
-        if self.penalty_lambda < 0:
+        if not self.penalty_lambda >= 0:
             raise ValueError(f"penalty_lambda must be >= 0, got {self.penalty_lambda}")
-        if self.stop_epsilon < 0:
+        if not self.stop_epsilon >= 0:
             raise ValueError(f"stop_epsilon must be >= 0, got {self.stop_epsilon}")
-        if self.stagnation_window < 1:
+        if not self.stagnation_window >= 1:
             raise ValueError(f"stagnation_window must be >= 1, got {self.stagnation_window}")
 
 

@@ -1,7 +1,9 @@
-"""Common record type returned by every planner."""
+"""Common record type returned by every planner, and its parameter checks."""
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -36,3 +38,22 @@ class PlanResult:
     closest_approach: float
     path: Optional[tuple[Point2, ...]]
     params: dict
+
+
+def check_param_types(params, integers: tuple[str, ...], reals: tuple[str, ...]) -> None:
+    """Validate the types of a frozen parameter record's fields.
+
+    Each field named in `integers` must be an integer (numpy integers are
+    stored back as int); each in `reals` a finite real number. Booleans
+    are neither. Raises ValueError naming the first bad field.
+    """
+    for name in integers:
+        value = getattr(params, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        object.__setattr__(params, name, int(value))
+    for name in reals:
+        value = getattr(params, name)
+        if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                or not math.isfinite(value)):
+            raise ValueError(f"{name} must be a finite number, got {value!r}")

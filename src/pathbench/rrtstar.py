@@ -20,7 +20,7 @@ import numpy as np
 from .environment import Environment, Query, validate_query
 from .errors import InvalidQueryError, InvalidStateError
 from .geometry import Point2, dist, edge_free, path_length
-from .result import PlanResult
+from .result import PlanResult, check_param_types
 
 __all__ = [
     "RrtParams", "RrtTree", "RrtStarRun", "plan_rrt_star", "random_sample",
@@ -38,13 +38,13 @@ class RrtParams:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if isinstance(self.iterations_num, bool) or not isinstance(self.iterations_num, int):
-            raise ValueError(f"iterations_num must be an integer, got {self.iterations_num!r}")
+        check_param_types(self, ("iterations_num", "rng_seed"),
+                          ("step_size", "min_threshold", "neighbor_radius"))
         if self.iterations_num < 1:
             raise ValueError(f"iterations_num must be >= 1, got {self.iterations_num}")
-        if not (self.step_size > 0 and math.isfinite(self.step_size)):
+        if not self.step_size > 0:
             raise ValueError(f"step_size must be > 0, got {self.step_size}")
-        if not (self.min_threshold > 0 and math.isfinite(self.min_threshold)):
+        if not self.min_threshold > 0:
             raise ValueError(f"min_threshold must be > 0, got {self.min_threshold}")
         # Written so that NaN fails too: a NaN radius finds no neighbours
         # and would silently turn RRT* into plain RRT.

@@ -303,3 +303,195 @@ def test_path_violation_sees_a_shallow_chord():
     chord = 2.0 * math.sqrt(1.0 - 0.999 ** 2)
     assert path_violation([(-5, 0.999), (5, 0.999)], env) == pytest.approx(chord)
     assert chord == pytest.approx(0.0894, abs=1e-4)
+
+
+# --- row skipping against the full pass -------------------------------------
+
+def cross(u, v):
+    return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
+
+
+def reference_blocked_lengths(env, starts, ends):
+    """Oracle: the kernel before it skipped rows; every row is cut and classified."""
+    field = CollisionField(env)
+    circles = [o for o in env.obstacles if isinstance(o, Circle)]
+    circle_xy = np.array([[c.center.x, c.center.y] for c in circles],
+                         dtype=np.float64).reshape(len(circles), 2)
+    circle_r = np.array([c.radius for c in circles], dtype=np.float64)
+    polygons = [np.asarray(o.vertices, dtype=np.float64)
+                for o in env.obstacles if isinstance(o, Polygon)]
+    a = np.asarray(starts, dtype=np.float64).reshape(-1, 2)
+    d = np.asarray(ends, dtype=np.float64).reshape(-1, 2) - a
+    b = env.bounds
+    cuts = [np.zeros((len(a), 1)), np.ones((len(a), 1))]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        cuts.append((np.array([[b.x_min, b.x_max]]) - a[:, :1]) / d[:, :1])
+        cuts.append((np.array([[b.y_min, b.y_max]]) - a[:, 1:]) / d[:, 1:])
+        if circle_r.size:
+            f = a[:, None, :] - circle_xy[None, :, :]
+            dd = (d * d).sum(axis=1)[:, None]
+            half_b = (f * d[:, None, :]).sum(axis=2)
+            root = np.sqrt(half_b * half_b
+                           - dd * ((f * f).sum(axis=2) - circle_r ** 2))
+            cuts += [(-half_b - root) / dd, (-half_b + root) / dd]
+        for verts in polygons:
+            e = (np.roll(verts, -1, axis=0) - verts)[None, :, :]
+            w = verts[None, :, :] - a[:, None, :]
+            den = cross(d[:, None, :], e)
+            s = cross(w, d[:, None, :]) / den
+            cuts.append(np.where((s >= 0.0) & (s <= 1.0), cross(w, e) / den, np.nan))
+    t = np.concatenate(cuts, axis=1)
+    t = np.sort(np.clip(np.nan_to_num(t, nan=1.0), 0.0, 1.0), axis=1)
+    piece = np.diff(t, axis=1)
+    mid = a[:, None, :] + (t[:, :-1] + 0.5 * piece)[:, :, None] * d[:, None, :]
+    keep = piece > 0.0
+    blocked = np.zeros(piece.shape, dtype=bool)
+    blocked[keep] = ~field.free(mid[keep])
+    return (piece * blocked).sum(axis=1) * np.hypot(d[:, 0], d[:, 1])
+
+
+def reference_edge_free(a, b, env):
+    """Oracle: edge_free before the disk table, one pass for b, one for the segment."""
+    if not (env.bounds.contains(a) and env.bounds.contains(b)):
+        return False
+    for obs in env.obstacles:
+        if isinstance(obs, Circle):
+            dx, dy = b[0] - obs.center.x, b[1] - obs.center.y
+            if dx * dx + dy * dy < obs.radius * obs.radius:
+                return False
+        elif point_in_polygon(b, obs.vertices):
+            return False
+    for obs in env.obstacles:
+        if isinstance(obs, Circle):
+            if point_segment_distance(obs.center, a, b) < obs.radius:
+                return False
+        elif segment_polygon_collides((a, b), obs.vertices):
+            return False
+    return True
+
+
+angles = st.floats(0.0, 2.0 * math.pi)
+SEGMENT_KINDS = ("random", "tangent", "rim", "zero", "tiny", "outside")
+
+
+@st.composite
+def segment_batches(draw, env):
+    """A shuffled batch of clear, hitting, grazing and degenerate segments.
+
+    Tangent rows sit within 1e-13 (relative to the radius) of a disk's
+    rim, on either side; rim rows start or end on a rim. Fields without
+    disks aim those rows at a phantom unit disk.
+    """
+    rims = [o for o in env.obstacles if isinstance(o, Circle)] or [Circle(Point2(0, 0), 1.0)]
+    rows = []
+    for kind in draw(st.lists(st.sampled_from(SEGMENT_KINDS), min_size=1, max_size=24)):
+        disk = draw(st.sampled_from(rims))
+        (cx, cy), r = disk.center, disk.radius
+        if kind == "random":
+            a, b = draw(points), draw(points)
+        elif kind == "tangent":
+            th = draw(angles)
+            rr = r * (1.0 + draw(st.floats(-1e-13, 1e-13)))
+            px, py = cx + rr * math.cos(th), cy + rr * math.sin(th)
+            s1 = draw(st.floats(-6.0, 6.0))
+            # Symmetric rows put the only piece midpoint on the tangent point.
+            s2 = -s1 if draw(st.booleans()) else draw(st.floats(-6.0, 6.0))
+            a = (px - s1 * math.sin(th), py + s1 * math.cos(th))
+            b = (px - s2 * math.sin(th), py + s2 * math.cos(th))
+        elif kind == "rim":
+            th = draw(angles)
+            a, b = (cx + r * math.cos(th), cy + r * math.sin(th)), draw(points)
+            if draw(st.booleans()):
+                a, b = b, a
+        elif kind == "zero":
+            a = b = draw(points)
+        elif kind == "tiny":
+            th = draw(angles)
+            a = (cx + r * math.cos(th), cy + r * math.sin(th))
+            step = st.floats(-1e-9, 1e-9)
+            b = (a[0] + draw(step), a[1] + draw(step))
+        else:
+            a = (draw(st.floats(12.5, 30.0)) * draw(st.sampled_from((-1, 1))), draw(coords))
+            b = draw(points)
+        rows.append((a, b))
+    return np.array([a for a, _ in rows]), np.array([b for _, b in rows])
+
+
+@st.composite
+def fields(draw, kind):
+    if kind == "disks":
+        obstacles = draw(st.lists(disks, min_size=1, max_size=5))
+    elif kind == "polygons":
+        obstacles = draw(st.lists(polygons(), min_size=1, max_size=3))
+    elif kind == "mixed":
+        obstacles = draw(st.lists(disks, min_size=1, max_size=3)) + draw(
+            st.lists(polygons(), min_size=1, max_size=2))
+    else:
+        obstacles = []
+    return Environment(WIDE, tuple(obstacles))
+
+
+FIELD_KINDS = ("disks", "polygons", "mixed", "empty")
+
+
+@pytest.mark.parametrize("kind", FIELD_KINDS)
+@PROPERTY
+@given(data=st.data())
+def test_row_skip_and_disk_table_match_the_oracles(kind, data):
+    env = data.draw(fields(kind))
+    starts, ends = data.draw(segment_batches(env))
+    want = reference_blocked_lengths(env, starts, ends)
+    assert CollisionField(env).blocked_lengths(starts, ends).tolist() == want.tolist()
+    for a, b in zip(starts.tolist(), ends.tolist()):
+        assert edge_free(a, b, env) == reference_edge_free(a, b, env)
+
+
+@pytest.mark.parametrize("disk, a, b, want", [
+    # Tangent up to rounding: the discriminant comes out negative, yet
+    # the full pass classifies the midpoint, the tangent point, as
+    # inside and blocks the whole row. The margin must catch it.
+    (Circle(Point2(0.1418594964030806, 5.405564355911224), 0.7478065283346083),
+     (0.49838956270877044, 7.701438949529752), (-1.5400582402416354, 3.802658692759802),
+     4.399517807207114),
+    # Inside a disk and so short that its squared length underflows to
+    # zero: the root test sees nothing, the full pass blocks the row.
+    (Circle(Point2(0.3, 0.0), 1.0), (0.0, 0.0), (1e-170, 0.0), 1e-170),
+], ids=["tangent-midpoint-rounds-inside", "underflowing-length"])
+def test_rows_that_must_take_the_exact_pass(disk, a, b, want):
+    env = Environment(WIDE, (disk,))
+    a, b = np.array([a]), np.array([b])
+    reference = reference_blocked_lengths(env, a, b)
+    assert reference[0] == pytest.approx(want, rel=1e-12)
+    assert CollisionField(env).blocked_lengths(a, b).tolist() == reference.tolist()
+
+
+class CountingField(CollisionField):
+    """Records how many points each `free` call classifies."""
+
+    def __init__(self, env):
+        super().__init__(env)
+        self.calls = []
+
+    def free(self, points):
+        self.calls.append(len(points))
+        return super().free(points)
+
+
+def test_clear_rows_skip_the_exact_pass():
+    env = Environment(WIDE, (Circle(Point2(0, 0), 1.0), Circle(Point2(5, 5), 1.0)))
+    clear = (np.array([[-10.0, -10.0], [-10.0, 10.0]]), np.array([[-10.0, 10.0], [10.0, 10.0]]))
+    field = CountingField(env)
+    assert field.blocked_lengths(*clear).tolist() == [0.0, 0.0]
+    assert field.calls == []
+    # One row through the first disk: its three pieces are classified,
+    # the two clear rows are not.
+    starts = np.vstack([clear[0], [[-5.0, 0.0]]])
+    ends = np.vstack([clear[1], [[5.0, 0.0]]])
+    assert field.blocked_lengths(starts, ends).tolist() == [0.0, 0.0, pytest.approx(2.0)]
+    assert field.calls == [3]
+    # Rows grazing a rim within the margin take the exact pass too.
+    field.calls.clear()
+    graze = 1.0 + 1e-12
+    assert field.blocked_lengths(np.array([[-5.0, graze]]),
+                                 np.array([[5.0, graze]])).tolist() == [0.0]
+    assert field.calls == [1]

@@ -1,12 +1,14 @@
 """Swarm planner: encoding, fitness, update rules, and run behavior."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from pathbench.benchmark import audit_path
-from pathbench.environment import Environment, Query, generate_random_env
+from pathbench.environment import (Environment, Query, generate_random_env,
+                                   irregular_preset)
 from pathbench.errors import InvalidQueryError
 from pathbench.geometry import Bounds, Circle, Point2, Polygon, path_length
 from pathbench.pso import (PsoParams, PsoRun, decode, encode, fitness,
@@ -48,9 +50,23 @@ def test_params_validation():
     for bad in (dict(max_iterations=0), dict(population=0),
                 dict(n_waypoints=0), dict(omega_start=0.3, omega_end=0.4),
                 dict(v_max=0.0), dict(penalty_lambda=-1.0),
-                dict(stop_epsilon=-1e-9), dict(stagnation_window=0)):
+                dict(stop_epsilon=-1e-9), dict(stagnation_window=0),
+                # Integer fields take integers only, not floats or bools.
+                dict(max_iterations=2.5), dict(population=True),
+                dict(n_waypoints=2.0), dict(stagnation_window=False),
+                dict(rng_seed=1.5),
+                # Real fields must be finite numbers.
+                dict(c1=math.nan), dict(c2=math.inf), dict(penalty_lambda=math.nan),
+                dict(stop_epsilon=math.nan), dict(v_max=math.inf),
+                dict(omega_start=math.nan), dict(omega_end=-math.inf),
+                dict(c1=True), dict(v_max="4")):
         with pytest.raises(ValueError):
             PsoParams(**bad)
+    # numpy integers are accepted and stored as int, so the snapshot in
+    # a result stays JSON-serialisable.
+    params = PsoParams(max_iterations=np.int64(7), rng_seed=np.uint32(3), c1=np.float64(1.5))
+    assert type(params.max_iterations) is int and type(params.rng_seed) is int
+    assert params.max_iterations == 7 and params.rng_seed == 3 and params.c1 == 1.5
 
 
 def test_decode_encode_round_trip():
@@ -253,6 +269,43 @@ def test_infeasible_reports_blocked_length():
     assert res.closest_approach >= 2.0
     assert res.closest_approach == path_violation(
         decode(run.gbest_position, Q_EAST), env)
+
+
+FIELD_QUERY = Query(Point2(20.0, -15.0), Point2(-25.0, 15.0))
+
+
+def _pinned_case(name):
+    if name == "field-1000":
+        return generate_random_env(1000, query=FIELD_QUERY), FIELD_QUERY
+    return irregular_preset(name)
+
+
+# Seeded runs at default params, recorded before the collision kernel
+# learned to skip segments that reach no disk: the length, a sha256 of
+# repr((path, length)), the iteration count and a sha256 of the final
+# personal-best fitnesses, which sees a one-ulp change in any particle's
+# blocked length even when the best path stays put.
+@pytest.mark.parametrize("name, length, path_digest, iterations, pbest_digest", [
+    ("empty", 52.4785670536077,
+     "ac99fbe718123f65b7f786b01f47d537097feeb54e5c0b2de1c68cd79dbf4131", 30,
+     "fea8ecfeb58fcc8e01f63f18ba9bc64a108052340c4b46f80668ded5f8054819"),
+    ("field-1000", 55.4436374473847,
+     "4e6ae8e9e028003bffb2972ff171088c95c40a9a7d9e75937d46fcbe69e02384", 146,
+     "a7d16852454a81b8de8f96ccf98d9b0c7f161270abbc3f10ba85877918c9e360"),
+    ("irregular-a", 53.49041874636115,
+     "0b802888fb065d175761f474f76a0f24c8b8bb77c9bc58f23cc0aeabef646862", 265,
+     "0db53d7b474b900a4f4917560f36205240563f30b8d1ccb81edac5020f743b19"),
+], ids=["empty", "field-1000", "irregular-a"])
+def test_seeded_runs_are_pinned(name, length, path_digest, iterations, pbest_digest):
+    env, query = _pinned_case(name)
+    run = PsoRun(env, query, PsoParams())
+    while not run.should_stop:
+        run.step()
+    res = run.result(0.0)
+    assert res.length == length
+    assert hashlib.sha256(repr((res.path, res.length)).encode()).hexdigest() == path_digest
+    assert res.iterations_used == iterations
+    assert hashlib.sha256(run.pbest_fitnesses.tobytes()).hexdigest() == pbest_digest
 
 
 def test_rejects_bad_query():

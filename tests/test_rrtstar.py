@@ -39,6 +39,14 @@ def test_params_validation():
         RrtParams(iterations_num=2.5)
     with pytest.raises(ValueError):
         RrtParams(iterations_num=True)
+    # A float seed used to pass here and fail later inside numpy.
+    for bad in (dict(rng_seed=1.5), dict(rng_seed=True), dict(rng_seed="0"),
+                dict(step_size=True), dict(min_threshold=math.nan),
+                dict(neighbor_radius=math.inf), dict(step_size="2")):
+        with pytest.raises(ValueError):
+            RrtParams(**bad)
+    params = RrtParams(iterations_num=np.int64(5), rng_seed=np.int32(2))
+    assert type(params.iterations_num) is int and type(params.rng_seed) is int
 
 
 def test_steering():
