@@ -1,8 +1,9 @@
 """Trial harness, summary statistics, the ten-case suite, and a grid oracle.
 
-The oracle deliberately shares no machinery with the planners: it runs
-A* over an 8-connected grid of point-free cell centers, giving an
-independent feasibility check and a near-optimal length yardstick.
+The oracle, a feasibility check and near-optimal length yardstick, runs
+its own A* over an 8-connected grid. Only its cell test is shared: cells
+are classified by `CollisionField.free`, as are the cut midpoints in PSO's
+`blocked_lengths`.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .environment import (DEFAULT_BOUNDS, Environment, Query,
+from .environment import (DEFAULT_BOUNDS, Environment, Query, check_query,
                           generate_random_env, irregular_preset,
                           validate_query)
 from .errors import InvalidQueryError, PathbenchError
@@ -242,9 +243,7 @@ def table1_suite(env: Optional[Environment] = None,
     if specs is None:
         specs = [("rrtstar", RrtParams()), ("pso", PsoParams())]
     for q in cases:
-        bad = validate_query(env, q)
-        if bad:
-            raise InvalidQueryError("; ".join(v.reason for v in bad))
+        check_query(validate_query(env, q))
     rows: list[CaseRow] = []
     for case_idx, q in enumerate(cases, start=1):
         for planner_id, params in specs:
@@ -265,11 +264,11 @@ def audit_path(path: Sequence[Sequence[float]], env: Environment) -> bool:
 def grid_oracle(env: Environment, query: Query, resolution: float = 0.5) -> float:
     """Shortest 8-connected grid path length between the query endpoints.
 
-    Cells are free when their centers pass point_free; straight moves cost
-    `resolution`, diagonal moves sqrt(2) * resolution. Endpoints snap to
-    the nearest free cell center within a 3-cell window (an error if none
-    exists). Returns math.inf when the goal is unreachable. Independent of
-    the planners by construction.
+    Cells are free when their centers pass `CollisionField.free`, PSO's
+    midpoint classifier; the search shares nothing with the planners.
+    Straight moves cost `resolution`, diagonal moves sqrt(2) * resolution.
+    Endpoints snap to the nearest free cell center within a 3-cell window
+    (an error if none exists). Returns math.inf when the goal is unreachable.
     """
     if not (resolution > 0 and math.isfinite(resolution)):
         raise ValueError(f"resolution must be > 0, got {resolution}")

@@ -21,6 +21,7 @@ A scenario config is a JSON object; every field is optional::
 
 Unknown keys anywhere are an error. The seed precedence is config
 base_seed, then the PATHBENCH_SEED environment variable, then --seed.
+Every seed, `environment.seed` included, is a non-negative integer.
 
 `parse_config` resolves the environment and query while it parses: a
 preset or file is loaded and an inline document is built (each falls
@@ -45,15 +46,15 @@ from typing import Optional, Sequence
 from .benchmark import (EnvSource, RandomEnvFactory, plan_once,
                         result_record, run_trials, summarize, table1_suite,
                         write_results_csv, write_summary, write_table1_csv)
-from .environment import (Environment, Query, _point_from, _reject_unknown,
+from .environment import (Query, _point_from, _reject_unknown, check_query,
                           environment_from_dict, irregular_preset,
                           load_environment, preset_names, query_from_dict,
                           validate_query)
-from .errors import FormatError, InvalidQueryError, PathbenchError
+from .errors import FormatError, PathbenchError
 from .geometry import Bounds
 from .pso import PsoParams
 from .render import environment_svg
-from .result import PlanResult
+from .result import PlanResult, is_integer, is_real
 from .rrtstar import RrtParams
 
 SEED_ENV_VAR = "PATHBENCH_SEED"
@@ -78,14 +79,16 @@ class ScenarioConfig:
     out: str = "output"
 
 
-def _as_int(value, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
+def _as_int(value, where: str, minimum: Optional[int] = None) -> int:
+    if not is_integer(value):
         raise FormatError(f"{where} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise FormatError(f"{where} must be >= {minimum}, got {value}")
     return value
 
 
 def _as_num(value, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if not is_real(value):
         raise FormatError(f"{where} must be a number, got {value!r}")
     return float(value)
 
@@ -99,7 +102,7 @@ def _as_list(value, n: int, message: str) -> list:
 def _parse_random(doc: dict, query: Optional[Query]):
     _reject_unknown(doc, {"kind", "seed", "n_obstacles", "radius_range",
                           "bounds", "clearance"}, "environment")
-    seed = _as_int(doc["seed"], "environment.seed") if "seed" in doc else None
+    seed = _as_int(doc["seed"], "environment.seed", 0) if "seed" in doc else None
     # Only the keys the config gives; RandomEnvFactory holds the defaults.
     given: dict = {}
     if "n_obstacles" in doc:
@@ -152,18 +155,11 @@ def _parse_environment(doc, query: Optional[Query]):
 def _parse_params(doc, defaults, where: str):
     if not isinstance(doc, dict):
         raise FormatError(f"{where} must be an object")
-    fields = {f.name: f for f in dataclasses.fields(defaults)}
-    allowed = set(fields) - {"rng_seed"}
+    allowed = {f.name for f in dataclasses.fields(defaults)} - {"rng_seed"}
     _reject_unknown(doc, allowed, where)
-    kwargs = {}
-    for key, value in doc.items():
-        want = fields[key].type
-        if want == "int":
-            kwargs[key] = _as_int(value, f"{where}.{key}")
-        else:
-            kwargs[key] = _as_num(value, f"{where}.{key}")
+    # The parameter records check their own field types and ranges.
     try:
-        return dataclasses.replace(defaults, **kwargs)
+        return dataclasses.replace(defaults, **doc)
     except ValueError as exc:
         raise FormatError(f"{where}: {exc}") from None
 
@@ -178,10 +174,9 @@ def parse_config(doc: dict) -> ScenarioConfig:
         doc.get("environment", {"kind": "preset"}), query)
     rrt = _parse_params(doc.get("rrtstar", {}), RrtParams(), "rrtstar")
     pso = _parse_params(doc.get("pso", {}), PsoParams(), "pso")
-    trials = _as_int(doc.get("trials", 50), "trials")
-    if trials < 1:
-        raise FormatError(f"trials must be >= 1, got {trials}")
-    base_seed = _as_int(doc.get("base_seed", 0), "base_seed")
+    trials = _as_int(doc.get("trials", 50), "trials", 1)
+    # numpy's generators take non-negative seeds only.
+    base_seed = _as_int(doc.get("base_seed", 0), "base_seed", 0)
     out = doc.get("out", "output")
     if not isinstance(out, str):
         raise FormatError(f"out must be a string, got {out!r}")
@@ -207,8 +202,9 @@ def _effective_seed(cfg: ScenarioConfig, flag_seed: Optional[int]) -> int:
             seed = int(env_value)
         except ValueError:
             raise FormatError(f"{SEED_ENV_VAR} must be an integer, got {env_value!r}")
+        _as_int(seed, SEED_ENV_VAR, 0)
     if flag_seed is not None:
-        seed = flag_seed
+        seed = _as_int(flag_seed, "--seed", 0)
     return seed
 
 
@@ -226,20 +222,14 @@ def _ensure_out(cfg: ScenarioConfig, flag_out: Optional[str]) -> str:
     return out
 
 
-def _check_query(env: Environment, query: Query) -> None:
-    # A bad query is a configuration error (exit 2), not a failed plan.
-    bad = validate_query(env, query)
-    if bad:
-        raise InvalidQueryError("; ".join(v.reason for v in bad))
-
-
 def cmd_plan(args) -> int:
     cfg = load_config(args.config) if args.config else parse_config({})
     seed = _effective_seed(cfg, args.seed)
     env, query = cfg.environment, cfg.query
     if isinstance(env, RandomEnvFactory):
         env = env(cfg.env_seed if cfg.env_seed is not None else seed)
-    _check_query(env, query)
+    # A bad query is a configuration error (exit 2), not a failed plan.
+    check_query(validate_query(env, query))
     planner = args.planner or "rrtstar"
     result = plan_once(env, query, planner,
                        cfg.rrtstar if planner == "rrtstar" else cfg.pso, seed)
@@ -264,13 +254,12 @@ def cmd_bench(args) -> int:
     seed = _effective_seed(cfg, args.seed)
     trials = args.trials if args.trials is not None else cfg.trials
     for flag, value in (("--trials", trials), ("--jobs", args.jobs)):
-        if value < 1:
-            raise FormatError(f"{flag} must be >= 1, got {value}")
+        _as_int(value, flag, 1)
     if cfg.env_seed is not None:
         raise FormatError("bench draws each trial's random field from the trial "
                           "seed; remove environment.seed")
     if not isinstance(cfg.environment, RandomEnvFactory):
-        _check_query(cfg.environment, cfg.query)
+        check_query(validate_query(cfg.environment, cfg.query))
     planners = [args.planner] if args.planner else ["rrtstar", "pso"]
     records = []
     report = {}

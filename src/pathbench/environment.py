@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from .errors import (EnvironmentGenerationError, FormatError,
                      InvalidObstacleError, InvalidQueryError, PresetLookupError)
 from .geometry import (Bounds, Circle, Obstacle, Point2, Polygon, dist,
                        point_free, point_in_polygon, segments_intersect)
+from .result import is_real
 
 #: Workspace used by the default generator and the shipped presets.
 DEFAULT_BOUNDS = Bounds(-40.0, 40.0, -40.0, 20.0)
@@ -133,6 +134,12 @@ def validate_query(env: Environment, query: Query) -> tuple[QueryViolation, ...]
     return tuple(out)
 
 
+def check_query(violations: Sequence[QueryViolation]) -> None:
+    """Raise InvalidQueryError for the violations `validate_query` found, if any."""
+    if violations:
+        raise InvalidQueryError("; ".join(v.reason for v in violations))
+
+
 def generate_random_env(seed: int,
                         n_obstacles: int = 12,
                         bounds: Bounds = DEFAULT_BOUNDS,
@@ -201,14 +208,9 @@ def environment_to_dict(env: Environment, query: Optional[Query] = None) -> dict
     return doc
 
 
-def _is_number(v) -> bool:
-    # JSON true is an int to Python; a coordinate must be a real number.
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
 def _point_from(doc, what: str) -> Point2:
     if (not isinstance(doc, (list, tuple)) or len(doc) != 2
-            or not all(_is_number(v) for v in doc)):
+            or not all(is_real(v) for v in doc)):
         raise FormatError(f"{what} must be a [x, y] pair, got {doc!r}")
     return Point2(float(doc[0]), float(doc[1]))
 
@@ -239,7 +241,7 @@ def environment_from_dict(doc: dict) -> tuple[Environment, Optional[Query]]:
         raise FormatError("environment document is missing 'bounds'")
     bounds_doc = doc["bounds"]
     if (not isinstance(bounds_doc, (list, tuple)) or len(bounds_doc) != 4
-            or not all(_is_number(v) for v in bounds_doc)):
+            or not all(is_real(v) for v in bounds_doc)):
         raise FormatError(f"bounds must be [x_min, x_max, y_min, y_max], got {bounds_doc!r}")
     bounds = _check_bounds(Bounds(*(float(v) for v in bounds_doc)))
 
@@ -255,7 +257,7 @@ def environment_from_dict(doc: dict) -> tuple[Environment, Optional[Query]]:
                 radius = entry["radius"]
             except KeyError as exc:
                 raise FormatError(f"obstacle {i} is missing {exc}") from None
-            if not _is_number(radius):
+            if not is_real(radius):
                 raise FormatError(f"obstacle {i} radius must be a number, got {radius!r}")
             obstacles.append(Circle(center, float(radius)))
         elif kind == "polygon":

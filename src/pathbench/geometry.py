@@ -78,14 +78,10 @@ class Polygon:
 
     def __post_init__(self):
         verts = tuple(Point2(*v) for v in self.vertices)
-        if len(verts) < 3:
-            raise InvalidObstacleError("polygon needs at least 3 vertices")
+        _validate_polygon_arg(verts)
         for v in verts:
             _require_finite(v, "polygon vertex")
         n = len(verts)
-        for i in range(n):
-            if verts[i] == verts[(i + 1) % n]:
-                raise InvalidObstacleError(f"repeated consecutive vertex {verts[i]}")
         # Simplicity: no two non-adjacent edges may intersect.
         for i in range(n):
             a1, a2 = verts[i], verts[(i + 1) % n]
@@ -197,7 +193,8 @@ def _validate_polygon_arg(vertices) -> None:
     for i in range(n):
         a, b = vertices[i], vertices[(i + 1) % n]
         if a[0] == b[0] and a[1] == b[1]:
-            raise InvalidObstacleError("degenerate polygon: repeated consecutive vertex")
+            raise InvalidObstacleError(
+                f"degenerate polygon: repeated consecutive vertex ({a[0]}, {a[1]})")
 
 
 def segment_circle_collides(segment: Segment, center: Sequence[float],

@@ -19,8 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .environment import Environment, Query, validate_query
-from .errors import InvalidQueryError
+from .environment import Environment, Query, check_query, validate_query
 from .geometry import CollisionField, Point2, edge_free, path_length
 from .result import PlanResult, check_param_types
 
@@ -47,17 +46,11 @@ class PsoParams:
 
     def __post_init__(self):
         check_param_types(
-            self, ("max_iterations", "population", "n_waypoints",
-                   "stagnation_window", "rng_seed"),
+            self, {"max_iterations": 1, "population": 1, "n_waypoints": 1,
+                   "stagnation_window": 1, "rng_seed": 0},
             ("c1", "c2", "omega_start", "omega_end", "v_max",
              "penalty_lambda", "stop_epsilon"))
         # Each test is written to fail on NaN as well.
-        if not self.max_iterations >= 1:
-            raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
-        if not self.population >= 1:
-            raise ValueError(f"population must be >= 1, got {self.population}")
-        if not self.n_waypoints >= 1:
-            raise ValueError(f"n_waypoints must be >= 1, got {self.n_waypoints}")
         if not self.omega_start >= self.omega_end:
             raise ValueError("omega_start must be >= omega_end")
         if not self.v_max > 0:
@@ -66,15 +59,19 @@ class PsoParams:
             raise ValueError(f"penalty_lambda must be >= 0, got {self.penalty_lambda}")
         if not self.stop_epsilon >= 0:
             raise ValueError(f"stop_epsilon must be >= 0, got {self.stop_epsilon}")
-        if not self.stagnation_window >= 1:
-            raise ValueError(f"stagnation_window must be >= 1, got {self.stagnation_window}")
+
+
+def _waypoint_vector(position: Sequence[float]) -> np.ndarray:
+    """A waypoint vector as flat float64; its length must be positive and even."""
+    vec = np.asarray(position, dtype=np.float64).ravel()
+    if vec.size == 0 or vec.size % 2 != 0:
+        raise ValueError(f"waypoint vector length must be a positive even number, got {vec.size}")
+    return vec
 
 
 def decode(position: Sequence[float], query: Query) -> tuple[Point2, ...]:
     """Turn a flat waypoint vector into start -> w1 ... wn -> target."""
-    vec = np.asarray(position, dtype=np.float64).ravel()
-    if vec.size == 0 or vec.size % 2 != 0:
-        raise ValueError(f"waypoint vector length must be a positive even number, got {vec.size}")
+    vec = _waypoint_vector(position)
     mid = [Point2(float(vec[2 * i]), float(vec[2 * i + 1])) for i in range(vec.size // 2)]
     return (query.start, *mid, query.target)
 
@@ -127,10 +124,7 @@ def path_violation(path: Sequence[Sequence[float]], env: Environment) -> float:
 def fitness(position: Sequence[float], query: Query, env: Environment,
             penalty_lambda: float) -> float:
     """Path length plus penalty_lambda times the exact blocked length."""
-    vec = np.asarray(position, dtype=np.float64).ravel()
-    if vec.size == 0 or vec.size % 2 != 0:
-        raise ValueError(f"waypoint vector length must be a positive even number, got {vec.size}")
-    wp = _waypoint_tensor(vec[None, :], query)
+    wp = _waypoint_tensor(_waypoint_vector(position)[None, :], query)
     lengths, violations = _lengths_and_violations(wp, CollisionField(env))
     return float(lengths[0] + penalty_lambda * violations[0])
 
@@ -157,9 +151,7 @@ class PsoRun:
     """One in-progress swarm optimization; step() advances one iteration."""
 
     def __init__(self, env: Environment, query: Query, params: PsoParams):
-        violations = validate_query(env, query)
-        if violations:
-            raise InvalidQueryError("; ".join(v.reason for v in violations))
+        check_query(validate_query(env, query))
         self.env = env
         self.query = query
         self.params = params

@@ -1,4 +1,4 @@
-"""Common record type returned by every planner, and its parameter checks."""
+"""The planners' common result record, the number rule and parameter checks."""
 
 from __future__ import annotations
 
@@ -40,20 +40,33 @@ class PlanResult:
     params: dict
 
 
-def check_param_types(params, integers: tuple[str, ...], reals: tuple[str, ...]) -> None:
-    """Validate the types of a frozen parameter record's fields.
+def is_integer(value) -> bool:
+    """True for an int or a numpy integer; a bool is not one."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
-    Each field named in `integers` must be an integer (numpy integers are
-    stored back as int); each in `reals` a finite real number. Booleans
-    are neither. Raises ValueError naming the first bad field.
+
+def is_real(value) -> bool:
+    """True for an int, a float or a numpy number; a bool is not one."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def check_param_types(params, integers: dict[str, int], reals: tuple[str, ...]) -> None:
+    """Validate the fields of a frozen parameter record.
+
+    `integers` maps each integer field to its minimum, and each field in
+    `reals` must be a finite real number. Fields are stored back as plain
+    int and float, so a result's snapshot is the same whatever numeric
+    type was given. Raises ValueError naming the first bad field.
     """
-    for name in integers:
+    for name, minimum in integers.items():
         value = getattr(params, name)
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        if not is_integer(value):
             raise ValueError(f"{name} must be an integer, got {value!r}")
+        if value < minimum:
+            raise ValueError(f"{name} must be >= {minimum}, got {value}")
         object.__setattr__(params, name, int(value))
     for name in reals:
         value = getattr(params, name)
-        if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                or not math.isfinite(value)):
+        if not (is_real(value) and math.isfinite(value)):
             raise ValueError(f"{name} must be a finite number, got {value!r}")
+        object.__setattr__(params, name, float(value))

@@ -17,8 +17,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .environment import Environment, Query, validate_query
-from .errors import InvalidQueryError, InvalidStateError
+from .environment import Environment, Query, check_query, validate_query
+from .errors import InvalidStateError
 from .geometry import Point2, dist, edge_free, path_length
 from .result import PlanResult, check_param_types
 
@@ -38,10 +38,8 @@ class RrtParams:
     rng_seed: int = 0
 
     def __post_init__(self):
-        check_param_types(self, ("iterations_num", "rng_seed"),
+        check_param_types(self, {"iterations_num": 1, "rng_seed": 0},
                           ("step_size", "min_threshold", "neighbor_radius"))
-        if self.iterations_num < 1:
-            raise ValueError(f"iterations_num must be >= 1, got {self.iterations_num}")
         if not self.step_size > 0:
             raise ValueError(f"step_size must be > 0, got {self.step_size}")
         if not self.min_threshold > 0:
@@ -224,9 +222,7 @@ class RrtStarRun:
     """One in-progress tree search; step() advances a single iteration."""
 
     def __init__(self, env: Environment, query: Query, params: RrtParams):
-        violations = validate_query(env, query)
-        if violations:
-            raise InvalidQueryError("; ".join(v.reason for v in violations))
+        check_query(validate_query(env, query))
         self.env = env
         self.query = query
         self.params = params

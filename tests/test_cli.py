@@ -114,6 +114,11 @@ def test_parse_config_resolves_the_environment(tmp_path):
     {"environment": {"kind": "random", "radius_range": [1.0]},
      "query": {"start": [0.0, 0.0], "target": [1.0, 1.0]}},
     {"environment": {"kind": "inline", "bounds": [-5.0, 5.0, -5.0, 5.0]}},
+    # Planner fields are typed by the parameter records themselves.
+    {"rrtstar": {"iterations_num": 2.5}},
+    {"pso": {"c1": True}},
+    {"rrtstar": {"step_size": "2"}},
+    {"pso": {"population": None}},
 ])
 def test_parse_config_rejections(doc):
     with pytest.raises(FormatError):
@@ -135,6 +140,16 @@ def test_plan_feasible_writes_artifacts(tmp_path, capsys):
     assert doc["path"][0] == [0.0, 0.0]
     assert doc["path"][-1] == [10.0, 0.0]
     assert "feasible" in capsys.readouterr().out
+
+
+def test_plan_writes_an_integer_real_field_as_a_float(tmp_path):
+    cfg = write_config(tmp_path, {"environment": EMPTY_INLINE,
+                                  "rrtstar": {**FAST_RRT, "step_size": 2}})
+    out = tmp_path / "run"
+    assert main(["plan", "--config", cfg, "--out", str(out)]) == 0
+    text = (out / "result.json").read_text(encoding="utf-8")
+    assert '"step_size": 2.0' in text
+    assert type(json.loads(text)["params"]["step_size"]) is float
 
 
 def test_plan_is_deterministic_through_the_cli(tmp_path):
@@ -231,6 +246,26 @@ def test_non_integer_seed_env_var_exits_two(tmp_path, monkeypatch, capsys):
     assert main(["plan", "--config", cfg, "--planner", "pso",
                  "--out", str(tmp_path / "run")]) == 2
     assert SEED_ENV_VAR in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc, env_value, flags, name", [
+    ({"environment": EMPTY_INLINE}, None, ["--seed", "-1"], "--seed"),
+    ({"environment": EMPTY_INLINE}, "-3", [], SEED_ENV_VAR),
+    ({"environment": EMPTY_INLINE, "base_seed": -2}, None, [], "base_seed"),
+    ({"environment": {"kind": "random", "seed": -4},
+      "query": {"start": [20.0, -15.0], "target": [-25.0, 15.0]}},
+     None, [], "environment.seed"),
+], ids=["flag", "env-var", "base_seed", "environment.seed"])
+def test_negative_seed_exits_two(tmp_path, monkeypatch, capsys, doc, env_value,
+                                 flags, name):
+    if env_value is not None:
+        monkeypatch.setenv(SEED_ENV_VAR, env_value)
+    cfg = write_config(tmp_path, {**doc, "pso": FAST_PSO})
+    assert main(["plan", "--config", cfg, "--planner", "pso",
+                 "--out", str(tmp_path / "run")] + flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert name in err and ">= 0" in err
 
 
 def test_bench_writes_results_and_summary(tmp_path, capsys):

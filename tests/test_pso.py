@@ -54,7 +54,7 @@ def test_params_validation():
                 # Integer fields take integers only, not floats or bools.
                 dict(max_iterations=2.5), dict(population=True),
                 dict(n_waypoints=2.0), dict(stagnation_window=False),
-                dict(rng_seed=1.5),
+                dict(rng_seed=1.5), dict(rng_seed=-1),
                 # Real fields must be finite numbers.
                 dict(c1=math.nan), dict(c2=math.inf), dict(penalty_lambda=math.nan),
                 dict(stop_epsilon=math.nan), dict(v_max=math.inf),
@@ -67,6 +67,9 @@ def test_params_validation():
     params = PsoParams(max_iterations=np.int64(7), rng_seed=np.uint32(3), c1=np.float64(1.5))
     assert type(params.max_iterations) is int and type(params.rng_seed) is int
     assert params.max_iterations == 7 and params.rng_seed == 3 and params.c1 == 1.5
+    # Real fields are stored as float, so an int given for one is
+    # snapshotted as 2.0 and not 2.
+    assert type(params.c1) is float and type(PsoParams(c1=2).c1) is float
 
 
 def test_decode_encode_round_trip():

@@ -41,6 +41,7 @@ def test_params_validation():
         RrtParams(iterations_num=True)
     # A float seed used to pass here and fail later inside numpy.
     for bad in (dict(rng_seed=1.5), dict(rng_seed=True), dict(rng_seed="0"),
+                dict(rng_seed=-1),
                 dict(step_size=True), dict(min_threshold=math.nan),
                 dict(neighbor_radius=math.inf), dict(step_size="2")):
         with pytest.raises(ValueError):
