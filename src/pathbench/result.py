@@ -46,8 +46,17 @@ def is_integer(value) -> bool:
 
 
 def is_real(value) -> bool:
-    """True for an int, a float or a numpy number; a bool is not one."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+    """True for an int, a float or a numpy number that float() can take.
+
+    A bool is not one, nor is an integer too large for a float.
+    """
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        return False
+    try:
+        float(value)
+    except OverflowError:
+        return False
+    return True
 
 
 def check_param_types(params, integers: dict[str, int], reals: tuple[str, ...]) -> None:

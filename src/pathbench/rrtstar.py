@@ -55,19 +55,35 @@ class RrtParams:
 class RrtTree:
     """Rooted tree of 2D nodes with parent links and cost-to-come.
 
-    Coordinates live in float64 arrays that double when full; costs stay
-    scalar math.hypot sums, as np.hypot rounds differently in rare cases.
+    Coordinates live twice: in float64 arrays that double when full, for
+    the two O(n) scans, and in `_xs`/`_ys` lists of the same Python
+    floats, for the per-node reads, which then skip numpy's per-call cost.
+    Costs stay scalar math.hypot sums, as np.hypot rounds differently in
+    rare cases.
+
+    `squared_distances` keeps its last result, keyed by the query point
+    and the node count: when steering keeps the sample, the neighbour
+    scan asks again at the point the nearest scan just did. Coordinates
+    never change after insertion, so only `add` (a new count) makes the
+    result stale. The returned array is shared with later calls, so
+    callers must not write into it (`find_nearest` and `get_neighbors`
+    only read it).
     """
 
     _INITIAL_CAPACITY = 64
 
     def __init__(self, root: Sequence[float]):
+        x, y = float(root[0]), float(root[1])
         self._x = np.empty(self._INITIAL_CAPACITY)
         self._y = np.empty(self._INITIAL_CAPACITY)
-        self._x[0], self._y[0] = float(root[0]), float(root[1])
+        self._x[0], self._y[0] = x, y
+        self._xs: list[float] = [x]
+        self._ys: list[float] = [y]
         self._parent: list[int] = [-1]
         self._cost: list[float] = [0.0]
         self._children: list[list[int]] = [[]]
+        self._scan_key: Optional[tuple] = None
+        self._scan: Optional[np.ndarray] = None
 
     def __len__(self) -> int:
         return len(self._cost)
@@ -75,7 +91,7 @@ class RrtTree:
     def position(self, i: int) -> Point2:
         if not 0 <= i < len(self._cost):
             raise IndexError(f"node index {i} out of range")
-        return Point2(self._x.item(i), self._y.item(i))
+        return Point2(self._xs[i], self._ys[i])
 
     def parent(self, i: int) -> Optional[int]:
         p = self._parent[i]
@@ -96,21 +112,26 @@ class RrtTree:
             self._x = np.concatenate((self._x, np.empty_like(self._x)))
             self._y = np.concatenate((self._y, np.empty_like(self._y)))
         self._x[idx], self._y[idx] = x, y
+        self._xs.append(x)
+        self._ys.append(y)
         self._parent.append(parent_index)
         self._cost.append(self._cost[parent_index] + math.hypot(x - px, y - py))
         self._children.append([])
         self._children[parent_index].append(idx)
         return idx
 
-    def positions(self, indices: Sequence[int]) -> list[tuple[float, float]]:
-        """(x, y) of the given nodes, as Python floats."""
-        idx = np.asarray(indices, dtype=np.intp)
-        return list(zip(self._x[idx].tolist(), self._y[idx].tolist()))
-
     def squared_distances(self, p: Sequence[float]) -> np.ndarray:
-        """Squared distance from p to every node; numpy squares by product."""
+        """Squared distance from p to every node; numpy squares by product.
+
+        A repeat query at the same point and node count returns the same
+        array, which callers must not write into.
+        """
         n = len(self._cost)
-        return (self._x[:n] - p[0]) ** 2 + (self._y[:n] - p[1]) ** 2
+        key = (p[0], p[1], n)
+        if key != self._scan_key:
+            self._scan = (self._x[:n] - p[0]) ** 2 + (self._y[:n] - p[1]) ** 2
+            self._scan_key = key
+        return self._scan
 
     def all_costs(self) -> list[float]:
         return list(self._cost)
@@ -156,25 +177,31 @@ def choose_parent(tree: RrtTree, neighbors: Sequence[int], p_near_idx: int,
 
     Candidates are ranked by cost_to_come + edge length (ties by lower
     index); the first whose edge to p_new is free wins. Falls back to
-    p_near_idx when no neighbor qualifies.
+    p_near_idx when no neighbor qualifies. The cheapest edge is usually
+    free, so the ranking is sorted only when it is not.
     """
-    ranked = sorted((tree._cost[i] + math.hypot(x - p_new[0], y - p_new[1]), i, x, y)
-                    for i, (x, y) in zip(neighbors, tree.positions(neighbors)))
-    for _, i, x, y in ranked:
-        if edge_free(Point2(x, y), p_new, env):
+    xs, ys, cost = tree._xs, tree._ys, tree._cost
+    nx, ny = p_new[0], p_new[1]
+    ranked = [(cost[i] + math.hypot(xs[i] - nx, ys[i] - ny), i) for i in neighbors]
+    _, best = min(ranked)
+    if edge_free(Point2(xs[best], ys[best]), p_new, env):
+        return best
+    ranked.sort()
+    for _, i in ranked[1:]:
+        if edge_free(Point2(xs[i], ys[i]), p_new, env):
             return i
     return p_near_idx
 
 
 def _propagate_cost(tree: RrtTree, start: int) -> None:
     # Recompute cost-to-come below a reparented node.
+    xs, ys, cost = tree._xs, tree._ys, tree._cost
     stack = [start]
     while stack:
         i = stack.pop()
-        xi, yi = tree._x.item(i), tree._y.item(i)
+        xi, yi = xs[i], ys[i]
         for c in tree._children[i]:
-            tree._cost[c] = tree._cost[i] + math.hypot(
-                tree._x.item(c) - xi, tree._y.item(c) - yi)
+            cost[c] = cost[i] + math.hypot(xs[c] - xi, ys[c] - yi)
             stack.append(c)
 
 
@@ -186,18 +213,20 @@ def rewire(tree: RrtTree, neighbors: Sequence[int], new_index: int,
     a cost drop propagated to a later neighbor's subtree is taken into
     account. Costs never increase.
     """
+    xs, ys, cost = tree._xs, tree._ys, tree._cost
     p_new = tree.position(new_index)
-    order = sorted(neighbors)
-    for i, (x, y) in zip(order, tree.positions(order)):
+    nx, ny = p_new
+    for i in sorted(neighbors):
         if i == new_index:
             continue
-        cand = tree._cost[new_index] + math.hypot(p_new.x - x, p_new.y - y)
-        if cand < tree._cost[i] and edge_free(p_new, Point2(x, y), env):
+        x, y = xs[i], ys[i]
+        cand = cost[new_index] + math.hypot(nx - x, ny - y)
+        if cand < cost[i] and edge_free(p_new, Point2(x, y), env):
             old_parent = tree._parent[i]
             tree._children[old_parent].remove(i)
             tree._parent[i] = new_index
             tree._children[new_index].append(i)
-            tree._cost[i] = cand
+            cost[i] = cand
             _propagate_cost(tree, i)
 
 

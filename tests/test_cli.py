@@ -119,6 +119,15 @@ def test_parse_config_resolves_the_environment(tmp_path):
     {"pso": {"c1": True}},
     {"rrtstar": {"step_size": "2"}},
     {"pso": {"population": None}},
+    # Integers too large for a float.
+    {"rrtstar": {"step_size": 10**400}},
+    {"pso": {"v_max": 10**400}},
+    {"environment": {"kind": "inline", "bounds": [-5.0, 10**400, -5.0, 5.0]}},
+    {"environment": {"kind": "random", "clearance": 10**400},
+     "query": {"start": [0.0, 0.0], "target": [1.0, 1.0]}},
+    {"environment": {"kind": "random", "radius_range": [1.0, 10**400]},
+     "query": {"start": [0.0, 0.0], "target": [1.0, 1.0]}},
+    {"query": {"start": [10**400, 0.0], "target": [1.0, 1.0]}},
 ])
 def test_parse_config_rejections(doc):
     with pytest.raises(FormatError):
@@ -202,6 +211,14 @@ def test_missing_config_exits_two(tmp_path, capsys):
     code = main(["plan", "--config", str(tmp_path / "absent.json")])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_huge_integer_config_value_exits_two(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"environment": EMPTY_INLINE,
+                                  "rrtstar": {"step_size": 10**400}})
+    assert main(["plan", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "step_size" in err
 
 
 def test_unknown_config_key_exits_two(tmp_path, capsys):

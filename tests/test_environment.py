@@ -225,6 +225,16 @@ def test_non_numeric_bounds_and_radius_are_rejected():
             environment_from_dict({"bounds": [0, 1, 0, 1],
                                    "obstacles": [{"kind": "circle", "center": [0.5, 0.5],
                                                   "radius": radius}]})
+    # An integer too large for a float is not a number either.
+    huge = 10**400
+    for doc in ({"bounds": [0, huge, 0, 1]},
+                {"bounds": [0, 1, 0, 1],
+                 "obstacles": [{"kind": "circle", "center": [0.5, 0.5], "radius": huge}]},
+                {"bounds": [0, 1, 0, 1],
+                 "obstacles": [{"kind": "circle", "center": [-huge, 0.5], "radius": 0.1}]},
+                {"bounds": [0, 1, 0, 1], "query": {"start": [0, 0], "target": [huge, 1]}}):
+        with pytest.raises(FormatError):
+            environment_from_dict(json.loads(json.dumps(doc)))
     env, _ = environment_from_dict({"bounds": [0, 5, 0, 1.5],
                                     "obstacles": [{"kind": "circle", "center": [1, 1],
                                                    "radius": 1}]})

@@ -59,7 +59,9 @@ def test_params_validation():
                 dict(c1=math.nan), dict(c2=math.inf), dict(penalty_lambda=math.nan),
                 dict(stop_epsilon=math.nan), dict(v_max=math.inf),
                 dict(omega_start=math.nan), dict(omega_end=-math.inf),
-                dict(c1=True), dict(v_max="4")):
+                dict(c1=True), dict(v_max="4"),
+                # An integer too large for a float is not a number here.
+                dict(v_max=10**400), dict(penalty_lambda=-10**400)):
         with pytest.raises(ValueError):
             PsoParams(**bad)
     # numpy integers are accepted and stored as int, so the snapshot in

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pathbench import rrtstar
 from pathbench.environment import (Environment, Query, generate_random_env,
                                    irregular_preset)
 from pathbench.errors import InvalidQueryError, InvalidStateError
@@ -43,7 +44,9 @@ def test_params_validation():
     for bad in (dict(rng_seed=1.5), dict(rng_seed=True), dict(rng_seed="0"),
                 dict(rng_seed=-1),
                 dict(step_size=True), dict(min_threshold=math.nan),
-                dict(neighbor_radius=math.inf), dict(step_size="2")):
+                dict(neighbor_radius=math.inf), dict(step_size="2"),
+                # An integer too large for a float is not a number here.
+                dict(step_size=10**400), dict(neighbor_radius=-10**400)):
         with pytest.raises(ValueError):
             RrtParams(**bad)
     params = RrtParams(iterations_num=np.int64(5), rng_seed=np.int32(2))
@@ -143,6 +146,18 @@ def test_scans_match_scalar_oracle(drawn, n_lattice, p, radius):
     assert found == neighbors_oracle(points, p, radius)
 
 
+def test_scan_memo_sees_new_nodes():
+    tree = RrtTree((0.0, 0.0))
+    tree.add((10.0, 0.0), 0)
+    p = (6.0, 0.0)
+    assert find_nearest(tree, p) == 1
+    assert get_neighbors(tree, p, 3.0) == []
+    # A node added after a scan at p must show in the next scans at p.
+    new = tree.add((6.5, 0.0), 1)
+    assert find_nearest(tree, p) == new
+    assert get_neighbors(tree, p, 3.0) == [new]
+
+
 def test_tree_grows_past_its_initial_capacity():
     tree = RrtTree((0.0, 0.0))
     n = 5 * RrtTree._INITIAL_CAPACITY
@@ -175,6 +190,24 @@ def test_choose_parent_prefers_cheapest_total():
     boxed = Environment(EMPTY.bounds, (Circle(Point2(4.0, 1.5), 1.2),
                                        Circle(Point2(2.0, 1.5), 1.2)))
     assert choose_parent(tree, [0, a, b], a, p_new, boxed) == a
+
+
+def test_choose_parent_ties_go_to_the_lower_index():
+    tree = RrtTree((0.0, 0.0))
+    a = tree.add((2.0, 0.0), 0)    # cost 2
+    b = tree.add((-2.0, 0.0), 0)   # cost 2, the mirror image of a
+    p_new = (0.0, 3.0)
+    # a and b tie at 2 + sqrt(13) exactly; the root is cheaper at 3.
+    assert choose_parent(tree, [b, a], 0, p_new, EMPTY) == a
+    assert choose_parent(tree, [b, a, 0], a, p_new, EMPTY) == 0
+    # A disc on the root edge, clear of both slanted edges (3/sqrt(13)
+    # ~ 0.83 away), blocks the cheapest candidate; the tie then decides.
+    wall = Environment(EMPTY.bounds, (Circle(Point2(0.0, 1.5), 0.5),))
+    assert choose_parent(tree, [b, a, 0], b, p_new, wall) == a
+    # With a's edge blocked as well, b is the one left.
+    walls = Environment(EMPTY.bounds, (Circle(Point2(0.0, 1.5), 0.5),
+                                       Circle(Point2(1.0, 1.5), 0.3)))
+    assert choose_parent(tree, [b, a, 0], 0, p_new, walls) == b
 
 
 def test_rewire_lowers_cost_and_propagates():
@@ -300,6 +333,33 @@ def test_seeded_runs_are_pinned(name, iterations, length, path_digest, cost_dige
     assert res.length == length
     assert _sha((res.path, res.length)) == path_digest
     assert _sha(run.tree.all_costs()) == cost_digest
+
+
+# The collision checks of seeded runs, recorded before the tree kept
+# float mirrors and a scan memo: their number and a sha256 of the
+# repr of their (a, b) endpoints in call order.
+@pytest.mark.parametrize("name, iterations, calls, edge_digest", [
+    ("empty", 600, 1382,
+     "278463cf8bc027a1c0b756b4f6a5242088a8380bd66cd8b487a8fa3e508637a6"),
+    ("field-1000", 2000, 5423,
+     "63cae3ab61561f588b5d1d8fb7b55e9971c74467b90e4c7cbd2c6e4ce25ff4c0"),
+], ids=["empty", "field-1000"])
+def test_seeded_edge_checks_are_pinned(monkeypatch, name, iterations, calls,
+                                       edge_digest):
+    checked = []
+    edge_free = rrtstar.edge_free
+
+    def counting(a, b, env):
+        checked.append((tuple(a), tuple(b)))
+        return edge_free(a, b, env)
+
+    monkeypatch.setattr(rrtstar, "edge_free", counting)
+    env, query = _pinned_case(name)
+    run = RrtStarRun(env, query, RrtParams(iterations_num=iterations))
+    for _ in range(iterations):
+        run.step()
+    assert len(checked) == calls
+    assert _sha(checked) == edge_digest
 
 
 def test_infeasible_reports_closest_approach():
