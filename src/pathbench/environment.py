@@ -28,8 +28,8 @@ import numpy as np
 
 from .errors import (EnvironmentGenerationError, FormatError,
                      InvalidObstacleError, InvalidQueryError, PresetLookupError)
-from .geometry import (Bounds, Circle, Obstacle, Point2, Polygon, dist,
-                       point_free, point_in_polygon, segments_intersect)
+from .geometry import (Bounds, Circle, Obstacle, ObstacleTable, Point2, Polygon,
+                       dist, point_free, point_in_polygon, segments_intersect)
 from .result import is_real
 
 #: Workspace used by the default generator and the shipped presets.
@@ -87,15 +87,9 @@ class Environment:
                     f"obstacle {obs!r} lies entirely outside bounds {self.bounds}")
 
     @cached_property
-    def disks(self) -> tuple[tuple[float, float, float], ...]:
-        """(cx, cy, r) of every circle obstacle as plain floats, in order."""
-        return tuple((float(o.center.x), float(o.center.y), float(o.radius))
-                     for o in self.obstacles if isinstance(o, Circle))
-
-    @cached_property
-    def polygons(self) -> tuple[tuple[Point2, ...], ...]:
-        """Vertices of every polygon obstacle, in order."""
-        return tuple(o.vertices for o in self.obstacles if isinstance(o, Polygon))
+    def obstacle_table(self) -> ObstacleTable:
+        """The obstacles as plain floats and arrays with widened boxes."""
+        return ObstacleTable(self.bounds, self.obstacles)
 
 
 @dataclass(frozen=True)

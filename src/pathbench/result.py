@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -62,8 +63,9 @@ def is_real(value) -> bool:
 def check_param_types(params, integers: dict[str, int], reals: tuple[str, ...]) -> None:
     """Validate the fields of a frozen parameter record.
 
-    `integers` maps each integer field to its minimum, and each field in
-    `reals` must be a finite real number. Fields are stored back as plain
+    `integers` maps each integer field to its minimum; its maximum is
+    sys.maxsize, as numpy sizes and loop counts take no more. Each field
+    in `reals` must be a finite real number. Fields are stored back as plain
     int and float, so a result's snapshot is the same whatever numeric
     type was given. Raises ValueError naming the first bad field.
     """
@@ -73,6 +75,8 @@ def check_param_types(params, integers: dict[str, int], reals: tuple[str, ...]) 
             raise ValueError(f"{name} must be an integer, got {value!r}")
         if value < minimum:
             raise ValueError(f"{name} must be >= {minimum}, got {value}")
+        if value > sys.maxsize:
+            raise ValueError(f"{name} must be <= {sys.maxsize}, got {value}")
         object.__setattr__(params, name, int(value))
     for name in reals:
         value = getattr(params, name)

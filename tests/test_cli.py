@@ -221,6 +221,16 @@ def test_huge_integer_config_value_exits_two(tmp_path, capsys):
     assert err.startswith("error:") and "step_size" in err
 
 
+def test_integer_above_maxsize_exits_two(tmp_path, capsys):
+    # numpy cannot take a count this large: the run died with an
+    # OverflowError traceback and exit 1.
+    cfg = write_config(tmp_path, {"environment": EMPTY_INLINE,
+                                  "pso": {"n_waypoints": 10**20, "max_iterations": 3}})
+    assert main(["plan", "--planner", "pso", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "n_waypoints must be <=" in err
+
+
 def test_unknown_config_key_exits_two(tmp_path, capsys):
     cfg = write_config(tmp_path, {"environment": EMPTY_INLINE, "budget": 9})
     assert main(["plan", "--config", cfg]) == 2

@@ -495,3 +495,104 @@ def test_clear_rows_skip_the_exact_pass():
     assert field.blocked_lengths(np.array([[-5.0, graze]]),
                                  np.array([[5.0, graze]])).tolist() == [0.0]
     assert field.calls == [1]
+
+
+# --- obstacle boxes against the full walks ----------------------------------
+
+def reference_point_free(p, env):
+    """Oracle: point_free before the obstacle table, every obstacle tested."""
+    if not env.bounds.contains(p):
+        return False
+    for obs in env.obstacles:
+        if isinstance(obs, Circle):
+            dx, dy = p[0] - obs.center.x, p[1] - obs.center.y
+            if dx * dx + dy * dy < obs.radius * obs.radius:
+                return False
+        elif point_in_polygon(p, obs.vertices):
+            return False
+    return True
+
+
+def test_free_matches_point_free_across_point_blocks():
+    # 40 concave 20-gons, 800 edges: free classifies the points in
+    # blocks of 20, and the last block is a partial one.
+    polygons = tuple(
+        Polygon(tuple(Point2(cx + (1.2 if k % 2 else 0.6) * math.cos(math.pi * k / 10),
+                             cy + (1.2 if k % 2 else 0.6) * math.sin(math.pi * k / 10))
+                      for k in range(20)))
+        for cx in np.arange(-10.5, 11.0, 3.0) for cy in np.arange(-10.0, 11.0, 5.0))
+    env = Environment(WIDE, polygons)
+    pts = np.random.default_rng(3).uniform(-12.5, 12.5, size=(1010, 2))
+    want = [reference_point_free(p, env) for p in pts.tolist()]
+    assert 0 < want.count(False) < len(want)
+    assert CollisionField(env).free(pts).tolist() == want
+
+
+def _box(obs):
+    if isinstance(obs, Circle):
+        (cx, cy), r = obs.center, obs.radius
+        return cx - r, cx + r, cy - r, cy + r
+    xs = [v.x for v in obs.vertices]
+    ys = [v.y for v in obs.vertices]
+    return min(xs), max(xs), min(ys), max(ys)
+
+
+BOX_KINDS = ("tangent", "corner", "point", "random")
+
+
+@st.composite
+def box_edge_batches(draw, env):
+    """A batch of segments whose boxes sit on an obstacle's box edge.
+
+    Each box edge is moved by up to 1e-13 relative to max(1, |edge|), on
+    either side. Tangent rows run along a box edge (for a disk, an
+    axis-aligned tangent); corner rows span an outside quarter at a box
+    corner, so their box meets the obstacle's only there; point rows are
+    zero-length, on a box edge.
+    """
+    def near(v):
+        return v + draw(st.floats(-1e-13, 1e-13)) * max(1.0, abs(v))
+
+    rows = []
+    for kind in draw(st.lists(st.sampled_from(BOX_KINDS), min_size=1, max_size=16)):
+        x0, x1, y0, y1 = _box(draw(st.sampled_from(env.obstacles)))
+        side = draw(st.integers(0, 3))
+        if kind == "tangent":
+            u, v = draw(coords), draw(coords)
+            if side < 2:
+                x = near((x0, x1)[side])
+                a, b = (x, u), (x, v)
+            else:
+                y = near((y0, y1)[side - 2])
+                a, b = (u, y), (v, y)
+        elif kind == "corner":
+            sx, sy = (-1.0, -1.0, 1.0, 1.0)[side], (-1.0, 1.0, -1.0, 1.0)[side]
+            x, y = near(x0 if sx < 0 else x1), near(y0 if sy < 0 else y1)
+            a = (x + sx * draw(st.floats(0.0, 6.0)), y)
+            b = (x, y + sy * draw(st.floats(0.0, 6.0)))
+        elif kind == "point":
+            if side < 2:
+                a = (near((x0, x1)[side]), draw(st.floats(y0, y1)))
+            else:
+                a = (draw(st.floats(x0, x1)), near((y0, y1)[side - 2]))
+            b = a
+        else:
+            a, b = draw(points), draw(points)
+        if draw(st.booleans()):
+            a, b = b, a
+        rows.append((a, b))
+    return np.array([a for a, _ in rows]), np.array([b for _, b in rows])
+
+
+@pytest.mark.parametrize("kind", ("disks", "polygons", "mixed"))
+@PROPERTY
+@given(data=st.data())
+def test_box_skips_match_the_oracles_at_box_edges(kind, data):
+    env = data.draw(fields(kind))
+    starts, ends = data.draw(box_edge_batches(env))
+    want = reference_blocked_lengths(env, starts, ends)
+    assert CollisionField(env).blocked_lengths(starts, ends).tolist() == want.tolist()
+    for a, b in zip(starts.tolist(), ends.tolist()):
+        assert edge_free(a, b, env) == reference_edge_free(a, b, env)
+        assert point_free(a, env) == reference_point_free(a, env)
+        assert point_free(b, env) == reference_point_free(b, env)

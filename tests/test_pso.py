@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -72,6 +73,13 @@ def test_params_validation():
     # Real fields are stored as float, so an int given for one is
     # snapshotted as 2.0 and not 2.
     assert type(params.c1) is float and type(PsoParams(c1=2).c1) is float
+
+
+def test_params_reject_an_integer_above_maxsize():
+    # numpy died on this size with "Maximum allowed dimension exceeded".
+    with pytest.raises(ValueError, match=f"population must be <= {sys.maxsize}"):
+        PsoParams(population=10**400)
+    assert PsoParams(rng_seed=sys.maxsize).rng_seed == sys.maxsize
 
 
 def test_decode_encode_round_trip():

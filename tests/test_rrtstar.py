@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -51,6 +52,12 @@ def test_params_validation():
             RrtParams(**bad)
     params = RrtParams(iterations_num=np.int64(5), rng_seed=np.int32(2))
     assert type(params.iterations_num) is int and type(params.rng_seed) is int
+
+
+def test_params_reject_an_integer_above_maxsize():
+    # Accepted before, and the planner would have looped for ever.
+    with pytest.raises(ValueError, match=f"iterations_num must be <= {sys.maxsize}"):
+        RrtParams(iterations_num=10**400)
 
 
 def test_steering():
@@ -360,6 +367,36 @@ def test_seeded_edge_checks_are_pinned(monkeypatch, name, iterations, calls,
         run.step()
     assert len(checked) == calls
     assert _sha(checked) == edge_digest
+
+
+# The answers of the same collision checks, recorded before edge_free
+# skipped obstacles by their boxes: the number of calls and a sha256 of
+# the repr of the list of booleans returned, in call order. irregular-a
+# is the polygon case.
+@pytest.mark.parametrize("name, iterations, calls, answer_digest", [
+    ("empty", 600, 1382,
+     "b23156865768b1e575a4cc0395469f6fe896b8bfb17ec98b65d698bcdcd3e2e0"),
+    ("field-1000", 2000, 5423,
+     "876ab065c9af3f77c4e283e1470e6e43dbbfa5ff0e74d5d761a11f15e75df808"),
+    ("irregular-a", 2000, 5226,
+     "3fd20cc1d137f840053c62993704e2013c6068e066bf4100f5b5c88282d1de30"),
+], ids=["empty", "field-1000", "irregular-a"])
+def test_seeded_edge_answers_are_pinned(monkeypatch, name, iterations, calls,
+                                        answer_digest):
+    answers = []
+    edge_free = rrtstar.edge_free
+
+    def recording(a, b, env):
+        answers.append(edge_free(a, b, env))
+        return answers[-1]
+
+    monkeypatch.setattr(rrtstar, "edge_free", recording)
+    env, query = _pinned_case(name)
+    run = RrtStarRun(env, query, RrtParams(iterations_num=iterations))
+    for _ in range(iterations):
+        run.step()
+    assert len(answers) == calls
+    assert _sha(answers) == answer_digest
 
 
 def test_infeasible_reports_closest_approach():
