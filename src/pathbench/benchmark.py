@@ -13,15 +13,15 @@ import heapq
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
 from .environment import (DEFAULT_BOUNDS, Environment, Query, check_query,
-                          generate_random_env, irregular_preset,
-                          validate_query)
-from .errors import InvalidQueryError, PathbenchError
+                          check_random_field, generate_random_env,
+                          irregular_preset, validate_query)
+from .errors import InvalidQueryError
 from .geometry import Bounds, CollisionField, Point2, dist, edge_free
 from .pso import PsoParams, plan_pso
 from .result import PlanResult
@@ -63,13 +63,19 @@ EnvSource = Union[Environment, Callable[[int], Environment]]
 
 @dataclass(frozen=True)
 class RandomEnvFactory:
-    """Picklable seed -> Environment callable around the random generator."""
+    """Picklable seed -> Environment callable; its field arguments are checked on construction."""
 
     query: Query
     n_obstacles: int = 12
     bounds: Bounds = DEFAULT_BOUNDS
     radius_range: tuple[float, float] = (2.0, 6.0)
     clearance: float = 1.0
+
+    def __post_init__(self):
+        names = ("n_obstacles", "bounds", "radius_range", "clearance")
+        checked = check_random_field(*(getattr(self, n) for n in names))
+        for name, value in zip(names, checked):
+            object.__setattr__(self, name, value)
 
     def __call__(self, seed: int) -> Environment:
         return generate_random_env(seed, n_obstacles=self.n_obstacles,
@@ -141,22 +147,14 @@ def plan_once(env: EnvSource, query: Query, planner_id: str,
               params: PlannerParams, seed: int) -> PlanResult:
     """Run one seeded trial; `seed` overrides params.rng_seed.
 
-    When `env` is a callable it is built from the same seed. A run that
-    raises a planner error is reported as infeasible, never as a crash
-    of the whole batch.
+    When `env` is a callable it is built from the same seed. A planner
+    error, such as a query the environment buries, propagates: it is not
+    an infeasible run.
     """
     if planner_id not in _PLANNERS:
         raise ValueError(f"unknown planner {planner_id!r}; expected one of {sorted(_PLANNERS)}")
     trial_env = env(seed) if callable(env) else env
-    trial_params = replace(params, rng_seed=seed)
-    plan = _PLANNERS[planner_id]
-    try:
-        return plan(trial_env, query, trial_params)
-    except PathbenchError:
-        return PlanResult(planner_id=planner_id, seed=seed, feasible=False,
-                          length=math.nan, elapsed=0.0, iterations_used=0,
-                          closest_approach=math.inf, path=None,
-                          params=asdict(trial_params))
+    return _PLANNERS[planner_id](trial_env, query, replace(params, rng_seed=seed))
 
 
 def run_trials(env: EnvSource, query: Query, planner_id: str,
@@ -168,6 +166,7 @@ def run_trials(env: EnvSource, query: Query, planner_id: str,
     which case each trial gets the environment built from its own seed.
     Trials are independent, so `jobs` > 1 fans them out over at most
     min(jobs, n_trials) processes; results always come back in seed order.
+    The first trial error, in seed order, is raised for every `jobs`.
     """
     if planner_id not in _PLANNERS:
         raise ValueError(f"unknown planner {planner_id!r}; expected one of {sorted(_PLANNERS)}")

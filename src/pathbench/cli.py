@@ -2,6 +2,8 @@
 
 Exit codes: 0 on success (for `plan`, a feasible path), 1 when `plan`
 finishes without a feasible path, 2 for configuration or input errors.
+A planner error in `plan` or `bench`, such as a query that the
+environment buries, is an `error:` line with exit 2, never a row.
 
 A scenario config is a JSON object; every field is optional::
 
@@ -46,15 +48,13 @@ from typing import Optional, Sequence
 from .benchmark import (EnvSource, RandomEnvFactory, plan_once,
                         result_record, run_trials, summarize, table1_suite,
                         write_results_csv, write_summary, write_table1_csv)
-from .environment import (Query, _point_from, _reject_unknown, check_query,
+from .environment import (Query, _point_from, _reject_unknown,
                           environment_from_dict, irregular_preset,
-                          load_environment, preset_names, query_from_dict,
-                          validate_query)
+                          load_environment, preset_names, query_from_dict)
 from .errors import FormatError, PathbenchError
-from .geometry import Bounds
 from .pso import PsoParams
 from .render import environment_svg
-from .result import PlanResult, is_integer, is_real
+from .result import PlanResult, is_integer
 from .rrtstar import RrtParams
 
 SEED_ENV_VAR = "PATHBENCH_SEED"
@@ -87,47 +87,20 @@ def _as_int(value, where: str, minimum: Optional[int] = None) -> int:
     return value
 
 
-def _as_num(value, where: str) -> float:
-    if not is_real(value):
-        raise FormatError(f"{where} must be a number, got {value!r}")
-    return float(value)
-
-
-def _as_list(value, n: int, message: str) -> list:
-    if not (isinstance(value, list) and len(value) == n):
-        raise FormatError(message)
-    return value
-
-
-def _parse_random(doc: dict, query: Optional[Query]):
-    _reject_unknown(doc, {"kind", "seed", "n_obstacles", "radius_range",
-                          "bounds", "clearance"}, "environment")
-    seed = _as_int(doc["seed"], "environment.seed", 0) if "seed" in doc else None
-    # Only the keys the config gives; RandomEnvFactory holds the defaults.
-    given: dict = {}
-    if "n_obstacles" in doc:
-        given["n_obstacles"] = _as_int(doc["n_obstacles"], "environment.n_obstacles")
-    if "radius_range" in doc:
-        rr = _as_list(doc["radius_range"], 2, "environment.radius_range must be [lo, hi]")
-        given["radius_range"] = tuple(_as_num(v, "radius_range") for v in rr)
-    if "bounds" in doc:
-        b = _as_list(doc["bounds"], 4,
-                     "environment.bounds must be [x_min, x_max, y_min, y_max]")
-        given["bounds"] = Bounds(*(_as_num(v, "bounds") for v in b))
-    if "clearance" in doc:
-        given["clearance"] = _as_num(doc["clearance"], "environment.clearance")
-    if query is None:
-        raise FormatError("a random environment needs an explicit query")
-    return RandomEnvFactory(query=query, **given), query, seed
-
-
 def _parse_environment(doc, query: Optional[Query]):
     """Return (environment, query, env_seed); the config's query wins."""
     if not isinstance(doc, dict) or "kind" not in doc:
         raise FormatError("environment must be an object with a 'kind'")
     kind = doc["kind"]
     if kind == "random":
-        return _parse_random(doc, query)
+        _reject_unknown(doc, {"kind", "seed", "n_obstacles", "radius_range",
+                              "bounds", "clearance"}, "environment")
+        seed = _as_int(doc["seed"], "environment.seed", 0) if "seed" in doc else None
+        if query is None:
+            raise FormatError("a random environment needs an explicit query")
+        # RandomEnvFactory holds the defaults and checks the fields given.
+        given = {k: v for k, v in doc.items() if k not in ("kind", "seed")}
+        return RandomEnvFactory(query=query, **given), query, seed
     if kind == "preset":
         _reject_unknown(doc, {"kind", "name"}, "environment")
         name = doc.get("name", "irregular-a")
@@ -228,8 +201,6 @@ def cmd_plan(args) -> int:
     env, query = cfg.environment, cfg.query
     if isinstance(env, RandomEnvFactory):
         env = env(cfg.env_seed if cfg.env_seed is not None else seed)
-    # A bad query is a configuration error (exit 2), not a failed plan.
-    check_query(validate_query(env, query))
     planner = args.planner or "rrtstar"
     result = plan_once(env, query, planner,
                        cfg.rrtstar if planner == "rrtstar" else cfg.pso, seed)
@@ -258,8 +229,6 @@ def cmd_bench(args) -> int:
     if cfg.env_seed is not None:
         raise FormatError("bench draws each trial's random field from the trial "
                           "seed; remove environment.seed")
-    if not isinstance(cfg.environment, RandomEnvFactory):
-        check_query(validate_query(cfg.environment, cfg.query))
     planners = [args.planner] if args.planner else ["rrtstar", "pso"]
     records = []
     report = {}

@@ -30,7 +30,7 @@ from .errors import (EnvironmentGenerationError, FormatError,
                      InvalidObstacleError, InvalidQueryError, PresetLookupError)
 from .geometry import (Bounds, Circle, Obstacle, ObstacleTable, Point2, Polygon,
                        dist, point_free, point_in_polygon, segments_intersect)
-from .result import is_real
+from .result import is_integer, is_real
 
 #: Workspace used by the default generator and the shipped presets.
 DEFAULT_BOUNDS = Bounds(-40.0, 40.0, -40.0, 20.0)
@@ -39,7 +39,10 @@ DEFAULT_BOUNDS = Bounds(-40.0, 40.0, -40.0, 20.0)
 MAX_PLACEMENT_ATTEMPTS = 10_000
 
 
-def _check_bounds(bounds: Bounds) -> Bounds:
+def _check_bounds(bounds) -> Bounds:
+    if (not isinstance(bounds, (list, tuple)) or len(bounds) != 4
+            or not all(is_real(v) for v in bounds)):
+        raise FormatError(f"bounds must be [x_min, x_max, y_min, y_max], got {bounds!r}")
     b = Bounds(*(float(v) for v in bounds))
     for v in b:
         if not math.isfinite(v):
@@ -134,6 +137,25 @@ def check_query(violations: Sequence[QueryViolation]) -> None:
         raise InvalidQueryError("; ".join(v.reason for v in violations))
 
 
+def check_random_field(n_obstacles, bounds, radius_range, clearance
+                       ) -> tuple[int, Bounds, tuple[float, float], float]:
+    """Return the random generator's field arguments checked, as int, Bounds and floats.
+
+    Each range test is written so that NaN fails it. Raises FormatError
+    naming the first bad argument.
+    """
+    if not (is_integer(n_obstacles) and n_obstacles >= 0):
+        raise FormatError(f"n_obstacles must be an integer >= 0, got {n_obstacles!r}")
+    b = _check_bounds(bounds)
+    rr = radius_range
+    if not (isinstance(rr, (list, tuple)) and len(rr) == 2 and all(is_real(v) for v in rr)
+            and 0 < rr[0] <= rr[1] < math.inf):
+        raise FormatError(f"radius_range must be [lo, hi] with 0 < lo <= hi < inf, got {rr!r}")
+    if not (is_real(clearance) and 0 <= clearance < math.inf):
+        raise FormatError(f"clearance must be a finite number >= 0, got {clearance!r}")
+    return int(n_obstacles), b, (float(rr[0]), float(rr[1])), float(clearance)
+
+
 def generate_random_env(seed: int,
                         n_obstacles: int = 12,
                         bounds: Bounds = DEFAULT_BOUNDS,
@@ -146,17 +168,12 @@ def generate_random_env(seed: int,
     generator is a seeded PCG64 stream, consumed in a fixed order: center
     x, center y, radius per attempt). Obstacles are accepted when neither
     query endpoint lies within `clearance` of the inflated disk. Raises
+    FormatError for a bad field argument (see `check_random_field`) and
     EnvironmentGenerationError when an obstacle cannot be placed within
     MAX_PLACEMENT_ATTEMPTS attempts.
     """
-    b = _check_bounds(bounds)
-    r_lo, r_hi = float(radius_range[0]), float(radius_range[1])
-    if not (0 < r_lo <= r_hi):
-        raise FormatError(f"radius_range must satisfy 0 < lo <= hi, got {radius_range!r}")
-    if n_obstacles < 0:
-        raise FormatError(f"n_obstacles must be >= 0, got {n_obstacles}")
-    if clearance < 0:
-        raise FormatError(f"clearance must be >= 0, got {clearance}")
+    n_obstacles, b, (r_lo, r_hi), clearance = check_random_field(
+        n_obstacles, bounds, radius_range, clearance)
     if query is not None:
         for name, p in (("start", query.start), ("target", query.target)):
             if not b.contains(p):
@@ -233,11 +250,7 @@ def environment_from_dict(doc: dict) -> tuple[Environment, Optional[Query]]:
     _reject_unknown(doc, {"bounds", "obstacles", "query"}, "environment document")
     if "bounds" not in doc:
         raise FormatError("environment document is missing 'bounds'")
-    bounds_doc = doc["bounds"]
-    if (not isinstance(bounds_doc, (list, tuple)) or len(bounds_doc) != 4
-            or not all(is_real(v) for v in bounds_doc)):
-        raise FormatError(f"bounds must be [x_min, x_max, y_min, y_max], got {bounds_doc!r}")
-    bounds = _check_bounds(Bounds(*(float(v) for v in bounds_doc)))
+    bounds = _check_bounds(doc["bounds"])
 
     obstacles: list[Obstacle] = []
     for i, entry in enumerate(doc.get("obstacles", [])):

@@ -24,8 +24,7 @@ class PlanResult:
       (for a feasible run, from the path's last point, 0 when the path
       ends on the target);
     * pso: exact blocked length of the best path found, the length of it
-      inside obstacles or out of bounds (0 for a feasible run);
-    * a run that raised a planner error inside `plan_once`: inf.
+      inside obstacles or out of bounds (0 for a feasible run).
 
     `params` is a plain-dict snapshot of the planner settings.
     """

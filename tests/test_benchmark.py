@@ -2,6 +2,7 @@
 
 import math
 import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -94,17 +95,19 @@ def test_plan_once_overrides_seed():
     assert res.params["rng_seed"] == 5
 
 
-def test_plan_once_turns_errors_into_infeasible_rows():
-    # The trial env buries the start, so the planner refuses the query;
-    # the batch keeps going and records an infeasible run.
-    def bad_env(seed):
-        return Environment(Bounds(-40, 40, -40, 20),
-                           (Circle(QUERY_A.start, 3.0),))
-    res = plan_once(bad_env, QUERY_A, "rrtstar", RrtParams(), 7)
-    assert not res.feasible
-    assert math.isnan(res.length)
-    assert res.closest_approach == math.inf
-    assert res.iterations_used == 0
+def buried_start_env(seed):
+    """Module level, so a worker process can unpickle it."""
+    return Environment(Bounds(-40, 40, -40, 20), (Circle(QUERY_A.start, 3.0),))
+
+
+def test_plan_once_and_run_trials_raise_planner_errors():
+    # A planner error is an error, not an infeasible row, for every jobs.
+    with pytest.raises(InvalidQueryError, match="start"):
+        plan_once(buried_start_env, QUERY_A, "rrtstar", RrtParams(), 7)
+    for jobs in (1, 2):
+        with pytest.raises(InvalidQueryError, match="start"):
+            run_trials(buried_start_env, QUERY_A, "pso", PsoParams(max_iterations=5),
+                       n_trials=2, base_seed=0, jobs=jobs)
 
 
 def test_run_trials_deterministic_and_seed_ordered():
@@ -164,6 +167,24 @@ def test_run_trials_caps_and_checks_jobs(monkeypatch):
         with pytest.raises(ValueError):
             run_trials(env, QUERY_A, "rrtstar", params, n_trials=2,
                        base_seed=0, jobs=jobs)
+
+
+def test_perfbench_tracer_installs_on_the_package(monkeypatch):
+    # perfbench/tracer.py wraps package globals by name (validate_query in
+    # pathbench.benchmark, say); without this test, deleting one would
+    # break only `perfbench/run.py --trace 1`.
+    perfbench = Path(__file__).resolve().parent.parent / "perfbench"
+    monkeypatch.syspath_prepend(str(perfbench))
+    import pathbench.benchmark as benchmark
+    import tracer
+    original = benchmark.plan_once
+    tr = tracer.Tracer()
+    try:
+        tr.install()
+        assert benchmark.plan_once is not original
+    finally:
+        tr.restore()
+    assert benchmark.plan_once is original
 
 
 def test_random_env_factory_is_picklable_and_seeded():

@@ -128,6 +128,8 @@ def test_parse_config_resolves_the_environment(tmp_path):
     {"environment": {"kind": "random", "radius_range": [1.0, 10**400]},
      "query": {"start": [0.0, 0.0], "target": [1.0, 1.0]}},
     {"query": {"start": [10**400, 0.0], "target": [1.0, 1.0]}},
+    {"environment": {"kind": "random", "clearance": float("nan")},
+     "query": {"start": [0.0, 0.0], "target": [1.0, 1.0]}},
 ])
 def test_parse_config_rejections(doc):
     with pytest.raises(FormatError):
@@ -205,6 +207,35 @@ def test_plan_bad_query_is_a_config_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "start" in err
+
+
+def test_planner_errors_are_one_error_line(tmp_path, capsys):
+    # The fixed field buries the start, so the planner itself refuses the
+    # query: plan and bench at every --jobs report it alike and write nothing.
+    buried = {"kind": "inline", "bounds": [-15.0, 15.0, -15.0, 15.0],
+              "obstacles": [{"kind": "circle", "center": [0.0, 0.0], "radius": 3.0}],
+              "query": {"start": [0.0, 0.0], "target": [10.0, 0.0]}}
+    cfg = write_config(tmp_path, {"environment": buried, "trials": 2})
+    out = tmp_path / "run"
+    lines = []
+    for argv in (["plan"], ["bench", "--jobs", "1"], ["bench", "--jobs", "2"]):
+        assert main(argv + ["--config", cfg, "--out", str(out)]) == 2
+        lines.append(capsys.readouterr().err)
+    assert lines[0].startswith("error:") and lines[0].count("\n") == 1
+    assert lines == [lines[0]] * 3
+    assert not out.exists()
+
+
+def test_nan_clearance_bench_exits_two(tmp_path, capsys):
+    # NaN slipped past `clearance < 0`, so fields could bury an endpoint;
+    # those trials were written as infeasible rows and bench exited 0.
+    cfg = write_config(tmp_path, {
+        "environment": {"kind": "random", "clearance": float("nan")},
+        "query": {"start": [20.0, -15.0], "target": [-25.0, 15.0]}})
+    out = tmp_path / "x"
+    assert main(["bench", "--config", cfg, "--out", str(out), "--trials", "2"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (out / "results.csv").exists()
 
 
 def test_missing_config_exits_two(tmp_path, capsys):

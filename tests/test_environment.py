@@ -2,10 +2,13 @@
 
 import hashlib
 import json
+import math
 from importlib import resources
 
+import numpy as np
 import pytest
 
+from pathbench.benchmark import RandomEnvFactory
 from pathbench.environment import (DEFAULT_BOUNDS, Environment, Query,
                                    environment_from_dict, environment_to_dict,
                                    generate_random_env, irregular_preset,
@@ -75,6 +78,30 @@ def test_generator_argument_validation():
         generate_random_env(0, clearance=-0.1)
     with pytest.raises(InvalidQueryError):
         generate_random_env(0, query=Query(Point2(500, 0), Point2(0, 0)))
+
+
+@pytest.mark.parametrize("bad", [
+    {"n_obstacles": 2.5}, {"n_obstacles": "3"}, {"n_obstacles": True},
+    {"bounds": (-40.0, "40", -40.0, 20.0)}, {"radius_range": (2.0,)},
+    {"clearance": math.nan}, {"clearance": math.inf},
+])
+def test_random_field_arguments_are_checked_once(bad):
+    # The generator and the factory share one check; the factory runs it
+    # at construction, before any trial.
+    with pytest.raises(FormatError):
+        generate_random_env(0, query=QUERY_A, **bad)
+    with pytest.raises(FormatError):
+        RandomEnvFactory(QUERY_A, **bad)
+
+
+def test_random_env_factory_stores_normalised_fields():
+    factory = RandomEnvFactory(QUERY_A, n_obstacles=np.int64(3),
+                               bounds=[-40, 40, -40, 20], radius_range=[2, 6],
+                               clearance=1)
+    assert factory == RandomEnvFactory(QUERY_A, n_obstacles=3)
+    assert type(factory.bounds) is Bounds
+    assert type(factory.radius_range) is tuple
+    assert type(factory.clearance) is float
 
 
 def test_environment_rejects_outside_obstacles():
