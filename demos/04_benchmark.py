@@ -1,7 +1,7 @@
 """A small head-to-head comparison.
 
 Ten seeded trials per planner over random obstacle fields at the
-default budgets, which takes around twenty seconds. The full-size
+default budgets, which takes a few seconds. The full-size
 version of this experiment is what `pathbench bench` runs.
 """
 

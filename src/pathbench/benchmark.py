@@ -22,7 +22,7 @@ from .environment import (DEFAULT_BOUNDS, Environment, Query, check_query,
                           check_random_field, generate_random_env,
                           irregular_preset, validate_query)
 from .errors import InvalidQueryError
-from .geometry import Bounds, CollisionField, Point2, dist, edge_free
+from .geometry import Bounds, Point2, dist, edge_free
 from .pso import PsoParams, plan_pso
 from .result import PlanResult
 from .rrtstar import RrtParams, plan_rrt_star
@@ -198,8 +198,8 @@ def summarize(stats: TrialStats) -> dict:
     if stats.n_feasible:
         ls = stats.feasible_lengths
         report["length"] = {
-            "mean": float(ls.mean()),
-            "std": float(ls.std(ddof=0)),
+            "mean": stats.mean_length,
+            "std": stats.std_length,
             "min": float(ls.min()),
             "max": float(ls.max()),
         }
@@ -278,7 +278,7 @@ def grid_oracle(env: Environment, query: Query, resolution: float = 0.5) -> floa
     ys = b.y_min + (np.arange(ny) + 0.5) * resolution
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
     centers = np.column_stack([gx.ravel(), gy.ravel()])
-    free = CollisionField(env).free(centers).reshape(nx, ny)
+    free = env.collision_field.free(centers).reshape(nx, ny)
 
     def snap(p: Point2, name: str) -> tuple[int, int]:
         ix = min(max(int((p.x - b.x_min) / resolution), 0), nx - 1)

@@ -32,7 +32,8 @@ becomes a RandomEnvFactory, whose defaults are the ones shown above and
 which needs the config's query. For a random field, `plan` draws it from
 `environment.seed` when given, else from the effective seed; `bench`
 draws each trial's field from that trial's seed and rejects
-`environment.seed`; `table1` rejects kind "random".
+`environment.seed`; `table1` rejects kind "random" and a config `query`
+(it runs its own ten). `n_obstacles` is at most 10,000.
 """
 
 from __future__ import annotations
@@ -50,7 +51,8 @@ from .benchmark import (EnvSource, RandomEnvFactory, plan_once,
                         write_results_csv, write_summary, write_table1_csv)
 from .environment import (Query, _point_from, _reject_unknown,
                           environment_from_dict, irregular_preset,
-                          load_environment, preset_names, query_from_dict)
+                          load_environment, preset_names, query_from_dict,
+                          read_json)
 from .errors import FormatError, PathbenchError
 from .pso import PsoParams
 from .render import environment_svg
@@ -159,12 +161,7 @@ def parse_config(doc: dict) -> ScenarioConfig:
 
 
 def load_config(path) -> ScenarioConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: not valid JSON ({exc})") from None
-    return parse_config(doc)
+    return parse_config(read_json(path))
 
 
 def _effective_seed(cfg: ScenarioConfig, flag_seed: Optional[int]) -> int:
@@ -248,10 +245,13 @@ def cmd_bench(args) -> int:
 
 
 def cmd_table1(args) -> int:
-    cfg = load_config(args.config) if args.config else parse_config({})
+    doc = read_json(args.config) if args.config else {}
+    cfg = parse_config(doc)
     seed = _effective_seed(cfg, args.seed)
     if isinstance(cfg.environment, RandomEnvFactory):
         raise FormatError("the ten-case suite needs a fixed environment, not 'random'")
+    if "query" in doc:
+        raise FormatError("the ten-case suite runs its own queries; remove the config's 'query'")
     rows = table1_suite(env=cfg.environment,
                         specs=[("rrtstar", cfg.rrtstar), ("pso", cfg.pso)],
                         seed=seed)
@@ -268,11 +268,7 @@ def cmd_render(args) -> int:
     env, query = load_environment(args.env)
     paths = []
     if args.results:
-        with open(args.results, "r", encoding="utf-8") as fh:
-            try:
-                doc = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"{args.results}: not valid JSON ({exc})") from None
+        doc = read_json(args.results)
         entries = doc if isinstance(doc, list) else [doc]
         for entry in entries:
             if not isinstance(entry, dict) or "path" not in entry:

@@ -28,8 +28,8 @@ import numpy as np
 
 from .errors import (EnvironmentGenerationError, FormatError,
                      InvalidObstacleError, InvalidQueryError, PresetLookupError)
-from .geometry import (Bounds, Circle, Obstacle, ObstacleTable, Point2, Polygon,
-                       dist, point_free, point_in_polygon, segments_intersect)
+from .geometry import (Bounds, Circle, CollisionField, Obstacle, Point2, Polygon,
+                       dist, point_free, segment_polygon_collides)
 from .result import is_integer, is_real
 
 #: Workspace used by the default generator and the shipped presets.
@@ -37,6 +37,9 @@ DEFAULT_BOUNDS = Bounds(-40.0, 40.0, -40.0, 20.0)
 
 #: Rejection-sampling budget per obstacle before generation gives up.
 MAX_PLACEMENT_ATTEMPTS = 10_000
+
+#: Largest obstacle count a random field may ask for.
+MAX_OBSTACLES = 10_000
 
 
 def _check_bounds(bounds) -> Bounds:
@@ -59,19 +62,9 @@ def _obstacle_touches_rect(obs: Obstacle, b: Bounds) -> bool:
         return dist((cx, cy), obs.center) <= obs.radius
     corners = [(b.x_min, b.y_min), (b.x_max, b.y_min),
                (b.x_max, b.y_max), (b.x_min, b.y_max)]
-    for v in obs.vertices:
-        if b.contains(v):
-            return True
-    if point_in_polygon(corners[0], obs.vertices):
-        return True
-    edges = list(zip(corners, corners[1:] + corners[:1]))
-    n = len(obs.vertices)
-    for i in range(n):
-        p1, p2 = obs.vertices[i], obs.vertices[(i + 1) % n]
-        for q1, q2 in edges:
-            if segments_intersect(p1, p2, q1, q2):
-                return True
-    return False
+    return (any(b.contains(v) for v in obs.vertices)
+            or any(segment_polygon_collides(edge, obs.vertices)
+                   for edge in zip(corners, corners[1:] + corners[:1])))
 
 
 @dataclass(frozen=True)
@@ -90,9 +83,9 @@ class Environment:
                     f"obstacle {obs!r} lies entirely outside bounds {self.bounds}")
 
     @cached_property
-    def obstacle_table(self) -> ObstacleTable:
-        """The obstacles as plain floats and arrays with widened boxes."""
-        return ObstacleTable(self.bounds, self.obstacles)
+    def collision_field(self) -> CollisionField:
+        """The collision tests over these obstacles, built on first use."""
+        return CollisionField(self)
 
 
 @dataclass(frozen=True)
@@ -144,8 +137,9 @@ def check_random_field(n_obstacles, bounds, radius_range, clearance
     Each range test is written so that NaN fails it. Raises FormatError
     naming the first bad argument.
     """
-    if not (is_integer(n_obstacles) and n_obstacles >= 0):
-        raise FormatError(f"n_obstacles must be an integer >= 0, got {n_obstacles!r}")
+    if not (is_integer(n_obstacles) and 0 <= n_obstacles <= MAX_OBSTACLES):
+        raise FormatError(f"n_obstacles must be an integer in [0, {MAX_OBSTACLES}], "
+                          f"got {n_obstacles!r}")
     b = _check_bounds(bounds)
     rr = radius_range
     if not (isinstance(rr, (list, tuple)) and len(rr) == 2 and all(is_real(v) for v in rr)
@@ -286,13 +280,17 @@ def save_environment(path, env: Environment, query: Optional[Query] = None) -> N
         fh.write(text + "\n")
 
 
-def load_environment(path) -> tuple[Environment, Optional[Query]]:
+def read_json(path):
+    """The document in the JSON file at `path`; invalid JSON is a FormatError."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+            return json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise FormatError(f"{path}: not valid JSON ({exc})") from None
-    return environment_from_dict(doc)
+
+
+def load_environment(path) -> tuple[Environment, Optional[Query]]:
+    return environment_from_dict(read_json(path))
 
 
 def _load_preset_file(name: str) -> tuple[Environment, Query]:

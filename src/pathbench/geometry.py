@@ -7,13 +7,14 @@ Conventions used throughout the package:
 * workspace bounds are inclusive on both sides;
 * all inputs are plain floats, points are (x, y) pairs.
 
-Each `Environment` builds one `ObstacleTable`, cached: every disk's and
-polygon's numbers as plain floats and as arrays, with the obstacle's
-bounding box widened on every side by NEAR_MARGIN * (1 + S), S the
-largest coordinate magnitude of the bounds and obstacles. `edge_free`,
-`point_free` and `CollisionField` all read it, and skip an obstacle
-whose widened box misses the box of the segment or point under test;
-the table's docstring argues why no skipped obstacle could have blocked.
+Each `Environment` builds one `CollisionField`, cached as
+`Environment.collision_field`: every disk's and polygon's numbers as
+plain floats and as arrays, with the obstacle's bounding box widened on
+every side by NEAR_MARGIN * (1 + S), S the largest coordinate magnitude
+of the bounds and obstacles. `edge_free` and `blocked_lengths` skip an
+obstacle whose widened box misses the box of the segment under test;
+the field's docstring argues why no skipped obstacle could have blocked.
+`point_free` is `CollisionField.free` on one point.
 """
 
 from __future__ import annotations
@@ -229,30 +230,106 @@ def segment_polygon_collides(segment: Segment,
 
 #: Relative widening of each disk's discriminant when `blocked_lengths`
 #: picks the rows that need its exact pass, and of every obstacle box in
-#: an `ObstacleTable`. Far above double rounding (about 1e-16), far below
+#: a `CollisionField`. Far above double rounding (about 1e-16), far below
 #: any gap a planner could exploit.
 NEAR_MARGIN = 1e-9
 
 
-class ObstacleTable:
+def point_free(p: Sequence[float], env: "Environment") -> bool:
+    """True iff p lies inside the workspace bounds and outside every obstacle."""
+    return bool(env.collision_field.free([p])[0])
+
+
+def edge_free(a: Sequence[float], b: Sequence[float], env: "Environment") -> bool:
+    """True iff segment (a, b) stays in bounds and clears every obstacle.
+
+    Also requires the far endpoint b itself to be free, mirroring how the
+    tree planner uses it (b is the candidate new node). Obstacles whose
+    widened box (see `CollisionField`) is disjoint from the segment's box
+    are skipped. Each remaining disk is checked in one pass: b strictly
+    inside, then `point_segment_distance` from the center below the
+    radius, written out inline on plain floats. Each remaining polygon
+    gets `point_in_polygon` for b, then its edges and `point_in_polygon`
+    for a: the checks of `segment_polygon_collides`, without re-validating
+    the vertices `Polygon` already checked.
+    """
+    ax, ay = a[0], a[1]
+    bx, by = b[0], b[1]
+    # Bounds.contains for both endpoints, inline: a call costs more.
+    x_min, x_max, y_min, y_max = env.bounds
+    if not (x_min <= ax <= x_max and y_min <= ay <= y_max
+            and x_min <= bx <= x_max and y_min <= by <= y_max):
+        return False
+    x_lo, x_hi = (ax, bx) if ax <= bx else (bx, ax)
+    y_lo, y_hi = (ay, by) if ay <= by else (by, ay)
+    field = env.collision_field
+    for box_x_lo, box_x_hi, box_y_lo, box_y_hi, cx, cy, r in field.disks:
+        if x_hi < box_x_lo or x_lo > box_x_hi or y_hi < box_y_lo or y_lo > box_y_hi:
+            continue
+        dx, dy = bx - cx, by - cy
+        if dx * dx + dy * dy < r * r:
+            return False
+        vx, vy = bx - ax, by - ay
+        vv = vx * vx + vy * vy
+        wx, wy = cx - ax, cy - ay
+        if vv == 0.0:
+            if math.hypot(wx, wy) < r:
+                return False
+            continue
+        t = (wx * vx + wy * vy) / vv
+        if t < 0.0:
+            t = 0.0
+        elif t > 1.0:
+            t = 1.0
+        if math.hypot(wx - t * vx, wy - t * vy) < r:
+            return False
+    if not field.polygons:
+        return True
+    near = [(vertices, edges)
+            for box_x_lo, box_x_hi, box_y_lo, box_y_hi, vertices, edges in field.polygons
+            if not (x_hi < box_x_lo or x_lo > box_x_hi or y_hi < box_y_lo or y_lo > box_y_hi)]
+    # Every polygon's cheap test for b first: steered nodes often land
+    # inside one, and then no edge needs walking.
+    for vertices, _ in near:
+        if point_in_polygon(b, vertices):
+            return False
+    for vertices, edges in near:
+        for v1, v2 in edges:
+            if segments_intersect(a, b, v1, v2):
+                return False
+        if point_in_polygon(a, vertices):
+            return False
+    return True
+
+
+def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
+
+
+class CollisionField:
     """Every obstacle of one environment, laid out for the collision tests.
 
-    For the scalar `point_free` and `edge_free`, in obstacle order:
-    `disks` holds an (x_lo, x_hi, y_lo, y_hi, cx, cy, r) tuple of plain
-    floats per circle, `polygons` an (x_lo, x_hi, y_lo, y_hi, vertices,
-    edges) tuple per polygon, with the polygon's own vertices and their
-    (v_i, v_i+1) pairs, the closing edge last. For `CollisionField`, as arrays: `disk_xy`,
-    `disk_r2` and `disk_scale` per circle; `vertex_xy`, `vertex_prev`
-    (the vertex before, cyclically) and `edge_vec` (to the vertex after)
-    per polygon vertex, all polygons in one array, `polygon_starts`
-    giving each polygon's first row; `polygon_boxes` as x_lo, x_hi, y_lo,
-    y_hi rows.
+    Read it as `Environment.collision_field`, built on first use and
+    cached. `free` and `blocked_lengths` test many points or segments at
+    once: strict interior tests, inclusive bounds.
+
+    For the scalar `edge_free`, in obstacle order: `disks` holds an
+    (x_lo, x_hi, y_lo, y_hi, cx, cy, r) tuple of plain floats per circle,
+    `polygons` an (x_lo, x_hi, y_lo, y_hi, vertices, edges) tuple per
+    polygon, with the polygon's own vertices and their (v_i, v_i+1)
+    pairs, the closing edge last. For the batch tests, as arrays:
+    `disk_xy`, `disk_r2` and `disk_scale` per circle; `vertex_xy`,
+    `vertex_prev` (the vertex before, cyclically) and `edge_vec` (to the
+    vertex after) per polygon vertex, all polygons in one array,
+    `polygon_starts` giving each polygon's first row; `polygon_boxes` as
+    x_lo, x_hi, y_lo, y_hi rows.
 
     Each box is the obstacle's bounding box widened on every side by a
     margin of NEAR_MARGIN * (1 + S), S the largest magnitude of a bound
-    or an obstacle coordinate (for a disk, |center| + r). A test skips
-    every obstacle whose widened box is disjoint from the box of the
-    segment or point it tests, and a skipped obstacle cannot block:
+    or an obstacle coordinate (for a disk, |center| + r). `edge_free` and
+    `blocked_lengths` skip every obstacle whose widened box is disjoint
+    from the box of the segment they test, and a skipped obstacle cannot
+    block:
 
     * Every point a test computes with (an endpoint; the point a + t(b - a),
       t in [0, 1], that gives a disk distance; a piece midpoint of
@@ -273,11 +350,12 @@ class ObstacleTable:
       segments that are apart, and the skip reports them clear.
     """
 
-    def __init__(self, bounds: Bounds, obstacles: Sequence[Obstacle]):
+    def __init__(self, env: "Environment"):
+        self.bounds = env.bounds
         circles = [(float(o.center.x), float(o.center.y), float(o.radius))
-                   for o in obstacles if isinstance(o, Circle)]
-        outlines = [o.vertices for o in obstacles if isinstance(o, Polygon)]
-        scale = max([abs(v) for v in bounds]
+                   for o in env.obstacles if isinstance(o, Circle)]
+        outlines = [o.vertices for o in env.obstacles if isinstance(o, Polygon)]
+        scale = max([abs(v) for v in self.bounds]
                     + [max(abs(cx), abs(cy)) + r for cx, cy, r in circles]
                     + [abs(v) for vs in outlines for xy in vs for v in xy])
         m = NEAR_MARGIN * (1.0 + scale)
@@ -301,104 +379,6 @@ class ObstacleTable:
         self.polygon_boxes = np.array([p[:4] for p in self.polygons],
                                       dtype=np.float64).reshape(-1, 4)
 
-
-def point_free(p: Sequence[float], env: "Environment") -> bool:
-    """True iff p lies inside the workspace bounds and outside every obstacle.
-
-    Obstacles whose widened box (see `ObstacleTable`) misses p are skipped.
-    """
-    if not env.bounds.contains(p):
-        return False
-    x, y = p[0], p[1]
-    table = env.obstacle_table
-    for x_lo, x_hi, y_lo, y_hi, cx, cy, r in table.disks:
-        if x_lo <= x <= x_hi and y_lo <= y <= y_hi:
-            dx, dy = x - cx, y - cy
-            if dx * dx + dy * dy < r * r:
-                return False
-    return not any(point_in_polygon(p, vertices)
-                   for x_lo, x_hi, y_lo, y_hi, vertices, _ in table.polygons
-                   if x_lo <= x <= x_hi and y_lo <= y <= y_hi)
-
-
-def edge_free(a: Sequence[float], b: Sequence[float], env: "Environment") -> bool:
-    """True iff segment (a, b) stays in bounds and clears every obstacle.
-
-    Also requires the far endpoint b itself to be free, mirroring how the
-    tree planner uses it (b is the candidate new node). Obstacles whose
-    widened box (see `ObstacleTable`) is disjoint from the segment's box
-    are skipped. Each remaining disk is checked in one pass: b strictly
-    inside, then `point_segment_distance` from the center below the
-    radius, written out inline on plain floats. Each remaining polygon
-    gets `point_in_polygon` for b, then its edges and `point_in_polygon`
-    for a: the checks of `segment_polygon_collides`, without re-validating
-    the vertices `Polygon` already checked.
-    """
-    ax, ay = a[0], a[1]
-    bx, by = b[0], b[1]
-    # Bounds.contains for both endpoints, inline: a call costs more.
-    x_min, x_max, y_min, y_max = env.bounds
-    if not (x_min <= ax <= x_max and y_min <= ay <= y_max
-            and x_min <= bx <= x_max and y_min <= by <= y_max):
-        return False
-    x_lo, x_hi = (ax, bx) if ax <= bx else (bx, ax)
-    y_lo, y_hi = (ay, by) if ay <= by else (by, ay)
-    table = env.obstacle_table
-    for box_x_lo, box_x_hi, box_y_lo, box_y_hi, cx, cy, r in table.disks:
-        if x_hi < box_x_lo or x_lo > box_x_hi or y_hi < box_y_lo or y_lo > box_y_hi:
-            continue
-        dx, dy = bx - cx, by - cy
-        if dx * dx + dy * dy < r * r:
-            return False
-        vx, vy = bx - ax, by - ay
-        vv = vx * vx + vy * vy
-        wx, wy = cx - ax, cy - ay
-        if vv == 0.0:
-            if math.hypot(wx, wy) < r:
-                return False
-            continue
-        t = (wx * vx + wy * vy) / vv
-        if t < 0.0:
-            t = 0.0
-        elif t > 1.0:
-            t = 1.0
-        if math.hypot(wx - t * vx, wy - t * vy) < r:
-            return False
-    if not table.polygons:
-        return True
-    near = [(vertices, edges)
-            for box_x_lo, box_x_hi, box_y_lo, box_y_hi, vertices, edges in table.polygons
-            if not (x_hi < box_x_lo or x_lo > box_x_hi or y_hi < box_y_lo or y_lo > box_y_hi)]
-    # Every polygon's cheap test for b first: steered nodes often land
-    # inside one, and then no edge needs walking.
-    for vertices, _ in near:
-        if point_in_polygon(b, vertices):
-            return False
-    for vertices, edges in near:
-        for v1, v2 in edges:
-            if segments_intersect(a, b, v1, v2):
-                return False
-        if point_in_polygon(a, vertices):
-            return False
-    return True
-
-
-def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
-
-
-class CollisionField:
-    """Vectorized free-space tests over many points or segments at once.
-
-    Point semantics match point_free exactly: strict interior tests,
-    inclusive bounds. Reads the environment's `ObstacleTable`, so
-    building one per evaluation costs nothing.
-    """
-
-    def __init__(self, env: "Environment"):
-        self.bounds = env.bounds
-        self.table = env.obstacle_table
-
     def free(self, points: np.ndarray) -> np.ndarray:
         """points: (N, 2) array -> boolean (N,) mask of free points."""
         pts = np.asarray(points, dtype=np.float64)
@@ -407,28 +387,27 @@ class CollisionField:
         b = self.bounds
         ok = ((px >= b.x_min) & (px <= b.x_max)
               & (py >= b.y_min) & (py <= b.y_max))
-        table = self.table
-        if table.disk_r2.size:
-            dx = px[:, None] - table.disk_xy[None, :, 0]
-            dy = py[:, None] - table.disk_xy[None, :, 1]
-            inside = (dx * dx + dy * dy) < table.disk_r2[None, :]
+        if self.disk_r2.size:
+            dx = px[:, None] - self.disk_xy[None, :, 0]
+            dy = py[:, None] - self.disk_xy[None, :, 1]
+            inside = (dx * dx + dy * dy) < self.disk_r2[None, :]
             ok &= ~inside.any(axis=1)
-        if table.polygons:
+        if self.polygons:
             # Ray casting over every polygon edge at once: vertex i and
             # the vertex before it, as in point_in_polygon; the parity of
             # each polygon's run of columns says inside. Points go in
             # blocks of about 2^14 (point, edge) pairs: the temporaries
             # stay in cache, and stay small on maps with many edges.
-            xi, yi = table.vertex_xy[:, 0], table.vertex_xy[:, 1]
-            yj = table.vertex_prev[:, 1]
-            back_x, back_y = table.vertex_prev[:, 0] - xi, yj - yi
+            xi, yi = self.vertex_xy[:, 0], self.vertex_xy[:, 1]
+            yj = self.vertex_prev[:, 1]
+            back_x, back_y = self.vertex_prev[:, 0] - xi, yj - yi
             rows = max(1, (1 << 14) // len(xi))
             for k in range(0, len(px), rows):
                 x, y = px[k:k + rows, None], py[k:k + rows, None]
                 crosses = (yi > y) != (yj > y)
                 with np.errstate(divide="ignore", invalid="ignore"):
                     hit = crosses & (x < back_x * (y - yi) / back_y + xi)
-                inside = np.logical_xor.reduceat(hit, table.polygon_starts, axis=1)
+                inside = np.logical_xor.reduceat(hit, self.polygon_starts, axis=1)
                 ok[k:k + rows] &= ~inside.any(axis=1)
         return ok
 
@@ -444,7 +423,7 @@ class CollisionField:
 
         Only rows that can come out non-zero take the exact pass: an
         endpoint out of bounds (or not finite), a box that meets some
-        polygon's widened box (see `ObstacleTable`), a squared length
+        polygon's widened box (see the class docstring), a squared length
         below 1e-100 in a field with disks (where the products below
         underflow), or a disk whose root interval, with the discriminant
         widened by NEAR_MARGIN relative to its scale, meets [0, 1]. Every
@@ -459,29 +438,28 @@ class CollisionField:
         d = end - a
         dd = d[:, :1] * d[:, :1] + d[:, 1:] * d[:, 1:]
         b = self.bounds
-        table = self.table
         lo, hi = (b.x_min, b.y_min), (b.x_max, b.y_max)
         exact = ~((a >= lo) & (a <= hi) & (end >= lo) & (end <= hi)).all(axis=1)
-        if table.polygons:
+        if self.polygons:
             box_lo, box_hi = np.minimum(a, end), np.maximum(a, end)
-            boxes = table.polygon_boxes
+            boxes = self.polygon_boxes
             exact |= ((box_lo[:, :1] <= boxes[:, 1]) & (box_hi[:, :1] >= boxes[:, 0])
                       & (box_lo[:, 1:] <= boxes[:, 3])
                       & (box_hi[:, 1:] >= boxes[:, 2])).any(axis=1)
         with np.errstate(invalid="ignore", over="ignore"):
-            if table.disk_r2.size:
+            if self.disk_r2.size:
                 # |a + t d - c|^2 = r^2, a quadratic in t per disk, with
                 # roots (-half_b -+ sqrt(disc)) / dd. Per-coordinate
                 # products, as a sum over a length-2 axis costs 4x more.
-                fx = a[:, :1] - table.disk_xy[:, 0]
-                fy = a[:, 1:] - table.disk_xy[:, 1]
+                fx = a[:, :1] - self.disk_xy[:, 0]
+                fy = a[:, 1:] - self.disk_xy[:, 1]
                 ff = fx * fx + fy * fy
                 half_b = fx * d[:, :1] + fy * d[:, 1:]
-                disc = half_b * half_b - dd * (ff - table.disk_r2)
+                disc = half_b * half_b - dd * (ff - self.disk_r2)
                 # The widened interval [t0, t1] meets [0, 1] iff
                 # dd t1 >= 0 and dd t0 <= dd; a negative widened
                 # disc gives nan, which compares as a miss.
-                reach = np.sqrt(disc + (ff + table.disk_scale) * (NEAR_MARGIN * dd))
+                reach = np.sqrt(disc + (ff + self.disk_scale) * (NEAR_MARGIN * dd))
                 exact |= (reach >= np.maximum(half_b, -half_b - dd)).any(axis=1)
                 exact |= dd[:, 0] < 1e-100
         out = np.zeros(len(a))
@@ -495,14 +473,14 @@ class CollisionField:
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             cuts.append((np.array([[b.x_min, b.x_max]]) - a[:, :1]) / d[:, :1])
             cuts.append((np.array([[b.y_min, b.y_max]]) - a[:, 1:]) / d[:, 1:])
-            if table.disk_r2.size:
+            if self.disk_r2.size:
                 half_b = half_b[rows]
                 root = np.sqrt(disc[rows])
                 cuts += [(-half_b - root) / dd, (-half_b + root) / dd]
-            if table.polygons:
+            if self.polygons:
                 # a + t d = v + s e, kept where s lies on the edge.
-                e = table.edge_vec[None, :, :]
-                w = table.vertex_xy[None, :, :] - a[:, None, :]
+                e = self.edge_vec[None, :, :]
+                w = self.vertex_xy[None, :, :] - a[:, None, :]
                 den = _cross(d[:, None, :], e)
                 s = _cross(w, d[:, None, :]) / den
                 cuts.append(np.where((s >= 0.0) & (s <= 1.0), _cross(w, e) / den, np.nan))

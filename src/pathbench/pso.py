@@ -117,7 +117,7 @@ def path_violation(path: Sequence[Sequence[float]], env: Environment) -> float:
     that only touches obstacle boundaries.
     """
     wp = np.asarray(path, dtype=np.float64)[None, :, :]
-    _, viol = _lengths_and_violations(wp, CollisionField(env))
+    _, viol = _lengths_and_violations(wp, env.collision_field)
     return float(viol[0])
 
 
@@ -125,7 +125,7 @@ def fitness(position: Sequence[float], query: Query, env: Environment,
             penalty_lambda: float) -> float:
     """Path length plus penalty_lambda times the exact blocked length."""
     wp = _waypoint_tensor(_waypoint_vector(position)[None, :], query)
-    lengths, violations = _lengths_and_violations(wp, CollisionField(env))
+    lengths, violations = _lengths_and_violations(wp, env.collision_field)
     return float(lengths[0] + penalty_lambda * violations[0])
 
 
@@ -156,7 +156,6 @@ class PsoRun:
         self.query = query
         self.params = params
         self.rng = np.random.default_rng(params.rng_seed)
-        self._field = CollisionField(env)
         b = env.bounds
         n = params.n_waypoints
         self._lo = np.tile((b.x_min, b.y_min), n)
@@ -190,7 +189,7 @@ class PsoRun:
 
     def _evaluate(self, positions: np.ndarray) -> np.ndarray:
         wp = _waypoint_tensor(positions, self.query)
-        lengths, violations = _lengths_and_violations(wp, self._field)
+        lengths, violations = _lengths_and_violations(wp, self.env.collision_field)
         return lengths + self.params.penalty_lambda * violations
 
     @property

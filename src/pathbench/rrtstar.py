@@ -309,25 +309,20 @@ class RrtStarRun:
         return best, best_cost
 
     def result(self, elapsed: float) -> PlanResult:
-        snapshot = asdict(self.params)
         bg = self.best_goal()
-        if bg is None:
-            return PlanResult(
-                planner_id="rrtstar", seed=self.params.rng_seed, feasible=False,
-                length=math.nan, elapsed=elapsed,
-                iterations_used=self.iterations_done,
-                closest_approach=self.closest_approach, path=None, params=snapshot)
-        goal_idx, _ = bg
-        waypoints = list(get_optimized_path(self.tree, goal_idx))
-        target = self.query.target
-        if waypoints[-1] != target and edge_free(waypoints[-1], target, self.env):
-            waypoints.append(target)
-        path = tuple(waypoints)
-        length = path_length(path) if len(path) >= 2 else 0.0
+        path, length, closest = None, math.nan, self.closest_approach
+        if bg is not None:
+            waypoints = list(get_optimized_path(self.tree, bg[0]))
+            target = self.query.target
+            if waypoints[-1] != target and edge_free(waypoints[-1], target, self.env):
+                waypoints.append(target)
+            path = tuple(waypoints)
+            length = path_length(path) if len(path) >= 2 else 0.0
+            closest = dist(path[-1], target)
         return PlanResult(
-            planner_id="rrtstar", seed=self.params.rng_seed, feasible=True,
+            planner_id="rrtstar", seed=self.params.rng_seed, feasible=path is not None,
             length=length, elapsed=elapsed, iterations_used=self.iterations_done,
-            closest_approach=dist(path[-1], target), path=path, params=snapshot)
+            closest_approach=closest, path=path, params=asdict(self.params))
 
 
 def plan_rrt_star(env: Environment, query: Query,

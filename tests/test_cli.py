@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 
 import pytest
 
@@ -470,3 +471,64 @@ def test_default_out_comes_from_config(tmp_path, monkeypatch):
                                   "pso": FAST_PSO, "out": "my-results"})
     assert main(["plan", "--config", cfg, "--planner", "pso"]) == 0
     assert (tmp_path / "my-results" / "result.json").exists()
+
+
+def test_table1_rejects_a_config_query(tmp_path, capsys):
+    # The suite runs its own ten queries; a config query was ignored and
+    # table1 exited 0.
+    cfg = write_config(tmp_path, {"query": {"start": [100, 0], "target": [0, 0]}})
+    out = tmp_path / "t1"
+    assert main(["table1", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and "query" in err
+    assert not (out / "table1.csv").exists()
+
+
+def test_table1_allows_a_query_inside_an_environment_document(tmp_path):
+    env, query = irregular_preset("irregular-a")
+    save_environment(tmp_path / "maze.json", env, query)
+    cfg = write_config(tmp_path, {
+        "environment": {"kind": "file", "path": str(tmp_path / "maze.json")},
+        "rrtstar": {"iterations_num": 60}, "pso": FAST_PSO})
+    out = tmp_path / "t1"
+    assert main(["table1", "--config", cfg, "--out", str(out)]) == 0
+    assert (out / "table1.csv").exists()
+
+
+def test_bench_rejects_a_huge_obstacle_count_promptly(tmp_path, capsys):
+    # Generation used to run until a timeout killed it.
+    cfg = write_config(tmp_path, {
+        "environment": {"kind": "random", "n_obstacles": 10**12},
+        "query": {"start": [20.0, -15.0], "target": [-25.0, 15.0]}})
+    out = tmp_path / "x"
+    t0 = time.perf_counter()
+    assert main(["bench", "--planner", "pso", "--config", cfg, "--out", str(out)]) == 2
+    assert time.perf_counter() - t0 < 5.0
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "n_obstacles" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["plan", "render"])
+def test_invalid_json_is_one_error_line_naming_the_file(tmp_path, capsys, command):
+    broken = tmp_path / "broken.json"
+    broken.write_text("{not json", encoding="utf-8")
+    if command == "plan":
+        argv = ["plan", "--config", str(broken)]
+    else:
+        env_path = tmp_path / "env.json"
+        save_environment(env_path, Environment(Bounds(-5.0, 5.0, -5.0, 5.0), ()))
+        argv = ["render", str(env_path), "--results", str(broken)]
+    assert main(argv + ["--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert str(broken) in err
+
+
+def test_a_config_that_is_not_utf8_is_one_error_line(tmp_path, capsys):
+    # It died with a UnicodeDecodeError traceback and exit 1.
+    broken = tmp_path / "latin1.json"
+    broken.write_bytes(b"\xff{}")
+    assert main(["plan", "--config", str(broken)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and str(broken) in err

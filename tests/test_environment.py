@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from pathbench.benchmark import RandomEnvFactory
-from pathbench.environment import (DEFAULT_BOUNDS, Environment, Query,
-                                   environment_from_dict, environment_to_dict,
+from pathbench.environment import (DEFAULT_BOUNDS, MAX_OBSTACLES, Environment,
+                                   Query, environment_from_dict, environment_to_dict,
                                    generate_random_env, irregular_preset,
                                    load_environment, preset_names,
                                    save_environment, validate_query)
@@ -84,6 +84,7 @@ def test_generator_argument_validation():
     {"n_obstacles": 2.5}, {"n_obstacles": "3"}, {"n_obstacles": True},
     {"bounds": (-40.0, "40", -40.0, 20.0)}, {"radius_range": (2.0,)},
     {"clearance": math.nan}, {"clearance": math.inf},
+    {"n_obstacles": 10**12}, {"n_obstacles": MAX_OBSTACLES + 1},
 ])
 def test_random_field_arguments_are_checked_once(bad):
     # The generator and the factory share one check; the factory runs it
@@ -109,6 +110,36 @@ def test_environment_rejects_outside_obstacles():
         Environment(Bounds(0, 10, 0, 10), (Circle(Point2(50, 50), 2.0),))
     # Touching the border rectangle is enough to be kept.
     Environment(Bounds(0, 10, 0, 10), (Circle(Point2(11, 5), 2.0),))
+
+
+BOX_0_10 = Bounds(0.0, 10.0, 0.0, 10.0)
+
+
+@pytest.mark.parametrize("vertices, kept", [
+    (((20, 20), (22, 20), (22, 22), (20, 22)), False),
+    # Its box overlaps the bounds; its outline passes just outside (10, 10).
+    (((8.5, 12), (12, 8.5), (12, 12)), False),
+    (((-5, -5), (15, -5), (15, 15), (-5, 15)), True),
+    (((-5, 4), (15, 4), (15, 6), (-5, 6)), True),
+    (((10, 10), (12, 11), (11, 12)), True),
+    (((8, 12), (12, 8), (12, 12)), True),
+    (((5, 5), (15, 4), (15, 6)), True),
+], ids=["wholly-outside", "diagonal-miss", "contains-the-bounds", "crossing-bar",
+        "vertex-on-a-corner", "edge-through-a-corner", "one-vertex-inside"])
+def test_environment_keeps_polygons_that_touch_the_bounds(vertices, kept):
+    polygon = Polygon(tuple(Point2(*v) for v in vertices))
+    if kept:
+        assert Environment(BOX_0_10, (polygon,)).obstacles == (polygon,)
+    else:
+        with pytest.raises(InvalidObstacleError):
+            Environment(BOX_0_10, (polygon,))
+
+
+def test_collision_field_is_built_once_per_environment():
+    env = Environment(BOX_0_10, (Circle(Point2(5, 5), 1.0),))
+    field = env.collision_field
+    assert point_free((0, 0), env) and not point_free((5, 5), env)
+    assert env.collision_field is field
 
 
 def test_preset_names():

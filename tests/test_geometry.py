@@ -183,10 +183,24 @@ def test_edge_free_checks_far_endpoint(small_env):
     assert not edge_free((4.5, 8), (4.5, 4.5), small_env)
 
 
+def reference_point_free(p, env):
+    """Oracle: the scalar point test, every obstacle tested."""
+    if not env.bounds.contains(p):
+        return False
+    for obs in env.obstacles:
+        if isinstance(obs, Circle):
+            dx, dy = p[0] - obs.center.x, p[1] - obs.center.y
+            if dx * dx + dy * dy < obs.radius * obs.radius:
+                return False
+        elif point_in_polygon(p, obs.vertices):
+            return False
+    return True
+
+
 def test_collision_field_matches_scalar(small_env):
     rng = np.random.default_rng(3)
     pts = rng.uniform(-12, 12, size=(500, 2))
-    want = np.array([point_free(p, small_env) for p in pts])
+    want = np.array([reference_point_free(p, small_env) for p in pts])
     got = CollisionField(small_env).free(pts)
     assert np.array_equal(want, got)
 
@@ -207,7 +221,7 @@ def test_collision_field_many_random_envs():
                                           Point2(cx + 1, cy + 3), Point2(cx, cy + 3))))
         env = Environment(Bounds(-10, 10, -10, 10), tuple(obstacles))
         pts = rng.uniform(-11, 11, size=(300, 2))
-        want = np.array([point_free(p, env) for p in pts])
+        want = np.array([reference_point_free(p, env) for p in pts])
         assert np.array_equal(CollisionField(env).free(pts), want)
 
 
@@ -498,20 +512,6 @@ def test_clear_rows_skip_the_exact_pass():
 
 
 # --- obstacle boxes against the full walks ----------------------------------
-
-def reference_point_free(p, env):
-    """Oracle: point_free before the obstacle table, every obstacle tested."""
-    if not env.bounds.contains(p):
-        return False
-    for obs in env.obstacles:
-        if isinstance(obs, Circle):
-            dx, dy = p[0] - obs.center.x, p[1] - obs.center.y
-            if dx * dx + dy * dy < obs.radius * obs.radius:
-                return False
-        elif point_in_polygon(p, obs.vertices):
-            return False
-    return True
-
 
 def test_free_matches_point_free_across_point_blocks():
     # 40 concave 20-gons, 800 edges: free classifies the points in
