@@ -1,7 +1,8 @@
 """Command-line interface: plan, bench, table1, and render.
 
 Exit codes: 0 on success (for `plan`, a feasible path), 1 when `plan`
-finishes without a feasible path, 2 for configuration or input errors.
+finishes without a feasible path, 2 for configuration or input errors,
+a file that cannot be read or written included.
 A planner error in `plan` or `bench`, such as a query that the
 environment buries, is an `error:` line with exit 2, never a row.
 
@@ -330,10 +331,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except PathbenchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (PathbenchError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -47,9 +47,9 @@ def _check_bounds(bounds) -> Bounds:
             or not all(is_real(v) for v in bounds)):
         raise FormatError(f"bounds must be [x_min, x_max, y_min, y_max], got {bounds!r}")
     b = Bounds(*(float(v) for v in bounds))
-    for v in b:
-        if not math.isfinite(v):
-            raise FormatError(f"bounds must be finite, got {bounds!r}")
+    # Samplers draw low + (high - low) * u, so the width and height must be finite too.
+    if not all(math.isfinite(v) for v in (*b, b.width, b.height)):
+        raise FormatError(f"bounds, their width and their height must be finite, got {bounds!r}")
     if not (b.x_min < b.x_max and b.y_min < b.y_max):
         raise FormatError(f"bounds must satisfy min < max, got {bounds!r}")
     return b

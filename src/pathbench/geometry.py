@@ -302,10 +302,6 @@ def edge_free(a: Sequence[float], b: Sequence[float], env: "Environment") -> boo
     return True
 
 
-def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
-
-
 class CollisionField:
     """Every obstacle of one environment, laid out for the collision tests.
 
@@ -318,7 +314,8 @@ class CollisionField:
     `polygons` an (x_lo, x_hi, y_lo, y_hi, vertices, edges) tuple per
     polygon, with the polygon's own vertices and their (v_i, v_i+1)
     pairs, the closing edge last. For the batch tests, as arrays:
-    `disk_xy`, `disk_r2` and `disk_scale` per circle; `vertex_xy`,
+    `disk_x`, `disk_y`, `disk_r2` and `disk_scale`, each a column with
+    one row per circle; `vertex_xy`,
     `vertex_prev` (the vertex before, cyclically) and `edge_vec` (to the
     vertex after) per polygon vertex, all polygons in one array,
     `polygon_starts` giving each polygon's first row; `polygon_boxes` as
@@ -367,10 +364,10 @@ class CollisionField:
              vs, tuple(zip(vs, vs[1:] + vs[:1])))
             for vs in outlines)
         disks = np.array(circles, dtype=np.float64).reshape(-1, 3)
-        self.disk_xy = disks[:, :2].copy()
-        self.disk_r2 = disks[:, 2] ** 2
+        self.disk_x, self.disk_y = disks[:, :1].copy(), disks[:, 1:2].copy()
+        self.disk_r2 = disks[:, 2:] ** 2
         # r^2 + |c|^2 per disk: the scale of the rounding in the row test.
-        self.disk_scale = self.disk_r2 + (self.disk_xy ** 2).sum(axis=1)
+        self.disk_scale = self.disk_r2 + (self.disk_x ** 2 + self.disk_y ** 2)
         xy = [np.asarray(vs, dtype=np.float64) for vs in outlines] or [np.empty((0, 2))]
         self.vertex_xy = np.concatenate(xy)
         self.vertex_prev = np.concatenate([np.roll(v, 1, axis=0) for v in xy])
@@ -387,22 +384,20 @@ class CollisionField:
         b = self.bounds
         ok = ((px >= b.x_min) & (px <= b.x_max)
               & (py >= b.y_min) & (py <= b.y_max))
-        if self.disk_r2.size:
-            dx = px[:, None] - self.disk_xy[None, :, 0]
-            dy = py[:, None] - self.disk_xy[None, :, 1]
-            inside = (dx * dx + dy * dy) < self.disk_r2[None, :]
-            ok &= ~inside.any(axis=1)
-        if self.polygons:
-            # Ray casting over every polygon edge at once: vertex i and
-            # the vertex before it, as in point_in_polygon; the parity of
-            # each polygon's run of columns says inside. Points go in
-            # blocks of about 2^14 (point, edge) pairs: the temporaries
-            # stay in cache, and stay small on maps with many edges.
-            xi, yi = self.vertex_xy[:, 0], self.vertex_xy[:, 1]
-            yj = self.vertex_prev[:, 1]
-            back_x, back_y = self.vertex_prev[:, 0] - xi, yj - yi
-            rows = max(1, (1 << 14) // len(xi))
-            for k in range(0, len(px), rows):
+        # Points go in blocks of about 2^14 (point, disk or edge) pairs, so
+        # the temporaries stay in cache and small on maps with many obstacles.
+        # Polygons: ray casting over every edge at once, vertex i and the one
+        # before it as in point_in_polygon; each polygon's parity says inside.
+        rows = max(1, (1 << 14) // max(1, len(self.disks) + len(self.vertex_xy)))
+        xi, yi = self.vertex_xy[:, 0], self.vertex_xy[:, 1]
+        yj = self.vertex_prev[:, 1]
+        back_x, back_y = self.vertex_prev[:, 0] - xi, yj - yi
+        for k in range(0, len(px), rows):
+            if self.disks:
+                dx = px[k:k + rows] - self.disk_x
+                dy = py[k:k + rows] - self.disk_y
+                ok[k:k + rows] &= ~((dx * dx + dy * dy) < self.disk_r2).any(axis=0)
+            if self.polygons:
                 x, y = px[k:k + rows, None], py[k:k + rows, None]
                 crosses = (yi > y) != (yj > y)
                 with np.errstate(divide="ignore", invalid="ignore"):
@@ -421,6 +416,12 @@ class CollisionField:
         blocked and its midpoint, classified by `free`, decides it.
         Overlapping obstacles therefore count once.
 
+        Each row of the exact pass keeps every cut column, even a miss
+        clamped onto t = 0 or t = 1: 0, 1, four bound cuts, two per disk
+        and one per polygon vertex. numpy sums a row's pieces pairwise,
+        grouped by column position, so dropping or merging columns would
+        round some sums differently.
+
         Only rows that can come out non-zero take the exact pass: an
         endpoint out of bounds (or not finite), a box that meets some
         polygon's widened box (see the class docstring), a squared length
@@ -433,65 +434,72 @@ class CollisionField:
         by far more than a rounding error, and every piece midpoint lies
         outside every polygon's widened box.
         """
-        a = np.asarray(starts, dtype=np.float64).reshape(-1, 2)
-        end = np.asarray(ends, dtype=np.float64).reshape(-1, 2)
-        d = end - a
-        dd = d[:, :1] * d[:, :1] + d[:, 1:] * d[:, 1:]
+        ax, ay = np.asarray(starts, dtype=np.float64).reshape(-1, 2).T.copy()
+        ex, ey = np.asarray(ends, dtype=np.float64).reshape(-1, 2).T
+        dx, dy = ex - ax, ey - ay
+        x_lo, x_hi = np.minimum(ax, ex), np.maximum(ax, ex)
+        y_lo, y_hi = np.minimum(ay, ey), np.maximum(ay, ey)
         b = self.bounds
-        lo, hi = (b.x_min, b.y_min), (b.x_max, b.y_max)
-        exact = ~((a >= lo) & (a <= hi) & (end >= lo) & (end <= hi)).all(axis=1)
+        # nan endpoints give nan box sides, which fail every comparison.
+        exact = ~((x_lo >= b.x_min) & (x_hi <= b.x_max)
+                  & (y_lo >= b.y_min) & (y_hi <= b.y_max))
         if self.polygons:
-            box_lo, box_hi = np.minimum(a, end), np.maximum(a, end)
             boxes = self.polygon_boxes
-            exact |= ((box_lo[:, :1] <= boxes[:, 1]) & (box_hi[:, :1] >= boxes[:, 0])
-                      & (box_lo[:, 1:] <= boxes[:, 3])
-                      & (box_hi[:, 1:] >= boxes[:, 2])).any(axis=1)
-        with np.errstate(invalid="ignore", over="ignore"):
-            if self.disk_r2.size:
-                # |a + t d - c|^2 = r^2, a quadratic in t per disk, with
-                # roots (-half_b -+ sqrt(disc)) / dd. Per-coordinate
-                # products, as a sum over a length-2 axis costs 4x more.
-                fx = a[:, :1] - self.disk_xy[:, 0]
-                fy = a[:, 1:] - self.disk_xy[:, 1]
+            exact |= ((x_lo[:, None] <= boxes[:, 1]) & (x_hi[:, None] >= boxes[:, 0])
+                      & (y_lo[:, None] <= boxes[:, 3])
+                      & (y_hi[:, None] >= boxes[:, 2])).any(axis=1)
+        if self.disks:
+            with np.errstate(invalid="ignore", over="ignore"):
+                # |a + t d - c|^2 = r^2, a quadratic in t per (disk, row),
+                # with roots (-half_b -+ sqrt(disc)) / dd.
+                dd = dx * dx + dy * dy
+                fx = ax - self.disk_x
+                fy = ay - self.disk_y
                 ff = fx * fx + fy * fy
-                half_b = fx * d[:, :1] + fy * d[:, 1:]
+                half_b = fx * dx + fy * dy
                 disc = half_b * half_b - dd * (ff - self.disk_r2)
                 # The widened interval [t0, t1] meets [0, 1] iff
                 # dd t1 >= 0 and dd t0 <= dd; a negative widened
                 # disc gives nan, which compares as a miss.
                 reach = np.sqrt(disc + (ff + self.disk_scale) * (NEAR_MARGIN * dd))
-                exact |= (reach >= np.maximum(half_b, -half_b - dd)).any(axis=1)
-                exact |= dd[:, 0] < 1e-100
-        out = np.zeros(len(a))
+                exact |= (reach >= np.maximum(half_b, -half_b - dd)).any(axis=0)
+                exact |= dd < 1e-100
+        out = np.zeros(len(ax))
         if not exact.any():
             return out
         rows = slice(None) if exact.all() else np.flatnonzero(exact)
-        a, d, dd = a[rows], d[rows], dd[rows]
-        cuts = [np.zeros((len(a), 1)), np.ones((len(a), 1))]
+        ax, ay, dx, dy = ax[rows], ay[rows], dx[rows], dy[rows]
+        n_disks = len(self.disks)
+        t = np.empty((len(ax), 6 + 2 * n_disks + len(self.vertex_xy)))
+        t[:, :2] = 0.0, 1.0
         # Misses, parallels and zero-length segments give nan or inf cuts,
         # which the clamp below folds onto t = 0 or t = 1.
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            cuts.append((np.array([[b.x_min, b.x_max]]) - a[:, :1]) / d[:, :1])
-            cuts.append((np.array([[b.y_min, b.y_max]]) - a[:, 1:]) / d[:, 1:])
-            if self.disk_r2.size:
-                half_b = half_b[rows]
-                root = np.sqrt(disc[rows])
-                cuts += [(-half_b - root) / dd, (-half_b + root) / dd]
+            t[:, 2:4] = (np.array([b.x_min, b.x_max]) - ax[:, None]) / dx[:, None]
+            t[:, 4:6] = (np.array([b.y_min, b.y_max]) - ay[:, None]) / dy[:, None]
+            if n_disks:
+                half_b, dd = half_b[:, rows], dd[rows]
+                root = np.sqrt(disc[:, rows])
+                roots = ((-half_b - root) / dd, (-half_b + root) / dd)
+                t[:, 6:6 + 2 * n_disks] = np.vstack(roots).T
             if self.polygons:
                 # a + t d = v + s e, kept where s lies on the edge.
-                e = self.edge_vec[None, :, :]
-                w = self.vertex_xy[None, :, :] - a[:, None, :]
-                den = _cross(d[:, None, :], e)
-                s = _cross(w, d[:, None, :]) / den
-                cuts.append(np.where((s >= 0.0) & (s <= 1.0), _cross(w, e) / den, np.nan))
-        t = np.concatenate(cuts, axis=1)
+                vx, vy = self.vertex_xy[:, 0], self.vertex_xy[:, 1]
+                ux, uy = self.edge_vec[:, 0], self.edge_vec[:, 1]
+                wx, wy = vx - ax[:, None], vy - ay[:, None]
+                den = dx[:, None] * uy - dy[:, None] * ux
+                s = (wx * dy[:, None] - wy * dx[:, None]) / den
+                t[:, 6 + 2 * n_disks:] = np.where((s >= 0.0) & (s <= 1.0),
+                                                  (wx * uy - wy * ux) / den, np.nan)
         # fmin and fmax skip nan, so nan and inf go to 1 and -inf to 0.
-        t = np.sort(np.fmax(np.fmin(t, 1.0), 0.0), axis=1)
+        np.fmin(t, 1.0, out=t)
+        np.fmax(t, 0.0, out=t)
+        t.sort(axis=1)
         piece = t[:, 1:] - t[:, :-1]
         keep = piece > 0.0
         i, j = np.nonzero(keep)
-        mid = a[i] + (t[i, j] + 0.5 * piece[i, j])[:, None] * d[i]
+        u = t[i, j] + 0.5 * piece[i, j]
         blocked = np.zeros(piece.shape, dtype=bool)
-        blocked[keep] = ~self.free(mid)
-        out[rows] = (piece * blocked).sum(axis=1) * np.hypot(d[:, 0], d[:, 1])
+        blocked[keep] = ~self.free(np.stack((ax[i] + u * dx[i], ay[i] + u * dy[i]), axis=1))
+        out[rows] = (piece * blocked).sum(axis=1) * np.hypot(dx, dy)
         return out

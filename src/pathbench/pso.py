@@ -211,9 +211,10 @@ class PsoRun:
         v = (self.omega * self.velocities
              + p.c1 * r[:, 0:1] * (self.pbest_positions - self.positions)
              + p.c2 * r[:, 1:2] * (self.gbest_position[None, :] - self.positions))
-        self.velocities = np.clip(v, -p.v_max, p.v_max)
-        self.positions = np.clip(self.positions + self.velocities,
-                                 self._lo, self._hi)
+        # np.clip gives the same values, nan included, at a higher cost per call.
+        self.velocities = np.maximum(np.minimum(v, p.v_max, out=v), -p.v_max, out=v)
+        x = self.positions + v
+        self.positions = np.maximum(np.minimum(x, self._hi, out=x), self._lo, out=x)
         self.fitnesses = self._evaluate(self.positions)
 
         improved = self.fitnesses < self.pbest_fitnesses

@@ -106,7 +106,9 @@ class RrtTree:
     def add(self, position: Sequence[float], parent_index: int) -> int:
         """Insert a node; its cost is the parent's plus the edge length."""
         x, y = float(position[0]), float(position[1])
-        px, py = self.position(parent_index)
+        if not 0 <= parent_index < len(self._cost):
+            raise IndexError(f"node index {parent_index} out of range")
+        px, py = self._xs[parent_index], self._ys[parent_index]
         idx = len(self._cost)
         if idx == len(self._x):
             self._x = np.concatenate((self._x, np.empty_like(self._x)))
@@ -140,11 +142,13 @@ class RrtTree:
 def random_sample(env: Environment, rng: np.random.Generator) -> Point2:
     """Uniform point over the bounds rectangle; one draw per coordinate.
 
+    Each coordinate is numpy's `uniform` formula, low + (high - low) *
+    random(): the same doubles and generator state at a quarter of the cost.
     Samples are not filtered against obstacles.
     """
     b = env.bounds
-    return Point2(float(rng.uniform(b.x_min, b.x_max)),
-                  float(rng.uniform(b.y_min, b.y_max)))
+    return Point2(b.x_min + (b.x_max - b.x_min) * rng.random(),
+                  b.y_min + (b.y_max - b.y_min) * rng.random())
 
 
 def find_nearest(tree: RrtTree, p: Sequence[float]) -> int:
@@ -171,18 +175,18 @@ def get_neighbors(tree: RrtTree, p: Sequence[float], radius: float) -> list[int]
     return np.flatnonzero(tree.squared_distances(p) <= radius * radius).tolist()
 
 
-def choose_parent(tree: RrtTree, neighbors: Sequence[int], p_near_idx: int,
-                  p_new: Sequence[float], env: Environment) -> int:
+def choose_parent(tree: RrtTree, neighbors: Sequence[int], lengths: Sequence[float],
+                  p_near_idx: int, p_new: Sequence[float], env: Environment) -> int:
     """Cheapest collision-free parent for p_new among the neighbors.
 
-    Candidates are ranked by cost_to_come + edge length (ties by lower
-    index); the first whose edge to p_new is free wins. Falls back to
-    p_near_idx when no neighbor qualifies. The cheapest edge is usually
-    free, so the ranking is sorted only when it is not.
+    Candidates are ranked by cost_to_come + edge length (`lengths`, one
+    per neighbor; ties by lower index); the first whose edge to p_new is
+    free wins. Falls back to p_near_idx when no neighbor qualifies. The
+    cheapest edge is usually free, so the ranking is sorted only when it
+    is not.
     """
     xs, ys, cost = tree._xs, tree._ys, tree._cost
-    nx, ny = p_new[0], p_new[1]
-    ranked = [(cost[i] + math.hypot(xs[i] - nx, ys[i] - ny), i) for i in neighbors]
+    ranked = [(cost[i] + length, i) for i, length in zip(neighbors, lengths)]
     _, best = min(ranked)
     if edge_free(Point2(xs[best], ys[best]), p_new, env):
         return best
@@ -205,23 +209,22 @@ def _propagate_cost(tree: RrtTree, start: int) -> None:
             stack.append(c)
 
 
-def rewire(tree: RrtTree, neighbors: Sequence[int], new_index: int,
-           env: Environment) -> None:
+def rewire(tree: RrtTree, neighbors: Sequence[int], lengths: Sequence[float],
+           new_index: int, env: Environment) -> None:
     """Reroute neighbors through the new node where that lowers their cost.
 
-    Neighbors are visited in ascending index order against live costs, so
-    a cost drop propagated to a later neighbor's subtree is taken into
-    account. Costs never increase.
+    `lengths` gives each neighbor's edge length to the new node. Neighbors
+    are visited in ascending index order against live costs, so a cost
+    drop propagated to a later neighbor's subtree is taken into account.
+    Costs never increase.
     """
     xs, ys, cost = tree._xs, tree._ys, tree._cost
-    p_new = tree.position(new_index)
-    nx, ny = p_new
-    for i in sorted(neighbors):
+    p_new = Point2(xs[new_index], ys[new_index])
+    for i, length in sorted(zip(neighbors, lengths)):
         if i == new_index:
             continue
-        x, y = xs[i], ys[i]
-        cand = cost[new_index] + math.hypot(nx - x, ny - y)
-        if cand < cost[i] and edge_free(p_new, Point2(x, y), env):
+        cand = cost[new_index] + length
+        if cand < cost[i] and edge_free(p_new, Point2(xs[i], ys[i]), env):
             old_parent = tree._parent[i]
             tree._children[old_parent].remove(i)
             tree._parent[i] = new_index
@@ -267,21 +270,25 @@ class RrtStarRun:
         """Run one iteration; returns the inserted node index, or None."""
         self.iterations_done += 1
         p_rand = random_sample(self.env, self.rng)
-        near_idx = find_nearest(self.tree, p_rand)
-        p_near = self.tree.position(near_idx)
+        tree = self.tree
+        near_idx = find_nearest(tree, p_rand)
+        p_near = Point2(tree._xs[near_idx], tree._ys[near_idx])
         p_new = steering(p_rand, p_near, self.params.step_size)
         if p_new == p_near:
             return None
         if not edge_free(p_near, p_new, self.env):
             return None
-        neighbors = get_neighbors(self.tree, p_new, self.params.neighbor_radius)
+        neighbors = get_neighbors(tree, p_new, self.params.neighbor_radius)
         if neighbors:
-            parent = choose_parent(self.tree, neighbors, near_idx, p_new, self.env)
+            # hypot ignores signs, so one length per edge serves both calls.
+            xs, ys, (x, y) = tree._xs, tree._ys, p_new
+            lengths = [math.hypot(xs[i] - x, ys[i] - y) for i in neighbors]
+            parent = choose_parent(tree, neighbors, lengths, near_idx, p_new, self.env)
         else:
             parent = near_idx
-        idx = self.tree.add(p_new, parent)
+        idx = tree.add(p_new, parent)
         if neighbors:
-            rewire(self.tree, neighbors, idx, self.env)
+            rewire(tree, neighbors, lengths, idx, self.env)
         d_goal = dist(p_new, self.query.target)
         if d_goal < self.closest_approach:
             self.closest_approach = d_goal

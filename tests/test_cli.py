@@ -245,6 +245,28 @@ def test_missing_config_exits_two(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_a_config_that_is_a_directory_is_one_error_line(tmp_path, capsys):
+    # It died with an IsADirectoryError traceback and exit 1.
+    out = tmp_path / "x"
+    assert main(["plan", "--config", str(tmp_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_bounds_too_wide_for_a_float_are_one_error_line(tmp_path, capsys):
+    # Every check passed, then both planners died with an OverflowError
+    # traceback from the sampler: the width 2e308 is not a float.
+    doc = {"environment": dict(EMPTY_INLINE, bounds=[-1e308, 1e308, -40.0, 40.0])}
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "x"
+    for planner in ("rrtstar", "pso"):
+        assert main(["plan", "--planner", planner, "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and "bounds" in err
+    assert not out.exists()
+
+
 def test_huge_integer_config_value_exits_two(tmp_path, capsys):
     cfg = write_config(tmp_path, {"environment": EMPTY_INLINE,
                                   "rrtstar": {"step_size": 10**400}})

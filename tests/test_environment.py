@@ -254,6 +254,8 @@ def test_malformed_documents():
     with pytest.raises(FormatError):
         environment_from_dict({"bounds": [1, 0, 0, 1]})  # min >= max
     with pytest.raises(FormatError):
+        environment_from_dict({"bounds": [0, 1, -1e308, 1e308]})  # height overflows
+    with pytest.raises(FormatError):
         environment_from_dict({"bounds": [0, 1, 0, 1],
                                "obstacles": [{"kind": "blob"}]})
     with pytest.raises(FormatError):

@@ -1,6 +1,7 @@
 """Geometry primitives: distances, intersection tests, free-space predicates."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -526,6 +527,56 @@ def test_free_matches_point_free_across_point_blocks():
     want = [reference_point_free(p, env) for p in pts.tolist()]
     assert 0 < want.count(False) < len(want)
     assert CollisionField(env).free(pts).tolist() == want
+
+
+def test_free_runs_the_disk_pass_in_bounded_point_blocks():
+    # One (points x disks) array of doubles would take 24 MB here; a
+    # 10,000-disk PSO field asked for 24.6 GiB.
+    rng = np.random.default_rng(5)
+    disks = tuple(Circle(Point2(*c), r) for c, r in zip(rng.uniform(-38.0, 38.0, (1000, 2)).tolist(),
+                                                         rng.uniform(0.3, 1.5, 1000).tolist()))
+    env = Environment(Bounds(-40.0, 40.0, -40.0, 40.0), disks)
+    pts = rng.uniform(-41.0, 41.0, size=(3000, 2))
+    field = CollisionField(env)
+    tracemalloc.start()
+    try:
+        got = field.free(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    want = [point_free(p, env) for p in pts.tolist()]
+    assert 0 < want.count(False) < len(want)
+    assert got.tolist() == want
+    assert peak < 1 << 20
+
+
+@st.composite
+def pso_batches(draw, kind):
+    """A field of 12 to 40 disks, polygons too when mixed, and 300 in-bounds rows.
+
+    The shapes the planners' fitness batches have (50 particles, 6
+    segments each): half the rows are PSO-length steps, half span the map.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(12, 40))
+    obstacles = [Circle(Point2(*c), r) for c, r in zip(rng.uniform(-10.0, 10.0, (n, 2)).tolist(),
+                                                       rng.uniform(0.5, 3.0, n).tolist())]
+    if kind == "mixed":
+        obstacles += draw(st.lists(polygons(), min_size=1, max_size=3))
+    starts = rng.uniform(-12.0, 12.0, (300, 2))
+    ends = rng.uniform(-12.0, 12.0, (300, 2))
+    ends[:150] = np.clip(starts[:150] + rng.uniform(-4.0, 4.0, (150, 2)), -12.0, 12.0)
+    return Environment(WIDE, tuple(obstacles)), starts, ends
+
+
+@pytest.mark.parametrize("kind", ("disks", "mixed"))
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_pso_sized_batches_match_the_oracle(kind, data):
+    env, starts, ends = data.draw(pso_batches(kind))
+    want = reference_blocked_lengths(env, starts, ends)
+    assert np.count_nonzero(want)
+    assert CollisionField(env).blocked_lengths(starts, ends).tobytes() == want.tobytes()
 
 
 def _box(obs):

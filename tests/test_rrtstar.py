@@ -6,7 +6,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pathbench import rrtstar
@@ -179,24 +179,31 @@ def test_tree_grows_past_its_initial_capacity():
         tree.position(n)
 
 
+def edge_lengths(tree, neighbors, p):
+    """The lengths RrtStarRun.step hands choose_parent and rewire: one hypot per edge."""
+    return [dist(tree.position(i), p) for i in neighbors]
+
+
 def test_choose_parent_prefers_cheapest_total():
     tree = RrtTree((0.0, 0.0))
     a = tree.add((2.0, 0.0), 0)   # cost 2
     b = tree.add((4.0, 0.0), a)   # cost 4
     p_new = (4.0, 3.0)
     # Totals: root 5.0, a 2+sqrt(13)=5.606.., b 4+3=7.0 -> root wins.
-    parent = choose_parent(tree, [0, a, b], a, p_new, EMPTY)
+    nb = [0, a, b]
+    lengths = edge_lengths(tree, nb, p_new)
+    parent = choose_parent(tree, nb, lengths, a, p_new, EMPTY)
     assert parent == 0
     # A disc at (2, 1.5) r=0.9 blocks the root edge (passes through the
     # center) and the edge from a (clearance 3/sqrt(13) ~ 0.83), leaving
     # only b's vertical edge free.
     wall = Environment(EMPTY.bounds, (Circle(Point2(2.0, 1.5), 0.9),))
-    parent = choose_parent(tree, [0, a, b], a, p_new, wall)
+    parent = choose_parent(tree, nb, lengths, a, p_new, wall)
     assert parent == b
     # Nothing reachable at all: fall back to the nearest node.
     boxed = Environment(EMPTY.bounds, (Circle(Point2(4.0, 1.5), 1.2),
                                        Circle(Point2(2.0, 1.5), 1.2)))
-    assert choose_parent(tree, [0, a, b], a, p_new, boxed) == a
+    assert choose_parent(tree, nb, lengths, a, p_new, boxed) == a
 
 
 def test_choose_parent_ties_go_to_the_lower_index():
@@ -205,16 +212,18 @@ def test_choose_parent_ties_go_to_the_lower_index():
     b = tree.add((-2.0, 0.0), 0)   # cost 2, the mirror image of a
     p_new = (0.0, 3.0)
     # a and b tie at 2 + sqrt(13) exactly; the root is cheaper at 3.
-    assert choose_parent(tree, [b, a], 0, p_new, EMPTY) == a
-    assert choose_parent(tree, [b, a, 0], a, p_new, EMPTY) == 0
+    nb = [b, a, 0]
+    lengths = edge_lengths(tree, nb, p_new)
+    assert choose_parent(tree, nb[:2], lengths[:2], 0, p_new, EMPTY) == a
+    assert choose_parent(tree, nb, lengths, a, p_new, EMPTY) == 0
     # A disc on the root edge, clear of both slanted edges (3/sqrt(13)
     # ~ 0.83 away), blocks the cheapest candidate; the tie then decides.
     wall = Environment(EMPTY.bounds, (Circle(Point2(0.0, 1.5), 0.5),))
-    assert choose_parent(tree, [b, a, 0], b, p_new, wall) == a
+    assert choose_parent(tree, nb, lengths, b, p_new, wall) == a
     # With a's edge blocked as well, b is the one left.
     walls = Environment(EMPTY.bounds, (Circle(Point2(0.0, 1.5), 0.5),
                                        Circle(Point2(1.0, 1.5), 0.3)))
-    assert choose_parent(tree, [b, a, 0], 0, p_new, walls) == b
+    assert choose_parent(tree, nb, lengths, 0, p_new, walls) == b
 
 
 def test_rewire_lowers_cost_and_propagates():
@@ -225,7 +234,7 @@ def test_rewire_lowers_cost_and_propagates():
     b = tree.add((4.0, 6.0), a)        # cost 10 via the detour
     c = tree.add((4.0, 8.0), b)        # cost 12
     new = tree.add((4.0, 3.0), 0)      # cost 5
-    rewire(tree, [a, b], new, EMPTY)
+    rewire(tree, [a, b], edge_lengths(tree, [a, b], tree.position(new)), new, EMPTY)
     assert tree.parent(b) == new
     assert tree.cost_to_come(b) == pytest.approx(8.0)
     assert tree.cost_to_come(c) == pytest.approx(10.0)
@@ -240,7 +249,7 @@ def test_rewire_respects_obstacles():
     b = tree.add((4.0, 6.0), a)
     new = tree.add((4.0, 3.0), 0)
     blocked = Environment(EMPTY.bounds, (Circle(Point2(4.0, 4.5), 0.5),))
-    rewire(tree, [a, b], new, blocked)
+    rewire(tree, [a, b], edge_lengths(tree, [a, b], tree.position(new)), new, blocked)
     assert tree.parent(b) == a
     assert tree.cost_to_come(b) == pytest.approx(10.0)
 
@@ -262,6 +271,27 @@ def test_random_sample_stays_in_bounds():
     for _ in range(200):
         p = random_sample(EMPTY, rng)
         assert EMPTY.bounds.contains(p)
+
+
+# Bounds ends from wide, narrow and offset ranges: the sampler must give
+# numpy's uniform doubles at every scale a valid Bounds allows.
+bound_ends = st.one_of(st.floats(-8e307, 8e307), st.floats(-1e-3, 1e-3),
+                       st.floats(1e9, 1e9 + 1.0))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**64 - 1), st.tuples(bound_ends, bound_ends),
+       st.tuples(bound_ends, bound_ends))
+def test_random_sample_draws_what_numpy_uniform_draws(seed, xs, ys):
+    (x_min, x_max), (y_min, y_max) = sorted(xs), sorted(ys)
+    assume(x_min < x_max and y_min < y_max)
+    env = Environment(Bounds(x_min, x_max, y_min, y_max), ())
+    rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(3):
+        p = random_sample(env, rng)
+        want = (twin.uniform(x_min, x_max), twin.uniform(y_min, y_max))
+        assert [float(v).hex() for v in p] == [float(v).hex() for v in want]
+    assert rng.bit_generator.state == twin.bit_generator.state
 
 
 def test_rejects_bad_query():
