@@ -2,8 +2,9 @@
 
 The oracle, a feasibility check and near-optimal length yardstick, runs
 its own A* over an 8-connected grid. Only its cell test is shared: cells
-are classified by `CollisionField.free`, as are the cut midpoints in PSO's
-`blocked_lengths`.
+are classified by `CollisionField.free`, as are the piece midpoints of
+the cut pass in PSO's `blocked_lengths` (segments out of bounds or near
+a polygon).
 """
 
 from __future__ import annotations

@@ -11,10 +11,15 @@ Each `Environment` builds one `CollisionField`, cached as
 `Environment.collision_field`: every disk's and polygon's numbers as
 plain floats and as arrays, with the obstacle's bounding box widened on
 every side by NEAR_MARGIN * (1 + S), S the largest coordinate magnitude
-of the bounds and obstacles. `edge_free` and `blocked_lengths` skip an
-obstacle whose widened box misses the box of the segment under test;
-the field's docstring argues why no skipped obstacle could have blocked.
-`point_free` is `CollisionField.free` on one point.
+of the bounds and obstacles. `edge_free` skips an obstacle whose widened
+box misses the box of the segment under test; the field's docstring
+argues why no skipped obstacle could have blocked. `point_free` is
+`CollisionField.free` on one point.
+
+`CollisionField.blocked_lengths` measures a segment in bounds and clear
+of every polygon's widened box as the union of its disks' open root
+intervals; every other segment is cut at every crossing and each piece
+is classified by its midpoint.
 """
 
 from __future__ import annotations
@@ -228,10 +233,9 @@ def segment_polygon_collides(segment: Segment,
     return point_in_polygon(a, vertices) or point_in_polygon(b, vertices)
 
 
-#: Relative widening of each disk's discriminant when `blocked_lengths`
-#: picks the rows that need its exact pass, and of every obstacle box in
-#: a `CollisionField`. Far above double rounding (about 1e-16), far below
-#: any gap a planner could exploit.
+#: Relative widening of every obstacle box in a `CollisionField`, which
+#: only decides which obstacles a test may skip. Far above double
+#: rounding (about 1e-16), far below any gap a planner could exploit.
 NEAR_MARGIN = 1e-9
 
 
@@ -314,8 +318,8 @@ class CollisionField:
     `polygons` an (x_lo, x_hi, y_lo, y_hi, vertices, edges) tuple per
     polygon, with the polygon's own vertices and their (v_i, v_i+1)
     pairs, the closing edge last. For the batch tests, as arrays:
-    `disk_x`, `disk_y`, `disk_r2` and `disk_scale`, each a column with
-    one row per circle; `vertex_xy`,
+    `disk_x`, `disk_y` and `disk_r2`, each a column with one row per
+    circle; `vertex_xy`,
     `vertex_prev` (the vertex before, cyclically) and `edge_vec` (to the
     vertex after) per polygon vertex, all polygons in one array,
     `polygon_starts` giving each polygon's first row; `polygon_boxes` as
@@ -323,16 +327,16 @@ class CollisionField:
 
     Each box is the obstacle's bounding box widened on every side by a
     margin of NEAR_MARGIN * (1 + S), S the largest magnitude of a bound
-    or an obstacle coordinate (for a disk, |center| + r). `edge_free` and
-    `blocked_lengths` skip every obstacle whose widened box is disjoint
-    from the box of the segment they test, and a skipped obstacle cannot
-    block:
+    or an obstacle coordinate (for a disk, |center| + r). `edge_free`
+    skips every obstacle whose widened box is disjoint from the box of
+    the segment it tests, and `blocked_lengths` leaves out the polygons
+    for such a segment. A skipped obstacle cannot block:
 
     * Every point a test computes with (an endpoint; the point a + t(b - a),
-      t in [0, 1], that gives a disk distance; a piece midpoint of
-      `blocked_lengths`) lies in the tested box up to a few roundings of
-      numbers below 4S, far less than the margin: the tests take only
-      points in bounds, whose coordinates S bounds too.
+      t in [0, 1], that gives a disk distance; a piece midpoint that a
+      cut pass would classify) lies in the tested box up to a few
+      roundings of numbers below 4S, far less than the margin: the tests
+      take only points in bounds, whose coordinates S bounds too.
     * So in some axis the point lies outside the obstacle's exact box by
       more than rounding. Its computed distance to a disk's center then
       exceeds r (an overflow gives inf or nan, which compare as clear). A
@@ -366,8 +370,6 @@ class CollisionField:
         disks = np.array(circles, dtype=np.float64).reshape(-1, 3)
         self.disk_x, self.disk_y = disks[:, :1].copy(), disks[:, 1:2].copy()
         self.disk_r2 = disks[:, 2:] ** 2
-        # r^2 + |c|^2 per disk: the scale of the rounding in the row test.
-        self.disk_scale = self.disk_r2 + (self.disk_x ** 2 + self.disk_y ** 2)
         xy = [np.asarray(vs, dtype=np.float64) for vs in outlines] or [np.empty((0, 2))]
         self.vertex_xy = np.concatenate(xy)
         self.vertex_prev = np.concatenate([np.roll(v, 1, axis=0) for v in xy])
@@ -410,87 +412,140 @@ class CollisionField:
         """(N, 2) start and end points -> (N,) exact blocked length per segment.
 
         A segment's blocked length is the length of it lying inside an
-        obstacle or out of bounds. The exact pass cuts the segment at
-        every parameter t where it crosses a disk rim, a polygon edge or a
-        bound line, so each piece between cuts is wholly free or wholly
-        blocked and its midpoint, classified by `free`, decides it.
-        Overlapping obstacles therefore count once.
+        obstacle or out of bounds; overlapping obstacles count once. Rows
+        are answered in one of two ways.
 
-        Each row of the exact pass keeps every cut column, even a miss
-        clamped onto t = 0 or t = 1: 0, 1, four bound cuts, two per disk
-        and one per polygon vertex. numpy sums a row's pieces pairwise,
-        grouped by column position, so dropping or merging columns would
-        round some sums differently.
+        The disk union answers a row whose endpoints are in bounds (so
+        finite), whose box misses every polygon's widened box (see the
+        class docstring) and whose squared length is at least 1e-100.
+        Only disks can block it, and the set of t in [0, 1] where
+        a + t(b - a) lies inside a disk is that disk's open root interval,
+        clipped to [0, 1]. The row's blocked length is the measure of the
+        union of those intervals times its `np.hypot` length: the
+        intervals are sorted, merged into runs where one starts at or
+        before the furthest end so far, and the runs' lengths added in
+        order onto 0.0. A row with no non-empty interval adds nothing, so
+        it is exactly 0.0 however its roots round. The disk pass runs in
+        blocks of about 2^14 (row, disk) pairs and keeps only the pairs
+        with a non-empty interval, so its memory follows the pairs that
+        meet.
 
-        Only rows that can come out non-zero take the exact pass: an
-        endpoint out of bounds (or not finite), a box that meets some
-        polygon's widened box (see the class docstring), a squared length
-        below 1e-100 in a field with disks (where the products below
-        underflow), or a disk whose root interval, with the discriminant
-        widened by NEAR_MARGIN relative to its scale, meets [0, 1]. Every
-        other row is 0.0, which is what the exact pass returns for it:
-        its endpoints are in the convex bounds, every point of it, so
-        every piece midpoint even after rounding, stays outside each disk
-        by far more than a rounding error, and every piece midpoint lies
-        outside every polygon's widened box.
+        Every other row takes the cut pass: it cuts the segment at every
+        parameter t where it crosses a disk rim, a polygon edge or a bound
+        line, so each piece between cuts is wholly free or wholly blocked
+        and its midpoint, classified by `free`, decides it. Each row keeps
+        every cut column, even a miss clamped onto t = 0 or t = 1: 0, 1,
+        four bound cuts, two per disk and one per polygon vertex. numpy
+        sums a row's pieces pairwise, grouped by column position, so
+        dropping or merging columns would round some sums differently.
         """
         ax, ay = np.asarray(starts, dtype=np.float64).reshape(-1, 2).T.copy()
         ex, ey = np.asarray(ends, dtype=np.float64).reshape(-1, 2).T
-        dx, dy = ex - ax, ey - ay
         x_lo, x_hi = np.minimum(ax, ex), np.maximum(ax, ex)
         y_lo, y_hi = np.minimum(ay, ey), np.maximum(ay, ey)
         b = self.bounds
         # nan endpoints give nan box sides, which fail every comparison.
-        exact = ~((x_lo >= b.x_min) & (x_hi <= b.x_max)
-                  & (y_lo >= b.y_min) & (y_hi <= b.y_max))
+        cut = ~((x_lo >= b.x_min) & (x_hi <= b.x_max)
+                & (y_lo >= b.y_min) & (y_hi <= b.y_max))
         if self.polygons:
             boxes = self.polygon_boxes
-            exact |= ((x_lo[:, None] <= boxes[:, 1]) & (x_hi[:, None] >= boxes[:, 0])
-                      & (y_lo[:, None] <= boxes[:, 3])
-                      & (y_hi[:, None] >= boxes[:, 2])).any(axis=1)
-        if self.disks:
-            with np.errstate(invalid="ignore", over="ignore"):
-                # |a + t d - c|^2 = r^2, a quadratic in t per (disk, row),
-                # with roots (-half_b -+ sqrt(disc)) / dd.
-                dd = dx * dx + dy * dy
-                fx = ax - self.disk_x
-                fy = ay - self.disk_y
-                ff = fx * fx + fy * fy
-                half_b = fx * dx + fy * dy
-                disc = half_b * half_b - dd * (ff - self.disk_r2)
-                # The widened interval [t0, t1] meets [0, 1] iff
-                # dd t1 >= 0 and dd t0 <= dd; a negative widened
-                # disc gives nan, which compares as a miss.
-                reach = np.sqrt(disc + (ff + self.disk_scale) * (NEAR_MARGIN * dd))
-                exact |= (reach >= np.maximum(half_b, -half_b - dd)).any(axis=0)
-                exact |= dd < 1e-100
+            cut |= ((x_lo[:, None] <= boxes[:, 1]) & (x_hi[:, None] >= boxes[:, 0])
+                    & (y_lo[:, None] <= boxes[:, 3])
+                    & (y_hi[:, None] >= boxes[:, 2])).any(axis=1)
         out = np.zeros(len(ax))
-        if not exact.any():
+        if not (self.disks or cut.any()):
             return out
-        rows = slice(None) if exact.all() else np.flatnonzero(exact)
-        ax, ay, dx, dy = ax[rows], ay[rows], dx[rows], dy[rows]
+        # Rows with nan or infinite endpoints are ordinary input here.
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            dx, dy = ex - ax, ey - ay
+            if self.disks:
+                # Below 1e-100 the products of the disk quadratic underflow.
+                cut |= dx * dx + dy * dy < 1e-100
+                rows = np.flatnonzero(~cut)
+                out[rows] = self._disk_union(ax[rows], ay[rows], dx[rows], dy[rows])
+            if cut.any():
+                rows = np.flatnonzero(cut)
+                out[rows] = self._cut_pass(ax[rows], ay[rows], dx[rows], dy[rows])
+        return out
+
+    def _disk_quadratic(self, ax, ay, dx, dy):
+        """dd and (disks, rows) arrays half_b and disc: |a + t d - c|^2 = r^2
+        has the roots (-half_b -+ sqrt(disc)) / dd in t."""
+        dd = dx * dx + dy * dy
+        fx = ax - self.disk_x
+        fy = ay - self.disk_y
+        half_b = fx * dx
+        half_b += fy * dy
+        # In place, in the order of the written-out formula (so the same
+        # doubles): fx becomes dd (|a - c|^2 - r^2).
+        fx *= fx
+        fy *= fy
+        fx += fy
+        fx -= self.disk_r2
+        fx *= dd
+        disc = half_b * half_b
+        disc -= fx
+        return dd, half_b, disc
+
+    def _disk_union(self, ax, ay, dx, dy):
+        """The disk union of `blocked_lengths` for the rows it answers."""
+        step = max(1, (1 << 14) // len(self.disks))
+        row, lo, hi = [np.empty(0, dtype=np.intp)], [np.empty(0)], [np.empty(0)]
+        for k in range(0, len(ax), step):
+            dd, half_b, disc = self._disk_quadratic(ax[k:k + step], ay[k:k + step],
+                                                    dx[k:k + step], dy[k:k + step])
+            # Only a positive discriminant can give a non-empty interval.
+            hit = np.flatnonzero(disc > 0.0)
+            r = hit % len(dd)
+            half_b, root, dd = half_b.take(hit), np.sqrt(disc.take(hit)), dd[r]
+            t0 = np.maximum((-half_b - root) / dd, 0.0)
+            t1 = np.minimum((-half_b + root) / dd, 1.0)
+            meet = t0 < t1
+            row.append(r[meet] + k)
+            lo.append(t0[meet])
+            hi.append(t1[meet])
+        # Sweep each row's interval ends in order. lexsort is stable and
+        # every opening end comes before every closing one, so at a tie
+        # opening ends go first and touching intervals merge into one run.
+        # Each row closes what it opens, so the count of open intervals is
+        # 0 between rows, goes 0 -> 1 at a run's start and 1 -> 0 at its end.
+        event_row = np.concatenate(row + row)
+        event_t = np.concatenate(lo + hi)
+        order = np.lexsort((event_t, event_row))
+        closes = order >= len(event_t) // 2
+        event_row, event_t = event_row[order], event_t[order]
+        depth = np.cumsum(np.where(closes, -1, 1))
+        run_end = depth == 0
+        run_start = (depth == 1) & ~closes
+        # bincount adds each row's runs one by one, in order, onto 0.0.
+        covered = np.bincount(event_row[run_end], minlength=len(ax),
+                              weights=event_t[run_end] - event_t[run_start])
+        return covered * np.hypot(dx, dy)
+
+    def _cut_pass(self, ax, ay, dx, dy):
+        """The cut pass of `blocked_lengths` for the rows it answers."""
+        b = self.bounds
         n_disks = len(self.disks)
         t = np.empty((len(ax), 6 + 2 * n_disks + len(self.vertex_xy)))
         t[:, :2] = 0.0, 1.0
         # Misses, parallels and zero-length segments give nan or inf cuts,
         # which the clamp below folds onto t = 0 or t = 1.
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            t[:, 2:4] = (np.array([b.x_min, b.x_max]) - ax[:, None]) / dx[:, None]
-            t[:, 4:6] = (np.array([b.y_min, b.y_max]) - ay[:, None]) / dy[:, None]
-            if n_disks:
-                half_b, dd = half_b[:, rows], dd[rows]
-                root = np.sqrt(disc[:, rows])
-                roots = ((-half_b - root) / dd, (-half_b + root) / dd)
-                t[:, 6:6 + 2 * n_disks] = np.vstack(roots).T
-            if self.polygons:
-                # a + t d = v + s e, kept where s lies on the edge.
-                vx, vy = self.vertex_xy[:, 0], self.vertex_xy[:, 1]
-                ux, uy = self.edge_vec[:, 0], self.edge_vec[:, 1]
-                wx, wy = vx - ax[:, None], vy - ay[:, None]
-                den = dx[:, None] * uy - dy[:, None] * ux
-                s = (wx * dy[:, None] - wy * dx[:, None]) / den
-                t[:, 6 + 2 * n_disks:] = np.where((s >= 0.0) & (s <= 1.0),
-                                                  (wx * uy - wy * ux) / den, np.nan)
+        t[:, 2:4] = (np.array([b.x_min, b.x_max]) - ax[:, None]) / dx[:, None]
+        t[:, 4:6] = (np.array([b.y_min, b.y_max]) - ay[:, None]) / dy[:, None]
+        if n_disks:
+            dd, half_b, disc = self._disk_quadratic(ax, ay, dx, dy)
+            root = np.sqrt(disc)
+            t[:, 6:6 + 2 * n_disks] = np.vstack(((-half_b - root) / dd,
+                                                 (-half_b + root) / dd)).T
+        if self.polygons:
+            # a + t d = v + s e, kept where s lies on the edge.
+            vx, vy = self.vertex_xy[:, 0], self.vertex_xy[:, 1]
+            ux, uy = self.edge_vec[:, 0], self.edge_vec[:, 1]
+            wx, wy = vx - ax[:, None], vy - ay[:, None]
+            den = dx[:, None] * uy - dy[:, None] * ux
+            s = (wx * dy[:, None] - wy * dx[:, None]) / den
+            t[:, 6 + 2 * n_disks:] = np.where((s >= 0.0) & (s <= 1.0),
+                                              (wx * uy - wy * ux) / den, np.nan)
         # fmin and fmax skip nan, so nan and inf go to 1 and -inf to 0.
         np.fmin(t, 1.0, out=t)
         np.fmax(t, 0.0, out=t)
@@ -501,5 +556,4 @@ class CollisionField:
         u = t[i, j] + 0.5 * piece[i, j]
         blocked = np.zeros(piece.shape, dtype=bool)
         blocked[keep] = ~self.free(np.stack((ax[i] + u * dx[i], ay[i] + u * dy[i]), axis=1))
-        out[rows] = (piece * blocked).sum(axis=1) * np.hypot(dx, dy)
-        return out
+        return (piece * blocked).sum(axis=1) * np.hypot(dx, dy)

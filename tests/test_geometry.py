@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -246,6 +247,7 @@ WIDE = Bounds(-12.0, 12.0, -12.0, 12.0)
 
 coords = st.floats(-14.0, 14.0, allow_nan=False, allow_infinity=False)
 points = st.tuples(coords, coords)
+angles = st.floats(0.0, 2.0 * math.pi)
 disks = st.builds(lambda c, r: Circle(Point2(*c), r),
                   st.tuples(st.floats(-8.0, 8.0), st.floats(-8.0, 8.0)),
                   st.floats(0.2, 4.0))
@@ -311,6 +313,36 @@ def test_blocked_length_counts_out_of_bounds():
     assert _blocked(Environment(WIDE), (10, 0), (15, 0)) == pytest.approx(3.0)
 
 
+@PROPERTY
+@given(disk=disks, th=angles, rel=st.floats(-1e-13, 1e-13),
+       s1=st.floats(-6.0, 6.0), s2=st.floats(-6.0, 6.0), symmetric=st.booleans())
+def test_tangent_rows_block_next_to_nothing(disk, th, rel, s1, s2, symmetric):
+    # A line within 1e-13 r of the rim meets the disk on a chord of at
+    # most 2 r sqrt(2e-13), about 9e-7 r. Symmetric rows put the midpoint
+    # of the segment on the tangent point.
+    (cx, cy), r = disk.center, disk.radius
+    px, py = cx + r * (1.0 + rel) * math.cos(th), cy + r * (1.0 + rel) * math.sin(th)
+    s2 = -s1 if symmetric else s2
+    a = (px - s1 * math.sin(th), py + s1 * math.cos(th))
+    b = (px - s2 * math.sin(th), py + s2 * math.cos(th))
+    assert _blocked(Environment(Bounds(-20, 20, -20, 20), (disk,)), a, b) <= 1e-5 * r
+
+
+def test_non_finite_rows_raise_no_floating_point_warnings():
+    env = Environment(WIDE, (Circle(Point2(0, 0), 1.0),))
+    starts = np.array([[-5.0, 0.0], [np.inf, 0.0], [np.nan, 1.0], [-np.inf, np.inf], [np.inf, 0.0]])
+    ends = np.array([[5.0, 0.0], [0.0, 0.0], [0.0, 0.0], [np.inf, -np.inf], [np.inf, 0.0]])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        want = reference_blocked_lengths(env, starts, ends)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = CollisionField(env).blocked_lengths(starts, ends)
+        violation = path_violation([(-5.0, 0.0), (5.0, 0.0), (np.inf, 0.0)], env)
+    np.testing.assert_array_equal(got, want)
+    assert got[0] == pytest.approx(2.0)
+    assert violation == np.inf
+
+
 def test_path_violation_sees_a_shallow_chord():
     # A sampled penalty stepped over this 0.0894-long chord of the unit
     # disk and reported the path clean.
@@ -365,6 +397,59 @@ def reference_blocked_lengths(env, starts, ends):
     return (piece * blocked).sum(axis=1) * np.hypot(d[:, 0], d[:, 1])
 
 
+def reference_union_lengths(env, starts, ends):
+    """Oracle: the disk union on plain floats, row by row.
+
+    A row in bounds, clear of every polygon's widened box and with a
+    squared length of at least 1e-100 is blocked on the union of its
+    disks' open root intervals, clipped to [0, 1]: sorted, then merged
+    while an interval starts at or before the furthest end so far. Every
+    other row comes from `reference_blocked_lengths`, which must find
+    nothing of a union row blocked by the bounds and polygons alone.
+    """
+    field = CollisionField(env)
+    circles = [(o.center.x, o.center.y, o.radius) for o in env.obstacles if isinstance(o, Circle)]
+    starts, ends = np.reshape(starts, (-1, 2)), np.reshape(ends, (-1, 2))
+    out = np.zeros(len(starts))
+    cut = []
+    for i, ((ax, ay), (ex, ey)) in enumerate(zip(starts.tolist(), ends.tolist())):
+        dx, dy = ex - ax, ey - ay
+        dd = dx * dx + dy * dy
+        x_lo, x_hi, y_lo, y_hi = min(ax, ex), max(ax, ex), min(ay, ey), max(ay, ey)
+        if (not (env.bounds.contains((ax, ay)) and env.bounds.contains((ex, ey)))
+                or dd < 1e-100
+                or any(x_lo <= p[1] and x_hi >= p[0] and y_lo <= p[3] and y_hi >= p[2]
+                       for p in field.polygons)):
+            cut.append(i)
+            continue
+        intervals = []
+        for cx, cy, r in circles:
+            fx, fy = ax - cx, ay - cy
+            half_b = fx * dx + fy * dy
+            disc = half_b * half_b - dd * (fx * fx + fy * fy - r * r)
+            if disc >= 0.0:
+                lo = max((-half_b - math.sqrt(disc)) / dd, 0.0)
+                hi = min((-half_b + math.sqrt(disc)) / dd, 1.0)
+                if lo < hi:
+                    intervals.append((lo, hi))
+        runs = []
+        for lo, hi in sorted(intervals):
+            if runs and lo <= runs[-1][1]:
+                runs[-1][1] = max(runs[-1][1], hi)
+            else:
+                runs.append([lo, hi])
+        covered = 0.0
+        for lo, hi in runs:
+            covered += hi - lo
+        out[i] = covered * float(np.hypot(dx, dy))
+    out[cut] = reference_blocked_lengths(env, starts[cut], ends[cut])
+    union = np.setdiff1d(np.arange(len(starts)), cut)
+    polygons_only = Environment(env.bounds, tuple(o for o in env.obstacles
+                                                  if isinstance(o, Polygon)))
+    assert not reference_blocked_lengths(polygons_only, starts[union], ends[union]).any()
+    return out
+
+
 def reference_edge_free(a, b, env):
     """Oracle: edge_free before the disk table, one pass for b, one for the segment."""
     if not (env.bounds.contains(a) and env.bounds.contains(b)):
@@ -385,7 +470,6 @@ def reference_edge_free(a, b, env):
     return True
 
 
-angles = st.floats(0.0, 2.0 * math.pi)
 SEGMENT_KINDS = ("random", "tangent", "rim", "zero", "tiny", "outside")
 
 
@@ -455,27 +539,28 @@ FIELD_KINDS = ("disks", "polygons", "mixed", "empty")
 def test_row_skip_and_disk_table_match_the_oracles(kind, data):
     env = data.draw(fields(kind))
     starts, ends = data.draw(segment_batches(env))
-    want = reference_blocked_lengths(env, starts, ends)
+    want = reference_union_lengths(env, starts, ends)
     assert CollisionField(env).blocked_lengths(starts, ends).tolist() == want.tolist()
     for a, b in zip(starts.tolist(), ends.tolist()):
         assert edge_free(a, b, env) == reference_edge_free(a, b, env)
 
 
 @pytest.mark.parametrize("disk, a, b, want", [
-    # Tangent up to rounding: the discriminant comes out negative, yet
-    # the full pass classifies the midpoint, the tangent point, as
-    # inside and blocks the whole row. The margin must catch it.
+    # Tangent up to rounding: the discriminant comes out negative. The
+    # cut pass classified the only piece midpoint, the tangent point, as
+    # inside and blocked all 4.3995 units of the row; the union of the
+    # (empty) root intervals blocks nothing.
     (Circle(Point2(0.1418594964030806, 5.405564355911224), 0.7478065283346083),
      (0.49838956270877044, 7.701438949529752), (-1.5400582402416354, 3.802658692759802),
-     4.399517807207114),
+     0.0),
     # Inside a disk and so short that its squared length underflows to
-    # zero: the root test sees nothing, the full pass blocks the row.
+    # zero: the roots see nothing, the cut pass blocks the row.
     (Circle(Point2(0.3, 0.0), 1.0), (0.0, 0.0), (1e-170, 0.0), 1e-170),
 ], ids=["tangent-midpoint-rounds-inside", "underflowing-length"])
 def test_rows_that_must_take_the_exact_pass(disk, a, b, want):
     env = Environment(WIDE, (disk,))
     a, b = np.array([a]), np.array([b])
-    reference = reference_blocked_lengths(env, a, b)
+    reference = reference_union_lengths(env, a, b)
     assert reference[0] == pytest.approx(want, rel=1e-12)
     assert CollisionField(env).blocked_lengths(a, b).tolist() == reference.tolist()
 
@@ -493,23 +578,26 @@ class CountingField(CollisionField):
 
 
 def test_clear_rows_skip_the_exact_pass():
+    # Disk-only rows in bounds never reach `free`: clear, blocked, or
+    # grazing a rim from either side.
     env = Environment(WIDE, (Circle(Point2(0, 0), 1.0), Circle(Point2(5, 5), 1.0)))
-    clear = (np.array([[-10.0, -10.0], [-10.0, 10.0]]), np.array([[-10.0, 10.0], [10.0, 10.0]]))
+    starts = np.array([[-10.0, -10.0], [-10.0, 10.0], [-5.0, 0.0], [-5.0, 4.5],
+                       [-5.0, 1.0 + 1e-12], [-5.0, 1.0 - 1e-12], [-5.0, 1.0]])
+    ends = np.array([[-10.0, 10.0], [10.0, 10.0], [5.0, 0.0], [10.0, 4.5],
+                     [5.0, 1.0 + 1e-12], [5.0, 1.0 - 1e-12], [5.0, 1.0]])
     field = CountingField(env)
-    assert field.blocked_lengths(*clear).tolist() == [0.0, 0.0]
+    got = field.blocked_lengths(starts, ends)
     assert field.calls == []
-    # One row through the first disk: its three pieces are classified,
-    # the two clear rows are not.
-    starts = np.vstack([clear[0], [[-5.0, 0.0]]])
-    ends = np.vstack([clear[1], [[5.0, 0.0]]])
-    assert field.blocked_lengths(starts, ends).tolist() == [0.0, 0.0, pytest.approx(2.0)]
-    assert field.calls == [3]
-    # Rows grazing a rim within the margin take the exact pass too.
-    field.calls.clear()
-    graze = 1.0 + 1e-12
-    assert field.blocked_lengths(np.array([[-5.0, graze]]),
-                                 np.array([[5.0, graze]])).tolist() == [0.0]
-    assert field.calls == [1]
+    assert got.tolist() == reference_union_lengths(env, starts, ends).tolist()
+    assert [got[i] for i in (0, 1, 4, 6)] == [0.0] * 4
+    assert got[2] == pytest.approx(2.0)
+    assert got[3] == pytest.approx(2.0 * math.sqrt(0.75))
+    assert 0.0 < got[5] < 1e-5
+    # A row that leaves the bounds takes the cut pass: its two pieces
+    # either side of x = 12 are classified.
+    assert field.blocked_lengths(np.array([[10.0, 0.0]]),
+                                 np.array([[15.0, 0.0]])).tolist() == [pytest.approx(3.0)]
+    assert field.calls == [2]
 
 
 # --- obstacle boxes against the full walks ----------------------------------
@@ -529,13 +617,17 @@ def test_free_matches_point_free_across_point_blocks():
     assert CollisionField(env).free(pts).tolist() == want
 
 
+def _thousand_disks(rng):
+    disks = tuple(Circle(Point2(*c), r) for c, r in zip(rng.uniform(-38.0, 38.0, (1000, 2)).tolist(),
+                                                         rng.uniform(0.3, 1.5, 1000).tolist()))
+    return Environment(Bounds(-40.0, 40.0, -40.0, 40.0), disks)
+
+
 def test_free_runs_the_disk_pass_in_bounded_point_blocks():
     # One (points x disks) array of doubles would take 24 MB here; a
     # 10,000-disk PSO field asked for 24.6 GiB.
     rng = np.random.default_rng(5)
-    disks = tuple(Circle(Point2(*c), r) for c, r in zip(rng.uniform(-38.0, 38.0, (1000, 2)).tolist(),
-                                                         rng.uniform(0.3, 1.5, 1000).tolist()))
-    env = Environment(Bounds(-40.0, 40.0, -40.0, 40.0), disks)
+    env = _thousand_disks(rng)
     pts = rng.uniform(-41.0, 41.0, size=(3000, 2))
     field = CollisionField(env)
     tracemalloc.start()
@@ -548,6 +640,27 @@ def test_free_runs_the_disk_pass_in_bounded_point_blocks():
     assert 0 < want.count(False) < len(want)
     assert got.tolist() == want
     assert peak < 1 << 20
+
+
+def test_disk_union_runs_in_bounded_pair_blocks():
+    # One (disks x rows) array of doubles would take 2.4 MB here, one PSO
+    # batch; a 10,000-disk field took 370 MB with such arrays.
+    rng = np.random.default_rng(6)
+    env = _thousand_disks(rng)
+    starts = rng.uniform(-40.0, 40.0, size=(300, 2))
+    ends = rng.uniform(-40.0, 40.0, size=(300, 2))
+    ends[:150] = np.clip(starts[:150] + rng.uniform(-4.0, 4.0, (150, 2)), -40.0, 40.0)
+    field = CollisionField(env)
+    tracemalloc.start()
+    try:
+        got = field.blocked_lengths(starts, ends)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    want = reference_union_lengths(env, starts, ends)
+    assert 0 < np.count_nonzero(want) < len(want)
+    assert got.tobytes() == want.tobytes()
+    assert peak < 2 << 20
 
 
 @st.composite
@@ -574,7 +687,7 @@ def pso_batches(draw, kind):
 @given(data=st.data())
 def test_pso_sized_batches_match_the_oracle(kind, data):
     env, starts, ends = data.draw(pso_batches(kind))
-    want = reference_blocked_lengths(env, starts, ends)
+    want = reference_union_lengths(env, starts, ends)
     assert np.count_nonzero(want)
     assert CollisionField(env).blocked_lengths(starts, ends).tobytes() == want.tobytes()
 
@@ -641,7 +754,7 @@ def box_edge_batches(draw, env):
 def test_box_skips_match_the_oracles_at_box_edges(kind, data):
     env = data.draw(fields(kind))
     starts, ends = data.draw(box_edge_batches(env))
-    want = reference_blocked_lengths(env, starts, ends)
+    want = reference_union_lengths(env, starts, ends)
     assert CollisionField(env).blocked_lengths(starts, ends).tolist() == want.tolist()
     for a, b in zip(starts.tolist(), ends.tolist()):
         assert edge_free(a, b, env) == reference_edge_free(a, b, env)
