@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import heapq
-import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -21,7 +20,7 @@ import numpy as np
 
 from .environment import (DEFAULT_BOUNDS, Environment, Query, check_query,
                           check_random_field, generate_random_env,
-                          irregular_preset, validate_query)
+                          irregular_preset, validate_query, write_json)
 from .errors import InvalidQueryError
 from .geometry import Bounds, Point2, dist, edge_free
 from .pso import PsoParams, plan_pso
@@ -340,8 +339,11 @@ def grid_oracle(env: Environment, query: Query, resolution: float = 0.5) -> floa
 
 # --- durable record formats ---------------------------------------------
 
-RESULT_FIELDS = ("planner", "seed", "case_id", "feasible", "length",
-                 "elapsed_s", "iterations_used", "closest_approach")
+#: The results.csv columns, each with the parser read_results_csv applies.
+_RESULT_PARSERS = {"planner": str, "seed": int, "case_id": str,
+                   "feasible": lambda v: v == "true", "length": float, "elapsed_s": float,
+                   "iterations_used": int, "closest_approach": float}
+RESULT_FIELDS = tuple(_RESULT_PARSERS)
 
 
 def result_record(result: PlanResult, case_id: str = "") -> dict:
@@ -366,44 +368,32 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_results_csv(path, records: Sequence[dict]) -> None:
-    """Write result records as CSV; floats carry six decimal places."""
+def _write_csv(path, header: Sequence[str], rows) -> None:
+    """Write `header` and then `rows`, each cell formatted by `_fmt`."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(RESULT_FIELDS)
-        for rec in records:
-            writer.writerow([_fmt(rec[k]) for k in RESULT_FIELDS])
+        writer.writerow(header)
+        writer.writerows([_fmt(v) for v in row] for row in rows)
+
+
+def write_results_csv(path, records: Sequence[dict]) -> None:
+    """Write result records as CSV; floats carry six decimal places."""
+    _write_csv(path, RESULT_FIELDS, ([rec[k] for k in RESULT_FIELDS] for rec in records))
 
 
 def read_results_csv(path) -> list[dict]:
     """Inverse of write_results_csv (floats parsed back, bools restored)."""
-    out = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
-            out.append({
-                "planner": row["planner"],
-                "seed": int(row["seed"]),
-                "case_id": row["case_id"],
-                "feasible": row["feasible"] == "true",
-                "length": float(row["length"]),
-                "elapsed_s": float(row["elapsed_s"]),
-                "iterations_used": int(row["iterations_used"]),
-                "closest_approach": float(row["closest_approach"]),
-            })
-    return out
+        return [{k: parse(row[k]) for k, parse in _RESULT_PARSERS.items()}
+                for row in csv.DictReader(fh)]
 
 
 def write_table1_csv(path, rows: Sequence[CaseRow]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["case_id", "planner", "start_x", "start_y",
-                         "target_x", "target_y", "feasible", "length"])
-        for r in rows:
-            writer.writerow([r.case_id, r.planner_id, _fmt(r.start.x),
-                             _fmt(r.start.y), _fmt(r.target.x), _fmt(r.target.y),
-                             _fmt(r.feasible), _fmt(r.length)])
+    _write_csv(path, ("case_id", "planner", "start_x", "start_y",
+                      "target_x", "target_y", "feasible", "length"),
+               ([r.case_id, r.planner_id, *r.start, *r.target, r.feasible, r.length]
+                for r in rows))
 
 
 def write_summary(path, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload, indent=2) + "\n")
+    write_json(path, payload)

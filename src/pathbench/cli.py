@@ -35,13 +35,15 @@ which needs the config's query. For a random field, `plan` draws it from
 draws each trial's field from that trial's seed and rejects
 `environment.seed`; `table1` rejects kind "random" and a config `query`
 (it runs its own ten). `n_obstacles` is at most 10,000.
+
+Every JSON file written is strict JSON: an infeasible run's `result.json`
+has `"length": null` and `"path": null`, and `render --results` skips it.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 from dataclasses import dataclass
@@ -50,14 +52,13 @@ from typing import Optional, Sequence
 from .benchmark import (EnvSource, RandomEnvFactory, plan_once,
                         result_record, run_trials, summarize, table1_suite,
                         write_results_csv, write_summary, write_table1_csv)
-from .environment import (Query, _point_from, _reject_unknown,
-                          environment_from_dict, irregular_preset,
-                          load_environment, preset_names, query_from_dict,
-                          read_json)
+from .environment import (Query, _object, _point_from, environment_from_dict,
+                          irregular_preset, load_environment, preset_names,
+                          query_from_dict, read_json, write_json)
 from .errors import FormatError, PathbenchError
 from .pso import PsoParams
 from .render import environment_svg
-from .result import PlanResult, is_integer
+from .result import is_integer
 from .rrtstar import RrtParams
 
 SEED_ENV_VAR = "PATHBENCH_SEED"
@@ -92,12 +93,10 @@ def _as_int(value, where: str, minimum: Optional[int] = None) -> int:
 
 def _parse_environment(doc, query: Optional[Query]):
     """Return (environment, query, env_seed); the config's query wins."""
-    if not isinstance(doc, dict) or "kind" not in doc:
-        raise FormatError("environment must be an object with a 'kind'")
-    kind = doc["kind"]
+    kind = _object(doc, "environment", doc, ("kind",))["kind"]
     if kind == "random":
-        _reject_unknown(doc, {"kind", "seed", "n_obstacles", "radius_range",
-                              "bounds", "clearance"}, "environment")
+        _object(doc, "environment", ("kind", "seed", "n_obstacles", "radius_range",
+                                     "bounds", "clearance"))
         seed = _as_int(doc["seed"], "environment.seed", 0) if "seed" in doc else None
         if query is None:
             raise FormatError("a random environment needs an explicit query")
@@ -105,18 +104,16 @@ def _parse_environment(doc, query: Optional[Query]):
         given = {k: v for k, v in doc.items() if k not in ("kind", "seed")}
         return RandomEnvFactory(query=query, **given), query, seed
     if kind == "preset":
-        _reject_unknown(doc, {"kind", "name"}, "environment")
-        name = doc.get("name", "irregular-a")
+        name = _object(doc, "environment", ("kind", "name")).get("name", "irregular-a")
         if name not in preset_names():
             raise FormatError(f"unknown preset {name!r}; available: {', '.join(preset_names())}")
         env, own_query = irregular_preset(name)
         source = f"preset {name}"
     elif kind == "file":
-        _reject_unknown(doc, {"kind", "path"}, "environment")
-        if not doc.get("path"):
+        source = _object(doc, "environment", ("kind", "path")).get("path")
+        if not source:
             raise FormatError("environment kind 'file' needs a 'path'")
-        source = str(doc["path"])
-        env, own_query = load_environment(source)
+        env, own_query = load_environment(str(source))
     elif kind == "inline":
         env, own_query = environment_from_dict({k: v for k, v in doc.items() if k != "kind"})
         source = "inline environment"
@@ -129,10 +126,7 @@ def _parse_environment(doc, query: Optional[Query]):
 
 
 def _parse_params(doc, defaults, where: str):
-    if not isinstance(doc, dict):
-        raise FormatError(f"{where} must be an object")
-    allowed = {f.name for f in dataclasses.fields(defaults)} - {"rng_seed"}
-    _reject_unknown(doc, allowed, where)
+    _object(doc, where, {f.name for f in dataclasses.fields(defaults)} - {"rng_seed"})
     # The parameter records check their own field types and ranges.
     try:
         return dataclasses.replace(defaults, **doc)
@@ -141,10 +135,8 @@ def _parse_params(doc, defaults, where: str):
 
 
 def parse_config(doc: dict) -> ScenarioConfig:
-    if not isinstance(doc, dict):
-        raise FormatError("config must be a JSON object")
-    _reject_unknown(doc, {"environment", "query", "rrtstar", "pso",
-                          "trials", "base_seed", "out"}, "config")
+    _object(doc, "config", ("environment", "query", "rrtstar", "pso",
+                            "trials", "base_seed", "out"))
     query = query_from_dict(doc["query"]) if "query" in doc else None
     environment, query, env_seed = _parse_environment(
         doc.get("environment", {"kind": "preset"}), query)
@@ -179,18 +171,15 @@ def _effective_seed(cfg: ScenarioConfig, flag_seed: Optional[int]) -> int:
     return seed
 
 
-def _plan_json(result: PlanResult) -> dict:
-    record = result_record(result)
-    del record["case_id"]
-    return {**record,
-            "path": [[p.x, p.y] for p in result.path] if result.path else None,
-            "params": result.params}
-
-
-def _ensure_out(cfg: ScenarioConfig, flag_out: Optional[str]) -> str:
-    out = flag_out or cfg.out
+def _ensure_out(out: str) -> str:
     os.makedirs(out, exist_ok=True)
     return out
+
+
+def _write_svg(path: str, env, query: Query, paths) -> str:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(environment_svg(env, query=query, paths=paths))
+    return path
 
 
 def cmd_plan(args) -> int:
@@ -202,13 +191,15 @@ def cmd_plan(args) -> int:
     planner = args.planner or "rrtstar"
     result = plan_once(env, query, planner,
                        cfg.rrtstar if planner == "rrtstar" else cfg.pso, seed)
-    out = _ensure_out(cfg, args.out)
-    write_results_csv(os.path.join(out, "result.csv"), [result_record(result)])
-    with open(os.path.join(out, "result.json"), "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(_plan_json(result), indent=2) + "\n")
-    paths = [result.path] if result.path else []
-    with open(os.path.join(out, "plan.svg"), "w", encoding="utf-8") as fh:
-        fh.write(environment_svg(env, query=query, paths=paths))
+    out = _ensure_out(args.out or cfg.out)
+    record = result_record(result)
+    write_results_csv(os.path.join(out, "result.csv"), [record])
+    del record["case_id"]
+    path = [[p.x, p.y] for p in result.path] if result.path else None
+    write_json(os.path.join(out, "result.json"),
+               {**record, "length": result.length if path else None,
+                "path": path, "params": result.params})
+    _write_svg(os.path.join(out, "plan.svg"), env, query, [result.path] if path else [])
     if result.feasible:
         print(f"{planner}: feasible, length {result.length:.4f} "
               f"({result.iterations_used} iterations, {result.elapsed:.2f}s)")
@@ -239,7 +230,7 @@ def cmd_bench(args) -> int:
         feas = f"{stats.n_feasible}/{stats.n_trials}"
         print(f"{planner}: {feas} feasible, mean length {stats.mean_length:.4f}, "
               f"median time {stats.median_time:.2f}s")
-    out = _ensure_out(cfg, args.out)
+    out = _ensure_out(args.out or cfg.out)
     write_results_csv(os.path.join(out, "results.csv"), records)
     write_summary(os.path.join(out, "summary.json"), report)
     return 0
@@ -256,7 +247,7 @@ def cmd_table1(args) -> int:
     rows = table1_suite(env=cfg.environment,
                         specs=[("rrtstar", cfg.rrtstar), ("pso", cfg.pso)],
                         seed=seed)
-    out = _ensure_out(cfg, args.out)
+    out = _ensure_out(args.out or cfg.out)
     write_table1_csv(os.path.join(out, "table1.csv"), rows)
     for row in rows:
         length = f"{row.length:.4f}" if row.feasible else "-"
@@ -272,20 +263,14 @@ def cmd_render(args) -> int:
         doc = read_json(args.results)
         entries = doc if isinstance(doc, list) else [doc]
         for entry in entries:
-            if not isinstance(entry, dict) or "path" not in entry:
-                raise FormatError(f"{args.results}: expected result records with a 'path'")
-            path = entry["path"]
+            path = _object(entry, f"{args.results}: result record", entry, ("path",))["path"]
+            if path is not None and not isinstance(path, list):
+                raise FormatError(f"{args.results}: a path must be a list of "
+                                  f"[x, y] points or null, got {path!r}")
             if path:
-                if not isinstance(path, list):
-                    raise FormatError(f"{args.results}: a path must be a list of "
-                                      f"[x, y] points, got {path!r}")
                 paths.append([_point_from(p, f"{args.results}: path point") for p in path])
-    out = args.out or "output"
-    os.makedirs(out, exist_ok=True)
-    target = os.path.join(out, "render.svg")
-    with open(target, "w", encoding="utf-8") as fh:
-        fh.write(environment_svg(env, query=query, paths=paths))
-    print(target)
+    out = _ensure_out(args.out or "output")
+    print(_write_svg(os.path.join(out, "render.svg"), env, query, paths))
     return 0
 
 

@@ -12,7 +12,8 @@ is JSON with exactly these fields::
       "query": {"start": [x, y], "target": [x, y]}   // optional
     }
 
-Unknown fields are rejected rather than ignored.
+Unknown fields are rejected rather than ignored. JSON files are read by
+`read_json` and written by `write_json`, as strict JSON: no NaN or Infinity.
 """
 
 from __future__ import annotations
@@ -220,64 +221,62 @@ def _point_from(doc, what: str) -> Point2:
     return Point2(float(doc[0]), float(doc[1]))
 
 
-def _reject_unknown(doc: dict, allowed: set[str], where: str) -> None:
-    unknown = set(doc) - allowed
+def _object(doc, where: str, allowed, required=()) -> dict:
+    """Return `doc` if it is an object with no field outside `allowed` and all of `required`.
+
+    An object whose fields depend on its kind passes itself as `allowed` to read the kind.
+    """
+    if not isinstance(doc, dict):
+        raise FormatError(f"{where} must be an object, got {type(doc).__name__}")
+    unknown = set(doc) - set(allowed)
     if unknown:
         raise FormatError(f"unknown field(s) {sorted(unknown)} in {where}")
+    missing = [name for name in required if name not in doc]
+    if missing:
+        raise FormatError(f"{where} is missing field(s) {missing}")
+    return doc
 
 
 def query_from_dict(doc) -> Query:
     """Parse a {"start": [x, y], "target": [x, y]} query object."""
-    if not isinstance(doc, dict):
-        raise FormatError("query must be an object")
-    _reject_unknown(doc, {"start", "target"}, "query")
-    if "start" not in doc or "target" not in doc:
-        raise FormatError("query needs both 'start' and 'target'")
+    doc = _object(doc, "query", ("start", "target"), ("start", "target"))
     return Query(_point_from(doc["start"], "query start"),
                  _point_from(doc["target"], "query target"))
 
 
 def environment_from_dict(doc: dict) -> tuple[Environment, Optional[Query]]:
     """Parse an environment document; unknown fields are an error."""
-    if not isinstance(doc, dict):
-        raise FormatError(f"environment document must be an object, got {type(doc).__name__}")
-    _reject_unknown(doc, {"bounds", "obstacles", "query"}, "environment document")
-    if "bounds" not in doc:
-        raise FormatError("environment document is missing 'bounds'")
+    _object(doc, "environment document", ("bounds", "obstacles", "query"), ("bounds",))
     bounds = _check_bounds(doc["bounds"])
+    entries = doc.get("obstacles", [])
+    if not isinstance(entries, (list, tuple)):
+        raise FormatError(f"obstacles must be a list, got {entries!r}")
 
     obstacles: list[Obstacle] = []
-    for i, entry in enumerate(doc.get("obstacles", [])):
-        if not isinstance(entry, dict) or "kind" not in entry:
-            raise FormatError(f"obstacle {i} must be an object with a 'kind'")
-        kind = entry["kind"]
+    for i, entry in enumerate(entries):
+        where = f"obstacle {i}"
+        kind = _object(entry, where, entry, ("kind",))["kind"]
         if kind == "circle":
-            _reject_unknown(entry, {"kind", "center", "radius"}, f"obstacle {i}")
-            try:
-                center = _point_from(entry["center"], f"obstacle {i} center")
-                radius = entry["radius"]
-            except KeyError as exc:
-                raise FormatError(f"obstacle {i} is missing {exc}") from None
+            _object(entry, where, ("kind", "center", "radius"), ("center", "radius"))
+            center = _point_from(entry["center"], f"{where} center")
+            radius = entry["radius"]
             if not is_real(radius):
-                raise FormatError(f"obstacle {i} radius must be a number, got {radius!r}")
+                raise FormatError(f"{where} radius must be a number, got {radius!r}")
             obstacles.append(Circle(center, float(radius)))
         elif kind == "polygon":
-            _reject_unknown(entry, {"kind", "vertices"}, f"obstacle {i}")
-            verts = entry.get("vertices")
+            verts = _object(entry, where, ("kind", "vertices"), ("vertices",))["vertices"]
             if not isinstance(verts, list):
-                raise FormatError(f"obstacle {i} needs a 'vertices' list")
-            obstacles.append(Polygon(tuple(_point_from(v, f"obstacle {i} vertex") for v in verts)))
+                raise FormatError(f"{where} needs a 'vertices' list")
+            obstacles.append(Polygon(tuple(_point_from(v, f"{where} vertex") for v in verts)))
         else:
-            raise FormatError(f"obstacle {i} has unknown kind {kind!r}")
+            raise FormatError(f"{where} has unknown kind {kind!r}")
 
     query = query_from_dict(doc["query"]) if "query" in doc else None
     return Environment(bounds, tuple(obstacles)), query
 
 
 def save_environment(path, env: Environment, query: Optional[Query] = None) -> None:
-    text = json.dumps(environment_to_dict(env, query), indent=2)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
+    write_json(path, environment_to_dict(env, query))
 
 
 def read_json(path):
@@ -289,13 +288,18 @@ def read_json(path):
             raise FormatError(f"{path}: not valid JSON ({exc})") from None
 
 
+def write_json(path, doc) -> None:
+    """Write `doc` to `path` as strict JSON: NaN and infinities are a ValueError."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(doc, indent=2, allow_nan=False) + "\n")
+
+
 def load_environment(path) -> tuple[Environment, Optional[Query]]:
     return environment_from_dict(read_json(path))
 
 
 def _load_preset_file(name: str) -> tuple[Environment, Query]:
-    text = resources.files("pathbench").joinpath(f"presets/{name}.json").read_text("utf-8")
-    env, query = environment_from_dict(json.loads(text))
+    env, query = load_environment(resources.files("pathbench") / "presets" / f"{name}.json")
     assert query is not None, f"preset {name} ships without a query"
     return env, query
 

@@ -131,6 +131,9 @@ def test_parse_config_resolves_the_environment(tmp_path):
     {"query": {"start": [10**400, 0.0], "target": [1.0, 1.0]}},
     {"environment": {"kind": "random", "clearance": float("nan")},
      "query": {"start": [0.0, 0.0], "target": [1.0, 1.0]}},
+    # These died with a TypeError from iterating the obstacles.
+    {"environment": dict(EMPTY_INLINE, obstacles=5)},
+    {"environment": dict(EMPTY_INLINE, obstacles=None)},
 ])
 def test_parse_config_rejections(doc):
     with pytest.raises(FormatError):
@@ -191,8 +194,11 @@ def test_plan_infeasible_exits_one(tmp_path, capsys):
     code = main(["plan", "--config", cfg, "--out", str(tmp_path / "run")])
     assert code == 1
     assert "no feasible path" in capsys.readouterr().out
-    result = json.loads((tmp_path / "run" / "result.json").read_text(encoding="utf-8"))
+    # Strict JSON: the length was written as a bare NaN.
+    result = json.loads((tmp_path / "run" / "result.json").read_text(encoding="utf-8"),
+                        parse_constant=lambda name: pytest.fail(f"{name} in result.json"))
     assert result["feasible"] is False
+    assert result["length"] is None
     assert result["path"] is None
 
 
@@ -474,9 +480,11 @@ def test_render_rejects_malformed_results(tmp_path, capsys):
     assert "path" in capsys.readouterr().err
 
 
+# Only null means "no path"; the falsy values after "not a path" drew nothing.
 @pytest.mark.parametrize("path", [[[1.0], [2.0, 3.0]], [[0.0, True]],
-                                  [["1", "2"]], "not a path"],
-                         ids=["short-point", "boolean", "strings", "not-a-list"])
+                                  [["1", "2"]], "not a path", 0, False, {}, ""],
+                         ids=["short-point", "boolean", "strings", "not-a-list",
+                              "zero", "false", "empty-object", "empty-string"])
 def test_render_rejects_malformed_path_points(tmp_path, capsys, path):
     env_path = tmp_path / "env.json"
     save_environment(env_path, Environment(Bounds(-5.0, 5.0, -5.0, 5.0), ()))

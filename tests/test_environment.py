@@ -1,13 +1,16 @@
 """Environment generation, presets, validation, and the file format."""
 
+import ast
 import hashlib
 import json
 import math
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pathbench
 from pathbench.benchmark import RandomEnvFactory
 from pathbench.environment import (DEFAULT_BOUNDS, MAX_OBSTACLES, Environment,
                                    Query, environment_from_dict, environment_to_dict,
@@ -263,6 +266,9 @@ def test_malformed_documents():
                                "obstacles": [{"kind": "circle", "center": [0, 0]}]})
     with pytest.raises(FormatError):
         environment_from_dict({"bounds": [0, 1, 0, 1], "query": {"start": [0, 0]}})
+    for obstacles in (5, None):  # each was a TypeError
+        with pytest.raises(FormatError):
+            environment_from_dict({"bounds": [0, 1, 0, 1], "obstacles": obstacles})
 
 
 def test_boolean_coordinates_are_rejected():
@@ -307,3 +313,26 @@ def test_load_rejects_bad_json(tmp_path):
     bad.write_text("{not json", encoding="utf-8")
     with pytest.raises(FormatError):
         load_environment(bad)
+
+
+def test_each_file_format_has_one_reader_and_one_writer():
+    # A second JSON writer is how result.json came to hold a bare NaN. Only
+    # these functions may call the json and csv codecs.
+    owners = {"read_json", "write_json", "_write_csv"}
+    codecs = {"json": {"dump", "dumps", "load", "loads"}, "csv": {"writer"}}
+    strays = []
+    for source in sorted(Path(pathbench.__file__).parent.rglob("*.py")):
+        tree = ast.parse(source.read_text(encoding="utf-8"))
+        owned = {id(node) for fn in ast.walk(tree)
+                 if isinstance(fn, ast.FunctionDef) and fn.name in owners
+                 for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module in codecs:
+                strays.append(f"{source.name}:{node.lineno}: from {node.module} import")
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and isinstance(node.func.value, ast.Name)
+                  and node.func.attr in codecs.get(node.func.value.id, ())
+                  and id(node) not in owned):
+                strays.append(f"{source.name}:{node.lineno}: "
+                              f"{node.func.value.id}.{node.func.attr}")
+    assert strays == []
