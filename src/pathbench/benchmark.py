@@ -2,9 +2,9 @@
 
 The oracle, a feasibility check and near-optimal length yardstick, runs
 its own A* over an 8-connected grid. Only its cell test is shared: cells
-are classified by `CollisionField.free`, as are the piece midpoints of
-the cut pass in PSO's `blocked_lengths` (segments out of bounds or near
-a polygon).
+are classified by `CollisionField.free`, whose polygon ray cast PSO's
+`blocked_lengths` also runs on the pieces between polygon edge
+crossings.
 """
 
 from __future__ import annotations
@@ -263,8 +263,8 @@ def audit_path(path: Sequence[Sequence[float]], env: Environment) -> bool:
 def grid_oracle(env: Environment, query: Query, resolution: float = 0.5) -> float:
     """Shortest 8-connected grid path length between the query endpoints.
 
-    Cells are free when their centers pass `CollisionField.free`, PSO's
-    midpoint classifier; the search shares nothing with the planners.
+    Cells are free when their centers pass `CollisionField.free`; the
+    search shares nothing with the planners.
     Straight moves cost `resolution`, diagonal moves sqrt(2) * resolution.
     Endpoints snap to the nearest free cell center within a 3-cell window
     (an error if none exists). Returns math.inf when the goal is unreachable.

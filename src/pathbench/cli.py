@@ -111,9 +111,9 @@ def _parse_environment(doc, query: Optional[Query]):
         source = f"preset {name}"
     elif kind == "file":
         source = _object(doc, "environment", ("kind", "path")).get("path")
-        if not source:
-            raise FormatError("environment kind 'file' needs a 'path'")
-        env, own_query = load_environment(str(source))
+        if not (isinstance(source, str) and source):
+            raise FormatError(f"environment.path must be a non-empty string, got {source!r}")
+        env, own_query = load_environment(source)
     elif kind == "inline":
         env, own_query = environment_from_dict({k: v for k, v in doc.items() if k != "kind"})
         source = "inline environment"

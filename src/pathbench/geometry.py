@@ -16,10 +16,8 @@ box misses the box of the segment under test; the field's docstring
 argues why no skipped obstacle could have blocked. `point_free` is
 `CollisionField.free` on one point.
 
-`CollisionField.blocked_lengths` measures a segment in bounds and clear
-of every polygon's widened box as the union of its disks' open root
-intervals; every other segment is cut at every crossing and each piece
-is classified by its midpoint.
+`CollisionField.blocked_lengths` measures each segment's union of open
+intervals out of bounds, inside a disk and inside a polygon.
 """
 
 from __future__ import annotations
@@ -100,7 +98,7 @@ class Polygon:
         for i in range(n):
             a1, a2 = verts[i], verts[(i + 1) % n]
             for j in range(i + 1, n):
-                if j == i or (j + 1) % n == i or (i + 1) % n == j:
+                if (j + 1) % n == i or (i + 1) % n == j:
                     continue
                 b1, b2 = verts[j], verts[(j + 1) % n]
                 if segments_intersect(a1, a2, b1, b2):
@@ -182,8 +180,7 @@ def segments_intersect(p1, p2, q1, q2) -> bool:
 def point_in_polygon(p: Sequence[float], vertices: Sequence[Sequence[float]]) -> bool:
     """Even-odd (ray casting) containment test.
 
-    Points exactly on the boundary may land on either side; callers that
-    care keep a tolerance band around edges.
+    Points exactly on the boundary may land on either side.
     """
     px, py = p[0], p[1]
     inside = False
@@ -319,11 +316,10 @@ class CollisionField:
     polygon, with the polygon's own vertices and their (v_i, v_i+1)
     pairs, the closing edge last. For the batch tests, as arrays:
     `disk_x`, `disk_y` and `disk_r2`, each a column with one row per
-    circle; `vertex_xy`,
-    `vertex_prev` (the vertex before, cyclically) and `edge_vec` (to the
-    vertex after) per polygon vertex, all polygons in one array,
-    `polygon_starts` giving each polygon's first row; `polygon_boxes` as
-    x_lo, x_hi, y_lo, y_hi rows.
+    circle; `vertex_xy`, `vertex_prev` (the vertex before, cyclically) and
+    `edge_vec` (to the vertex after) per polygon vertex, all polygons in
+    one array, `polygon_starts` giving each polygon's first row;
+    `polygon_boxes` as x_lo, x_hi, y_lo, y_hi rows.
 
     Each box is the obstacle's bounding box widened on every side by a
     margin of NEAR_MARGIN * (1 + S), S the largest magnitude of a bound
@@ -333,10 +329,9 @@ class CollisionField:
     for such a segment. A skipped obstacle cannot block:
 
     * Every point a test computes with (an endpoint; the point a + t(b - a),
-      t in [0, 1], that gives a disk distance; a piece midpoint that a
-      cut pass would classify) lies in the tested box up to a few
-      roundings of numbers below 4S, far less than the margin: the tests
-      take only points in bounds, whose coordinates S bounds too.
+      t in [0, 1], that gives a disk distance; a piece midpoint) lies in
+      the tested box up to a few roundings of numbers below 4S, far less
+      than the margin, when the segment is in bounds, as S bounds it too.
     * So in some axis the point lies outside the obstacle's exact box by
       more than rounding. Its computed distance to a disk's center then
       exceeds r (an overflow gives inf or nan, which compare as clear). A
@@ -380,64 +375,57 @@ class CollisionField:
 
     def free(self, points: np.ndarray) -> np.ndarray:
         """points: (N, 2) array -> boolean (N,) mask of free points."""
-        pts = np.asarray(points, dtype=np.float64)
-        px = pts[:, 0]
-        py = pts[:, 1]
+        px, py = np.asarray(points, dtype=np.float64).reshape(-1, 2).T
         b = self.bounds
-        ok = ((px >= b.x_min) & (px <= b.x_max)
-              & (py >= b.y_min) & (py <= b.y_max))
-        # Points go in blocks of about 2^14 (point, disk or edge) pairs, so
-        # the temporaries stay in cache and small on maps with many obstacles.
-        # Polygons: ray casting over every edge at once, vertex i and the one
-        # before it as in point_in_polygon; each polygon's parity says inside.
-        rows = max(1, (1 << 14) // max(1, len(self.disks) + len(self.vertex_xy)))
-        xi, yi = self.vertex_xy[:, 0], self.vertex_xy[:, 1]
-        yj = self.vertex_prev[:, 1]
-        back_x, back_y = self.vertex_prev[:, 0] - xi, yj - yi
-        for k in range(0, len(px), rows):
-            if self.disks:
-                dx = px[k:k + rows] - self.disk_x
-                dy = py[k:k + rows] - self.disk_y
-                ok[k:k + rows] &= ~((dx * dx + dy * dy) < self.disk_r2).any(axis=0)
-            if self.polygons:
-                x, y = px[k:k + rows, None], py[k:k + rows, None]
-                crosses = (yi > y) != (yj > y)
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    hit = crosses & (x < back_x * (y - yi) / back_y + xi)
-                inside = np.logical_xor.reduceat(hit, self.polygon_starts, axis=1)
-                ok[k:k + rows] &= ~inside.any(axis=1)
-        return ok
+        return ((px >= b.x_min) & (px <= b.x_max) & (py >= b.y_min) & (py <= b.y_max)
+                & ~self._in_disk(px, py) & ~self._in_polygon(px, py))
+
+    def _in_disk(self, px, py):
+        """Mask of the points strictly inside some disk, in blocks of about
+        2^14 (point, disk) pairs, so temporaries stay small and in cache."""
+        inside = np.zeros(len(px), dtype=bool)
+        step = max(1, (1 << 14) // max(1, len(self.disks)))
+        for k in range(0, len(px) if self.disks else 0, step):
+            dx, dy = px[k:k + step] - self.disk_x, py[k:k + step] - self.disk_y
+            inside[k:k + step] = ((dx * dx + dy * dy) < self.disk_r2).any(axis=0)
+        return inside
+
+    def _in_polygon(self, px, py):
+        """Mask of the points inside some polygon, in blocks of about 2^14
+        (point, vertex) pairs: `point_in_polygon`'s ray cast over every edge
+        at once, vertex i and the one before it; each polygon's parity."""
+        inside = np.zeros(len(px), dtype=bool)
+        (xi, yi), (xj, yj) = self.vertex_xy.T, self.vertex_prev.T
+        step = max(1, (1 << 14) // max(1, len(xi)))
+        for k in range(0, len(px) if self.polygons else 0, step):
+            x, y = px[k:k + step, None], py[k:k + step, None]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                hit = ((yi > y) != (yj > y)) & (x < (xj - xi) * (y - yi) / (yj - yi) + xi)
+            inside[k:k + step] = np.logical_xor.reduceat(
+                hit, self.polygon_starts, axis=1).any(axis=1)
+        return inside
 
     def blocked_lengths(self, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
         """(N, 2) start and end points -> (N,) exact blocked length per segment.
 
-        A segment's blocked length is the length of it lying inside an
-        obstacle or out of bounds; overlapping obstacles count once. Rows
-        are answered in one of two ways.
+        The measure of the union of the open intervals of t in [0, 1] where
+        a + t(b - a) is out of bounds or inside an obstacle (so overlaps
+        count once), times the segment's `np.hypot` length; exactly 0.0 for
+        a segment that meets nothing, however its roots round.
 
-        The disk union answers a row whose endpoints are in bounds (so
-        finite), whose box misses every polygon's widened box (see the
-        class docstring) and whose squared length is at least 1e-100.
-        Only disks can block it, and the set of t in [0, 1] where
-        a + t(b - a) lies inside a disk is that disk's open root interval,
-        clipped to [0, 1]. The row's blocked length is the measure of the
-        union of those intervals times its `np.hypot` length: the
-        intervals are sorted, merged into runs where one starts at or
-        before the furthest end so far, and the runs' lengths added in
-        order onto 0.0. A row with no non-empty interval adds nothing, so
-        it is exactly 0.0 however its roots round. The disk pass runs in
-        blocks of about 2^14 (row, disk) pairs and keeps only the pairs
-        with a non-empty interval, so its memory follows the pairs that
-        meet.
+        * Bounds, for segments whose box leaves them: [0, t_in) and
+          (t_out, 1] around the part the slab method (Liang & Barsky)
+          keeps; all of [0, 1] if that is empty or b - a is not finite.
+        * Disks: each disk's open root interval, clipped to [0, 1]. The one
+          approximation: below a squared length of 1e-100 the quadratic
+          underflows, and the segment is blocked whole iff its midpoint is
+          strictly inside a disk, an error under its length (1e-50).
+        * Polygons, for segments whose box meets a polygon's widened box
+          (see the class docstring): the pieces between edge crossings
+          whose midpoint the ray cast puts inside.
 
-        Every other row takes the cut pass: it cuts the segment at every
-        parameter t where it crosses a disk rim, a polygon edge or a bound
-        line, so each piece between cuts is wholly free or wholly blocked
-        and its midpoint, classified by `free`, decides it. Each row keeps
-        every cut column, even a miss clamped onto t = 0 or t = 1: 0, 1,
-        four bound cuts, two per disk and one per polygon vertex. numpy
-        sums a row's pieces pairwise, grouped by column position, so
-        dropping or merging columns would round some sums differently.
+        The disk and polygon passes work in blocks of about 2^14 (segment,
+        obstacle) pairs and keep only what meets.
         """
         ax, ay = np.asarray(starts, dtype=np.float64).reshape(-1, 2).T.copy()
         ex, ey = np.asarray(ends, dtype=np.float64).reshape(-1, 2).T
@@ -445,115 +433,126 @@ class CollisionField:
         y_lo, y_hi = np.minimum(ay, ey), np.maximum(ay, ey)
         b = self.bounds
         # nan endpoints give nan box sides, which fail every comparison.
-        cut = ~((x_lo >= b.x_min) & (x_hi <= b.x_max)
-                & (y_lo >= b.y_min) & (y_hi <= b.y_max))
-        if self.polygons:
-            boxes = self.polygon_boxes
-            cut |= ((x_lo[:, None] <= boxes[:, 1]) & (x_hi[:, None] >= boxes[:, 0])
-                    & (y_lo[:, None] <= boxes[:, 3])
-                    & (y_hi[:, None] >= boxes[:, 2])).any(axis=1)
-        out = np.zeros(len(ax))
-        if not (self.disks or cut.any()):
-            return out
+        leaves = ~((x_lo >= b.x_min) & (x_hi <= b.x_max) & (y_lo >= b.y_min) & (y_hi <= b.y_max))
+        if not (self.disks or self.polygons or leaves.any()):
+            return np.zeros(len(ax))
         # Rows with nan or infinite endpoints are ordinary input here.
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             dx, dy = ex - ax, ey - ay
+            intervals = self._bound_intervals(leaves, ax, ay, dx, dy)
             if self.disks:
-                # Below 1e-100 the products of the disk quadratic underflow.
-                cut |= dx * dx + dy * dy < 1e-100
-                rows = np.flatnonzero(~cut)
-                out[rows] = self._disk_union(ax[rows], ay[rows], dx[rows], dy[rows])
-            if cut.any():
-                rows = np.flatnonzero(cut)
-                out[rows] = self._cut_pass(ax[rows], ay[rows], dx[rows], dy[rows])
-        return out
+                tiny = dx * dx + dy * dy < 1e-100
+                intervals += self._disk_intervals(np.flatnonzero(~tiny), ax, ay, dx, dy)
+                if tiny.any():
+                    tiny = np.flatnonzero(tiny)
+                    tiny = tiny[self._in_disk(ax[tiny] + 0.5 * dx[tiny], ay[tiny] + 0.5 * dy[tiny])]
+                    intervals.append((tiny, np.zeros(len(tiny)), np.ones(len(tiny))))
+            if self.polygons:
+                boxes = self.polygon_boxes
+                near = ((x_lo[:, None] <= boxes[:, 1]) & (x_hi[:, None] >= boxes[:, 0])
+                        & (y_lo[:, None] <= boxes[:, 3]) & (y_hi[:, None] >= boxes[:, 2]))
+                intervals += self._polygon_intervals(np.flatnonzero(near.any(axis=1)),
+                                                     ax, ay, dx, dy)
+            return _union_length(intervals, dx, dy)
 
-    def _disk_quadratic(self, ax, ay, dx, dy):
-        """dd and (disks, rows) arrays half_b and disc: |a + t d - c|^2 = r^2
-        has the roots (-half_b -+ sqrt(disc)) / dd in t."""
-        dd = dx * dx + dy * dy
-        fx = ax - self.disk_x
-        fy = ay - self.disk_y
-        half_b = fx * dx
-        half_b += fy * dy
-        # In place, in the order of the written-out formula (so the same
-        # doubles): fx becomes dd (|a - c|^2 - r^2).
-        fx *= fx
-        fy *= fy
-        fx += fy
-        fx -= self.disk_r2
-        fx *= dd
-        disc = half_b * half_b
-        disc -= fx
-        return dd, half_b, disc
+    def _bound_intervals(self, leaves, ax, ay, dx, dy):
+        """[(row, lo, hi)]: the parts of the leaving rows out of bounds."""
+        if not leaves.any():
+            return []
+        rows, b = np.flatnonzero(leaves), self.bounds
+        t_in, t_out = 0.0, 1.0
+        for lo, hi, p, q in ((b.x_min, b.x_max, ax[rows], dx[rows]),
+                             (b.y_min, b.y_max, ay[rows], dy[rows])):
+            # Parallel to the slab, the cuts are infinite, or nan on its side
+            # lines, which fmax and fmin skip: no constraint.
+            lo, hi = (lo - p) / q, (hi - p) / q
+            t_in = np.fmax(t_in, np.minimum(lo, hi))
+            t_out = np.fmin(t_out, np.maximum(lo, hi))
+        whole = ~(np.isfinite(dx[rows]) & np.isfinite(dy[rows]) & (t_in < t_out))
+        t_in[whole] = t_out[whole] = 1.0
+        head, tail = t_in > 0.0, t_out < 1.0
+        return [(rows[head], np.zeros(np.count_nonzero(head)), t_in[head]),
+                (rows[tail], t_out[tail], np.ones(np.count_nonzero(tail)))]
 
-    def _disk_union(self, ax, ay, dx, dy):
-        """The disk union of `blocked_lengths` for the rows it answers."""
+    def _disk_intervals(self, rows, ax, ay, dx, dy):
+        """[(row, lo, hi)]: the non-empty disk root intervals of the rows."""
+        found = []
         step = max(1, (1 << 14) // len(self.disks))
-        row, lo, hi = [np.empty(0, dtype=np.intp)], [np.empty(0)], [np.empty(0)]
-        for k in range(0, len(ax), step):
-            dd, half_b, disc = self._disk_quadratic(ax[k:k + step], ay[k:k + step],
-                                                    dx[k:k + step], dy[k:k + step])
+        for k in range(0, len(rows), step):
+            r = rows[k:k + step]
+            # |a + t d - c|^2 = r^2 has the roots (-half_b -+ sqrt(disc)) / dd,
+            # on (disks, rows) arrays. In place, in the written-out formula's
+            # order (so the same doubles): fx becomes dd (|a - c|^2 - r^2).
+            dx_r, dy_r = dx[r], dy[r]
+            dd = dx_r * dx_r + dy_r * dy_r
+            fx, fy = ax[r] - self.disk_x, ay[r] - self.disk_y
+            half_b = fx * dx_r
+            half_b += fy * dy_r
+            fx *= fx
+            fy *= fy
+            fx += fy
+            fx -= self.disk_r2
+            fx *= dd
+            disc = half_b * half_b
+            disc -= fx
             # Only a positive discriminant can give a non-empty interval.
             hit = np.flatnonzero(disc > 0.0)
-            r = hit % len(dd)
-            half_b, root, dd = half_b.take(hit), np.sqrt(disc.take(hit)), dd[r]
+            i = hit % len(r)
+            half_b, root, dd = half_b.take(hit), np.sqrt(disc.take(hit)), dd[i]
             t0 = np.maximum((-half_b - root) / dd, 0.0)
             t1 = np.minimum((-half_b + root) / dd, 1.0)
             meet = t0 < t1
-            row.append(r[meet] + k)
-            lo.append(t0[meet])
-            hi.append(t1[meet])
-        # Sweep each row's interval ends in order. lexsort is stable and
-        # every opening end comes before every closing one, so at a tie
-        # opening ends go first and touching intervals merge into one run.
-        # Each row closes what it opens, so the count of open intervals is
-        # 0 between rows, goes 0 -> 1 at a run's start and 1 -> 0 at its end.
-        event_row = np.concatenate(row + row)
-        event_t = np.concatenate(lo + hi)
-        order = np.lexsort((event_t, event_row))
-        closes = order >= len(event_t) // 2
-        event_row, event_t = event_row[order], event_t[order]
-        depth = np.cumsum(np.where(closes, -1, 1))
-        run_end = depth == 0
-        run_start = (depth == 1) & ~closes
-        # bincount adds each row's runs one by one, in order, onto 0.0.
-        covered = np.bincount(event_row[run_end], minlength=len(ax),
-                              weights=event_t[run_end] - event_t[run_start])
-        return covered * np.hypot(dx, dy)
+            found.append((r[i[meet]], t0[meet], t1[meet]))
+        return found
 
-    def _cut_pass(self, ax, ay, dx, dy):
-        """The cut pass of `blocked_lengths` for the rows it answers."""
-        b = self.bounds
-        n_disks = len(self.disks)
-        t = np.empty((len(ax), 6 + 2 * n_disks + len(self.vertex_xy)))
-        t[:, :2] = 0.0, 1.0
-        # Misses, parallels and zero-length segments give nan or inf cuts,
-        # which the clamp below folds onto t = 0 or t = 1.
-        t[:, 2:4] = (np.array([b.x_min, b.x_max]) - ax[:, None]) / dx[:, None]
-        t[:, 4:6] = (np.array([b.y_min, b.y_max]) - ay[:, None]) / dy[:, None]
-        if n_disks:
-            dd, half_b, disc = self._disk_quadratic(ax, ay, dx, dy)
-            root = np.sqrt(disc)
-            t[:, 6:6 + 2 * n_disks] = np.vstack(((-half_b - root) / dd,
-                                                 (-half_b + root) / dd)).T
-        if self.polygons:
-            # a + t d = v + s e, kept where s lies on the edge.
-            vx, vy = self.vertex_xy[:, 0], self.vertex_xy[:, 1]
-            ux, uy = self.edge_vec[:, 0], self.edge_vec[:, 1]
-            wx, wy = vx - ax[:, None], vy - ay[:, None]
-            den = dx[:, None] * uy - dy[:, None] * ux
-            s = (wx * dy[:, None] - wy * dx[:, None]) / den
-            t[:, 6 + 2 * n_disks:] = np.where((s >= 0.0) & (s <= 1.0),
-                                              (wx * uy - wy * ux) / den, np.nan)
-        # fmin and fmax skip nan, so nan and inf go to 1 and -inf to 0.
-        np.fmin(t, 1.0, out=t)
-        np.fmax(t, 0.0, out=t)
-        t.sort(axis=1)
-        piece = t[:, 1:] - t[:, :-1]
-        keep = piece > 0.0
-        i, j = np.nonzero(keep)
-        u = t[i, j] + 0.5 * piece[i, j]
-        blocked = np.zeros(piece.shape, dtype=bool)
-        blocked[keep] = ~self.free(np.stack((ax[i] + u * dx[i], ay[i] + u * dy[i]), axis=1))
-        return (piece * blocked).sum(axis=1) * np.hypot(dx, dy)
+    def _polygon_intervals(self, rows, ax, ay, dx, dy):
+        """[(row, lo, hi)]: the pieces of the rows between their polygon
+        edge crossings whose midpoint the ray cast puts inside."""
+        (vx, vy), (ux, uy) = self.vertex_xy.T, self.edge_vec.T
+        row, cut = [rows, rows], [np.zeros(len(rows)), np.ones(len(rows))]
+        step = max(1, (1 << 14) // len(vx))
+        for k in range(0, len(rows), step):
+            # a + t d = v + s e, kept where s lies on the edge and t inside
+            # the segment. Parallels give nan or inf, which fail the test.
+            r = rows[k:k + step]
+            sx, sy = dx[r, None], dy[r, None]
+            wx, wy = vx - ax[r, None], vy - ay[r, None]
+            den = sx * uy - sy * ux
+            s = (wx * sy - wy * sx) / den
+            t = (wx * uy - wy * ux) / den
+            i, j = np.nonzero((s >= 0.0) & (s <= 1.0) & (t > 0.0) & (t < 1.0))
+            row.append(r[i])
+            cut.append(t[i, j])
+        row, cut = np.concatenate(row), np.concatenate(cut)
+        order = np.lexsort((cut, row))
+        row, cut = row[order], cut[order]
+        # Consecutive cuts of one row bound a piece.
+        piece = cut[1:] - cut[:-1]
+        keep = np.flatnonzero((row[1:] == row[:-1]) & (piece > 0.0))
+        row, lo, hi = row[keep], cut[keep], cut[keep + 1]
+        u = lo + 0.5 * piece[keep]
+        inside = self._in_polygon(ax[row] + u * dx[row], ay[row] + u * dy[row])
+        return [(row[inside], lo[inside], hi[inside])]
+
+
+def _union_length(intervals, dx, dy):
+    """The measure of each row's union of open intervals, from (row, lo,
+    hi) array triples with 0 <= lo < hi <= 1, times its `np.hypot` length."""
+    if not intervals:
+        return np.zeros(len(dx))
+    row, lo, hi = (np.concatenate(part) for part in zip(*intervals))
+    # Sweep each row's interval ends in order. lexsort is stable and
+    # every opening end comes before every closing one, so at a tie
+    # opening ends go first and touching intervals merge into one run.
+    # Each row closes what it opens, so the count of open intervals is
+    # 0 between rows, goes 0 -> 1 at a run's start and 1 -> 0 at its end.
+    event_row, event_t = np.concatenate((row, row)), np.concatenate((lo, hi))
+    order = np.lexsort((event_t, event_row))
+    closes = order >= len(row)
+    event_row, event_t = event_row[order], event_t[order]
+    depth = np.cumsum(np.where(closes, -1, 1))
+    run_end, run_start = depth == 0, (depth == 1) & ~closes
+    # bincount adds each row's runs one by one, in order, onto 0.0.
+    covered = np.bincount(event_row[run_end], minlength=len(dx),
+                          weights=event_t[run_end] - event_t[run_start])
+    return covered * np.hypot(dx, dy)

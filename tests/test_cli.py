@@ -102,6 +102,10 @@ def test_parse_config_resolves_the_environment(tmp_path):
     {"environment": {"kind": "teapot"}},
     {"environment": {"kind": "preset", "name": "nonesuch"}},
     {"environment": {"kind": "file"}},
+    # A path that is not a non-empty string: 7 loaded a file named "7".
+    {"environment": {"kind": "file", "path": 7}},
+    {"environment": {"kind": "file", "path": True}},
+    {"environment": {"kind": "file", "path": ""}},
     {"rrtstar": {"rng_seed": 5}},
     {"rrtstar": {"iterations": 10}},
     {"pso": {"max_iterations": 0}},
@@ -243,6 +247,19 @@ def test_nan_clearance_bench_exits_two(tmp_path, capsys):
     assert main(["bench", "--config", cfg, "--out", str(out), "--trials", "2"]) == 2
     assert capsys.readouterr().err.startswith("error:")
     assert not (out / "results.csv").exists()
+
+
+def test_a_file_path_that_is_not_a_string_exits_two(tmp_path, capsys, monkeypatch):
+    # A file named 7 in the working directory was loaded as the environment.
+    monkeypatch.chdir(tmp_path)
+    save_environment(tmp_path / "7", Environment(Bounds(-5.0, 5.0, -5.0, 5.0)),
+                     Query(Point2(0.0, 0.0), Point2(1.0, 1.0)))
+    for path in (7, True, ""):
+        cfg = write_config(tmp_path, {"environment": {"kind": "file", "path": path}})
+        assert main(["plan", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and "path" in err
+    assert not (tmp_path / "x").exists()
 
 
 def test_missing_config_exits_two(tmp_path, capsys):

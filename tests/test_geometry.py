@@ -267,6 +267,11 @@ def polygons(draw):
         for k, r in enumerate(radii)))
 
 
+#: A disk and a row tangent to it up to rounding.
+TANGENT_DISK = Circle(Point2(0.1418594964030806, 5.405564355911224), 0.7478065283346083)
+TANGENT_ROW = ((0.49838956270877044, 7.701438949529752), (-1.5400582402416354, 3.802658692759802))
+
+
 def _blocked(env, a, b):
     return float(CollisionField(env).blocked_lengths(np.array([a]), np.array([b]))[0])
 
@@ -311,6 +316,12 @@ def test_overlapping_disks_count_once():
 
 def test_blocked_length_counts_out_of_bounds():
     assert _blocked(Environment(WIDE), (10, 0), (15, 0)) == pytest.approx(3.0)
+    # The bounds are inclusive: a row along a bound line is in bounds
+    # until it passes the corner.
+    assert _blocked(Environment(WIDE), (12, 0), (12, 5)) == 0.0
+    assert _blocked(Environment(WIDE), (-5, -12), (0, -12)) == 0.0
+    assert _blocked(Environment(WIDE), (12, 0), (12, -20)) == 8.0
+    assert _blocked(Environment(WIDE), (13, 0), (13, 5)) == 5.0
 
 
 @PROPERTY
@@ -352,14 +363,15 @@ def test_path_violation_sees_a_shallow_chord():
     assert chord == pytest.approx(0.0894, abs=1e-4)
 
 
-# --- row skipping against the full pass -------------------------------------
+# --- the kernel against its oracles -----------------------------------------
 
 def cross(u, v):
     return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
 
 
 def reference_blocked_lengths(env, starts, ends):
-    """Oracle: the kernel before it skipped rows; every row is cut and classified."""
+    """The old cut-and-classify kernel: every row is cut at every bound line,
+    disk rim and polygon edge, and each piece is classified by its midpoint."""
     field = CollisionField(env)
     circles = [o for o in env.obstacles if isinstance(o, Circle)]
     circle_xy = np.array([[c.center.x, c.center.y] for c in circles],
@@ -398,32 +410,49 @@ def reference_blocked_lengths(env, starts, ends):
 
 
 def reference_union_lengths(env, starts, ends):
-    """Oracle: the disk union on plain floats, row by row.
+    """Oracle: every row's union of blocked intervals on plain floats.
 
-    A row in bounds, clear of every polygon's widened box and with a
-    squared length of at least 1e-100 is blocked on the union of its
-    disks' open root intervals, clipped to [0, 1]: sorted, then merged
-    while an interval starts at or before the furthest end so far. Every
-    other row comes from `reference_blocked_lengths`, which must find
-    nothing of a union row blocked by the bounds and polygons alone.
+    For a + t(b - a), t in [0, 1]: the slab clip keeps [t_in, t_out] in
+    bounds, and a row with nothing in bounds or a non-finite b - a is
+    blocked whole; each disk adds its open root interval clipped to
+    [0, 1], or for a row whose squared length is below 1e-100 all of
+    [0, 1] iff the midpoint is strictly inside it; and the row is cut at
+    every polygon edge it crosses, each piece whose midpoint
+    `point_in_polygon` puts inside a polygon blocked. The intervals are
+    sorted, merged while one starts at or before the furthest end so far,
+    and the runs' lengths added in order onto 0.0.
     """
-    field = CollisionField(env)
+    x_min, x_max, y_min, y_max = env.bounds
     circles = [(o.center.x, o.center.y, o.radius) for o in env.obstacles if isinstance(o, Circle)]
-    starts, ends = np.reshape(starts, (-1, 2)), np.reshape(ends, (-1, 2))
-    out = np.zeros(len(starts))
-    cut = []
-    for i, ((ax, ay), (ex, ey)) in enumerate(zip(starts.tolist(), ends.tolist())):
+    outlines = [o.vertices for o in env.obstacles if isinstance(o, Polygon)]
+    out = []
+    for (ax, ay), (ex, ey) in zip(np.reshape(starts, (-1, 2)).tolist(),
+                                  np.reshape(ends, (-1, 2)).tolist()):
         dx, dy = ex - ax, ey - ay
-        dd = dx * dx + dy * dy
-        x_lo, x_hi, y_lo, y_hi = min(ax, ex), max(ax, ex), min(ay, ey), max(ay, ey)
-        if (not (env.bounds.contains((ax, ay)) and env.bounds.contains((ex, ey)))
-                or dd < 1e-100
-                or any(x_lo <= p[1] and x_hi >= p[0] and y_lo <= p[3] and y_hi >= p[2]
-                       for p in field.polygons)):
-            cut.append(i)
+        length = float(np.hypot(dx, dy))
+        if not (math.isfinite(dx) and math.isfinite(dy)):
+            out.append(length)
             continue
-        intervals = []
+        t_in, t_out = 0.0, 1.0
+        for lo, hi, a, d in ((x_min, x_max, ax, dx), (y_min, y_max, ay, dy)):
+            if d != 0.0:
+                lo, hi = (lo - a) / d, (hi - a) / d
+                t_in, t_out = max(t_in, min(lo, hi)), min(t_out, max(lo, hi))
+            elif not lo <= a <= hi:
+                t_in = math.inf
+        if not t_in < t_out:
+            out.append(length)
+            continue
+        intervals = [(0.0, t_in)] if t_in > 0.0 else []
+        if t_out < 1.0:
+            intervals.append((t_out, 1.0))
+        dd = dx * dx + dy * dy
         for cx, cy, r in circles:
+            if dd < 1e-100:
+                mx, my = ax + 0.5 * dx - cx, ay + 0.5 * dy - cy
+                if mx * mx + my * my < r * r:
+                    intervals.append((0.0, 1.0))
+                continue
             fx, fy = ax - cx, ay - cy
             half_b = fx * dx + fy * dy
             disc = half_b * half_b - dd * (fx * fx + fy * fy - r * r)
@@ -432,6 +461,21 @@ def reference_union_lengths(env, starts, ends):
                 hi = min((-half_b + math.sqrt(disc)) / dd, 1.0)
                 if lo < hi:
                     intervals.append((lo, hi))
+        cuts = [0.0, 1.0]
+        for vs in outlines:
+            for (vx, vy), (nx, ny) in zip(vs, vs[1:] + vs[:1]):
+                ux, uy, wx, wy = nx - vx, ny - vy, vx - ax, vy - ay
+                den = dx * uy - dy * ux
+                if den != 0.0:
+                    s, t = (wx * dy - wy * dx) / den, (wx * uy - wy * ux) / den
+                    if 0.0 <= s <= 1.0 and 0.0 < t < 1.0:
+                        cuts.append(t)
+        cuts.sort()
+        for lo, hi in zip(cuts, cuts[1:]):
+            u = lo + 0.5 * (hi - lo)
+            if hi > lo and any(point_in_polygon((ax + u * dx, ay + u * dy), vs)
+                               for vs in outlines):
+                intervals.append((lo, hi))
         runs = []
         for lo, hi in sorted(intervals):
             if runs and lo <= runs[-1][1]:
@@ -441,13 +485,8 @@ def reference_union_lengths(env, starts, ends):
         covered = 0.0
         for lo, hi in runs:
             covered += hi - lo
-        out[i] = covered * float(np.hypot(dx, dy))
-    out[cut] = reference_blocked_lengths(env, starts[cut], ends[cut])
-    union = np.setdiff1d(np.arange(len(starts)), cut)
-    polygons_only = Environment(env.bounds, tuple(o for o in env.obstacles
-                                                  if isinstance(o, Polygon)))
-    assert not reference_blocked_lengths(polygons_only, starts[union], ends[union]).any()
-    return out
+        out.append(covered * length)
+    return np.array(out)
 
 
 def reference_edge_free(a, b, env):
@@ -540,29 +579,42 @@ def test_row_skip_and_disk_table_match_the_oracles(kind, data):
     env = data.draw(fields(kind))
     starts, ends = data.draw(segment_batches(env))
     want = reference_union_lengths(env, starts, ends)
-    assert CollisionField(env).blocked_lengths(starts, ends).tolist() == want.tolist()
+    got = CollisionField(env).blocked_lengths(starts, ends)
+    assert got.tolist() == want.tolist()
     for a, b in zip(starts.tolist(), ends.tolist()):
         assert edge_free(a, b, env) == reference_edge_free(a, b, env)
+    if kind in ("polygons", "empty"):
+        # Without disks the old cut-and-classify kernel differs from the
+        # union only by rounding: its pieces were summed column by column.
+        lengths = np.hypot(*(ends - starts).T)
+        old = reference_blocked_lengths(env, starts, ends)
+        assert (np.abs(got - old) <= 1e-12 * np.maximum(1.0, lengths)).all()
 
 
-@pytest.mark.parametrize("disk, a, b, want", [
-    # Tangent up to rounding: the discriminant comes out negative. The
-    # cut pass classified the only piece midpoint, the tangent point, as
+@pytest.mark.parametrize("obstacles, a, b, want", [
+    # Tangent up to rounding: the discriminant comes out negative. A cut
+    # pass classified the only piece midpoint, the tangent point, as
     # inside and blocked all 4.3995 units of the row; the union of the
     # (empty) root intervals blocks nothing.
-    (Circle(Point2(0.1418594964030806, 5.405564355911224), 0.7478065283346083),
-     (0.49838956270877044, 7.701438949529752), (-1.5400582402416354, 3.802658692759802),
-     0.0),
+    ((TANGENT_DISK,), *TANGENT_ROW, 0.0),
+    # The same row next to a triangle about 1.3 units away, whose box
+    # meets the row's box: the cut pass blocked 4.399517807207114 here.
+    ((TANGENT_DISK, Polygon(((-1.5, 7.0), (-1.2, 7.0), (-1.2, 7.5)))), *TANGENT_ROW, 0.0),
     # Inside a disk and so short that its squared length underflows to
-    # zero: the roots see nothing, the cut pass blocks the row.
-    (Circle(Point2(0.3, 0.0), 1.0), (0.0, 0.0), (1e-170, 0.0), 1e-170),
-], ids=["tangent-midpoint-rounds-inside", "underflowing-length"])
-def test_rows_that_must_take_the_exact_pass(disk, a, b, want):
-    env = Environment(WIDE, (disk,))
+    # zero: the roots see nothing, the midpoint blocks the row.
+    ((Circle(Point2(0.3, 0.0), 1.0),), (0.0, 0.0), (1e-170, 0.0), 1e-170),
+], ids=["tangent-midpoint-rounds-inside", "tangent-next-to-a-polygon-box",
+        "underflowing-length"])
+def test_tangent_and_underflowing_rows_match_the_oracle(obstacles, a, b, want):
+    env = Environment(WIDE, obstacles)
+    field = CollisionField(env)
+    x_lo, x_hi, y_lo, y_hi = min(a[0], b[0]), max(a[0], b[0]), min(a[1], b[1]), max(a[1], b[1])
+    assert all(x_lo <= p[1] and x_hi >= p[0] and y_lo <= p[3] and y_hi >= p[2]
+               for p in field.polygons)
     a, b = np.array([a]), np.array([b])
     reference = reference_union_lengths(env, a, b)
     assert reference[0] == pytest.approx(want, rel=1e-12)
-    assert CollisionField(env).blocked_lengths(a, b).tolist() == reference.tolist()
+    assert field.blocked_lengths(a, b).tolist() == reference.tolist()
 
 
 class CountingField(CollisionField):
@@ -577,14 +629,18 @@ class CountingField(CollisionField):
         return super().free(points)
 
 
-def test_clear_rows_skip_the_exact_pass():
-    # Disk-only rows in bounds never reach `free`: clear, blocked, or
-    # grazing a rim from either side.
-    env = Environment(WIDE, (Circle(Point2(0, 0), 1.0), Circle(Point2(5, 5), 1.0)))
+def test_blocked_lengths_never_calls_free():
+    # Disk rows clear, blocked, or grazing a rim from either side; a row
+    # too short for the disk quadratic; a row that leaves the bounds; rows
+    # across a polygon. None of them is classified by `free`.
+    env = Environment(WIDE, (Circle(Point2(0, 0), 1.0), Circle(Point2(5, 5), 1.0),
+                             Polygon(tuple(Point2(x - 5.0, y - 8.0) for x, y in L_SHAPE))))
     starts = np.array([[-10.0, -10.0], [-10.0, 10.0], [-5.0, 0.0], [-5.0, 4.5],
-                       [-5.0, 1.0 + 1e-12], [-5.0, 1.0 - 1e-12], [-5.0, 1.0]])
+                       [-5.0, 1.0 + 1e-12], [-5.0, 1.0 - 1e-12], [-5.0, 1.0],
+                       [0.0, 0.0], [10.0, 0.0], [-10.0, -7.5], [-4.5, -10.0]])
     ends = np.array([[-10.0, 10.0], [10.0, 10.0], [5.0, 0.0], [10.0, 4.5],
-                     [5.0, 1.0 + 1e-12], [5.0, 1.0 - 1e-12], [5.0, 1.0]])
+                     [5.0, 1.0 + 1e-12], [5.0, 1.0 - 1e-12], [5.0, 1.0],
+                     [1e-170, 0.0], [15.0, 0.0], [10.0, -7.5], [-4.5, 0.0]])
     field = CountingField(env)
     got = field.blocked_lengths(starts, ends)
     assert field.calls == []
@@ -593,24 +649,29 @@ def test_clear_rows_skip_the_exact_pass():
     assert got[2] == pytest.approx(2.0)
     assert got[3] == pytest.approx(2.0 * math.sqrt(0.75))
     assert 0.0 < got[5] < 1e-5
-    # A row that leaves the bounds takes the cut pass: its two pieces
-    # either side of x = 12 are classified.
-    assert field.blocked_lengths(np.array([[10.0, 0.0]]),
-                                 np.array([[15.0, 0.0]])).tolist() == [pytest.approx(3.0)]
-    assert field.calls == [2]
+    assert got[7] == 1e-170
+    # Out of bounds beyond x = 12.
+    assert got[8] == pytest.approx(3.0)
+    # The L's foot, 4 units long, and its post and foot, 4 units again.
+    assert got[9] == pytest.approx(4.0)
+    assert got[10] == pytest.approx(4.0)
 
 
 # --- obstacle boxes against the full walks ----------------------------------
 
-def test_free_matches_point_free_across_point_blocks():
-    # 40 concave 20-gons, 800 edges: free classifies the points in
-    # blocks of 20, and the last block is a partial one.
-    polygons = tuple(
+def _forty_stars():
+    """40 concave 20-gons, 800 edges."""
+    return Environment(WIDE, tuple(
         Polygon(tuple(Point2(cx + (1.2 if k % 2 else 0.6) * math.cos(math.pi * k / 10),
                              cy + (1.2 if k % 2 else 0.6) * math.sin(math.pi * k / 10))
                       for k in range(20)))
-        for cx in np.arange(-10.5, 11.0, 3.0) for cy in np.arange(-10.0, 11.0, 5.0))
-    env = Environment(WIDE, polygons)
+        for cx in np.arange(-10.5, 11.0, 3.0) for cy in np.arange(-10.0, 11.0, 5.0)))
+
+
+def test_free_matches_point_free_across_point_blocks():
+    # free classifies the points in blocks of 20, and the last block is a
+    # partial one.
+    env = _forty_stars()
     pts = np.random.default_rng(3).uniform(-12.5, 12.5, size=(1010, 2))
     want = [reference_point_free(p, env) for p in pts.tolist()]
     assert 0 < want.count(False) < len(want)
@@ -650,6 +711,26 @@ def test_disk_union_runs_in_bounded_pair_blocks():
     starts = rng.uniform(-40.0, 40.0, size=(300, 2))
     ends = rng.uniform(-40.0, 40.0, size=(300, 2))
     ends[:150] = np.clip(starts[:150] + rng.uniform(-4.0, 4.0, (150, 2)), -40.0, 40.0)
+    field = CollisionField(env)
+    tracemalloc.start()
+    try:
+        got = field.blocked_lengths(starts, ends)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    want = reference_union_lengths(env, starts, ends)
+    assert 0 < np.count_nonzero(want) < len(want)
+    assert got.tobytes() == want.tobytes()
+    assert peak < 2 << 20
+
+
+def test_polygon_pass_runs_in_bounded_pair_blocks():
+    # Cutting every row at every edge at once took 11.3 MiB here.
+    rng = np.random.default_rng(7)
+    env = _forty_stars()
+    starts = rng.uniform(-12.0, 12.0, size=(300, 2))
+    ends = rng.uniform(-12.0, 12.0, size=(300, 2))
+    ends[:150] = np.clip(starts[:150] + rng.uniform(-4.0, 4.0, (150, 2)), -12.0, 12.0)
     field = CollisionField(env)
     tracemalloc.start()
     try:
