@@ -30,7 +30,8 @@ import numpy as np
 from .errors import (EnvironmentGenerationError, FormatError,
                      InvalidObstacleError, InvalidQueryError, PresetLookupError)
 from .geometry import (Bounds, Circle, CollisionField, Obstacle, Point2, Polygon,
-                       dist, point_free, segment_polygon_collides)
+                       _plain_point, dist, point_free, point_in_polygon,
+                       segments_intersect)
 from .result import is_integer, is_real
 
 #: Workspace used by the default generator and the shipped presets.
@@ -61,11 +62,17 @@ def _obstacle_touches_rect(obs: Obstacle, b: Bounds) -> bool:
         cx = min(max(obs.center.x, b.x_min), b.x_max)
         cy = min(max(obs.center.y, b.y_min), b.y_max)
         return dist((cx, cy), obs.center) <= obs.radius
+    # The closed test, so a polygon that only touches the bounds is kept. With
+    # no vertex inside and no edge meeting theirs, the bounds lie wholly
+    # inside the polygon or wholly outside, and one corner tells which.
     corners = [(b.x_min, b.y_min), (b.x_max, b.y_min),
                (b.x_max, b.y_max), (b.x_min, b.y_max)]
-    return (any(b.contains(v) for v in obs.vertices)
-            or any(segment_polygon_collides(edge, obs.vertices)
-                   for edge in zip(corners, corners[1:] + corners[:1])))
+    vs = obs.vertices
+    return (any(b.contains(v) for v in vs)
+            or point_in_polygon(corners[0], vs)
+            or any(segments_intersect(c, d, v, w)
+                   for c, d in zip(corners, corners[1:] + corners[:1])
+                   for v, w in zip(vs, vs[1:] + vs[:1])))
 
 
 @dataclass(frozen=True)
@@ -100,8 +107,8 @@ class Query:
         for name, p in (("start", self.start), ("target", self.target)):
             if not all(math.isfinite(v) for v in p):
                 raise InvalidQueryError(f"query {name} must be finite, got {p!r}")
-        object.__setattr__(self, "start", Point2(*self.start))
-        object.__setattr__(self, "target", Point2(*self.target))
+        object.__setattr__(self, "start", _plain_point(self.start))
+        object.__setattr__(self, "target", _plain_point(self.target))
 
 
 @dataclass(frozen=True)

@@ -3,21 +3,30 @@
 Conventions used throughout the package:
 
 * obstacle interiors are blocked, obstacle boundaries are free (strict
-  inequalities everywhere, so a segment tangent to a circle is free);
-* workspace bounds are inclusive on both sides;
+  inequalities everywhere, so a segment tangent to a circle, or one that
+  runs along a polygon edge or touches a corner, is free);
+* workspace bounds are inclusive on both sides, with one exception: a
+  seam, the part of a polygon edge that lies on a bound line with the
+  polygon's interior on the inner side, is blocked between its end
+  points, so a wall that meets the bounds leaves no gap there;
+* a segment of positive length is blocked iff some point of it is, which
+  is iff its blocked length is above 0;
 * all inputs are plain floats, points are (x, y) pairs.
+
+Every polygon decision rests on one exact orientation sign, `_orient`.
 
 Each `Environment` builds one `CollisionField`, cached as
 `Environment.collision_field`: every disk's and polygon's numbers as
 plain floats and as arrays, with the obstacle's bounding box widened on
 every side by NEAR_MARGIN * (1 + S), S the largest coordinate magnitude
-of the bounds and obstacles. `edge_free` skips an obstacle whose widened
-box misses the box of the segment under test; the field's docstring
-argues why no skipped obstacle could have blocked. `point_free` is
-`CollisionField.free` on one point.
+of the bounds and obstacles, and the seams. `edge_free` skips an
+obstacle whose widened box misses the box of the segment under test;
+the field's docstring argues why no skipped obstacle could have
+blocked. `point_free` is `CollisionField.free` on one point.
 
 `CollisionField.blocked_lengths` measures each segment's union of open
-intervals out of bounds, inside a disk and inside a polygon.
+intervals out of bounds, inside a disk, inside a polygon and along a
+seam.
 """
 
 from __future__ import annotations
@@ -37,6 +46,11 @@ if TYPE_CHECKING:
 class Point2(NamedTuple):
     x: float
     y: float
+
+
+def _plain_point(p: Sequence[float]) -> Point2:
+    """p as a Point2 of plain floats (numpy scalars included)."""
+    return Point2(*(float(v) for v in p))
 
 
 #: A segment is just an endpoint pair.
@@ -79,17 +93,19 @@ class Circle:
         _require_finite(self.center, "circle center")
         if not (math.isfinite(self.radius) and self.radius > 0):
             raise InvalidObstacleError(f"circle radius must be > 0, got {self.radius!r}")
-        object.__setattr__(self, "center", Point2(*self.center))
+        object.__setattr__(self, "center", _plain_point(self.center))
+        object.__setattr__(self, "radius", float(self.radius))
 
 
 @dataclass(frozen=True)
 class Polygon:
-    """Simple polygon obstacle; the interior (even-odd rule) is blocked."""
+    """Simple polygon obstacle; the open interior is blocked, the outline
+    is free except along a seam (see the module docstring)."""
 
     vertices: tuple[Point2, ...]
 
     def __post_init__(self):
-        verts = tuple(Point2(*v) for v in self.vertices)
+        verts = tuple(_plain_point(v) for v in self.vertices)
         _validate_polygon_arg(verts)
         for v in verts:
             _require_finite(v, "polygon vertex")
@@ -147,8 +163,58 @@ def point_segment_distance(p: Sequence[float], a: Sequence[float],
     return math.hypot(wx - t * vx, wy - t * vy)
 
 
+#: Shewchuk's bound on the rounding of the float orientation determinant,
+#: relative to |left| + |right|: (3 + 16 eps) eps, eps = 2^-53. The
+#: absolute term covers products that underflow.
+_ORIENT_BAND = (3.0 + 16.0 * 2.0 ** -53) * 2.0 ** -53
+_ORIENT_TINY = 1e-300
+
+
 def _orient(a, b, c) -> float:
-    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+    """A number with the exact sign of the orientation of (a, b, c):
+    positive when c lies left of the line from a to b, 0 on it.
+
+    The float determinant, where it decides: outside its rounding band
+    (Shewchuk, "Adaptive Precision Floating-Point Arithmetic and Fast
+    Robust Geometric Predicates", DCG 1997), or for a nan or infinite
+    difference. Inside the band, 0.0 when both products have a zero
+    factor, and otherwise the exact Fraction determinant.
+    """
+    ux, uy = b[0] - a[0], b[1] - a[1]
+    wx, wy = c[0] - a[0], c[1] - a[1]
+    left, right = ux * wy, uy * wx
+    det = left - right
+    if (abs(det) > _ORIENT_BAND * (abs(left) + abs(right)) + _ORIENT_TINY
+            or not all(map(math.isfinite, (ux, uy, wx, wy)))):
+        return det
+    if (ux == 0.0 or wy == 0.0) and (uy == 0.0 or wx == 0.0):
+        return 0.0
+    return _orient_exact(a, b, c)
+
+
+def _orient_exact(a, b, c):
+    """The orientation determinant of (a, b, c) as an exact Fraction."""
+    # Imported on first use: maps without near-degenerate polygon
+    # contacts never need it.
+    from fractions import Fraction
+    ax, ay, bx, by, cx, cy = map(Fraction, (a[0], a[1], b[0], b[1], c[0], c[1]))
+    return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+
+
+def _orient_array(ax, ay, bx, by, cx, cy) -> np.ndarray:
+    """`_orient` elementwise over broadcast arrays: the float determinant,
+    with each entry inside the rounding band replaced by `_orient`'s
+    exact sign."""
+    ux, uy, wx, wy = bx - ax, by - ay, cx - ax, cy - ay
+    left, right = ux * wy, uy * wx
+    det = left - right
+    unsure = np.abs(det) <= _ORIENT_BAND * (np.abs(left) + np.abs(right)) + _ORIENT_TINY
+    if unsure.any():
+        p = np.broadcast_arrays(ax, ay, bx, by, cx, cy)
+        for i in zip(*np.nonzero(unsure)):
+            exact = _orient((p[0][i], p[1][i]), (p[2][i], p[3][i]), (p[4][i], p[5][i]))
+            det[i] = (exact > 0) - (exact < 0)
+    return det
 
 
 def _on_segment(a, b, p) -> bool:
@@ -158,7 +224,7 @@ def _on_segment(a, b, p) -> bool:
 
 
 def segments_intersect(p1, p2, q1, q2) -> bool:
-    """True if closed segments (p1,p2) and (q1,q2) share any point."""
+    """True if closed segments (p1,p2) and (q1,q2) share any point, decided exactly."""
     d1 = _orient(q1, q2, p1)
     d2 = _orient(q1, q2, p2)
     d3 = _orient(p1, p2, q1)
@@ -177,24 +243,76 @@ def segments_intersect(p1, p2, q1, q2) -> bool:
     return False
 
 
-def point_in_polygon(p: Sequence[float], vertices: Sequence[Sequence[float]]) -> bool:
-    """Even-odd (ray casting) containment test.
+def _polygon_side(p, vertices, orient=_orient) -> int:
+    """1 if p lies strictly inside the polygon, 0 on its outline, -1 outside.
 
-    Points exactly on the boundary may land on either side.
+    A ray cast from p toward +x: an edge whose ends lie on either side of
+    p's level (an end on the level counts as below) crosses the ray iff p
+    lies strictly left of the edge taken upward, by the exact sign of
+    `orient`; a zero sign puts p on the edge. A vertex at p, or a
+    horizontal edge through p, puts p on the outline too. `orient` is
+    `_orient_exact` for a point with Fraction coordinates.
     """
     px, py = p[0], p[1]
     inside = False
-    n = len(vertices)
-    j = n - 1
-    for i in range(n):
-        xi, yi = vertices[i][0], vertices[i][1]
-        xj, yj = vertices[j][0], vertices[j][1]
-        if (yi > py) != (yj > py):
-            x_cross = (xj - xi) * (py - yi) / (yj - yi) + xi
-            if px < x_cross:
+    u = vertices[-1]
+    for v in vertices:
+        if (u[1] > py) != (v[1] > py):
+            s = orient(u, v, p) if u[1] < v[1] else orient(v, u, p)
+            if s == 0:
+                return 0
+            if s > 0:
                 inside = not inside
-        j = i
-    return inside
+        elif v[1] == py and (v[0] == px or u[1] == py and min(u[0], v[0]) <= px <= max(u[0], v[0])):
+            return 0
+        u = v
+    return 1 if inside else -1
+
+
+def point_in_polygon(p: Sequence[float], vertices: Sequence[Sequence[float]]) -> bool:
+    """True iff p lies strictly inside the polygon (the outline is free), decided exactly."""
+    return _polygon_side(p, vertices) > 0
+
+
+def _segment_enters(a, b, vertices) -> bool:
+    """True iff some point of the closed segment (a, b) lies strictly
+    inside the polygon, decided exactly.
+
+    A proper crossing of an edge enters. Otherwise the segment is cut at
+    every vertex on it, and each piece lies inside, outside or along one
+    edge: it takes the side of an end of the segment off the outline, or
+    else the side of its exact midpoint.
+    """
+    if a[0] == b[0] and a[1] == b[1]:
+        return _polygon_side(a, vertices) > 0
+    sides = [_orient(a, b, v) for v in vertices]
+    axis = 0 if a[0] != b[0] else 1
+    lo, hi = min(a[axis], b[axis]), max(a[axis], b[axis])
+    cuts = []
+    w, sw = vertices[-1], sides[-1]
+    for v, sv in zip(vertices, sides):
+        if (sv > 0 and sw < 0) or (sv < 0 and sw > 0):
+            oa, ob = _orient(w, v, a), _orient(w, v, b)
+            if (oa > 0 and ob < 0) or (oa < 0 and ob > 0):
+                return True
+        elif sv == 0 and lo < v[axis] < hi:
+            cuts.append(v)
+        w, sw = v, sv
+    cuts.sort(key=lambda v: v[axis], reverse=bool(b[axis] < a[axis]))
+    ends = [a, *cuts, b]
+    last = len(ends) - 2
+    for k in range(last + 1):
+        side = _polygon_side(b, vertices) if k == last else 0
+        if not side and k == 0:
+            side = _polygon_side(a, vertices)
+        if not side:
+            from fractions import Fraction
+            (px, py), (qx, qy) = ends[k], ends[k + 1]
+            mid = ((Fraction(px) + Fraction(qx)) / 2, (Fraction(py) + Fraction(qy)) / 2)
+            side = _polygon_side(mid, vertices, _orient_exact)
+        if side > 0:
+            return True
+    return False
 
 
 def _validate_polygon_arg(vertices) -> None:
@@ -219,15 +337,12 @@ def segment_circle_collides(segment: Segment, center: Sequence[float],
 
 def segment_polygon_collides(segment: Segment,
                              vertices: Sequence[Sequence[float]]) -> bool:
-    """True iff the segment crosses an edge or an endpoint is strictly inside."""
+    """True iff some point of the segment lies strictly inside the polygon.
+
+    Touching a corner or running along an edge is free; decided exactly.
+    """
     _validate_polygon_arg(vertices)
-    a, b = segment
-    n = len(vertices)
-    for i in range(n):
-        v1, v2 = vertices[i], vertices[(i + 1) % n]
-        if segments_intersect(a, b, v1, v2):
-            return True
-    return point_in_polygon(a, vertices) or point_in_polygon(b, vertices)
+    return _segment_enters(*segment, vertices)
 
 
 #: Relative widening of every obstacle box in a `CollisionField`, which
@@ -237,22 +352,23 @@ NEAR_MARGIN = 1e-9
 
 
 def point_free(p: Sequence[float], env: "Environment") -> bool:
-    """True iff p lies inside the workspace bounds and outside every obstacle."""
+    """True iff p lies inside the workspace bounds, outside every
+    obstacle's interior and off every seam."""
     return bool(env.collision_field.free([p])[0])
 
 
 def edge_free(a: Sequence[float], b: Sequence[float], env: "Environment") -> bool:
-    """True iff segment (a, b) stays in bounds and clears every obstacle.
+    """True iff segment (a, b) stays in bounds and no point of it is blocked.
 
-    Also requires the far endpoint b itself to be free, mirroring how the
-    tree planner uses it (b is the candidate new node). Obstacles whose
+    The far endpoint b is a point of the segment, so it must be free too,
+    as the tree planner needs for its candidate node. Obstacles whose
     widened box (see `CollisionField`) is disjoint from the segment's box
     are skipped. Each remaining disk is checked in one pass: b strictly
     inside, then `point_segment_distance` from the center below the
-    radius, written out inline on plain floats. Each remaining polygon
-    gets `point_in_polygon` for b, then its edges and `point_in_polygon`
-    for a: the checks of `segment_polygon_collides`, without re-validating
-    the vertices `Polygon` already checked.
+    radius, written out inline on plain floats. A segment on a bound line
+    is checked against the seams there. Each remaining polygon gets the
+    exact test of `segment_polygon_collides`, without re-validating the
+    vertices `Polygon` already checked.
     """
     ax, ay = a[0], a[1]
     bx, by = b[0], b[1]
@@ -284,23 +400,36 @@ def edge_free(a: Sequence[float], b: Sequence[float], env: "Environment") -> boo
             t = 1.0
         if math.hypot(wx - t * vx, wy - t * vy) < r:
             return False
-    if not field.polygons:
-        return True
-    near = [(vertices, edges)
-            for box_x_lo, box_x_hi, box_y_lo, box_y_hi, vertices, edges in field.polygons
-            if not (x_hi < box_x_lo or x_lo > box_x_hi or y_hi < box_y_lo or y_lo > box_y_hi)]
-    # Every polygon's cheap test for b first: steered nodes often land
-    # inside one, and then no edge needs walking.
-    for vertices, _ in near:
-        if point_in_polygon(b, vertices):
-            return False
-    for vertices, edges in near:
-        for v1, v2 in edges:
-            if segments_intersect(a, b, v1, v2):
+    if ax == bx or ay == by:  # only such a segment can run along a bound line
+        for axis, value, lo, hi in field.seams:
+            if a[axis] == value == b[axis] and (y_lo, x_lo)[axis] < hi and (y_hi, x_hi)[axis] > lo:
                 return False
-        if point_in_polygon(a, vertices):
+    for box_x_lo, box_x_hi, box_y_lo, box_y_hi, vertices in field.polygons:
+        if x_hi < box_x_lo or x_lo > box_x_hi or y_hi < box_y_lo or y_lo > box_y_hi:
+            continue
+        if _segment_enters(a, b, vertices):
             return False
     return True
+
+
+def _seams(bounds: Bounds, outlines) -> tuple:
+    """(axis, value, lo, hi) per seam: the edge lies on the bound line where
+    coordinate `axis` equals `value`, and spans (lo, hi) along the other axis."""
+    seams = []
+    for vs in outlines:
+        # The lowest, then leftmost, vertex is convex, so its turn gives the
+        # polygon's orientation: positive when counterclockwise.
+        k = min(range(len(vs)), key=lambda i: (vs[i].y, vs[i].x))
+        ccw = _orient(vs[k - 1], vs[k], vs[(k + 1) % len(vs)]) > 0
+        for v, w in zip(vs, vs[1:] + vs[:1]):
+            for axis, value, inward in ((0, bounds.x_min, 1.0), (0, bounds.x_max, -1.0),
+                                        (1, bounds.y_min, 1.0), (1, bounds.y_max, -1.0)):
+                # The interior lies left of the edge when counterclockwise.
+                left = (v.y - w.y, w.x - v.x)[axis]
+                if v[axis] == value == w[axis] and (left * inward > 0) == ccw:
+                    seams.append((axis, value, min(v[1 - axis], w[1 - axis]),
+                                  max(v[1 - axis], w[1 - axis])))
+    return tuple(seams)
 
 
 class CollisionField:
@@ -308,17 +437,20 @@ class CollisionField:
 
     Read it as `Environment.collision_field`, built on first use and
     cached. `free` and `blocked_lengths` test many points or segments at
-    once: strict interior tests, inclusive bounds.
+    once: strict interior tests, inclusive bounds, blocked seams.
 
     For the scalar `edge_free`, in obstacle order: `disks` holds an
     (x_lo, x_hi, y_lo, y_hi, cx, cy, r) tuple of plain floats per circle,
-    `polygons` an (x_lo, x_hi, y_lo, y_hi, vertices, edges) tuple per
-    polygon, with the polygon's own vertices and their (v_i, v_i+1)
-    pairs, the closing edge last. For the batch tests, as arrays:
-    `disk_x`, `disk_y` and `disk_r2`, each a column with one row per
-    circle; `vertex_xy`, `vertex_prev` (the vertex before, cyclically) and
-    `edge_vec` (to the vertex after) per polygon vertex, all polygons in
-    one array, `polygon_starts` giving each polygon's first row;
+    `polygons` an (x_lo, x_hi, y_lo, y_hi, vertices) tuple per polygon.
+    `seams` holds an (axis, value, lo, hi) tuple per seam: the polygon
+    edge on the bound line where coordinate `axis` is `value`, from lo to
+    hi along the other axis. For the batch tests, as arrays: `disk_x`,
+    `disk_y` and `disk_r2`, each a column with one row per circle;
+    `vertex_xy` per polygon vertex, all polygons in one array, with
+    `vertex_next` and `vertex_prev` (the row of the vertex after and
+    before it in its polygon), `vertex_polygon` (its polygon), and
+    `edge_low`, `edge_high` (the lower and upper end of its edge to the
+    vertex after); `polygon_starts` giving each polygon's first row;
     `polygon_boxes` as x_lo, x_hi, y_lo, y_hi rows.
 
     Each box is the obstacle's bounding box widened on every side by a
@@ -328,27 +460,20 @@ class CollisionField:
     the segment it tests, and `blocked_lengths` leaves out the polygons
     for such a segment. A skipped obstacle cannot block:
 
-    * Every point a test computes with (an endpoint; the point a + t(b - a),
-      t in [0, 1], that gives a disk distance; a piece midpoint) lies in
+    * A polygon's tests are exact, and no point of such a segment lies in
+      the polygon's closed box.
+    * For a disk, every point a test computes with (an endpoint, or the
+      point a + t(b - a), t in [0, 1], that gives the distance) lies in
       the tested box up to a few roundings of numbers below 4S, far less
       than the margin, when the segment is in bounds, as S bounds it too.
-    * So in some axis the point lies outside the obstacle's exact box by
-      more than rounding. Its computed distance to a disk's center then
-      exceeds r (an overflow gives inf or nan, which compare as clear). A
-      ray cast from it crosses no polygon edge when its y is outside the
-      box, and when its x is left or right of the box it crosses every
-      edge spanning its y (an even count) or none, as a computed crossing
-      abscissa stays within rounding of its edge's x range.
-    * `segments_intersect` reports a touch only for an endpoint in the
-      other segment's exact box. Its proper crossing compares orientation
-      signs, which rounding decides only when the segment and an edge lie
-      on nearly one line; there the full walk can report a crossing of
-      segments that are apart, and the skip reports them clear.
+      So in some axis the point lies outside the disk's exact box by more
+      than rounding, and its computed distance to the center exceeds r
+      (an overflow gives inf or nan, which compare as clear).
     """
 
     def __init__(self, env: "Environment"):
         self.bounds = env.bounds
-        circles = [(float(o.center.x), float(o.center.y), float(o.radius))
+        circles = [(o.center.x, o.center.y, o.radius)
                    for o in env.obstacles if isinstance(o, Circle)]
         outlines = [o.vertices for o in env.obstacles if isinstance(o, Polygon)]
         scale = max([abs(v) for v in self.bounds]
@@ -359,17 +484,26 @@ class CollisionField:
                            for cx, cy, r in circles)
         self.polygons = tuple(
             (min(v.x for v in vs) - m, max(v.x for v in vs) + m,
-             min(v.y for v in vs) - m, max(v.y for v in vs) + m,
-             vs, tuple(zip(vs, vs[1:] + vs[:1])))
+             min(v.y for v in vs) - m, max(v.y for v in vs) + m, vs)
             for vs in outlines)
+        self.seams = _seams(self.bounds, outlines)
         disks = np.array(circles, dtype=np.float64).reshape(-1, 3)
         self.disk_x, self.disk_y = disks[:, :1].copy(), disks[:, 1:2].copy()
         self.disk_r2 = disks[:, 2:] ** 2
-        xy = [np.asarray(vs, dtype=np.float64) for vs in outlines] or [np.empty((0, 2))]
-        self.vertex_xy = np.concatenate(xy)
-        self.vertex_prev = np.concatenate([np.roll(v, 1, axis=0) for v in xy])
-        self.edge_vec = np.concatenate([np.roll(v, -1, axis=0) - v for v in xy])
-        self.polygon_starts = np.cumsum([0] + [len(v) for v in xy[:-1]])
+        self.vertex_xy = np.array([xy for vs in outlines for xy in vs],
+                                  dtype=np.float64).reshape(-1, 2)
+        counts = np.array([len(vs) for vs in outlines], dtype=np.intp)
+        last = np.cumsum(counts) - 1
+        self.polygon_starts = last - counts + 1
+        self.vertex_polygon = np.repeat(np.arange(len(outlines)), counts)
+        row = np.arange(len(self.vertex_xy))
+        self.vertex_next, self.vertex_prev = row + 1, row - 1
+        self.vertex_next[last] = self.polygon_starts
+        self.vertex_prev[self.polygon_starts] = last
+        after = self.vertex_xy[self.vertex_next]
+        lower = (self.vertex_xy[:, 1] <= after[:, 1])[:, None]
+        self.edge_low = np.where(lower, self.vertex_xy, after)
+        self.edge_high = np.where(lower, after, self.vertex_xy)
         self.polygon_boxes = np.array([p[:4] for p in self.polygons],
                                       dtype=np.float64).reshape(-1, 4)
 
@@ -377,8 +511,12 @@ class CollisionField:
         """points: (N, 2) array -> boolean (N,) mask of free points."""
         px, py = np.asarray(points, dtype=np.float64).reshape(-1, 2).T
         b = self.bounds
-        return ((px >= b.x_min) & (px <= b.x_max) & (py >= b.y_min) & (py <= b.y_max)
+        free = ((px >= b.x_min) & (px <= b.x_max) & (py >= b.y_min) & (py <= b.y_max)
                 & ~self._in_disk(px, py) & ~self._in_polygon(px, py))
+        for axis, value, lo, hi in self.seams:
+            on, along = (px, py) if axis == 0 else (py, px)
+            free &= ~((on == value) & (along > lo) & (along < hi))
+        return free
 
     def _in_disk(self, px, py):
         """Mask of the points strictly inside some disk, in blocks of about
@@ -391,27 +529,34 @@ class CollisionField:
         return inside
 
     def _in_polygon(self, px, py):
-        """Mask of the points inside some polygon, in blocks of about 2^14
-        (point, vertex) pairs: `point_in_polygon`'s ray cast over every edge
-        at once, vertex i and the one before it; each polygon's parity."""
+        """Mask of the points strictly inside some polygon, in blocks of about
+        2^14 (point, edge) pairs: `_polygon_side`'s ray cast over every edge
+        at once, each taken upward, and each polygon's parity. A point on an
+        edge it spans, or level with a vertex, gets `_polygon_side` itself
+        for that polygon."""
         inside = np.zeros(len(px), dtype=bool)
-        (xi, yi), (xj, yj) = self.vertex_xy.T, self.vertex_prev.T
-        step = max(1, (1 << 14) // max(1, len(xi)))
+        (lx, ly), (hx, hy) = self.edge_low.T, self.edge_high.T
+        step = max(1, (1 << 14) // max(1, len(lx)))
         for k in range(0, len(px) if self.polygons else 0, step):
             x, y = px[k:k + step, None], py[k:k + step, None]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                hit = ((yi > y) != (yj > y)) & (x < (xj - xi) * (y - yi) / (yj - yi) + xi)
-            inside[k:k + step] = np.logical_xor.reduceat(
-                hit, self.polygon_starts, axis=1).any(axis=1)
+            side = _orient_array(lx, ly, hx, hy, x, y)
+            spans = (ly <= y) & (y < hy)
+            parity = np.logical_xor.reduceat(spans & (side > 0.0), self.polygon_starts, axis=1)
+            unsure = (spans & (side == 0.0)) | (self.vertex_xy[:, 1] == y)
+            unsure = np.logical_or.reduceat(unsure, self.polygon_starts, axis=1)
+            for i, j in zip(*np.nonzero(unsure)):
+                parity[i, j] = _polygon_side((px[k + i], py[k + i]), self.polygons[j][4]) > 0
+            inside[k:k + step] = parity.any(axis=1)
         return inside
 
     def blocked_lengths(self, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
         """(N, 2) start and end points -> (N,) exact blocked length per segment.
 
         The measure of the union of the open intervals of t in [0, 1] where
-        a + t(b - a) is out of bounds or inside an obstacle (so overlaps
-        count once), times the segment's `np.hypot` length; exactly 0.0 for
-        a segment that meets nothing, however its roots round.
+        a + t(b - a) is out of bounds, inside an obstacle or on a seam (so
+        overlaps count once), times the segment's `np.hypot` length;
+        exactly 0.0 for a segment that meets nothing, however its roots
+        round.
 
         * Bounds, for segments whose box leaves them: [0, t_in) and
           (t_out, 1] around the part the slab method (Liang & Barsky)
@@ -420,9 +565,14 @@ class CollisionField:
           approximation: below a squared length of 1e-100 the quadratic
           underflows, and the segment is blocked whole iff its midpoint is
           strictly inside a disk, an error under its length (1e-50).
-        * Polygons, for segments whose box meets a polygon's widened box
-          (see the class docstring): the pieces between edge crossings
-          whose midpoint the ray cast puts inside.
+        * Polygons, for segments of positive, finite length whose box
+          meets a polygon's widened box (see the class docstring): each
+          polygon's open intervals, from exact orientation signs; see
+          `_polygon_intervals`. Each cut's t is rounded once, so a piece
+          between two crossings within rounding of each other may move by
+          that rounding; one that rounds to nothing keeps one ulp.
+        * Seams, for segments along a bound line: their overlap with each
+          open seam.
 
         The disk and polygon passes work in blocks of about 2^14 (segment,
         obstacle) pairs and keep only what meets.
@@ -451,8 +601,11 @@ class CollisionField:
                 boxes = self.polygon_boxes
                 near = ((x_lo[:, None] <= boxes[:, 1]) & (x_hi[:, None] >= boxes[:, 0])
                         & (y_lo[:, None] <= boxes[:, 3]) & (y_hi[:, None] >= boxes[:, 2]))
-                intervals += self._polygon_intervals(np.flatnonzero(near.any(axis=1)),
-                                                     ax, ay, dx, dy)
+                near = (near.any(axis=1) & np.isfinite(dx) & np.isfinite(dy)
+                        & ((dx != 0.0) | (dy != 0.0)))
+                intervals += self._polygon_intervals(np.flatnonzero(near), ax, ay, ex, ey, dx, dy)
+            if self.seams:
+                intervals += self._seam_intervals(ax, ay, ex, ey, dx, dy)
             return _union_length(intervals, dx, dy)
 
     def _bound_intervals(self, leaves, ax, ay, dx, dy):
@@ -505,34 +658,148 @@ class CollisionField:
             found.append((r[i[meet]], t0[meet], t1[meet]))
         return found
 
-    def _polygon_intervals(self, rows, ax, ay, dx, dy):
-        """[(row, lo, hi)]: the pieces of the rows between their polygon
-        edge crossings whose midpoint the ray cast puts inside."""
-        (vx, vy), (ux, uy) = self.vertex_xy.T, self.edge_vec.T
-        row, cut = [rows, rows], [np.zeros(len(rows)), np.ones(len(rows))]
+    def _polygon_intervals(self, rows, ax, ay, ex, ey, dx, dy):
+        """[(row, lo, hi)]: each row's open intervals strictly inside each polygon.
+
+        In blocks of about 2^14 (row, vertex) pairs. Every vertex gets its
+        exact side of the row's line, "above" meaning strictly left of it.
+        Along the line, as in `_polygon_side`'s ray cast, a polygon's
+        inside and outside swap where an edge with ends strictly on either
+        side crosses, and at a vertex on the line where exactly one of its
+        two neighbours lies above. The row's state just after a is the
+        parity of such swaps ahead of a; each swap within the row flips
+        it, and a piece along an edge is outline, not interior.
+        """
+        vx, vy = self.vertex_xy.T
+        nxt, prv, n_poly = self.vertex_next, self.vertex_prev, len(self.polygons)
+        found = []
         step = max(1, (1 << 14) // len(vx))
         for k in range(0, len(rows), step):
-            # a + t d = v + s e, kept where s lies on the edge and t inside
-            # the segment. Parallels give nan or inf, which fail the test.
             r = rows[k:k + step]
-            sx, sy = dx[r, None], dy[r, None]
-            wx, wy = vx - ax[r, None], vy - ay[r, None]
-            den = sx * uy - sy * ux
-            s = (wx * sy - wy * sx) / den
-            t = (wx * uy - wy * ux) / den
-            i, j = np.nonzero((s >= 0.0) & (s <= 1.0) & (t > 0.0) & (t < 1.0))
-            row.append(r[i])
-            cut.append(t[i, j])
-        row, cut = np.concatenate(row), np.concatenate(cut)
-        order = np.lexsort((cut, row))
-        row, cut = row[order], cut[order]
-        # Consecutive cuts of one row bound a piece.
-        piece = cut[1:] - cut[:-1]
-        keep = np.flatnonzero((row[1:] == row[:-1]) & (piece > 0.0))
-        row, lo, hi = row[keep], cut[keep], cut[keep + 1]
-        u = lo + 0.5 * piece[keep]
-        inside = self._in_polygon(ax[row] + u * dx[row], ay[row] + u * dy[row])
-        return [(row[inside], lo[inside], hi[inside])]
+            groups = len(r) * n_poly
+            a_x, a_y, e_x, e_y = ax[r], ay[r], ex[r], ey[r]
+            side = _orient_array(a_x[:, None], a_y[:, None], e_x[:, None], e_y[:, None], vx, vy)
+            above = side > 0.0
+            swap = above != above[:, nxt]
+            zero = side == 0.0
+            on_line = zero.any()
+            if on_line:
+                swap &= ~(zero | zero[:, nxt])
+            # Edge j crosses the line. Taken from its end below to its end
+            # above, a lies left of it iff the crossing is ahead of a, and b
+            # lies right of it iff the crossing is before b.
+            i, j = np.nonzero(swap)
+            n, down = nxt[j], above[i, j]
+            o_a = _orient_array(vx[j], vy[j], vx[n], vy[n], a_x[i], a_y[i])
+            o_b = _orient_array(vx[j], vy[j], vx[n], vy[n], e_x[i], e_y[i])
+            ahead = (o_a != 0.0) & ((o_a > 0.0) != down)
+            within = ahead & (o_b != 0.0) & ((o_b > 0.0) == down)
+            group = i * n_poly + self.vertex_polygon[j]
+            state = np.bincount(group[ahead], minlength=groups)
+            start_outline = np.zeros(groups, dtype=bool)
+            i, j, group = i[within], j[within], group[within]
+            n = nxt[j]
+            t = _crossing_t(a_x[i], a_y[i], e_x[i], e_y[i], vx[j], vy[j], vx[n], vy[n])
+            events = [(group, np.clip(t, 0.0, 1.0), np.ones(len(t), dtype=np.intp),
+                       np.zeros(len(t), dtype=bool))]
+            if on_line:
+                events.append(self._vertex_events(r, zero, side, state, start_outline,
+                                                  ax, ay, ex, ey, dx, dy))
+            group, t, flips, outline = (np.concatenate(e) for e in zip(*events))
+            # A group with no event within its row keeps its start state.
+            busy = np.zeros(groups, dtype=bool)
+            busy[group] = True
+            whole = np.flatnonzero(~busy & (state % 2 == 1) & ~start_outline)
+            found.append((r[whole // n_poly], np.zeros(len(whole)), np.ones(len(whole))))
+            # The others get a start event, carrying the state at a, and an end.
+            busy = np.flatnonzero(busy)
+            group = np.concatenate((busy, group, busy))
+            t = np.concatenate((np.zeros(len(busy)), t, np.ones(len(busy))))
+            flips = np.concatenate((state[busy], flips, np.zeros(len(busy), dtype=np.intp)))
+            outline = np.concatenate((start_outline[busy], outline, np.ones(len(busy), dtype=bool)))
+            order = np.lexsort((t, group))
+            group, t, flips, outline = group[order], t[order], flips[order], outline[order]
+            # Each group's first event is its start; the count of flips since
+            # then gives the state after each event.
+            count = np.cumsum(flips)
+            first = np.concatenate(([True], group[1:] != group[:-1]))
+            count -= np.maximum.accumulate(np.where(first, count - flips, 0))
+            keep = np.flatnonzero((group[1:] == group[:-1]) & (count[:-1] % 2 == 1)
+                                  & ~outline[:-1])
+            lo, hi = t[keep], t[keep + 1]
+            # Two crossings within rounding of each other can round to one t;
+            # the piece between them is inside, so it keeps one ulp.
+            sliver = lo == hi
+            lo[sliver] = np.minimum(lo[sliver], np.nextafter(1.0, 0.0))
+            hi[sliver] = np.nextafter(lo[sliver], 1.0)
+            found.append((r[group[keep] // n_poly], lo, hi))
+        return found
+
+    def _vertex_events(self, r, zero, side, state, start_outline, ax, ay, ex, ey, dx, dy):
+        """(group, t, flips, outline after) for the vertices on the rows' lines
+        within the rows; adds to `state` the swaps at vertices ahead of a, and
+        marks in `start_outline` the groups whose row starts along an edge."""
+        (vx, vy), n_poly = self.vertex_xy.T, len(self.polygons)
+        i, m = np.nonzero(zero)
+        rr, n, p = r[i], self.vertex_next[m], self.vertex_prev[m]
+        # Order along the row by one coordinate the row moves in, as a
+        # forward position: exact, as every point compared lies on the line.
+        use_x = dx[rr] != 0.0
+        sign = np.sign(np.where(use_x, dx[rr], dy[rr]))
+
+        def forward(x, y):
+            return sign * np.where(use_x, x, y)
+
+        f_a, f_b = forward(ax[rr], ay[rr]), forward(ex[rr], ey[rr])
+        f_m, f_n, f_p = forward(vx[m], vy[m]), forward(vx[n], vy[n]), forward(vx[p], vy[p])
+        s_n, s_p = side[i, n], side[i, p]
+        flips = ((s_p > 0.0) != (s_n > 0.0)).astype(np.intp)
+        group = i * n_poly + self.vertex_polygon[m]
+        np.add.at(state, group[f_m > f_a], flips[f_m > f_a])
+        along = (s_n == 0.0) & (np.minimum(f_m, f_n) <= f_a) & (f_a < np.maximum(f_m, f_n))
+        start_outline[group[along]] = True
+        outline = ((s_n == 0.0) & (f_n > f_m)) | ((s_p == 0.0) & (f_p > f_m))
+        t = (f_m - f_a) / forward(dx[rr], dy[rr])
+        within = (f_a < f_m) & (f_m < f_b)
+        return group[within], t[within], flips[within], outline[within]
+
+    def _seam_intervals(self, ax, ay, ex, ey, dx, dy):
+        """[(row, lo, hi)]: the rows along a bound line, over each open seam there."""
+        found = []
+        # Rows along a line of each axis: x constant (0), y constant (1).
+        along = {axis: np.flatnonzero((ax == ex) & (dy != 0.0)) if axis == 0
+                 else np.flatnonzero((ay == ey) & (dx != 0.0))
+                 for axis in {s[0] for s in self.seams}}
+        for axis, value, lo, hi in self.seams:
+            rows = along[axis]
+            if len(rows):
+                on, a, d = (ax, ay, dy) if axis == 0 else (ay, ax, dx)
+                rows = rows[on[rows] == value]
+                t0, t1 = (lo - a[rows]) / d[rows], (hi - a[rows]) / d[rows]
+                t0, t1 = np.maximum(np.minimum(t0, t1), 0.0), np.minimum(np.maximum(t0, t1), 1.0)
+                meet = t0 < t1
+                found.append((rows[meet], t0[meet], t1[meet]))
+        return found
+
+
+def _crossing_t(ax, ay, bx, by, vx, vy, wx, wy):
+    """t where each line a + t(b - a) meets the line through v and w, elementwise.
+
+    A grazing crossing is ill-conditioned: where the rounding bound of the
+    numerator or the denominator (`_ORIENT_BAND`) exceeds 2^-40 of it, t
+    is recomputed from the exact orientations of a and b against the edge.
+    """
+    dx, dy, ux, uy = bx - ax, by - ay, wx - vx, wy - vy
+    num_l, num_r, den_l, den_r = (vx - ax) * uy, (vy - ay) * ux, dx * uy, dy * ux
+    num, den = num_l - num_r, den_l - den_r
+    t = num / den
+    rough = ((_ORIENT_BAND * (np.abs(num_l) + np.abs(num_r)) > 2.0 ** -40 * np.abs(num))
+             | (_ORIENT_BAND * (np.abs(den_l) + np.abs(den_r)) > 2.0 ** -40 * np.abs(den)))
+    for k in np.flatnonzero(rough):
+        v, w = (vx[k], vy[k]), (wx[k], wy[k])
+        o_a, o_b = _orient_exact(v, w, (ax[k], ay[k])), _orient_exact(v, w, (bx[k], by[k]))
+        t[k] = o_a / (o_a - o_b)
+    return t
 
 
 def _union_length(intervals, dx, dy):

@@ -1,0 +1,278 @@
+"""One boundary rule for polygons: open interiors, free outlines, blocked seams.
+
+Every collision kernel is checked against a Fraction oracle that shares no
+code with the package: a point's side by an exact crossing count, a
+segment's inside pieces by cutting it at every exact edge crossing and
+vertex on it and testing each piece's exact midpoint.
+"""
+
+import math
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pathbench.benchmark import TABLE1_CASES, audit_path
+from pathbench.environment import Environment, irregular_preset
+from pathbench.geometry import (Bounds, Polygon, edge_free, point_free,
+                                segment_polygon_collides)
+from pathbench.pso import PsoParams, plan_pso
+
+# --- the oracle ---------------------------------------------------------------
+
+
+def _cross(ux, uy, vx, vy):
+    return ux * vy - uy * vx
+
+
+def exact_side(p, vertices):
+    """1 strictly inside, 0 on the outline, -1 outside, on Fractions."""
+    px, py = Fraction(p[0]), Fraction(p[1])
+    vs = [(Fraction(x), Fraction(y)) for x, y in vertices]
+    edges = list(zip(vs, vs[1:] + vs[:1]))
+    for (x0, y0), (x1, y1) in edges:
+        if (_cross(x1 - x0, y1 - y0, px - x0, py - y0) == 0
+                and min(x0, x1) <= px <= max(x0, x1) and min(y0, y1) <= py <= max(y0, y1)):
+            return 0
+    inside = False
+    for (x0, y0), (x1, y1) in edges:
+        if (y0 > py) != (y1 > py) and px < x0 + (py - y0) * (x1 - x0) / (y1 - y0):
+            inside = not inside
+    return 1 if inside else -1
+
+
+def exact_inside_pieces(a, b, vertices):
+    """[(t0, t1)]: the Fraction pieces of a + t(b - a), t in [0, 1], strictly inside."""
+    ax, ay, bx, by = map(Fraction, (a[0], a[1], b[0], b[1]))
+    dx, dy = bx - ax, by - ay
+    if dx == 0 and dy == 0:
+        return []
+    vs = [(Fraction(x), Fraction(y)) for x, y in vertices]
+    cuts = {Fraction(0), Fraction(1)}
+    for (x0, y0), (x1, y1) in zip(vs, vs[1:] + vs[:1]):
+        ux, uy = x1 - x0, y1 - y0
+        den = _cross(dx, dy, ux, uy)
+        if den != 0:
+            t = _cross(x0 - ax, y0 - ay, ux, uy) / den
+            s = _cross(x0 - ax, y0 - ay, dx, dy) / den
+            if 0 <= s <= 1 and 0 < t < 1:
+                cuts.add(t)
+        if _cross(dx, dy, x0 - ax, y0 - ay) == 0:
+            t = ((x0 - ax) * dx + (y0 - ay) * dy) / (dx * dx + dy * dy)
+            if 0 < t < 1:
+                cuts.add(t)
+    cuts = sorted(cuts)
+    return [(t0, t1) for t0, t1 in zip(cuts, cuts[1:])
+            if exact_side((ax + (t0 + t1) / 2 * dx, ay + (t0 + t1) / 2 * dy), vertices) > 0]
+
+
+def exact_blocks(a, b, vertices):
+    """True iff some point of the closed segment lies strictly inside."""
+    if a[0] == b[0] and a[1] == b[1]:
+        return exact_side(a, vertices) > 0
+    return bool(exact_inside_pieces(a, b, vertices))
+
+
+def exact_measure(a, b, outlines):
+    """The measure of the union of the inside pieces over the polygons, times
+    the segment's `math.hypot` length."""
+    pieces = sorted(p for vs in outlines for p in exact_inside_pieces(a, b, vs))
+    total, end = Fraction(0), Fraction(0)
+    for t0, t1 in pieces:
+        t0 = max(t0, end)
+        if t1 > t0:
+            total += t1 - t0
+            end = t1
+    return float(total) * math.hypot(b[0] - a[0], b[1] - a[1])
+
+
+def _blocked(env, a, b):
+    return float(env.collision_field.blocked_lengths(np.array([a]), np.array([b]))[0])
+
+
+# --- the boundary table -------------------------------------------------------
+
+WIDE = Bounds(-10.0, 10.0, -10.0, 10.0)
+SQUARE = ((0.0, 0.0), (2.0, 0.0), (2.0, 2.0), (0.0, 2.0))
+# Concave L: a 4x4 square with the top-right 3x3 corner cut away; (1, 1) is reflex.
+L_SHAPE = ((0.0, 0.0), (4.0, 0.0), (4.0, 1.0), (1.0, 1.0), (1.0, 4.0), (0.0, 4.0))
+# Its left edge is slanted, between vertices no float line passes through exactly.
+PENTAGON = ((-1.3, 0.2), (1.5, -0.4), (2.1, 2.0), (0.6, 3.9), (-0.7, 3.3))
+
+BOUNDARY_ROWS = [
+    # (polygon, a, b, blocked length)
+    (SQUARE, (-1.0, 1.0), (1.0, -1.0), 0.0),     # touches the corner (0, 0) from outside
+    (SQUARE, (0.0, 0.0), (2.0, 0.0), 0.0),       # along the bottom edge
+    (SQUARE, (2.0, 0.0), (2.0, 2.0), 0.0),       # along the right edge
+    (SQUARE, (2.0, 2.0), (0.0, 2.0), 0.0),       # along the top edge
+    (SQUARE, (0.0, 2.0), (0.0, 0.0), 0.0),       # along the left edge
+    (SQUARE, (-1.0, 0.0), (3.0, 0.0), 0.0),      # along the bottom edge and past it
+    (SQUARE, (1.0, -1.0), (1.0, 0.0), 0.0),      # ends on the bottom edge
+    (SQUARE, (1.0, 3.0), (1.0, 2.0), 0.0),       # ends on the top edge
+    (SQUARE, (0.0, 0.0), (2.0, 2.0), 2.0 * math.sqrt(2.0)),  # the diagonal, corner to corner
+    (SQUARE, (-1.0, -1.0), (1.0, 1.0), math.sqrt(2.0)),      # through a corner, into the square
+    (SQUARE, (1.0, 1.0), (1.0, 1.0), 0.0),       # a point inside: blocked, of length 0
+    (L_SHAPE, (2.0, 2.0), (1.0, 1.0), 0.0),      # touches the reflex vertex from the notch
+    (L_SHAPE, (2.0, 2.0), (0.5, 0.5), math.sqrt(0.5)),       # passes through it
+    (L_SHAPE, (4.0, 1.0), (1.0, 4.0), 0.0),      # across the notch, vertex to vertex
+    (L_SHAPE, (1.0, 1.0), (0.0, 0.0), math.sqrt(2.0)),       # reflex vertex to corner, inside
+    (PENTAGON, (-1.3, 0.2), (-0.7, 3.3), 0.0),   # along the slanted edge
+    (PENTAGON, (-0.7, 3.3), (-1.3, 0.2), 0.0),
+    (PENTAGON, (-1.3, 0.2), (0.6, 3.9), 4.159326868617084),  # vertex to vertex, inside
+]
+
+
+@pytest.mark.parametrize("vertices, a, b, length", BOUNDARY_ROWS)
+def test_every_kernel_keeps_one_boundary_rule(vertices, a, b, length):
+    env = Environment(WIDE, (Polygon(vertices),))
+    blocked = _blocked(env, a, b)
+    hits = exact_blocks(a, b, vertices)
+    assert segment_polygon_collides((a, b), vertices) == hits
+    assert edge_free(a, b, env) == (not hits)
+    assert blocked == pytest.approx(length, rel=1e-12, abs=0.0)
+    if a != b:
+        assert (blocked > 0.0) == hits
+
+
+@pytest.mark.parametrize("vertices", [SQUARE, L_SHAPE, PENTAGON])
+def test_outline_points_are_free(vertices):
+    env = Environment(WIDE, (Polygon(vertices),))
+    vs = np.array(vertices)
+    points = np.concatenate([vs, (vs + np.roll(vs, -1, axis=0)) / 2.0])
+    for p in points.tolist():
+        if exact_side(p, vertices) == 0:
+            assert point_free(p, env)
+    assert env.collision_field.free(vs).all()
+
+
+# --- seams --------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def maze():
+    return irregular_preset("irregular-a")[0]
+
+
+def test_the_maze_has_four_seams(maze):
+    seams = [(0, -40.0, -22.0, -19.0), (0, -40.0, -5.0, -2.0),
+             (0, 40.0, -22.0, -19.0), (0, 40.0, -5.0, -2.0)]
+    assert sorted(maze.collision_field.seams) == seams
+    # The same walls listed clockwise.
+    clockwise = Environment(maze.bounds, tuple(Polygon(o.vertices[::-1]) for o in maze.obstacles))
+    assert sorted(clockwise.collision_field.seams) == seams
+
+
+@pytest.mark.parametrize("x", [-40.0, 40.0])
+@pytest.mark.parametrize("y_lo, y_hi", [(-22.0, -19.0), (-5.0, -2.0)])
+def test_a_wall_that_meets_the_bounds_leaves_no_gap(maze, x, y_lo, y_hi):
+    # Along the bound line, across the seam where the wall meets it.
+    a, b = (x, y_lo - 3.0), (x, y_hi + 3.0)
+    assert not edge_free(a, b, maze)
+    assert _blocked(maze, a, b) == 3.0
+    # Up to the wall's corner, and along the open stretch beyond it.
+    assert edge_free(a, (x, y_lo), maze)
+    assert _blocked(maze, a, (x, y_lo)) == 0.0
+    assert edge_free((x, y_hi), b, maze)
+    assert _blocked(maze, (x, y_hi), b) == 0.0
+    # Inside the seam the points are blocked; its ends, the corners, are free.
+    assert not point_free((x, (y_lo + y_hi) / 2.0), maze)
+    assert point_free((x, y_lo), maze) and point_free((x, y_hi), maze)
+    assert maze.collision_field.free([(x, y_lo), (x, y_lo + 1.0), (x, y_hi)]).tolist() == [
+        True, False, True]
+    # A segment that ends inside the seam, from in bounds, enters the wall.
+    inward = math.copysign(1.0, -x)
+    end = (x, y_lo + 1.0)
+    assert not edge_free((x + inward, y_lo + 1.0), end, maze)
+    assert _blocked(maze, (x + inward, y_lo + 1.0), end) == 1.0
+
+
+def test_a_polygon_outside_the_bounds_makes_no_seam():
+    # The square lies outside the bounds and touches x = 40 with its left
+    # edge: the environment keeps it (the closed touch test), but its
+    # interior is on the outer side, so the bound line stays open.
+    square = Polygon(((40.0, -10.0), (50.0, -10.0), (50.0, -5.0), (40.0, -5.0)))
+    env = Environment(Bounds(-40.0, 40.0, -40.0, 20.0), (square,))
+    assert env.obstacles == (square,)
+    assert env.collision_field.seams == ()
+    assert edge_free((40.0, -12.0), (40.0, -3.0), env)
+    assert _blocked(env, (40.0, -12.0), (40.0, -3.0)) == 0.0
+    assert point_free((40.0, -7.0), env)
+
+
+def _on_a_seam(a, b, seams):
+    return any(a[axis] == value == b[axis]
+               and min(a[1 - axis], b[1 - axis]) < hi and max(a[1 - axis], b[1 - axis]) > lo
+               for axis, value, lo, hi in seams)
+
+
+def test_pso_no_longer_slips_through_a_seam(maze):
+    # Open outlines without seams let this run through the wall where it
+    # meets x = 40; under the half-open ray cast it ended infeasible.
+    result = plan_pso(maze, TABLE1_CASES[0], PsoParams(rng_seed=4))
+    assert result.feasible and audit_path(result.path, maze)
+    assert result.length == pytest.approx(53.93868463202851, rel=1e-12)
+    seams = maze.collision_field.seams
+    assert not any(_on_a_seam(a, b, seams) for a, b in zip(result.path, result.path[1:]))
+
+
+# --- grazes against the oracle ------------------------------------------------
+
+def _star():
+    """A concave 10-gon: slanted edges, five reflex vertices."""
+    turns = [0.1 + math.pi * k / 5 for k in range(10)]
+    return tuple((0.3 + r * math.cos(th), -0.7 + r * math.sin(th))
+                 for th, r in zip(turns, [2.3, 1.0] * 5))
+
+
+GRAZE_POLYGONS = (SQUARE, L_SHAPE, PENTAGON, _star())
+GRAZE_KINDS = ("vertex-vertex", "through-vertex", "along-edge", "outline-outline")
+
+
+@st.composite
+def grazes(draw):
+    """(polygon, a, b): a segment from vertex to vertex, through a vertex,
+    along an edge or from outline to outline, each end moved by up to
+    1e-13 (often not at all)."""
+    vertices = draw(st.sampled_from(GRAZE_POLYGONS))
+    n = len(vertices)
+    kind = draw(st.sampled_from(GRAZE_KINDS))
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    params = st.floats(-0.5, 1.5)
+
+    def on_edge(k, u):
+        (x0, y0), (x1, y1) = vertices[k], vertices[(k + 1) % n]
+        return (x0 + u * (x1 - x0), y0 + u * (y1 - y0))
+
+    if kind == "vertex-vertex":
+        a, b = vertices[i], vertices[j]
+    elif kind == "through-vertex":
+        th = draw(st.floats(0.0, 2.0 * math.pi))
+        s1, s2 = draw(st.floats(0.0, 3.0)), draw(st.floats(0.0, 3.0))
+        (vx, vy), (c, s) = vertices[i], (math.cos(th), math.sin(th))
+        a, b = (vx - s1 * c, vy - s1 * s), (vx + s2 * c, vy + s2 * s)
+    elif kind == "along-edge":
+        a, b = on_edge(i, draw(params)), on_edge(i, draw(params))
+    else:
+        a, b = on_edge(i, draw(st.floats(0.0, 1.0))), on_edge(j, draw(st.floats(0.0, 1.0)))
+    jitter = st.sampled_from([0.0]) | st.floats(-1e-13, 1e-13)
+    a = (a[0] + draw(jitter), a[1] + draw(jitter))
+    b = (b[0] + draw(jitter), b[1] + draw(jitter))
+    return vertices, a, b
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(graze=grazes())
+def test_grazes_match_the_fraction_oracle(graze):
+    vertices, a, b = graze
+    env = Environment(WIDE, (Polygon(vertices),))
+    hits = exact_blocks(a, b, vertices)
+    assert segment_polygon_collides((a, b), vertices) == hits
+    assert edge_free(a, b, env) == (not hits)
+    sides = [exact_side(p, vertices) <= 0 for p in (a, b)]
+    assert [point_free(a, env), point_free(b, env)] == sides
+    assert env.collision_field.free([a, b]).tolist() == sides
+    if a != b:
+        blocked, length = _blocked(env, a, b), math.hypot(b[0] - a[0], b[1] - a[1])
+        assert (blocked > 0.0) == hits
+        assert abs(blocked - exact_measure(a, b, [vertices])) <= 1e-9 * max(1.0, length)

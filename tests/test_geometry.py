@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pathbench.environment import Environment
+from pathbench.environment import Environment, Query
 from pathbench.errors import InvalidObstacleError, InvalidPathError
 from pathbench.geometry import (Bounds, Circle, CollisionField, Point2,
                                 Polygon, dist, edge_free, path_length,
@@ -76,6 +76,18 @@ def test_segments_intersect():
     assert not segments_intersect((0, 0), (1, 0), (2, 0), (3, 0))  # collinear gap
     assert not segments_intersect((0, 0), (1, 0), (0, 1), (1, 1))  # parallel
     assert segments_intersect((0, 0), (4, 0), (2, -1), (2, 3))
+    # Nearly collinear and apart (disjoint x ranges): float orientation
+    # signs are rounding noise here and reported a proper crossing.
+    for p1, p2, q1, q2 in [
+        ((-2.5125887752940983, -3.071417468871665), (0.25160771459281905, -1.0506279119208863),
+         (0.2714771832441373, -1.0361021664105203), (0.7293458123641411, -0.7013733772067815)),
+        ((-0.9420765866408374, -1.9232810605137138), (1.6775603414417288, -0.008173011343000747),
+         (1.6775610964922325, -0.008172459356852624), (2.8379971755849382, 0.8401742912156369)),
+        ((-1.2428003681729436, -2.1431277608008155), (1.0520398306961423, -0.4654651468325839),
+         (1.0520876098066732, -0.46543021750395097), (1.3486609634005622, -0.24861772316606867)),
+    ]:
+        assert not segments_intersect(p1, p2, q1, q2)
+        assert not segments_intersect(q1, q2, p1, p2)
 
 
 def test_point_in_polygon_square():
@@ -143,6 +155,16 @@ def test_circle_validation():
         Circle(Point2(0, 0), math.inf)
     with pytest.raises(InvalidObstacleError):
         Circle(Point2(math.nan, 0), 1.0)
+
+
+def test_obstacles_and_queries_store_plain_floats():
+    c = Circle(Point2(np.float64(1.0), np.float64(2.0)), np.float64(0.5))
+    p = Polygon(tuple((np.float64(x), np.float64(y)) for x, y in UNIT_SQUARE))
+    q = Query(np.array([1.0, 2.0]), (np.float64(3.0), 4))
+    values = [*c.center, c.radius, *(v for xy in p.vertices for v in xy), *q.start, *q.target]
+    assert {type(v) for v in values} == {float}
+    assert (c.center, c.radius, q.start, q.target) == ((1.0, 2.0), 0.5, (1.0, 2.0), (3.0, 4.0))
+    assert p.vertices == tuple(UNIT_SQUARE)
 
 
 def test_bounds_are_inclusive():
