@@ -24,8 +24,7 @@ from .errors import (EnvironmentGenerationError, FormatError,
                      InvalidQueryError, InvalidStateError, PathbenchError,
                      PresetLookupError)
 from .geometry import (Bounds, Circle, CollisionField, Point2, Polygon,
-                       dist, edge_free, path_length,
-                       point_free, point_in_polygon, point_segment_distance,
+                       dist, edge_free, path_length, point_free, point_in_polygon,
                        segment_circle_collides, segment_polygon_collides,
                        segments_intersect)
 from .pso import PsoParams, PsoRun, plan_pso
@@ -39,7 +38,7 @@ __all__ = [
     "__version__",
     # geometry
     "Point2", "Bounds", "Circle", "Polygon", "dist", "path_length",
-    "point_segment_distance", "segments_intersect", "point_in_polygon",
+    "segments_intersect", "point_in_polygon",
     "segment_circle_collides", "segment_polygon_collides", "point_free",
     "edge_free", "CollisionField",
     # environment

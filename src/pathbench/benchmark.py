@@ -2,9 +2,8 @@
 
 The oracle, a feasibility check and near-optimal length yardstick, runs
 its own A* over an 8-connected grid. Only its cell test is shared: cells
-are classified by `CollisionField.free`, whose polygon ray cast PSO's
-`blocked_lengths` also runs on the pieces between polygon edge
-crossings.
+are classified by `CollisionField.free`, which keeps the planners' one
+exact boundary rule.
 """
 
 from __future__ import annotations

@@ -13,16 +13,15 @@ Conventions used throughout the package:
   is iff its blocked length is above 0;
 * all inputs are plain floats, points are (x, y) pairs.
 
-Every polygon decision rests on one exact orientation sign, `_orient`.
+Every polygon decision rests on one exact orientation sign, `_orient`,
+and every disk decision on one exact squared-distance sign, `_meets_disk`.
 
 Each `Environment` builds one `CollisionField`, cached as
 `Environment.collision_field`: every disk's and polygon's numbers as
-plain floats and as arrays, with the obstacle's bounding box widened on
-every side by NEAR_MARGIN * (1 + S), S the largest coordinate magnitude
-of the bounds and obstacles, and the seams. `edge_free` skips an
-obstacle whose widened box misses the box of the segment under test;
-the field's docstring argues why no skipped obstacle could have
-blocked. `point_free` is `CollisionField.free` on one point.
+plain floats and as arrays, with the obstacle's closed bounding box, and
+the seams. As every test is exact, `edge_free` may skip an obstacle whose
+box misses the box of the segment under test. `point_free` is
+`CollisionField.free` on one point.
 
 `CollisionField.blocked_lengths` measures each segment's union of open
 intervals out of bounds, inside a disk, inside a polygon and along a
@@ -76,10 +75,10 @@ class Bounds(NamedTuple):
         return self.y_max - self.y_min
 
 
-def _require_finite(values: Sequence[float], what: str) -> None:
+def _require_finite(values: Sequence[float], what: str, error=InvalidObstacleError) -> None:
     for v in values:
         if not math.isfinite(v):
-            raise InvalidObstacleError(f"{what} must be finite, got {v!r}")
+            raise error(f"{what} must be finite, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -107,9 +106,12 @@ class Polygon:
     def __post_init__(self):
         verts = tuple(_plain_point(v) for v in self.vertices)
         _validate_polygon_arg(verts)
-        for v in verts:
-            _require_finite(v, "polygon vertex")
         n = len(verts)
+        # No edge may run back over the one before it. With four or more
+        # vertices it would meet a non-adjacent edge; a triangle does iff its
+        # vertices are collinear.
+        if n == 3 and _orient(*verts) == 0:
+            raise InvalidObstacleError("polygon folds back: its three vertices are collinear")
         # Simplicity: no two non-adjacent edges may intersect.
         for i in range(n):
             a1, a2 = verts[i], verts[(i + 1) % n]
@@ -141,26 +143,6 @@ def path_length(waypoints: Sequence[Sequence[float]]) -> float:
     for a, b in zip(waypoints, waypoints[1:]):
         total += math.hypot(a[0] - b[0], a[1] - b[1])
     return total
-
-
-def point_segment_distance(p: Sequence[float], a: Sequence[float],
-                           b: Sequence[float]) -> float:
-    """Distance from point p to the closed segment (a, b).
-
-    Zero-length segments are treated as points.
-    """
-    ax, ay = a[0], a[1]
-    vx, vy = b[0] - ax, b[1] - ay
-    wx, wy = p[0] - ax, p[1] - ay
-    vv = vx * vx + vy * vy
-    if vv == 0.0:
-        return math.hypot(wx, wy)
-    t = (wx * vx + wy * vy) / vv
-    if t < 0.0:
-        t = 0.0
-    elif t > 1.0:
-        t = 1.0
-    return math.hypot(wx - t * vx, wy - t * vy)
 
 
 #: Shewchuk's bound on the rounding of the float orientation determinant,
@@ -321,18 +303,53 @@ def _validate_polygon_arg(vertices) -> None:
     n = len(vertices)
     for i in range(n):
         a, b = vertices[i], vertices[(i + 1) % n]
+        _require_finite(a, "polygon vertex")
         if a[0] == b[0] and a[1] == b[1]:
             raise InvalidObstacleError(
                 f"degenerate polygon: repeated consecutive vertex ({a[0]}, {a[1]})")
 
 
+#: Bounds the rounding of each float disk test here, relative to the sum of
+#: its terms' magnitudes: 128 eps, against about 22 eps by error analysis.
+_DISK_BAND = 2.0 ** -46
+
+
+def _disk_gap(a, b, c, r):
+    """(gap, size) on floats or integers: gap has the sign of min |p - c|^2 - r^2
+    over the closed segment (a, b), and size bounds its terms. With v = b - a
+    and w = c - a, the nearest point is a if w.v <= 0, b if w.v >= v.v, and
+    else the foot of the perpendicular, at cross(v, w)^2 / v.v."""
+    vx, vy, wx, wy = b[0] - a[0], b[1] - a[1], c[0] - a[0], c[1] - a[1]
+    wv, vv, rr = wx * vx + wy * vy, vx * vx + vy * vy, r * r
+    if 0 < wv < vv:
+        cross = vx * wy - vy * wx
+        return cross * cross - rr * vv, vv * (wx * wx + wy * wy + rr)
+    if wv > 0:
+        wx, wy = c[0] - b[0], c[1] - b[1]
+    ww = wx * wx + wy * wy
+    return ww - rr, ww + rr
+
+
+def _meets_disk(a, b, c, r) -> bool:
+    """True iff the closed segment (a, b) meets the open disk (c, r), decided
+    exactly: the float `_disk_gap` outside its rounding band, else the integer
+    one on the finite inputs scaled by their largest power-of-two denominator."""
+    gap, size = _disk_gap(a, b, c, r)
+    if abs(gap) > _DISK_BAND * size + _ORIENT_TINY:
+        return gap < 0.0
+    ratios = [v.as_integer_ratio() for v in (*a, *b, *c, r)]
+    den = max(d for _, d in ratios)
+    v = [n * (den // d) for n, d in ratios]
+    return _disk_gap(v[:2], v[2:4], v[4:6], v[6])[0] < 0
+
+
 def segment_circle_collides(segment: Segment, center: Sequence[float],
                             radius: float) -> bool:
-    """True iff the segment enters the open disk (tangency is free)."""
-    if not (math.isfinite(radius) and radius > 0):
-        raise InvalidObstacleError(f"circle radius must be > 0, got {radius!r}")
+    """True iff the segment enters the open disk (tangency is free), decided exactly."""
+    disk = Circle(center, radius)
     a, b = segment
-    return point_segment_distance(center, a, b) < radius
+    _require_finite((*a, *b), "segment endpoint", InvalidPathError)
+    return _meets_disk(a, b, disk.center, disk.radius)
 
 
 def segment_polygon_collides(segment: Segment,
@@ -342,13 +359,9 @@ def segment_polygon_collides(segment: Segment,
     Touching a corner or running along an edge is free; decided exactly.
     """
     _validate_polygon_arg(vertices)
-    return _segment_enters(*segment, vertices)
-
-
-#: Relative widening of every obstacle box in a `CollisionField`, which
-#: only decides which obstacles a test may skip. Far above double
-#: rounding (about 1e-16), far below any gap a planner could exploit.
-NEAR_MARGIN = 1e-9
+    a, b = segment
+    _require_finite((*a, *b), "segment endpoint", InvalidPathError)
+    return _segment_enters(a, b, vertices)
 
 
 def point_free(p: Sequence[float], env: "Environment") -> bool:
@@ -362,13 +375,11 @@ def edge_free(a: Sequence[float], b: Sequence[float], env: "Environment") -> boo
 
     The far endpoint b is a point of the segment, so it must be free too,
     as the tree planner needs for its candidate node. Obstacles whose
-    widened box (see `CollisionField`) is disjoint from the segment's box
-    are skipped. Each remaining disk is checked in one pass: b strictly
-    inside, then `point_segment_distance` from the center below the
-    radius, written out inline on plain floats. A segment on a bound line
-    is checked against the seams there. Each remaining polygon gets the
-    exact test of `segment_polygon_collides`, without re-validating the
-    vertices `Polygon` already checked.
+    closed box (see `CollisionField`) misses the segment's box are
+    skipped. Each remaining disk gets `_meets_disk`; a segment on a bound
+    line is checked against the seams there; each remaining polygon gets
+    the exact test of `segment_polygon_collides`, without re-validating
+    the vertices `Polygon` already checked.
     """
     ax, ay = a[0], a[1]
     bx, by = b[0], b[1]
@@ -380,25 +391,10 @@ def edge_free(a: Sequence[float], b: Sequence[float], env: "Environment") -> boo
     x_lo, x_hi = (ax, bx) if ax <= bx else (bx, ax)
     y_lo, y_hi = (ay, by) if ay <= by else (by, ay)
     field = env.collision_field
-    for box_x_lo, box_x_hi, box_y_lo, box_y_hi, cx, cy, r in field.disks:
+    for box_x_lo, box_x_hi, box_y_lo, box_y_hi, c, r in field.disks:
         if x_hi < box_x_lo or x_lo > box_x_hi or y_hi < box_y_lo or y_lo > box_y_hi:
             continue
-        dx, dy = bx - cx, by - cy
-        if dx * dx + dy * dy < r * r:
-            return False
-        vx, vy = bx - ax, by - ay
-        vv = vx * vx + vy * vy
-        wx, wy = cx - ax, cy - ay
-        if vv == 0.0:
-            if math.hypot(wx, wy) < r:
-                return False
-            continue
-        t = (wx * vx + wy * vy) / vv
-        if t < 0.0:
-            t = 0.0
-        elif t > 1.0:
-            t = 1.0
-        if math.hypot(wx - t * vx, wy - t * vy) < r:
+        if _meets_disk(a, b, c, r):
             return False
     if ax == bx or ay == by:  # only such a segment can run along a bound line
         for axis, value, lo, hi in field.seams:
@@ -440,7 +436,7 @@ class CollisionField:
     once: strict interior tests, inclusive bounds, blocked seams.
 
     For the scalar `edge_free`, in obstacle order: `disks` holds an
-    (x_lo, x_hi, y_lo, y_hi, cx, cy, r) tuple of plain floats per circle,
+    (x_lo, x_hi, y_lo, y_hi, (cx, cy), r) tuple of plain floats per circle,
     `polygons` an (x_lo, x_hi, y_lo, y_hi, vertices) tuple per polygon.
     `seams` holds an (axis, value, lo, hi) tuple per seam: the polygon
     edge on the bound line where coordinate `axis` is `value`, from lo to
@@ -453,22 +449,10 @@ class CollisionField:
     vertex after); `polygon_starts` giving each polygon's first row;
     `polygon_boxes` as x_lo, x_hi, y_lo, y_hi rows.
 
-    Each box is the obstacle's bounding box widened on every side by a
-    margin of NEAR_MARGIN * (1 + S), S the largest magnitude of a bound
-    or an obstacle coordinate (for a disk, |center| + r). `edge_free`
-    skips every obstacle whose widened box is disjoint from the box of
-    the segment it tests, and `blocked_lengths` leaves out the polygons
-    for such a segment. A skipped obstacle cannot block:
-
-    * A polygon's tests are exact, and no point of such a segment lies in
-      the polygon's closed box.
-    * For a disk, every point a test computes with (an endpoint, or the
-      point a + t(b - a), t in [0, 1], that gives the distance) lies in
-      the tested box up to a few roundings of numbers below 4S, far less
-      than the margin, when the segment is in bounds, as S bounds it too.
-      So in some axis the point lies outside the disk's exact box by more
-      than rounding, and its computed distance to the center exceeds r
-      (an overflow gives inf or nan, which compare as clear).
+    Each box is the obstacle's closed bounding box, a disk's rounded
+    outward. Every test is exact, so a segment whose box misses it cannot
+    meet the obstacle: `edge_free` skips the obstacle, and
+    `blocked_lengths` leaves out the polygons for such a segment.
     """
 
     def __init__(self, env: "Environment"):
@@ -476,16 +460,13 @@ class CollisionField:
         circles = [(o.center.x, o.center.y, o.radius)
                    for o in env.obstacles if isinstance(o, Circle)]
         outlines = [o.vertices for o in env.obstacles if isinstance(o, Polygon)]
-        scale = max([abs(v) for v in self.bounds]
-                    + [max(abs(cx), abs(cy)) + r for cx, cy, r in circles]
-                    + [abs(v) for vs in outlines for xy in vs for v in xy])
-        m = NEAR_MARGIN * (1.0 + scale)
-        self.disks = tuple((cx - r - m, cx + r + m, cy - r - m, cy + r + m, cx, cy, r)
+        lo, hi = -math.inf, math.inf
+        self.disks = tuple((math.nextafter(cx - r, lo), math.nextafter(cx + r, hi),
+                            math.nextafter(cy - r, lo), math.nextafter(cy + r, hi), (cx, cy), r)
                            for cx, cy, r in circles)
-        self.polygons = tuple(
-            (min(v.x for v in vs) - m, max(v.x for v in vs) + m,
-             min(v.y for v in vs) - m, max(v.y for v in vs) + m, vs)
-            for vs in outlines)
+        self.polygons = tuple((min(v.x for v in vs), max(v.x for v in vs),
+                               min(v.y for v in vs), max(v.y for v in vs), vs)
+                              for vs in outlines)
         self.seams = _seams(self.bounds, outlines)
         disks = np.array(circles, dtype=np.float64).reshape(-1, 3)
         self.disk_x, self.disk_y = disks[:, :1].copy(), disks[:, 1:2].copy()
@@ -520,12 +501,21 @@ class CollisionField:
 
     def _in_disk(self, px, py):
         """Mask of the points strictly inside some disk, in blocks of about
-        2^14 (point, disk) pairs, so temporaries stay small and in cache."""
+        2^14 (point, disk) pairs, so temporaries stay small and in cache.
+        A pair whose |p - c|^2 lies within rounding of r^2 gets `_meets_disk`."""
         inside = np.zeros(len(px), dtype=bool)
         step = max(1, (1 << 14) // max(1, len(self.disks)))
         for k in range(0, len(px) if self.disks else 0, step):
             dx, dy = px[k:k + step] - self.disk_x, py[k:k + step] - self.disk_y
-            inside[k:k + step] = ((dx * dx + dy * dy) < self.disk_r2).any(axis=0)
+            gap = dx * dx + dy * dy - self.disk_r2
+            hit = gap < 0.0
+            # Where its sign is in doubt, the gap rounds by under _DISK_BAND
+            # (|p - c|^2 + r^2) < 3 _DISK_BAND r^2.
+            near = np.abs(gap) <= 3.0 * _DISK_BAND * self.disk_r2 + _ORIENT_TINY
+            for j, i in zip(*np.nonzero(near)):
+                p = px[k + i], py[k + i]
+                hit[j, i] = _meets_disk(p, p, *self.disks[j][4:])
+            inside[k:k + step] = hit.any(axis=0)
         return inside
 
     def _in_polygon(self, px, py):
@@ -561,16 +551,17 @@ class CollisionField:
         * Bounds, for segments whose box leaves them: [0, t_in) and
           (t_out, 1] around the part the slab method (Liang & Barsky)
           keeps; all of [0, 1] if that is empty or b - a is not finite.
-        * Disks: each disk's open root interval, clipped to [0, 1]. The one
-          approximation: below a squared length of 1e-100 the quadratic
-          underflows, and the segment is blocked whole iff its midpoint is
-          strictly inside a disk, an error under its length (1e-50).
+        * Disks: each disk's open root interval, clipped to [0, 1]. A
+          (segment, disk) pair whose answer the rounded roots may get
+          wrong gets `_meets_disk`: one that meets keeps an interval, at
+          least a sliver of 2^-53 at t = 0.5 (all of [0, 1] if the squared
+          length rounds to 0), and one that misses is dropped.
         * Polygons, for segments of positive, finite length whose box
-          meets a polygon's widened box (see the class docstring): each
-          polygon's open intervals, from exact orientation signs; see
-          `_polygon_intervals`. Each cut's t is rounded once, so a piece
-          between two crossings within rounding of each other may move by
-          that rounding; one that rounds to nothing keeps one ulp.
+          meets a polygon's box: each polygon's open intervals, from exact
+          orientation signs; see `_polygon_intervals`. Each cut's t is
+          rounded once, so a piece between two crossings within rounding
+          of each other may move by that rounding; one that rounds to
+          nothing keeps one ulp.
         * Seams, for segments along a bound line: their overlap with each
           open seam.
 
@@ -591,12 +582,7 @@ class CollisionField:
             dx, dy = ex - ax, ey - ay
             intervals = self._bound_intervals(leaves, ax, ay, dx, dy)
             if self.disks:
-                tiny = dx * dx + dy * dy < 1e-100
-                intervals += self._disk_intervals(np.flatnonzero(~tiny), ax, ay, dx, dy)
-                if tiny.any():
-                    tiny = np.flatnonzero(tiny)
-                    tiny = tiny[self._in_disk(ax[tiny] + 0.5 * dx[tiny], ay[tiny] + 0.5 * dy[tiny])]
-                    intervals.append((tiny, np.zeros(len(tiny)), np.ones(len(tiny))))
+                intervals += self._disk_intervals(ax, ay, ex, ey, dx, dy)
             if self.polygons:
                 boxes = self.polygon_boxes
                 near = ((x_lo[:, None] <= boxes[:, 1]) & (x_hi[:, None] >= boxes[:, 0])
@@ -627,35 +613,49 @@ class CollisionField:
         return [(rows[head], np.zeros(np.count_nonzero(head)), t_in[head]),
                 (rows[tail], t_out[tail], np.ones(np.count_nonzero(tail)))]
 
-    def _disk_intervals(self, rows, ax, ay, dx, dy):
+    def _disk_intervals(self, ax, ay, ex, ey, dx, dy):
         """[(row, lo, hi)]: the non-empty disk root intervals of the rows."""
         found = []
         step = max(1, (1 << 14) // len(self.disks))
-        for k in range(0, len(rows), step):
-            r = rows[k:k + step]
+        for k in range(0, len(ax), step):
             # |a + t d - c|^2 = r^2 has the roots (-half_b -+ sqrt(disc)) / dd,
             # on (disks, rows) arrays. In place, in the written-out formula's
             # order (so the same doubles): fx becomes dd (|a - c|^2 - r^2).
-            dx_r, dy_r = dx[r], dy[r]
+            dx_r, dy_r = dx[k:k + step], dy[k:k + step]
             dd = dx_r * dx_r + dy_r * dy_r
-            fx, fy = ax[r] - self.disk_x, ay[r] - self.disk_y
+            fx, fy = ax[k:k + step] - self.disk_x, ay[k:k + step] - self.disk_y
             half_b = fx * dx_r
             half_b += fy * dy_r
             fx *= fx
             fy *= fy
             fx += fy
+            # Every term of disc is at most dd (|a - c|^2 + r^2) (half_b^2 by
+            # Cauchy-Schwarz), so rounding moves disc by less than `band`.
+            band = _DISK_BAND * dd.max() * (fx.max() + self.disk_r2.max()) + _ORIENT_TINY
             fx -= self.disk_r2
             fx *= dd
             disc = half_b * half_b
             disc -= fx
-            # Only a positive discriminant can give a non-empty interval.
-            hit = np.flatnonzero(disc > 0.0)
-            i = hit % len(r)
+            # Only a discriminant above -band (or nan) can give an interval.
+            hit = np.flatnonzero(~(disc <= -band))
+            i = hit % len(dx_r)
             half_b, root, dd = half_b.take(hit), np.sqrt(disc.take(hit)), dd[i]
             t0 = np.maximum((-half_b - root) / dd, 0.0)
             t1 = np.minimum((-half_b + root) / dd, 1.0)
             meet = t0 < t1
-            found.append((r[i[meet]], t0[meet], t1[meet]))
+            # Each root is off by less than about sqrt(band) / dd, so meet can only
+            # be wrong where |t1 - t0| dd < 2 sqrt(band); the test allows twice that.
+            sure = np.abs(t1 - t0) * dd > 4.0 * math.sqrt(band)
+            if not sure.all():
+                for u in np.flatnonzero(~sure):
+                    row, j = k + i[u], hit[u] // len(dx_r)
+                    if not (math.isfinite(dx[row]) and math.isfinite(dy[row])):
+                        continue  # the bounds block this row whole
+                    meet[u] = _meets_disk((ax[row], ay[row]), (ex[row], ey[row]),
+                                          *self.disks[j][4:])
+                    if meet[u] and not t0[u] < t1[u]:  # a sliver, or all of a row with dd 0
+                        t0[u], t1[u] = (0.5, 0.5 + 2.0 ** -53) if dd[u] else (0.0, 1.0)
+            found.append((k + i[meet], t0[meet], t1[meet]))
         return found
 
     def _polygon_intervals(self, rows, ax, ay, ex, ey, dx, dy):

@@ -1,12 +1,15 @@
-"""One boundary rule for polygons: open interiors, free outlines, blocked seams.
+"""One boundary rule: open interiors, free outlines and rims, blocked seams.
 
 Every collision kernel is checked against a Fraction oracle that shares no
-code with the package: a point's side by an exact crossing count, a
-segment's inside pieces by cutting it at every exact edge crossing and
-vertex on it and testing each piece's exact midpoint.
+code with the package. For a polygon: a point's side by an exact crossing
+count, a segment's inside pieces by cutting it at every exact edge
+crossing and vertex on it and testing each piece's exact midpoint. For a
+disk: the exact squared distance from the center to the segment's
+nearest point.
 """
 
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -16,8 +19,8 @@ from hypothesis import strategies as st
 
 from pathbench.benchmark import TABLE1_CASES, audit_path
 from pathbench.environment import Environment, irregular_preset
-from pathbench.geometry import (Bounds, Polygon, edge_free, point_free,
-                                segment_polygon_collides)
+from pathbench.geometry import (Bounds, Circle, Polygon, edge_free, point_free,
+                                segment_circle_collides, segment_polygon_collides)
 from pathbench.pso import PsoParams, plan_pso
 
 # --- the oracle ---------------------------------------------------------------
@@ -86,6 +89,17 @@ def exact_measure(a, b, outlines):
             total += t1 - t0
             end = t1
     return float(total) * math.hypot(b[0] - a[0], b[1] - a[1])
+
+
+def exact_disk_blocks(a, b, center, radius):
+    """True iff some point of the closed segment lies strictly inside the
+    disk: the nearest point's squared distance to the center, on Fractions."""
+    ax, ay, bx, by, cx, cy = map(Fraction, (a[0], a[1], b[0], b[1], center[0], center[1]))
+    dx, dy = bx - ax, by - ay
+    length2 = dx * dx + dy * dy
+    t = 0 if length2 == 0 else min(max(((cx - ax) * dx + (cy - ay) * dy) / length2, 0), 1)
+    px, py = ax + t * dx - cx, ay + t * dy - cy
+    return px * px + py * py < Fraction(radius) ** 2
 
 
 def _blocked(env, a, b):
@@ -276,3 +290,93 @@ def test_grazes_match_the_fraction_oracle(graze):
         blocked, length = _blocked(env, a, b), math.hypot(b[0] - a[0], b[1] - a[1])
         assert (blocked > 0.0) == hits
         assert abs(blocked - exact_measure(a, b, [vertices])) <= 1e-9 * max(1.0, length)
+
+
+# --- disk grazes against the oracle -------------------------------------------
+
+GRAZE_DISKS = (Circle((0.0, 0.0), 1.0), Circle((0.1418594964030806, 5.405564355911224),
+                                              0.7478065283346083),
+               Circle((-3.3, 2.7), 2.9), Circle((1e-3, -7.1), 0.37))
+DISK_KINDS = ("tangent", "rim-end", "zero", "underflow")
+
+
+@st.composite
+def disk_grazes(draw):
+    """(disk, a, b): a row tangent to the rim, a row with an end on the rim,
+    a row of length 0 on the rim, each end often moved by up to 1e-13 times
+    the radius; or a row so short that its squared length underflows,
+    within 1e-160 of a rim through the origin."""
+    kind = draw(st.sampled_from(DISK_KINDS))
+    if kind == "underflow":
+        r, axis = draw(st.floats(0.5, 4.0)), draw(st.integers(0, 1))
+        sign = draw(st.sampled_from((-1, 1)))
+        disk = Circle((sign * r, 0.0) if axis == 0 else (0.0, sign * r), r)
+        a = (draw(st.floats(-1e-160, 1e-160)), draw(st.floats(-1e-160, 1e-160)))
+        step = st.floats(1e-170, 1e-161) | st.floats(-1e-161, -1e-170)
+        return disk, a, (a[0] + draw(step), a[1] + draw(step))
+    disk = draw(st.sampled_from(GRAZE_DISKS))
+    (cx, cy), r = disk.center, disk.radius
+    th = draw(st.floats(0.0, 2.0 * math.pi))
+    c, s = math.cos(th), math.sin(th)
+    jitter = st.sampled_from([0.0]) | st.floats(-1e-13, 1e-13)
+    rim = cx + r * (1.0 + draw(jitter)) * c, cy + r * (1.0 + draw(jitter)) * s
+    if kind == "tangent":
+        s1 = draw(st.floats(-3.0, 3.0))
+        s2 = -s1 if draw(st.booleans()) else draw(st.floats(-3.0, 3.0))
+        a, b = (rim[0] - s1 * s, rim[1] + s1 * c), (rim[0] - s2 * s, rim[1] + s2 * c)
+    elif kind == "rim-end":
+        # Out, in, along the tangent, or any way.
+        turn = draw(st.sampled_from([0.0, math.pi, 0.5 * math.pi, -0.5 * math.pi])
+                    | st.floats(0.0, 2.0 * math.pi))
+        length = draw(st.floats(0.0, 3.0))
+        a, b = rim, (rim[0] + length * math.cos(th + turn), rim[1] + length * math.sin(th + turn))
+    else:
+        a = b = rim
+    return (disk, b, a) if draw(st.booleans()) else (disk, a, b)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(graze=disk_grazes())
+def test_disk_grazes_match_the_fraction_oracle(graze):
+    disk, a, b = graze
+    env = Environment(WIDE, (disk,))
+    hits = exact_disk_blocks(a, b, disk.center, disk.radius)
+    assert segment_circle_collides((a, b), disk.center, disk.radius) == hits
+    assert edge_free(a, b, env) == (not hits)
+    inside = [exact_disk_blocks(p, p, disk.center, disk.radius) for p in (a, b)]
+    assert [point_free(a, env), point_free(b, env)] == [not v for v in inside]
+    assert env.collision_field.free([a, b]).tolist() == [not v for v in inside]
+    if a != b:
+        assert (_blocked(env, a, b) > 0.0) == hits
+
+
+def test_twenty_thousand_tangent_rows_match_the_oracle():
+    # Rows tangent to a random disk up to r times one of seven offsets,
+    # 100 rows per disk, all inside the bounds.
+    random.seed(3)
+    offsets = (0.0, 1e-16, -1e-16, 1e-15, -1e-15, 1e-13, -1e-13)
+    disagree = {"edge_free": 0, "segment_circle_collides": 0, "blocked_lengths": 0,
+                "edge_free against blocked_lengths": 0}
+    for _ in range(200):
+        disk = Circle((random.uniform(-20.0, 20.0), random.uniform(-20.0, 20.0)),
+                      random.uniform(0.5, 6.0))
+        env = Environment(Bounds(-40.0, 40.0, -40.0, 40.0), (disk,))
+        (cx, cy), r = disk.center, disk.radius
+        rows = []
+        for _ in range(100):
+            th, eps = random.uniform(0.0, 2.0 * math.pi), random.choice(offsets)
+            c, s = math.cos(th), math.sin(th)
+            px, py = cx + r * (1.0 + eps) * c, cy + r * (1.0 + eps) * s
+            s1, s2 = random.uniform(-8.0, 8.0), random.uniform(-8.0, 8.0)
+            rows.append(((px - s1 * s, py + s1 * c), (px - s2 * s, py + s2 * c)))
+        blocked = env.collision_field.blocked_lengths(np.array([a for a, _ in rows]),
+                                                      np.array([b for _, b in rows]))
+        for (a, b), length in zip(rows, blocked.tolist()):
+            hits = exact_disk_blocks(a, b, disk.center, r)
+            free = edge_free(a, b, env)
+            disagree["edge_free"] += free == hits
+            collides = segment_circle_collides((a, b), disk.center, r)
+            disagree["segment_circle_collides"] += collides != hits
+            disagree["blocked_lengths"] += (length > 0.0) != hits
+            disagree["edge_free against blocked_lengths"] += free != (length == 0.0)
+    assert disagree == dict.fromkeys(disagree, 0)

@@ -14,10 +14,10 @@ from pathbench.errors import InvalidObstacleError, InvalidPathError
 from pathbench.geometry import (Bounds, Circle, CollisionField, Point2,
                                 Polygon, dist, edge_free, path_length,
                                 point_free, point_in_polygon,
-                                point_segment_distance,
                                 segment_circle_collides,
                                 segment_polygon_collides, segments_intersect)
 from pathbench.pso import path_violation
+from test_boundary import exact_disk_blocks
 
 UNIT_SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
 
@@ -58,15 +58,6 @@ def test_path_length_triangle_bound():
     for _ in range(50):
         pts = rng.uniform(-20, 20, size=(rng.integers(2, 8), 2))
         assert path_length(pts) >= dist(pts[0], pts[-1]) - 1e-12
-
-
-def test_point_segment_distance():
-    assert point_segment_distance((0, 5), (-3, 0), (3, 0)) == 5.0
-    # Projection falls past b; the closest point is the endpoint (4, 0).
-    assert point_segment_distance((7, 3), (0, 0), (4, 0)) == pytest.approx(math.hypot(3, 3))
-    assert point_segment_distance((5, 1), (0, 0), (10, 0)) == 1.0
-    # Zero-length segment behaves like a point.
-    assert point_segment_distance((1, 1), (2, 2), (2, 2)) == pytest.approx(math.sqrt(2))
 
 
 def test_segments_intersect():
@@ -122,6 +113,28 @@ def test_segment_circle_rejects_bad_radius():
         segment_circle_collides(((0, 0), (1, 0)), (0, 0), -2.0)
 
 
+@pytest.mark.parametrize("check, error", [
+    # The infinite rows run through the disk's centre and across the square.
+    (lambda: segment_circle_collides(((-math.inf, 0.0), (math.inf, 0.0)), (0.0, 0.0), 1.0),
+     InvalidPathError),
+    (lambda: segment_polygon_collides(((-math.inf, 1.0), (math.inf, 1.0)),
+                                      [(0.0, 0.0), (2.0, 0.0), (2.0, 2.0), (0.0, 2.0)]),
+     InvalidPathError),
+    (lambda: segment_circle_collides(((math.nan, 0.0), (5.0, 0.0)), (0.0, 0.0), 1.0),
+     InvalidPathError),
+    (lambda: segment_polygon_collides(((0.5, 0.5), (0.5, math.nan)), UNIT_SQUARE),
+     InvalidPathError),
+    (lambda: segment_circle_collides(((0.0, 0.0), (1.0, 0.0)), (math.inf, 0.0), 1.0),
+     InvalidObstacleError),
+    (lambda: segment_polygon_collides(((0.0, 0.0), (1.0, 0.0)), [(0, 0), (1, 0), (1, math.nan)]),
+     InvalidObstacleError),
+], ids=["circle-infinite-ends", "polygon-infinite-ends", "circle-nan-end", "polygon-nan-end",
+        "circle-infinite-centre", "polygon-nan-vertex"])
+def test_segment_predicates_reject_non_finite_input(check, error):
+    with pytest.raises(error):
+        check()
+
+
 def test_segment_polygon_collides():
     assert segment_polygon_collides(((-1, 0.5), (2, 0.5)), UNIT_SQUARE)
     assert not segment_polygon_collides(((-1, 2), (2, 2)), UNIT_SQUARE)
@@ -146,6 +159,23 @@ def test_polygon_validation():
     with pytest.raises(InvalidObstacleError):
         Polygon(((0, 0), (1, math.nan), (1, 1)))
     Polygon(tuple(Point2(*v) for v in L_SHAPE))  # concave but simple
+
+
+@pytest.mark.parametrize("vertices", [
+    ((0, 0), (2, 0), (1, 0)),                  # zero area, the second edge runs back
+    ((0.1, 0.1), (0.7, 0.7), (0.3, 0.3)),      # the same along a slanted line
+    ((0, 0), (4, 0), (4, 2), (4, 1)),          # a spike back down the right edge
+])
+def test_polygon_rejects_edges_that_fold_back(vertices):
+    with pytest.raises(InvalidObstacleError):
+        Polygon(vertices)
+
+
+def test_polygon_accepts_a_vertex_the_outline_runs_straight_through():
+    triangle = Polygon(((0, 0), (2, 0), (4, 0), (4, 2)))
+    env = Environment(Bounds(-10, 10, -10, 10), (triangle,))
+    assert not point_free((3.0, 0.5), env) and point_free((2.0, 0.0), env)
+    assert edge_free((0.0, 0.0), (4.0, 0.0), env)
 
 
 def test_circle_validation():
@@ -207,14 +237,28 @@ def test_edge_free_checks_far_endpoint(small_env):
     assert not edge_free((4.5, 8), (4.5, 4.5), small_env)
 
 
+def reference_disk_blocks(a, b, center, r):
+    """Oracle: True iff the closed segment enters the open disk. The float
+    nearest-point distance decides where it clears the radius by 1e-9 of
+    the squares involved, far above its rounding; the Fraction oracle
+    decides inside that band."""
+    fx, fy, dx, dy = a[0] - center[0], a[1] - center[1], b[0] - a[0], b[1] - a[1]
+    dd = dx * dx + dy * dy
+    t = 0.0 if dd == 0.0 else min(max(-(fx * dx + fy * dy) / dd, 0.0), 1.0)
+    px, py = fx + t * dx, fy + t * dy
+    gap = px * px + py * py - r * r
+    if abs(gap) > 1e-9 * (fx * fx + fy * fy + dd + r * r):
+        return gap < 0.0
+    return exact_disk_blocks(a, b, center, r)
+
+
 def reference_point_free(p, env):
     """Oracle: the scalar point test, every obstacle tested."""
     if not env.bounds.contains(p):
         return False
     for obs in env.obstacles:
         if isinstance(obs, Circle):
-            dx, dy = p[0] - obs.center.x, p[1] - obs.center.y
-            if dx * dx + dy * dy < obs.radius * obs.radius:
+            if reference_disk_blocks(p, p, obs.center, obs.radius):
                 return False
         elif point_in_polygon(p, obs.vertices):
             return False
@@ -436,9 +480,10 @@ def reference_union_lengths(env, starts, ends):
 
     For a + t(b - a), t in [0, 1]: the slab clip keeps [t_in, t_out] in
     bounds, and a row with nothing in bounds or a non-finite b - a is
-    blocked whole; each disk adds its open root interval clipped to
-    [0, 1], or for a row whose squared length is below 1e-100 all of
-    [0, 1] iff the midpoint is strictly inside it; and the row is cut at
+    blocked whole; each disk `reference_disk_blocks` says the row meets
+    adds its open root interval clipped to [0, 1], or where the rounded
+    roots give nothing (0.5, 0.5 + 2^-53), or [0, 1] for a row whose
+    squared length rounds to 0; and the row is cut at
     every polygon edge it crosses, each piece whose midpoint
     `point_in_polygon` puts inside a polygon blocked. The intervals are
     sorted, merged while one starts at or before the furthest end so far,
@@ -470,19 +515,16 @@ def reference_union_lengths(env, starts, ends):
             intervals.append((t_out, 1.0))
         dd = dx * dx + dy * dy
         for cx, cy, r in circles:
-            if dd < 1e-100:
-                mx, my = ax + 0.5 * dx - cx, ay + 0.5 * dy - cy
-                if mx * mx + my * my < r * r:
-                    intervals.append((0.0, 1.0))
-                continue
             fx, fy = ax - cx, ay - cy
             half_b = fx * dx + fy * dy
             disc = half_b * half_b - dd * (fx * fx + fy * fy - r * r)
-            if disc >= 0.0:
+            lo = hi = 0.0
+            if disc > 0.0 and dd > 0.0:
                 lo = max((-half_b - math.sqrt(disc)) / dd, 0.0)
                 hi = min((-half_b + math.sqrt(disc)) / dd, 1.0)
-                if lo < hi:
-                    intervals.append((lo, hi))
+            if reference_disk_blocks((ax, ay), (ex, ey), (cx, cy), r):
+                sliver = (0.5, 0.5 + 2.0 ** -53) if dd > 0.0 else (0.0, 1.0)
+                intervals.append((lo, hi) if lo < hi else sliver)
         cuts = [0.0, 1.0]
         for vs in outlines:
             for (vx, vy), (nx, ny) in zip(vs, vs[1:] + vs[:1]):
@@ -512,19 +554,12 @@ def reference_union_lengths(env, starts, ends):
 
 
 def reference_edge_free(a, b, env):
-    """Oracle: edge_free before the disk table, one pass for b, one for the segment."""
+    """Oracle: every obstacle tested."""
     if not (env.bounds.contains(a) and env.bounds.contains(b)):
         return False
     for obs in env.obstacles:
         if isinstance(obs, Circle):
-            dx, dy = b[0] - obs.center.x, b[1] - obs.center.y
-            if dx * dx + dy * dy < obs.radius * obs.radius:
-                return False
-        elif point_in_polygon(b, obs.vertices):
-            return False
-    for obs in env.obstacles:
-        if isinstance(obs, Circle):
-            if point_segment_distance(obs.center, a, b) < obs.radius:
+            if reference_disk_blocks(a, b, obs.center, obs.radius):
                 return False
         elif segment_polygon_collides((a, b), obs.vertices):
             return False
@@ -613,6 +648,20 @@ def test_row_skip_and_disk_table_match_the_oracles(kind, data):
         assert (np.abs(got - old) <= 1e-12 * np.maximum(1.0, lengths)).all()
 
 
+@pytest.mark.parametrize("kind", ("disks", "mixed"))
+@PROPERTY
+@given(data=st.data())
+def test_edge_free_iff_blocked_length_is_zero(kind, data):
+    # Rows inside the bounds, of positive length: tangent, from the rim,
+    # 1e-9 long from the rim, and any.
+    env = data.draw(fields(kind))
+    starts, ends = data.draw(segment_batches(env))
+    blocked = CollisionField(env).blocked_lengths(starts, ends)
+    for a, b, length in zip(starts.tolist(), ends.tolist(), blocked.tolist()):
+        if a != b and env.bounds.contains(a) and env.bounds.contains(b):
+            assert edge_free(a, b, env) == (length == 0.0)
+
+
 @pytest.mark.parametrize("obstacles, a, b, want", [
     # Tangent up to rounding: the discriminant comes out negative. A cut
     # pass classified the only piece midpoint, the tangent point, as
@@ -623,7 +672,7 @@ def test_row_skip_and_disk_table_match_the_oracles(kind, data):
     # meets the row's box: the cut pass blocked 4.399517807207114 here.
     ((TANGENT_DISK, Polygon(((-1.5, 7.0), (-1.2, 7.0), (-1.2, 7.5)))), *TANGENT_ROW, 0.0),
     # Inside a disk and so short that its squared length underflows to
-    # zero: the roots see nothing, the midpoint blocks the row.
+    # zero: the roots see nothing, the exact test blocks the row.
     ((Circle(Point2(0.3, 0.0), 1.0),), (0.0, 0.0), (1e-170, 0.0), 1e-170),
 ], ids=["tangent-midpoint-rounds-inside", "tangent-next-to-a-polygon-box",
         "underflowing-length"])
@@ -653,7 +702,7 @@ class CountingField(CollisionField):
 
 def test_blocked_lengths_never_calls_free():
     # Disk rows clear, blocked, or grazing a rim from either side; a row
-    # too short for the disk quadratic; a row that leaves the bounds; rows
+    # too short for the disk roots; a row that leaves the bounds; rows
     # across a polygon. None of them is classified by `free`.
     env = Environment(WIDE, (Circle(Point2(0, 0), 1.0), Circle(Point2(5, 5), 1.0),
                              Polygon(tuple(Point2(x - 5.0, y - 8.0) for x, y in L_SHAPE))))
