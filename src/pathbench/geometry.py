@@ -551,6 +551,7 @@ class CollisionField:
         * Bounds, for segments whose box leaves them: [0, t_in) and
           (t_out, 1] around the part the slab method (Liang & Barsky)
           keeps; all of [0, 1] if that is empty or b - a is not finite.
+          An end out of bounds keeps at least a sliver of 2^-53 there.
         * Disks: each disk's open root interval, clipped to [0, 1]. A
           (segment, disk) pair whose answer the rounded roots may get
           wrong gets `_meets_disk`: one that meets keeps an interval, at
@@ -580,7 +581,7 @@ class CollisionField:
         # Rows with nan or infinite endpoints are ordinary input here.
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             dx, dy = ex - ax, ey - ay
-            intervals = self._bound_intervals(leaves, ax, ay, dx, dy)
+            intervals = self._bound_intervals(leaves, ax, ay, ex, ey, dx, dy)
             if self.disks:
                 intervals += self._disk_intervals(ax, ay, ex, ey, dx, dy)
             if self.polygons:
@@ -594,7 +595,7 @@ class CollisionField:
                 intervals += self._seam_intervals(ax, ay, ex, ey, dx, dy)
             return _union_length(intervals, dx, dy)
 
-    def _bound_intervals(self, leaves, ax, ay, dx, dy):
+    def _bound_intervals(self, leaves, ax, ay, ex, ey, dx, dy):
         """[(row, lo, hi)]: the parts of the leaving rows out of bounds."""
         if not leaves.any():
             return []
@@ -609,6 +610,11 @@ class CollisionField:
             t_out = np.fmin(t_out, np.maximum(lo, hi))
         whole = ~(np.isfinite(dx[rows]) & np.isfinite(dy[rows]) & (t_in < t_out))
         t_in[whole] = t_out[whole] = 1.0
+        # An end out of bounds keeps at least a sliver, however its cut rounds.
+        a_out, e_out = (~((x >= b.x_min) & (x <= b.x_max) & (y >= b.y_min) & (y <= b.y_max))
+                        for x, y in ((ax[rows], ay[rows]), (ex[rows], ey[rows])))
+        t_in = np.maximum(t_in, a_out * 2.0 ** -53)
+        t_out = np.minimum(t_out, 1.0 - e_out * 2.0 ** -53)
         head, tail = t_in > 0.0, t_out < 1.0
         return [(rows[head], np.zeros(np.count_nonzero(head)), t_in[head]),
                 (rows[tail], t_out[tail], np.ones(np.count_nonzero(tail)))]

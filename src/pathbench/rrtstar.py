@@ -58,16 +58,19 @@ class RrtTree:
     Coordinates live twice: in float64 arrays that double when full, for
     the two O(n) scans, and in `_xs`/`_ys` lists of the same Python
     floats, for the per-node reads, which then skip numpy's per-call cost.
-    Costs stay scalar math.hypot sums, as np.hypot rounds differently in
-    rare cases.
+    Each node also keeps the length of its edge to its parent, set by
+    `add` and by `rewire`, so a cost change below a reparented node is a
+    sum of stored lengths. Costs stay scalar math.hypot sums, as np.hypot
+    rounds differently in rare cases.
 
-    `squared_distances` keeps its last result, keyed by the query point
-    and the node count: when steering keeps the sample, the neighbour
-    scan asks again at the point the nearest scan just did. Coordinates
-    never change after insertion, so only `add` (a new count) makes the
-    result stale. The returned array is shared with later calls, so
-    callers must not write into it (`find_nearest` and `get_neighbors`
-    only read it).
+    `squared_distances` writes into two scratch arrays that grow with the
+    coordinate arrays, so its result is valid only until the next call,
+    and callers must not write into it (`find_nearest` and
+    `get_neighbors` only read it). A repeat query at the point and node
+    count of the last one returns that result without rescanning: when
+    steering keeps the sample, the neighbour scan asks again at the point
+    the nearest scan just did. Coordinates never change after insertion,
+    so only `add` (a new count) makes the result stale.
     """
 
     _INITIAL_CAPACITY = 64
@@ -77,10 +80,13 @@ class RrtTree:
         self._x = np.empty(self._INITIAL_CAPACITY)
         self._y = np.empty(self._INITIAL_CAPACITY)
         self._x[0], self._y[0] = x, y
+        self._dx = np.empty(self._INITIAL_CAPACITY)
+        self._dy = np.empty(self._INITIAL_CAPACITY)
         self._xs: list[float] = [x]
         self._ys: list[float] = [y]
         self._parent: list[int] = [-1]
         self._cost: list[float] = [0.0]
+        self._edge: list[float] = [0.0]
         self._children: list[list[int]] = [[]]
         self._scan_key: Optional[tuple] = None
         self._scan: Optional[np.ndarray] = None
@@ -113,25 +119,31 @@ class RrtTree:
         if idx == len(self._x):
             self._x = np.concatenate((self._x, np.empty_like(self._x)))
             self._y = np.concatenate((self._y, np.empty_like(self._y)))
+            self._dx, self._dy = np.empty_like(self._x), np.empty_like(self._y)
         self._x[idx], self._y[idx] = x, y
         self._xs.append(x)
         self._ys.append(y)
         self._parent.append(parent_index)
-        self._cost.append(self._cost[parent_index] + math.hypot(x - px, y - py))
+        length = math.hypot(x - px, y - py)
+        self._edge.append(length)
+        self._cost.append(self._cost[parent_index] + length)
         self._children.append([])
         self._children[parent_index].append(idx)
         return idx
 
     def squared_distances(self, p: Sequence[float]) -> np.ndarray:
-        """Squared distance from p to every node; numpy squares by product.
-
-        A repeat query at the same point and node count returns the same
-        array, which callers must not write into.
-        """
+        """Squared distance from p to every node, (x - px)**2 + (y - py)**2
+        with squares by product; valid until the next call, read-only."""
         n = len(self._cost)
         key = (p[0], p[1], n)
         if key != self._scan_key:
-            self._scan = (self._x[:n] - p[0]) ** 2 + (self._y[:n] - p[1]) ** 2
+            d, e = self._dx[:n], self._dy[:n]
+            np.subtract(self._x[:n], p[0], out=d)
+            np.subtract(self._y[:n], p[1], out=e)
+            d *= d
+            e *= e
+            d += e
+            self._scan = d
             self._scan_key = key
         return self._scan
 
@@ -155,7 +167,7 @@ def find_nearest(tree: RrtTree, p: Sequence[float]) -> int:
     """Index of the node closest to p; ties go to the lowest index."""
     if len(tree) == 0:
         raise InvalidStateError("find_nearest on an empty tree")
-    return int(np.argmin(tree.squared_distances(p)))
+    return int(tree.squared_distances(p).argmin())
 
 
 def steering(p_rand: Sequence[float], p_near: Sequence[float],
@@ -172,7 +184,7 @@ def steering(p_rand: Sequence[float], p_near: Sequence[float],
 
 def get_neighbors(tree: RrtTree, p: Sequence[float], radius: float) -> list[int]:
     """Indices of all nodes within radius of p, in ascending index order."""
-    return np.flatnonzero(tree.squared_distances(p) <= radius * radius).tolist()
+    return (tree.squared_distances(p) <= radius * radius).nonzero()[0].tolist()
 
 
 def choose_parent(tree: RrtTree, neighbors: Sequence[int], lengths: Sequence[float],
@@ -186,12 +198,14 @@ def choose_parent(tree: RrtTree, neighbors: Sequence[int], lengths: Sequence[flo
     is not.
     """
     xs, ys, cost = tree._xs, tree._ys, tree._cost
-    ranked = [(cost[i] + length, i) for i, length in zip(neighbors, lengths)]
-    _, best = min(ranked)
+    totals = [cost[i] + length for i, length in zip(neighbors, lengths)]
+    least = min(totals)
+    best = neighbors[totals.index(least)]
+    if totals.count(least) > 1:  # a tie, which goes to the lowest index
+        best = min(i for i, total in zip(neighbors, totals) if total == least)
     if edge_free(Point2(xs[best], ys[best]), p_new, env):
         return best
-    ranked.sort()
-    for _, i in ranked[1:]:
+    for _, i in sorted(zip(totals, neighbors))[1:]:
         if edge_free(Point2(xs[i], ys[i]), p_new, env):
             return i
     return p_near_idx
@@ -199,36 +213,41 @@ def choose_parent(tree: RrtTree, neighbors: Sequence[int], lengths: Sequence[flo
 
 def _propagate_cost(tree: RrtTree, start: int) -> None:
     # Recompute cost-to-come below a reparented node.
-    xs, ys, cost = tree._xs, tree._ys, tree._cost
+    cost, edge, children = tree._cost, tree._edge, tree._children
     stack = [start]
     while stack:
         i = stack.pop()
-        xi, yi = xs[i], ys[i]
-        for c in tree._children[i]:
-            cost[c] = cost[i] + math.hypot(xs[c] - xi, ys[c] - yi)
-            stack.append(c)
+        cost_i = cost[i]
+        for c in children[i]:
+            cost[c] = cost_i + edge[c]
+        stack += children[i]
 
 
 def rewire(tree: RrtTree, neighbors: Sequence[int], lengths: Sequence[float],
            new_index: int, env: Environment) -> None:
     """Reroute neighbors through the new node where that lowers their cost.
 
-    `lengths` gives each neighbor's edge length to the new node. Neighbors
-    are visited in ascending index order against live costs, so a cost
-    drop propagated to a later neighbor's subtree is taken into account.
-    Costs never increase.
+    `lengths` gives each neighbor's edge length to the new node. Costs
+    never increase, and the new node's cannot change here (a neighbor it
+    undercuts is no ancestor of it), so a neighbor it does not undercut
+    now never will be; the others are visited in ascending index order
+    against live costs, so a cost drop propagated to a later neighbor's
+    subtree is taken into account.
     """
     xs, ys, cost = tree._xs, tree._ys, tree._cost
+    new_cost = cost[new_index]
+    better = [(i, length) for i, length in zip(neighbors, lengths) if new_cost + length < cost[i]]
+    if not better:
+        return
+    better.sort()
     p_new = Point2(xs[new_index], ys[new_index])
-    for i, length in sorted(zip(neighbors, lengths)):
-        if i == new_index:
-            continue
-        cand = cost[new_index] + length
-        if cand < cost[i] and edge_free(p_new, Point2(xs[i], ys[i]), env):
-            old_parent = tree._parent[i]
-            tree._children[old_parent].remove(i)
+    for i, length in better:
+        cand = new_cost + length
+        if i != new_index and cand < cost[i] and edge_free(p_new, Point2(xs[i], ys[i]), env):
+            tree._children[tree._parent[i]].remove(i)
             tree._parent[i] = new_index
             tree._children[new_index].append(i)
+            tree._edge[i] = length
             cost[i] = cand
             _propagate_cost(tree, i)
 

@@ -19,7 +19,7 @@ from pathbench.errors import InvalidQueryError
 from pathbench.geometry import Bounds, Circle, Point2, dist
 from pathbench.pso import PsoParams
 from pathbench.result import PlanResult
-from pathbench.rrtstar import RrtParams
+from pathbench.rrtstar import RrtParams, plan_rrt_star
 
 QUERY_A = Query(Point2(20.0, -15.0), Point2(-25.0, 15.0))
 
@@ -185,6 +185,22 @@ def test_perfbench_tracer_installs_on_the_package(monkeypatch):
     finally:
         tr.restore()
     assert benchmark.plan_once is original
+
+
+def test_a_short_rrt_star_plan_reaches_every_traced_layer(monkeypatch):
+    # A speed-up that inlines a traced function would silently drop its
+    # span from `perfbench/run.py --trace 1`.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import tracer
+    env, query = irregular_preset("empty")
+    params = RrtParams(iterations_num=50)
+    tr = tracer.Tracer()
+    with tr:
+        traced = plan_rrt_star(env, query, params)
+    wanted = {span for _, _, span, _ in tracer.TARGETS if span.startswith("rrtstar.")}
+    assert {"rrtstar.find_nearest", "rrtstar.rewire", "rrtstar.RrtTree.add"} <= wanted
+    assert [s for s in sorted(wanted | {"geometry.edge_free"}) if tr.calls(s) == 0] == []
+    assert traced.path == plan_rrt_star(env, query, params).path
 
 
 def test_random_env_factory_is_picklable_and_seeded():

@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -475,17 +476,29 @@ def reference_blocked_lengths(env, starts, ends):
     return (piece * blocked).sum(axis=1) * np.hypot(d[:, 0], d[:, 1])
 
 
+def on_line(a, b, p):
+    """Whether p lies on the line through a and b: exact, in rationals
+    where the float cross product is within rounding of 0."""
+    left, right = (b[0] - a[0]) * (p[1] - a[1]), (b[1] - a[1]) * (p[0] - a[0])
+    if abs(left - right) > 1e-12 * (abs(left) + abs(right)):
+        return False
+    (ax, ay), (bx, by), (px, py) = (map(Fraction, q) for q in (a, b, p))
+    return (bx - ax) * (py - ay) == (by - ay) * (px - ax)
+
+
 def reference_union_lengths(env, starts, ends):
     """Oracle: every row's union of blocked intervals on plain floats.
 
     For a + t(b - a), t in [0, 1]: the slab clip keeps [t_in, t_out] in
     bounds, and a row with nothing in bounds or a non-finite b - a is
-    blocked whole; each disk `reference_disk_blocks` says the row meets
+    blocked whole; an end out of bounds keeps at least 2^-53 of t
+    outside; each disk `reference_disk_blocks` says the row meets
     adds its open root interval clipped to [0, 1], or where the rounded
     roots give nothing (0.5, 0.5 + 2^-53), or [0, 1] for a row whose
-    squared length rounds to 0; and the row is cut at
-    every polygon edge it crosses, each piece whose midpoint
-    `point_in_polygon` puts inside a polygon blocked. The intervals are
+    squared length rounds to 0; and the row is cut at every polygon
+    vertex on its line, at (v - a) / (b - a) in a coordinate the row
+    moves in, and where every other polygon edge crosses it, each piece
+    whose midpoint `point_in_polygon` puts inside a polygon blocked. The intervals are
     sorted, merged while one starts at or before the furthest end so far,
     and the runs' lengths added in order onto 0.0.
     """
@@ -510,6 +523,11 @@ def reference_union_lengths(env, starts, ends):
         if not t_in < t_out:
             out.append(length)
             continue
+        # An end out of bounds keeps at least a sliver, however its cut rounds.
+        if not env.bounds.contains((ax, ay)):
+            t_in = max(t_in, 2.0 ** -53)
+        if not env.bounds.contains((ex, ey)):
+            t_out = min(t_out, 1.0 - 2.0 ** -53)
         intervals = [(0.0, t_in)] if t_in > 0.0 else []
         if t_out < 1.0:
             intervals.append((t_out, 1.0))
@@ -525,15 +543,19 @@ def reference_union_lengths(env, starts, ends):
             if reference_disk_blocks((ax, ay), (ex, ey), (cx, cy), r):
                 sliver = (0.5, 0.5 + 2.0 ** -53) if dd > 0.0 else (0.0, 1.0)
                 intervals.append((lo, hi) if lo < hi else sliver)
-        cuts = [0.0, 1.0]
+        cuts, moves = [0.0, 1.0], dx != 0.0 or dy != 0.0
         for vs in outlines:
             for (vx, vy), (nx, ny) in zip(vs, vs[1:] + vs[:1]):
                 ux, uy, wx, wy = nx - vx, ny - vy, vx - ax, vy - ay
                 den = dx * uy - dy * ux
-                if den != 0.0:
+                if moves and on_line((ax, ay), (ex, ey), (vx, vy)):
+                    s, t = 0.0, (wx / dx if dx != 0.0 else wy / dy)
+                elif den != 0.0 and not (moves and on_line((ax, ay), (ex, ey), (nx, ny))):
                     s, t = (wx * dy - wy * dx) / den, (wx * uy - wy * ux) / den
-                    if 0.0 <= s <= 1.0 and 0.0 < t < 1.0:
-                        cuts.append(t)
+                else:
+                    continue
+                if 0.0 <= s <= 1.0 and 0.0 < t < 1.0:
+                    cuts.append(t)
         cuts.sort()
         for lo, hi in zip(cuts, cuts[1:]):
             u = lo + 0.5 * (hi - lo)
@@ -686,6 +708,35 @@ def test_tangent_and_underflowing_rows_match_the_oracle(obstacles, a, b, want):
     reference = reference_union_lengths(env, a, b)
     assert reference[0] == pytest.approx(want, rel=1e-12)
     assert field.blocked_lengths(a, b).tolist() == reference.tolist()
+
+
+def test_the_oracle_cuts_at_a_vertex_on_the_row_exactly():
+    # The row runs through the vertex (1, 0) of a unit hexagon, exactly
+    # halfway. The float crossings of the two edges that meet there are
+    # t = 0.5 and one ulp above it, and the piece between them, whose
+    # midpoint is on the outline, was lost: the blocked length read
+    # 0.9999999999999998.
+    hexagon = Polygon(tuple((math.cos(k * math.pi / 3), math.sin(k * math.pi / 3))
+                            for k in range(6)))
+    env = Environment(WIDE, (hexagon,))
+    a, b = np.array([[2.0, 0.0]]), np.array([[0.0, 0.0]])
+    assert reference_union_lengths(env, a, b).tolist() == [1.0]
+    assert CollisionField(env).blocked_lengths(a, b).tolist() == [1.0]
+
+
+def test_rows_to_just_past_a_bound_are_blocked():
+    # The cut t_out = (12 - a) / d rounds to 1.0 for many such rows, which
+    # then read 0.0 although their end is out of bounds.
+    rng = np.random.default_rng(1)
+    env = Environment(WIDE)
+    starts = rng.uniform(-12.0, 12.0, (20_000, 2))
+    ends = np.column_stack((np.full(20_000, math.nextafter(12.0, 13.0)),
+                            rng.uniform(-12.0, 12.0, 20_000)))
+    blocked = CollisionField(env).blocked_lengths(starts, ends)
+    assert (blocked > 0.0).all()
+    assert not any(edge_free(a, b, env) for a, b in zip(starts.tolist(), ends.tolist()))
+    some = slice(0, 200)
+    assert blocked[some].tolist() == reference_union_lengths(env, starts[some], ends[some]).tolist()
 
 
 class CountingField(CollisionField):

@@ -179,6 +179,62 @@ def test_tree_grows_past_its_initial_capacity():
         tree.position(n)
 
 
+def rebuilt_costs(tree):
+    """Costs from the parent links alone: the parent's cost plus one hypot."""
+    costs = {0: 0.0}
+
+    def cost(i):
+        if i not in costs:
+            p = tree.parent(i)
+            (x, y), (px, py) = tree.position(i), tree.position(p)
+            costs[i] = cost(p) + math.hypot(x - px, y - py)
+        return costs[i]
+
+    return [cost(i) for i in range(len(tree))]
+
+
+tree_coords = st.one_of(st.integers(-4, 4).map(float), st.floats(-30.0, 15.0))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(st.tuples(tree_coords, tree_coords), st.integers(0, 10 ** 6),
+                          st.lists(st.integers(0, 10 ** 6), max_size=12)),
+                min_size=1, max_size=60))
+def test_costs_follow_the_parent_links_after_adds_and_rewires(steps):
+    # Each step adds a node under a drawn parent, then rewires a drawn set
+    # of nodes, in drawn order, through it.
+    tree = RrtTree((0.0, 0.0))
+    for p, parent, picks in steps:
+        new = tree.add(p, parent % len(tree))
+        nb = list(dict.fromkeys(k % len(tree) for k in picks))
+        rewire(tree, nb, edge_lengths(tree, nb, tree.position(new)), new, EMPTY)
+        assert tree.all_costs() == rebuilt_costs(tree)
+    for i in range(len(tree)):
+        assert get_optimized_path(tree, i)[0] == (0.0, 0.0)
+        assert all(tree.parent(c) == i for c in tree.children(i))
+
+
+# A 20x20 lattice, to grow the tree past three doublings of its arrays.
+GRID = [(float(i % 20 - 10), float(i // 20 - 10)) for i in range(400)]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.lists(scan_points, min_size=1, max_size=10), st.integers(0, len(GRID)),
+       st.lists(scan_points, min_size=1, max_size=4))
+def test_squared_distances_match_the_scalar_oracle_as_the_tree_grows(drawn, n_grid, probes):
+    points = drawn + GRID[:n_grid]
+    tree = RrtTree(points[0])
+    for n, q in enumerate(points[1:], 2):
+        tree.add(q, 0)
+        # Every 29th size, so a scan follows each doubling, and the last:
+        # successive scans at other points, then the first one again.
+        if n % 29 == 0 or n == len(points):
+            for p in probes + probes[:1]:
+                want = [(x - p[0]) * (x - p[0]) + (y - p[1]) * (y - p[1])
+                        for x, y in points[:n]]
+                assert tree.squared_distances(p).tolist() == want
+
+
 def edge_lengths(tree, neighbors, p):
     """The lengths RrtStarRun.step hands choose_parent and rewire: one hypot per edge."""
     return [dist(tree.position(i), p) for i in neighbors]
