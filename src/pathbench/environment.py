@@ -30,7 +30,7 @@ import numpy as np
 from .errors import (EnvironmentGenerationError, FormatError,
                      InvalidObstacleError, InvalidQueryError, PresetLookupError)
 from .geometry import (Bounds, Circle, CollisionField, Obstacle, Point2, Polygon,
-                       _plain_point, dist, point_free, point_in_polygon,
+                       _plain_point, dist, point_in_polygon,
                        segments_intersect)
 from .result import is_integer, is_real
 
@@ -124,10 +124,11 @@ def validate_query(env: Environment, query: Query) -> tuple[QueryViolation, ...]
     violation per offending endpoint.
     """
     out = []
-    for name, p in (("start", query.start), ("target", query.target)):
+    free = env.collision_field.free([query.start, query.target])
+    for name, p, p_free in zip(("start", "target"), (query.start, query.target), free):
         if not env.bounds.contains(p):
             out.append(QueryViolation(name, f"{name} {tuple(p)} outside bounds"))
-        elif not point_free(p, env):
+        elif not p_free:
             out.append(QueryViolation(name, f"{name} {tuple(p)} inside an obstacle"))
     return tuple(out)
 

@@ -811,9 +811,10 @@ def _crossing_t(ax, ay, bx, by, vx, vy, wx, wy):
 def _union_length(intervals, dx, dy):
     """The measure of each row's union of open intervals, from (row, lo,
     hi) array triples with 0 <= lo < hi <= 1, times its `np.hypot` length."""
-    if not intervals:
+    parts = [part for part in intervals if len(part[0])]
+    if not parts:
         return np.zeros(len(dx))
-    row, lo, hi = (np.concatenate(part) for part in zip(*intervals))
+    row, lo, hi = parts[0] if len(parts) == 1 else (np.concatenate(a) for a in zip(*parts))
     # Sweep each row's interval ends in order. lexsort is stable and
     # every opening end comes before every closing one, so at a tie
     # opening ends go first and touching intervals merge into one run.

@@ -4,24 +4,26 @@ Each particle is a flat vector [x1, y1, ..., xn, yn] of intermediate
 waypoints; decoding prepends the query start and appends the target.
 Fitness is geometric path length plus a penalty proportional to the
 length of path lying inside obstacles (or out of bounds), computed
-exactly by `CollisionField.blocked_lengths`. The swarm stops early once
-the global best has been flat for a full stagnation window. A result is
-feasible only when every segment of the best path passes `edge_free`,
-the same check `audit_path` makes.
+exactly by `CollisionField.blocked_lengths`. As the penalty is never
+negative, a particle whose length alone reaches its personal best
+cannot improve on it, and its segments skip the collision kernel. The
+swarm stops early once the global best has been flat for a full
+stagnation window. A result is feasible only when every segment of the
+best path passes `edge_free`, the same check `audit_path` makes.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .environment import Environment, Query, check_query, validate_query
 from .geometry import CollisionField, Point2, edge_free, path_length
-from .result import PlanResult, check_param_types
+from .result import PlanResult, check_param_types, param_snapshot
 
 __all__ = [
     "PsoParams", "PsoRun", "plan_pso", "decode", "encode", "fitness",
@@ -88,26 +90,27 @@ def encode(path: Sequence[Sequence[float]]) -> np.ndarray:
 
 
 def _waypoint_tensor(positions: np.ndarray, query: Query) -> np.ndarray:
+    """(m, 2n) waypoint vectors -> (m, n + 2, 2) paths from start to target."""
     m, d = positions.shape
-    n = d // 2
-    wp = np.empty((m, n + 2, 2), dtype=np.float64)
-    wp[:, 0, 0] = query.start.x
-    wp[:, 0, 1] = query.start.y
-    wp[:, -1, 0] = query.target.x
-    wp[:, -1, 1] = query.target.y
-    wp[:, 1:-1, :] = positions.reshape(m, n, 2)
+    wp = np.empty((m, d // 2 + 2, 2), dtype=np.float64)
+    wp[:, 0] = query.start
+    wp[:, -1] = query.target
+    wp[:, 1:-1] = positions.reshape(m, -1, 2)
     return wp
 
 
-def _lengths_and_violations(wp: np.ndarray,
-                            field: CollisionField) -> tuple[np.ndarray, np.ndarray]:
-    """Per-particle geometric length and exact blocked length."""
-    m, k, _ = wp.shape
+def _lengths(wp: np.ndarray) -> np.ndarray:
+    """Per-path geometric length of an (m, k, 2) waypoint tensor."""
     vec = wp[:, 1:, :] - wp[:, :-1, :]
-    lengths = np.hypot(vec[:, :, 0], vec[:, :, 1]).sum(axis=1)
+    return np.hypot(vec[:, :, 0], vec[:, :, 1]).sum(axis=1)
+
+
+def _violations(wp: np.ndarray, field: CollisionField) -> np.ndarray:
+    """Per-path exact blocked length of an (m, k, 2) waypoint tensor."""
+    m, k, _ = wp.shape
     blocked = field.blocked_lengths(wp[:, :-1, :].reshape(-1, 2),
                                     wp[:, 1:, :].reshape(-1, 2))
-    return lengths, blocked.reshape(m, k - 1).sum(axis=1)
+    return blocked.reshape(m, k - 1).sum(axis=1)
 
 
 def path_violation(path: Sequence[Sequence[float]], env: Environment) -> float:
@@ -117,16 +120,14 @@ def path_violation(path: Sequence[Sequence[float]], env: Environment) -> float:
     that only touches obstacle boundaries.
     """
     wp = np.asarray(path, dtype=np.float64)[None, :, :]
-    _, viol = _lengths_and_violations(wp, env.collision_field)
-    return float(viol[0])
+    return float(_violations(wp, env.collision_field)[0])
 
 
 def fitness(position: Sequence[float], query: Query, env: Environment,
             penalty_lambda: float) -> float:
     """Path length plus penalty_lambda times the exact blocked length."""
     wp = _waypoint_tensor(_waypoint_vector(position)[None, :], query)
-    lengths, violations = _lengths_and_violations(wp, env.collision_field)
-    return float(lengths[0] + penalty_lambda * violations[0])
+    return float(_lengths(wp)[0] + penalty_lambda * _violations(wp, env.collision_field)[0])
 
 
 def update_inertia(iteration: int, max_iterations: int, omega_start: float,
@@ -148,7 +149,15 @@ def update_inertia(iteration: int, max_iterations: int, omega_start: float,
 
 
 class PsoRun:
-    """One in-progress swarm optimization; step() advances one iteration."""
+    """One in-progress swarm optimization; step() advances one iteration.
+
+    `fitnesses` holds each particle's fitness at its current position,
+    except for a particle that step() pruned: one whose path length
+    alone was not below its personal best. That particle's entry is its
+    path length, a lower bound on its fitness that is still at least its
+    personal best, so the personal and global bests are those of a full
+    evaluation.
+    """
 
     def __init__(self, env: Environment, query: Query, params: PsoParams):
         check_query(validate_query(env, query))
@@ -174,7 +183,10 @@ class PsoRun:
         self.positions[0] = anchor
         self.velocities = np.zeros_like(self.positions)
 
-        self.fitnesses = self._evaluate(self.positions)
+        self._waypoints = _waypoint_tensor(self.positions, query)
+        self._pull = np.empty_like(self.positions)
+        self.fitnesses = (_lengths(self._waypoints) + params.penalty_lambda
+                          * _violations(self._waypoints, env.collision_field))
         self.pbest_positions = self.positions.copy()
         self.pbest_fitnesses = self.fitnesses.copy()
         g = int(np.argmin(self.pbest_fitnesses))
@@ -186,11 +198,6 @@ class PsoRun:
         self.stopped = False
         self._last_improvement = 0
         self._flat_streak = 0
-
-    def _evaluate(self, positions: np.ndarray) -> np.ndarray:
-        wp = _waypoint_tensor(positions, self.query)
-        lengths, violations = _lengths_and_violations(wp, self.env.collision_field)
-        return lengths + self.params.penalty_lambda * violations
 
     @property
     def stagnant(self) -> bool:
@@ -206,16 +213,33 @@ class PsoRun:
         self.omega = update_inertia(self.iteration, p.max_iterations,
                                     p.omega_start, p.omega_end,
                                     self.stagnant, self.rng)
-        # One r1, r2 pair per particle, drawn in index order.
+        # One r1, r2 pair per particle, drawn in index order. The velocity
+        # update omega v + c1 r1 (pbest - x) + c2 r2 (gbest - x) runs in
+        # place, in that order of operations.
         r = self.rng.random((p.population, 2))
-        v = (self.omega * self.velocities
-             + p.c1 * r[:, 0:1] * (self.pbest_positions - self.positions)
-             + p.c2 * r[:, 1:2] * (self.gbest_position[None, :] - self.positions))
+        x, v, pull = self.positions, self.velocities, self._pull
+        v *= self.omega
+        np.subtract(self.pbest_positions, x, out=pull)
+        pull *= p.c1 * r[:, 0:1]
+        v += pull
+        np.subtract(self.gbest_position, x, out=pull)
+        pull *= p.c2 * r[:, 1:2]
+        v += pull
         # np.clip gives the same values, nan included, at a higher cost per call.
-        self.velocities = np.maximum(np.minimum(v, p.v_max, out=v), -p.v_max, out=v)
-        x = self.positions + v
-        self.positions = np.maximum(np.minimum(x, self._hi, out=x), self._lo, out=x)
-        self.fitnesses = self._evaluate(self.positions)
+        np.maximum(np.minimum(v, p.v_max, out=v), -p.v_max, out=v)
+        x += v
+        np.maximum(np.minimum(x, self._hi, out=x), self._lo, out=x)
+
+        # The penalty is never negative, so a particle whose length is not
+        # below its personal best cannot improve on it (nan fails the test
+        # too): it keeps its length, and only the others reach the kernel.
+        wp = self._waypoints
+        wp[:, 1:-1] = x.reshape(p.population, -1, 2)
+        self.fitnesses = _lengths(wp)
+        open_ = self.fitnesses < self.pbest_fitnesses
+        if open_.any():
+            self.fitnesses[open_] += p.penalty_lambda * _violations(
+                wp[open_], self.env.collision_field)
 
         improved = self.fitnesses < self.pbest_fitnesses
         if improved.any():
@@ -238,7 +262,6 @@ class PsoRun:
             self.stopped = True
 
     def result(self, elapsed: float) -> PlanResult:
-        snapshot = asdict(self.params)
         path = decode(self.gbest_position, self.query)
         violation = path_violation(path, self.env)
         feasible = all(edge_free(a, b, self.env) for a, b in zip(path, path[1:]))
@@ -247,7 +270,7 @@ class PsoRun:
             length=path_length(path) if feasible else math.nan,
             elapsed=elapsed, iterations_used=self.iteration,
             closest_approach=violation, path=path if feasible else None,
-            params=snapshot)
+            params=param_snapshot(self.params))
 
 
 def plan_pso(env: Environment, query: Query,

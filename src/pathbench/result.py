@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import numbers
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 from .geometry import Point2
@@ -82,3 +82,8 @@ def check_param_types(params, integers: dict[str, int], reals: tuple[str, ...]) 
         if not (is_real(value) and math.isfinite(value)):
             raise ValueError(f"{name} must be a finite number, got {value!r}")
         object.__setattr__(params, name, float(value))
+
+
+def param_snapshot(params) -> dict:
+    """`PlanResult.params`: a shallow dict of the record's plain int and float fields."""
+    return {f.name: getattr(params, f.name) for f in fields(params)}

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -20,7 +20,7 @@ import numpy as np
 from .environment import Environment, Query, check_query, validate_query
 from .errors import InvalidStateError
 from .geometry import Point2, dist, edge_free, path_length
-from .result import PlanResult, check_param_types
+from .result import PlanResult, check_param_types, param_snapshot
 
 __all__ = [
     "RrtParams", "RrtTree", "RrtStarRun", "plan_rrt_star", "random_sample",
@@ -348,7 +348,7 @@ class RrtStarRun:
         return PlanResult(
             planner_id="rrtstar", seed=self.params.rng_seed, feasible=path is not None,
             length=length, elapsed=elapsed, iterations_used=self.iterations_done,
-            closest_approach=closest, path=path, params=asdict(self.params))
+            closest_approach=closest, path=path, params=param_snapshot(self.params))
 
 
 def plan_rrt_star(env: Environment, query: Query,

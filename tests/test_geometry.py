@@ -592,12 +592,12 @@ SEGMENT_KINDS = ("random", "tangent", "rim", "zero", "tiny", "outside")
 
 
 @st.composite
-def segment_batches(draw, env):
+def segment_batches(draw, env, depth=st.floats(-1e-13, 1e-13)):
     """A shuffled batch of clear, hitting, grazing and degenerate segments.
 
-    Tangent rows sit within 1e-13 (relative to the radius) of a disk's
-    rim, on either side; rim rows start or end on a rim. Fields without
-    disks aim those rows at a phantom unit disk.
+    Tangent rows sit within `depth` (by default 1e-13, relative to the
+    radius) of a disk's rim, on either side; rim rows start or end on a
+    rim. Fields without disks aim those rows at a phantom unit disk.
     """
     rims = [o for o in env.obstacles if isinstance(o, Circle)] or [Circle(Point2(0, 0), 1.0)]
     rows = []
@@ -608,7 +608,7 @@ def segment_batches(draw, env):
             a, b = draw(points), draw(points)
         elif kind == "tangent":
             th = draw(angles)
-            rr = r * (1.0 + draw(st.floats(-1e-13, 1e-13)))
+            rr = r * (1.0 + draw(depth))
             px, py = cx + rr * math.cos(th), cy + rr * math.sin(th)
             s1 = draw(st.floats(-6.0, 6.0))
             # Symmetric rows put the only piece midpoint on the tangent point.
@@ -893,6 +893,26 @@ def test_pso_sized_batches_match_the_oracle(kind, data):
     want = reference_union_lengths(env, starts, ends)
     assert np.count_nonzero(want)
     assert CollisionField(env).blocked_lengths(starts, ends).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kind", ("disks", "polygons", "mixed"))
+@PROPERTY
+@given(data=st.data())
+def test_a_row_reads_the_same_in_any_sub_batch(kind, data):
+    # PSO sends only some of its rows. The disk pass's rounding band is a
+    # maximum over its block, so a sub-batch without the corner-to-corner
+    # row gets a smaller band, and a tangent row 1e-16 to 1e-6 of the
+    # radius deep can move between the rounded roots and `_meets_disk`.
+    env = data.draw(fields(kind))
+    depth = st.builds(lambda e, sign: sign * 10.0 ** e, st.floats(-16.0, -6.0),
+                      st.sampled_from((-1.0, 1.0)))
+    starts, ends = data.draw(segment_batches(env, depth))
+    starts, ends = np.vstack((starts, [(-12.0, -12.0)])), np.vstack((ends, [(12.0, 12.0)]))
+    keep = np.array(data.draw(st.lists(st.booleans(), min_size=len(starts),
+                                       max_size=len(starts))))
+    field = CollisionField(env)
+    whole = field.blocked_lengths(starts, ends)
+    assert field.blocked_lengths(starts[keep], ends[keep]).tobytes() == whole[keep].tobytes()
 
 
 def _box(obs):

@@ -1,17 +1,21 @@
 """Swarm planner: encoding, fitness, update rules, and run behavior."""
 
+import copy
 import hashlib
 import math
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pathbench.benchmark import audit_path
 from pathbench.environment import (Environment, Query, generate_random_env,
                                    irregular_preset)
 from pathbench.errors import InvalidQueryError
-from pathbench.geometry import Bounds, Circle, Point2, Polygon, path_length
+from pathbench.geometry import (Bounds, Circle, CollisionField, Point2, Polygon,
+                                path_length)
 from pathbench.pso import (PsoParams, PsoRun, decode, encode, fitness,
                            path_violation, plan_pso, update_inertia)
 
@@ -319,6 +323,93 @@ def test_seeded_runs_are_pinned(name, length, path_digest, iterations, pbest_dig
     assert hashlib.sha256(repr((res.path, res.length)).encode()).hexdigest() == path_digest
     assert res.iterations_used == iterations
     assert hashlib.sha256(run.pbest_fitnesses.tobytes()).hexdigest() == pbest_digest
+
+
+def test_the_field_run_sends_only_open_particles_to_the_kernel(monkeypatch):
+    # A particle whose length is not below its personal best skips the
+    # collision kernel. Every particle of every step would be 300 + 146
+    # * 300 + 6 = 44,106 rows here (construction, steps, result).
+    rows = []
+    kernel = CollisionField.blocked_lengths
+
+    def counted(self, starts, ends):
+        rows.append(len(starts))
+        return kernel(self, starts, ends)
+
+    monkeypatch.setattr(CollisionField, "blocked_lengths", counted)
+    env, query = _pinned_case("field-1000")
+    res = plan_pso(env, query, PsoParams())
+    assert res.iterations_used == 146
+    assert (len(rows), sum(rows)) == (148, 22_902)
+
+
+def full_step(run):
+    """Scalar oracle for PsoRun.step: per-particle updates, in index order,
+    and every particle's full `fitness`."""
+    p = run.params
+    run.omega = update_inertia(run.iteration, p.max_iterations, p.omega_start,
+                               p.omega_end, run.stagnant, run.rng)
+    for i in range(p.population):
+        run.velocities[i] = update_velocity(run.velocities[i], run.positions[i],
+                                            run.pbest_positions[i], run.gbest_position,
+                                            run.omega, p.c1, p.c2, run.rng, p.v_max)
+        run.positions[i] = update_position(run.positions[i], run.velocities[i],
+                                           run._lo, run._hi)
+        run.fitnesses[i] = fitness(run.positions[i], run.query, run.env, p.penalty_lambda)
+        if run.fitnesses[i] < run.pbest_fitnesses[i]:
+            run.pbest_positions[i] = run.positions[i]
+            run.pbest_fitnesses[i] = run.fitnesses[i]
+            run._last_improvement = run.iteration + 1
+    previous = run.gbest_fitness
+    g = int(np.argmin(run.pbest_fitnesses))
+    if run.pbest_fitnesses[g] < run.gbest_fitness:
+        run.gbest_fitness = float(run.pbest_fitnesses[g])
+        run.gbest_position = run.pbest_positions[g].copy()
+    run.iteration += 1
+    run._flat_streak = run._flat_streak + 1 if previous - run.gbest_fitness < p.stop_epsilon else 0
+    if run._flat_streak >= p.stagnation_window:
+        run.stopped = True
+
+
+@st.composite
+def mid_run_swarms(draw):
+    """A PsoRun on a random 12-disk field, irregular-a or the empty map,
+    after 0 to 40 steps."""
+    kind = draw(st.sampled_from(("disks", "irregular-a", "empty")))
+    if kind == "disks":
+        env, query = generate_random_env(draw(st.integers(0, 10**6)), query=FIELD_QUERY), FIELD_QUERY
+    elif kind == "irregular-a":
+        env, query = irregular_preset("irregular-a")
+    else:
+        env, query = EMPTY, Q_EAST
+    params = PsoParams(population=draw(st.integers(1, 24)), n_waypoints=draw(st.integers(1, 6)),
+                       penalty_lambda=draw(st.sampled_from((0.0, 1.0, 1000.0))),
+                       rng_seed=draw(st.integers(0, 2**32 - 1)))
+    run = PsoRun(env, query, params)
+    for _ in range(draw(st.integers(0, 40))):
+        run.step()
+    return run
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(run=mid_run_swarms())
+def test_a_pruned_step_equals_a_full_one(run):
+    pbest = run.pbest_fitnesses.copy()
+    full = copy.deepcopy(run)
+    full_step(full)
+    run.step()
+    for name in ("positions", "velocities", "pbest_positions", "pbest_fitnesses",
+                 "gbest_position"):
+        assert getattr(run, name).tobytes() == getattr(full, name).tobytes(), name
+    for name in ("gbest_fitness", "omega", "iteration", "_last_improvement",
+                 "_flat_streak", "stopped"):
+        assert getattr(run, name) == getattr(full, name), name
+    # A particle below its personal best was evaluated in full; every other
+    # one cannot improve on it.
+    below = run.fitnesses < pbest
+    assert run.fitnesses[below].tobytes() == full.fitnesses[below].tobytes()
+    assert (full.fitnesses[~below] >= pbest[~below]).all()
+    assert (run.fitnesses <= full.fitnesses).all()
 
 
 def test_rejects_bad_query():
