@@ -16,22 +16,25 @@ Conventions used throughout the package:
 Every polygon decision rests on one exact orientation sign, `_orient`,
 and every disk decision on one exact squared-distance sign, `_meets_disk`.
 
+The rule has two implementations. The scalar one is `edge_free`, on one
+closed segment; `point_free` and `CollisionField.free` are `edge_free` on
+the segment from each point to itself. The vectorised one is
+`CollisionField.blocked_lengths`, which measures each segment's union of
+open intervals out of bounds, inside a disk, inside a polygon and along
+a seam.
+
 Each `Environment` builds one `CollisionField`, cached as
 `Environment.collision_field`: every disk's and polygon's numbers as
 plain floats and as arrays, with the obstacle's closed bounding box, and
 the seams. As every test is exact, `edge_free` may skip an obstacle whose
-box misses the box of the segment under test. `point_free` is
-`CollisionField.free` on one point.
-
-`CollisionField.blocked_lengths` measures each segment's union of open
-intervals out of bounds, inside a disk, inside a polygon and along a
-seam.
+box misses the box of the segment under test.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import NamedTuple, Sequence, TYPE_CHECKING, Union
 
 import numpy as np
@@ -366,8 +369,8 @@ def segment_polygon_collides(segment: Segment,
 
 def point_free(p: Sequence[float], env: "Environment") -> bool:
     """True iff p lies inside the workspace bounds, outside every
-    obstacle's interior and off every seam."""
-    return bool(env.collision_field.free([p])[0])
+    obstacle's interior and off every seam: `edge_free` from p to p."""
+    return edge_free(p, p, env)
 
 
 def edge_free(a: Sequence[float], b: Sequence[float], env: "Environment") -> bool:
@@ -432,8 +435,9 @@ class CollisionField:
     """Every obstacle of one environment, laid out for the collision tests.
 
     Read it as `Environment.collision_field`, built on first use and
-    cached. `free` and `blocked_lengths` test many points or segments at
-    once: strict interior tests, inclusive bounds, blocked seams.
+    cached. `free` tests many points, each with the scalar `edge_free`;
+    `blocked_lengths` measures many segments at once in arrays. Both keep
+    one rule: strict interior tests, inclusive bounds, blocked seams.
 
     For the scalar `edge_free`, in obstacle order: `disks` holds an
     (x_lo, x_hi, y_lo, y_hi, (cx, cy), r) tuple of plain floats per circle,
@@ -444,9 +448,7 @@ class CollisionField:
     `disk_y` and `disk_r2`, each a column with one row per circle;
     `vertex_xy` per polygon vertex, all polygons in one array, with
     `vertex_next` and `vertex_prev` (the row of the vertex after and
-    before it in its polygon), `vertex_polygon` (its polygon), and
-    `edge_low`, `edge_high` (the lower and upper end of its edge to the
-    vertex after); `polygon_starts` giving each polygon's first row;
+    before it in its polygon) and `vertex_polygon` (its polygon);
     `polygon_boxes` as x_lo, x_hi, y_lo, y_hi rows.
 
     Each box is the obstacle's closed bounding box, a disk's rounded
@@ -475,69 +477,23 @@ class CollisionField:
                                   dtype=np.float64).reshape(-1, 2)
         counts = np.array([len(vs) for vs in outlines], dtype=np.intp)
         last = np.cumsum(counts) - 1
-        self.polygon_starts = last - counts + 1
+        starts = last - counts + 1
         self.vertex_polygon = np.repeat(np.arange(len(outlines)), counts)
         row = np.arange(len(self.vertex_xy))
         self.vertex_next, self.vertex_prev = row + 1, row - 1
-        self.vertex_next[last] = self.polygon_starts
-        self.vertex_prev[self.polygon_starts] = last
-        after = self.vertex_xy[self.vertex_next]
-        lower = (self.vertex_xy[:, 1] <= after[:, 1])[:, None]
-        self.edge_low = np.where(lower, self.vertex_xy, after)
-        self.edge_high = np.where(lower, after, self.vertex_xy)
+        self.vertex_next[last] = starts
+        self.vertex_prev[starts] = last
         self.polygon_boxes = np.array([p[:4] for p in self.polygons],
                                       dtype=np.float64).reshape(-1, 4)
 
     def free(self, points: np.ndarray) -> np.ndarray:
-        """points: (N, 2) array -> boolean (N,) mask of free points."""
-        px, py = np.asarray(points, dtype=np.float64).reshape(-1, 2).T
-        b = self.bounds
-        free = ((px >= b.x_min) & (px <= b.x_max) & (py >= b.y_min) & (py <= b.y_max)
-                & ~self._in_disk(px, py) & ~self._in_polygon(px, py))
-        for axis, value, lo, hi in self.seams:
-            on, along = (px, py) if axis == 0 else (py, px)
-            free &= ~((on == value) & (along > lo) & (along < hi))
-        return free
-
-    def _in_disk(self, px, py):
-        """Mask of the points strictly inside some disk, in blocks of about
-        2^14 (point, disk) pairs, so temporaries stay small and in cache.
-        A pair whose |p - c|^2 lies within rounding of r^2 gets `_meets_disk`."""
-        inside = np.zeros(len(px), dtype=bool)
-        step = max(1, (1 << 14) // max(1, len(self.disks)))
-        for k in range(0, len(px) if self.disks else 0, step):
-            dx, dy = px[k:k + step] - self.disk_x, py[k:k + step] - self.disk_y
-            gap = dx * dx + dy * dy - self.disk_r2
-            hit = gap < 0.0
-            # Where its sign is in doubt, the gap rounds by under _DISK_BAND
-            # (|p - c|^2 + r^2) < 3 _DISK_BAND r^2.
-            near = np.abs(gap) <= 3.0 * _DISK_BAND * self.disk_r2 + _ORIENT_TINY
-            for j, i in zip(*np.nonzero(near)):
-                p = px[k + i], py[k + i]
-                hit[j, i] = _meets_disk(p, p, *self.disks[j][4:])
-            inside[k:k + step] = hit.any(axis=0)
-        return inside
-
-    def _in_polygon(self, px, py):
-        """Mask of the points strictly inside some polygon, in blocks of about
-        2^14 (point, edge) pairs: `_polygon_side`'s ray cast over every edge
-        at once, each taken upward, and each polygon's parity. A point on an
-        edge it spans, or level with a vertex, gets `_polygon_side` itself
-        for that polygon."""
-        inside = np.zeros(len(px), dtype=bool)
-        (lx, ly), (hx, hy) = self.edge_low.T, self.edge_high.T
-        step = max(1, (1 << 14) // max(1, len(lx)))
-        for k in range(0, len(px) if self.polygons else 0, step):
-            x, y = px[k:k + step, None], py[k:k + step, None]
-            side = _orient_array(lx, ly, hx, hy, x, y)
-            spans = (ly <= y) & (y < hy)
-            parity = np.logical_xor.reduceat(spans & (side > 0.0), self.polygon_starts, axis=1)
-            unsure = (spans & (side == 0.0)) | (self.vertex_xy[:, 1] == y)
-            unsure = np.logical_or.reduceat(unsure, self.polygon_starts, axis=1)
-            for i, j in zip(*np.nonzero(unsure)):
-                parity[i, j] = _polygon_side((px[k + i], py[k + i]), self.polygons[j][4]) > 0
-            inside[k:k + step] = parity.any(axis=1)
-        return inside
+        """points: (N, 2) array -> boolean (N,) mask of free points, each
+        decided by `edge_free` on the segment from the point to itself."""
+        # The field stands in for its environment: `edge_free` reads only
+        # these two attributes, and the stand-in dies with the call.
+        env = SimpleNamespace(bounds=self.bounds, collision_field=self)
+        xs, ys = np.asarray(points, dtype=np.float64).reshape(-1, 2).T.tolist()
+        return np.array([edge_free(p, p, env) for p in zip(xs, ys)], dtype=bool)
 
     def blocked_lengths(self, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
         """(N, 2) start and end points -> (N,) exact blocked length per segment.
@@ -571,6 +527,8 @@ class CollisionField:
         """
         ax, ay = np.asarray(starts, dtype=np.float64).reshape(-1, 2).T.copy()
         ex, ey = np.asarray(ends, dtype=np.float64).reshape(-1, 2).T
+        if len(ax) != len(ex):
+            raise ValueError(f"starts and ends must hold as many points: {len(ax)} != {len(ex)}")
         x_lo, x_hi = np.minimum(ax, ex), np.maximum(ax, ex)
         y_lo, y_hi = np.minimum(ay, ey), np.maximum(ay, ey)
         b = self.bounds
@@ -636,8 +594,9 @@ class CollisionField:
             fy *= fy
             fx += fy
             # Every term of disc is at most dd (|a - c|^2 + r^2) (half_b^2 by
-            # Cauchy-Schwarz), so rounding moves disc by less than `band`.
-            band = _DISK_BAND * dd.max() * (fx.max() + self.disk_r2.max()) + _ORIENT_TINY
+            # Cauchy-Schwarz), so rounding moves disc by less than the row's
+            # `band`. Per row, so one huge or nan row cannot widen the others'.
+            band = _DISK_BAND * dd * (fx.max(axis=0) + self.disk_r2.max()) + _ORIENT_TINY
             fx -= self.disk_r2
             fx *= dd
             disc = half_b * half_b
@@ -651,7 +610,7 @@ class CollisionField:
             meet = t0 < t1
             # Each root is off by less than about sqrt(band) / dd, so meet can only
             # be wrong where |t1 - t0| dd < 2 sqrt(band); the test allows twice that.
-            sure = np.abs(t1 - t0) * dd > 4.0 * math.sqrt(band)
+            sure = np.abs(t1 - t0) * dd > 4.0 * np.sqrt(band[i])
             if not sure.all():
                 for u in np.flatnonzero(~sure):
                     row, j = k + i[u], hit[u] // len(dx_r)

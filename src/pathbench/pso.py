@@ -22,6 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .environment import Environment, Query, check_query, validate_query
+from .errors import InvalidPathError
 from .geometry import CollisionField, Point2, edge_free, path_length
 from .result import PlanResult, check_param_types, param_snapshot
 
@@ -117,8 +118,11 @@ def path_violation(path: Sequence[Sequence[float]], env: Environment) -> float:
     """Exact blocked length of an explicit waypoint path.
 
     The length of path inside obstacles or out of bounds; zero for a path
-    that only touches obstacle boundaries.
+    that only touches obstacle boundaries. Raises InvalidPathError for
+    fewer than two waypoints.
     """
+    if len(path) < 2:
+        raise InvalidPathError(f"path needs at least 2 waypoints, got {len(path)}")
     wp = np.asarray(path, dtype=np.float64)[None, :, :]
     return float(_violations(wp, env.collision_field)[0])
 

@@ -1,5 +1,6 @@
 """Trial harness, statistics, grid oracle, and the durable file formats."""
 
+import hashlib
 import math
 import pickle
 from pathlib import Path
@@ -254,6 +255,33 @@ def test_grid_oracle_snaps_blocked_endpoints():
         grid_oracle(sealed, Query(Point2(0.0, 0.0), Point2(10.0, 0.0)), 0.5)
     with pytest.raises(ValueError):
         grid_oracle(env, q, 0.0)
+
+
+#: SHA-256 of `CollisionField.free` over the oracle's 0.5-unit cell centres,
+#: recorded when `free` still had its own vectorised point kernel.
+ORACLE_GRID_SHA256 = {
+    "field-1000": "958a43fbab1d85fe9809dd318e5fd7ad0996560b07ce5e0ea7896a000113866f",
+    "irregular-a": "f8dae3b83ec183302252498453e10baad846807fc53c02cd7db10bd0788c361a",
+}
+
+
+@pytest.mark.parametrize("name, query, length", [
+    ("field-1000", QUERY_A, 57.426406871192796),
+    ("irregular-a", TABLE1_CASES[0], 56.1837661840735),
+    ("irregular-a", TABLE1_CASES[1], 54.23401871576768),
+    ("irregular-a", TABLE1_CASES[2], 58.54772721475245),
+], ids=["field-1000", "irregular-a-case-1", "irregular-a-case-2", "irregular-a-case-3"])
+def test_grid_oracle_cells_and_lengths_are_pinned(name, query, length):
+    env = (RandomEnvFactory(query=QUERY_A)(1000) if name == "field-1000"
+           else irregular_preset(name)[0])
+    # The cell centres as `grid_oracle` lays them out.
+    b = env.bounds
+    xs = b.x_min + (np.arange(math.ceil(b.width / 0.5)) + 0.5) * 0.5
+    ys = b.y_min + (np.arange(math.ceil(b.height / 0.5)) + 0.5) * 0.5
+    gx, gy = np.meshgrid(xs, ys, indexing="ij")
+    free = env.collision_field.free(np.column_stack([gx.ravel(), gy.ravel()]))
+    assert hashlib.sha256(free.tobytes()).hexdigest() == ORACLE_GRID_SHA256[name]
+    assert grid_oracle(env, query, 0.5) == length
 
 
 def test_audit_path():

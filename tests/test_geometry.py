@@ -10,6 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pathbench import geometry
+from pathbench.benchmark import RandomEnvFactory
 from pathbench.environment import Environment, Query
 from pathbench.errors import InvalidObstacleError, InvalidPathError
 from pathbench.geometry import (Bounds, Circle, CollisionField, Point2,
@@ -791,8 +793,7 @@ def _forty_stars():
 
 
 def test_free_matches_point_free_across_point_blocks():
-    # free classifies the points in blocks of 20, and the last block is a
-    # partial one.
+    # 1,010 points on 40 concave polygons, against the scalar reference.
     env = _forty_stars()
     pts = np.random.default_rng(3).uniform(-12.5, 12.5, size=(1010, 2))
     want = [reference_point_free(p, env) for p in pts.tolist()]
@@ -808,7 +809,8 @@ def _thousand_disks(rng):
 
 def test_free_runs_the_disk_pass_in_bounded_point_blocks():
     # One (points x disks) array of doubles would take 24 MB here; a
-    # 10,000-disk PSO field asked for 24.6 GiB.
+    # 10,000-disk PSO field asked for 24.6 GiB. `free` checks one point at
+    # a time, so it holds no such array.
     rng = np.random.default_rng(5)
     env = _thousand_disks(rng)
     pts = rng.uniform(-41.0, 41.0, size=(3000, 2))
@@ -899,10 +901,10 @@ def test_pso_sized_batches_match_the_oracle(kind, data):
 @PROPERTY
 @given(data=st.data())
 def test_a_row_reads_the_same_in_any_sub_batch(kind, data):
-    # PSO sends only some of its rows. The disk pass's rounding band is a
-    # maximum over its block, so a sub-batch without the corner-to-corner
-    # row gets a smaller band, and a tangent row 1e-16 to 1e-6 of the
-    # radius deep can move between the rounded roots and `_meets_disk`.
+    # PSO sends only some of its rows. A tangent row 1e-16 to 1e-6 of the
+    # radius deep sits where the disk pass hands over from the rounded
+    # roots to `_meets_disk`, and a rounding band taken over the block
+    # would be wider with the corner-to-corner row than without it.
     env = data.draw(fields(kind))
     depth = st.builds(lambda e, sign: sign * 10.0 ** e, st.floats(-16.0, -6.0),
                       st.sampled_from((-1.0, 1.0)))
@@ -913,6 +915,44 @@ def test_a_row_reads_the_same_in_any_sub_batch(kind, data):
     field = CollisionField(env)
     whole = field.blocked_lengths(starts, ends)
     assert field.blocked_lengths(starts[keep], ends[keep]).tobytes() == whole[keep].tobytes()
+
+
+@pytest.mark.parametrize("end", (0, 1), ids=("start", "end"))
+@pytest.mark.parametrize("wild", (math.nan, math.inf, 1e150))
+def test_one_wild_row_leaves_the_other_rows_disk_bands(monkeypatch, wild, end):
+    # A rounding band taken over the block made every row's band nan or
+    # huge here: 11,988 to 12,000 `_meets_disk` calls, 100 times slower.
+    env = RandomEnvFactory(query=Query(Point2(20.0, -15.0), Point2(-25.0, 15.0)))(1000)
+    b = env.bounds
+    rng = np.random.default_rng(8)
+    starts = rng.uniform((b.x_min, b.y_min), (b.x_max, b.y_max), (1000, 2))
+    ends = np.clip(starts + rng.uniform(-4.0, 4.0, (1000, 2)),
+                   (b.x_min, b.y_min), (b.x_max, b.y_max))
+    calls = []
+    meets_disk = geometry._meets_disk
+
+    def counting(a, b, c, r):
+        calls.append((tuple(map(float, a)), tuple(map(float, b))))
+        return meets_disk(a, b, c, r)
+
+    monkeypatch.setattr(geometry, "_meets_disk", counting)
+    field = CollisionField(env)
+    clean = field.blocked_lengths(starts, ends)
+    assert calls == []
+    (starts, ends)[end][500] = (wild, 0.0)
+    got = field.blocked_lengths(starts, ends)
+    assert len(calls) <= len(env.obstacles)
+    assert set(calls) <= {(tuple(starts[500].tolist()), tuple(ends[500].tolist()))}
+    others = np.arange(1000) != 500
+    assert got[others].tobytes() == clean[others].tobytes()
+
+
+def test_blocked_lengths_needs_one_end_per_start():
+    field = CollisionField(Environment(WIDE))
+    for starts, ends in (([(0.0, 0.0), (1.0, 1.0)], [(2.0, 2.0)]),
+                         ([(0.0, 0.0)], [(1.0, 1.0), (2.0, 2.0), (3.0, 3.0)])):
+        with pytest.raises(ValueError, match="as many points"):
+            field.blocked_lengths(starts, ends)
 
 
 def _box(obs):

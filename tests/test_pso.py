@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from pathbench.benchmark import audit_path
 from pathbench.environment import (Environment, Query, generate_random_env,
                                    irregular_preset)
-from pathbench.errors import InvalidQueryError
+from pathbench.errors import InvalidPathError, InvalidQueryError
 from pathbench.geometry import (Bounds, Circle, CollisionField, Point2, Polygon,
                                 path_length)
 from pathbench.pso import (PsoParams, PsoRun, decode, encode, fitness,
@@ -116,6 +116,15 @@ def test_path_violation():
     assert path_violation(blocked, env) == pytest.approx(4.0, abs=1e-9)
     detour = decode((5.0, 8.0), Q_EAST)
     assert path_violation(detour, env) == 0.0
+
+
+def test_path_violation_needs_two_waypoints():
+    # As in path_length: no empty path, and no lone point inside the disk
+    # read as 0.0.
+    env = Environment(Bounds(-40, 40, -40, 20), (Circle(Point2(5.0, 0.0), 2.0),))
+    for path in ([], [(5.0, 0.0)]):
+        with pytest.raises(InvalidPathError, match="at least 2 waypoints"):
+            path_violation(path, env)
 
 
 def test_fitness_lambda_zero_matches_length():
