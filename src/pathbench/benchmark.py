@@ -11,9 +11,10 @@ from __future__ import annotations
 import csv
 import heapq
 import math
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -56,8 +57,8 @@ _PLANNERS: dict[str, Callable[..., PlanResult]] = {
     "pso": plan_pso,
 }
 
-PlannerParams = Union[RrtParams, PsoParams]
-EnvSource = Union[Environment, Callable[[int], Environment]]
+PlannerParams = RrtParams | PsoParams
+EnvSource = Environment | Callable[[int], Environment]
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import NamedTuple, Sequence, TYPE_CHECKING, Union
+from typing import NamedTuple, Sequence, TYPE_CHECKING
 
 import numpy as np
 
@@ -127,7 +127,7 @@ class Polygon:
         object.__setattr__(self, "vertices", verts)
 
 
-Obstacle = Union[Circle, Polygon]
+Obstacle = Circle | Polygon
 
 
 def dist(a: Sequence[float], b: Sequence[float]) -> float:

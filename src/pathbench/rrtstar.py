@@ -6,6 +6,11 @@ the motion, then choose the cheapest collision-free parent among nearby
 nodes and rewire those neighbors through the new node when that lowers
 their cost-to-come. The run keeps planning for the full iteration budget
 and extracts the best goal-region node at the end.
+
+The loop hands `edge_free` plain `(x, y)` tuples of the tree's floats;
+`Point2` is built only for what the API returns (`random_sample`,
+`steering`, `RrtTree.position`, `get_optimized_path` and the result's
+path).
 """
 
 from __future__ import annotations
@@ -156,11 +161,12 @@ def random_sample(env: Environment, rng: np.random.Generator) -> Point2:
 
     Each coordinate is numpy's `uniform` formula, low + (high - low) *
     random(): the same doubles and generator state at a quarter of the cost.
-    Samples are not filtered against obstacles.
+    Samples are not filtered against obstacles. `rng` needs only a
+    `random()` method; `RrtStarRun` passes one that draws in blocks.
     """
-    b = env.bounds
-    return Point2(b.x_min + (b.x_max - b.x_min) * rng.random(),
-                  b.y_min + (b.y_max - b.y_min) * rng.random())
+    x_min, x_max, y_min, y_max = env.bounds
+    return Point2(x_min + (x_max - x_min) * rng.random(),
+                  y_min + (y_max - y_min) * rng.random())
 
 
 def find_nearest(tree: RrtTree, p: Sequence[float]) -> int:
@@ -203,10 +209,10 @@ def choose_parent(tree: RrtTree, neighbors: Sequence[int], lengths: Sequence[flo
     best = neighbors[totals.index(least)]
     if totals.count(least) > 1:  # a tie, which goes to the lowest index
         best = min(i for i, total in zip(neighbors, totals) if total == least)
-    if edge_free(Point2(xs[best], ys[best]), p_new, env):
+    if edge_free((xs[best], ys[best]), p_new, env):
         return best
     for _, i in sorted(zip(totals, neighbors))[1:]:
-        if edge_free(Point2(xs[i], ys[i]), p_new, env):
+        if edge_free((xs[i], ys[i]), p_new, env):
             return i
     return p_near_idx
 
@@ -240,16 +246,17 @@ def rewire(tree: RrtTree, neighbors: Sequence[int], lengths: Sequence[float],
     if not better:
         return
     better.sort()
-    p_new = Point2(xs[new_index], ys[new_index])
+    p_new = (xs[new_index], ys[new_index])
     for i, length in better:
         cand = new_cost + length
-        if i != new_index and cand < cost[i] and edge_free(p_new, Point2(xs[i], ys[i]), env):
+        if i != new_index and cand < cost[i] and edge_free(p_new, (xs[i], ys[i]), env):
             tree._children[tree._parent[i]].remove(i)
             tree._parent[i] = new_index
             tree._children[new_index].append(i)
             tree._edge[i] = length
             cost[i] = cand
-            _propagate_cost(tree, i)
+            if tree._children[i]:  # most rewired nodes are leaves
+                _propagate_cost(tree, i)
 
 
 def get_optimized_path(tree: RrtTree, goal_index: int) -> tuple[Point2, ...]:
@@ -269,8 +276,36 @@ def get_optimized_path(tree: RrtTree, goal_index: int) -> tuple[Point2, ...]:
     return tuple(out)
 
 
+class _UniformBlocks:
+    """`Generator.random()` doubles drawn a block at a time.
+
+    `rng.random(k)` fills its array with the same doubles, in the same
+    order, as k calls of `rng.random()`; a Python method call costs a
+    fraction of numpy's per-call cost. The generator runs ahead of the
+    draws by up to one block.
+    """
+
+    _BLOCK = 512
+
+    def __init__(self, rng: np.random.Generator):
+        self._rng = rng
+        self._left: list[float] = []  # the block's undrawn doubles, last first
+
+    def random(self) -> float:
+        if not self._left:
+            self._left = self._rng.random(self._BLOCK).tolist()[::-1]
+        return self._left.pop()
+
+
 class RrtStarRun:
-    """One in-progress tree search; step() advances a single iteration."""
+    """One in-progress tree search; step() advances a single iteration.
+
+    `step` reads the tree's coordinate lists, the settings and the target
+    once per call and passes node positions on as plain `(x, y)` tuples,
+    so an iteration builds two `Point2`s: the sample and the steered point.
+    Samples draw from `rng` a block of doubles at a time, so `rng` runs
+    up to one block ahead of the samples taken.
+    """
 
     def __init__(self, env: Environment, query: Query, params: RrtParams):
         check_query(validate_query(env, query))
@@ -278,6 +313,7 @@ class RrtStarRun:
         self.query = query
         self.params = params
         self.rng = np.random.default_rng(params.rng_seed)
+        self._uniforms = _UniformBlocks(self.rng)
         self.tree = RrtTree(query.start)
         self.goal_nodes: list[int] = []
         self.closest_approach = dist(query.start, query.target)
@@ -288,30 +324,32 @@ class RrtStarRun:
     def step(self) -> Optional[int]:
         """Run one iteration; returns the inserted node index, or None."""
         self.iterations_done += 1
-        p_rand = random_sample(self.env, self.rng)
-        tree = self.tree
+        env, params, tree = self.env, self.params, self.tree
+        xs, ys = tree._xs, tree._ys
+        p_rand = random_sample(env, self._uniforms)
         near_idx = find_nearest(tree, p_rand)
-        p_near = Point2(tree._xs[near_idx], tree._ys[near_idx])
-        p_new = steering(p_rand, p_near, self.params.step_size)
+        p_near = (xs[near_idx], ys[near_idx])
+        p_new = steering(p_rand, p_near, params.step_size)
         if p_new == p_near:
             return None
-        if not edge_free(p_near, p_new, self.env):
+        if not edge_free(p_near, p_new, env):
             return None
-        neighbors = get_neighbors(tree, p_new, self.params.neighbor_radius)
+        neighbors = get_neighbors(tree, p_new, params.neighbor_radius)
+        x, y = p_new
         if neighbors:
             # hypot ignores signs, so one length per edge serves both calls.
-            xs, ys, (x, y) = tree._xs, tree._ys, p_new
             lengths = [math.hypot(xs[i] - x, ys[i] - y) for i in neighbors]
-            parent = choose_parent(tree, neighbors, lengths, near_idx, p_new, self.env)
+            parent = choose_parent(tree, neighbors, lengths, near_idx, p_new, env)
         else:
             parent = near_idx
         idx = tree.add(p_new, parent)
         if neighbors:
-            rewire(tree, neighbors, lengths, idx, self.env)
-        d_goal = dist(p_new, self.query.target)
+            rewire(tree, neighbors, lengths, idx, env)
+        tx, ty = self.query.target
+        d_goal = math.hypot(x - tx, y - ty)
         if d_goal < self.closest_approach:
             self.closest_approach = d_goal
-        if d_goal <= self.params.min_threshold:
+        if d_goal <= params.min_threshold:
             self.goal_nodes.append(idx)
         return idx
 

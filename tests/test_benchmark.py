@@ -2,7 +2,10 @@
 
 import hashlib
 import math
+import os
 import pickle
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -202,6 +205,33 @@ def test_a_short_rrt_star_plan_reaches_every_traced_layer(monkeypatch):
     assert {"rrtstar.find_nearest", "rrtstar.rewire", "rrtstar.RrtTree.add"} <= wanted
     assert [s for s in sorted(wanted | {"geometry.edge_free"}) if tr.calls(s) == 0] == []
     assert traced.path == plan_rrt_star(env, query, params).path
+
+
+# Drops the package from sys.modules, imports it again and checks that the
+# first generation can be collected. Module-level typing.Union and
+# typing.Callable aliases sit in typing's caches and would keep every
+# generation's classes, functions and module dicts alive; perfbench
+# imports the package afresh for each run's setup.
+_REIMPORT = """
+import gc, sys, weakref
+import pathbench
+first = weakref.ref(pathbench.edge_free)
+for name in [n for n in sys.modules if n == "pathbench" or n.startswith("pathbench.")]:
+    del sys.modules[name]
+del pathbench
+import pathbench
+del pathbench
+gc.collect()
+assert first() is None, "the first import of pathbench is still alive"
+"""
+
+
+def test_a_reimported_package_frees_the_old_one():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", _REIMPORT], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 def test_random_env_factory_is_picklable_and_seeded():

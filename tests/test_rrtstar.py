@@ -485,6 +485,28 @@ def test_seeded_edge_answers_are_pinned(monkeypatch, name, iterations, calls,
     assert _sha(answers) == answer_digest
 
 
+# The growth loop hands edge_free plain (x, y) tuples of the tree's floats
+# and builds a Point2 only where the API returns one: random_sample and
+# steering, once each per iteration. A later edit that builds a point per
+# node read would slow RRT* without failing any other test.
+@pytest.mark.parametrize("name", ["empty", "field-1000"])
+def test_an_iteration_builds_at_most_two_points(monkeypatch, name):
+    built = 0
+    point = rrtstar.Point2
+
+    def counting(*args):
+        nonlocal built
+        built += 1
+        return point(*args)
+
+    env, query = _pinned_case(name)
+    run = RrtStarRun(env, query, RrtParams(iterations_num=200))
+    monkeypatch.setattr(rrtstar, "Point2", counting)
+    for _ in range(200):
+        run.step()
+    assert built <= 2 * 200
+
+
 def test_infeasible_reports_closest_approach():
     # Target inside a ring of circles the step cannot thread.
     ring = []
