@@ -14,16 +14,15 @@ OUT = "demo-output"
 
 
 def watched_run(env, query, seed):
-    run = RrtStarRun(env, query, RrtParams(rng_seed=seed))
     t0 = time.perf_counter()
-    for i in range(run.params.iterations_num):
+    run = RrtStarRun(env, query, RrtParams(rng_seed=seed))
+    while not run.should_stop:
         run.step()
-        if (i + 1) % 500 == 0:
+        if run.iteration % 500 == 0:
             bg = run.best_goal()
             best = f"{bg[1]:7.2f}" if bg else "   none"
-            print(f"  iter {i + 1:4d}: {len(run.tree):4d} nodes, "
-                  f"best goal cost {best}, closest approach "
-                  f"{run.closest_approach:6.2f}")
+            print(f"  iter {run.iteration:4d}: {len(run.tree):4d} nodes, "
+                  f"best goal cost {best}")
     return run.result(time.perf_counter() - t0)
 
 

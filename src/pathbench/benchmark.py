@@ -52,9 +52,9 @@ TABLE1_CASES: tuple[Query, ...] = tuple(
         ((33.0, -7.0), (-20.0, -13.0)),
     ])
 
-_PLANNERS: dict[str, Callable[..., PlanResult]] = {
-    "rrtstar": plan_rrt_star,
-    "pso": plan_pso,
+_PLANNERS: dict[str, tuple[Callable[..., PlanResult], type]] = {
+    "rrtstar": (plan_rrt_star, RrtParams),
+    "pso": (plan_pso, PsoParams),
 }
 
 PlannerParams = RrtParams | PsoParams
@@ -143,6 +143,17 @@ class TrialStats:
         return edges, counts
 
 
+def _planner(planner_id: str, params: PlannerParams) -> Callable[..., PlanResult]:
+    """`planner_id`'s plan function; ValueError for an unknown id or another planner's params."""
+    if planner_id not in _PLANNERS:
+        raise ValueError(f"unknown planner {planner_id!r}; expected one of {sorted(_PLANNERS)}")
+    plan, params_type = _PLANNERS[planner_id]
+    if not isinstance(params, params_type):
+        raise ValueError(f"planner {planner_id!r} takes {params_type.__name__}, "
+                         f"got {type(params).__name__}")
+    return plan
+
+
 def plan_once(env: EnvSource, query: Query, planner_id: str,
               params: PlannerParams, seed: int) -> PlanResult:
     """Run one seeded trial; `seed` overrides params.rng_seed.
@@ -151,10 +162,9 @@ def plan_once(env: EnvSource, query: Query, planner_id: str,
     error, such as a query the environment buries, propagates: it is not
     an infeasible run.
     """
-    if planner_id not in _PLANNERS:
-        raise ValueError(f"unknown planner {planner_id!r}; expected one of {sorted(_PLANNERS)}")
+    plan = _planner(planner_id, params)
     trial_env = env(seed) if callable(env) else env
-    return _PLANNERS[planner_id](trial_env, query, replace(params, rng_seed=seed))
+    return plan(trial_env, query, replace(params, rng_seed=seed))
 
 
 def run_trials(env: EnvSource, query: Query, planner_id: str,
@@ -168,8 +178,7 @@ def run_trials(env: EnvSource, query: Query, planner_id: str,
     min(jobs, n_trials) processes; results always come back in seed order.
     The first trial error, in seed order, is raised for every `jobs`.
     """
-    if planner_id not in _PLANNERS:
-        raise ValueError(f"unknown planner {planner_id!r}; expected one of {sorted(_PLANNERS)}")
+    _planner(planner_id, params)
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
     if jobs < 1:

@@ -14,8 +14,6 @@ best path passes `edge_free`, the same check `audit_path` makes.
 
 from __future__ import annotations
 
-import math
-import time
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -23,8 +21,8 @@ import numpy as np
 
 from .environment import Environment, Query, check_query, validate_query
 from .errors import InvalidPathError
-from .geometry import CollisionField, Point2, edge_free, path_length
-from .result import PlanResult, check_param_types, param_snapshot
+from .geometry import CollisionField, Point2, edge_free
+from .result import PlanResult, build_result, check_param_types, plan
 
 __all__ = [
     "PsoParams", "PsoRun", "plan_pso", "decode", "encode", "fitness",
@@ -163,6 +161,8 @@ class PsoRun:
     evaluation.
     """
 
+    planner_id = "pso"
+
     def __init__(self, env: Environment, query: Query, params: PsoParams):
         check_query(validate_query(env, query))
         self.env = env
@@ -269,19 +269,10 @@ class PsoRun:
         path = decode(self.gbest_position, self.query)
         violation = path_violation(path, self.env)
         feasible = all(edge_free(a, b, self.env) for a, b in zip(path, path[1:]))
-        return PlanResult(
-            planner_id="pso", seed=self.params.rng_seed, feasible=feasible,
-            length=path_length(path) if feasible else math.nan,
-            elapsed=elapsed, iterations_used=self.iteration,
-            closest_approach=violation, path=path if feasible else None,
-            params=param_snapshot(self.params))
+        return build_result(self, elapsed, path if feasible else None, violation)
 
 
 def plan_pso(env: Environment, query: Query,
              params: PsoParams = PsoParams()) -> PlanResult:
     """Optimize a waypoint path; feasible iff every best-path segment is edge_free."""
-    t0 = time.perf_counter()
-    run = PsoRun(env, query, params)
-    while not run.should_stop:
-        run.step()
-    return run.result(time.perf_counter() - t0)
+    return plan(PsoRun, env, query, params)

@@ -1,14 +1,15 @@
-"""The planners' common result record, the number rule and parameter checks."""
+"""The planners' common run loop, result record, number rule and parameter checks."""
 
 from __future__ import annotations
 
 import math
 import numbers
 import sys
+import time
 from dataclasses import dataclass, fields
 from typing import Optional
 
-from .geometry import Point2
+from .geometry import Point2, path_length
 
 
 @dataclass(frozen=True)
@@ -20,9 +21,8 @@ class PlanResult:
     length=nan. `closest_approach` says how close the planner got, in a
     planner-specific measure:
 
-    * rrtstar: distance to the target from the tree node nearest it
-      (for a feasible run, from the path's last point, 0 when the path
-      ends on the target);
+    * rrtstar: distance to the target from the tree node nearest it (0
+      for a feasible run, whose path ends on the target);
     * pso: exact blocked length of the best path found, the length of it
       inside obstacles or out of bounds (0 for a feasible run).
 
@@ -84,6 +84,24 @@ def check_param_types(params, integers: dict[str, int], reals: tuple[str, ...]) 
         object.__setattr__(params, name, float(value))
 
 
-def param_snapshot(params) -> dict:
-    """`PlanResult.params`: a shallow dict of the record's plain int and float fields."""
-    return {f.name: getattr(params, f.name) for f in fields(params)}
+def plan(run_type, env, query, params) -> PlanResult:
+    """Step a new `run_type` run until `should_stop`; `elapsed` includes its set-up."""
+    t0 = time.perf_counter()
+    run = run_type(env, query, params)
+    while not run.should_stop:
+        run.step()
+    return run.result(time.perf_counter() - t0)
+
+
+def build_result(run, elapsed: float, path: Optional[tuple[Point2, ...]],
+                 closest_approach: float) -> PlanResult:
+    """`run`'s PlanResult for its best path, None when infeasible. A one-point
+    path has length 0; `params` is a dict of the record's plain fields."""
+    length = math.nan
+    if path is not None:
+        length = path_length(path) if len(path) >= 2 else 0.0
+    return PlanResult(
+        planner_id=run.planner_id, seed=run.params.rng_seed, feasible=path is not None,
+        length=length, elapsed=elapsed, iterations_used=run.iteration,
+        closest_approach=closest_approach, path=path,
+        params={f.name: getattr(run.params, f.name) for f in fields(run.params)})

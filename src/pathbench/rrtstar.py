@@ -4,8 +4,8 @@ The growth loop follows the classic shape: draw a uniform sample, steer
 from the nearest tree node toward it by at most one step, collision-check
 the motion, then choose the cheapest collision-free parent among nearby
 nodes and rewire those neighbors through the new node when that lowers
-their cost-to-come. The run keeps planning for the full iteration budget
-and extracts the best goal-region node at the end.
+their cost-to-come. The run keeps planning for the full iteration budget;
+its goal nodes are read off the tree when the result is asked for.
 
 The loop hands `edge_free` plain `(x, y)` tuples of the tree's floats;
 `Point2` is built only for what the API returns (`random_sample`,
@@ -16,16 +16,15 @@ path).
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from .environment import Environment, Query, check_query, validate_query
 from .errors import InvalidStateError
-from .geometry import Point2, dist, edge_free, path_length
-from .result import PlanResult, check_param_types, param_snapshot
+from .geometry import Point2, edge_free
+from .result import PlanResult, build_result, check_param_types, plan
 
 __all__ = [
     "RrtParams", "RrtTree", "RrtStarRun", "plan_rrt_star", "random_sample",
@@ -171,8 +170,6 @@ def random_sample(env: Environment, rng: np.random.Generator) -> Point2:
 
 def find_nearest(tree: RrtTree, p: Sequence[float]) -> int:
     """Index of the node closest to p; ties go to the lowest index."""
-    if len(tree) == 0:
-        raise InvalidStateError("find_nearest on an empty tree")
     return int(tree.squared_distances(p).argmin())
 
 
@@ -265,12 +262,10 @@ def get_optimized_path(tree: RrtTree, goal_index: int) -> tuple[Point2, ...]:
         raise InvalidStateError(f"node index {goal_index} out of range")
     out = [tree.position(goal_index)]
     i = goal_index
-    steps = 0
     while tree._parent[i] >= 0:
         i = tree._parent[i]
         out.append(tree.position(i))
-        steps += 1
-        if steps > len(tree):
+        if len(out) > len(tree):
             raise InvalidStateError("parent chain does not terminate at the root")
     out.reverse()
     return tuple(out)
@@ -300,12 +295,13 @@ class _UniformBlocks:
 class RrtStarRun:
     """One in-progress tree search; step() advances a single iteration.
 
-    `step` reads the tree's coordinate lists, the settings and the target
-    once per call and passes node positions on as plain `(x, y)` tuples,
-    so an iteration builds two `Point2`s: the sample and the steered point.
-    Samples draw from `rng` a block of doubles at a time, so `rng` runs
-    up to one block ahead of the samples taken.
+    `step` reads the tree's coordinate lists and the settings once per call
+    and passes node positions on as plain `(x, y)` tuples, so an iteration
+    builds two `Point2`s: the sample and the steered point. Samples draw
+    from `rng` a block of doubles at a time, so `rng` runs up to a block ahead.
     """
+
+    planner_id = "rrtstar"
 
     def __init__(self, env: Environment, query: Query, params: RrtParams):
         check_query(validate_query(env, query))
@@ -315,15 +311,15 @@ class RrtStarRun:
         self.rng = np.random.default_rng(params.rng_seed)
         self._uniforms = _UniformBlocks(self.rng)
         self.tree = RrtTree(query.start)
-        self.goal_nodes: list[int] = []
-        self.closest_approach = dist(query.start, query.target)
-        self.iterations_done = 0
-        if self.closest_approach <= params.min_threshold:
-            self.goal_nodes.append(0)
+        self.iteration = 0
+
+    @property
+    def should_stop(self) -> bool:
+        return self.iteration >= self.params.iterations_num
 
     def step(self) -> Optional[int]:
         """Run one iteration; returns the inserted node index, or None."""
-        self.iterations_done += 1
+        self.iteration += 1
         env, params, tree = self.env, self.params, self.tree
         xs, ys = tree._xs, tree._ys
         p_rand = random_sample(env, self._uniforms)
@@ -335,8 +331,8 @@ class RrtStarRun:
         if not edge_free(p_near, p_new, env):
             return None
         neighbors = get_neighbors(tree, p_new, params.neighbor_radius)
-        x, y = p_new
         if neighbors:
+            x, y = p_new
             # hypot ignores signs, so one length per edge serves both calls.
             lengths = [math.hypot(xs[i] - x, ys[i] - y) for i in neighbors]
             parent = choose_parent(tree, neighbors, lengths, near_idx, p_new, env)
@@ -345,60 +341,45 @@ class RrtStarRun:
         idx = tree.add(p_new, parent)
         if neighbors:
             rewire(tree, neighbors, lengths, idx, env)
-        tx, ty = self.query.target
-        d_goal = math.hypot(x - tx, y - ty)
-        if d_goal < self.closest_approach:
-            self.closest_approach = d_goal
-        if d_goal <= params.min_threshold:
-            self.goal_nodes.append(idx)
         return idx
+
+    def _target_distances(self) -> Iterator[float]:
+        """Each node's straight-line distance to the target, by index."""
+        tx, ty = self.query.target
+        return (math.hypot(x - tx, y - ty) for x, y in zip(self.tree._xs, self.tree._ys))
 
     def best_goal(self) -> Optional[tuple[int, float]]:
         """Best goal-region node and its cost through to the exact target.
 
-        The metric is cost_to_come + remaining straight-line distance;
-        ties go to the lower index. None when the goal region was never
-        reached.
+        Of the nodes within min_threshold of the target that are on it or
+        have a free segment to it, the one of least cost_to_come plus
+        distance to the target; ties go to the lower index. None if none.
         """
-        best = None
-        best_cost = math.inf
-        for i in self.goal_nodes:
-            c = self.tree.cost_to_come(i) + dist(self.tree.position(i),
-                                                 self.query.target)
-            if c < best_cost:
-                best_cost = c
-                best = i
-        if best is None:
-            return None
-        return best, best_cost
+        tree, target, threshold = self.tree, self.query.target, self.params.min_threshold
+        ranked = sorted((tree._cost[i] + d, i) for i, d in enumerate(self._target_distances())
+                        if d <= threshold)
+        for total, i in ranked:
+            p = (tree._xs[i], tree._ys[i])
+            if p == target or edge_free(p, target, self.env):
+                return i, total
+        return None
 
     def result(self, elapsed: float) -> PlanResult:
         bg = self.best_goal()
-        path, length, closest = None, math.nan, self.closest_approach
-        if bg is not None:
-            waypoints = list(get_optimized_path(self.tree, bg[0]))
-            target = self.query.target
-            if waypoints[-1] != target and edge_free(waypoints[-1], target, self.env):
-                waypoints.append(target)
-            path = tuple(waypoints)
-            length = path_length(path) if len(path) >= 2 else 0.0
-            closest = dist(path[-1], target)
-        return PlanResult(
-            planner_id="rrtstar", seed=self.params.rng_seed, feasible=path is not None,
-            length=length, elapsed=elapsed, iterations_used=self.iterations_done,
-            closest_approach=closest, path=path, params=param_snapshot(self.params))
+        if bg is None:
+            return build_result(self, elapsed, None, min(self._target_distances()))
+        path = get_optimized_path(self.tree, bg[0])
+        if path[-1] != self.query.target:
+            path += (self.query.target,)
+        return build_result(self, elapsed, path, 0.0)
 
 
 def plan_rrt_star(env: Environment, query: Query,
                   params: RrtParams = RrtParams()) -> PlanResult:
     """Grow a tree for the full iteration budget and report the best path.
 
-    Feasible means some node ended up within min_threshold of the target;
-    the returned path gains a final collision-checked segment to the exact
-    target when that segment is free, and otherwise stops at the node.
+    Feasible means some node within min_threshold of the target reaches
+    it: the node is on the target or its segment to the target is free.
+    The returned path then ends on the exact target.
     """
-    t0 = time.perf_counter()
-    run = RrtStarRun(env, query, params)
-    for _ in range(params.iterations_num):
-        run.step()
-    return run.result(time.perf_counter() - t0)
+    return plan(RrtStarRun, env, query, params)

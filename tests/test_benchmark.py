@@ -91,6 +91,22 @@ def test_plan_once_rejects_unknown_planner():
         plan_once(env, QUERY_A, "dijkstra", RrtParams(), 0)
 
 
+def test_plan_once_and_run_trials_check_the_planner_and_its_params(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool started for a refused call")
+
+    monkeypatch.setattr("pathbench.benchmark.ProcessPoolExecutor", no_pool)
+    env = generate_random_env(0, n_obstacles=0)
+    for planner, params, match in [
+            ("pso", RrtParams(), "'pso' takes PsoParams, got RrtParams"),
+            ("rrtstar", PsoParams(), "'rrtstar' takes RrtParams, got PsoParams"),
+            ("dijkstra", RrtParams(), "unknown planner 'dijkstra'")]:
+        with pytest.raises(ValueError, match=match):
+            plan_once(env, QUERY_A, planner, params, 0)
+        with pytest.raises(ValueError, match=match):
+            run_trials(env, QUERY_A, planner, params, n_trials=2, base_seed=0, jobs=2)
+
+
 def test_plan_once_overrides_seed():
     env = generate_random_env(4, query=QUERY_A)
     res = plan_once(env, QUERY_A, "rrtstar",

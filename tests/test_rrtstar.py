@@ -10,10 +10,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pathbench import rrtstar
+from pathbench.benchmark import audit_path
 from pathbench.environment import (Environment, Query, generate_random_env,
                                    irregular_preset)
 from pathbench.errors import InvalidQueryError, InvalidStateError
-from pathbench.geometry import Bounds, Circle, Point2, dist, path_length
+from pathbench.geometry import (Bounds, Circle, Point2, Polygon, dist, edge_free,
+                                path_length)
 from pathbench.rrtstar import (RrtParams, RrtStarRun, RrtTree, choose_parent,
                                find_nearest, get_neighbors,
                                get_optimized_path, plan_rrt_star,
@@ -507,14 +509,18 @@ def test_an_iteration_builds_at_most_two_points(monkeypatch, name):
     assert built <= 2 * 200
 
 
-def test_infeasible_reports_closest_approach():
+def _ring_case():
     # Target inside a ring of circles the step cannot thread.
     ring = []
     for k in range(14):
         ang = 2 * math.pi * k / 14
         ring.append(Circle(Point2(8 * math.cos(ang), 8 * math.sin(ang)), 2.2))
     env = Environment(Bounds(-40, 40, -40, 20), tuple(ring))
-    q = Query(Point2(30.0, -30.0), Point2(0.0, 0.0))
+    return env, Query(Point2(30.0, -30.0), Point2(0.0, 0.0))
+
+
+def test_infeasible_reports_closest_approach():
+    env, q = _ring_case()
     res = plan_rrt_star(env, q, RrtParams(iterations_num=200, rng_seed=1))
     assert not res.feasible
     assert res.path is None
@@ -537,3 +543,78 @@ def test_result_params_snapshot():
     assert res.seed == 17
     assert res.params["iterations_num"] == 50
     assert res.params["step_size"] == 2.0
+
+
+@pytest.mark.parametrize("iterations", [1, 5])
+def test_should_stop_turns_true_after_the_last_iteration(iterations):
+    run = RrtStarRun(EMPTY, Query(Point2(0.0, 0.0), Point2(10.0, 0.0)),
+                     RrtParams(iterations_num=iterations))
+    seen = [run.should_stop]
+    for _ in range(iterations):
+        run.step()
+        seen.append(run.should_stop)
+    assert seen == [False] * iterations + [True]
+    assert run.iteration == iterations
+
+
+def test_a_goal_node_behind_a_wall_is_not_a_path():
+    # The start lies within min_threshold of the target, with a thin wall
+    # between them: the root is the cheapest goal-region node by cost plus
+    # straight-line distance, but its segment to the target is blocked.
+    wall = Polygon((Point2(0.9, -5.0), Point2(1.1, -5.0), Point2(1.1, 5.0),
+                    Point2(0.9, 5.0)))
+    env = Environment(Bounds(-10.0, 10.0, -10.0, 10.0), (wall,))
+    q = Query(Point2(0.0, 0.0), Point2(2.0, 0.0))
+    res = plan_rrt_star(env, q, RrtParams(iterations_num=300, rng_seed=0))
+    assert res.feasible
+    assert res.path[0] == q.start and res.path[-1] == q.target
+    assert len(res.path) > 2
+    assert audit_path(res.path, env)
+    assert res.length == path_length(res.path)
+    assert res.closest_approach == 0.0
+
+
+# The run keeps no goal bookkeeping and reads it off the tree. The oracle
+# keeps it the incremental way, from the indices step() returns: the goal
+# set, the closest approach, and the best node as the cheapest goal node
+# on the target or with a free segment to it (ties to the lower index).
+@pytest.mark.parametrize("name", ["empty", "field-1000", "irregular-a", "ring"])
+def test_goal_state_read_off_the_tree_matches_an_incremental_oracle(name):
+    if name == "ring":
+        (env, query), params = _ring_case(), RrtParams(iterations_num=200, rng_seed=1)
+    else:
+        env, query = _pinned_case(name)
+        params = RrtParams(iterations_num=600 if name == "empty" else 2000)
+    run = RrtStarRun(env, query, params)
+    tree, target = run.tree, query.target
+
+    def oracle_best():
+        best = None
+        for i in goal:
+            p = tree.position(i)
+            if p == target or edge_free(p, target, env):
+                total = tree.cost_to_come(i) + dist(p, target)
+                if best is None or total < best[1]:
+                    best = (i, total)
+        return best
+
+    closest = dist(query.start, target)
+    goal = [0] if closest <= params.min_threshold else []
+    while not run.should_stop:
+        idx = run.step()
+        if idx is not None:
+            d = dist(tree.position(idx), target)
+            closest = min(closest, d)
+            if d <= params.min_threshold:
+                goal.append(idx)
+        if run.iteration % 250 == 0 or run.should_stop:
+            assert run.best_goal() == oracle_best()
+    assert goal == [i for i in range(len(tree))
+                    if dist(tree.position(i), target) <= params.min_threshold]
+    res = run.result(0.0)
+    if res.feasible:
+        assert res.closest_approach == 0.0 and res.path[-1] == target
+    else:
+        assert oracle_best() is None
+        assert res.closest_approach == closest
+    assert (name == "ring") != res.feasible
