@@ -12,7 +12,6 @@ import csv
 import heapq
 import math
 from collections.abc import Callable
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -24,7 +23,7 @@ from .environment import (DEFAULT_BOUNDS, Environment, Query, check_query,
 from .errors import InvalidQueryError
 from .geometry import Bounds, Point2, dist, edge_free
 from .pso import PsoParams, plan_pso
-from .result import PlanResult
+from .result import PlanResult, is_integer
 from .rrtstar import RrtParams, plan_rrt_star
 
 __all__ = [
@@ -167,6 +166,16 @@ def plan_once(env: EnvSource, query: Query, planner_id: str,
     return plan(trial_env, query, replace(params, rng_seed=seed))
 
 
+def ProcessPoolExecutor(max_workers: int):
+    """The standard process pool, imported on the first parallel run.
+
+    Importing it loads multiprocessing and about 30 more modules, which a
+    serial run never needs.
+    """
+    from concurrent.futures import ProcessPoolExecutor as pool
+    return pool(max_workers=max_workers)
+
+
 def run_trials(env: EnvSource, query: Query, planner_id: str,
                params: PlannerParams, n_trials: int, base_seed: int,
                jobs: int = 1) -> TrialStats:
@@ -175,14 +184,16 @@ def run_trials(env: EnvSource, query: Query, planner_id: str,
     `env` may be a fixed Environment or a seed -> Environment callable, in
     which case each trial gets the environment built from its own seed.
     Trials are independent, so `jobs` > 1 fans them out over at most
-    min(jobs, n_trials) processes; results always come back in seed order.
-    The first trial error, in seed order, is raised for every `jobs`.
+    min(jobs, n_trials) processes; the process pool is imported on the
+    first such call. Results always come back in seed order. The first
+    trial error, in seed order, is raised for every `jobs`. The planner,
+    its params and the integer arguments are checked before any plan.
     """
     _planner(planner_id, params)
-    if n_trials < 1:
-        raise ValueError(f"n_trials must be >= 1, got {n_trials}")
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    for name, value, minimum in (("n_trials", n_trials, 1),
+                                 ("base_seed", base_seed, 0), ("jobs", jobs, 1)):
+        if not (is_integer(value) and value >= minimum):
+            raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
     seeds = [base_seed + i for i in range(n_trials)]
     # Under fork every worker starts with the pool, so never ask for idle ones.
     workers = min(jobs, n_trials)
@@ -244,7 +255,8 @@ def table1_suite(env: Optional[Environment] = None,
 
     Case k uses rng seed `seed + k - 1` for both planners, so a suite is
     reproducible from a single integer. All case queries must be valid in
-    the environment (the irregular preset by default).
+    the environment (the irregular preset by default); the queries and
+    every (planner, params) spec are checked before the first plan.
     """
     if env is None:
         env, _ = irregular_preset("irregular-a")
@@ -252,6 +264,8 @@ def table1_suite(env: Optional[Environment] = None,
         specs = [("rrtstar", RrtParams()), ("pso", PsoParams())]
     for q in cases:
         check_query(validate_query(env, q))
+    for planner_id, params in specs:
+        _planner(planner_id, params)
     rows: list[CaseRow] = []
     for case_idx, q in enumerate(cases, start=1):
         for planner_id, params in specs:

@@ -107,6 +107,24 @@ def test_plan_once_and_run_trials_check_the_planner_and_its_params(monkeypatch):
             run_trials(env, QUERY_A, planner, params, n_trials=2, base_seed=0, jobs=2)
 
 
+def test_run_trials_checks_its_integer_arguments_before_any_plan(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool started for a refused call")
+
+    def no_plan(*args, **kwargs):
+        raise AssertionError("a plan ran for a refused call")
+
+    monkeypatch.setattr("pathbench.benchmark.ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr("pathbench.benchmark.plan_once", no_plan)
+    env = generate_random_env(0, n_obstacles=0)
+    good = {"n_trials": 2, "base_seed": 0, "jobs": 2}
+    for name, bad in [("n_trials", 2.5), ("n_trials", True), ("n_trials", 0),
+                      ("base_seed", -1), ("base_seed", 1.0), ("base_seed", False),
+                      ("jobs", True), ("jobs", 2.5), ("jobs", 0), ("jobs", np.float64(2))]:
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            run_trials(env, QUERY_A, "rrtstar", RrtParams(), **dict(good, **{name: bad}))
+
+
 def test_plan_once_overrides_seed():
     env = generate_random_env(4, query=QUERY_A)
     res = plan_once(env, QUERY_A, "rrtstar",
@@ -242,12 +260,35 @@ assert first() is None, "the first import of pathbench is still alive"
 """
 
 
-def test_a_reimported_package_frees_the_old_one():
+def _run_in_a_fresh_interpreter(code):
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-c", _REIMPORT], env=env,
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_a_reimported_package_frees_the_old_one():
+    _run_in_a_fresh_interpreter(_REIMPORT)
+
+
+# The process pool's import loads multiprocessing and about 30 more
+# modules; only a parallel run_trials call needs it.
+_IMPORT_FOOTPRINT = """
+import sys
+import pathbench
+pool_modules = ("multiprocessing", "concurrent.futures")
+loaded = [m for m in pool_modules if m in sys.modules]
+assert loaded == [], f"import pathbench loaded {loaded}"
+env, query = pathbench.irregular_preset("empty")
+pathbench.run_trials(env, query, "rrtstar", pathbench.RrtParams(iterations_num=20),
+                     n_trials=2, base_seed=0, jobs=2)
+assert "concurrent.futures" in sys.modules, "a parallel run imported no pool"
+"""
+
+
+def test_import_pathbench_loads_the_process_pool_only_for_a_parallel_run():
+    _run_in_a_fresh_interpreter(_IMPORT_FOOTPRINT)
 
 
 def test_random_env_factory_is_picklable_and_seeded():
@@ -364,6 +405,20 @@ def test_table1_suite_validates_cases():
     with pytest.raises(InvalidQueryError):
         table1_suite(cases=[Query(Point2(-20.0, -20.5), Point2(0.0, 10.0))],
                      specs=[("rrtstar", RrtParams(iterations_num=10))])
+
+
+def test_table1_suite_checks_every_spec_before_its_first_plan(monkeypatch):
+    plans = []
+    monkeypatch.setattr("pathbench.benchmark.plan_once",
+                        lambda *args: plans.append(args))
+    for specs, match in [
+            ([("rrtstar", RrtParams()), ("pso", RrtParams())],
+             "'pso' takes PsoParams, got RrtParams"),
+            ([("rrtstar", RrtParams()), ("dijkstra", RrtParams())],
+             "unknown planner 'dijkstra'")]:
+        with pytest.raises(ValueError, match=match):
+            table1_suite(specs=specs)
+    assert plans == []
 
 
 def test_results_csv_round_trip(tmp_path):
