@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import heapq
 import math
+import sys
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
@@ -21,9 +22,10 @@ from .environment import (DEFAULT_BOUNDS, Environment, Query, check_query,
                           check_random_field, generate_random_env,
                           irregular_preset, validate_query, write_json)
 from .errors import InvalidQueryError
-from .geometry import Bounds, Point2, dist, edge_free
+# perfbench's tracer wraps audit_path and edge_free as names of this module.
+from .geometry import Bounds, Point2, audit_path, dist, edge_free  # noqa: F401
 from .pso import PsoParams, plan_pso
-from .result import PlanResult, is_integer
+from .result import PlanResult, check_integer, is_real
 from .rrtstar import RrtParams, plan_rrt_star
 
 __all__ = [
@@ -187,13 +189,12 @@ def run_trials(env: EnvSource, query: Query, planner_id: str,
     min(jobs, n_trials) processes; the process pool is imported on the
     first such call. Results always come back in seed order. The first
     trial error, in seed order, is raised for every `jobs`. The planner,
-    its params and the integer arguments are checked before any plan.
+    its params and the integer arguments (up to a last seed of
+    sys.maxsize) are checked before any plan.
     """
     _planner(planner_id, params)
-    for name, value, minimum in (("n_trials", n_trials, 1),
-                                 ("base_seed", base_seed, 0), ("jobs", jobs, 1)):
-        if not (is_integer(value) and value >= minimum):
-            raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    n_trials, jobs = check_integer("n_trials", n_trials, 1), check_integer("jobs", jobs, 1)
+    check_integer("base_seed", base_seed, 0, sys.maxsize - n_trials + 1)
     seeds = [base_seed + i for i in range(n_trials)]
     # Under fork every worker starts with the pool, so never ask for idle ones.
     workers = min(jobs, n_trials)
@@ -255,9 +256,10 @@ def table1_suite(env: Optional[Environment] = None,
 
     Case k uses rng seed `seed + k - 1` for both planners, so a suite is
     reproducible from a single integer. All case queries must be valid in
-    the environment (the irregular preset by default); the queries and
-    every (planner, params) spec are checked before the first plan.
+    the environment (the irregular preset by default); the seeds, queries
+    and (planner, params) specs are checked before the first plan.
     """
+    check_integer("seed", seed, 0, sys.maxsize - len(cases) + 1)
     if env is None:
         env, _ = irregular_preset("irregular-a")
     if specs is None:
@@ -276,13 +278,6 @@ def table1_suite(env: Optional[Environment] = None,
     return rows
 
 
-def audit_path(path: Sequence[Sequence[float]], env: Environment) -> bool:
-    """Re-check a finished path segment-by-segment with the exact predicate."""
-    if len(path) < 2:
-        return False
-    return all(edge_free(a, b, env) for a, b in zip(path, path[1:]))
-
-
 def grid_oracle(env: Environment, query: Query, resolution: float = 0.5) -> float:
     """Shortest 8-connected grid path length between the query endpoints.
 
@@ -292,8 +287,8 @@ def grid_oracle(env: Environment, query: Query, resolution: float = 0.5) -> floa
     Endpoints snap to the nearest free cell center within a 3-cell window
     (an error if none exists). Returns math.inf when the goal is unreachable.
     """
-    if not (resolution > 0 and math.isfinite(resolution)):
-        raise ValueError(f"resolution must be > 0, got {resolution}")
+    if not (is_real(resolution) and resolution > 0 and math.isfinite(resolution)):
+        raise ValueError(f"resolution must be a finite number > 0, got {resolution!r}")
     b = env.bounds
     nx = max(1, int(math.ceil(b.width / resolution)))
     ny = max(1, int(math.ceil(b.height / resolution)))

@@ -24,7 +24,8 @@ A scenario config is a JSON object; every field is optional::
 
 Unknown keys anywhere are an error. The seed precedence is config
 base_seed, then the PATHBENCH_SEED environment variable, then --seed.
-Every seed, `environment.seed` included, is a non-negative integer.
+Every seed is an integer from 0 to sys.maxsize, `environment.seed` and
+the last of `bench` (seed + trials - 1) and `table1` (seed + 9) included.
 
 `parse_config` resolves the environment and query while it parses: a
 preset or file is loaded and an inline document is built (each falls
@@ -49,7 +50,7 @@ import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .benchmark import (EnvSource, RandomEnvFactory, plan_once,
+from .benchmark import (TABLE1_CASES, EnvSource, RandomEnvFactory, plan_once,
                         result_record, run_trials, summarize, table1_suite,
                         write_results_csv, write_summary, write_table1_csv)
 from .environment import (Query, _object, _point_from, environment_from_dict,
@@ -58,7 +59,7 @@ from .environment import (Query, _object, _point_from, environment_from_dict,
 from .errors import FormatError, PathbenchError
 from .pso import PsoParams
 from .render import environment_svg
-from .result import is_integer
+from .result import check_integer
 from .rrtstar import RrtParams
 
 SEED_ENV_VAR = "PATHBENCH_SEED"
@@ -83,21 +84,14 @@ class ScenarioConfig:
     out: str = "output"
 
 
-def _as_int(value, where: str, minimum: Optional[int] = None) -> int:
-    if not is_integer(value):
-        raise FormatError(f"{where} must be an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise FormatError(f"{where} must be >= {minimum}, got {value}")
-    return value
-
-
 def _parse_environment(doc, query: Optional[Query]):
     """Return (environment, query, env_seed); the config's query wins."""
     kind = _object(doc, "environment", doc, ("kind",))["kind"]
     if kind == "random":
         _object(doc, "environment", ("kind", "seed", "n_obstacles", "radius_range",
                                      "bounds", "clearance"))
-        seed = _as_int(doc["seed"], "environment.seed", 0) if "seed" in doc else None
+        seed = (check_integer("environment.seed", doc["seed"], 0, error=FormatError)
+                if "seed" in doc else None)
         if query is None:
             raise FormatError("a random environment needs an explicit query")
         # RandomEnvFactory holds the defaults and checks the fields given.
@@ -142,9 +136,9 @@ def parse_config(doc: dict) -> ScenarioConfig:
         doc.get("environment", {"kind": "preset"}), query)
     rrt = _parse_params(doc.get("rrtstar", {}), RrtParams(), "rrtstar")
     pso = _parse_params(doc.get("pso", {}), PsoParams(), "pso")
-    trials = _as_int(doc.get("trials", 50), "trials", 1)
+    trials = check_integer("trials", doc.get("trials", 50), 1, error=FormatError)
     # numpy's generators take non-negative seeds only.
-    base_seed = _as_int(doc.get("base_seed", 0), "base_seed", 0)
+    base_seed = check_integer("base_seed", doc.get("base_seed", 0), 0, error=FormatError)
     out = doc.get("out", "output")
     if not isinstance(out, str):
         raise FormatError(f"out must be a string, got {out!r}")
@@ -157,18 +151,19 @@ def load_config(path) -> ScenarioConfig:
     return parse_config(read_json(path))
 
 
-def _effective_seed(cfg: ScenarioConfig, flag_seed: Optional[int]) -> int:
-    seed = cfg.base_seed
+def _effective_seed(cfg: ScenarioConfig, flag_seed: Optional[int], runs: int = 1) -> int:
+    """The first of the `runs` consecutive seeds a command plans with."""
+    seed, where = cfg.base_seed, "base_seed"
     env_value = os.environ.get(SEED_ENV_VAR)
     if env_value is not None:
         try:
             seed = int(env_value)
         except ValueError:
             raise FormatError(f"{SEED_ENV_VAR} must be an integer, got {env_value!r}")
-        _as_int(seed, SEED_ENV_VAR, 0)
+        seed, where = check_integer(SEED_ENV_VAR, seed, 0, error=FormatError), SEED_ENV_VAR
     if flag_seed is not None:
-        seed = _as_int(flag_seed, "--seed", 0)
-    return seed
+        seed, where = flag_seed, "--seed"
+    return check_integer(where, seed, 0, sys.maxsize - runs + 1, FormatError)
 
 
 def _ensure_out(out: str) -> str:
@@ -211,10 +206,10 @@ def cmd_plan(args) -> int:
 
 def cmd_bench(args) -> int:
     cfg = load_config(args.config) if args.config else parse_config({})
-    seed = _effective_seed(cfg, args.seed)
     trials = args.trials if args.trials is not None else cfg.trials
     for flag, value in (("--trials", trials), ("--jobs", args.jobs)):
-        _as_int(value, flag, 1)
+        check_integer(flag, value, 1, error=FormatError)
+    seed = _effective_seed(cfg, args.seed, trials)
     if cfg.env_seed is not None:
         raise FormatError("bench draws each trial's random field from the trial "
                           "seed; remove environment.seed")
@@ -239,7 +234,7 @@ def cmd_bench(args) -> int:
 def cmd_table1(args) -> int:
     doc = read_json(args.config) if args.config else {}
     cfg = parse_config(doc)
-    seed = _effective_seed(cfg, args.seed)
+    seed = _effective_seed(cfg, args.seed, len(TABLE1_CASES))
     if isinstance(cfg.environment, RandomEnvFactory):
         raise FormatError("the ten-case suite needs a fixed environment, not 'random'")
     if "query" in doc:

@@ -32,7 +32,7 @@ from .errors import (EnvironmentGenerationError, FormatError,
 from .geometry import (Bounds, Circle, CollisionField, Obstacle, Point2, Polygon,
                        _plain_point, dist, point_in_polygon,
                        segments_intersect)
-from .result import is_integer, is_real
+from .result import check_integer, is_real
 
 #: Workspace used by the default generator and the shipped presets.
 DEFAULT_BOUNDS = Bounds(-40.0, 40.0, -40.0, 20.0)
@@ -146,9 +146,7 @@ def check_random_field(n_obstacles, bounds, radius_range, clearance
     Each range test is written so that NaN fails it. Raises FormatError
     naming the first bad argument.
     """
-    if not (is_integer(n_obstacles) and 0 <= n_obstacles <= MAX_OBSTACLES):
-        raise FormatError(f"n_obstacles must be an integer in [0, {MAX_OBSTACLES}], "
-                          f"got {n_obstacles!r}")
+    n_obstacles = check_integer("n_obstacles", n_obstacles, 0, MAX_OBSTACLES, FormatError)
     b = _check_bounds(bounds)
     rr = radius_range
     if not (isinstance(rr, (list, tuple)) and len(rr) == 2 and all(is_real(v) for v in rr)
@@ -156,7 +154,7 @@ def check_random_field(n_obstacles, bounds, radius_range, clearance
         raise FormatError(f"radius_range must be [lo, hi] with 0 < lo <= hi < inf, got {rr!r}")
     if not (is_real(clearance) and 0 <= clearance < math.inf):
         raise FormatError(f"clearance must be a finite number >= 0, got {clearance!r}")
-    return int(n_obstacles), b, (float(rr[0]), float(rr[1])), float(clearance)
+    return n_obstacles, b, (float(rr[0]), float(rr[1])), float(clearance)
 
 
 def generate_random_env(seed: int,

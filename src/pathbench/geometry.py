@@ -18,7 +18,8 @@ and every disk decision on one exact squared-distance sign, `_meets_disk`.
 
 The rule has two implementations. The scalar one is `edge_free`, on one
 closed segment; `point_free` and `CollisionField.free` are `edge_free` on
-the segment from each point to itself. The vectorised one is
+the segment from each point to itself, and `audit_path`, the planners'
+feasibility test, on each segment of a path. The vectorised one is
 `CollisionField.blocked_lengths`, which measures each segment's union of
 open intervals out of bounds, inside a disk, inside a polygon and along
 a seam.
@@ -409,6 +410,11 @@ def edge_free(a: Sequence[float], b: Sequence[float], env: "Environment") -> boo
         if _segment_enters(a, b, vertices):
             return False
     return True
+
+
+def audit_path(path: Sequence[Sequence[float]], env: "Environment") -> bool:
+    """True iff `path` has at least two waypoints and every segment is `edge_free`."""
+    return len(path) >= 2 and all(edge_free(a, b, env) for a, b in zip(path, path[1:]))
 
 
 def _seams(bounds: Bounds, outlines) -> tuple:

@@ -8,8 +8,8 @@ exactly by `CollisionField.blocked_lengths`. As the penalty is never
 negative, a particle whose length alone reaches its personal best
 cannot improve on it, and its segments skip the collision kernel. The
 swarm stops early once the global best has been flat for a full
-stagnation window. A result is feasible only when every segment of the
-best path passes `edge_free`, the same check `audit_path` makes.
+stagnation window. `build_result` judges the decoded global best with
+`audit_path`, as it does RRT*'s path; only an infeasible one is measured.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 
 from .environment import Environment, Query, check_query, validate_query
 from .errors import InvalidPathError
-from .geometry import CollisionField, Point2, edge_free
+from .geometry import CollisionField, Point2
 from .result import PlanResult, build_result, check_param_types, plan
 
 __all__ = [
@@ -267,12 +267,10 @@ class PsoRun:
 
     def result(self, elapsed: float) -> PlanResult:
         path = decode(self.gbest_position, self.query)
-        violation = path_violation(path, self.env)
-        feasible = all(edge_free(a, b, self.env) for a, b in zip(path, path[1:]))
-        return build_result(self, elapsed, path if feasible else None, violation)
+        return build_result(self, elapsed, path, lambda: path_violation(path, self.env))
 
 
 def plan_pso(env: Environment, query: Query,
              params: PsoParams = PsoParams()) -> PlanResult:
-    """Optimize a waypoint path; feasible iff every best-path segment is edge_free."""
+    """Optimize a waypoint path; feasible iff `audit_path` accepts the best path."""
     return plan(PsoRun, env, query, params)

@@ -6,25 +6,26 @@ import math
 import numbers
 import sys
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, fields
 from typing import Optional
 
-from .geometry import Point2, path_length
+from .geometry import Point2, audit_path, path_length
 
 
 @dataclass(frozen=True)
 class PlanResult:
-    """Outcome of one planning run.
+    """Outcome of one planning run, built by `build_result` for both planners.
 
-    `path` is present iff the run was feasible, in which case `length`
-    equals the geometric length of `path`. Infeasible runs carry
-    length=nan. `closest_approach` says how close the planner got, in a
-    planner-specific measure:
+    A run is feasible iff `audit_path` accepts its `path`, which then runs
+    from the query start to its target with at least two points, and
+    `length` is its geometric length. An infeasible run carries path=None
+    and length=nan. `closest_approach` is 0 for a feasible run, and
+    otherwise says how close the planner got, in its own measure:
 
-    * rrtstar: distance to the target from the tree node nearest it (0
-      for a feasible run, whose path ends on the target);
+    * rrtstar: distance to the target from the tree node nearest it;
     * pso: exact blocked length of the best path found, the length of it
-      inside obstacles or out of bounds (0 for a feasible run).
+      inside obstacles or out of bounds.
 
     `params` is a plain-dict snapshot of the planner settings.
     """
@@ -59,24 +60,26 @@ def is_real(value) -> bool:
     return True
 
 
+def check_integer(name: str, value, minimum: int, maximum: int = sys.maxsize,
+                  error=ValueError) -> int:
+    """`value` as an int if an integer in [minimum, maximum], else `error`."""
+    if not (is_integer(value) and value >= minimum):
+        raise error(f"{name} must be an integer >= {minimum}, got {value!r}")
+    if value > maximum:
+        raise error(f"{name} must be <= {maximum}, got {value}")
+    return int(value)
+
+
 def check_param_types(params, integers: dict[str, int], reals: tuple[str, ...]) -> None:
     """Validate the fields of a frozen parameter record.
 
-    `integers` maps each integer field to its minimum; its maximum is
-    sys.maxsize, as numpy sizes and loop counts take no more. Each field
-    in `reals` must be a finite real number. Fields are stored back as plain
-    int and float, so a result's snapshot is the same whatever numeric
+    `integers` maps each integer field to its `check_integer` minimum; each
+    field in `reals` must be a finite real number. Fields are stored back as
+    plain int and float, so a result's snapshot is the same whatever numeric
     type was given. Raises ValueError naming the first bad field.
     """
     for name, minimum in integers.items():
-        value = getattr(params, name)
-        if not is_integer(value):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-        if value < minimum:
-            raise ValueError(f"{name} must be >= {minimum}, got {value}")
-        if value > sys.maxsize:
-            raise ValueError(f"{name} must be <= {sys.maxsize}, got {value}")
-        object.__setattr__(params, name, int(value))
+        object.__setattr__(params, name, check_integer(name, getattr(params, name), minimum))
     for name in reals:
         value = getattr(params, name)
         if not (is_real(value) and math.isfinite(value)):
@@ -94,14 +97,21 @@ def plan(run_type, env, query, params) -> PlanResult:
 
 
 def build_result(run, elapsed: float, path: Optional[tuple[Point2, ...]],
-                 closest_approach: float) -> PlanResult:
-    """`run`'s PlanResult for its best path, None when infeasible. A one-point
-    path has length 0; `params` is a dict of the record's plain fields."""
-    length = math.nan
-    if path is not None:
-        length = path_length(path) if len(path) >= 2 else 0.0
+                 closest_approach: Callable[[], float]) -> PlanResult:
+    """`run`'s PlanResult for its candidate path (None if it has none).
+
+    The target is appended to a candidate with one point or that stops
+    short of it. The result is feasible iff `audit_path` accepts that path;
+    only then is it measured, and only otherwise is `closest_approach()`
+    called. `params` is a dict of the record's plain fields.
+    """
+    target = run.query.target
+    if path is not None and (len(path) < 2 or path[-1] != target):
+        path += (target,)
+    feasible = path is not None and audit_path(path, run.env)
     return PlanResult(
-        planner_id=run.planner_id, seed=run.params.rng_seed, feasible=path is not None,
-        length=length, elapsed=elapsed, iterations_used=run.iteration,
-        closest_approach=closest_approach, path=path,
+        planner_id=run.planner_id, seed=run.params.rng_seed, feasible=feasible,
+        length=path_length(path) if feasible else math.nan, elapsed=elapsed,
+        iterations_used=run.iteration, path=path if feasible else None,
+        closest_approach=0.0 if feasible else closest_approach(),
         params={f.name: getattr(run.params, f.name) for f in fields(run.params)})

@@ -5,7 +5,8 @@ from the nearest tree node toward it by at most one step, collision-check
 the motion, then choose the cheapest collision-free parent among nearby
 nodes and rewire those neighbors through the new node when that lowers
 their cost-to-come. The run keeps planning for the full iteration budget;
-its goal nodes are read off the tree when the result is asked for.
+its goal nodes are read off the tree when the result is asked for, and
+`build_result` judges the chain to the best one, as it does PSO's path.
 
 The loop hands `edge_free` plain `(x, y)` tuples of the tree's floats;
 `Point2` is built only for what the API returns (`random_sample`,
@@ -366,20 +367,15 @@ class RrtStarRun:
 
     def result(self, elapsed: float) -> PlanResult:
         bg = self.best_goal()
-        if bg is None:
-            return build_result(self, elapsed, None, min(self._target_distances()))
-        path = get_optimized_path(self.tree, bg[0])
-        if path[-1] != self.query.target:
-            path += (self.query.target,)
-        return build_result(self, elapsed, path, 0.0)
+        path = None if bg is None else get_optimized_path(self.tree, bg[0])
+        return build_result(self, elapsed, path, lambda: min(self._target_distances()))
 
 
 def plan_rrt_star(env: Environment, query: Query,
                   params: RrtParams = RrtParams()) -> PlanResult:
     """Grow a tree for the full iteration budget and report the best path.
 
-    Feasible means some node within min_threshold of the target reaches
-    it: the node is on the target or its segment to the target is free.
-    The returned path then ends on the exact target.
+    Its candidate path is the chain to the cheapest node within
+    min_threshold of the target that is on it or has a free segment to it.
     """
     return plan(RrtStarRun, env, query, params)

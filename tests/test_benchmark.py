@@ -125,6 +125,28 @@ def test_run_trials_checks_its_integer_arguments_before_any_plan(monkeypatch):
             run_trials(env, QUERY_A, "rrtstar", RrtParams(), **dict(good, **{name: bad}))
 
 
+def test_seeds_above_maxsize_are_refused_before_any_plan(monkeypatch):
+    # run_trials and table1_suite planned with the seeds in range before
+    # raising, and table1_suite took seed=True as seed 1.
+    def no_plan(*args, **kwargs):
+        raise AssertionError("a plan ran for a refused seed")
+
+    monkeypatch.setattr("pathbench.benchmark.plan_once", no_plan)
+    env = generate_random_env(0, n_obstacles=0)
+    with pytest.raises(ValueError, match=f"^base_seed must be <= {sys.maxsize - 1}, "):
+        run_trials(env, QUERY_A, "pso", PsoParams(), n_trials=2, base_seed=sys.maxsize)
+    for bad, match in [(sys.maxsize, f"^seed must be <= {sys.maxsize - 9}, "),
+                       (True, "^seed must be an integer >= 0"),
+                       (-1, "^seed must be an integer >= 0"),
+                       (1.0, "^seed must be an integer >= 0")]:
+        with pytest.raises(ValueError, match=match):
+            table1_suite(seed=bad)
+    monkeypatch.undo()
+    stats = run_trials(env, QUERY_A, "pso", PsoParams(max_iterations=5, population=5),
+                       n_trials=2, base_seed=sys.maxsize - 1)
+    assert [r.seed for r in stats.results] == [sys.maxsize - 1, sys.maxsize]
+
+
 def test_plan_once_overrides_seed():
     env = generate_random_env(4, query=QUERY_A)
     res = plan_once(env, QUERY_A, "rrtstar",
@@ -340,8 +362,11 @@ def test_grid_oracle_snaps_blocked_endpoints():
                          (Circle(Point2(0.0, 0.0), 2.5),))
     with pytest.raises(InvalidQueryError):
         grid_oracle(sealed, Query(Point2(0.0, 0.0), Point2(10.0, 0.0)), 0.5)
-    with pytest.raises(ValueError):
-        grid_oracle(env, q, 0.0)
+    # True ran at resolution 1.0, 10**400 died with an OverflowError and
+    # "0.5" with a TypeError.
+    for bad in (0.0, True, 10**400, "0.5"):
+        with pytest.raises(ValueError, match="^resolution must be"):
+            grid_oracle(env, q, bad)
 
 
 #: SHA-256 of `CollisionField.free` over the oracle's 0.5-unit cell centres,

@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 import time
 
 import pytest
@@ -370,6 +371,31 @@ def test_negative_seed_exits_two(tmp_path, monkeypatch, capsys, doc, env_value,
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert name in err and ">= 0" in err
+
+
+@pytest.mark.parametrize("argv, env_value, name", [
+    (["plan", "--planner", "pso", "--seed", "99999999999999999999999"], None, "--seed"),
+    (["table1"], "99999999999999999999999", SEED_ENV_VAR),
+    (["table1", "--seed", str(sys.maxsize - 8)], None, "--seed"),
+    (["bench", "--planner", "pso", "--trials", "2", "--seed", str(sys.maxsize)],
+     None, "--seed"),
+], ids=["plan", "table1-env-var", "table1-last-case", "bench-last-trial"])
+def test_a_seed_above_maxsize_exits_two_before_any_plan(tmp_path, monkeypatch, capsys,
+                                                       argv, env_value, name):
+    # Each ended in a ValueError traceback with exit 1, bench and table1
+    # after planning with the seeds still in range.
+    def no_plan(*args, **kwargs):
+        raise AssertionError("a plan ran for a refused seed")
+
+    monkeypatch.setattr("pathbench.cli.plan_once", no_plan)
+    monkeypatch.setattr("pathbench.benchmark.plan_once", no_plan)
+    if env_value is not None:
+        monkeypatch.setenv(SEED_ENV_VAR, env_value)
+    out = tmp_path / "run"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"{name} must be <=" in err
+    assert not out.exists()
 
 
 def test_bench_writes_results_and_summary(tmp_path, capsys):
