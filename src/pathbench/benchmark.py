@@ -23,9 +23,10 @@ from .environment import (DEFAULT_BOUNDS, Environment, Query, check_query,
                           irregular_preset, validate_query, write_json)
 from .errors import InvalidQueryError
 # perfbench's tracer wraps audit_path and edge_free as names of this module.
-from .geometry import Bounds, Point2, audit_path, dist, edge_free  # noqa: F401
+from .geometry import (Bounds, Point2, audit_path, check_integer, check_real,  # noqa: F401
+                       dist, edge_free)
 from .pso import PsoParams, plan_pso
-from .result import PlanResult, check_integer, is_real
+from .result import PlanResult
 from .rrtstar import RrtParams, plan_rrt_star
 
 __all__ = [
@@ -287,8 +288,8 @@ def grid_oracle(env: Environment, query: Query, resolution: float = 0.5) -> floa
     Endpoints snap to the nearest free cell center within a 3-cell window
     (an error if none exists). Returns math.inf when the goal is unreachable.
     """
-    if not (is_real(resolution) and resolution > 0 and math.isfinite(resolution)):
-        raise ValueError(f"resolution must be a finite number > 0, got {resolution!r}")
+    if not check_real("resolution", resolution) > 0:
+        raise ValueError(f"resolution must be > 0, got {resolution!r}")
     b = env.bounds
     nx = max(1, int(math.ceil(b.width / resolution)))
     ny = max(1, int(math.ceil(b.height / resolution)))

@@ -53,13 +53,13 @@ from typing import Optional, Sequence
 from .benchmark import (TABLE1_CASES, EnvSource, RandomEnvFactory, plan_once,
                         result_record, run_trials, summarize, table1_suite,
                         write_results_csv, write_summary, write_table1_csv)
-from .environment import (Query, _object, _point_from, environment_from_dict,
-                          irregular_preset, load_environment, preset_names,
-                          query_from_dict, read_json, write_json)
+from .environment import (Query, _object, environment_from_dict, irregular_preset,
+                          load_environment, preset_names, query_from_dict, read_json,
+                          write_json)
 from .errors import FormatError, PathbenchError
+from .geometry import _plain_point, check_integer
 from .pso import PsoParams
 from .render import environment_svg
-from .result import check_integer
 from .rrtstar import RrtParams
 
 SEED_ENV_VAR = "PATHBENCH_SEED"
@@ -263,7 +263,8 @@ def cmd_render(args) -> int:
                 raise FormatError(f"{args.results}: a path must be a list of "
                                   f"[x, y] points or null, got {path!r}")
             if path:
-                paths.append([_point_from(p, f"{args.results}: path point") for p in path])
+                paths.append([_plain_point(p, f"{args.results}: path point", FormatError)
+                              for p in path])
     out = _ensure_out(args.out or "output")
     print(_write_svg(os.path.join(out, "render.svg"), env, query, paths))
     return 0

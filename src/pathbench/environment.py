@@ -13,7 +13,9 @@ is JSON with exactly these fields::
     }
 
 Unknown fields are rejected rather than ignored. JSON files are read by
-`read_json` and written by `write_json`, as strict JSON: no NaN or Infinity.
+`read_json` and written by `write_json`, as strict JSON: no NaN or Infinity
+either way. Every coordinate and radius must pass `geometry.check_real`,
+or the document is a FormatError.
 """
 
 from __future__ import annotations
@@ -30,9 +32,8 @@ import numpy as np
 from .errors import (EnvironmentGenerationError, FormatError,
                      InvalidObstacleError, InvalidQueryError, PresetLookupError)
 from .geometry import (Bounds, Circle, CollisionField, Obstacle, Point2, Polygon,
-                       _plain_point, dist, point_in_polygon,
-                       segments_intersect)
-from .result import check_integer, is_real
+                       _plain_point, check_integer, check_real, dist,
+                       point_in_polygon, segments_intersect)
 
 #: Workspace used by the default generator and the shipped presets.
 DEFAULT_BOUNDS = Bounds(-40.0, 40.0, -40.0, 20.0)
@@ -45,13 +46,12 @@ MAX_OBSTACLES = 10_000
 
 
 def _check_bounds(bounds) -> Bounds:
-    if (not isinstance(bounds, (list, tuple)) or len(bounds) != 4
-            or not all(is_real(v) for v in bounds)):
+    if not isinstance(bounds, (list, tuple)) or len(bounds) != 4:
         raise FormatError(f"bounds must be [x_min, x_max, y_min, y_max], got {bounds!r}")
-    b = Bounds(*(float(v) for v in bounds))
+    b = Bounds(*(check_real("bounds", v, FormatError) for v in bounds))
     # Samplers draw low + (high - low) * u, so the width and height must be finite too.
-    if not all(math.isfinite(v) for v in (*b, b.width, b.height)):
-        raise FormatError(f"bounds, their width and their height must be finite, got {bounds!r}")
+    if not (math.isfinite(b.width) and math.isfinite(b.height)):
+        raise FormatError(f"the width and height of bounds must be finite, got {bounds!r}")
     if not (b.x_min < b.x_max and b.y_min < b.y_max):
         raise FormatError(f"bounds must satisfy min < max, got {bounds!r}")
     return b
@@ -104,11 +104,10 @@ class Query:
     target: Point2
 
     def __post_init__(self):
-        for name, p in (("start", self.start), ("target", self.target)):
-            if not all(math.isfinite(v) for v in p):
-                raise InvalidQueryError(f"query {name} must be finite, got {p!r}")
-        object.__setattr__(self, "start", _plain_point(self.start))
-        object.__setattr__(self, "target", _plain_point(self.target))
+        object.__setattr__(self, "start",
+                           _plain_point(self.start, "query start", InvalidQueryError))
+        object.__setattr__(self, "target",
+                           _plain_point(self.target, "query target", InvalidQueryError))
 
 
 @dataclass(frozen=True)
@@ -143,18 +142,20 @@ def check_random_field(n_obstacles, bounds, radius_range, clearance
                        ) -> tuple[int, Bounds, tuple[float, float], float]:
     """Return the random generator's field arguments checked, as int, Bounds and floats.
 
-    Each range test is written so that NaN fails it. Raises FormatError
-    naming the first bad argument.
+    Raises FormatError naming the first bad argument.
     """
     n_obstacles = check_integer("n_obstacles", n_obstacles, 0, MAX_OBSTACLES, FormatError)
     b = _check_bounds(bounds)
     rr = radius_range
-    if not (isinstance(rr, (list, tuple)) and len(rr) == 2 and all(is_real(v) for v in rr)
-            and 0 < rr[0] <= rr[1] < math.inf):
-        raise FormatError(f"radius_range must be [lo, hi] with 0 < lo <= hi < inf, got {rr!r}")
-    if not (is_real(clearance) and 0 <= clearance < math.inf):
-        raise FormatError(f"clearance must be a finite number >= 0, got {clearance!r}")
-    return n_obstacles, b, (float(rr[0]), float(rr[1])), float(clearance)
+    if not (isinstance(rr, (list, tuple)) and len(rr) == 2):
+        raise FormatError(f"radius_range must be [lo, hi], got {rr!r}")
+    lo, hi = (check_real("radius_range", v, FormatError) for v in rr)
+    if not 0 < lo <= hi:
+        raise FormatError(f"radius_range must satisfy 0 < lo <= hi, got {rr!r}")
+    clearance = check_real("clearance", clearance, FormatError)
+    if clearance < 0:
+        raise FormatError(f"clearance must be >= 0, got {clearance!r}")
+    return n_obstacles, b, (lo, hi), clearance
 
 
 def generate_random_env(seed: int,
@@ -169,10 +170,12 @@ def generate_random_env(seed: int,
     generator is a seeded PCG64 stream, consumed in a fixed order: center
     x, center y, radius per attempt). Obstacles are accepted when neither
     query endpoint lies within `clearance` of the inflated disk. Raises
-    FormatError for a bad field argument (see `check_random_field`) and
-    EnvironmentGenerationError when an obstacle cannot be placed within
-    MAX_PLACEMENT_ATTEMPTS attempts.
+    FormatError for a bad seed (an integer in [0, sys.maxsize]) or field
+    argument (see `check_random_field`) and EnvironmentGenerationError
+    when an obstacle cannot be placed within MAX_PLACEMENT_ATTEMPTS
+    attempts.
     """
+    seed = check_integer("seed", seed, 0, error=FormatError)
     n_obstacles, b, (r_lo, r_hi), clearance = check_random_field(
         n_obstacles, bounds, radius_range, clearance)
     if query is not None:
@@ -220,13 +223,6 @@ def environment_to_dict(env: Environment, query: Optional[Query] = None) -> dict
     return doc
 
 
-def _point_from(doc, what: str) -> Point2:
-    if (not isinstance(doc, (list, tuple)) or len(doc) != 2
-            or not all(is_real(v) for v in doc)):
-        raise FormatError(f"{what} must be a [x, y] pair, got {doc!r}")
-    return Point2(float(doc[0]), float(doc[1]))
-
-
 def _object(doc, where: str, allowed, required=()) -> dict:
     """Return `doc` if it is an object with no field outside `allowed` and all of `required`.
 
@@ -246,8 +242,8 @@ def _object(doc, where: str, allowed, required=()) -> dict:
 def query_from_dict(doc) -> Query:
     """Parse a {"start": [x, y], "target": [x, y]} query object."""
     doc = _object(doc, "query", ("start", "target"), ("start", "target"))
-    return Query(_point_from(doc["start"], "query start"),
-                 _point_from(doc["target"], "query target"))
+    return Query(_plain_point(doc["start"], "query start", FormatError),
+                 _plain_point(doc["target"], "query target", FormatError))
 
 
 def environment_from_dict(doc: dict) -> tuple[Environment, Optional[Query]]:
@@ -264,16 +260,14 @@ def environment_from_dict(doc: dict) -> tuple[Environment, Optional[Query]]:
         kind = _object(entry, where, entry, ("kind",))["kind"]
         if kind == "circle":
             _object(entry, where, ("kind", "center", "radius"), ("center", "radius"))
-            center = _point_from(entry["center"], f"{where} center")
-            radius = entry["radius"]
-            if not is_real(radius):
-                raise FormatError(f"{where} radius must be a number, got {radius!r}")
-            obstacles.append(Circle(center, float(radius)))
+            obstacles.append(Circle(_plain_point(entry["center"], f"{where} center", FormatError),
+                                    check_real(f"{where} radius", entry["radius"], FormatError)))
         elif kind == "polygon":
             verts = _object(entry, where, ("kind", "vertices"), ("vertices",))["vertices"]
             if not isinstance(verts, list):
                 raise FormatError(f"{where} needs a 'vertices' list")
-            obstacles.append(Polygon(tuple(_point_from(v, f"{where} vertex") for v in verts)))
+            obstacles.append(Polygon(tuple(_plain_point(v, f"{where} vertex", FormatError)
+                                           for v in verts)))
         else:
             raise FormatError(f"{where} has unknown kind {kind!r}")
 
@@ -286,10 +280,16 @@ def save_environment(path, env: Environment, query: Optional[Query] = None) -> N
 
 
 def read_json(path):
-    """The document in the JSON file at `path`; invalid JSON is a FormatError."""
+    """The document in the JSON file at `path`; invalid JSON is a FormatError.
+
+    So are NaN, Infinity and -Infinity, which `json.load` would accept.
+    """
+    def refuse(constant):
+        raise FormatError(f"{path}: not valid JSON ({constant} is not a JSON number)")
+
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, parse_constant=refuse)
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise FormatError(f"{path}: not valid JSON ({exc})") from None
 

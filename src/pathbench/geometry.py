@@ -13,6 +13,10 @@ Conventions used throughout the package:
   is iff its blocked length is above 0;
 * all inputs are plain floats, points are (x, y) pairs.
 
+This module owns the package's one number rule for every value taken
+from a caller or a document: `check_integer`, `check_real` (finite) and
+`_plain_point` (an exact pair), each raising its caller's error.
+
 Every polygon decision rests on one exact orientation sign, `_orient`,
 and every disk decision on one exact squared-distance sign, `_meets_disk`.
 
@@ -34,6 +38,8 @@ box misses the box of the segment under test.
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import NamedTuple, Sequence, TYPE_CHECKING
@@ -51,9 +57,35 @@ class Point2(NamedTuple):
     y: float
 
 
-def _plain_point(p: Sequence[float]) -> Point2:
-    """p as a Point2 of plain floats (numpy scalars included)."""
-    return Point2(*(float(v) for v in p))
+def check_integer(name: str, value, minimum: int, maximum: int = sys.maxsize,
+                  error=ValueError) -> int:
+    """`value` as an int if an integer (a bool is not) in [minimum, maximum], else `error`."""
+    if not (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and value >= minimum):
+        raise error(f"{name} must be an integer >= {minimum}, got {value!r}")
+    if value > maximum:
+        raise error(f"{name} must be <= {maximum}, got {value}")
+    return int(value)
+
+
+def check_real(name: str, value, error=ValueError) -> float:
+    """`value` as a float if a finite real number, numpy's included, else
+    `error`. A bool, a str and an integer too large for a float are not."""
+    try:
+        if isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value):
+            return float(value)
+    except OverflowError:  # math.isfinite of an integer too large for a float
+        pass
+    raise error(f"{name} must be a finite number, got {value!r}")
+
+
+def _plain_point(p, name: str, error) -> Point2:
+    """p as a Point2 of floats if an exact [x, y] pair of finite real numbers, else `error`."""
+    try:
+        x, y = p
+    except (TypeError, ValueError):
+        raise error(f"{name} must be a [x, y] pair, got {p!r}") from None
+    return Point2(check_real(name, x, error), check_real(name, y, error))
 
 
 #: A segment is just an endpoint pair.
@@ -79,12 +111,6 @@ class Bounds(NamedTuple):
         return self.y_max - self.y_min
 
 
-def _require_finite(values: Sequence[float], what: str, error=InvalidObstacleError) -> None:
-    for v in values:
-        if not math.isfinite(v):
-            raise error(f"{what} must be finite, got {v!r}")
-
-
 @dataclass(frozen=True)
 class Circle:
     """Disk obstacle; the open disk is blocked, the rim is free."""
@@ -93,11 +119,12 @@ class Circle:
     radius: float
 
     def __post_init__(self):
-        _require_finite(self.center, "circle center")
-        if not (math.isfinite(self.radius) and self.radius > 0):
-            raise InvalidObstacleError(f"circle radius must be > 0, got {self.radius!r}")
-        object.__setattr__(self, "center", _plain_point(self.center))
-        object.__setattr__(self, "radius", float(self.radius))
+        object.__setattr__(self, "center",
+                           _plain_point(self.center, "circle center", InvalidObstacleError))
+        radius = check_real("circle radius", self.radius, InvalidObstacleError)
+        if not radius > 0:
+            raise InvalidObstacleError(f"circle radius must be > 0, got {radius!r}")
+        object.__setattr__(self, "radius", radius)
 
 
 @dataclass(frozen=True)
@@ -108,8 +135,7 @@ class Polygon:
     vertices: tuple[Point2, ...]
 
     def __post_init__(self):
-        verts = tuple(_plain_point(v) for v in self.vertices)
-        _validate_polygon_arg(verts)
+        verts = _plain_vertices(self.vertices)
         n = len(verts)
         # No edge may run back over the one before it. With four or more
         # vertices it would meet a non-adjacent edge; a triangle does iff its
@@ -301,16 +327,17 @@ def _segment_enters(a, b, vertices) -> bool:
     return False
 
 
-def _validate_polygon_arg(vertices) -> None:
-    if len(vertices) < 3:
+def _plain_vertices(vertices) -> tuple[Point2, ...]:
+    """A polygon outline as `_plain_point`s: at least three, no two
+    consecutive ones equal; anything else is an InvalidObstacleError."""
+    verts = tuple(_plain_point(v, "polygon vertex", InvalidObstacleError) for v in vertices)
+    if len(verts) < 3:
         raise InvalidObstacleError("polygon needs at least 3 vertices")
-    n = len(vertices)
-    for i in range(n):
-        a, b = vertices[i], vertices[(i + 1) % n]
-        _require_finite(a, "polygon vertex")
-        if a[0] == b[0] and a[1] == b[1]:
+    for a, b in zip(verts, verts[1:] + verts[:1]):
+        if a == b:
             raise InvalidObstacleError(
                 f"degenerate polygon: repeated consecutive vertex ({a[0]}, {a[1]})")
+    return verts
 
 
 #: Bounds the rounding of each float disk test here, relative to the sum of
@@ -351,8 +378,7 @@ def segment_circle_collides(segment: Segment, center: Sequence[float],
                             radius: float) -> bool:
     """True iff the segment enters the open disk (tangency is free), decided exactly."""
     disk = Circle(center, radius)
-    a, b = segment
-    _require_finite((*a, *b), "segment endpoint", InvalidPathError)
+    a, b = (_plain_point(p, "segment endpoint", InvalidPathError) for p in segment)
     return _meets_disk(a, b, disk.center, disk.radius)
 
 
@@ -362,9 +388,8 @@ def segment_polygon_collides(segment: Segment,
 
     Touching a corner or running along an edge is free; decided exactly.
     """
-    _validate_polygon_arg(vertices)
-    a, b = segment
-    _require_finite((*a, *b), "segment endpoint", InvalidPathError)
+    vertices = _plain_vertices(vertices)
+    a, b = (_plain_point(p, "segment endpoint", InvalidPathError) for p in segment)
     return _segment_enters(a, b, vertices)
 
 

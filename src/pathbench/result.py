@@ -1,16 +1,14 @@
-"""The planners' common run loop, result record, number rule and parameter checks."""
+"""The planners' common run loop, result record and parameter checks."""
 
 from __future__ import annotations
 
 import math
-import numbers
-import sys
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, fields
 from typing import Optional
 
-from .geometry import Point2, audit_path, path_length
+from .geometry import Point2, audit_path, check_integer, check_real, path_length
 
 
 @dataclass(frozen=True)
@@ -41,50 +39,18 @@ class PlanResult:
     params: dict
 
 
-def is_integer(value) -> bool:
-    """True for an int or a numpy integer; a bool is not one."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def is_real(value) -> bool:
-    """True for an int, a float or a numpy number that float() can take.
-
-    A bool is not one, nor is an integer too large for a float.
-    """
-    if not isinstance(value, numbers.Real) or isinstance(value, bool):
-        return False
-    try:
-        float(value)
-    except OverflowError:
-        return False
-    return True
-
-
-def check_integer(name: str, value, minimum: int, maximum: int = sys.maxsize,
-                  error=ValueError) -> int:
-    """`value` as an int if an integer in [minimum, maximum], else `error`."""
-    if not (is_integer(value) and value >= minimum):
-        raise error(f"{name} must be an integer >= {minimum}, got {value!r}")
-    if value > maximum:
-        raise error(f"{name} must be <= {maximum}, got {value}")
-    return int(value)
-
-
 def check_param_types(params, integers: dict[str, int], reals: tuple[str, ...]) -> None:
     """Validate the fields of a frozen parameter record.
 
     `integers` maps each integer field to its `check_integer` minimum; each
-    field in `reals` must be a finite real number. Fields are stored back as
+    field in `reals` must pass `check_real`. Fields are stored back as
     plain int and float, so a result's snapshot is the same whatever numeric
     type was given. Raises ValueError naming the first bad field.
     """
     for name, minimum in integers.items():
         object.__setattr__(params, name, check_integer(name, getattr(params, name), minimum))
     for name in reals:
-        value = getattr(params, name)
-        if not (is_real(value) and math.isfinite(value)):
-            raise ValueError(f"{name} must be a finite number, got {value!r}")
-        object.__setattr__(params, name, float(value))
+        object.__setattr__(params, name, check_real(name, getattr(params, name)))
 
 
 def plan(run_type, env, query, params) -> PlanResult:

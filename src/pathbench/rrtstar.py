@@ -99,20 +99,25 @@ class RrtTree:
     def __len__(self) -> int:
         return len(self._cost)
 
-    def position(self, i: int) -> Point2:
+    def _node(self, i: int) -> int:
+        """i if it indexes a node, else IndexError; a negative i does not."""
         if not 0 <= i < len(self._cost):
             raise IndexError(f"node index {i} out of range")
+        return i
+
+    def position(self, i: int) -> Point2:
+        i = self._node(i)
         return Point2(self._xs[i], self._ys[i])
 
     def parent(self, i: int) -> Optional[int]:
-        p = self._parent[i]
+        p = self._parent[self._node(i)]
         return None if p < 0 else p
 
     def cost_to_come(self, i: int) -> float:
-        return self._cost[i]
+        return self._cost[self._node(i)]
 
     def children(self, i: int) -> tuple[int, ...]:
-        return tuple(self._children[i])
+        return tuple(self._children[self._node(i)])
 
     def add(self, position: Sequence[float], parent_index: int) -> int:
         """Insert a node; its cost is the parent's plus the edge length."""

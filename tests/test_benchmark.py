@@ -313,6 +313,23 @@ def test_import_pathbench_loads_the_process_pool_only_for_a_parallel_run():
     _run_in_a_fresh_interpreter(_IMPORT_FOOTPRINT)
 
 
+# environment.py takes its number rule from geometry.py, not from the
+# planners' result module. The package's __init__ imports every module, so
+# an empty package on the same path stands in for it.
+_ENVIRONMENT_IMPORTS = """
+import importlib.util, sys, types
+package = types.ModuleType("pathbench")
+package.__path__ = importlib.util.find_spec("pathbench").submodule_search_locations
+sys.modules["pathbench"] = package
+import pathbench.environment
+assert "pathbench.result" not in sys.modules, "pathbench.environment loaded pathbench.result"
+"""
+
+
+def test_import_environment_does_not_load_the_result_module():
+    _run_in_a_fresh_interpreter(_ENVIRONMENT_IMPORTS)
+
+
 def test_random_env_factory_is_picklable_and_seeded():
     factory = RandomEnvFactory(query=QUERY_A)
     clone = pickle.loads(pickle.dumps(factory))

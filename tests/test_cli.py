@@ -538,6 +538,30 @@ def test_render_rejects_malformed_path_points(tmp_path, capsys, path):
     assert "error:" in capsys.readouterr().err
 
 
+# json.load reads these three constants: a NaN path point was drawn as
+# "nan" into the SVG, and the command exited 0.
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+def test_json_files_refuse_non_finite_constants(tmp_path, capsys, constant):
+    def write(name, doc):
+        path = tmp_path / name
+        path.write_text(json.dumps(doc).replace("123.5", constant), encoding="utf-8")
+        return str(path)
+
+    env = {"bounds": [0.0, 10.0, 0.0, 10.0], "obstacles": [],
+           "query": {"start": [1.0, 1.0], "target": [9.0, 9.0]}}
+    good_env = write("good.json", env)
+    env["query"]["start"] = [123.5, 1.0]
+    bad_env = write("env.json", env)
+    config = write("config.json", {"environment": EMPTY_INLINE, "rrtstar": {"step_size": 123.5}})
+    results = write("results.json", {"path": [[1.0, 1.0], [123.5, 5.0], [9.0, 9.0]]})
+    out = tmp_path / "out"
+    for argv, bad in ((["render", bad_env], bad_env), (["plan", "--config", config], config),
+                      (["render", good_env, "--results", results], results)):
+        assert main([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {bad}: not valid JSON ({constant} ")
+    assert not out.exists()
+
+
 def test_default_out_comes_from_config(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     cfg = write_config(tmp_path, {"environment": EMPTY_INLINE,

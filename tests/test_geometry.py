@@ -11,15 +11,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pathbench import geometry
-from pathbench.benchmark import RandomEnvFactory
-from pathbench.environment import Environment, Query
-from pathbench.errors import InvalidObstacleError, InvalidPathError
+from pathbench.benchmark import RandomEnvFactory, grid_oracle, run_trials
+from pathbench.environment import (Environment, Query, environment_from_dict,
+                                   generate_random_env)
+from pathbench.errors import (FormatError, InvalidObstacleError, InvalidPathError,
+                              InvalidQueryError)
 from pathbench.geometry import (Bounds, Circle, CollisionField, Point2,
                                 Polygon, dist, edge_free, path_length,
                                 point_free, point_in_polygon,
                                 segment_circle_collides,
                                 segment_polygon_collides, segments_intersect)
-from pathbench.pso import path_violation
+from pathbench.pso import PsoParams, path_violation
+from pathbench.rrtstar import RrtParams
 from test_boundary import exact_disk_blocks
 
 UNIT_SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
@@ -116,26 +119,126 @@ def test_segment_circle_rejects_bad_radius():
         segment_circle_collides(((0, 0), (1, 0)), (0, 0), -2.0)
 
 
+#: What the one number rule refuses wherever a number or an [x, y] pair is
+#: taken. A three-coordinate point stands for a whole point or number, each
+#: other value for one number or one coordinate of a point.
+BAD_VALUES = [True, "1", None, math.nan, math.inf, 10**400, (1.0, 2.0, 3.0)]
+BAD_IDS = ["bool", "str", "none", "nan", "inf", "huge-int", "three-coordinates"]
+
+
+def _fill(kind, value):
+    """`value` for a slot of `kind`: "point" puts a number in the x of a point."""
+    return (value, 0.5) if kind == "point" and not isinstance(value, tuple) else value
+
+
+def _bad_cases(slots):
+    """(call with a bad value, error) per slot and bad value, from (name,
+    call, error, kind) slots."""
+    return [pytest.param(lambda call=call, value=_fill(kind, bad): call(value), error,
+                         id=f"{name}-{bad_id}")
+            for name, call, error, kind in slots for bad, bad_id in zip(BAD_VALUES, BAD_IDS)]
+
+
+SEGMENT_SLOTS = [
+    ("circle-end", lambda v: segment_circle_collides((v, (5.0, 0.0)), (0.0, 0.0), 1.0),
+     InvalidPathError, "point"),
+    ("circle-centre", lambda v: segment_circle_collides(((0.0, 0.0), (1.0, 0.0)), v, 1.0),
+     InvalidObstacleError, "point"),
+    ("circle-radius", lambda v: segment_circle_collides(((0.0, 0.0), (1.0, 0.0)), (0.0, 0.0), v),
+     InvalidObstacleError, "real"),
+    ("polygon-end", lambda v: segment_polygon_collides(((0.5, 0.5), v), UNIT_SQUARE),
+     InvalidPathError, "point"),
+    ("polygon-vertex", lambda v: segment_polygon_collides(((0.0, 0.0), (1.0, 0.0)),
+                                                          [(0.0, 0.0), (2.0, 0.0), v]),
+     InvalidObstacleError, "point"),
+]
+
+
 @pytest.mark.parametrize("check, error", [
     # The infinite rows run through the disk's centre and across the square.
-    (lambda: segment_circle_collides(((-math.inf, 0.0), (math.inf, 0.0)), (0.0, 0.0), 1.0),
-     InvalidPathError),
-    (lambda: segment_polygon_collides(((-math.inf, 1.0), (math.inf, 1.0)),
-                                      [(0.0, 0.0), (2.0, 0.0), (2.0, 2.0), (0.0, 2.0)]),
-     InvalidPathError),
-    (lambda: segment_circle_collides(((math.nan, 0.0), (5.0, 0.0)), (0.0, 0.0), 1.0),
-     InvalidPathError),
-    (lambda: segment_polygon_collides(((0.5, 0.5), (0.5, math.nan)), UNIT_SQUARE),
-     InvalidPathError),
-    (lambda: segment_circle_collides(((0.0, 0.0), (1.0, 0.0)), (math.inf, 0.0), 1.0),
-     InvalidObstacleError),
-    (lambda: segment_polygon_collides(((0.0, 0.0), (1.0, 0.0)), [(0, 0), (1, 0), (1, math.nan)]),
-     InvalidObstacleError),
-], ids=["circle-infinite-ends", "polygon-infinite-ends", "circle-nan-end", "polygon-nan-end",
-        "circle-infinite-centre", "polygon-nan-vertex"])
+    pytest.param(lambda: segment_circle_collides(((-math.inf, 0.0), (math.inf, 0.0)),
+                                                 (0.0, 0.0), 1.0),
+                 InvalidPathError, id="circle-infinite-ends"),
+    pytest.param(lambda: segment_polygon_collides(((-math.inf, 1.0), (math.inf, 1.0)),
+                                                  [(0.0, 0.0), (2.0, 0.0), (2.0, 2.0), (0.0, 2.0)]),
+                 InvalidPathError, id="polygon-infinite-ends"),
+    pytest.param(lambda: segment_circle_collides(((math.nan, 0.0), (5.0, 0.0)), (0.0, 0.0), 1.0),
+                 InvalidPathError, id="circle-nan-end"),
+    pytest.param(lambda: segment_polygon_collides(((0.5, 0.5), (0.5, math.nan)), UNIT_SQUARE),
+                 InvalidPathError, id="polygon-nan-end"),
+    pytest.param(lambda: segment_circle_collides(((0.0, 0.0), (1.0, 0.0)), (math.inf, 0.0), 1.0),
+                 InvalidObstacleError, id="circle-infinite-centre"),
+    pytest.param(lambda: segment_polygon_collides(((0.0, 0.0), (1.0, 0.0)),
+                                                  [(0, 0), (1, 0), (1, math.nan)]),
+                 InvalidObstacleError, id="polygon-nan-vertex"),
+] + _bad_cases(SEGMENT_SLOTS))
 def test_segment_predicates_reject_non_finite_input(check, error):
     with pytest.raises(error):
         check()
+
+
+def _document(centre=(5.0, 5.0), radius=1.0, vertex=(2.0, 2.0), start=(1.0, 1.0), x_min=0.0):
+    return {"bounds": [x_min, 10.0, 0.0, 10.0],
+            "obstacles": [{"kind": "circle", "center": list(centre), "radius": radius},
+                          {"kind": "polygon", "vertices": [list(vertex), [3.0, 2.0], [3.0, 3.0]]}],
+            "query": {"start": list(start), "target": [9.0, 9.0]}}
+
+
+_BOX = Environment(Bounds(0.0, 10.0, 0.0, 10.0))
+_ACROSS = Query((1.0, 1.0), (9.0, 9.0))
+
+
+def _trials(**kw):
+    return run_trials(_BOX, _ACROSS, "rrtstar", RrtParams(iterations_num=5),
+                      **{"n_trials": 1, "base_seed": 0, **kw})
+
+
+#: Every other entry point that takes a number from its caller: (name, call
+#: with the value in one slot, the entry point's error, the slot's kind).
+ENTRY_SLOTS = [
+    ("circle-centre", lambda v: Circle(v, 1.0), InvalidObstacleError, "point"),
+    ("circle-radius", lambda v: Circle((0.0, 0.0), v), InvalidObstacleError, "real"),
+    ("polygon-vertex", lambda v: Polygon(((0.0, 0.0), (2.0, 0.0), v)), InvalidObstacleError,
+     "point"),
+    ("query-start", lambda v: Query(v, (2.0, 2.0)), InvalidQueryError, "point"),
+    ("query-target", lambda v: Query((2.0, 2.0), v), InvalidQueryError, "point"),
+    ("document-centre", lambda v: environment_from_dict(_document(centre=v)), FormatError,
+     "point"),
+    ("document-radius", lambda v: environment_from_dict(_document(radius=v)), FormatError,
+     "real"),
+    ("document-vertex", lambda v: environment_from_dict(_document(vertex=v)), FormatError,
+     "point"),
+    ("document-query", lambda v: environment_from_dict(_document(start=v)), FormatError,
+     "point"),
+    ("document-bounds", lambda v: environment_from_dict(_document(x_min=v)), FormatError,
+     "real"),
+    ("environment-bounds", lambda v: Environment((v, 10.0, 0.0, 10.0)), FormatError, "real"),
+    ("rrt-step-size", lambda v: RrtParams(step_size=v), ValueError, "real"),
+    ("rrt-iterations", lambda v: RrtParams(iterations_num=v), ValueError, "integer"),
+    ("pso-c1", lambda v: PsoParams(c1=v), ValueError, "real"),
+    ("pso-population", lambda v: PsoParams(population=v), ValueError, "integer"),
+    ("random-seed", lambda v: generate_random_env(v, n_obstacles=1), FormatError, "integer"),
+    ("random-count", lambda v: generate_random_env(0, n_obstacles=v), FormatError, "integer"),
+    ("random-bounds", lambda v: generate_random_env(0, 1, bounds=(v, 40.0, -40.0, 20.0)),
+     FormatError, "real"),
+    ("random-radius", lambda v: generate_random_env(0, 1, radius_range=(v, 6.0)), FormatError,
+     "real"),
+    ("random-clearance", lambda v: generate_random_env(0, 1, clearance=v), FormatError, "real"),
+    ("grid-oracle-resolution", lambda v: grid_oracle(_BOX, _ACROSS, v), ValueError, "real"),
+    ("run-trials-count", lambda v: _trials(n_trials=v), ValueError, "integer"),
+    ("run-trials-seed", lambda v: _trials(base_seed=v), ValueError, "integer"),
+    ("run-trials-jobs", lambda v: _trials(jobs=v), ValueError, "integer"),
+]
+
+
+@pytest.mark.parametrize("bad", BAD_VALUES, ids=BAD_IDS)
+@pytest.mark.parametrize("name, call, error, kind", ENTRY_SLOTS, ids=[s[0] for s in ENTRY_SLOTS])
+def test_every_entry_point_keeps_the_one_number_rule(name, call, error, kind, bad):
+    # The slot takes a good value, so the bad one is refused by the rule.
+    call(_fill(kind, 1 if kind == "integer" else 1.0))
+    with pytest.raises(error) as refused:
+        call(_fill(kind, bad))
+    assert refused.type is error, f"{name} raised {refused.type.__name__}: {refused.value}"
 
 
 def test_segment_polygon_collides():

@@ -83,6 +83,18 @@ def test_tree_add_and_cost():
     assert tree.children(0) == (a,)
 
 
+# A negative index read a node from the end; one past the end raised a bare
+# "list index out of range".
+@pytest.mark.parametrize("accessor", ["position", "parent", "cost_to_come", "children"])
+@pytest.mark.parametrize("where", ["before", "past"])
+def test_tree_accessors_check_the_node_index(accessor, where):
+    tree = RrtTree((0.0, 0.0))
+    tree.add((1.0, 0.0), 0)
+    index = -1 if where == "before" else len(tree)
+    with pytest.raises(IndexError, match=f"^node index {index} out of range$"):
+        getattr(tree, accessor)(index)
+
+
 def test_find_nearest_tie_goes_low():
     tree = RrtTree((0.0, 0.0))
     tree.add((2.0, 0.0), 0)    # index 1
