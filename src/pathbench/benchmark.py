@@ -33,11 +33,15 @@ __all__ = [
     "TABLE1_CASES", "TrialStats", "CaseRow", "RandomEnvFactory",
     "plan_once", "run_trials", "table1_suite", "grid_oracle", "summarize",
     "audit_path", "result_record", "write_results_csv", "read_results_csv",
-    "write_table1_csv", "write_summary", "TIME_HISTOGRAM_BIN",
+    "write_table1_csv", "write_summary", "TIME_HISTOGRAM_BIN", "MAX_GRID_CELLS",
 ]
 
 #: Histogram bin width (seconds) for run-time summaries.
 TIME_HISTOGRAM_BIN = 0.1
+
+#: Most cells `grid_oracle` builds: 52 times the default 160 x 120 grid, about
+#: 0.1 GB at the oracle's ~105 bytes per cell.
+MAX_GRID_CELLS = 1_000_000
 
 #: The ten start/target pairs exercised against the irregular preset.
 TABLE1_CASES: tuple[Query, ...] = tuple(
@@ -54,6 +58,7 @@ TABLE1_CASES: tuple[Query, ...] = tuple(
         ((33.0, -7.0), (-20.0, -13.0)),
     ])
 
+#: Every planner, in report order: id -> (plan function, parameter record).
 _PLANNERS: dict[str, tuple[Callable[..., PlanResult], type]] = {
     "rrtstar": (plan_rrt_star, RrtParams),
     "pso": (plan_pso, PsoParams),
@@ -258,13 +263,14 @@ def table1_suite(env: Optional[Environment] = None,
     Case k uses rng seed `seed + k - 1` for both planners, so a suite is
     reproducible from a single integer. All case queries must be valid in
     the environment (the irregular preset by default); the seeds, queries
-    and (planner, params) specs are checked before the first plan.
+    and (planner, params) specs, by default each planner's defaults, are
+    checked before the first plan.
     """
     check_integer("seed", seed, 0, sys.maxsize - len(cases) + 1)
     if env is None:
         env, _ = irregular_preset("irregular-a")
     if specs is None:
-        specs = [("rrtstar", RrtParams()), ("pso", PsoParams())]
+        specs = [(planner_id, params_type()) for planner_id, (_, params_type) in _PLANNERS.items()]
     for q in cases:
         check_query(validate_query(env, q))
     for planner_id, params in specs:
@@ -287,12 +293,19 @@ def grid_oracle(env: Environment, query: Query, resolution: float = 0.5) -> floa
     Straight moves cost `resolution`, diagonal moves sqrt(2) * resolution.
     Endpoints snap to the nearest free cell center within a 3-cell window
     (an error if none exists). Returns math.inf when the goal is unreachable.
+    A resolution that makes more than MAX_GRID_CELLS cells is a ValueError.
     """
     if not check_real("resolution", resolution) > 0:
         raise ValueError(f"resolution must be > 0, got {resolution!r}")
     b = env.bounds
-    nx = max(1, int(math.ceil(b.width / resolution)))
-    ny = max(1, int(math.ceil(b.height / resolution)))
+    # Counted in floats first: a tiny resolution overflows math.ceil.
+    cols, rows = b.width / resolution, b.height / resolution
+    cells = max(1.0, cols) * max(1.0, rows)
+    if not cells <= MAX_GRID_CELLS:
+        raise ValueError(f"resolution {resolution!r} makes {cells:.3g} grid cells, "
+                         f"more than {MAX_GRID_CELLS:,}")
+    nx = max(1, math.ceil(cols))
+    ny = max(1, math.ceil(rows))
     xs = b.x_min + (np.arange(nx) + 0.5) * resolution
     ys = b.y_min + (np.arange(ny) + 0.5) * resolution
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
@@ -358,19 +371,19 @@ def grid_oracle(env: Environment, query: Query, resolution: float = 0.5) -> floa
 
 # --- durable record formats ---------------------------------------------
 
-#: The results.csv columns, each with the parser read_results_csv applies.
-_RESULT_PARSERS = {"planner": str, "seed": int, "case_id": str,
+#: The results-file columns, each with the parser read_results_csv applies.
+_RESULT_PARSERS = {"planner": str, "seed": int,
                    "feasible": lambda v: v == "true", "length": float, "elapsed_s": float,
                    "iterations_used": int, "closest_approach": float}
 RESULT_FIELDS = tuple(_RESULT_PARSERS)
 
 
-def result_record(result: PlanResult, case_id: str = "") -> dict:
-    """Flatten a PlanResult into the tabular results-file record."""
+def result_record(result: PlanResult) -> dict:
+    """Flatten a PlanResult into the plan record: the RESULT_FIELDS row of
+    the results files, which `pathbench plan`'s result.json extends."""
     return {
         "planner": result.planner_id,
         "seed": result.seed,
-        "case_id": case_id,
         "feasible": result.feasible,
         "length": result.length,
         "elapsed_s": result.elapsed,

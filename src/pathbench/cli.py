@@ -22,6 +22,7 @@ A scenario config is a JSON object; every field is optional::
       "out": "output"
     }
 
+The planner keys and `--planner` choices are `benchmark._PLANNERS`'s ids.
 Unknown keys anywhere are an error. The seed precedence is config
 base_seed, then the PATHBENCH_SEED environment variable, then --seed.
 Every seed is an integer from 0 to sys.maxsize, `environment.seed` and
@@ -50,17 +51,16 @@ import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .benchmark import (TABLE1_CASES, EnvSource, RandomEnvFactory, plan_once,
-                        result_record, run_trials, summarize, table1_suite,
-                        write_results_csv, write_summary, write_table1_csv)
+from .benchmark import (_PLANNERS, TABLE1_CASES, EnvSource, PlannerParams,
+                        RandomEnvFactory, plan_once, result_record, run_trials,
+                        summarize, table1_suite, write_results_csv, write_summary,
+                        write_table1_csv)
 from .environment import (Query, _object, environment_from_dict, irregular_preset,
                           load_environment, preset_names, query_from_dict, read_json,
                           write_json)
 from .errors import FormatError, PathbenchError
 from .geometry import _plain_point, check_integer
-from .pso import PsoParams
 from .render import environment_svg
-from .rrtstar import RrtParams
 
 SEED_ENV_VAR = "PATHBENCH_SEED"
 
@@ -70,15 +70,15 @@ class ScenarioConfig:
     """A parsed config: the environment and query are already resolved.
 
     `environment` is an Environment, or for kind "random" a
-    RandomEnvFactory that builds one per seed; `env_seed` is the random
+    RandomEnvFactory that builds one per seed; `params` maps each planner
+    id to its parameter record, in table order; `env_seed` is the random
     kind's optional `seed` field (None for every other kind).
     """
 
     environment: EnvSource
     query: Query
+    params: dict[str, PlannerParams]
     env_seed: Optional[int] = None
-    rrtstar: RrtParams = RrtParams()
-    pso: PsoParams = PsoParams()
     trials: int = 50
     base_seed: int = 0
     out: str = "output"
@@ -129,22 +129,20 @@ def _parse_params(doc, defaults, where: str):
 
 
 def parse_config(doc: dict) -> ScenarioConfig:
-    _object(doc, "config", ("environment", "query", "rrtstar", "pso",
-                            "trials", "base_seed", "out"))
+    _object(doc, "config", ("environment", "query", *_PLANNERS, "trials", "base_seed", "out"))
     query = query_from_dict(doc["query"]) if "query" in doc else None
     environment, query, env_seed = _parse_environment(
         doc.get("environment", {"kind": "preset"}), query)
-    rrt = _parse_params(doc.get("rrtstar", {}), RrtParams(), "rrtstar")
-    pso = _parse_params(doc.get("pso", {}), PsoParams(), "pso")
+    params = {planner: _parse_params(doc.get(planner, {}), params_type(), planner)
+              for planner, (_, params_type) in _PLANNERS.items()}
     trials = check_integer("trials", doc.get("trials", 50), 1, error=FormatError)
     # numpy's generators take non-negative seeds only.
     base_seed = check_integer("base_seed", doc.get("base_seed", 0), 0, error=FormatError)
     out = doc.get("out", "output")
     if not isinstance(out, str):
         raise FormatError(f"out must be a string, got {out!r}")
-    return ScenarioConfig(environment=environment, query=query, env_seed=env_seed,
-                          rrtstar=rrt, pso=pso, trials=trials,
-                          base_seed=base_seed, out=out)
+    return ScenarioConfig(environment=environment, query=query, params=params,
+                          env_seed=env_seed, trials=trials, base_seed=base_seed, out=out)
 
 
 def load_config(path) -> ScenarioConfig:
@@ -184,12 +182,10 @@ def cmd_plan(args) -> int:
     if isinstance(env, RandomEnvFactory):
         env = env(cfg.env_seed if cfg.env_seed is not None else seed)
     planner = args.planner or "rrtstar"
-    result = plan_once(env, query, planner,
-                       cfg.rrtstar if planner == "rrtstar" else cfg.pso, seed)
+    result = plan_once(env, query, planner, cfg.params[planner], seed)
     out = _ensure_out(args.out or cfg.out)
     record = result_record(result)
     write_results_csv(os.path.join(out, "result.csv"), [record])
-    del record["case_id"]
     path = [[p.x, p.y] for p in result.path] if result.path else None
     write_json(os.path.join(out, "result.json"),
                {**record, "length": result.length if path else None,
@@ -213,12 +209,10 @@ def cmd_bench(args) -> int:
     if cfg.env_seed is not None:
         raise FormatError("bench draws each trial's random field from the trial "
                           "seed; remove environment.seed")
-    planners = [args.planner] if args.planner else ["rrtstar", "pso"]
-    records = []
-    report = {}
+    planners = [args.planner] if args.planner else list(cfg.params)
+    records, report = [], {}
     for planner in planners:
-        params = cfg.rrtstar if planner == "rrtstar" else cfg.pso
-        stats = run_trials(cfg.environment, cfg.query, planner, params,
+        stats = run_trials(cfg.environment, cfg.query, planner, cfg.params[planner],
                            trials, seed, jobs=args.jobs)
         records.extend(result_record(r) for r in stats.results)
         report[planner] = summarize(stats)
@@ -239,9 +233,7 @@ def cmd_table1(args) -> int:
         raise FormatError("the ten-case suite needs a fixed environment, not 'random'")
     if "query" in doc:
         raise FormatError("the ten-case suite runs its own queries; remove the config's 'query'")
-    rows = table1_suite(env=cfg.environment,
-                        specs=[("rrtstar", cfg.rrtstar), ("pso", cfg.pso)],
-                        seed=seed)
+    rows = table1_suite(env=cfg.environment, specs=list(cfg.params.items()), seed=seed)
     out = _ensure_out(args.out or cfg.out)
     write_table1_csv(os.path.join(out, "table1.csv"), rows)
     for row in rows:
@@ -281,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="override the base seed")
         p.add_argument("--out", help="output directory")
         if planner:
-            p.add_argument("--planner", choices=["rrtstar", "pso"],
+            p.add_argument("--planner", choices=list(_PLANNERS),
                            help="restrict to one planner")
 
     p_plan = sub.add_parser("plan", help="run one planner on one query")

@@ -92,6 +92,16 @@ def _plain_point(p, name: str, error) -> Point2:
 Segment = tuple[Point2, Point2]
 
 
+def _plain_segment(segment) -> Segment:
+    """segment as two `_plain_point`s if an exact pair of points, else InvalidPathError."""
+    try:
+        a, b = segment
+    except (TypeError, ValueError):
+        raise InvalidPathError(f"a segment must be a pair of points, got {segment!r}") from None
+    return (_plain_point(a, "segment endpoint", InvalidPathError),
+            _plain_point(b, "segment endpoint", InvalidPathError))
+
+
 class Bounds(NamedTuple):
     x_min: float
     x_max: float
@@ -330,6 +340,11 @@ def _segment_enters(a, b, vertices) -> bool:
 def _plain_vertices(vertices) -> tuple[Point2, ...]:
     """A polygon outline as `_plain_point`s: at least three, no two
     consecutive ones equal; anything else is an InvalidObstacleError."""
+    try:
+        vertices = iter(vertices)
+    except TypeError:
+        raise InvalidObstacleError(f"polygon vertices must be a list of points, "
+                                   f"got {vertices!r}") from None
     verts = tuple(_plain_point(v, "polygon vertex", InvalidObstacleError) for v in vertices)
     if len(verts) < 3:
         raise InvalidObstacleError("polygon needs at least 3 vertices")
@@ -378,7 +393,7 @@ def segment_circle_collides(segment: Segment, center: Sequence[float],
                             radius: float) -> bool:
     """True iff the segment enters the open disk (tangency is free), decided exactly."""
     disk = Circle(center, radius)
-    a, b = (_plain_point(p, "segment endpoint", InvalidPathError) for p in segment)
+    a, b = _plain_segment(segment)
     return _meets_disk(a, b, disk.center, disk.radius)
 
 
@@ -389,7 +404,7 @@ def segment_polygon_collides(segment: Segment,
     Touching a corner or running along an edge is free; decided exactly.
     """
     vertices = _plain_vertices(vertices)
-    a, b = (_plain_point(p, "segment endpoint", InvalidPathError) for p in segment)
+    a, b = _plain_segment(segment)
     return _segment_enters(a, b, vertices)
 
 

@@ -241,7 +241,7 @@ def rewire(tree: RrtTree, neighbors: Sequence[int], lengths: Sequence[float],
     undercuts is no ancestor of it), so a neighbor it does not undercut
     now never will be; the others are visited in ascending index order
     against live costs, so a cost drop propagated to a later neighbor's
-    subtree is taken into account.
+    subtree is taken into account. The new node never undercuts itself.
     """
     xs, ys, cost = tree._xs, tree._ys, tree._cost
     new_cost = cost[new_index]
@@ -252,7 +252,7 @@ def rewire(tree: RrtTree, neighbors: Sequence[int], lengths: Sequence[float],
     p_new = (xs[new_index], ys[new_index])
     for i, length in better:
         cand = new_cost + length
-        if i != new_index and cand < cost[i] and edge_free(p_new, (xs[i], ys[i]), env):
+        if cand < cost[i] and edge_free(p_new, (xs[i], ys[i]), env):
             tree._children[tree._parent[i]].remove(i)
             tree._parent[i] = new_index
             tree._children[new_index].append(i)

@@ -6,19 +6,20 @@ import os
 import pickle
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pathbench.benchmark import (RESULT_FIELDS, TABLE1_CASES, CaseRow,
+from pathbench.benchmark import (MAX_GRID_CELLS, RESULT_FIELDS, TABLE1_CASES, CaseRow,
                                  RandomEnvFactory, TrialStats, audit_path,
                                  grid_oracle, plan_once, read_results_csv,
                                  result_record, run_trials, summarize,
                                  table1_suite, write_results_csv,
                                  write_summary, write_table1_csv)
-from pathbench.environment import (Environment, Query, generate_random_env,
-                                   irregular_preset)
+from pathbench.environment import (DEFAULT_BOUNDS, Environment, Query,
+                                   generate_random_env, irregular_preset)
 from pathbench.errors import InvalidQueryError
 from pathbench.geometry import Bounds, Circle, Point2, dist
 from pathbench.pso import PsoParams
@@ -70,6 +71,7 @@ def test_time_histogram():
     assert edges == [0.0, 0.1, 0.2, 0.3, 0.4]
     assert counts == [1, 2, 0, 1]
     assert stats.median_time == pytest.approx(0.16)
+    assert TrialStats(()).time_histogram() == ([0.0], [])
 
 
 def test_summarize_shape():
@@ -368,6 +370,26 @@ def test_grid_oracle_unreachable():
     assert grid_oracle(env, q, 0.5) == math.inf
 
 
+@pytest.mark.parametrize("bounds, resolution", [
+    (Bounds(0.0, 10.0, 0.0, 10.0), 1e-300),  # numpy's bare "Maximum allowed size exceeded"
+    (Bounds(0.0, 10.0, 0.0, 10.0), 5e-324),  # a bare OverflowError from math.ceil
+    (DEFAULT_BOUNDS, 1e-4),  # 4.8e11 cells, which the oracle would try to allocate
+], ids=["1e-300", "5e-324", "default-bounds-1e-4"])
+def test_grid_oracle_refuses_a_grid_above_the_cell_cap(bounds, resolution):
+    env = Environment(bounds)
+    query = Query((bounds.x_min + 1.0, bounds.y_min + 1.0),
+                  (bounds.x_max - 1.0, bounds.y_max - 1.0))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=rf"resolution {resolution!r} makes .* grid cells, "
+                                             rf"more than {MAX_GRID_CELLS:,}"):
+            grid_oracle(env, query, resolution)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000  # refused before any grid array
+
+
 def test_grid_oracle_snaps_blocked_endpoints():
     env = Environment(Bounds(-20, 20, -20, 20),
                       (Circle(Point2(0.25, 0.25), 0.6),))
@@ -468,7 +490,7 @@ def test_results_csv_round_trip(tmp_path):
     q = Query(Point2(0.0, 0.0), Point2(6.0, 0.0))
     records = [
         result_record(plan_once(env, q, "rrtstar",
-                                RrtParams(iterations_num=40), 1), case_id="1"),
+                                RrtParams(iterations_num=40), 1)),
         result_record(_result(planner="pso", seed=2, feasible=False,
                               closest=math.inf)),
     ]
@@ -480,7 +502,6 @@ def test_results_csv_round_trip(tmp_path):
     assert len(back) == 2
     assert back[0]["planner"] == "rrtstar"
     assert back[0]["seed"] == 1
-    assert back[0]["case_id"] == "1"
     assert back[0]["feasible"] is True
     assert back[0]["length"] == pytest.approx(records[0]["length"], abs=1e-6)
     assert back[1]["feasible"] is False

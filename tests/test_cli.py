@@ -7,8 +7,8 @@ import time
 
 import pytest
 
-from pathbench.benchmark import RandomEnvFactory
-from pathbench.cli import SEED_ENV_VAR, load_config, main, parse_config
+from pathbench.benchmark import _PLANNERS, RESULT_FIELDS, RandomEnvFactory
+from pathbench.cli import SEED_ENV_VAR, build_parser, load_config, main, parse_config
 from pathbench.environment import (Environment, Query, irregular_preset,
                                    save_environment)
 from pathbench.errors import FormatError
@@ -43,8 +43,22 @@ def test_parse_config_defaults():
     assert cfg.trials == 50
     assert cfg.base_seed == 0
     assert cfg.out == "output"
-    assert cfg.rrtstar.iterations_num == 2000
-    assert cfg.pso.max_iterations == 2000
+    assert cfg.params["rrtstar"].iterations_num == 2000
+    assert cfg.params["pso"].max_iterations == 2000
+
+
+def test_the_cli_reads_its_planners_from_the_planner_table():
+    ids = list(_PLANNERS)
+    assert list(parse_config({}).params) == ids
+    for planner, (_, params_type) in _PLANNERS.items():
+        # Each id is a config key, read as that planner's parameter record.
+        assert parse_config({planner: {}}).params[planner] == params_type()
+        with pytest.raises(FormatError, match=rf"unknown field\(s\) \['bogus'\] in {planner}"):
+            parse_config({planner: {"bogus": 1}})
+    commands = next(a for a in build_parser()._actions if a.dest == "command").choices
+    for command in ("plan", "bench"):
+        flag = next(a for a in commands[command]._actions if a.dest == "planner")
+        assert list(flag.choices) == ids
 
 
 @pytest.mark.parametrize("doc", [
@@ -151,9 +165,12 @@ def test_plan_feasible_writes_artifacts(tmp_path, capsys):
     out = tmp_path / "run"
     code = main(["plan", "--config", cfg, "--out", str(out)])
     assert code == 0
-    assert (out / "result.csv").exists()
     assert (out / "plan.svg").exists()
+    # One plan record in both files; result.json adds the path and params.
+    lines = (out / "result.csv").read_text(encoding="utf-8").splitlines()
+    assert lines[0] == ",".join(RESULT_FIELDS) and len(lines) == 2
     doc = json.loads((out / "result.json").read_text(encoding="utf-8"))
+    assert list(doc) == [*RESULT_FIELDS, "path", "params"]
     assert doc["planner"] == "rrtstar"
     assert doc["feasible"] is True
     assert doc["seed"] == 0

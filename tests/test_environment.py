@@ -269,6 +269,13 @@ def test_malformed_documents():
     for obstacles in (5, None):  # each was a TypeError
         with pytest.raises(FormatError):
             environment_from_dict({"bounds": [0, 1, 0, 1], "obstacles": obstacles})
+    for entry, message in [(5, "obstacle 0 must be an object, got int"),
+                           ({"kind": "polygon", "vertices": "0,0 1,0 1,1"},
+                            "obstacle 0 needs a 'vertices' list"),
+                           ({"kind": "polygon", "vertices": {"0": [0, 0]}},
+                            "obstacle 0 needs a 'vertices' list")]:
+        with pytest.raises(FormatError, match=f"^{message}$"):
+            environment_from_dict({"bounds": [0, 10, 0, 10], "obstacles": [entry]})
 
 
 def test_boolean_coordinates_are_rejected():

@@ -73,6 +73,11 @@ def test_segments_intersect():
     assert not segments_intersect((0, 0), (1, 0), (2, 0), (3, 0))  # collinear gap
     assert not segments_intersect((0, 0), (1, 0), (0, 1), (1, 1))  # parallel
     assert segments_intersect((0, 0), (4, 0), (2, -1), (2, 3))
+    # A T-junction at each of the four endpoints in turn.
+    assert segments_intersect((1, 0), (1, 1), (0, 0), (2, 0))  # p1 on q
+    assert segments_intersect((1, 1), (1, 0), (0, 0), (2, 0))  # p2 on q
+    assert segments_intersect((0, 0), (2, 0), (1, 0), (1, 1))  # q1 on p
+    assert segments_intersect((0, 0), (2, 0), (1, 1), (1, 0))  # q2 on p
     # Nearly collinear and apart (disjoint x ranges): float orientation
     # signs are rounding noise here and reported a proper crossing.
     for p1, p2, q1, q2 in [
@@ -126,17 +131,39 @@ BAD_VALUES = [True, "1", None, math.nan, math.inf, 10**400, (1.0, 2.0, 3.0)]
 BAD_IDS = ["bool", "str", "none", "nan", "inf", "huge-int", "three-coordinates"]
 
 
+#: What the rule refuses where a container of points is taken, by kind: no
+#: container at all, and the wrong number of points.
+BAD_CONTAINERS = {
+    "segment": [(5, "non-iterable"), (((0.0, 0.0),), "one-point"),
+                (((0.0, 0.0), (1.0, 0.0), (2.0, 0.0)), "three-point")],
+    "vertices": [(5, "non-iterable"), (((0.0, 0.0),), "one-point")],
+}
+
+
 def _fill(kind, value):
     """`value` for a slot of `kind`: "point" puts a number in the x of a point."""
     return (value, 0.5) if kind == "point" and not isinstance(value, tuple) else value
 
 
+def _bad_values(kind):
+    """(bad value, id) pairs for a slot of `kind`."""
+    if kind in BAD_CONTAINERS:
+        return BAD_CONTAINERS[kind]
+    return [(_fill(kind, bad), bad_id) for bad, bad_id in zip(BAD_VALUES, BAD_IDS)]
+
+
+def _good_value(kind):
+    """A value a slot of `kind` takes."""
+    return {"integer": 1, "vertices": ((0.0, 0.0), (2.0, 0.0), (2.0, 2.0))}.get(
+        kind, _fill(kind, 1.0))
+
+
 def _bad_cases(slots):
     """(call with a bad value, error) per slot and bad value, from (name,
     call, error, kind) slots."""
-    return [pytest.param(lambda call=call, value=_fill(kind, bad): call(value), error,
+    return [pytest.param(lambda call=call, value=value: call(value), error,
                          id=f"{name}-{bad_id}")
-            for name, call, error, kind in slots for bad, bad_id in zip(BAD_VALUES, BAD_IDS)]
+            for name, call, error, kind in slots for value, bad_id in _bad_values(kind)]
 
 
 SEGMENT_SLOTS = [
@@ -151,6 +178,12 @@ SEGMENT_SLOTS = [
     ("polygon-vertex", lambda v: segment_polygon_collides(((0.0, 0.0), (1.0, 0.0)),
                                                           [(0.0, 0.0), (2.0, 0.0), v]),
      InvalidObstacleError, "point"),
+    ("circle-segment", lambda v: segment_circle_collides(v, (0.0, 0.0), 1.0),
+     InvalidPathError, "segment"),
+    ("polygon-segment", lambda v: segment_polygon_collides(v, UNIT_SQUARE),
+     InvalidPathError, "segment"),
+    ("polygon-vertices", lambda v: segment_polygon_collides(((0.0, 0.0), (1.0, 0.0)), v),
+     InvalidObstacleError, "vertices"),
 ]
 
 
@@ -200,6 +233,7 @@ ENTRY_SLOTS = [
     ("circle-radius", lambda v: Circle((0.0, 0.0), v), InvalidObstacleError, "real"),
     ("polygon-vertex", lambda v: Polygon(((0.0, 0.0), (2.0, 0.0), v)), InvalidObstacleError,
      "point"),
+    ("polygon-vertices", Polygon, InvalidObstacleError, "vertices"),
     ("query-start", lambda v: Query(v, (2.0, 2.0)), InvalidQueryError, "point"),
     ("query-target", lambda v: Query((2.0, 2.0), v), InvalidQueryError, "point"),
     ("document-centre", lambda v: environment_from_dict(_document(centre=v)), FormatError,
@@ -231,13 +265,14 @@ ENTRY_SLOTS = [
 ]
 
 
-@pytest.mark.parametrize("bad", BAD_VALUES, ids=BAD_IDS)
-@pytest.mark.parametrize("name, call, error, kind", ENTRY_SLOTS, ids=[s[0] for s in ENTRY_SLOTS])
+@pytest.mark.parametrize("name, call, error, kind, bad", [
+    pytest.param(*slot, value, id=f"{slot[0]}-{bad_id}")
+    for slot in ENTRY_SLOTS for value, bad_id in _bad_values(slot[3])])
 def test_every_entry_point_keeps_the_one_number_rule(name, call, error, kind, bad):
     # The slot takes a good value, so the bad one is refused by the rule.
-    call(_fill(kind, 1 if kind == "integer" else 1.0))
+    call(_good_value(kind))
     with pytest.raises(error) as refused:
-        call(_fill(kind, bad))
+        call(bad)
     assert refused.type is error, f"{name} raised {refused.type.__name__}: {refused.value}"
 
 

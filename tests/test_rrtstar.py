@@ -84,15 +84,17 @@ def test_tree_add_and_cost():
 
 
 # A negative index read a node from the end; one past the end raised a bare
-# "list index out of range".
-@pytest.mark.parametrize("accessor", ["position", "parent", "cost_to_come", "children"])
+# "list index out of range". `add` checks its parent index the same way.
+@pytest.mark.parametrize("accessor", ["position", "parent", "cost_to_come", "children", "add"])
 @pytest.mark.parametrize("where", ["before", "past"])
 def test_tree_accessors_check_the_node_index(accessor, where):
     tree = RrtTree((0.0, 0.0))
     tree.add((1.0, 0.0), 0)
     index = -1 if where == "before" else len(tree)
+    call = (lambda i: tree.add((2.0, 0.0), i)) if accessor == "add" else getattr(tree, accessor)
     with pytest.raises(IndexError, match=f"^node index {index} out of range$"):
-        getattr(tree, accessor)(index)
+        call(index)
+    assert len(tree) == 2
 
 
 def test_find_nearest_tie_goes_low():
@@ -313,6 +315,19 @@ def test_rewire_lowers_cost_and_propagates():
     assert tree.cost_to_come(a) == pytest.approx(6.0)
 
 
+def test_rewire_leaves_the_new_node_where_it_is():
+    # Given as its own neighbour, at length 0, it does not undercut itself.
+    tree = RrtTree((0.0, 0.0))
+    a = tree.add((0.0, 6.0), 0)
+    c = tree.add((2.0, 7.0), tree.add((5.0, 0.0), 0))  # cost 5 + sqrt(58)
+    new = tree.add((1.0, 6.0), a)                       # cost 7
+    nodes = [0, a, c, new]
+    rewire(tree, nodes, edge_lengths(tree, nodes, tree.position(new)), new, EMPTY)
+    assert tree.parent(new) == a and tree.children(new) == (c,)
+    assert tree.cost_to_come(new) == pytest.approx(7.0)
+    assert tree.cost_to_come(c) == pytest.approx(7.0 + math.sqrt(2.0))
+
+
 def test_rewire_respects_obstacles():
     tree = RrtTree((0.0, 0.0))
     a = tree.add((0.0, 6.0), 0)
@@ -334,6 +349,30 @@ def test_get_optimized_path():
     assert get_optimized_path(tree, 0) == (Point2(0, 0),)
     with pytest.raises(InvalidStateError):
         get_optimized_path(tree, 99)
+    tree._parent[a] = b  # a and b now lead to each other, never to the root
+    with pytest.raises(InvalidStateError, match="does not terminate at the root"):
+        get_optimized_path(tree, b)
+
+
+def test_a_sample_on_a_node_inserts_nothing(monkeypatch):
+    run = RrtStarRun(EMPTY, Query((0.0, 0.0), (10.0, 0.0)), RrtParams())
+    monkeypatch.setattr(rrtstar, "random_sample", lambda env, rng: Point2(0.0, 0.0))
+    assert run.step() is None
+    assert len(run.tree) == 1 and run.iteration == 1
+
+
+def test_a_new_node_without_neighbours_hangs_from_the_nearest(monkeypatch):
+    run = RrtStarRun(EMPTY, Query((0.0, 0.0), (10.0, 0.0)), RrtParams(step_size=2.0))
+    for _ in range(30):
+        run.step()
+    sample = Point2(-30.0, 10.0)
+    near = find_nearest(run.tree, sample)
+    monkeypatch.setattr(rrtstar, "random_sample", lambda env, rng: sample)
+    monkeypatch.setattr(rrtstar, "get_neighbors", lambda tree, p, radius: [])
+    idx = run.step()
+    assert run.tree.parent(idx) == near
+    p_new, p_near = run.tree.position(idx), run.tree.position(near)
+    assert run.tree.cost_to_come(idx) == run.tree.cost_to_come(near) + dist(p_near, p_new)
 
 
 def test_random_sample_stays_in_bounds():
