@@ -21,7 +21,7 @@ import numpy as np
 from .environment import (DEFAULT_BOUNDS, Environment, Query, check_query,
                           check_random_field, generate_random_env,
                           irregular_preset, validate_query, write_json)
-from .errors import InvalidQueryError
+from .errors import FormatError, InvalidQueryError
 # perfbench's tracer wraps audit_path and edge_free as names of this module.
 from .geometry import (Bounds, Point2, audit_path, check_integer, check_real,  # noqa: F401
                        dist, edge_free)
@@ -371,9 +371,15 @@ def grid_oracle(env: Environment, query: Query, resolution: float = 0.5) -> floa
 
 # --- durable record formats ---------------------------------------------
 
+def _read_bool(cell: str) -> bool:
+    if cell not in ("true", "false"):
+        raise ValueError(cell)
+    return cell == "true"
+
+
 #: The results-file columns, each with the parser read_results_csv applies.
 _RESULT_PARSERS = {"planner": str, "seed": int,
-                   "feasible": lambda v: v == "true", "length": float, "elapsed_s": float,
+                   "feasible": _read_bool, "length": float, "elapsed_s": float,
                    "iterations_used": int, "closest_approach": float}
 RESULT_FIELDS = tuple(_RESULT_PARSERS)
 
@@ -414,10 +420,31 @@ def write_results_csv(path, records: Sequence[dict]) -> None:
 
 
 def read_results_csv(path) -> list[dict]:
-    """Inverse of write_results_csv (floats parsed back, bools restored)."""
+    """Inverse of write_results_csv (floats parsed back, bools restored).
+
+    A missing column, a row longer or shorter than the header, and a cell
+    that does not parse are each a FormatError naming the file, line and
+    column. `feasible` is `true` or `false`; a float may be `nan`, as the
+    length of an infeasible row is written.
+    """
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        return [{k: parse(row[k]) for k, parse in _RESULT_PARSERS.items()}
-                for row in csv.DictReader(fh)]
+        reader = csv.DictReader(fh)
+        for k in RESULT_FIELDS:
+            if k not in (reader.fieldnames or ()):
+                raise FormatError(f"{path} line 1: no column {k!r}")
+        records = []
+        for row in reader:
+            where = f"{path} line {reader.line_num}"
+            if None in row or None in row.values():
+                raise FormatError(f"{where}: the row and the header differ in length")
+            record = {}
+            for k, parse in _RESULT_PARSERS.items():
+                try:
+                    record[k] = parse(row[k])
+                except ValueError:
+                    raise FormatError(f"{where}, column {k!r}: cannot read {row[k]!r}") from None
+            records.append(record)
+    return records
 
 
 def write_table1_csv(path, rows: Sequence[CaseRow]) -> None:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
@@ -49,9 +50,13 @@ def _check_bounds(bounds) -> Bounds:
     if not isinstance(bounds, (list, tuple)) or len(bounds) != 4:
         raise FormatError(f"bounds must be [x_min, x_max, y_min, y_max], got {bounds!r}")
     b = Bounds(*(check_real("bounds", v, FormatError) for v in bounds))
-    # Samplers draw low + (high - low) * u, so the width and height must be finite too.
-    if not (math.isfinite(b.width) and math.isfinite(b.height)):
-        raise FormatError(f"the width and height of bounds must be finite, got {bounds!r}")
+    # Samplers draw low + (high - low) * u, and RRT*'s scans square the
+    # differences of coordinates, which overflow to inf or underflow to 0
+    # unless the squared diagonal is a finite normal float.
+    diagonal2 = b.width * b.width + b.height * b.height
+    if not (math.isfinite(diagonal2) and diagonal2 >= sys.float_info.min):
+        raise FormatError("width**2 + height**2 of bounds must be a finite normal float, "
+                          f"got {diagonal2!r} from {bounds!r}")
     if not (b.x_min < b.x_max and b.y_min < b.y_max):
         raise FormatError(f"bounds must satisfy min < max, got {bounds!r}")
     return b

@@ -5,15 +5,16 @@ waypoints; decoding prepends the query start and appends the target.
 Fitness is geometric path length plus a penalty proportional to the
 length of path lying inside obstacles (or out of bounds), computed
 exactly by `CollisionField.blocked_lengths`. As the penalty is never
-negative, a particle whose length alone reaches its personal best
-cannot improve on it, and its segments skip the collision kernel. The
-swarm stops early once the global best has been flat for a full
+negative, a particle whose length alone reaches its personal best (+inf
+for the first swarm) cannot improve on it and skips the collision kernel.
+The swarm stops early once the global best has been flat for a full
 stagnation window. `build_result` judges the decoded global best with
 `audit_path`, as it does RRT*'s path; only an infeasible one is measured.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -25,7 +26,7 @@ from .geometry import CollisionField, Point2
 from .result import PlanResult, build_result, check_param_types, plan
 
 __all__ = [
-    "PsoParams", "PsoRun", "plan_pso", "decode", "encode", "fitness",
+    "PsoParams", "PsoRun", "plan_pso", "decode", "fitness",
     "path_violation", "update_inertia",
 ]
 
@@ -77,17 +78,6 @@ def decode(position: Sequence[float], query: Query) -> tuple[Point2, ...]:
     return (query.start, *mid, query.target)
 
 
-def encode(path: Sequence[Sequence[float]]) -> np.ndarray:
-    """Inverse of decode: flatten the intermediate waypoints of a path."""
-    if len(path) < 3:
-        raise ValueError("path must have at least one intermediate waypoint")
-    out = np.empty(2 * (len(path) - 2), dtype=np.float64)
-    for i, p in enumerate(path[1:-1]):
-        out[2 * i] = p[0]
-        out[2 * i + 1] = p[1]
-    return out
-
-
 def _waypoint_tensor(positions: np.ndarray, query: Query) -> np.ndarray:
     """(m, 2n) waypoint vectors -> (m, n + 2, 2) paths from start to target."""
     m, d = positions.shape
@@ -112,6 +102,19 @@ def _violations(wp: np.ndarray, field: CollisionField) -> np.ndarray:
     return blocked.reshape(m, k - 1).sum(axis=1)
 
 
+def _scores(wp: np.ndarray, field: CollisionField, penalty_lambda: float,
+            bests: np.ndarray | float) -> np.ndarray:
+    """Per-path length plus penalty_lambda times the exact blocked length of
+    an (m, k, 2) waypoint tensor. The penalty is never negative, so a path
+    whose length is not below its entry of `bests` (nan included) cannot
+    score below it: it keeps its length and skips the collision kernel."""
+    scores = _lengths(wp)
+    open_ = scores < bests
+    if open_.any():
+        scores[open_] += penalty_lambda * _violations(wp[open_], field)
+    return scores
+
+
 def path_violation(path: Sequence[Sequence[float]], env: Environment) -> float:
     """Exact blocked length of an explicit waypoint path.
 
@@ -129,7 +132,7 @@ def fitness(position: Sequence[float], query: Query, env: Environment,
             penalty_lambda: float) -> float:
     """Path length plus penalty_lambda times the exact blocked length."""
     wp = _waypoint_tensor(_waypoint_vector(position)[None, :], query)
-    return float(_lengths(wp)[0] + penalty_lambda * _violations(wp, env.collision_field)[0])
+    return float(_scores(wp, env.collision_field, penalty_lambda, math.inf)[0])
 
 
 def update_inertia(iteration: int, max_iterations: int, omega_start: float,
@@ -154,7 +157,7 @@ class PsoRun:
     """One in-progress swarm optimization; step() advances one iteration.
 
     `fitnesses` holds each particle's fitness at its current position,
-    except for a particle that step() pruned: one whose path length
+    except for a particle that `_evaluate` pruned: one whose path length
     alone was not below its personal best. That particle's entry is its
     path length, a lower bound on its fitness that is still at least its
     personal best, so the personal and global bests are those of a full
@@ -189,13 +192,11 @@ class PsoRun:
 
         self._waypoints = _waypoint_tensor(self.positions, query)
         self._pull = np.empty_like(self.positions)
-        self.fitnesses = (_lengths(self._waypoints) + params.penalty_lambda
-                          * _violations(self._waypoints, env.collision_field))
         self.pbest_positions = self.positions.copy()
-        self.pbest_fitnesses = self.fitnesses.copy()
-        g = int(np.argmin(self.pbest_fitnesses))
-        self.gbest_position = self.pbest_positions[g].copy()
-        self.gbest_fitness = float(self.pbest_fitnesses[g])
+        self.pbest_fitnesses = np.full(m, math.inf)
+        self.gbest_position = self.positions[0].copy()
+        self.gbest_fitness = math.inf
+        self._evaluate()
 
         self.iteration = 0
         self.omega = params.omega_start
@@ -234,29 +235,10 @@ class PsoRun:
         x += v
         np.maximum(np.minimum(x, self._hi, out=x), self._lo, out=x)
 
-        # The penalty is never negative, so a particle whose length is not
-        # below its personal best cannot improve on it (nan fails the test
-        # too): it keeps its length, and only the others reach the kernel.
-        wp = self._waypoints
-        wp[:, 1:-1] = x.reshape(p.population, -1, 2)
-        self.fitnesses = _lengths(wp)
-        open_ = self.fitnesses < self.pbest_fitnesses
-        if open_.any():
-            self.fitnesses[open_] += p.penalty_lambda * _violations(
-                wp[open_], self.env.collision_field)
-
-        improved = self.fitnesses < self.pbest_fitnesses
-        if improved.any():
-            self.pbest_positions[improved] = self.positions[improved]
-            self.pbest_fitnesses[improved] = self.fitnesses[improved]
-            self._last_improvement = self.iteration + 1
-
         previous = self.gbest_fitness
-        g = int(np.argmin(self.pbest_fitnesses))
-        if self.pbest_fitnesses[g] < self.gbest_fitness:
-            self.gbest_fitness = float(self.pbest_fitnesses[g])
-            self.gbest_position = self.pbest_positions[g].copy()
-
+        self._waypoints[:, 1:-1] = x.reshape(p.population, -1, 2)
+        if self._evaluate():
+            self._last_improvement = self.iteration + 1
         self.iteration += 1
         if previous - self.gbest_fitness < p.stop_epsilon:
             self._flat_streak += 1
@@ -264,6 +246,23 @@ class PsoRun:
             self._flat_streak = 0
         if self._flat_streak >= p.stagnation_window:
             self.stopped = True
+
+    def _evaluate(self) -> bool:
+        """Score the swarm at `_waypoints` against the personal bests, take
+        every better personal best and then a better global best; True if
+        a personal best improved."""
+        self.fitnesses = _scores(self._waypoints, self.env.collision_field,
+                                 self.params.penalty_lambda, self.pbest_fitnesses)
+        improved = self.fitnesses < self.pbest_fitnesses
+        if not improved.any():
+            return False
+        self.pbest_positions[improved] = self.positions[improved]
+        self.pbest_fitnesses[improved] = self.fitnesses[improved]
+        g = int(np.argmin(self.pbest_fitnesses))
+        if self.pbest_fitnesses[g] < self.gbest_fitness:
+            self.gbest_fitness = float(self.pbest_fitnesses[g])
+            self.gbest_position = self.pbest_positions[g].copy()
+        return True
 
     def result(self, elapsed: float) -> PlanResult:
         path = decode(self.gbest_position, self.query)

@@ -203,8 +203,9 @@ def choose_parent(tree: RrtTree, neighbors: Sequence[int], lengths: Sequence[flo
     Candidates are ranked by cost_to_come + edge length (`lengths`, one
     per neighbor; ties by lower index); the first whose edge to p_new is
     free wins. Falls back to p_near_idx when no neighbor qualifies. The
-    cheapest edge is usually free, so the ranking is sorted only when it
-    is not.
+    caller has found the edge p_near -> p_new free, so p_near_idx is
+    taken unchecked. The cheapest edge is usually free, so the ranking
+    is sorted only when it is not.
     """
     xs, ys, cost = tree._xs, tree._ys, tree._cost
     totals = [cost[i] + length for i, length in zip(neighbors, lengths)]
@@ -212,10 +213,10 @@ def choose_parent(tree: RrtTree, neighbors: Sequence[int], lengths: Sequence[flo
     best = neighbors[totals.index(least)]
     if totals.count(least) > 1:  # a tie, which goes to the lowest index
         best = min(i for i, total in zip(neighbors, totals) if total == least)
-    if edge_free((xs[best], ys[best]), p_new, env):
+    if best == p_near_idx or edge_free((xs[best], ys[best]), p_new, env):
         return best
     for _, i in sorted(zip(totals, neighbors))[1:]:
-        if edge_free((xs[i], ys[i]), p_new, env):
+        if i == p_near_idx or edge_free((xs[i], ys[i]), p_new, env):
             return i
     return p_near_idx
 

@@ -4,6 +4,7 @@ import hashlib
 import math
 import os
 import pickle
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -20,7 +21,7 @@ from pathbench.benchmark import (MAX_GRID_CELLS, RESULT_FIELDS, TABLE1_CASES, Ca
                                  write_summary, write_table1_csv)
 from pathbench.environment import (DEFAULT_BOUNDS, Environment, Query,
                                    generate_random_env, irregular_preset)
-from pathbench.errors import InvalidQueryError
+from pathbench.errors import FormatError, InvalidQueryError
 from pathbench.geometry import Bounds, Circle, Point2, dist
 from pathbench.pso import PsoParams
 from pathbench.result import PlanResult
@@ -507,6 +508,29 @@ def test_results_csv_round_trip(tmp_path):
     assert back[1]["feasible"] is False
     assert math.isnan(back[1]["length"])
     assert back[1]["closest_approach"] == math.inf
+
+
+GOOD_ROW = "pso,2,false,nan,0.010000,40,3.000000"
+
+
+@pytest.mark.parametrize("lines, message", [
+    # Each one slipped through or raised a bare KeyError or ValueError.
+    ([",".join(RESULT_FIELDS).replace(",feasible", ""), "pso,2,nan,0.010000,40,3.000000"],
+     "line 1: no column 'feasible'"),
+    ([",".join(RESULT_FIELDS), GOOD_ROW, "pso,2.5,false,nan,0.010000,40,3.000000"],
+     "line 3, column 'seed': cannot read '2.5'"),
+    ([",".join(RESULT_FIELDS), "pso,2,yes,nan,0.010000,40,3.000000"],
+     "line 2, column 'feasible': cannot read 'yes'"),
+    ([",".join(RESULT_FIELDS), "pso,2,false,nan,0.010000,40"],
+     "line 2: the row and the header differ in length"),
+    ([",".join(RESULT_FIELDS), GOOD_ROW + ",extra"],
+     "line 2: the row and the header differ in length"),
+], ids=["missing-column", "bad-int", "feasible-yes", "short-row", "long-row"])
+def test_read_results_csv_rejects_a_bad_file(tmp_path, lines, message):
+    target = tmp_path / "results.csv"
+    target.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(FormatError, match=f"^{re.escape(f'{target} {message}')}$"):
+        read_results_csv(target)
 
 
 def test_table1_csv_golden_header(tmp_path):

@@ -278,6 +278,27 @@ def test_malformed_documents():
             environment_from_dict({"bounds": [0, 10, 0, 10], "obstacles": [entry]})
 
 
+@pytest.mark.parametrize("bounds, valid", [
+    # Every squared distance overflowed to inf, or underflowed to 0, so
+    # RRT*'s nearest-node scan always answered the root.
+    ((-1e200, 1e200, -1e200, 1e200), False),
+    ((-1e-200, 1e-200, -1e-200, 1e-200), False),
+    ((-1e154, 1e154, 0.0, 1.0), False),  # width**2 alone overflows
+    ((0.0, 1e-155, 0.0, 1e-155), False),  # a subnormal squared diagonal
+    ((-4e153, 4e153, -4e153, 4e153), True),
+    ((0.0, 1e-150, 0.0, 1e-150), True),
+], ids=["wide", "narrow", "wide-x", "subnormal", "widest", "narrowest"])
+def test_bounds_keep_the_squared_diagonal_finite_and_normal(bounds, valid):
+    for make in (lambda: Environment(Bounds(*bounds)),
+                 lambda: environment_from_dict({"bounds": list(bounds)})[0],
+                 lambda: generate_random_env(0, 0, bounds=bounds)):
+        if valid:
+            assert make().bounds == Bounds(*bounds)
+        else:
+            with pytest.raises(FormatError, match="must be a finite normal float"):
+                make()
+
+
 def test_boolean_coordinates_are_rejected():
     # JSON true is an int to Python; a coordinate must be a real number.
     with pytest.raises(FormatError):

@@ -16,8 +16,8 @@ from pathbench.environment import (Environment, Query, generate_random_env,
 from pathbench.errors import InvalidPathError, InvalidQueryError
 from pathbench.geometry import (Bounds, Circle, CollisionField, Point2, Polygon,
                                 path_length)
-from pathbench.pso import (PsoParams, PsoRun, decode, encode, fitness,
-                           path_violation, plan_pso, update_inertia)
+from pathbench.pso import (PsoParams, PsoRun, decode, fitness, path_violation,
+                           plan_pso, update_inertia)
 
 EMPTY = Environment(Bounds(-40.0, 40.0, -40.0, 20.0), ())
 Q_EAST = Query(Point2(0.0, 0.0), Point2(10.0, 0.0))
@@ -86,17 +86,13 @@ def test_params_reject_an_integer_above_maxsize():
     assert PsoParams(rng_seed=sys.maxsize).rng_seed == sys.maxsize
 
 
-def test_decode_encode_round_trip():
+def test_decode():
     path = decode((1.0, 2.0, 3.0, 4.0), Q_EAST)
     assert path == (Point2(0, 0), Point2(1, 2), Point2(3, 4), Point2(10, 0))
-    vec = encode(path)
-    assert vec.tolist() == [1.0, 2.0, 3.0, 4.0]
     with pytest.raises(ValueError):
         decode((1.0, 2.0, 3.0), Q_EAST)
     with pytest.raises(ValueError):
         decode((), Q_EAST)
-    with pytest.raises(ValueError):
-        encode([Point2(0, 0), Point2(1, 1)])
 
 
 def test_fitness_worked_example():
@@ -332,6 +328,22 @@ def test_seeded_runs_are_pinned(name, length, path_digest, iterations, pbest_dig
     assert hashlib.sha256(repr((res.path, res.length)).encode()).hexdigest() == path_digest
     assert res.iterations_used == iterations
     assert hashlib.sha256(run.pbest_fitnesses.tobytes()).hexdigest() == pbest_digest
+
+
+@pytest.mark.parametrize("name", ["empty", "field-1000", "irregular-a"])
+def test_construction_scores_the_first_swarm_in_full(name):
+    # The first swarm is scored against +inf personal bests, so nothing is
+    # pruned: the state is that of scoring every particle with `fitness`.
+    env, query = _pinned_case(name)
+    params = PsoParams()
+    run = PsoRun(env, query, params)
+    full = np.array([fitness(x, query, env, params.penalty_lambda) for x in run.positions])
+    assert run.fitnesses.tobytes() == full.tobytes()
+    assert run.pbest_positions.tobytes() == run.positions.tobytes()
+    assert run.pbest_fitnesses.tobytes() == run.fitnesses.tobytes()
+    g = int(np.argmin(full))
+    assert run.gbest_position.tobytes() == run.positions[g].tobytes()
+    assert run.gbest_fitness == full[g]
 
 
 def test_the_field_run_sends_only_open_particles_to_the_kernel(monkeypatch):

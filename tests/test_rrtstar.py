@@ -268,14 +268,16 @@ def test_choose_parent_prefers_cheapest_total():
     assert parent == 0
     # A disc at (2, 1.5) r=0.9 blocks the root edge (passes through the
     # center) and the edge from a (clearance 3/sqrt(13) ~ 0.83), leaving
-    # only b's vertical edge free.
+    # only b's vertical edge free. The nearest node's edge is free, as
+    # step has checked it, so here the nearest is b.
     wall = Environment(EMPTY.bounds, (Circle(Point2(2.0, 1.5), 0.9),))
-    parent = choose_parent(tree, nb, lengths, a, p_new, wall)
+    parent = choose_parent(tree, nb, lengths, b, p_new, wall)
     assert parent == b
-    # Nothing reachable at all: fall back to the nearest node.
+    # No neighbour reachable, and the nearest node (a, out of the
+    # neighbour radius here) is the fallback.
     boxed = Environment(EMPTY.bounds, (Circle(Point2(4.0, 1.5), 1.2),
                                        Circle(Point2(2.0, 1.5), 1.2)))
-    assert choose_parent(tree, nb, lengths, a, p_new, boxed) == a
+    assert choose_parent(tree, [0, b], [lengths[0], lengths[2]], a, p_new, boxed) == a
 
 
 def test_choose_parent_ties_go_to_the_lower_index():
@@ -295,7 +297,7 @@ def test_choose_parent_ties_go_to_the_lower_index():
     # With a's edge blocked as well, b is the one left.
     walls = Environment(EMPTY.bounds, (Circle(Point2(0.0, 1.5), 0.5),
                                        Circle(Point2(1.0, 1.5), 0.3)))
-    assert choose_parent(tree, nb, lengths, 0, p_new, walls) == b
+    assert choose_parent(tree, nb, lengths, b, p_new, walls) == b
 
 
 def test_rewire_lowers_cost_and_propagates():
@@ -383,8 +385,9 @@ def test_random_sample_stays_in_bounds():
 
 
 # Bounds ends from wide, narrow and offset ranges: the sampler must give
-# numpy's uniform doubles at every scale a valid Bounds allows.
-bound_ends = st.one_of(st.floats(-8e307, 8e307), st.floats(-1e-3, 1e-3),
+# numpy's uniform doubles at every scale a valid Bounds allows, which
+# keeps width**2 + height**2 a finite normal float.
+bound_ends = st.one_of(st.floats(-4e153, 4e153), st.floats(-1e-3, 1e-3),
                        st.floats(1e9, 1e9 + 1.0))
 
 
@@ -394,6 +397,7 @@ bound_ends = st.one_of(st.floats(-8e307, 8e307), st.floats(-1e-3, 1e-3),
 def test_random_sample_draws_what_numpy_uniform_draws(seed, xs, ys):
     (x_min, x_max), (y_min, y_max) = sorted(xs), sorted(ys)
     assume(x_min < x_max and y_min < y_max)
+    assume((x_max - x_min) ** 2 + (y_max - y_min) ** 2 >= sys.float_info.min)
     env = Environment(Bounds(x_min, x_max, y_min, y_max), ())
     rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
     for _ in range(3):
@@ -483,12 +487,14 @@ def test_seeded_runs_are_pinned(name, iterations, length, path_digest, cost_dige
 
 # The collision checks of seeded runs, recorded before the tree kept
 # float mirrors and a scan memo: their number and a sha256 of the
-# repr of their (a, b) endpoints in call order.
+# repr of their (a, b) endpoints in call order. The record was then
+# cut by the calls in which choose_parent repeated step's own check of
+# p_near -> p_new (135 and 235 of them), which it now skips.
 @pytest.mark.parametrize("name, iterations, calls, edge_digest", [
-    ("empty", 600, 1382,
-     "278463cf8bc027a1c0b756b4f6a5242088a8380bd66cd8b487a8fa3e508637a6"),
-    ("field-1000", 2000, 5423,
-     "63cae3ab61561f588b5d1d8fb7b55e9971c74467b90e4c7cbd2c6e4ce25ff4c0"),
+    ("empty", 600, 1247,
+     "b555d50e7e3216bad295a1fc217a666fc9d10fe868beb4ff8ff39d2e877a2bf3"),
+    ("field-1000", 2000, 5188,
+     "a1bb280afce83866583e0ae2f9114cbad34002cfa4db58e25054fb5d6dc0ee36"),
 ], ids=["empty", "field-1000"])
 def test_seeded_edge_checks_are_pinned(monkeypatch, name, iterations, calls,
                                        edge_digest):
@@ -510,15 +516,15 @@ def test_seeded_edge_checks_are_pinned(monkeypatch, name, iterations, calls,
 
 # The answers of the same collision checks, recorded before edge_free
 # skipped obstacles by their boxes: the number of calls and a sha256 of
-# the repr of the list of booleans returned, in call order. irregular-a
-# is the polygon case.
+# the repr of the list of booleans returned, in call order, cut by the
+# same repeats (135, 235 and 220 of them). irregular-a is the polygon case.
 @pytest.mark.parametrize("name, iterations, calls, answer_digest", [
-    ("empty", 600, 1382,
-     "b23156865768b1e575a4cc0395469f6fe896b8bfb17ec98b65d698bcdcd3e2e0"),
-    ("field-1000", 2000, 5423,
-     "876ab065c9af3f77c4e283e1470e6e43dbbfa5ff0e74d5d761a11f15e75df808"),
-    ("irregular-a", 2000, 5226,
-     "3fd20cc1d137f840053c62993704e2013c6068e066bf4100f5b5c88282d1de30"),
+    ("empty", 600, 1247,
+     "54c80683f078ee8b8d8d1f90ed403295152b565285b4b12ef3d198e56eadb4c3"),
+    ("field-1000", 2000, 5188,
+     "2efddbadb39c144921486084c6284f484805e7ef83487ff34902436c6a97a4cb"),
+    ("irregular-a", 2000, 5006,
+     "cde8f22b606c613117ca4293c74b3c9900b63c09dc49f1def7dcf874e1c1535a"),
 ], ids=["empty", "field-1000", "irregular-a"])
 def test_seeded_edge_answers_are_pinned(monkeypatch, name, iterations, calls,
                                         answer_digest):
