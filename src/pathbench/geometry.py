@@ -361,7 +361,7 @@ _DISK_BAND = 2.0 ** -46
 
 
 def _disk_gap(a, b, c, r):
-    """(gap, size) on floats or integers: gap has the sign of min |p - c|^2 - r^2
+    """(gap, size) on floats or Fractions: gap has the sign of min |p - c|^2 - r^2
     over the closed segment (a, b), and size bounds its terms. With v = b - a
     and w = c - a, the nearest point is a if w.v <= 0, b if w.v >= v.v, and
     else the foot of the perpendicular, at cross(v, w)^2 / v.v."""
@@ -378,15 +378,14 @@ def _disk_gap(a, b, c, r):
 
 def _meets_disk(a, b, c, r) -> bool:
     """True iff the closed segment (a, b) meets the open disk (c, r), decided
-    exactly: the float `_disk_gap` outside its rounding band, else the integer
-    one on the finite inputs scaled by their largest power-of-two denominator."""
+    exactly: the float `_disk_gap` outside its rounding band, else the one on
+    Fractions, as in `_orient_exact`."""
     gap, size = _disk_gap(a, b, c, r)
     if abs(gap) > _DISK_BAND * size + _ORIENT_TINY:
         return gap < 0.0
-    ratios = [v.as_integer_ratio() for v in (*a, *b, *c, r)]
-    den = max(d for _, d in ratios)
-    v = [n * (den // d) for n, d in ratios]
-    return _disk_gap(v[:2], v[2:4], v[4:6], v[6])[0] < 0
+    from fractions import Fraction
+    ax, ay, bx, by, cx, cy, r = map(Fraction, (*a, *b, *c, r))
+    return _disk_gap((ax, ay), (bx, by), (cx, cy), r)[0] < 0
 
 
 def segment_circle_collides(segment: Segment, center: Sequence[float],
@@ -682,7 +681,7 @@ class CollisionField:
         it, and a piece along an edge is outline, not interior.
         """
         vx, vy = self.vertex_xy.T
-        nxt, prv, n_poly = self.vertex_next, self.vertex_prev, len(self.polygons)
+        nxt, n_poly = self.vertex_next, len(self.polygons)
         found = []
         step = max(1, (1 << 14) // len(vx))
         for k in range(0, len(rows), step):

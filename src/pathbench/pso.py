@@ -22,7 +22,7 @@ import numpy as np
 
 from .environment import Environment, Query, check_query, validate_query
 from .errors import InvalidPathError
-from .geometry import CollisionField, Point2
+from .geometry import CollisionField, Point2, check_integer, check_real
 from .result import PlanResult, build_result, check_param_types, plan
 
 __all__ = [
@@ -64,15 +64,17 @@ class PsoParams:
 
 
 def _waypoint_vector(position: Sequence[float]) -> np.ndarray:
-    """A waypoint vector as flat float64; its length must be positive and even."""
-    vec = np.asarray(position, dtype=np.float64).ravel()
+    """A waypoint vector as flat float64: a positive, even number of entries,
+    each passing `check_real`; anything else is a ValueError."""
+    vec = np.asarray(position, dtype=object).ravel()
     if vec.size == 0 or vec.size % 2 != 0:
         raise ValueError(f"waypoint vector length must be a positive even number, got {vec.size}")
-    return vec
+    return np.array([check_real("waypoint coordinate", v) for v in vec], dtype=np.float64)
 
 
 def decode(position: Sequence[float], query: Query) -> tuple[Point2, ...]:
-    """Turn a flat waypoint vector into start -> w1 ... wn -> target."""
+    """Turn a flat waypoint vector into start -> w1 ... wn -> target; a
+    ValueError for an odd or zero count or an entry `check_real` refuses."""
     vec = _waypoint_vector(position)
     mid = [Point2(float(vec[2 * i]), float(vec[2 * i + 1])) for i in range(vec.size // 2)]
     return (query.start, *mid, query.target)
@@ -130,8 +132,10 @@ def path_violation(path: Sequence[Sequence[float]], env: Environment) -> float:
 
 def fitness(position: Sequence[float], query: Query, env: Environment,
             penalty_lambda: float) -> float:
-    """Path length plus penalty_lambda times the exact blocked length."""
+    """Path length plus penalty_lambda times the exact blocked length; a
+    ValueError for a position `decode` refuses or a penalty_lambda `PsoParams` does."""
     wp = _waypoint_tensor(_waypoint_vector(position)[None, :], query)
+    penalty_lambda = PsoParams(penalty_lambda=penalty_lambda).penalty_lambda
     return float(_scores(wp, env.collision_field, penalty_lambda, math.inf)[0])
 
 
@@ -144,8 +148,9 @@ def update_inertia(iteration: int, max_iterations: int, omega_start: float,
     max_iterations. When `stagnant` (no personal best improved for a full
     stagnation window) the value gains a uniform perturbation in
     [-0.1, 0.1], clamped back into [omega_end, omega_start].
+    max_iterations is an integer >= 1, else ValueError.
     """
-    frac = min(max(iteration / max_iterations, 0.0), 1.0)
+    frac = min(max(iteration / check_integer("max_iterations", max_iterations, 1), 0.0), 1.0)
     omega = omega_start - (omega_start - omega_end) * frac
     if stagnant:
         omega += float(rng.uniform(-0.1, 0.1))

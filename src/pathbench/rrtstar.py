@@ -202,11 +202,13 @@ def choose_parent(tree: RrtTree, neighbors: Sequence[int], lengths: Sequence[flo
 
     Candidates are ranked by cost_to_come + edge length (`lengths`, one
     per neighbor; ties by lower index); the first whose edge to p_new is
-    free wins. Falls back to p_near_idx when no neighbor qualifies. The
-    caller has found the edge p_near -> p_new free, so p_near_idx is
-    taken unchecked. The cheapest edge is usually free, so the ranking
-    is sorted only when it is not.
+    free wins. Falls back to p_near_idx when no neighbor qualifies, an
+    empty list included. The caller has found the edge p_near -> p_new
+    free, so p_near_idx is taken unchecked. The cheapest edge is usually
+    free, so the ranking is sorted only when it is not.
     """
+    if not neighbors:
+        return p_near_idx
     xs, ys, cost = tree._xs, tree._ys, tree._cost
     totals = [cost[i] + length for i, length in zip(neighbors, lengths)]
     least = min(totals)
@@ -338,16 +340,11 @@ class RrtStarRun:
         if not edge_free(p_near, p_new, env):
             return None
         neighbors = get_neighbors(tree, p_new, params.neighbor_radius)
-        if neighbors:
-            x, y = p_new
-            # hypot ignores signs, so one length per edge serves both calls.
-            lengths = [math.hypot(xs[i] - x, ys[i] - y) for i in neighbors]
-            parent = choose_parent(tree, neighbors, lengths, near_idx, p_new, env)
-        else:
-            parent = near_idx
-        idx = tree.add(p_new, parent)
-        if neighbors:
-            rewire(tree, neighbors, lengths, idx, env)
+        x, y = p_new
+        # hypot ignores signs, so one length per edge serves both calls.
+        lengths = [math.hypot(xs[i] - x, ys[i] - y) for i in neighbors]
+        idx = tree.add(p_new, choose_parent(tree, neighbors, lengths, near_idx, p_new, env))
+        rewire(tree, neighbors, lengths, idx, env)
         return idx
 
     def _target_distances(self) -> Iterator[float]:
@@ -358,16 +355,16 @@ class RrtStarRun:
     def best_goal(self) -> Optional[tuple[int, float]]:
         """Best goal-region node and its cost through to the exact target.
 
-        Of the nodes within min_threshold of the target that are on it or
-        have a free segment to it, the one of least cost_to_come plus
-        distance to the target; ties go to the lower index. None if none.
+        Of the nodes within min_threshold of the target that have a free
+        segment to it, the one of least cost_to_come plus distance to the
+        target; ties go to the lower index. None if none. A node on the
+        target has one: the target passed `validate_query`.
         """
         tree, target, threshold = self.tree, self.query.target, self.params.min_threshold
         ranked = sorted((tree._cost[i] + d, i) for i, d in enumerate(self._target_distances())
                         if d <= threshold)
         for total, i in ranked:
-            p = (tree._xs[i], tree._ys[i])
-            if p == target or edge_free(p, target, self.env):
+            if edge_free((tree._xs[i], tree._ys[i]), target, self.env):
                 return i, total
         return None
 
@@ -382,6 +379,6 @@ def plan_rrt_star(env: Environment, query: Query,
     """Grow a tree for the full iteration budget and report the best path.
 
     Its candidate path is the chain to the cheapest node within
-    min_threshold of the target that is on it or has a free segment to it.
+    min_threshold of the target that has a free segment to it.
     """
     return plan(RrtStarRun, env, query, params)

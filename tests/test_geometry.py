@@ -21,7 +21,7 @@ from pathbench.geometry import (Bounds, Circle, CollisionField, Point2,
                                 point_free, point_in_polygon,
                                 segment_circle_collides,
                                 segment_polygon_collides, segments_intersect)
-from pathbench.pso import PsoParams, path_violation
+from pathbench.pso import PsoParams, decode, fitness, path_violation, update_inertia
 from pathbench.rrtstar import RrtParams
 from test_boundary import exact_disk_blocks
 
@@ -251,6 +251,12 @@ ENTRY_SLOTS = [
     ("rrt-iterations", lambda v: RrtParams(iterations_num=v), ValueError, "integer"),
     ("pso-c1", lambda v: PsoParams(c1=v), ValueError, "real"),
     ("pso-population", lambda v: PsoParams(population=v), ValueError, "integer"),
+    ("pso-decode", lambda v: decode((v, 5.0), _ACROSS), ValueError, "real"),
+    ("pso-fitness-waypoint", lambda v: fitness((5.0, v), _ACROSS, _BOX, 1.0), ValueError,
+     "real"),
+    ("pso-fitness-penalty", lambda v: fitness((5.0, 5.0), _ACROSS, _BOX, v), ValueError, "real"),
+    ("pso-inertia-budget", lambda v: update_inertia(0, v, 0.9, 0.4, False, None), ValueError,
+     "integer"),
     ("random-seed", lambda v: generate_random_env(v, n_obstacles=1), FormatError, "integer"),
     ("random-count", lambda v: generate_random_env(0, n_obstacles=v), FormatError, "integer"),
     ("random-bounds", lambda v: generate_random_env(0, 1, bounds=(v, 40.0, -40.0, 20.0)),

@@ -95,6 +95,16 @@ def test_decode():
         decode((), Q_EAST)
 
 
+def test_fitness_and_update_inertia_keep_the_params_ranges():
+    # The number rule itself is in test_geometry's ENTRY_SLOTS table; these
+    # are the ranges PsoParams also enforces.
+    with pytest.raises(ValueError, match="penalty_lambda"):
+        fitness((1.0, 0.0), Q_EAST, EMPTY, -5.0)
+    for budget in (0, -1):
+        with pytest.raises(ValueError, match="max_iterations"):
+            update_inertia(0, budget, 0.9, 0.4, False, np.random.default_rng(0))
+
+
 def test_fitness_worked_example():
     # One waypoint at the circle center: both legs cross the full disc,
     # so the blocked length is 10 and the penalty dominates.

@@ -300,6 +300,12 @@ def test_choose_parent_ties_go_to_the_lower_index():
     assert choose_parent(tree, nb, lengths, b, p_new, walls) == b
 
 
+def test_choose_parent_without_neighbours_falls_back_to_the_nearest():
+    tree = RrtTree((0.0, 0.0))
+    a = tree.add((2.0, 0.0), 0)
+    assert choose_parent(tree, [], [], a, (3.0, 0.0), EMPTY) == a
+
+
 def test_rewire_lowers_cost_and_propagates():
     # Hand case: a detour node whose cost drops from 10 to 8 when routed
     # through the freshly inserted shortcut, dragging its child along.
@@ -483,6 +489,23 @@ def test_seeded_runs_are_pinned(name, iterations, length, path_digest, cost_dige
     assert res.length == length
     assert _sha((res.path, res.length)) == path_digest
     assert _sha(run.tree.all_costs()) == cost_digest
+
+
+# A neighbour radius equal to the step size rounds p_near out of the
+# neighbour set now and then (167 of this run's 600 iterations), so
+# this run takes choose_parent's and rewire's empty-list paths. Recorded
+# when step still skipped both calls for an empty set.
+def test_a_run_with_empty_neighbour_sets_is_pinned():
+    env, query = _pinned_case("empty")
+    run = RrtStarRun(env, query, RrtParams(iterations_num=600, neighbor_radius=2.0))
+    for _ in range(600):
+        run.step()
+    res = run.result(0.0)
+    assert res.length == 71.18320440437176
+    assert _sha((res.path, res.length)) == (
+        "a0e1cc4be1f4e93b4ccd336f78bec94e64f6027b5bb8bf0196200d7c7d69aba4")
+    assert _sha(run.tree.all_costs()) == (
+        "c418a96dd84a6b89fe8f9a4fccde862619d7e157962d04e8ccf5ff900e25d851")
 
 
 # The collision checks of seeded runs, recorded before the tree kept
