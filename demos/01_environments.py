@@ -7,9 +7,9 @@ Outputs land in demo-output/.
 
 import os
 
-from pathbench import (Query, environment_svg, generate_random_env,
-                       irregular_preset, load_environment, save_environment,
-                       validate_query)
+from pathbench import (InvalidQueryError, Query, environment_svg,
+                       generate_random_env, irregular_preset, load_environment,
+                       save_environment, validate_query)
 from pathbench.geometry import Point2
 
 OUT = "demo-output"
@@ -40,8 +40,15 @@ def main():
     save_environment(path, env, query)
     loaded, loaded_query = load_environment(path)
     assert loaded == env and loaded_query == query
-    print(f"round-tripped {path}, query violations: "
-          f"{validate_query(loaded, loaded_query) or 'none'}")
+    validate_query(loaded, loaded_query)
+    print(f"round-tripped {path}; its query is valid")
+
+    # A query with an endpoint inside an obstacle is refused, with the reason.
+    buried = Query(loaded.obstacles[0].center, query.target)
+    try:
+        validate_query(loaded, buried)
+    except InvalidQueryError as exc:
+        print(f"refused query: {exc}")
 
 
 if __name__ == "__main__":

@@ -14,9 +14,8 @@ from .benchmark import (TABLE1_CASES, TIME_HISTOGRAM_BIN, CaseRow,
                         grid_oracle, plan_once, read_results_csv,
                         result_record, run_trials, summarize, table1_suite,
                         write_results_csv, write_summary, write_table1_csv)
-from .environment import (DEFAULT_BOUNDS, Environment, Query, QueryViolation,
-                          environment_from_dict, environment_to_dict,
-                          generate_random_env, irregular_preset,
+from .environment import (DEFAULT_BOUNDS, Environment, Query, environment_from_dict,
+                          environment_to_dict, generate_random_env, irregular_preset,
                           load_environment, preset_names, save_environment,
                           validate_query)
 from .errors import (EnvironmentGenerationError, FormatError,
@@ -42,10 +41,9 @@ __all__ = [
     "segment_circle_collides", "segment_polygon_collides", "point_free",
     "edge_free", "CollisionField",
     # environment
-    "DEFAULT_BOUNDS", "Environment", "Query", "QueryViolation",
-    "validate_query", "generate_random_env", "environment_to_dict",
-    "environment_from_dict", "save_environment", "load_environment",
-    "irregular_preset", "preset_names",
+    "DEFAULT_BOUNDS", "Environment", "Query", "validate_query",
+    "generate_random_env", "environment_to_dict", "environment_from_dict",
+    "save_environment", "load_environment", "irregular_preset", "preset_names",
     # planners
     "RrtParams", "RrtTree", "RrtStarRun", "plan_rrt_star",
     "PsoParams", "PsoRun", "plan_pso", "PlanResult",

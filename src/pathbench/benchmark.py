@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import heapq
 import math
+import os
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass, replace
@@ -18,16 +19,16 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .environment import (DEFAULT_BOUNDS, Environment, Query, check_query,
-                          check_random_field, generate_random_env,
-                          irregular_preset, validate_query, write_json)
+from .environment import (DEFAULT_BOUNDS, Environment, Query, check_random_field,
+                          generate_random_env, irregular_preset, validate_query,
+                          write_json)
 from .errors import FormatError, InvalidQueryError
 # perfbench's tracer wraps audit_path and edge_free as names of this module.
 from .geometry import (Bounds, Point2, audit_path, check_integer, check_real,  # noqa: F401
                        dist, edge_free)
-from .pso import PsoParams, plan_pso
-from .result import PlanResult
-from .rrtstar import RrtParams, plan_rrt_star
+from .pso import PsoParams, PsoRun
+from .result import PlanResult, plan
+from .rrtstar import RrtParams, RrtStarRun
 
 __all__ = [
     "TABLE1_CASES", "TrialStats", "CaseRow", "RandomEnvFactory",
@@ -58,11 +59,9 @@ TABLE1_CASES: tuple[Query, ...] = tuple(
         ((33.0, -7.0), (-20.0, -13.0)),
     ])
 
-#: Every planner, in report order: id -> (plan function, parameter record).
-_PLANNERS: dict[str, tuple[Callable[..., PlanResult], type]] = {
-    "rrtstar": (plan_rrt_star, RrtParams),
-    "pso": (plan_pso, PsoParams),
-}
+#: Every planner, in report order: id -> run class, which names its
+#: parameter record as `params_type`.
+_PLANNERS: dict[str, type] = {run.planner_id: run for run in (RrtStarRun, PsoRun)}
 
 PlannerParams = RrtParams | PsoParams
 EnvSource = Environment | Callable[[int], Environment]
@@ -150,15 +149,15 @@ class TrialStats:
         return edges, counts
 
 
-def _planner(planner_id: str, params: PlannerParams) -> Callable[..., PlanResult]:
-    """`planner_id`'s plan function; ValueError for an unknown id or another planner's params."""
+def _planner(planner_id: str, params: PlannerParams) -> type:
+    """`planner_id`'s run class; ValueError for an unknown id or another planner's params."""
     if planner_id not in _PLANNERS:
         raise ValueError(f"unknown planner {planner_id!r}; expected one of {sorted(_PLANNERS)}")
-    plan, params_type = _PLANNERS[planner_id]
-    if not isinstance(params, params_type):
-        raise ValueError(f"planner {planner_id!r} takes {params_type.__name__}, "
+    run = _PLANNERS[planner_id]
+    if not isinstance(params, run.params_type):
+        raise ValueError(f"planner {planner_id!r} takes {run.params_type.__name__}, "
                          f"got {type(params).__name__}")
-    return plan
+    return run
 
 
 def plan_once(env: EnvSource, query: Query, planner_id: str,
@@ -169,9 +168,9 @@ def plan_once(env: EnvSource, query: Query, planner_id: str,
     error, such as a query the environment buries, propagates: it is not
     an infeasible run.
     """
-    plan = _planner(planner_id, params)
+    run = _planner(planner_id, params)
     trial_env = env(seed) if callable(env) else env
-    return plan(trial_env, query, replace(params, rng_seed=seed))
+    return plan(run, trial_env, query, replace(params, rng_seed=seed))
 
 
 def ProcessPoolExecutor(max_workers: int):
@@ -192,18 +191,19 @@ def run_trials(env: EnvSource, query: Query, planner_id: str,
     `env` may be a fixed Environment or a seed -> Environment callable, in
     which case each trial gets the environment built from its own seed.
     Trials are independent, so `jobs` > 1 fans them out over at most
-    min(jobs, n_trials) processes; the process pool is imported on the
-    first such call. Results always come back in seed order. The first
-    trial error, in seed order, is raised for every `jobs`. The planner,
-    its params and the integer arguments (up to a last seed of
-    sys.maxsize) are checked before any plan.
+    min(jobs, n_trials, os.cpu_count()) processes; the process pool is
+    imported on the first such call. Results always come back in seed
+    order. The first trial error, in seed order, is raised for every
+    `jobs`. The planner, its params and the integer arguments (up to a
+    last seed of sys.maxsize) are checked before any plan.
     """
     _planner(planner_id, params)
     n_trials, jobs = check_integer("n_trials", n_trials, 1), check_integer("jobs", jobs, 1)
     check_integer("base_seed", base_seed, 0, sys.maxsize - n_trials + 1)
     seeds = [base_seed + i for i in range(n_trials)]
-    # Under fork every worker starts with the pool, so never ask for idle ones.
-    workers = min(jobs, n_trials)
+    # Under fork every worker starts with the pool, so never ask for idle
+    # ones, nor for more than the CPUs can run at once.
+    workers = min(jobs, n_trials, os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(plan_once, [env] * n_trials,
@@ -270,9 +270,9 @@ def table1_suite(env: Optional[Environment] = None,
     if env is None:
         env, _ = irregular_preset("irregular-a")
     if specs is None:
-        specs = [(planner_id, params_type()) for planner_id, (_, params_type) in _PLANNERS.items()]
+        specs = [(planner_id, run.params_type()) for planner_id, run in _PLANNERS.items()]
     for q in cases:
-        check_query(validate_query(env, q))
+        validate_query(env, q)
     for planner_id, params in specs:
         _planner(planner_id, params)
     rows: list[CaseRow] = []

@@ -22,7 +22,8 @@ A scenario config is a JSON object; every field is optional::
       "out": "output"
     }
 
-The planner keys and `--planner` choices are `benchmark._PLANNERS`'s ids.
+The planner keys and `--planner` choices are `benchmark._PLANNERS`'s ids,
+and `plan` runs the table's first planner unless `--planner` names one.
 Unknown keys anywhere are an error. The seed precedence is config
 base_seed, then the PATHBENCH_SEED environment variable, then --seed.
 Every seed is an integer from 0 to sys.maxsize, `environment.seed` and
@@ -133,8 +134,8 @@ def parse_config(doc: dict) -> ScenarioConfig:
     query = query_from_dict(doc["query"]) if "query" in doc else None
     environment, query, env_seed = _parse_environment(
         doc.get("environment", {"kind": "preset"}), query)
-    params = {planner: _parse_params(doc.get(planner, {}), params_type(), planner)
-              for planner, (_, params_type) in _PLANNERS.items()}
+    params = {planner: _parse_params(doc.get(planner, {}), run.params_type(), planner)
+              for planner, run in _PLANNERS.items()}
     trials = check_integer("trials", doc.get("trials", 50), 1, error=FormatError)
     # numpy's generators take non-negative seeds only.
     base_seed = check_integer("base_seed", doc.get("base_seed", 0), 0, error=FormatError)
@@ -181,7 +182,7 @@ def cmd_plan(args) -> int:
     env, query = cfg.environment, cfg.query
     if isinstance(env, RandomEnvFactory):
         env = env(cfg.env_seed if cfg.env_seed is not None else seed)
-    planner = args.planner or "rrtstar"
+    planner = args.planner
     result = plan_once(env, query, planner, cfg.params[planner], seed)
     out = _ensure_out(args.out or cfg.out)
     record = result_record(result)
@@ -268,27 +269,27 @@ def build_parser() -> argparse.ArgumentParser:
         description="2D path planning benchmarks: tree search vs particle swarm.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, planner=True):
+    def common(p, planner_help=None):
         p.add_argument("--config", help="scenario config (JSON)")
         p.add_argument("--seed", type=int, help="override the base seed")
         p.add_argument("--out", help="output directory")
-        if planner:
-            p.add_argument("--planner", choices=list(_PLANNERS),
-                           help="restrict to one planner")
+        if planner_help:
+            p.add_argument("--planner", choices=list(_PLANNERS), help=planner_help)
 
     p_plan = sub.add_parser("plan", help="run one planner on one query")
-    common(p_plan)
-    p_plan.set_defaults(func=cmd_plan)
+    common(p_plan, "the planner to run (default %(default)s)")
+    p_plan.set_defaults(func=cmd_plan, planner=next(iter(_PLANNERS)))
 
     p_bench = sub.add_parser("bench", help="run seeded trial batches")
-    common(p_bench)
+    common(p_bench, "restrict to one planner (default: every planner)")
     p_bench.add_argument("--trials", type=int, help="number of trials per planner")
     p_bench.add_argument("--jobs", type=int, default=1,
-                         help="parallel worker processes (default 1)")
+                         help="parallel worker processes, at most one per trial "
+                              "and one per CPU (default 1)")
     p_bench.set_defaults(func=cmd_bench)
 
     p_t1 = sub.add_parser("table1", help="run the built-in ten-case suite")
-    common(p_t1, planner=False)
+    common(p_t1)
     p_t1.set_defaults(func=cmd_table1)
 
     p_render = sub.add_parser("render", help="draw an environment file as SVG")

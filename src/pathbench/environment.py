@@ -26,7 +26,7 @@ import sys
 from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -82,15 +82,22 @@ def _obstacle_touches_rect(obs: Obstacle, b: Bounds) -> bool:
 
 @dataclass(frozen=True)
 class Environment:
-    """Static 2D workspace: rectangular bounds plus a tuple of obstacles."""
+    """Static 2D workspace: rectangular bounds plus a tuple of obstacles,
+    each a Circle or Polygon that meets the bounds (else InvalidObstacleError)."""
 
     bounds: Bounds
     obstacles: tuple[Obstacle, ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "bounds", _check_bounds(self.bounds))
-        object.__setattr__(self, "obstacles", tuple(self.obstacles))
-        for obs in self.obstacles:
+        try:
+            object.__setattr__(self, "obstacles", tuple(self.obstacles))
+        except TypeError:
+            raise InvalidObstacleError(
+                f"obstacles must be an iterable, got {self.obstacles!r}") from None
+        for i, obs in enumerate(self.obstacles):
+            if not isinstance(obs, Obstacle):
+                raise InvalidObstacleError(f"obstacle {i} is not a Circle or Polygon: {obs!r}")
             if not _obstacle_touches_rect(obs, self.bounds):
                 raise InvalidObstacleError(
                     f"obstacle {obs!r} lies entirely outside bounds {self.bounds}")
@@ -115,32 +122,20 @@ class Query:
                            _plain_point(self.target, "query target", InvalidQueryError))
 
 
-@dataclass(frozen=True)
-class QueryViolation:
-    endpoint: str  # "start" or "target"
-    reason: str
+def validate_query(env: Environment, query: Query) -> None:
+    """Raise InvalidQueryError unless both query endpoints are in free space.
 
-
-def validate_query(env: Environment, query: Query) -> tuple[QueryViolation, ...]:
-    """Check both query endpoints are in free space.
-
-    Returns an empty tuple when the query is usable, otherwise one
-    violation per offending endpoint.
+    The message gives one reason per offending endpoint, joined by "; ".
     """
-    out = []
+    reasons = []
     free = env.collision_field.free([query.start, query.target])
     for name, p, p_free in zip(("start", "target"), (query.start, query.target), free):
         if not env.bounds.contains(p):
-            out.append(QueryViolation(name, f"{name} {tuple(p)} outside bounds"))
+            reasons.append(f"{name} {tuple(p)} outside bounds")
         elif not p_free:
-            out.append(QueryViolation(name, f"{name} {tuple(p)} inside an obstacle"))
-    return tuple(out)
-
-
-def check_query(violations: Sequence[QueryViolation]) -> None:
-    """Raise InvalidQueryError for the violations `validate_query` found, if any."""
-    if violations:
-        raise InvalidQueryError("; ".join(v.reason for v in violations))
+            reasons.append(f"{name} {tuple(p)} inside an obstacle")
+    if reasons:
+        raise InvalidQueryError("; ".join(reasons))
 
 
 def check_random_field(n_obstacles, bounds, radius_range, clearance
@@ -176,17 +171,16 @@ def generate_random_env(seed: int,
     x, center y, radius per attempt). Obstacles are accepted when neither
     query endpoint lies within `clearance` of the inflated disk. Raises
     FormatError for a bad seed (an integer in [0, sys.maxsize]) or field
-    argument (see `check_random_field`) and EnvironmentGenerationError
-    when an obstacle cannot be placed within MAX_PLACEMENT_ATTEMPTS
-    attempts.
+    argument (see `check_random_field`), InvalidQueryError for a query
+    `validate_query` refuses on the obstacle-free field, and
+    EnvironmentGenerationError when an obstacle cannot be placed within
+    MAX_PLACEMENT_ATTEMPTS attempts.
     """
     seed = check_integer("seed", seed, 0, error=FormatError)
     n_obstacles, b, (r_lo, r_hi), clearance = check_random_field(
         n_obstacles, bounds, radius_range, clearance)
     if query is not None:
-        for name, p in (("start", query.start), ("target", query.target)):
-            if not b.contains(p):
-                raise InvalidQueryError(f"query {name} {tuple(p)} outside bounds {b}")
+        validate_query(Environment(b), query)
 
     rng = np.random.default_rng(seed)
     obstacles: list[Obstacle] = []

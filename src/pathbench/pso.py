@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .environment import Environment, Query, check_query, validate_query
+from .environment import Environment, Query, validate_query
 from .errors import InvalidPathError
 from .geometry import CollisionField, Point2, check_integer, check_real
 from .result import PlanResult, build_result, check_param_types, plan
@@ -170,9 +170,10 @@ class PsoRun:
     """
 
     planner_id = "pso"
+    params_type = PsoParams
 
     def __init__(self, env: Environment, query: Query, params: PsoParams):
-        check_query(validate_query(env, query))
+        validate_query(env, query)
         self.env = env
         self.query = query
         self.params = params
@@ -183,31 +184,35 @@ class PsoRun:
         self._hi = np.tile((b.x_max, b.y_max), n)
 
         m = params.population
-        self.positions = self.rng.uniform(self._lo, self._hi, size=(m, 2 * n))
+        positions = self.rng.uniform(self._lo, self._hi, size=(m, 2 * n))
         # Particle 0 starts on the straight line so a trivially clear
         # query is solved from the first evaluation.
         ts = np.arange(1, n + 1) / (n + 1)
         sx, sy = query.start
         tx, ty = query.target
-        anchor = np.empty(2 * n)
-        anchor[0::2] = sx + (tx - sx) * ts
-        anchor[1::2] = sy + (ty - sy) * ts
-        self.positions[0] = anchor
-        self.velocities = np.zeros_like(self.positions)
-
-        self._waypoints = _waypoint_tensor(self.positions, query)
-        self._pull = np.empty_like(self.positions)
-        self.pbest_positions = self.positions.copy()
+        positions[0, 0::2] = sx + (tx - sx) * ts
+        positions[0, 1::2] = sy + (ty - sy) * ts
+        self._waypoints = _waypoint_tensor(positions, query)
+        self.velocities = np.zeros_like(positions)
+        self._pull = np.empty_like(positions)
+        self.pbest_positions = positions.copy()
         self.pbest_fitnesses = np.full(m, math.inf)
-        self.gbest_position = self.positions[0].copy()
+        self.gbest_position = positions[0].copy()
         self.gbest_fitness = math.inf
-        self._evaluate()
+        self._evaluate(self.positions)
 
         self.iteration = 0
         self.omega = params.omega_start
         self.stopped = False
         self._last_improvement = 0
         self._flat_streak = 0
+
+    @property
+    def positions(self) -> np.ndarray:
+        """The swarm's (population, 2 n) waypoint vectors: a view of the
+        inner waypoints of `_waypoints`, which `_evaluate` scores. Made on
+        each read, so a copied run's view is of its own `_waypoints`."""
+        return self._waypoints[:, 1:-1].reshape(self.params.population, -1)
 
     @property
     def stagnant(self) -> bool:
@@ -237,12 +242,13 @@ class PsoRun:
         v += pull
         # np.clip gives the same values, nan included, at a higher cost per call.
         np.maximum(np.minimum(v, p.v_max, out=v), -p.v_max, out=v)
-        x += v
-        np.maximum(np.minimum(x, self._hi, out=x), self._lo, out=x)
+        # x is a strided view of `_waypoints`; the new position is clamped
+        # in the contiguous scratch and written there once.
+        np.add(x, v, out=pull)
+        np.maximum(np.minimum(pull, self._hi, out=pull), self._lo, out=x)
 
         previous = self.gbest_fitness
-        self._waypoints[:, 1:-1] = x.reshape(p.population, -1, 2)
-        if self._evaluate():
+        if self._evaluate(x):
             self._last_improvement = self.iteration + 1
         self.iteration += 1
         if previous - self.gbest_fitness < p.stop_epsilon:
@@ -252,16 +258,16 @@ class PsoRun:
         if self._flat_streak >= p.stagnation_window:
             self.stopped = True
 
-    def _evaluate(self) -> bool:
-        """Score the swarm at `_waypoints` against the personal bests, take
-        every better personal best and then a better global best; True if
-        a personal best improved."""
+    def _evaluate(self, x: np.ndarray) -> bool:
+        """Score the swarm at `_waypoints`, whose inner points `x` views,
+        against the personal bests, take every better personal best and
+        then a better global best; True if a personal best improved."""
         self.fitnesses = _scores(self._waypoints, self.env.collision_field,
                                  self.params.penalty_lambda, self.pbest_fitnesses)
         improved = self.fitnesses < self.pbest_fitnesses
         if not improved.any():
             return False
-        self.pbest_positions[improved] = self.positions[improved]
+        self.pbest_positions[improved] = x[improved]
         self.pbest_fitnesses[improved] = self.fitnesses[improved]
         g = int(np.argmin(self.pbest_fitnesses))
         if self.pbest_fitnesses[g] < self.gbest_fitness:

@@ -22,7 +22,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .environment import Environment, Query, check_query, validate_query
+from .environment import Environment, Query, validate_query
 from .errors import InvalidStateError
 from .geometry import Point2, edge_free
 from .result import PlanResult, build_result, check_param_types, plan
@@ -122,8 +122,7 @@ class RrtTree:
     def add(self, position: Sequence[float], parent_index: int) -> int:
         """Insert a node; its cost is the parent's plus the edge length."""
         x, y = float(position[0]), float(position[1])
-        if not 0 <= parent_index < len(self._cost):
-            raise IndexError(f"node index {parent_index} out of range")
+        parent_index = self._node(parent_index)
         px, py = self._xs[parent_index], self._ys[parent_index]
         idx = len(self._cost)
         if idx == len(self._x):
@@ -311,9 +310,10 @@ class RrtStarRun:
     """
 
     planner_id = "rrtstar"
+    params_type = RrtParams
 
     def __init__(self, env: Environment, query: Query, params: RrtParams):
-        check_query(validate_query(env, query))
+        validate_query(env, query)
         self.env = env
         self.query = query
         self.params = params

@@ -1,6 +1,7 @@
 """Trial harness, statistics, grid oracle, and the durable file formats."""
 
 import hashlib
+import importlib
 import math
 import os
 import pickle
@@ -217,6 +218,7 @@ def test_run_trials_caps_and_checks_jobs(monkeypatch):
             return map(fn, *iterables)
 
     monkeypatch.setattr("pathbench.benchmark.ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr("os.cpu_count", lambda: 8)
     env, _ = irregular_preset("empty")
     params = RrtParams(iterations_num=20)
     stats = run_trials(env, QUERY_A, "rrtstar", params, n_trials=3,
@@ -226,6 +228,14 @@ def test_run_trials_caps_and_checks_jobs(monkeypatch):
     # One trial never needs a pool, whatever jobs asks for.
     run_trials(env, QUERY_A, "rrtstar", params, n_trials=1, base_seed=0, jobs=4)
     assert started == [3]
+    # Nor more workers than CPUs; an unknown CPU count means one, and no pool.
+    serial = [(r.seed, r.path, r.closest_approach) for r in stats.results]
+    for cpus, pools in ((2, [3, 2]), (None, [3, 2])):
+        monkeypatch.setattr("os.cpu_count", lambda: cpus)
+        stats = run_trials(env, QUERY_A, "rrtstar", params, n_trials=3,
+                           base_seed=0, jobs=6)
+        assert started == pools
+        assert [(r.seed, r.path, r.closest_approach) for r in stats.results] == serial
     for jobs in (0, -1):
         with pytest.raises(ValueError):
             run_trials(env, QUERY_A, "rrtstar", params, n_trials=2,
@@ -248,6 +258,15 @@ def test_perfbench_tracer_installs_on_the_package(monkeypatch):
     finally:
         tr.restore()
     assert benchmark.plan_once is original
+
+
+@pytest.mark.parametrize("module", ["pathbench", "pathbench.benchmark", "pathbench.rrtstar",
+                                    "pathbench.pso"])
+def test_every_public_name_resolves(module):
+    # A name deleted from a module but left in its __all__ breaks only
+    # `from module import *`.
+    mod = importlib.import_module(module)
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
 
 
 def test_a_short_rrt_star_plan_reaches_every_traced_layer(monkeypatch):

@@ -50,9 +50,10 @@ def test_parse_config_defaults():
 def test_the_cli_reads_its_planners_from_the_planner_table():
     ids = list(_PLANNERS)
     assert list(parse_config({}).params) == ids
-    for planner, (_, params_type) in _PLANNERS.items():
+    for planner, run in _PLANNERS.items():
         # Each id is a config key, read as that planner's parameter record.
-        assert parse_config({planner: {}}).params[planner] == params_type()
+        assert run.planner_id == planner
+        assert parse_config({planner: {}}).params[planner] == run.params_type()
         with pytest.raises(FormatError, match=rf"unknown field\(s\) \['bogus'\] in {planner}"):
             parse_config({planner: {"bogus": 1}})
     commands = next(a for a in build_parser()._actions if a.dest == "command").choices

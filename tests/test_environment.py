@@ -154,7 +154,7 @@ def test_preset_names():
 def test_empty_preset():
     env, query = irregular_preset("empty")
     assert env.obstacles == ()
-    assert validate_query(env, query) == ()
+    assert validate_query(env, query) is None
 
 
 def test_irregular_preset_shape():
@@ -194,17 +194,17 @@ def test_irregular_preset_file_is_pinned():
 
 def test_validate_query():
     env, _ = irregular_preset("empty")
-    assert validate_query(env, Query(Point2(0, 0), Point2(1, 1))) == ()
+    assert validate_query(env, Query(Point2(0, 0), Point2(1, 1))) is None
 
     blocked = generate_random_env(0, n_obstacles=0)
     blocked = Environment(blocked.bounds, (Circle(Point2(0, 0), 3.0),))
-    report = validate_query(blocked, Query(Point2(0, 0), Point2(10, 10)))
-    assert [v.endpoint for v in report] == ["start"]
-    assert "obstacle" in report[0].reason
+    with pytest.raises(InvalidQueryError) as report:
+        validate_query(blocked, Query(Point2(0, 0), Point2(10, 10)))
+    assert str(report.value) == "start (0.0, 0.0) inside an obstacle"
 
-    report = validate_query(blocked, Query(Point2(10, 10), Point2(99, 0)))
-    assert [v.endpoint for v in report] == ["target"]
-    assert "bounds" in report[0].reason
+    with pytest.raises(InvalidQueryError) as report:
+        validate_query(blocked, Query(Point2(10, 10), Point2(99, 0)))
+    assert str(report.value) == "target (99.0, 0.0) outside bounds"
 
 
 def test_file_round_trip(tmp_path):

@@ -131,12 +131,14 @@ BAD_VALUES = [True, "1", None, math.nan, math.inf, 10**400, (1.0, 2.0, 3.0)]
 BAD_IDS = ["bool", "str", "none", "nan", "inf", "huge-int", "three-coordinates"]
 
 
-#: What the rule refuses where a container of points is taken, by kind: no
-#: container at all, and the wrong number of points.
+#: What the rule refuses where a container is taken, by kind: no container
+#: at all, the wrong number of points, and entries that are not obstacles.
 BAD_CONTAINERS = {
     "segment": [(5, "non-iterable"), (((0.0, 0.0),), "one-point"),
                 (((0.0, 0.0), (1.0, 0.0), (2.0, 0.0)), "three-point")],
     "vertices": [(5, "non-iterable"), (((0.0, 0.0),), "one-point")],
+    "obstacles": [(5, "non-iterable"), ([None], "none"), ([{"kind": "circle"}], "document"),
+                  (["ab"], "str")],
 }
 
 
@@ -154,8 +156,8 @@ def _bad_values(kind):
 
 def _good_value(kind):
     """A value a slot of `kind` takes."""
-    return {"integer": 1, "vertices": ((0.0, 0.0), (2.0, 0.0), (2.0, 2.0))}.get(
-        kind, _fill(kind, 1.0))
+    return {"integer": 1, "vertices": ((0.0, 0.0), (2.0, 0.0), (2.0, 2.0)),
+            "obstacles": [Circle((5.0, 5.0), 1.0)]}.get(kind, _fill(kind, 1.0))
 
 
 def _bad_cases(slots):
@@ -247,6 +249,8 @@ ENTRY_SLOTS = [
     ("document-bounds", lambda v: environment_from_dict(_document(x_min=v)), FormatError,
      "real"),
     ("environment-bounds", lambda v: Environment((v, 10.0, 0.0, 10.0)), FormatError, "real"),
+    ("environment-obstacles", lambda v: Environment(_BOX.bounds, v), InvalidObstacleError,
+     "obstacles"),
     ("rrt-step-size", lambda v: RrtParams(step_size=v), ValueError, "real"),
     ("rrt-iterations", lambda v: RrtParams(iterations_num=v), ValueError, "integer"),
     ("pso-c1", lambda v: PsoParams(c1=v), ValueError, "real"),
