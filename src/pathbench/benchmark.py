@@ -295,8 +295,7 @@ def grid_oracle(env: Environment, query: Query, resolution: float = 0.5) -> floa
     (an error if none exists). Returns math.inf when the goal is unreachable.
     A resolution that makes more than MAX_GRID_CELLS cells is a ValueError.
     """
-    if not check_real("resolution", resolution) > 0:
-        raise ValueError(f"resolution must be > 0, got {resolution!r}")
+    check_real("resolution", resolution, above=0)
     b = env.bounds
     # Counted in floats first: a tiny resolution overflows math.ceil.
     cols, rows = b.width / resolution, b.height / resolution

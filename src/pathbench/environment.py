@@ -152,9 +152,7 @@ def check_random_field(n_obstacles, bounds, radius_range, clearance
     lo, hi = (check_real("radius_range", v, FormatError) for v in rr)
     if not 0 < lo <= hi:
         raise FormatError(f"radius_range must satisfy 0 < lo <= hi, got {rr!r}")
-    clearance = check_real("clearance", clearance, FormatError)
-    if clearance < 0:
-        raise FormatError(f"clearance must be >= 0, got {clearance!r}")
+    clearance = check_real("clearance", clearance, FormatError, at_least=0)
     return n_obstacles, b, (lo, hi), clearance
 
 
@@ -171,16 +169,14 @@ def generate_random_env(seed: int,
     x, center y, radius per attempt). Obstacles are accepted when neither
     query endpoint lies within `clearance` of the inflated disk. Raises
     FormatError for a bad seed (an integer in [0, sys.maxsize]) or field
-    argument (see `check_random_field`), InvalidQueryError for a query
-    `validate_query` refuses on the obstacle-free field, and
-    EnvironmentGenerationError when an obstacle cannot be placed within
-    MAX_PLACEMENT_ATTEMPTS attempts.
+    argument (see `check_random_field`), EnvironmentGenerationError when
+    an obstacle cannot be placed within MAX_PLACEMENT_ATTEMPTS attempts,
+    and InvalidQueryError for a query `validate_query` refuses on the
+    returned field, so every field returned passes it for its query.
     """
     seed = check_integer("seed", seed, 0, error=FormatError)
     n_obstacles, b, (r_lo, r_hi), clearance = check_random_field(
         n_obstacles, bounds, radius_range, clearance)
-    if query is not None:
-        validate_query(Environment(b), query)
 
     rng = np.random.default_rng(seed)
     obstacles: list[Obstacle] = []
@@ -201,7 +197,10 @@ def generate_random_env(seed: int,
             raise EnvironmentGenerationError(
                 f"could not place obstacle {len(obstacles) + 1} of {n_obstacles} "
                 f"after {MAX_PLACEMENT_ATTEMPTS} attempts")
-    return Environment(b, tuple(obstacles))
+    env = Environment(b, tuple(obstacles))
+    if query is not None:
+        validate_query(env, query)
+    return env
 
 
 def environment_to_dict(env: Environment, query: Optional[Query] = None) -> dict:

@@ -14,8 +14,9 @@ Conventions used throughout the package:
 * all inputs are plain floats, points are (x, y) pairs.
 
 This module owns the package's one number rule for every value taken
-from a caller or a document: `check_integer`, `check_real` (finite) and
-`_plain_point` (an exact pair), each raising its caller's error.
+from a caller or a document: `check_integer` (in a range), `check_real`
+(finite, and > `above` or >= `at_least` where given) and `_plain_point`
+(an exact pair), each raising its caller's error.
 
 Every polygon decision rests on one exact orientation sign, `_orient`,
 and every disk decision on one exact squared-distance sign, `_meets_disk`.
@@ -68,15 +69,23 @@ def check_integer(name: str, value, minimum: int, maximum: int = sys.maxsize,
     return int(value)
 
 
-def check_real(name: str, value, error=ValueError) -> float:
-    """`value` as a float if a finite real number, numpy's included, else
-    `error`. A bool, a str and an integer too large for a float are not."""
+def check_real(name: str, value, error=ValueError, *, above=None, at_least=None) -> float:
+    """`value` as a float if a finite real number, numpy's included, that is
+    > `above` and >= `at_least` where given, else `error`. A bool, a str and
+    an integer too large for a float are not finite real numbers."""
     try:
-        if isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value):
-            return float(value)
+        real = (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                and math.isfinite(value))
     except OverflowError:  # math.isfinite of an integer too large for a float
-        pass
-    raise error(f"{name} must be a finite number, got {value!r}")
+        real = False
+    if not real:
+        raise error(f"{name} must be a finite number, got {value!r}")
+    value = float(value)
+    if above is not None and value <= above:
+        raise error(f"{name} must be > {above}, got {value!r}")
+    if at_least is not None and value < at_least:
+        raise error(f"{name} must be >= {at_least}, got {value!r}")
+    return value
 
 
 def _plain_point(p, name: str, error) -> Point2:
@@ -131,10 +140,8 @@ class Circle:
     def __post_init__(self):
         object.__setattr__(self, "center",
                            _plain_point(self.center, "circle center", InvalidObstacleError))
-        radius = check_real("circle radius", self.radius, InvalidObstacleError)
-        if not radius > 0:
-            raise InvalidObstacleError(f"circle radius must be > 0, got {radius!r}")
-        object.__setattr__(self, "radius", radius)
+        object.__setattr__(self, "radius", check_real("circle radius", self.radius,
+                                                      InvalidObstacleError, above=0))
 
 
 @dataclass(frozen=True)

@@ -50,17 +50,10 @@ class PsoParams:
         check_param_types(
             self, {"max_iterations": 1, "population": 1, "n_waypoints": 1,
                    "stagnation_window": 1, "rng_seed": 0},
-            ("c1", "c2", "omega_start", "omega_end", "v_max",
-             "penalty_lambda", "stop_epsilon"))
-        # Each test is written to fail on NaN as well.
+            {"c1": {}, "c2": {}, "omega_start": {}, "omega_end": {}, "v_max": {"above": 0},
+             "penalty_lambda": {"at_least": 0}, "stop_epsilon": {"at_least": 0}})
         if not self.omega_start >= self.omega_end:
             raise ValueError("omega_start must be >= omega_end")
-        if not self.v_max > 0:
-            raise ValueError(f"v_max must be > 0, got {self.v_max}")
-        if not self.penalty_lambda >= 0:
-            raise ValueError(f"penalty_lambda must be >= 0, got {self.penalty_lambda}")
-        if not self.stop_epsilon >= 0:
-            raise ValueError(f"stop_epsilon must be >= 0, got {self.stop_epsilon}")
 
 
 def _waypoint_vector(position: Sequence[float]) -> np.ndarray:

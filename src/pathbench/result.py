@@ -39,18 +39,19 @@ class PlanResult:
     params: dict
 
 
-def check_param_types(params, integers: dict[str, int], reals: tuple[str, ...]) -> None:
+def check_param_types(params, integers: dict[str, int], reals: dict[str, dict]) -> None:
     """Validate the fields of a frozen parameter record.
 
-    `integers` maps each integer field to its `check_integer` minimum; each
-    field in `reals` must pass `check_real`. Fields are stored back as
-    plain int and float, so a result's snapshot is the same whatever numeric
-    type was given. Raises ValueError naming the first bad field.
+    `integers` maps each integer field to its `check_integer` minimum and
+    `reals` each real field to its `check_real` bound keywords (`{}` for
+    none). Fields are stored back as plain int and float, so a result's
+    snapshot is the same whatever numeric type was given. Raises ValueError
+    naming the first bad field.
     """
     for name, minimum in integers.items():
         object.__setattr__(params, name, check_integer(name, getattr(params, name), minimum))
-    for name in reals:
-        object.__setattr__(params, name, check_real(name, getattr(params, name)))
+    for name, bounds in reals.items():
+        object.__setattr__(params, name, check_real(name, getattr(params, name), **bounds))
 
 
 def plan(run_type, env, query, params) -> PlanResult:

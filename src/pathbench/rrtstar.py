@@ -44,13 +44,8 @@ class RrtParams:
 
     def __post_init__(self):
         check_param_types(self, {"iterations_num": 1, "rng_seed": 0},
-                          ("step_size", "min_threshold", "neighbor_radius"))
-        if not self.step_size > 0:
-            raise ValueError(f"step_size must be > 0, got {self.step_size}")
-        if not self.min_threshold > 0:
-            raise ValueError(f"min_threshold must be > 0, got {self.min_threshold}")
-        # Written so that NaN fails too: a NaN radius finds no neighbours
-        # and would silently turn RRT* into plain RRT.
+                          {"step_size": {"above": 0}, "min_threshold": {"above": 0},
+                           "neighbor_radius": {}})
         if not self.neighbor_radius >= self.step_size:
             raise ValueError(
                 f"neighbor_radius ({self.neighbor_radius}) must be >= "

@@ -286,6 +286,48 @@ def test_every_entry_point_keeps_the_one_number_rule(name, call, error, kind, ba
     assert refused.type is error, f"{name} raised {refused.type.__name__}: {refused.value}"
 
 
+#: Every real number with a lower bound, kept by `check_real`'s `above` or
+#: `at_least`: (name, call with the value in that slot, the entry point's
+#: error, whether the bound is inclusive, the message's start).
+BOUNDED_SLOTS = [
+    ("circle-radius", lambda v: Circle((0.0, 0.0), v), InvalidObstacleError, False,
+     "circle radius must be > 0"),
+    ("grid-oracle-resolution", lambda v: grid_oracle(_BOX, _ACROSS, v), ValueError, False,
+     "resolution must be > 0"),
+    ("random-clearance", lambda v: generate_random_env(0, 1, clearance=v), FormatError, True,
+     "clearance must be >= 0"),
+    ("rrt-step-size", lambda v: RrtParams(step_size=v), ValueError, False,
+     "step_size must be > 0"),
+    ("rrt-min-threshold", lambda v: RrtParams(min_threshold=v), ValueError, False,
+     "min_threshold must be > 0"),
+    ("pso-v-max", lambda v: PsoParams(v_max=v), ValueError, False, "v_max must be > 0"),
+    ("pso-penalty-lambda", lambda v: PsoParams(penalty_lambda=v), ValueError, True,
+     "penalty_lambda must be >= 0"),
+    ("pso-stop-epsilon", lambda v: PsoParams(stop_epsilon=v), ValueError, True,
+     "stop_epsilon must be >= 0"),
+]
+
+
+@pytest.mark.parametrize("name, call, error, inclusive, message", BOUNDED_SLOTS,
+                         ids=[slot[0] for slot in BOUNDED_SLOTS])
+def test_every_lower_bound_refuses_its_boundary(name, call, error, inclusive, message):
+    boundary = -1e-300 if inclusive else 0.0
+    with pytest.raises(error) as refused:
+        call(boundary)
+    assert refused.type is error
+    assert str(refused.value) == f"{message}, got {boundary!r}"
+    if inclusive:
+        call(0.0)
+        call(-0.0)
+    with pytest.raises(error, match="must be a finite number"):
+        call(math.nan)
+
+
+def test_a_bound_error_comes_before_a_later_fields_type_error():
+    with pytest.raises(ValueError, match="^v_max must be > 0, got 0.0$"):
+        PsoParams(v_max=0, penalty_lambda="x")
+
+
 def test_segment_polygon_collides():
     assert segment_polygon_collides(((-1, 0.5), (2, 0.5)), UNIT_SQUARE)
     assert not segment_polygon_collides(((-1, 2), (2, 2)), UNIT_SQUARE)

@@ -306,6 +306,22 @@ def test_infeasible_reports_blocked_length():
 FIELD_QUERY = Query(Point2(20.0, -15.0), Point2(-25.0, 15.0))
 
 
+def test_a_generated_field_and_its_first_plan_build_one_collision_field(monkeypatch):
+    # The generator checks its query on the field it returns, so the plan
+    # reuses that field's cached CollisionField.
+    built = []
+    init = CollisionField.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(CollisionField, "__init__", counted)
+    env = generate_random_env(1000, query=FIELD_QUERY)
+    plan_pso(env, FIELD_QUERY, PsoParams(max_iterations=5))
+    assert len(built) == 1 and built[0] is env.collision_field
+
+
 def _pinned_case(name):
     if name == "field-1000":
         return generate_random_env(1000, query=FIELD_QUERY), FIELD_QUERY
