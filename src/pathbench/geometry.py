@@ -280,7 +280,8 @@ def _polygon_side(p, vertices, orient=_orient) -> int:
     lies strictly left of the edge taken upward, by the exact sign of
     `orient`; a zero sign puts p on the edge. A vertex at p, or a
     horizontal edge through p, puts p on the outline too. `orient` is
-    `_orient_exact` for a point with Fraction coordinates.
+    `_orient_exact` for a point with Fraction coordinates: `_orient` would
+    round them to floats, as Fraction - float does, and judge that point.
     """
     px, py = p[0], p[1]
     inside = False
@@ -544,7 +545,7 @@ class CollisionField:
         # The field stands in for its environment: `edge_free` reads only
         # these two attributes, and the stand-in dies with the call.
         env = SimpleNamespace(bounds=self.bounds, collision_field=self)
-        xs, ys = np.asarray(points, dtype=np.float64).reshape(-1, 2).T.tolist()
+        xs, ys = _columns(points).tolist()
         return np.array([edge_free(p, p, env) for p in zip(xs, ys)], dtype=bool)
 
     def blocked_lengths(self, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
@@ -577,8 +578,8 @@ class CollisionField:
         The disk and polygon passes work in blocks of about 2^14 (segment,
         obstacle) pairs and keep only what meets.
         """
-        ax, ay = np.asarray(starts, dtype=np.float64).reshape(-1, 2).T.copy()
-        ex, ey = np.asarray(ends, dtype=np.float64).reshape(-1, 2).T
+        ax, ay = _columns(starts).copy()
+        ex, ey = _columns(ends)
         if len(ax) != len(ex):
             raise ValueError(f"starts and ends must hold as many points: {len(ax)} != {len(ex)}")
         x_lo, x_hi = np.minimum(ax, ex), np.maximum(ax, ex)
@@ -797,6 +798,15 @@ class CollisionField:
                 meet = t0 < t1
                 found.append((rows[meet], t0[meet], t1[meet]))
         return found
+
+
+def _columns(points) -> np.ndarray:
+    """(N, 2) points -> their (2, N) float64 x and y columns; an empty input
+    is no points, and any other shape a ValueError."""
+    xy = np.asarray(points, dtype=np.float64)
+    if xy.size and (xy.ndim != 2 or xy.shape[1] != 2):
+        raise ValueError(f"points must be an (N, 2) array, got shape {xy.shape}")
+    return xy.reshape(-1, 2).T
 
 
 def _crossing_t(ax, ay, bx, by, vx, vy, wx, wy):

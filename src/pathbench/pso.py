@@ -73,16 +73,6 @@ def decode(position: Sequence[float], query: Query) -> tuple[Point2, ...]:
     return (query.start, *mid, query.target)
 
 
-def _waypoint_tensor(positions: np.ndarray, query: Query) -> np.ndarray:
-    """(m, 2n) waypoint vectors -> (m, n + 2, 2) paths from start to target."""
-    m, d = positions.shape
-    wp = np.empty((m, d // 2 + 2, 2), dtype=np.float64)
-    wp[:, 0] = query.start
-    wp[:, -1] = query.target
-    wp[:, 1:-1] = positions.reshape(m, -1, 2)
-    return wp
-
-
 def _lengths(wp: np.ndarray) -> np.ndarray:
     """Per-path geometric length of an (m, k, 2) waypoint tensor."""
     vec = wp[:, 1:, :] - wp[:, :-1, :]
@@ -97,12 +87,18 @@ def _violations(wp: np.ndarray, field: CollisionField) -> np.ndarray:
     return blocked.reshape(m, k - 1).sum(axis=1)
 
 
-def _scores(wp: np.ndarray, field: CollisionField, penalty_lambda: float,
-            bests: np.ndarray | float) -> np.ndarray:
+def _scores(positions: np.ndarray, query: Query, field: CollisionField,
+            penalty_lambda: float, bests: np.ndarray | float) -> np.ndarray:
     """Per-path length plus penalty_lambda times the exact blocked length of
-    an (m, k, 2) waypoint tensor. The penalty is never negative, so a path
+    (m, 2n) waypoint vectors, each decoded into an (n + 2, 2) path from the
+    query start to its target. The penalty is never negative, so a path
     whose length is not below its entry of `bests` (nan included) cannot
     score below it: it keeps its length and skips the collision kernel."""
+    m, d = positions.shape
+    wp = np.empty((m, d // 2 + 2, 2), dtype=np.float64)
+    wp[:, 0] = query.start
+    wp[:, -1] = query.target
+    wp[:, 1:-1] = positions.reshape(m, -1, 2)
     scores = _lengths(wp)
     open_ = scores < bests
     if open_.any():
@@ -127,9 +123,9 @@ def fitness(position: Sequence[float], query: Query, env: Environment,
             penalty_lambda: float) -> float:
     """Path length plus penalty_lambda times the exact blocked length; a
     ValueError for a position `decode` refuses or a penalty_lambda `PsoParams` does."""
-    wp = _waypoint_tensor(_waypoint_vector(position)[None, :], query)
+    positions = _waypoint_vector(position)[None, :]
     penalty_lambda = PsoParams(penalty_lambda=penalty_lambda).penalty_lambda
-    return float(_scores(wp, env.collision_field, penalty_lambda, math.inf)[0])
+    return float(_scores(positions, query, env.collision_field, penalty_lambda, math.inf)[0])
 
 
 def update_inertia(iteration: int, max_iterations: int, omega_start: float,
@@ -185,27 +181,20 @@ class PsoRun:
         tx, ty = query.target
         positions[0, 0::2] = sx + (tx - sx) * ts
         positions[0, 1::2] = sy + (ty - sy) * ts
-        self._waypoints = _waypoint_tensor(positions, query)
+        self.positions = positions
         self.velocities = np.zeros_like(positions)
         self._pull = np.empty_like(positions)
         self.pbest_positions = positions.copy()
         self.pbest_fitnesses = np.full(m, math.inf)
         self.gbest_position = positions[0].copy()
         self.gbest_fitness = math.inf
-        self._evaluate(self.positions)
+        self._evaluate()
 
         self.iteration = 0
         self.omega = params.omega_start
         self.stopped = False
         self._last_improvement = 0
         self._flat_streak = 0
-
-    @property
-    def positions(self) -> np.ndarray:
-        """The swarm's (population, 2 n) waypoint vectors: a view of the
-        inner waypoints of `_waypoints`, which `_evaluate` scores. Made on
-        each read, so a copied run's view is of its own `_waypoints`."""
-        return self._waypoints[:, 1:-1].reshape(self.params.population, -1)
 
     @property
     def stagnant(self) -> bool:
@@ -235,13 +224,11 @@ class PsoRun:
         v += pull
         # np.clip gives the same values, nan included, at a higher cost per call.
         np.maximum(np.minimum(v, p.v_max, out=v), -p.v_max, out=v)
-        # x is a strided view of `_waypoints`; the new position is clamped
-        # in the contiguous scratch and written there once.
-        np.add(x, v, out=pull)
-        np.maximum(np.minimum(pull, self._hi, out=pull), self._lo, out=x)
+        x += v
+        np.maximum(np.minimum(x, self._hi, out=x), self._lo, out=x)
 
         previous = self.gbest_fitness
-        if self._evaluate(x):
+        if self._evaluate():
             self._last_improvement = self.iteration + 1
         self.iteration += 1
         if previous - self.gbest_fitness < p.stop_epsilon:
@@ -251,16 +238,16 @@ class PsoRun:
         if self._flat_streak >= p.stagnation_window:
             self.stopped = True
 
-    def _evaluate(self, x: np.ndarray) -> bool:
-        """Score the swarm at `_waypoints`, whose inner points `x` views,
-        against the personal bests, take every better personal best and
-        then a better global best; True if a personal best improved."""
-        self.fitnesses = _scores(self._waypoints, self.env.collision_field,
+    def _evaluate(self) -> bool:
+        """Score the swarm at `positions` against the personal bests, take
+        every better personal best and then a better global best; True if
+        a personal best improved."""
+        self.fitnesses = _scores(self.positions, self.query, self.env.collision_field,
                                  self.params.penalty_lambda, self.pbest_fitnesses)
         improved = self.fitnesses < self.pbest_fitnesses
         if not improved.any():
             return False
-        self.pbest_positions[improved] = x[improved]
+        self.pbest_positions[improved] = self.positions[improved]
         self.pbest_fitnesses[improved] = self.fitnesses[improved]
         g = int(np.argmin(self.pbest_fitnesses))
         if self.pbest_fitnesses[g] < self.gbest_fitness:

@@ -102,6 +102,15 @@ def exact_disk_blocks(a, b, center, radius):
     return px * px + py * py < Fraction(radius) ** 2
 
 
+def exact_seams(vertices, bounds):
+    """(axis, value, lo, hi) per edge on a bound line, for a polygon inside the bounds."""
+    edges = zip(vertices, vertices[1:] + vertices[:1])
+    return [(axis, v[axis], min(v[1 - axis], w[1 - axis]), max(v[1 - axis], w[1 - axis]))
+            for v, w in edges
+            for axis, lines in ((0, (bounds.x_min, bounds.x_max)), (1, (bounds.y_min, bounds.y_max)))
+            if v[axis] == w[axis] in lines]
+
+
 def _blocked(env, a, b):
     return float(env.collision_field.blocked_lengths(np.array([a]), np.array([b]))[0])
 
@@ -114,6 +123,11 @@ SQUARE = ((0.0, 0.0), (2.0, 0.0), (2.0, 2.0), (0.0, 2.0))
 L_SHAPE = ((0.0, 0.0), (4.0, 0.0), (4.0, 1.0), (1.0, 1.0), (1.0, 4.0), (0.0, 4.0))
 # Its left edge is slanted, between vertices no float line passes through exactly.
 PENTAGON = ((-1.3, 0.2), (1.5, -0.4), (2.1, 2.0), (0.6, 3.9), (-0.7, 3.3))
+# Its edge from (-0.6, -1.1) to (1.4, -1.3) has a midpoint no float holds.
+TRIANGLE = ((1.4, -1.3), (-1.8, -1.4), (-0.6, -1.1))
+# Walls that meet the bounds: seams along y = 10 and y = -10 over x in (-2, 2).
+TOP_WALL = ((-2.0, 8.0), (2.0, 8.0), (2.0, 10.0), (-2.0, 10.0))
+BOTTOM_WALL = ((-2.0, -10.0), (2.0, -10.0), (2.0, -8.0), (-2.0, -8.0))
 
 BOUNDARY_ROWS = [
     # (polygon, a, b, blocked length)
@@ -135,6 +149,17 @@ BOUNDARY_ROWS = [
     (PENTAGON, (-1.3, 0.2), (-0.7, 3.3), 0.0),   # along the slanted edge
     (PENTAGON, (-0.7, 3.3), (-1.3, 0.2), 0.0),
     (PENTAGON, (-1.3, 0.2), (0.6, 3.9), 4.159326868617084),  # vertex to vertex, inside
+    (TRIANGLE, (-0.6, -1.1), (1.4, -1.3), 0.0),  # along that edge
+    (TOP_WALL, (-3.0, 10.0), (3.0, 10.0), 4.0),  # along the bound line, over the whole seam
+    (TOP_WALL, (0.0, 10.0), (3.0, 10.0), 2.0),   # over part of it
+    (TOP_WALL, (2.0, 10.0), (5.0, 10.0), 0.0),   # beside it, from its end
+    (TOP_WALL, (3.0, 10.0), (-3.0, 10.0), 4.0),  # over it, reversed
+    (TOP_WALL, (-2.0, 10.0), (2.0, 10.0), 4.0),  # exactly on it
+    (BOTTOM_WALL, (-3.0, -10.0), (3.0, -10.0), 4.0),
+    (BOTTOM_WALL, (-3.0, -10.0), (1.0, -10.0), 3.0),
+    (BOTTOM_WALL, (-5.0, -10.0), (-2.0, -10.0), 0.0),
+    (BOTTOM_WALL, (3.0, -10.0), (-3.0, -10.0), 4.0),
+    (BOTTOM_WALL, (2.0, -10.0), (-2.0, -10.0), 4.0),
 ]
 
 
@@ -144,6 +169,8 @@ def test_every_kernel_keeps_one_boundary_rule(vertices, a, b, length):
     blocked = _blocked(env, a, b)
     hits = exact_blocks(a, b, vertices)
     assert segment_polygon_collides((a, b), vertices) == hits
+    # The outline is free, except where it lies on a bound line.
+    hits = hits or _on_a_seam(a, b, exact_seams(vertices, WIDE))
     assert edge_free(a, b, env) == (not hits)
     assert blocked == pytest.approx(length, rel=1e-12, abs=0.0)
     if a != b:

@@ -1145,6 +1145,18 @@ def test_blocked_lengths_needs_one_end_per_start():
             field.blocked_lengths(starts, ends)
 
 
+def test_both_kernels_read_only_n_by_2_points():
+    # Both read their input through reshape(-1, 2), so a (2, 3) array
+    # was taken for three points.
+    field = CollisionField(Environment(WIDE))
+    bad = np.zeros((2, 3))
+    with pytest.raises(ValueError, match=r"\(2, 3\)"):
+        field.blocked_lengths(bad, bad)
+    with pytest.raises(ValueError, match=r"\(2, 3\)"):
+        field.free(bad)
+    assert field.free([]).shape == field.blocked_lengths([], np.empty((0, 2))).shape == (0,)
+
+
 def _box(obs):
     if isinstance(obs, Circle):
         (cx, cy), r = obs.center, obs.radius

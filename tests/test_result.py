@@ -1,5 +1,6 @@
 """The run protocol both planners share: plan_* is the hand-driven loop."""
 
+import copy
 import math
 from dataclasses import replace
 
@@ -28,6 +29,27 @@ def test_plan_is_the_hand_driven_loop(name, plan, run_type, params):
     # repr keeps every float exactly and compares a nan length as equal.
     assert repr(replace(planned, elapsed=0.0)) == repr(driven)
     assert planned.elapsed > 0.0
+
+
+@pytest.mark.parametrize("run_type, params, env, query", [
+    (RrtStarRun, RrtParams(iterations_num=600), *_pinned_case("field-1000")),
+    (PsoRun, PsoParams(), *_pinned_case("field-1000")),
+    (PsoRun, PsoParams(), irregular_preset("irregular-a")[0], TABLE1_CASES[1]),
+], ids=["rrtstar-field-1000", "pso-field-1000", "pso-irregular-a-case-2"])
+def test_a_deep_copy_of_a_mid_run_planner_replays(run_type, params, env, query):
+    def finish(run):
+        while not run.should_stop:
+            run.step()
+        return run.result(0.0)
+
+    fresh = finish(run_type(env, query, params))
+    run = run_type(env, query, params)
+    for _ in range(20):
+        run.step()
+    copied = copy.deepcopy(run)
+    for res in (finish(copied), finish(run)):
+        assert (res.path, res.length, res.iterations_used) == (
+            fresh.path, fresh.length, fresh.iterations_used)
 
 
 def _contract_cases():
