@@ -232,17 +232,17 @@ def _orient_exact(a, b, c):
 
 def _orient_array(ax, ay, bx, by, cx, cy) -> np.ndarray:
     """`_orient` elementwise over broadcast arrays: the float determinant,
-    with each entry inside the rounding band replaced by `_orient`'s
-    exact sign."""
+    with each entry inside the rounding band, or nan from overflowing
+    products, replaced by `_orient`'s exact sign."""
     ux, uy, wx, wy = bx - ax, by - ay, cx - ax, cy - ay
     left, right = ux * wy, uy * wx
     det = left - right
-    unsure = np.abs(det) <= _ORIENT_BAND * (np.abs(left) + np.abs(right)) + _ORIENT_TINY
+    unsure = ~(np.abs(det) > _ORIENT_BAND * (np.abs(left) + np.abs(right)) + _ORIENT_TINY)
     if unsure.any():
         p = np.broadcast_arrays(ax, ay, bx, by, cx, cy)
         for i in zip(*np.nonzero(unsure)):
             exact = _orient((p[0][i], p[1][i]), (p[2][i], p[3][i]), (p[4][i], p[5][i]))
-            det[i] = (exact > 0) - (exact < 0)
+            det[i] = int(exact > 0) - int(exact < 0)  # numpy bools do not subtract
     return det
 
 
@@ -551,11 +551,22 @@ class CollisionField:
     def blocked_lengths(self, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
         """(N, 2) start and end points -> (N,) exact blocked length per segment.
 
-        The measure of the union of the open intervals of t in [0, 1] where
-        a + t(b - a) is out of bounds, inside an obstacle or on a seam (so
-        overlaps count once), times the segment's `np.hypot` length;
-        exactly 0.0 for a segment that meets nothing, however its roots
-        round.
+        `_blocked_measure`, the measure of the union of the open intervals
+        of t in [0, 1] where a + t(b - a) is out of bounds, inside an
+        obstacle or on a seam (so overlaps count once), times the segment's
+        `np.hypot` length; exactly 0.0 for a segment that meets nothing,
+        however its roots round. The PSO fitness enters at
+        `_blocked_measure` with its paths' columns and the lengths it holds."""
+        ax, ay = _columns(starts).copy()
+        ex, ey = _columns(ends)
+        if len(ax) != len(ex):
+            raise ValueError(f"starts and ends must hold as many points: {len(ax)} != {len(ex)}")
+        with np.errstate(invalid="ignore", over="ignore"):
+            return self._blocked_measure(ax, ay, ex, ey) * np.hypot(ex - ax, ey - ay)
+
+    def _blocked_measure(self, ax, ay, ex, ey) -> np.ndarray:
+        """Each row's measure of blocked t in [0, 1] for the segments from
+        (ax, ay) to (ex, ey), given as float64 columns, unchecked:
 
         * Bounds, for segments whose box leaves them: [0, t_in) and
           (t_out, 1] around the part the slab method (Liang & Barsky)
@@ -578,16 +589,12 @@ class CollisionField:
         The disk and polygon passes work in blocks of about 2^14 (segment,
         obstacle) pairs and keep only what meets.
         """
-        ax, ay = _columns(starts).copy()
-        ex, ey = _columns(ends)
-        if len(ax) != len(ex):
-            raise ValueError(f"starts and ends must hold as many points: {len(ax)} != {len(ex)}")
         x_lo, x_hi = np.minimum(ax, ex), np.maximum(ax, ex)
         y_lo, y_hi = np.minimum(ay, ey), np.maximum(ay, ey)
         b = self.bounds
         # nan endpoints give nan box sides, which fail every comparison.
         leaves = ~((x_lo >= b.x_min) & (x_hi <= b.x_max) & (y_lo >= b.y_min) & (y_hi <= b.y_max))
-        if not (self.disks or self.polygons or leaves.any()):
+        if not (self.disks or self.polygons or np.count_nonzero(leaves)):
             return np.zeros(len(ax))
         # Rows with nan or infinite endpoints are ordinary input here.
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -604,11 +611,11 @@ class CollisionField:
                 intervals += self._polygon_intervals(np.flatnonzero(near), ax, ay, ex, ey, dx, dy)
             if self.seams:
                 intervals += self._seam_intervals(ax, ay, ex, ey, dx, dy)
-            return _union_length(intervals, dx, dy)
+            return _union_measure(intervals, len(ax))
 
     def _bound_intervals(self, leaves, ax, ay, ex, ey, dx, dy):
         """[(row, lo, hi)]: the parts of the leaving rows out of bounds."""
-        if not leaves.any():
+        if not np.count_nonzero(leaves):
             return []
         rows, b = np.flatnonzero(leaves), self.bounds
         t_in, t_out = 0.0, 1.0
@@ -813,15 +820,16 @@ def _crossing_t(ax, ay, bx, by, vx, vy, wx, wy):
     """t where each line a + t(b - a) meets the line through v and w, elementwise.
 
     A grazing crossing is ill-conditioned: where the rounding bound of the
-    numerator or the denominator (`_ORIENT_BAND`) exceeds 2^-40 of it, t
-    is recomputed from the exact orientations of a and b against the edge.
-    """
+    numerator or the denominator (`_ORIENT_BAND`) exceeds 2^-40 of it, or t
+    overflows, t is recomputed from the exact orientations of a and b
+    against the edge."""
     dx, dy, ux, uy = bx - ax, by - ay, wx - vx, wy - vy
     num_l, num_r, den_l, den_r = (vx - ax) * uy, (vy - ay) * ux, dx * uy, dy * ux
     num, den = num_l - num_r, den_l - den_r
     t = num / den
     rough = ((_ORIENT_BAND * (np.abs(num_l) + np.abs(num_r)) > 2.0 ** -40 * np.abs(num))
-             | (_ORIENT_BAND * (np.abs(den_l) + np.abs(den_r)) > 2.0 ** -40 * np.abs(den)))
+             | (_ORIENT_BAND * (np.abs(den_l) + np.abs(den_r)) > 2.0 ** -40 * np.abs(den))
+             | ~np.isfinite(t))
     for k in np.flatnonzero(rough):
         v, w = (vx[k], vy[k]), (wx[k], wy[k])
         o_a, o_b = _orient_exact(v, w, (ax[k], ay[k])), _orient_exact(v, w, (bx[k], by[k]))
@@ -829,12 +837,12 @@ def _crossing_t(ax, ay, bx, by, vx, vy, wx, wy):
     return t
 
 
-def _union_length(intervals, dx, dy):
-    """The measure of each row's union of open intervals, from (row, lo,
-    hi) array triples with 0 <= lo < hi <= 1, times its `np.hypot` length."""
+def _union_measure(intervals, n):
+    """The measure of each of n rows' union of open intervals, from (row,
+    lo, hi) array triples with 0 <= lo < hi <= 1."""
     parts = [part for part in intervals if len(part[0])]
     if not parts:
-        return np.zeros(len(dx))
+        return np.zeros(n)
     row, lo, hi = parts[0] if len(parts) == 1 else (np.concatenate(a) for a in zip(*parts))
     # Sweep each row's interval ends in order. lexsort is stable and
     # every opening end comes before every closing one, so at a tie
@@ -848,6 +856,5 @@ def _union_length(intervals, dx, dy):
     depth = np.cumsum(np.where(closes, -1, 1))
     run_end, run_start = depth == 0, (depth == 1) & ~closes
     # bincount adds each row's runs one by one, in order, onto 0.0.
-    covered = np.bincount(event_row[run_end], minlength=len(dx),
-                          weights=event_t[run_end] - event_t[run_start])
-    return covered * np.hypot(dx, dy)
+    return np.bincount(event_row[run_end], minlength=n,
+                       weights=event_t[run_end] - event_t[run_start])

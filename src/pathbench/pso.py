@@ -4,12 +4,15 @@ Each particle is a flat vector [x1, y1, ..., xn, yn] of intermediate
 waypoints; decoding prepends the query start and appends the target.
 Fitness is geometric path length plus a penalty proportional to the
 length of path lying inside obstacles (or out of bounds), computed
-exactly by `CollisionField.blocked_lengths`. As the penalty is never
-negative, a particle whose length alone reaches its personal best (+inf
-for the first swarm) cannot improve on it and skips the collision kernel.
-The swarm stops early once the global best has been flat for a full
-stagnation window. `build_result` judges the decoded global best with
-`audit_path`, as it does RRT*'s path; only an infeasible one is measured.
+exactly in one pass over a run's path buffer: each segment's `np.hypot`
+length, taken once, adds to the path length and scales the blocked
+measure in t that `CollisionField._blocked_measure` gives the segment.
+As the penalty is never negative, a particle whose length alone reaches
+its personal best (+inf for the first swarm) cannot improve on it and
+skips the collision kernel. The swarm stops early once the global best
+has been flat for a full stagnation window. `build_result` judges the
+decoded global best with `audit_path`, as it does RRT*'s path; only an
+infeasible one is measured.
 """
 
 from __future__ import annotations
@@ -73,36 +76,22 @@ def decode(position: Sequence[float], query: Query) -> tuple[Point2, ...]:
     return (query.start, *mid, query.target)
 
 
-def _lengths(wp: np.ndarray) -> np.ndarray:
-    """Per-path geometric length of an (m, k, 2) waypoint tensor."""
-    vec = wp[:, 1:, :] - wp[:, :-1, :]
-    return np.hypot(vec[:, :, 0], vec[:, :, 1]).sum(axis=1)
-
-
-def _violations(wp: np.ndarray, field: CollisionField) -> np.ndarray:
-    """Per-path exact blocked length of an (m, k, 2) waypoint tensor."""
-    m, k, _ = wp.shape
-    blocked = field.blocked_lengths(wp[:, :-1, :].reshape(-1, 2),
-                                    wp[:, 1:, :].reshape(-1, 2))
-    return blocked.reshape(m, k - 1).sum(axis=1)
-
-
-def _scores(positions: np.ndarray, query: Query, field: CollisionField,
-            penalty_lambda: float, bests: np.ndarray | float) -> np.ndarray:
+def _scores(paths: np.ndarray, field: CollisionField, penalty_lambda: float,
+            bests: np.ndarray | float) -> np.ndarray:
     """Per-path length plus penalty_lambda times the exact blocked length of
-    (m, 2n) waypoint vectors, each decoded into an (n + 2, 2) path from the
-    query start to its target. The penalty is never negative, so a path
-    whose length is not below its entry of `bests` (nan included) cannot
-    score below it: it keeps its length and skips the collision kernel."""
-    m, d = positions.shape
-    wp = np.empty((m, d // 2 + 2, 2), dtype=np.float64)
-    wp[:, 0] = query.start
-    wp[:, -1] = query.target
-    wp[:, 1:-1] = positions.reshape(m, -1, 2)
-    scores = _lengths(wp)
+    an (m, n + 2, 2) waypoint tensor, in the one pass the module describes. A
+    path whose length is not below its entry of `bests` (nan included)
+    keeps its length and skips the collision kernel."""
+    seg = paths[:, 1:] - paths[:, :-1]
+    seg_len = np.hypot(seg[:, :, 0], seg[:, :, 1])
+    scores = seg_len.sum(axis=1)
     open_ = scores < bests
-    if open_.any():
-        scores[open_] += penalty_lambda * _violations(wp[open_], field)
+    k = np.count_nonzero(open_)
+    if k:
+        xy = paths.compress(open_, axis=0).transpose(2, 0, 1)  # (x or y, path, waypoint)
+        (ax, ay), (ex, ey) = xy[:, :, :-1].reshape(2, -1), xy[:, :, 1:].reshape(2, -1)
+        measure = field._blocked_measure(ax, ay, ex, ey).reshape(k, -1)
+        scores[open_] += penalty_lambda * (measure * seg_len.compress(open_, axis=0)).sum(axis=1)
     return scores
 
 
@@ -111,21 +100,20 @@ def path_violation(path: Sequence[Sequence[float]], env: Environment) -> float:
 
     The length of path inside obstacles or out of bounds; zero for a path
     that only touches obstacle boundaries. Raises InvalidPathError for
-    fewer than two waypoints.
-    """
+    fewer than two waypoints."""
     if len(path) < 2:
         raise InvalidPathError(f"path needs at least 2 waypoints, got {len(path)}")
-    wp = np.asarray(path, dtype=np.float64)[None, :, :]
-    return float(_violations(wp, env.collision_field)[0])
+    wp = np.asarray(path, dtype=np.float64)
+    return float(env.collision_field.blocked_lengths(wp[:-1], wp[1:]).sum())
 
 
 def fitness(position: Sequence[float], query: Query, env: Environment,
             penalty_lambda: float) -> float:
     """Path length plus penalty_lambda times the exact blocked length; a
     ValueError for a position `decode` refuses or a penalty_lambda `PsoParams` does."""
-    positions = _waypoint_vector(position)[None, :]
+    wp = np.vstack((query.start, _waypoint_vector(position).reshape(-1, 2), query.target))
     penalty_lambda = PsoParams(penalty_lambda=penalty_lambda).penalty_lambda
-    return float(_scores(positions, query, env.collision_field, penalty_lambda, math.inf)[0])
+    return float(_scores(wp[None], env.collision_field, penalty_lambda, math.inf)[0])
 
 
 def update_inertia(iteration: int, max_iterations: int, omega_start: float,
@@ -182,6 +170,9 @@ class PsoRun:
         positions[0, 0::2] = sx + (tx - sx) * ts
         positions[0, 1::2] = sy + (ty - sy) * ts
         self.positions = positions
+        # The query ends are written once; `_evaluate` fills in the waypoints.
+        self._paths = np.empty((m, n + 2, 2))
+        self._paths[:, 0], self._paths[:, -1] = query.start, query.target
         self.velocities = np.zeros_like(positions)
         self._pull = np.empty_like(positions)
         self.pbest_positions = positions.copy()
@@ -211,16 +202,17 @@ class PsoRun:
                                     p.omega_start, p.omega_end,
                                     self.stagnant, self.rng)
         # One r1, r2 pair per particle, drawn in index order. The velocity
-        # update omega v + c1 r1 (pbest - x) + c2 r2 (gbest - x) runs in
+        # update omega v + (c1 r1) (pbest - x) + (c2 r2) (gbest - x) runs in
         # place, in that order of operations.
         r = self.rng.random((p.population, 2))
+        r *= (p.c1, p.c2)
         x, v, pull = self.positions, self.velocities, self._pull
         v *= self.omega
         np.subtract(self.pbest_positions, x, out=pull)
-        pull *= p.c1 * r[:, 0:1]
+        pull *= r[:, 0:1]
         v += pull
         np.subtract(self.gbest_position, x, out=pull)
-        pull *= p.c2 * r[:, 1:2]
+        pull *= r[:, 1:2]
         v += pull
         # np.clip gives the same values, nan included, at a higher cost per call.
         np.maximum(np.minimum(v, p.v_max, out=v), -p.v_max, out=v)
@@ -242,14 +234,15 @@ class PsoRun:
         """Score the swarm at `positions` against the personal bests, take
         every better personal best and then a better global best; True if
         a personal best improved."""
-        self.fitnesses = _scores(self.positions, self.query, self.env.collision_field,
+        self._paths[:, 1:-1] = self.positions.reshape(len(self._paths), -1, 2)
+        self.fitnesses = _scores(self._paths, self.env.collision_field,
                                  self.params.penalty_lambda, self.pbest_fitnesses)
         improved = self.fitnesses < self.pbest_fitnesses
-        if not improved.any():
+        if not np.count_nonzero(improved):
             return False
-        self.pbest_positions[improved] = self.positions[improved]
-        self.pbest_fitnesses[improved] = self.fitnesses[improved]
-        g = int(np.argmin(self.pbest_fitnesses))
+        np.copyto(self.pbest_positions, self.positions, where=improved[:, None])
+        np.copyto(self.pbest_fitnesses, self.fitnesses, where=improved)
+        g = int(self.pbest_fitnesses.argmin())
         if self.pbest_fitnesses[g] < self.gbest_fitness:
             self.gbest_fitness = float(self.pbest_fitnesses[g])
             self.gbest_position = self.pbest_positions[g].copy()

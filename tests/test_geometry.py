@@ -622,6 +622,22 @@ def test_path_violation_sees_a_shallow_chord():
     assert chord == pytest.approx(0.0894, abs=1e-4)
 
 
+def test_an_overflowing_orientation_keeps_its_sign():
+    # The polygon pass's orientation against this triangle's far vertices
+    # overflows to a numpy inf, whose sign `_orient_array` once took by
+    # subtracting numpy bools: a TypeError. The part of the row above
+    # y = -1, 2/3 of it, is inside.
+    far = Polygon((Point2(-1.7e308, -1.0), Point2(1.7e308, -1.0), Point2(0.0, 1.7e308)))
+    env = Environment(Bounds(-10, 10, -10, 10), (far,))
+    a, b = (-5.0, -3.0), (5.0, 3.0)
+    want = 2.0 / 3.0 * math.hypot(10.0, 6.0)
+    assert not edge_free(a, b, env)
+    blocked = CollisionField(env).blocked_lengths(np.array([a]), np.array([b]))[0]
+    assert 0.0 < blocked == pytest.approx(want, rel=1e-12)
+    assert fitness((0.0, 0.0), Query(Point2(*a), Point2(*b)), env, 1.0) == pytest.approx(
+        math.hypot(10.0, 6.0) + want, rel=1e-12)
+
+
 # --- the kernel against its oracles -----------------------------------------
 
 def cross(u, v):

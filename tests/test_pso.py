@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pathbench import pso
 from pathbench.benchmark import audit_path
 from pathbench.environment import (Environment, Query, generate_random_env,
                                    irregular_preset)
@@ -374,17 +375,18 @@ def test_construction_scores_the_first_swarm_in_full(name):
 
 def test_the_field_run_sends_only_open_particles_to_the_kernel(monkeypatch):
     # A particle whose length is not below its personal best skips the
-    # collision kernel. Every particle of every step would be 300 + 146
-    # * 300 = 44,100 rows here (construction, steps); the feasible result
-    # sends none, as only an infeasible one is measured.
+    # collision kernel, which the fitness enters at its column entry.
+    # Every particle of every step would be 300 + 146 * 300 = 44,100 rows
+    # here (construction, steps); the feasible result sends none, as only
+    # an infeasible one is measured.
     rows = []
-    kernel = CollisionField.blocked_lengths
+    kernel = CollisionField._blocked_measure
 
-    def counted(self, starts, ends):
-        rows.append(len(starts))
-        return kernel(self, starts, ends)
+    def counted(self, ax, ay, ex, ey):
+        rows.append(len(ax))
+        return kernel(self, ax, ay, ex, ey)
 
-    monkeypatch.setattr(CollisionField, "blocked_lengths", counted)
+    monkeypatch.setattr(CollisionField, "_blocked_measure", counted)
     env, query = _pinned_case("field-1000")
     res = plan_pso(env, query, PsoParams())
     assert res.iterations_used == 146
@@ -419,17 +421,21 @@ def full_step(run):
         run.stopped = True
 
 
+def drawn_cases(draw):
+    """A random 12-disk field, irregular-a or the empty map, with its query."""
+    kind = draw(st.sampled_from(("disks", "irregular-a", "empty")))
+    if kind == "disks":
+        return generate_random_env(draw(st.integers(0, 10**6)), query=FIELD_QUERY), FIELD_QUERY
+    if kind == "irregular-a":
+        return irregular_preset("irregular-a")
+    return EMPTY, Q_EAST
+
+
 @st.composite
 def mid_run_swarms(draw):
     """A PsoRun on a random 12-disk field, irregular-a or the empty map,
     after 0 to 40 steps."""
-    kind = draw(st.sampled_from(("disks", "irregular-a", "empty")))
-    if kind == "disks":
-        env, query = generate_random_env(draw(st.integers(0, 10**6)), query=FIELD_QUERY), FIELD_QUERY
-    elif kind == "irregular-a":
-        env, query = irregular_preset("irregular-a")
-    else:
-        env, query = EMPTY, Q_EAST
+    env, query = drawn_cases(draw)
     params = PsoParams(population=draw(st.integers(1, 24)), n_waypoints=draw(st.integers(1, 6)),
                        penalty_lambda=draw(st.sampled_from((0.0, 1.0, 1000.0))),
                        rng_seed=draw(st.integers(0, 2**32 - 1)))
@@ -458,6 +464,64 @@ def test_a_pruned_step_equals_a_full_one(run):
     assert run.fitnesses[below].tobytes() == full.fitnesses[below].tobytes()
     assert (full.fitnesses[~below] >= pbest[~below]).all()
     assert (run.fitnesses <= full.fitnesses).all()
+
+
+@st.composite
+def scored_swarms(draw):
+    """Random waypoint vectors in the bounds of a drawn case, each with a
+    personal best that leaves it open (+inf, or one ulp above its length)
+    or prunes it (its length, -inf, nan)."""
+    env, query = drawn_cases(draw)
+    m, n = draw(st.integers(1, 24)), draw(st.integers(1, 12))
+    b = env.bounds
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    positions = rng.uniform(np.tile((b.x_min, b.y_min), n), np.tile((b.x_max, b.y_max), n),
+                            size=(m, 2 * n))
+    paths = np.array([decode(x, query) for x in positions])
+    seg = np.diff(paths, axis=1)
+    lengths = np.hypot(seg[:, :, 0], seg[:, :, 1]).sum(axis=1)
+    bests = np.array([draw(st.sampled_from((math.inf, math.nextafter(length, math.inf),
+                                            length, -math.inf, math.nan)))
+                      for length in lengths.tolist()])
+    return env, query, positions, paths, lengths, bests, draw(st.sampled_from((0.0, 1.0, 1000.0)))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(swarm=scored_swarms())
+def test_an_open_particles_penalty_is_its_path_violation_bit_for_bit(swarm):
+    # The swarm's one pass scales each segment's blocked measure by the
+    # segment length it summed; that equals `path_violation` on the decoded
+    # path, which measures the segments again through `blocked_lengths`.
+    env, query, positions, paths, lengths, bests, penalty_lambda = swarm
+    scores = pso._scores(paths, env.collision_field, penalty_lambda, bests)
+    for x, length, best, score in zip(positions, lengths, bests, scores):
+        if length < best:
+            want = length + penalty_lambda * path_violation(decode(x, query), env)
+        else:
+            want = length
+        assert score.hex() == want.hex()
+
+
+# Endpoints from the bounds' inside and outside, and non-finite ones.
+COORDINATES = st.one_of(st.floats(-60.0, 60.0), st.sampled_from(
+    (math.nan, math.inf, -math.inf, 0.0, -40.0, 20.0, 1e308, -1e308)))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_blocked_lengths_is_the_column_entry_times_hypot(data):
+    env, _ = drawn_cases(data.draw)
+    points = st.tuples(COORDINATES, COORDINATES)
+    starts = data.draw(st.lists(points, max_size=12))
+    # Each row ends at a new point or at its start (zero length).
+    ends = [data.draw(st.one_of(points, st.just(a))) for a in starts]
+    starts, ends = np.array(starts).reshape(-1, 2), np.array(ends).reshape(-1, 2)
+    field = env.collision_field
+    (ax, ay), (ex, ey) = starts.T.copy(), ends.T.copy()
+    with np.errstate(invalid="ignore", over="ignore"):
+        want = field._blocked_measure(ax, ay, ex, ey) * np.hypot(ex - ax, ey - ay)
+    assert field.blocked_lengths(starts, ends).tobytes() == want.tobytes()
+    assert field.blocked_lengths(np.empty((0, 2)), np.empty((0, 2))).shape == (0,)
 
 
 def test_rejects_bad_query():
