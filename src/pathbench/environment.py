@@ -34,7 +34,7 @@ from .errors import (EnvironmentGenerationError, FormatError,
                      InvalidObstacleError, InvalidQueryError, PresetLookupError)
 from .geometry import (Bounds, Circle, CollisionField, Obstacle, Point2, Polygon,
                        _plain_point, check_integer, check_real, dist,
-                       point_in_polygon, segments_intersect)
+                       point_free, point_in_polygon, segments_intersect)
 
 #: Workspace used by the default generator and the shipped presets.
 DEFAULT_BOUNDS = Bounds(-40.0, 40.0, -40.0, 20.0)
@@ -128,11 +128,10 @@ def validate_query(env: Environment, query: Query) -> None:
     The message gives one reason per offending endpoint, joined by "; ".
     """
     reasons = []
-    free = env.collision_field.free([query.start, query.target])
-    for name, p, p_free in zip(("start", "target"), (query.start, query.target), free):
+    for name, p in (("start", query.start), ("target", query.target)):
         if not env.bounds.contains(p):
             reasons.append(f"{name} {tuple(p)} outside bounds")
-        elif not p_free:
+        elif not point_free(p, env):
             reasons.append(f"{name} {tuple(p)} inside an obstacle")
     if reasons:
         raise InvalidQueryError("; ".join(reasons))

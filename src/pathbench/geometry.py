@@ -61,8 +61,9 @@ class Point2(NamedTuple):
 def check_integer(name: str, value, minimum: int, maximum: int = sys.maxsize,
                   error=ValueError) -> int:
     """`value` as an int if an integer (a bool is not) in [minimum, maximum], else `error`."""
-    if not (isinstance(value, numbers.Integral) and not isinstance(value, bool)
-            and value >= minimum):
+    # A plain int passes ahead of the slower ABC tests.
+    if not ((type(value) is int or isinstance(value, numbers.Integral)
+             and not isinstance(value, bool)) and value >= minimum):
         raise error(f"{name} must be an integer >= {minimum}, got {value!r}")
     if value > maximum:
         raise error(f"{name} must be <= {maximum}, got {value}")
@@ -73,9 +74,9 @@ def check_real(name: str, value, error=ValueError, *, above=None, at_least=None)
     """`value` as a float if a finite real number, numpy's included, that is
     > `above` and >= `at_least` where given, else `error`. A bool, a str and
     an integer too large for a float are not finite real numbers."""
-    try:
-        real = (isinstance(value, numbers.Real) and not isinstance(value, bool)
-                and math.isfinite(value))
+    try:  # a plain float or int passes ahead of the slower ABC tests
+        real = ((type(value) in (float, int) or isinstance(value, numbers.Real)
+                 and not isinstance(value, bool)) and math.isfinite(value))
     except OverflowError:  # math.isfinite of an integer too large for a float
         real = False
     if not real:
@@ -568,7 +569,8 @@ class CollisionField:
         """Each row's measure of blocked t in [0, 1] for the segments from
         (ax, ay) to (ex, ey), given as float64 columns, unchecked:
 
-        * Bounds, for segments whose box leaves them: [0, t_in) and
+        * Bounds, for segments whose box leaves them (each row's box is
+          tested only when the whole batch's box leaves them): [0, t_in) and
           (t_out, 1] around the part the slab method (Liang & Barsky)
           keeps; all of [0, 1] if that is empty or b - a is not finite.
           An end out of bounds keeps at least a sliver of 2^-53 there.
@@ -592,9 +594,16 @@ class CollisionField:
         x_lo, x_hi = np.minimum(ax, ex), np.maximum(ax, ex)
         y_lo, y_hi = np.minimum(ay, ey), np.maximum(ay, ey)
         b = self.bounds
-        # nan endpoints give nan box sides, which fail every comparison.
-        leaves = ~((x_lo >= b.x_min) & (x_hi <= b.x_max) & (y_lo >= b.y_min) & (y_hi <= b.y_max))
-        if not (self.disks or self.polygons or np.count_nonzero(leaves)):
+        # nan endpoints give nan box sides (and batch box sides), which fail
+        # every comparison: the per-row mask is built, with a row set, just
+        # when the batch's box leaves the bounds. (A ufunc's reduce costs
+        # less per call than the ndarray method.)
+        leaves, least, most, inf = None, np.minimum.reduce, np.maximum.reduce, math.inf
+        if not (least(x_lo, initial=inf) >= b.x_min and most(x_hi, initial=-inf) <= b.x_max
+                and least(y_lo, initial=inf) >= b.y_min and most(y_hi, initial=-inf) <= b.y_max):
+            leaves = ~((x_lo >= b.x_min) & (x_hi <= b.x_max)
+                       & (y_lo >= b.y_min) & (y_hi <= b.y_max))
+        elif not (self.disks or self.polygons):
             return np.zeros(len(ax))
         # Rows with nan or infinite endpoints are ordinary input here.
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -614,8 +623,9 @@ class CollisionField:
             return _union_measure(intervals, len(ax))
 
     def _bound_intervals(self, leaves, ax, ay, ex, ey, dx, dy):
-        """[(row, lo, hi)]: the parts of the leaving rows out of bounds."""
-        if not np.count_nonzero(leaves):
+        """[(row, lo, hi)]: the parts of the leaving rows out of bounds, or
+        none if `leaves` is None."""
+        if leaves is None:
             return []
         rows, b = np.flatnonzero(leaves), self.bounds
         t_in, t_out = 0.0, 1.0
@@ -839,11 +849,15 @@ def _crossing_t(ax, ay, bx, by, vx, vy, wx, wy):
 
 def _union_measure(intervals, n):
     """The measure of each of n rows' union of open intervals, from (row,
-    lo, hi) array triples with 0 <= lo < hi <= 1."""
+    lo, hi) array triples with 0 <= lo < hi <= 1. When no row holds two
+    intervals, each row's measure is its hi - lo, which bincount adds onto
+    0.0 as the sweep below would."""
     parts = [part for part in intervals if len(part[0])]
     if not parts:
         return np.zeros(n)
     row, lo, hi = parts[0] if len(parts) == 1 else (np.concatenate(a) for a in zip(*parts))
+    if np.bincount(row, minlength=n).max() == 1:
+        return np.bincount(row, minlength=n, weights=hi - lo)
     # Sweep each row's interval ends in order. lexsort is stable and
     # every opening end comes before every closing one, so at a tie
     # opening ends go first and touching intervals merge into one run.

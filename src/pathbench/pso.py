@@ -61,19 +61,22 @@ class PsoParams:
 
 def _waypoint_vector(position: Sequence[float]) -> np.ndarray:
     """A waypoint vector as flat float64: a positive, even number of entries,
-    each passing `check_real`; anything else is a ValueError."""
-    vec = np.asarray(position, dtype=object).ravel()
+    each passing `check_real`; anything else is a ValueError. An all-finite
+    float64 ndarray passes in one vectorised test in place of the per-entry one."""
+    fast = (type(position) is np.ndarray and position.dtype == np.float64
+            and np.isfinite(position).all())
+    vec = position.ravel() if fast else np.asarray(position, dtype=object).ravel()
     if vec.size == 0 or vec.size % 2 != 0:
         raise ValueError(f"waypoint vector length must be a positive even number, got {vec.size}")
-    return np.array([check_real("waypoint coordinate", v) for v in vec], dtype=np.float64)
+    return vec if fast else np.array([check_real("waypoint coordinate", v) for v in vec],
+                                     dtype=np.float64)
 
 
 def decode(position: Sequence[float], query: Query) -> tuple[Point2, ...]:
     """Turn a flat waypoint vector into start -> w1 ... wn -> target; a
     ValueError for an odd or zero count or an entry `check_real` refuses."""
-    vec = _waypoint_vector(position)
-    mid = [Point2(float(vec[2 * i]), float(vec[2 * i + 1])) for i in range(vec.size // 2)]
-    return (query.start, *mid, query.target)
+    xy = _waypoint_vector(position).tolist()
+    return (query.start, *map(Point2, xy[0::2], xy[1::2]), query.target)
 
 
 def _scores(paths: np.ndarray, field: CollisionField, penalty_lambda: float,
@@ -127,7 +130,13 @@ def update_inertia(iteration: int, max_iterations: int, omega_start: float,
     [-0.1, 0.1], clamped back into [omega_end, omega_start].
     max_iterations is an integer >= 1, else ValueError.
     """
-    frac = min(max(iteration / check_integer("max_iterations", max_iterations, 1), 0.0), 1.0)
+    return _inertia(iteration, check_integer("max_iterations", max_iterations, 1),
+                    omega_start, omega_end, stagnant, rng)
+
+
+def _inertia(iteration, max_iterations, omega_start, omega_end, stagnant, rng) -> float:
+    """`update_inertia`'s formula, with max_iterations already checked."""
+    frac = min(max(iteration / max_iterations, 0.0), 1.0)
     omega = omega_start - (omega_start - omega_end) * frac
     if stagnant:
         omega += float(rng.uniform(-0.1, 0.1))
@@ -144,6 +153,9 @@ class PsoRun:
     path length, a lower bound on its fitness that is still at least its
     personal best, so the personal and global bests are those of a full
     evaluation.
+
+    Set-up draws the first swarm as numpy's `uniform` does, lo + (hi - lo)
+    times `rng.random`, in place: the same doubles and generator state.
     """
 
     planner_id = "pso"
@@ -156,12 +168,13 @@ class PsoRun:
         self.params = params
         self.rng = np.random.default_rng(params.rng_seed)
         b = env.bounds
-        n = params.n_waypoints
-        self._lo = np.tile((b.x_min, b.y_min), n)
-        self._hi = np.tile((b.x_max, b.y_max), n)
-
-        m = params.population
-        positions = self.rng.uniform(self._lo, self._hi, size=(m, 2 * n))
+        m, n = params.population, params.n_waypoints
+        self._lo = np.array((b.x_min, b.y_min) * n)
+        self._hi = np.array((b.x_max, b.y_max) * n)
+        self._c = np.array((params.c1, params.c2))
+        positions = self.rng.random((m, 2 * n))
+        positions *= self._hi - self._lo
+        positions += self._lo
         # Particle 0 starts on the straight line so a trivially clear
         # query is solved from the first evaluation.
         ts = np.arange(1, n + 1) / (n + 1)
@@ -198,14 +211,13 @@ class PsoRun:
     def step(self) -> None:
         """Inertia, velocity, position, fitness, and best-tracking update."""
         p = self.params
-        self.omega = update_inertia(self.iteration, p.max_iterations,
-                                    p.omega_start, p.omega_end,
-                                    self.stagnant, self.rng)
+        self.omega = _inertia(self.iteration, p.max_iterations, p.omega_start, p.omega_end,
+                              self.stagnant, self.rng)
         # One r1, r2 pair per particle, drawn in index order. The velocity
         # update omega v + (c1 r1) (pbest - x) + (c2 r2) (gbest - x) runs in
         # place, in that order of operations.
         r = self.rng.random((p.population, 2))
-        r *= (p.c1, p.c2)
+        r *= self._c
         x, v, pull = self.positions, self.velocities, self._pull
         v *= self.omega
         np.subtract(self.pbest_positions, x, out=pull)

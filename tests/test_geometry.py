@@ -947,6 +947,102 @@ def test_rows_to_just_past_a_bound_are_blocked():
     assert blocked[some].tolist() == reference_union_lengths(env, starts[some], ends[some]).tolist()
 
 
+@st.composite
+def bound_rows(draw):
+    """A row inside WIDE, along or onto one of its bound lines, out of it, or
+    with a nan or infinite coordinate."""
+    kind = draw(st.sampled_from(("inside", "line", "outside", "non-finite")))
+    row = [draw(st.floats(-12.0, 12.0)) for _ in range(4)]
+    k = draw(st.integers(0, 3))
+    if kind == "line":
+        row[k] = draw(st.sampled_from((-12.0, 12.0)))
+        if draw(st.booleans()):  # both ends on that line
+            row[k ^ 2] = row[k]
+    elif kind == "outside":
+        row[k] = draw(st.floats(12.0, 30.0, exclude_min=True)) * draw(st.sampled_from((-1, 1)))
+    elif kind == "non-finite":
+        row[k] = draw(st.sampled_from((math.nan, math.inf, -math.inf)))
+    return row
+
+
+@pytest.mark.parametrize("kind", FIELD_KINDS)
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_the_batch_bounds_test_equals_the_per_row_one(kind, data):
+    # A batch whose box stays in bounds skips the per-row bounds mask, and
+    # a nan row makes the kernel build that mask for its whole batch. Each
+    # row gets the same doubles either way, and alone, and a row with a
+    # nan or infinite coordinate is blocked whole.
+    field = data.draw(fields(kind)).collision_field
+    cols = np.array(data.draw(st.lists(bound_rows(), min_size=1, max_size=16))).T  # ax, ay, ex, ey
+
+    def measure(cols):
+        return field._blocked_measure(*np.array(cols, dtype=np.float64))
+
+    got = measure(cols)
+    forced = measure(np.column_stack((cols, np.full(4, math.nan))))
+    alone = [measure(cols[:, i:i + 1])[0] for i in range(cols.shape[1])]
+    assert got.tobytes() == forced[:-1].tobytes() == np.array(alone).tobytes()
+    assert forced[-1] == 1.0
+    finite = np.isfinite(cols).all(axis=0)
+    assert (got[~finite] == 1.0).all()
+    inside = finite & (np.abs(cols) <= 12.0).all(axis=0)
+    assert measure(cols[:, inside]).tobytes() == got[inside].tobytes()
+
+
+def union_oracle(intervals, n):
+    """Each of n rows' union measure: its intervals merged in order of their
+    starts (touching ones too), each run's length added onto 0.0 in turn."""
+    spans = [[] for _ in range(n)]
+    for row, lo, hi in intervals:
+        for r, a, b in zip(row.tolist(), lo.tolist(), hi.tolist()):
+            spans[r].append((a, b))
+    out = []
+    for row_spans in spans:
+        total, run = 0.0, None
+        for a, b in sorted(row_spans):
+            if run is not None and a <= run[1]:
+                run[1] = max(run[1], b)
+                continue
+            if run is not None:
+                total += run[1] - run[0]
+            run = [a, b]
+        out.append(total if run is None else total + (run[1] - run[0]))
+    return np.array(out)
+
+
+@st.composite
+def interval_sets(draw, repeats):
+    """n rows and their (row, lo, hi) parts; a row holds at most one interval
+    unless `repeats`. Ends come from a few shared values and anywhere in
+    [0, 1], so intervals overlap, touch and nest."""
+    n = draw(st.integers(1, 8))
+    rows = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=16, unique=not repeats))
+    ends = st.sampled_from((0.0, 0.25, 0.5, 1.0)) | st.floats(0.0, 1.0)
+    spans = [sorted(draw(st.tuples(ends, ends).filter(lambda e: e[0] != e[1]))) for _ in rows]
+    cuts = sorted(draw(st.sets(st.integers(1, len(rows)), max_size=2)) | {len(rows)})
+    parts, start = [], 0
+    for cut in cuts:
+        lo, hi = np.array(spans[start:cut]).reshape(-1, 2).T
+        parts.append((np.array(rows[start:cut], dtype=np.intp), lo, hi))
+        start = cut
+    return n, parts
+
+
+@PROPERTY
+@given(data=st.data(), repeats=st.booleans())
+def test_the_one_interval_union_equals_the_sweep(data, repeats):
+    # Where no row holds two intervals, each row's measure is its hi - lo.
+    # A copy of the first interval leaves every union as it was but makes
+    # its row hold two, which takes the sweep.
+    n, parts = data.draw(interval_sets(repeats))
+    got = geometry._union_measure(parts, n)
+    assert got.tobytes() == union_oracle(parts, n).tobytes()
+    row, lo, hi = parts[0]
+    swept = geometry._union_measure(parts + [(row[:1], lo[:1], hi[:1])], n)
+    assert swept.tobytes() == got.tobytes()
+
+
 class CountingField(CollisionField):
     """Records how many points each `free` call classifies."""
 

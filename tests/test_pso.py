@@ -96,6 +96,35 @@ def test_decode():
         decode((), Q_EAST)
 
 
+def _decoded(position):
+    """decode's path on Q_EAST as its repr, or its ValueError's text."""
+    try:
+        return repr(decode(position, Q_EAST))
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@pytest.mark.parametrize("values", [
+    [1.0, 2.0, 3.0, 4.0], [-0.0, 5e-324, -1e308, 1e308],
+    [math.nan, 1.0], [1.0, 2.0, math.inf, math.nan], [-math.inf, 2.0],
+    [1.0, 2.0, 3.0], [], [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]],
+    [[1.0], [2.0], [3.0]], [[1.0, 2.0], [3.0, -math.inf]],
+], ids=["plain", "extremes", "nan", "inf-then-nan", "minus-inf", "odd", "empty",
+        "2-d", "2-d-odd", "2-d-minus-inf"])
+def test_decode_of_a_float64_array_is_that_of_its_list(values):
+    # A float64 array takes one finiteness test in place of a check per
+    # entry; the path, or the first bad entry's message, is the list's.
+    array = np.array(values, dtype=np.float64)
+    assert _decoded(array) == _decoded(values)
+    assert _decoded(array.T) == _decoded(array.T.tolist())
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(values=st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=9))
+def test_decode_of_any_float64_array_is_that_of_its_list(values):
+    assert _decoded(np.array(values)) == _decoded(values)
+
+
 def test_fitness_and_update_inertia_keep_the_params_ranges():
     # The number rule itself is in test_geometry's ENTRY_SLOTS table; these
     # are the ranges PsoParams also enforces.
@@ -183,6 +212,28 @@ def test_anchor_particle_sits_on_the_straight_line():
     assert run.positions[0, 0::2].tolist() == pytest.approx(expected_x)
     assert run.positions[0, 1::2].tolist() == pytest.approx([0.0] * 5)
     assert np.all(run.velocities == 0.0)
+
+
+@pytest.mark.parametrize("bounds", [
+    Bounds(-40.0, 40.0, -40.0, 20.0), Bounds(-1e150, 1e150, -1e150, 1e150),
+    Bounds(1e150, 1.5e150, -3e150, -1e150),
+], ids=["default", "wide-1e150", "offset-1e150"])
+@pytest.mark.parametrize("seed", [0, 1, 12345, 2**32 - 1])
+def test_the_first_swarm_is_numpys_uniform_draw(bounds, seed):
+    # Set-up draws the swarm in place by numpy's own uniform formula: the
+    # same doubles, and the generator left where `uniform` leaves it.
+    # Particle 0 is then moved onto the straight line.
+    b = bounds
+    query = Query(Point2(b.x_min, b.y_min), Point2(b.x_max, b.y_max))
+    params = PsoParams(rng_seed=seed)
+    run = PsoRun(Environment(b, ()), query, params)
+    lo = np.tile((b.x_min, b.y_min), params.n_waypoints)
+    hi = np.tile((b.x_max, b.y_max), params.n_waypoints)
+    rng = np.random.default_rng(seed)
+    want = rng.uniform(lo, hi, size=(params.population, 2 * params.n_waypoints))
+    assert run.positions[1:].tobytes() == want[1:].tobytes()
+    assert run.rng.bit_generator.state == rng.bit_generator.state
+    assert run._lo.tobytes() == lo.tobytes() and run._hi.tobytes() == hi.tobytes()
 
 
 def test_step_matches_per_particle_updates():
