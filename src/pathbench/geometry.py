@@ -273,75 +273,71 @@ def segments_intersect(p1, p2, q1, q2) -> bool:
     return False
 
 
-def _polygon_side(p, vertices, orient=_orient) -> int:
-    """1 if p lies strictly inside the polygon, 0 on its outline, -1 outside.
+def point_in_polygon(p: Sequence[float], vertices: Sequence[Sequence[float]]) -> bool:
+    """True iff p lies strictly inside the polygon (the outline is free), decided exactly.
 
     A ray cast from p toward +x: an edge whose ends lie on either side of
     p's level (an end on the level counts as below) crosses the ray iff p
     lies strictly left of the edge taken upward, by the exact sign of
-    `orient`; a zero sign puts p on the edge. A vertex at p, or a
-    horizontal edge through p, puts p on the outline too. `orient` is
-    `_orient_exact` for a point with Fraction coordinates: `_orient` would
-    round them to floats, as Fraction - float does, and judge that point.
+    `_orient`; a zero sign puts p on the edge. A vertex at p, or a
+    horizontal edge through p, puts p on the outline too.
     """
     px, py = p[0], p[1]
     inside = False
     u = vertices[-1]
     for v in vertices:
         if (u[1] > py) != (v[1] > py):
-            s = orient(u, v, p) if u[1] < v[1] else orient(v, u, p)
+            s = _orient(u, v, p) if u[1] < v[1] else _orient(v, u, p)
             if s == 0:
-                return 0
+                return False
             if s > 0:
                 inside = not inside
         elif v[1] == py and (v[0] == px or u[1] == py and min(u[0], v[0]) <= px <= max(u[0], v[0])):
-            return 0
+            return False
         u = v
-    return 1 if inside else -1
-
-
-def point_in_polygon(p: Sequence[float], vertices: Sequence[Sequence[float]]) -> bool:
-    """True iff p lies strictly inside the polygon (the outline is free), decided exactly."""
-    return _polygon_side(p, vertices) > 0
+    return inside
 
 
 def _segment_enters(a, b, vertices) -> bool:
     """True iff some point of the closed segment (a, b) lies strictly
     inside the polygon, decided exactly.
 
-    A proper crossing of an edge enters. Otherwise the segment is cut at
-    every vertex on it, and each piece lies inside, outside or along one
-    edge: it takes the side of an end of the segment off the outline, or
-    else the side of its exact midpoint.
+    Along the segment's line, "above" meaning strictly left of it, the
+    inside and outside swap where an edge with ends strictly on either
+    side crosses, and at a vertex on the line where exactly one of its two
+    neighbours lies above. A crossing within the segment enters. Otherwise
+    the state just after a is the parity of the swaps ahead of a, each
+    vertex on the line within the segment flips it in forward order, and a
+    piece with odd parity enters unless it runs along an edge.
     """
     if a[0] == b[0] and a[1] == b[1]:
-        return _polygon_side(a, vertices) > 0
-    sides = [_orient(a, b, v) for v in vertices]
+        return point_in_polygon(a, vertices)
+    # Forward positions by one coordinate the segment moves in: exact, on the line.
     axis = 0 if a[0] != b[0] else 1
-    lo, hi = min(a[axis], b[axis]), max(a[axis], b[axis])
-    cuts = []
-    w, sw = vertices[-1], sides[-1]
+    sign = 1.0 if b[axis] > a[axis] else -1.0
+    f_a, f_b = sign * a[axis], sign * b[axis]
+    sides = [_orient(a, b, v) for v in vertices]
+    odd = along = False
+    events = []
+    u, su, w, sw = vertices[-2], sides[-2], vertices[-1], sides[-1]
     for v, sv in zip(vertices, sides):
-        if (sv > 0 and sw < 0) or (sv < 0 and sw > 0):
+        if sw == 0:  # w on the line, between u and v
+            f_u, f_w, f_v = sign * u[axis], sign * w[axis], sign * v[axis]
+            flip = (su > 0) != (sv > 0)
+            odd ^= f_w > f_a and flip
+            if f_a < f_w < f_b:
+                events.append((f_w, flip, sv == 0 and f_v > f_w or su == 0 and f_u > f_w))
+            along |= sv == 0 and min(f_w, f_v) <= f_a < max(f_w, f_v)
+        elif (sv > 0 and sw < 0) or (sv < 0 and sw > 0):
             oa, ob = _orient(w, v, a), _orient(w, v, b)
             if (oa > 0 and ob < 0) or (oa < 0 and ob > 0):
                 return True
-        elif sv == 0 and lo < v[axis] < hi:
-            cuts.append(v)
-        w, sw = v, sv
-    cuts.sort(key=lambda v: v[axis], reverse=bool(b[axis] < a[axis]))
-    ends = [a, *cuts, b]
-    last = len(ends) - 2
-    for k in range(last + 1):
-        side = _polygon_side(b, vertices) if k == last else 0
-        if not side and k == 0:
-            side = _polygon_side(a, vertices)
-        if not side:
-            from fractions import Fraction
-            (px, py), (qx, qy) = ends[k], ends[k + 1]
-            mid = ((Fraction(px) + Fraction(qx)) / 2, (Fraction(py) + Fraction(qy)) / 2)
-            side = _polygon_side(mid, vertices, _orient_exact)
-        if side > 0:
+            if (oa > 0 and sv > 0) or (oa < 0 and sv < 0):  # the crossing is ahead of a
+                odd = not odd
+        u, su, w, sw = w, sw, v, sv
+    for _, flip, outline in sorted([(f_a, False, along), *events]):
+        odd ^= flip
+        if odd and not outline:
             return True
     return False
 
@@ -694,17 +690,9 @@ class CollisionField:
         return found
 
     def _polygon_intervals(self, rows, ax, ay, ex, ey, dx, dy):
-        """[(row, lo, hi)]: each row's open intervals strictly inside each polygon.
-
-        In blocks of about 2^14 (row, vertex) pairs. Every vertex gets its
-        exact side of the row's line, "above" meaning strictly left of it.
-        Along the line, as in `_polygon_side`'s ray cast, a polygon's
-        inside and outside swap where an edge with ends strictly on either
-        side crosses, and at a vertex on the line where exactly one of its
-        two neighbours lies above. The row's state just after a is the
-        parity of such swaps ahead of a; each swap within the row flips
-        it, and a piece along an edge is outline, not interior.
-        """
+        """[(row, lo, hi)]: each row's open intervals strictly inside each polygon,
+        by the walk of `_segment_enters` on every row at once, in blocks of
+        about 2^14 (row, vertex) pairs. A piece along an edge is outline."""
         vx, vy = self.vertex_xy.T
         nxt, n_poly = self.vertex_next, len(self.polygons)
         found = []

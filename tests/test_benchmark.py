@@ -485,6 +485,17 @@ def test_table1_suite_shape():
             assert math.isnan(r.length)
 
 
+# The default ten-case maze suite, pinned bit for bit: a sha256 of
+# repr([(case_id, planner_id, feasible, length.hex())]) over its twenty rows.
+TABLE1_SUITE_SHA256 = "bdf940960e92fe7a1a4ee09e9419c5a1b9e5ebccc7553588604634dbb86daf78"
+
+
+def test_table1_suite_is_pinned():
+    rows = table1_suite(seed=0)
+    digest = repr([(r.case_id, r.planner_id, r.feasible, r.length.hex()) for r in rows])
+    assert hashlib.sha256(digest.encode()).hexdigest() == TABLE1_SUITE_SHA256
+
+
 def test_table1_suite_validates_cases():
     with pytest.raises(InvalidQueryError):
         table1_suite(cases=[Query(Point2(-20.0, -20.5), Point2(0.0, 10.0))],

@@ -19,7 +19,8 @@ from hypothesis import strategies as st
 
 from pathbench.benchmark import TABLE1_CASES, audit_path
 from pathbench.environment import Environment, irregular_preset
-from pathbench.geometry import (Bounds, Circle, Polygon, edge_free, point_free,
+from pathbench.errors import InvalidObstacleError
+from pathbench.geometry import (Bounds, Circle, Polygon, edge_free, point_free, point_in_polygon,
                                 segment_circle_collides, segment_polygon_collides)
 from pathbench.pso import PsoParams, plan_pso
 
@@ -406,4 +407,69 @@ def test_twenty_thousand_tangent_rows_match_the_oracle():
             disagree["segment_circle_collides"] += collides != hits
             disagree["blocked_lengths"] += (length > 0.0) != hits
             disagree["edge_free against blocked_lengths"] += free != (length == 0.0)
+    assert disagree == dict.fromkeys(disagree, 0)
+
+
+# --- a lattice sweep against the oracle ---------------------------------------
+
+def _lattice_polygon(rng, size):
+    """A random simple polygon on the size x size lattice, as lattice points:
+    distinct points in angular order about their mean, until `Polygon`
+    accepts them (vertices inside an edge included)."""
+    while True:
+        ks = list({(rng.randint(0, size), rng.randint(0, size)) for _ in range(rng.randint(3, 8))})
+        cx, cy = sum(k[0] for k in ks) / len(ks), sum(k[1] for k in ks) / len(ks)
+        ks.sort(key=lambda k: math.atan2(k[1] - cy, k[0] - cx))
+        try:
+            Polygon(ks)
+            return ks
+        except InvalidObstacleError:
+            pass
+
+
+def test_three_thousand_lattice_segments_match_the_oracle():
+    # 150 random lattice polygons, each scaled and moved off the origin, and
+    # 20 segments each whose ends lie on a vertex, on a lattice point along
+    # an edge, or on a lattice or random point around the polygon; one in
+    # ten has length 0.
+    rng, size = random.Random(5), 6
+    disagree = dict.fromkeys(("segment_polygon_collides", "edge_free", "point_in_polygon",
+                              "point_free", "CollisionField.free", "blocked_lengths"), 0)
+    for _ in range(150):
+        ks = _lattice_polygon(rng, size)
+        ox, oy = rng.choice((12.9, 1e6, -1e6)), rng.choice((12.9, 1e6, -1e6))
+        scale = rng.choice((1.0, 0.25, 0.1))
+
+        def point(k):
+            return (ox + scale * k[0], oy + scale * k[1])
+
+        vertices = tuple(map(point, ks))
+        along = [(u[0] + j * (v[0] - u[0]) // g, u[1] + j * (v[1] - u[1]) // g)
+                 for u, v in zip(ks, ks[1:] + ks[:1])
+                 for g in [math.gcd(v[0] - u[0], v[1] - u[1])] for j in range(g)]
+
+        def end():
+            kind = rng.randrange(4)
+            if kind == 0:
+                return point(rng.choice(ks))
+            if kind == 1:
+                return point(rng.choice(along))
+            if kind == 2:
+                return point((rng.randint(-1, size + 1), rng.randint(-1, size + 1)))
+            return point((rng.uniform(-1.0, size + 1.0), rng.uniform(-1.0, size + 1.0)))
+
+        rows = [(a, a if rng.random() < 0.1 else end()) for a in (end() for _ in range(20))]
+        lo, hi = point((-2, -2)), point((size + 2, size + 2))
+        env = Environment(Bounds(lo[0], hi[0], lo[1], hi[1]), (Polygon(vertices),))
+        starts = np.array([a for a, _ in rows])
+        blocked = env.collision_field.blocked_lengths(starts, np.array([b for _, b in rows]))
+        free = env.collision_field.free(starts)
+        for (a, b), length, a_free in zip(rows, blocked.tolist(), free.tolist()):
+            hits, inside = exact_blocks(a, b, vertices), exact_side(a, vertices) > 0
+            disagree["segment_polygon_collides"] += segment_polygon_collides((a, b), vertices) != hits
+            disagree["edge_free"] += edge_free(a, b, env) == hits
+            disagree["point_in_polygon"] += point_in_polygon(a, vertices) != inside
+            disagree["point_free"] += point_free(a, env) == inside
+            disagree["CollisionField.free"] += a_free == inside
+            disagree["blocked_lengths"] += a != b and (length > 0.0) != hits
     assert disagree == dict.fromkeys(disagree, 0)
