@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import heapq
+import io
 import math
 import os
 import sys
@@ -136,17 +137,16 @@ class TrialStats:
         return float(np.median(self.times)) if self.results else math.nan
 
     def time_histogram(self) -> tuple[list[float], list[int]]:
-        """(edges, counts) with fixed-width TIME_HISTOGRAM_BIN bins from 0."""
+        """(edges, counts) with fixed-width TIME_HISTOGRAM_BIN bins from 0.
+        A time on an inner edge counts in the bin above it; the last bin is
+        closed."""
         ts = self.times
         if not ts.size:
             return [0.0], []
         n_bins = max(1, int(math.ceil(ts.max() / TIME_HISTOGRAM_BIN)))
         edges = [round(i * TIME_HISTOGRAM_BIN, 10) for i in range(n_bins + 1)]
-        counts = [0] * n_bins
-        for t in ts:
-            b = min(int(t / TIME_HISTOGRAM_BIN), n_bins - 1)
-            counts[b] += 1
-        return edges, counts
+        bins = np.clip(np.searchsorted(edges, ts, side="right") - 1, 0, n_bins - 1)
+        return edges, np.bincount(bins, minlength=n_bins).tolist()
 
 
 def _planner(planner_id: str, params: PlannerParams) -> type:
@@ -300,11 +300,12 @@ def grid_oracle(env: Environment, query: Query, resolution: float = 0.5) -> floa
     # Counted in floats first: a tiny resolution overflows math.ceil.
     cols, rows = b.width / resolution, b.height / resolution
     cells = max(1.0, cols) * max(1.0, rows)
+    if cells <= MAX_GRID_CELLS:
+        nx, ny = max(1, math.ceil(cols)), max(1, math.ceil(rows))
+        cells = nx * ny
     if not cells <= MAX_GRID_CELLS:
-        raise ValueError(f"resolution {resolution!r} makes {cells:.3g} grid cells, "
+        raise ValueError(f"resolution {resolution!r} makes {cells:,.7g} grid cells, "
                          f"more than {MAX_GRID_CELLS:,}")
-    nx = max(1, math.ceil(cols))
-    ny = max(1, math.ceil(rows))
     xs = b.x_min + (np.arange(nx) + 0.5) * resolution
     ys = b.y_min + (np.arange(ny) + 0.5) * resolution
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
@@ -406,11 +407,15 @@ def _fmt(value) -> str:
 
 
 def _write_csv(path, header: Sequence[str], rows) -> None:
-    """Write `header` and then `rows`, each cell formatted by `_fmt`."""
+    """Write `header` and then `rows`, each cell formatted by `_fmt`. The
+    text is built before the file is opened, so a row that fails leaves
+    the file as it was."""
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([_fmt(v) for v in row] for row in rows)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows([_fmt(v) for v in row] for row in rows)
+        fh.write(text.getvalue())
 
 
 def write_results_csv(path, records: Sequence[dict]) -> None:

@@ -171,8 +171,10 @@ def _ensure_out(out: str) -> str:
 
 
 def _write_svg(path: str, env, query: Query, paths) -> str:
+    # Rendered before the file is opened, so a render that fails leaves the file as it was.
+    svg = environment_svg(env, query=query, paths=paths)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(environment_svg(env, query=query, paths=paths))
+        fh.write(svg)
     return path
 
 

@@ -292,9 +292,11 @@ def read_json(path):
 
 
 def write_json(path, doc) -> None:
-    """Write `doc` to `path` as strict JSON: NaN and infinities are a ValueError."""
+    """Write `doc` to `path` as strict JSON: NaN and infinities are a
+    ValueError, raised before the file is opened."""
+    text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc, indent=2, allow_nan=False) + "\n")
+        fh.write(text)
 
 
 def load_environment(path) -> tuple[Environment, Optional[Query]]:

@@ -613,7 +613,7 @@ class CollisionField:
                         & (y_lo[:, None] <= boxes[:, 3]) & (y_hi[:, None] >= boxes[:, 2]))
                 near = (near.any(axis=1) & np.isfinite(dx) & np.isfinite(dy)
                         & ((dx != 0.0) | (dy != 0.0)))
-                intervals += self._polygon_intervals(np.flatnonzero(near), ax, ay, ex, ey, dx, dy)
+                intervals += self._polygon_intervals(np.flatnonzero(near), ax, ay, ex, ey)
             if self.seams:
                 intervals += self._seam_intervals(ax, ay, ex, ey, dx, dy)
             return _union_measure(intervals, len(ax))
@@ -689,12 +689,15 @@ class CollisionField:
             found.append((k + i[meet], t0[meet], t1[meet]))
         return found
 
-    def _polygon_intervals(self, rows, ax, ay, ex, ey, dx, dy):
+    def _polygon_intervals(self, rows, ax, ay, ex, ey):
         """[(row, lo, hi)]: each row's open intervals strictly inside each polygon,
-        by the walk of `_segment_enters` on every row at once, in blocks of
-        about 2^14 (row, vertex) pairs. A piece along an edge is outline."""
+        by the walk of `_segment_enters`, which states its rule, on every row at
+        once in blocks of about 2^14 (row, vertex) pairs: the vertex sides, then
+        the swaps ahead of a, at edge crossings and at vertices on the row's line,
+        and whether a lies along an edge, then the swaps within the row in order.
+        A piece along an edge is outline."""
         vx, vy = self.vertex_xy.T
-        nxt, n_poly = self.vertex_next, len(self.polygons)
+        nxt, prv, n_poly = self.vertex_next, self.vertex_prev, len(self.polygons)
         found = []
         step = max(1, (1 << 14) // len(vx))
         for k in range(0, len(rows), step):
@@ -702,10 +705,9 @@ class CollisionField:
             groups = len(r) * n_poly
             a_x, a_y, e_x, e_y = ax[r], ay[r], ex[r], ey[r]
             side = _orient_array(a_x[:, None], a_y[:, None], e_x[:, None], e_y[:, None], vx, vy)
-            above = side > 0.0
-            swap = above != above[:, nxt]
-            zero = side == 0.0
+            above, zero = side > 0.0, side == 0.0
             on_line = zero.any()
+            swap = above != above[:, nxt]
             if on_line:
                 swap &= ~(zero | zero[:, nxt])
             # Edge j crosses the line. Taken from its end below to its end
@@ -717,17 +719,34 @@ class CollisionField:
             o_b = _orient_array(vx[j], vy[j], vx[n], vy[n], e_x[i], e_y[i])
             ahead = (o_a != 0.0) & ((o_a > 0.0) != down)
             within = ahead & (o_b != 0.0) & ((o_b > 0.0) == down)
-            group = i * n_poly + self.vertex_polygon[j]
-            state = np.bincount(group[ahead], minlength=groups)
-            start_outline = np.zeros(groups, dtype=bool)
-            i, j, group = i[within], j[within], group[within]
-            n = nxt[j]
+            cross = i * n_poly + self.vertex_polygon[j]
+            i, j, n = i[within], j[within], n[within]
             t = _crossing_t(a_x[i], a_y[i], e_x[i], e_y[i], vx[j], vy[j], vx[n], vy[n])
-            events = [(group, np.clip(t, 0.0, 1.0), np.ones(len(t), dtype=np.intp),
+            events = [(cross[within], np.clip(t, 0.0, 1.0), np.ones(len(t), dtype=np.intp),
                        np.zeros(len(t), dtype=bool))]
+            state = np.bincount(cross[ahead], minlength=groups)
+            start_outline = np.zeros(groups, dtype=bool)
             if on_line:
-                events.append(self._vertex_events(r, zero, side, state, start_outline,
-                                                  ax, ay, ex, ey, dx, dy))
+                # Vertex m lies on the line. Order along the row by one coordinate
+                # the row moves in, as a forward position: exact, as every point
+                # compared lies on the line.
+                i, m = np.nonzero(zero)
+                n, p = nxt[m], prv[m]
+                use_x = e_x[i] != a_x[i]
+                sign = np.sign(np.where(use_x, e_x[i] - a_x[i], e_y[i] - a_y[i]))
+                f_a, f_b, f_m, f_n, f_p = sign * np.where(
+                    use_x, np.stack((a_x[i], e_x[i], vx[m], vx[n], vx[p])),
+                    np.stack((a_y[i], e_y[i], vy[m], vy[n], vy[p])))
+                s_n, s_p = side[i, n], side[i, p]
+                flip = (s_p > 0.0) != (s_n > 0.0)
+                vertex = i * n_poly + self.vertex_polygon[m]
+                state += np.bincount(vertex[flip & (f_m > f_a)], minlength=groups)
+                along = (s_n == 0.0) & (np.minimum(f_m, f_n) <= f_a) & (f_a < np.maximum(f_m, f_n))
+                start_outline = np.bincount(vertex[along], minlength=groups) > 0
+                outline = ((s_n == 0.0) & (f_n > f_m)) | ((s_p == 0.0) & (f_p > f_m))
+                within = (f_a < f_m) & (f_m < f_b)
+                events.append((vertex[within], ((f_m - f_a) / (f_b - f_a))[within], flip[within],
+                               outline[within]))
             group, t, flips, outline = (np.concatenate(e) for e in zip(*events))
             # A group with no event within its row keeps its start state.
             busy = np.zeros(groups, dtype=bool)
@@ -757,34 +776,6 @@ class CollisionField:
             hi[sliver] = np.nextafter(lo[sliver], 1.0)
             found.append((r[group[keep] // n_poly], lo, hi))
         return found
-
-    def _vertex_events(self, r, zero, side, state, start_outline, ax, ay, ex, ey, dx, dy):
-        """(group, t, flips, outline after) for the vertices on the rows' lines
-        within the rows; adds to `state` the swaps at vertices ahead of a, and
-        marks in `start_outline` the groups whose row starts along an edge."""
-        (vx, vy), n_poly = self.vertex_xy.T, len(self.polygons)
-        i, m = np.nonzero(zero)
-        rr, n, p = r[i], self.vertex_next[m], self.vertex_prev[m]
-        # Order along the row by one coordinate the row moves in, as a
-        # forward position: exact, as every point compared lies on the line.
-        use_x = dx[rr] != 0.0
-        sign = np.sign(np.where(use_x, dx[rr], dy[rr]))
-
-        def forward(x, y):
-            return sign * np.where(use_x, x, y)
-
-        f_a, f_b = forward(ax[rr], ay[rr]), forward(ex[rr], ey[rr])
-        f_m, f_n, f_p = forward(vx[m], vy[m]), forward(vx[n], vy[n]), forward(vx[p], vy[p])
-        s_n, s_p = side[i, n], side[i, p]
-        flips = ((s_p > 0.0) != (s_n > 0.0)).astype(np.intp)
-        group = i * n_poly + self.vertex_polygon[m]
-        np.add.at(state, group[f_m > f_a], flips[f_m > f_a])
-        along = (s_n == 0.0) & (np.minimum(f_m, f_n) <= f_a) & (f_a < np.maximum(f_m, f_n))
-        start_outline[group[along]] = True
-        outline = ((s_n == 0.0) & (f_n > f_m)) | ((s_p == 0.0) & (f_p > f_m))
-        t = (f_m - f_a) / forward(dx[rr], dy[rr])
-        within = (f_a < f_m) & (f_m < f_b)
-        return group[within], t[within], flips[within], outline[within]
 
     def _seam_intervals(self, ax, ay, ex, ey, dx, dy):
         """[(row, lo, hi)]: the rows along a bound line, over each open seam there."""

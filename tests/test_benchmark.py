@@ -72,6 +72,12 @@ def test_time_histogram():
     edges, counts = stats.time_histogram()
     assert edges == [0.0, 0.1, 0.2, 0.3, 0.4]
     assert counts == [1, 2, 0, 1]
+    # A time on an inner edge counts in the bin above it (0.3 / 0.1 rounds
+    # below 3), and one on the last edge in the last bin.
+    edges, counts = TrialStats(tuple(_result(seed=i, elapsed=t) for i, t in
+                                     enumerate([0.3, 0.45, 0.7]))).time_histogram()
+    assert edges == [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7]
+    assert counts == [0, 0, 0, 1, 1, 0, 1]
     assert stats.median_time == pytest.approx(0.16)
     assert TrialStats(()).time_histogram() == ([0.0], [])
 
@@ -390,19 +396,21 @@ def test_grid_oracle_unreachable():
     assert grid_oracle(env, q, 0.5) == math.inf
 
 
-@pytest.mark.parametrize("bounds, resolution", [
-    (Bounds(0.0, 10.0, 0.0, 10.0), 1e-300),  # numpy's bare "Maximum allowed size exceeded"
-    (Bounds(0.0, 10.0, 0.0, 10.0), 5e-324),  # a bare OverflowError from math.ceil
-    (DEFAULT_BOUNDS, 1e-4),  # 4.8e11 cells, which the oracle would try to allocate
-], ids=["1e-300", "5e-324", "default-bounds-1e-4"])
-def test_grid_oracle_refuses_a_grid_above_the_cell_cap(bounds, resolution):
+@pytest.mark.parametrize("bounds, resolution, cells", [
+    (Bounds(0.0, 10.0, 0.0, 10.0), 1e-300, "inf"),  # numpy's bare "Maximum allowed size exceeded"
+    (Bounds(0.0, 10.0, 0.0, 10.0), 5e-324, "inf"),  # a bare OverflowError from math.ceil
+    (DEFAULT_BOUNDS, 1e-4, "4.8e+11"),  # which the oracle would try to allocate
+    # 999,899.7 cells counted in floats, but 1,001 x 1,000 = 1,001,000 built
+    (Bounds(0.0, 500.25, 0.0, 499.7), 0.5, "1,001,000"),
+], ids=["1e-300", "5e-324", "default-bounds-1e-4", "ceil-above-the-cap"])
+def test_grid_oracle_refuses_a_grid_above_the_cell_cap(bounds, resolution, cells):
     env = Environment(bounds)
     query = Query((bounds.x_min + 1.0, bounds.y_min + 1.0),
                   (bounds.x_max - 1.0, bounds.y_max - 1.0))
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match=rf"resolution {resolution!r} makes .* grid cells, "
-                                             rf"more than {MAX_GRID_CELLS:,}"):
+        with pytest.raises(ValueError, match=rf"resolution {resolution!r} makes {re.escape(cells)} "
+                                             rf"grid cells, more than {MAX_GRID_CELLS:,}"):
             grid_oracle(env, query, resolution)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -538,6 +546,17 @@ def test_results_csv_round_trip(tmp_path):
     assert back[1]["feasible"] is False
     assert math.isnan(back[1]["length"])
     assert back[1]["closest_approach"] == math.inf
+
+
+def test_write_results_csv_leaves_the_file_as_it_was_when_it_refuses(tmp_path):
+    # It used to open the file first, and a record without a field left
+    # only the header.
+    target = tmp_path / "results.csv"
+    write_results_csv(target, [result_record(_result(planner="pso"))])
+    before = target.read_bytes()
+    with pytest.raises(KeyError):
+        write_results_csv(target, [{"planner": "pso"}])
+    assert target.read_bytes() == before
 
 
 GOOD_ROW = "pso,2,false,nan,0.010000,40,3.000000"

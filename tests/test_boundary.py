@@ -8,6 +8,7 @@ disk: the exact squared distance from the center to the segment's
 nearest point.
 """
 
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -256,6 +257,60 @@ def test_pso_no_longer_slips_through_a_seam(maze):
     assert result.length == pytest.approx(53.93868463202851, rel=1e-12)
     seams = maze.collision_field.seams
     assert not any(_on_a_seam(a, b, seams) for a, b in zip(result.path, result.path[1:]))
+
+
+def _maze_rows(maze, rng):
+    """(starts, ends) of 3,200 rows, 800 of each kind, that reach every
+    branch of the batch polygon walk; only some rows through a vertex
+    leave the maze's bounds."""
+    vertices = np.array([v for o in maze.obstacles for v in o.vertices])
+    edges = np.array([(u, w) for o in maze.obstacles
+                      for u, w in zip(o.vertices, o.vertices[1:] + o.vertices[:1])])
+    lo, hi = np.array([-40, -40]), np.array([41, 21])  # the bounds, as lattice ranges
+
+    def lattice(n):
+        return rng.integers(lo, hi, size=(n, 2))
+
+    def anywhere(n):
+        return np.where(rng.random((n, 1)) < 0.5, lattice(n), rng.uniform(lo, hi - 1, size=(n, 2)))
+
+    rows = []
+    # Integer ends: through a vertex by a small lattice step (so a or b may
+    # lie on it), along a vertex's row or column (so along edges), or anywhere.
+    v, d = vertices[rng.integers(len(vertices), size=300)], rng.integers(-3, 4, size=(300, 2))
+    rows.append((v + rng.integers(-6, 1, size=(300, 1)) * d,
+                 v + rng.integers(0, 7, size=(300, 1)) * d))
+    v, axis = vertices[rng.integers(len(vertices), size=300)], rng.integers(2, size=300)
+    n = np.arange(300)
+    a, b = v.copy(), v.copy()
+    a[n, 1 - axis], b[n, 1 - axis] = lattice(300)[n, 1 - axis], lattice(300)[n, 1 - axis]
+    rows += [(a, b), (lattice(200), lattice(200))]
+    # Along x = -40 or 40, through the four seams.
+    x = rng.choice([-40.0, 40.0], size=(800, 1))
+    y = np.where(rng.random((800, 2)) < 0.5, rng.integers(-26, 4, size=(800, 2)),
+                 rng.uniform(-26.0, 3.0, size=(800, 2)))
+    rows.append((np.hstack((x, y[:, :1])), np.hstack((x, y[:, 1:]))))
+    # From a vertex, or from a point along an edge (often a quarter point).
+    e = edges[rng.integers(len(edges), size=400)]
+    s = np.where(rng.random((400, 1)) < 0.5, rng.integers(0, 5, size=(400, 1)) / 4.0,
+                 rng.random((400, 1)))
+    starts = np.vstack((vertices[rng.integers(len(vertices), size=400)],
+                        e[:, 0] + s * (e[:, 1] - e[:, 0])))
+    rows += [(starts, anywhere(800)), (rng.uniform(lo, hi - 1, size=(800, 2)),
+                                       rng.uniform(lo, hi - 1, size=(800, 2)))]
+    return (np.vstack([a for a, _ in rows]).astype(np.float64),
+            np.vstack([b for _, b in rows]).astype(np.float64))
+
+
+# The batch polygon pass on the maze, pinned bit for bit: a sha256 of the
+# blocked lengths of `_maze_rows` at seed 35.
+MAZE_ROWS_SHA256 = "f5a7124a65dc5d680fef882aa860dbbb07907ceacef93a446c92dfe89cb00910"
+
+
+def test_the_maze_polygon_pass_is_pinned(maze):
+    starts, ends = _maze_rows(maze, np.random.default_rng(35))
+    blocked = maze.collision_field.blocked_lengths(starts, ends)
+    assert hashlib.sha256(blocked.tobytes()).hexdigest() == MAZE_ROWS_SHA256
 
 
 # --- grazes against the oracle ------------------------------------------------

@@ -16,7 +16,7 @@ from pathbench.environment import (DEFAULT_BOUNDS, MAX_OBSTACLES, Environment,
                                    Query, environment_from_dict, environment_to_dict,
                                    generate_random_env, irregular_preset,
                                    load_environment, preset_names,
-                                   save_environment, validate_query)
+                                   save_environment, validate_query, write_json)
 from pathbench.errors import (EnvironmentGenerationError, FormatError,
                               InvalidObstacleError, InvalidQueryError,
                               PresetLookupError)
@@ -341,6 +341,16 @@ def test_load_rejects_bad_json(tmp_path):
     bad.write_text("{not json", encoding="utf-8")
     with pytest.raises(FormatError):
         load_environment(bad)
+
+
+def test_write_json_leaves_the_file_as_it_was_when_it_refuses(tmp_path):
+    # It used to open the file first, and a NaN left it empty.
+    target = tmp_path / "doc.json"
+    write_json(target, {"a": 1.0})
+    before = target.read_bytes()
+    with pytest.raises(ValueError):
+        write_json(target, {"a": float("nan")})
+    assert target.read_bytes() == before
 
 
 def test_each_file_format_has_one_reader_and_one_writer():
