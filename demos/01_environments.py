@@ -7,10 +7,9 @@ Outputs land in demo-output/.
 
 import os
 
-from pathbench import (InvalidQueryError, Query, environment_svg,
+from pathbench import (FIELD_QUERY, InvalidQueryError, Query, environment_svg,
                        generate_random_env, irregular_preset, load_environment,
                        save_environment, validate_query)
-from pathbench.geometry import Point2
 
 OUT = "demo-output"
 
@@ -26,7 +25,7 @@ def main():
 
     # Random fields are a pure function of the seed. The query argument
     # keeps both endpoints out of (and clear of) every disc.
-    query = Query(Point2(20.0, -15.0), Point2(-25.0, 15.0))
+    query = FIELD_QUERY
     for seed in (1, 7, 42):
         env = generate_random_env(seed, n_obstacles=12, query=query)
         name = f"random-{seed:02d}.svg"

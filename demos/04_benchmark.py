@@ -7,29 +7,26 @@ version of this experiment is what `pathbench bench` runs.
 
 import os
 
-from pathbench import (PsoParams, RandomEnvFactory, RrtParams, grid_oracle,
-                       plan_once, run_trials, summarize, write_results_csv)
+from pathbench import (FIELD_QUERY, FIELD_SEEDS, PsoParams, RandomEnvFactory, RrtParams,
+                       grid_oracle, plan_once, run_trials, summarize, write_results_csv)
 from pathbench.benchmark import result_record
-from pathbench.environment import Query
-from pathbench.geometry import Point2
 
 OUT = "demo-output"
-QUERY = Query(Point2(20.0, -15.0), Point2(-25.0, 15.0))
 
 
 def main():
     os.makedirs(OUT, exist_ok=True)
-    factory = RandomEnvFactory(query=QUERY)
+    factory = RandomEnvFactory(query=FIELD_QUERY)
     specs = [("rrtstar", RrtParams()), ("pso", PsoParams())]
 
     records = []
     print("10 trials per planner (a small sample; the acceptance suite "
-          "runs 50):")
+          f"runs {len(FIELD_SEEDS)}):")
     print(f"{'planner':8s} {'feasible':>8s} {'mean len':>9s} "
           f"{'std len':>8s} {'med time':>9s}")
     for planner_id, params in specs:
-        stats = run_trials(factory, QUERY, planner_id, params,
-                           n_trials=10, base_seed=1000)
+        stats = run_trials(factory, FIELD_QUERY, planner_id, params,
+                           n_trials=10, base_seed=FIELD_SEEDS.start)
         records.extend(result_record(r) for r in stats.results)
         print(f"{planner_id:8s} {stats.n_feasible:5d}/10 "
               f"{stats.mean_length:9.3f} {stats.std_length:8.3f} "
@@ -45,11 +42,12 @@ def main():
     print(f"wrote {csv_path}")
 
     # Sanity anchor: an exhaustive grid search on one of the same fields.
-    env = factory(1000)
-    oracle = grid_oracle(env, QUERY, resolution=0.5)
-    res = plan_once(env, QUERY, "rrtstar", RrtParams(), 1000)
+    seed = FIELD_SEEDS.start
+    env = factory(seed)
+    oracle = grid_oracle(env, FIELD_QUERY, resolution=0.5)
+    res = plan_once(env, FIELD_QUERY, "rrtstar", RrtParams(), seed)
     if res.feasible:
-        print(f"seed 1000: grid oracle {oracle:.3f}, "
+        print(f"seed {seed}: grid oracle {oracle:.3f}, "
               f"planner {res.length:.3f} (ratio {res.length / oracle:.3f})")
 
 

@@ -9,8 +9,8 @@ Everything that draws random numbers takes an integer seed and is
 reproducible bit-for-bit from it.
 """
 
-from .benchmark import (TABLE1_CASES, TIME_HISTOGRAM_BIN, CaseRow,
-                        RandomEnvFactory, TrialStats, audit_path,
+from .benchmark import (FIELD_QUERY, FIELD_SEEDS, TABLE1_CASES, TIME_HISTOGRAM_BIN,
+                        CaseRow, RandomEnvFactory, TrialStats, audit_path,
                         grid_oracle, plan_once, read_results_csv,
                         result_record, run_trials, summarize, table1_suite,
                         write_results_csv, write_summary, write_table1_csv)
@@ -48,7 +48,7 @@ __all__ = [
     "RrtParams", "RrtTree", "RrtStarRun", "plan_rrt_star",
     "PsoParams", "PsoRun", "plan_pso", "PlanResult",
     # benchmarks and records
-    "TABLE1_CASES", "TIME_HISTOGRAM_BIN", "CaseRow", "TrialStats",
+    "TABLE1_CASES", "FIELD_QUERY", "FIELD_SEEDS", "TIME_HISTOGRAM_BIN", "CaseRow", "TrialStats",
     "RandomEnvFactory", "plan_once", "run_trials", "table1_suite",
     "grid_oracle", "summarize", "audit_path", "result_record",
     "write_results_csv", "read_results_csv", "write_table1_csv",

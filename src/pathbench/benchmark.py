@@ -32,7 +32,7 @@ from .result import PlanResult, plan
 from .rrtstar import RrtParams, RrtStarRun
 
 __all__ = [
-    "TABLE1_CASES", "TrialStats", "CaseRow", "RandomEnvFactory",
+    "TABLE1_CASES", "FIELD_QUERY", "FIELD_SEEDS", "TrialStats", "CaseRow", "RandomEnvFactory",
     "plan_once", "run_trials", "table1_suite", "grid_oracle", "summarize",
     "audit_path", "result_record", "write_results_csv", "read_results_csv",
     "write_table1_csv", "write_summary", "TIME_HISTOGRAM_BIN", "MAX_GRID_CELLS",
@@ -59,6 +59,10 @@ TABLE1_CASES: tuple[Query, ...] = tuple(
         ((-38.0, -10.0), (32.0, -10.0)),
         ((33.0, -7.0), (-20.0, -13.0)),
     ])
+
+#: Acceptance 1's random fields: this query on each seed's field, planned with that seed.
+FIELD_QUERY = Query(Point2(20.0, -15.0), Point2(-25.0, 15.0))
+FIELD_SEEDS = range(1000, 1050)
 
 #: Every planner, in report order: id -> run class, which names its
 #: parameter record as `params_type`.
@@ -291,12 +295,16 @@ def grid_oracle(env: Environment, query: Query, resolution: float = 0.5) -> floa
     Cells are free when their centers pass `CollisionField.free`; the
     search shares nothing with the planners.
     Straight moves cost `resolution`, diagonal moves sqrt(2) * resolution.
-    Endpoints snap to the nearest free cell center within a 3-cell window
+    An endpoint outside the bounds is an InvalidQueryError; one inside an
+    obstacle snaps to the nearest free cell center within a 3-cell window
     (an error if none exists). Returns math.inf when the goal is unreachable.
     A resolution that makes more than MAX_GRID_CELLS cells is a ValueError.
     """
     check_real("resolution", resolution, above=0)
     b = env.bounds
+    for name, p in (("start", query.start), ("target", query.target)):
+        if not b.contains(p):
+            raise InvalidQueryError(f"{name} {tuple(p)} outside bounds")
     # Counted in floats first: a tiny resolution overflows math.ceil.
     cols, rows = b.width / resolution, b.height / resolution
     cells = max(1.0, cols) * max(1.0, rows)

@@ -14,21 +14,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pathbench.benchmark import (MAX_GRID_CELLS, RESULT_FIELDS, TABLE1_CASES, CaseRow,
-                                 RandomEnvFactory, TrialStats, audit_path,
-                                 grid_oracle, plan_once, read_results_csv,
+from pathbench.benchmark import (FIELD_QUERY, FIELD_SEEDS, MAX_GRID_CELLS, RESULT_FIELDS,
+                                 TABLE1_CASES, CaseRow, RandomEnvFactory, TrialStats,
+                                 audit_path, grid_oracle, plan_once, read_results_csv,
                                  result_record, run_trials, summarize,
                                  table1_suite, write_results_csv,
                                  write_summary, write_table1_csv)
 from pathbench.environment import (DEFAULT_BOUNDS, Environment, Query,
-                                   generate_random_env, irregular_preset)
+                                   generate_random_env, irregular_preset, validate_query)
 from pathbench.errors import FormatError, InvalidQueryError
 from pathbench.geometry import Bounds, Circle, Point2, dist
 from pathbench.pso import PsoParams
 from pathbench.result import PlanResult
 from pathbench.rrtstar import RrtParams, plan_rrt_star
-
-QUERY_A = Query(Point2(20.0, -15.0), Point2(-25.0, 15.0))
 
 
 def _result(planner="rrtstar", seed=0, feasible=True, length=10.0,
@@ -98,7 +96,7 @@ def test_summarize_shape():
 def test_plan_once_rejects_unknown_planner():
     env = generate_random_env(0, n_obstacles=0)
     with pytest.raises(ValueError):
-        plan_once(env, QUERY_A, "dijkstra", RrtParams(), 0)
+        plan_once(env, FIELD_QUERY, "dijkstra", RrtParams(), 0)
 
 
 def test_plan_once_and_run_trials_check_the_planner_and_its_params(monkeypatch):
@@ -112,9 +110,9 @@ def test_plan_once_and_run_trials_check_the_planner_and_its_params(monkeypatch):
             ("rrtstar", PsoParams(), "'rrtstar' takes RrtParams, got PsoParams"),
             ("dijkstra", RrtParams(), "unknown planner 'dijkstra'")]:
         with pytest.raises(ValueError, match=match):
-            plan_once(env, QUERY_A, planner, params, 0)
+            plan_once(env, FIELD_QUERY, planner, params, 0)
         with pytest.raises(ValueError, match=match):
-            run_trials(env, QUERY_A, planner, params, n_trials=2, base_seed=0, jobs=2)
+            run_trials(env, FIELD_QUERY, planner, params, n_trials=2, base_seed=0, jobs=2)
 
 
 def test_run_trials_checks_its_integer_arguments_before_any_plan(monkeypatch):
@@ -132,7 +130,7 @@ def test_run_trials_checks_its_integer_arguments_before_any_plan(monkeypatch):
                       ("base_seed", -1), ("base_seed", 1.0), ("base_seed", False),
                       ("jobs", True), ("jobs", 2.5), ("jobs", 0), ("jobs", np.float64(2))]:
         with pytest.raises(ValueError, match=f"^{name} must be an integer"):
-            run_trials(env, QUERY_A, "rrtstar", RrtParams(), **dict(good, **{name: bad}))
+            run_trials(env, FIELD_QUERY, "rrtstar", RrtParams(), **dict(good, **{name: bad}))
 
 
 def test_seeds_above_maxsize_are_refused_before_any_plan(monkeypatch):
@@ -144,7 +142,7 @@ def test_seeds_above_maxsize_are_refused_before_any_plan(monkeypatch):
     monkeypatch.setattr("pathbench.benchmark.plan_once", no_plan)
     env = generate_random_env(0, n_obstacles=0)
     with pytest.raises(ValueError, match=f"^base_seed must be <= {sys.maxsize - 1}, "):
-        run_trials(env, QUERY_A, "pso", PsoParams(), n_trials=2, base_seed=sys.maxsize)
+        run_trials(env, FIELD_QUERY, "pso", PsoParams(), n_trials=2, base_seed=sys.maxsize)
     for bad, match in [(sys.maxsize, f"^seed must be <= {sys.maxsize - 9}, "),
                        (True, "^seed must be an integer >= 0"),
                        (-1, "^seed must be an integer >= 0"),
@@ -152,14 +150,14 @@ def test_seeds_above_maxsize_are_refused_before_any_plan(monkeypatch):
         with pytest.raises(ValueError, match=match):
             table1_suite(seed=bad)
     monkeypatch.undo()
-    stats = run_trials(env, QUERY_A, "pso", PsoParams(max_iterations=5, population=5),
+    stats = run_trials(env, FIELD_QUERY, "pso", PsoParams(max_iterations=5, population=5),
                        n_trials=2, base_seed=sys.maxsize - 1)
     assert [r.seed for r in stats.results] == [sys.maxsize - 1, sys.maxsize]
 
 
 def test_plan_once_overrides_seed():
-    env = generate_random_env(4, query=QUERY_A)
-    res = plan_once(env, QUERY_A, "rrtstar",
+    env = generate_random_env(4, query=FIELD_QUERY)
+    res = plan_once(env, FIELD_QUERY, "rrtstar",
                     RrtParams(iterations_num=50, rng_seed=99), 5)
     assert res.seed == 5
     assert res.params["rng_seed"] == 5
@@ -167,36 +165,36 @@ def test_plan_once_overrides_seed():
 
 def buried_start_env(seed):
     """Module level, so a worker process can unpickle it."""
-    return Environment(Bounds(-40, 40, -40, 20), (Circle(QUERY_A.start, 3.0),))
+    return Environment(Bounds(-40, 40, -40, 20), (Circle(FIELD_QUERY.start, 3.0),))
 
 
 def test_plan_once_and_run_trials_raise_planner_errors():
     # A planner error is an error, not an infeasible row, for every jobs.
     with pytest.raises(InvalidQueryError, match="start"):
-        plan_once(buried_start_env, QUERY_A, "rrtstar", RrtParams(), 7)
+        plan_once(buried_start_env, FIELD_QUERY, "rrtstar", RrtParams(), 7)
     for jobs in (1, 2):
         with pytest.raises(InvalidQueryError, match="start"):
-            run_trials(buried_start_env, QUERY_A, "pso", PsoParams(max_iterations=5),
+            run_trials(buried_start_env, FIELD_QUERY, "pso", PsoParams(max_iterations=5),
                        n_trials=2, base_seed=0, jobs=jobs)
 
 
 def test_run_trials_deterministic_and_seed_ordered():
-    env = generate_random_env(18, query=QUERY_A)
+    env = generate_random_env(18, query=FIELD_QUERY)
     params = RrtParams(iterations_num=120)
-    a = run_trials(env, QUERY_A, "rrtstar", params, n_trials=4, base_seed=10)
-    b = run_trials(env, QUERY_A, "rrtstar", params, n_trials=4, base_seed=10)
+    a = run_trials(env, FIELD_QUERY, "rrtstar", params, n_trials=4, base_seed=10)
+    b = run_trials(env, FIELD_QUERY, "rrtstar", params, n_trials=4, base_seed=10)
     assert [r.seed for r in a.results] == [10, 11, 12, 13]
     assert [r.path for r in a.results] == [r.path for r in b.results]
     with pytest.raises(ValueError):
-        run_trials(env, QUERY_A, "rrtstar", params, n_trials=0, base_seed=0)
+        run_trials(env, FIELD_QUERY, "rrtstar", params, n_trials=0, base_seed=0)
 
 
 def test_run_trials_parallel_matches_serial():
-    factory = RandomEnvFactory(query=QUERY_A)
+    factory = RandomEnvFactory(query=FIELD_QUERY)
     params = PsoParams(max_iterations=40, population=10)
-    serial = run_trials(factory, QUERY_A, "pso", params, n_trials=4,
+    serial = run_trials(factory, FIELD_QUERY, "pso", params, n_trials=4,
                         base_seed=100, jobs=1)
-    parallel = run_trials(factory, QUERY_A, "pso", params, n_trials=4,
+    parallel = run_trials(factory, FIELD_QUERY, "pso", params, n_trials=4,
                           base_seed=100, jobs=2)
     for s, p in zip(serial.results, parallel.results):
         assert s.seed == p.seed
@@ -227,24 +225,24 @@ def test_run_trials_caps_and_checks_jobs(monkeypatch):
     monkeypatch.setattr("os.cpu_count", lambda: 8)
     env, _ = irregular_preset("empty")
     params = RrtParams(iterations_num=20)
-    stats = run_trials(env, QUERY_A, "rrtstar", params, n_trials=3,
+    stats = run_trials(env, FIELD_QUERY, "rrtstar", params, n_trials=3,
                        base_seed=0, jobs=5000)
     assert started == [3]
     assert [r.seed for r in stats.results] == [0, 1, 2]
     # One trial never needs a pool, whatever jobs asks for.
-    run_trials(env, QUERY_A, "rrtstar", params, n_trials=1, base_seed=0, jobs=4)
+    run_trials(env, FIELD_QUERY, "rrtstar", params, n_trials=1, base_seed=0, jobs=4)
     assert started == [3]
     # Nor more workers than CPUs; an unknown CPU count means one, and no pool.
     serial = [(r.seed, r.path, r.closest_approach) for r in stats.results]
     for cpus, pools in ((2, [3, 2]), (None, [3, 2])):
         monkeypatch.setattr("os.cpu_count", lambda: cpus)
-        stats = run_trials(env, QUERY_A, "rrtstar", params, n_trials=3,
+        stats = run_trials(env, FIELD_QUERY, "rrtstar", params, n_trials=3,
                            base_seed=0, jobs=6)
         assert started == pools
         assert [(r.seed, r.path, r.closest_approach) for r in stats.results] == serial
     for jobs in (0, -1):
         with pytest.raises(ValueError):
-            run_trials(env, QUERY_A, "rrtstar", params, n_trials=2,
+            run_trials(env, FIELD_QUERY, "rrtstar", params, n_trials=2,
                        base_seed=0, jobs=jobs)
 
 
@@ -358,8 +356,15 @@ def test_import_environment_does_not_load_the_result_module():
     _run_in_a_fresh_interpreter(_ENVIRONMENT_IMPORTS)
 
 
+def test_the_field_experiment_is_acceptance_1s():
+    assert FIELD_QUERY == Query(Point2(20.0, -15.0), Point2(-25.0, 15.0))
+    assert FIELD_SEEDS == range(1000, 1050)
+    factory = RandomEnvFactory(query=FIELD_QUERY)
+    assert all(len(factory(seed).obstacles) == 12 for seed in FIELD_SEEDS)
+
+
 def test_random_env_factory_is_picklable_and_seeded():
-    factory = RandomEnvFactory(query=QUERY_A)
+    factory = RandomEnvFactory(query=FIELD_QUERY)
     clone = pickle.loads(pickle.dumps(factory))
     assert clone(42) == factory(42)
     assert factory(1) != factory(2)
@@ -436,6 +441,22 @@ def test_grid_oracle_snaps_blocked_endpoints():
             grid_oracle(env, q, bad)
 
 
+def test_grid_oracle_refuses_an_endpoint_outside_the_bounds():
+    env, query = irregular_preset("empty")
+    b = env.bounds
+    # (1000, 1000) used to snap onto the nearest corner cell and get 58.435.
+    for p in [(1000.0, 1000.0), (b.x_min - 0.1, 0.0), (b.x_max + 0.1, 0.0),
+              (0.0, b.y_min - 0.1), (0.0, b.y_max + 0.1)]:
+        for q in (Query(p, query.target), Query(query.start, p)):
+            # The planners' refusal, word for word.
+            with pytest.raises(InvalidQueryError) as planners:
+                validate_query(env, q)
+            with pytest.raises(InvalidQueryError, match=f"^{re.escape(str(planners.value))}$"):
+                grid_oracle(env, q, 0.5)
+    for p in [(b.x_min, 0.0), (b.x_max, 0.0), (0.0, b.y_min), (0.0, b.y_max)]:
+        assert math.isfinite(grid_oracle(env, Query(p, query.target), 0.5))
+
+
 #: SHA-256 of `CollisionField.free` over the oracle's 0.5-unit cell centres,
 #: recorded when `free` still had its own vectorised point kernel.
 ORACLE_GRID_SHA256 = {
@@ -445,13 +466,13 @@ ORACLE_GRID_SHA256 = {
 
 
 @pytest.mark.parametrize("name, query, length", [
-    ("field-1000", QUERY_A, 57.426406871192796),
+    ("field-1000", FIELD_QUERY, 57.426406871192796),
     ("irregular-a", TABLE1_CASES[0], 56.1837661840735),
     ("irregular-a", TABLE1_CASES[1], 54.23401871576768),
     ("irregular-a", TABLE1_CASES[2], 58.54772721475245),
 ], ids=["field-1000", "irregular-a-case-1", "irregular-a-case-2", "irregular-a-case-3"])
 def test_grid_oracle_cells_and_lengths_are_pinned(name, query, length):
-    env = (RandomEnvFactory(query=QUERY_A)(1000) if name == "field-1000"
+    env = (RandomEnvFactory(query=FIELD_QUERY)(1000) if name == "field-1000"
            else irregular_preset(name)[0])
     # The cell centres as `grid_oracle` lays them out.
     b = env.bounds

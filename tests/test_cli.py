@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from pathbench.benchmark import _PLANNERS, RESULT_FIELDS, RandomEnvFactory
+from pathbench.benchmark import _PLANNERS, FIELD_QUERY, RESULT_FIELDS, RandomEnvFactory
 from pathbench.cli import SEED_ENV_VAR, build_parser, load_config, main, parse_config
 from pathbench.environment import (Environment, Query, irregular_preset,
                                    save_environment)
@@ -87,7 +87,6 @@ def test_config_round_trip(doc, tmp_path, monkeypatch):
 
 def test_parse_config_resolves_the_environment(tmp_path):
     query_doc = {"start": [20.0, -15.0], "target": [-25.0, 15.0]}
-    query = Query(Point2(20.0, -15.0), Point2(-25.0, 15.0))
     cfg = parse_config({"environment": {"kind": "random", "seed": 7,
                                         "n_obstacles": 5,
                                         "radius_range": [1.0, 2.0],
@@ -95,11 +94,11 @@ def test_parse_config_resolves_the_environment(tmp_path):
                                         "clearance": 0.5},
                         "query": query_doc})
     assert cfg.environment == RandomEnvFactory(
-        query=query, n_obstacles=5, radius_range=(1.0, 2.0),
+        query=FIELD_QUERY, n_obstacles=5, radius_range=(1.0, 2.0),
         bounds=Bounds(-30.0, 30.0, -30.0, 30.0), clearance=0.5)
-    assert (cfg.query, cfg.env_seed) == (query, 7)
+    assert (cfg.query, cfg.env_seed) == (FIELD_QUERY, 7)
     cfg = parse_config({"environment": {"kind": "random"}, "query": query_doc})
-    assert cfg.environment == RandomEnvFactory(query=query)
+    assert cfg.environment == RandomEnvFactory(query=FIELD_QUERY)
     assert cfg.env_seed is None
 
     env, own_query = irregular_preset("empty")
@@ -109,7 +108,7 @@ def test_parse_config_resolves_the_environment(tmp_path):
     assert (cfg.environment, cfg.query, cfg.env_seed) == (env, own_query, None)
     # The config's own query wins over the one the environment carries.
     cfg = parse_config({"environment": file_doc, "query": query_doc})
-    assert cfg.query == query
+    assert cfg.query == FIELD_QUERY
 
 
 @pytest.mark.parametrize("doc", [
@@ -475,13 +474,12 @@ def test_plan_draws_a_random_field_from_its_seed(tmp_path):
     out = tmp_path / "run"
     main(["plan", "--config", write_config(tmp_path, doc), "--out", str(out),
           "--seed", "1"])
-    query = Query(Point2(20.0, -15.0), Point2(-25.0, 15.0))
-    field = RandomEnvFactory(query=query)(5)
+    field = RandomEnvFactory(query=FIELD_QUERY)(5)
 
     def circles(svg):
         return [ln for ln in svg.splitlines() if "<circle " in ln]
     drawn = circles((out / "plan.svg").read_text(encoding="utf-8"))
-    assert drawn and drawn == circles(environment_svg(field, query=query))
+    assert drawn and drawn == circles(environment_svg(field, query=FIELD_QUERY))
 
 
 def test_table1_runs_the_suite(tmp_path, capsys):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import pathbench
-from pathbench.benchmark import RandomEnvFactory
+from pathbench.benchmark import FIELD_QUERY, RandomEnvFactory
 from pathbench.environment import (DEFAULT_BOUNDS, MAX_OBSTACLES, Environment,
                                    Query, environment_from_dict, environment_to_dict,
                                    generate_random_env, irregular_preset,
@@ -23,8 +23,6 @@ from pathbench.errors import (EnvironmentGenerationError, FormatError,
 from pathbench.geometry import (Bounds, Circle, Point2, Polygon, dist,
                                 edge_free, point_free,
                                 segment_polygon_collides)
-
-QUERY_A = Query(Point2(20.0, -15.0), Point2(-25.0, 15.0))
 
 # The shipped maze is a versioned constant; geometry changes must be
 # deliberate and show up here.
@@ -39,24 +37,24 @@ def test_generator_empty():
 
 def test_generator_postconditions():
     env = generate_random_env(42, n_obstacles=12, radius_range=(2, 6),
-                              query=QUERY_A, clearance=1.0)
+                              query=FIELD_QUERY, clearance=1.0)
     assert len(env.obstacles) == 12
     for obs in env.obstacles:
         assert isinstance(obs, Circle)
         assert 2.0 <= obs.radius <= 6.0
         assert env.bounds.contains(obs.center)
         # Clearance: neither endpoint within radius + 1 of the center.
-        assert dist(obs.center, QUERY_A.start) >= obs.radius + 1.0
-        assert dist(obs.center, QUERY_A.target) >= obs.radius + 1.0
-    assert point_free(QUERY_A.start, env)
-    assert point_free(QUERY_A.target, env)
+        assert dist(obs.center, FIELD_QUERY.start) >= obs.radius + 1.0
+        assert dist(obs.center, FIELD_QUERY.target) >= obs.radius + 1.0
+    assert point_free(FIELD_QUERY.start, env)
+    assert point_free(FIELD_QUERY.target, env)
 
 
 def test_generator_determinism():
-    a = generate_random_env(7, query=QUERY_A)
-    b = generate_random_env(7, query=QUERY_A)
+    a = generate_random_env(7, query=FIELD_QUERY)
+    b = generate_random_env(7, query=FIELD_QUERY)
     assert a == b
-    c = generate_random_env(8, query=QUERY_A)
+    c = generate_random_env(8, query=FIELD_QUERY)
     assert a != c
 
 
@@ -93,16 +91,16 @@ def test_random_field_arguments_are_checked_once(bad):
     # The generator and the factory share one check; the factory runs it
     # at construction, before any trial.
     with pytest.raises(FormatError):
-        generate_random_env(0, query=QUERY_A, **bad)
+        generate_random_env(0, query=FIELD_QUERY, **bad)
     with pytest.raises(FormatError):
-        RandomEnvFactory(QUERY_A, **bad)
+        RandomEnvFactory(FIELD_QUERY, **bad)
 
 
 def test_random_env_factory_stores_normalised_fields():
-    factory = RandomEnvFactory(QUERY_A, n_obstacles=np.int64(3),
+    factory = RandomEnvFactory(FIELD_QUERY, n_obstacles=np.int64(3),
                                bounds=[-40, 40, -40, 20], radius_range=[2, 6],
                                clearance=1)
-    assert factory == RandomEnvFactory(QUERY_A, n_obstacles=3)
+    assert factory == RandomEnvFactory(FIELD_QUERY, n_obstacles=3)
     assert type(factory.bounds) is Bounds
     assert type(factory.radius_range) is tuple
     assert type(factory.clearance) is float
@@ -208,14 +206,14 @@ def test_validate_query():
 
 
 def test_file_round_trip(tmp_path):
-    env = generate_random_env(5, query=QUERY_A)
+    env = generate_random_env(5, query=FIELD_QUERY)
     env = Environment(env.bounds, env.obstacles + (
         Polygon((Point2(-30, 10), Point2(-28, 10), Point2(-28, 14), Point2(-30, 14))),))
     target = tmp_path / "env.json"
-    save_environment(target, env, QUERY_A)
+    save_environment(target, env, FIELD_QUERY)
     loaded, loaded_query = load_environment(target)
     assert loaded == env
-    assert loaded_query == QUERY_A
+    assert loaded_query == FIELD_QUERY
 
 
 def test_save_without_query(tmp_path):

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pathbench import geometry
-from pathbench.benchmark import RandomEnvFactory, grid_oracle, run_trials
+from pathbench.benchmark import FIELD_QUERY, RandomEnvFactory, grid_oracle, run_trials
 from pathbench.environment import (Environment, Query, environment_from_dict,
                                    generate_random_env)
 from pathbench.errors import (FormatError, InvalidObstacleError, InvalidPathError,
@@ -1224,7 +1224,7 @@ def test_a_row_reads_the_same_in_any_sub_batch(kind, data):
 def test_one_wild_row_leaves_the_other_rows_disk_bands(monkeypatch, wild, end):
     # A rounding band taken over the block made every row's band nan or
     # huge here: 11,988 to 12,000 `_meets_disk` calls, 100 times slower.
-    env = RandomEnvFactory(query=Query(Point2(20.0, -15.0), Point2(-25.0, 15.0)))(1000)
+    env = RandomEnvFactory(query=FIELD_QUERY)(1000)
     b = env.bounds
     rng = np.random.default_rng(8)
     starts = rng.uniform((b.x_min, b.y_min), (b.x_max, b.y_max), (1000, 2))

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pathbench import pso
-from pathbench.benchmark import audit_path
+from pathbench.benchmark import FIELD_QUERY, audit_path
 from pathbench.environment import (Environment, Query, generate_random_env,
                                    irregular_preset)
 from pathbench.errors import InvalidPathError, InvalidQueryError
@@ -353,9 +353,6 @@ def test_infeasible_reports_blocked_length():
     assert res.closest_approach >= 2.0
     assert res.closest_approach == path_violation(
         decode(run.gbest_position, Q_EAST), env)
-
-
-FIELD_QUERY = Query(Point2(20.0, -15.0), Point2(-25.0, 15.0))
 
 
 def test_a_generated_field_and_its_first_plan_build_one_collision_field(monkeypatch):

@@ -6,12 +6,12 @@ from dataclasses import replace
 
 import pytest
 
-from pathbench.benchmark import TABLE1_CASES, RandomEnvFactory
+from pathbench.benchmark import FIELD_QUERY, FIELD_SEEDS, TABLE1_CASES, RandomEnvFactory
 from pathbench.environment import Query, irregular_preset
 from pathbench.geometry import audit_path, path_length
 from pathbench.pso import PsoParams, PsoRun, plan_pso
 from pathbench.rrtstar import RrtParams, RrtStarRun, plan_rrt_star
-from test_rrtstar import FIELD_QUERY, _pinned_case
+from test_rrtstar import _pinned_case
 
 
 @pytest.mark.parametrize("name", ["empty", "field-1000", "irregular-a"])
@@ -59,7 +59,7 @@ def _contract_cases():
     empty, query = irregular_preset("empty")
     maps = [("empty", empty, [query])]
     maps += [(f"field-{seed}", RandomEnvFactory(query=FIELD_QUERY)(seed), [FIELD_QUERY])
-             for seed in range(1000, 1005)]
+             for seed in FIELD_SEEDS[:5]]
     maps.append(("irregular-a", irregular_preset("irregular-a")[0], list(TABLE1_CASES)))
     for name, env, queries in maps:
         for k, q in enumerate(queries, start=1):

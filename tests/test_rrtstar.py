@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pathbench import rrtstar
-from pathbench.benchmark import audit_path
+from pathbench.benchmark import FIELD_QUERY, audit_path
 from pathbench.environment import (Environment, Query, generate_random_env,
                                    irregular_preset)
 from pathbench.errors import InvalidQueryError, InvalidStateError
@@ -443,16 +443,12 @@ def test_empty_env_paths_are_near_straight():
 
 
 def test_determinism():
-    env = generate_random_env(21, query=Query(Point2(20, -15), Point2(-25, 15)))
-    q = Query(Point2(20.0, -15.0), Point2(-25.0, 15.0))
-    a = plan_rrt_star(env, q, RrtParams(iterations_num=300, rng_seed=9))
-    b = plan_rrt_star(env, q, RrtParams(iterations_num=300, rng_seed=9))
+    env = generate_random_env(21, query=FIELD_QUERY)
+    a = plan_rrt_star(env, FIELD_QUERY, RrtParams(iterations_num=300, rng_seed=9))
+    b = plan_rrt_star(env, FIELD_QUERY, RrtParams(iterations_num=300, rng_seed=9))
     assert a.path == b.path
     assert a.length == b.length
     assert a.iterations_used == b.iterations_used == 300
-
-
-FIELD_QUERY = Query(Point2(20.0, -15.0), Point2(-25.0, 15.0))
 
 
 def _pinned_case(name):
