@@ -219,12 +219,14 @@ def run_trials(env: EnvSource, query: Query, planner_id: str,
 
 
 def summarize(stats: TrialStats) -> dict:
-    """Plain-dict report of a trial batch, ready for JSON serialization."""
+    """Plain-dict report of a trial batch, ready for JSON serialization; an
+    empty batch has None for its planner, feasibility rate and time mean and median."""
+    ran = bool(stats.results)
     report: dict = {
-        "planner": stats.results[0].planner_id if stats.results else None,
+        "planner": stats.results[0].planner_id if ran else None,
         "n_trials": stats.n_trials,
         "n_feasible": stats.n_feasible,
-        "feasibility_rate": stats.feasibility_rate,
+        "feasibility_rate": stats.feasibility_rate if ran else None,
     }
     if stats.n_feasible:
         ls = stats.feasible_lengths
@@ -238,8 +240,8 @@ def summarize(stats: TrialStats) -> dict:
         report["no_feasible_runs"] = True
     edges, counts = stats.time_histogram()
     report["time"] = {
-        "mean": stats.mean_time,
-        "median": stats.median_time,
+        "mean": stats.mean_time if ran else None,
+        "median": stats.median_time if ran else None,
         "histogram": {"bin_width": TIME_HISTOGRAM_BIN,
                       "edges": edges, "counts": counts},
     }

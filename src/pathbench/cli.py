@@ -57,9 +57,8 @@ from .benchmark import (_PLANNERS, TABLE1_CASES, EnvSource, PlannerParams,
                         summarize, table1_suite, write_results_csv, write_summary,
                         write_table1_csv)
 from .environment import (Query, _object, environment_from_dict, irregular_preset,
-                          load_environment, preset_names, query_from_dict, read_json,
-                          write_json)
-from .errors import FormatError, PathbenchError
+                          load_environment, query_from_dict, read_json, write_json)
+from .errors import FormatError, PathbenchError, PresetLookupError
 from .geometry import _plain_point, check_integer
 from .render import environment_svg
 
@@ -100,9 +99,10 @@ def _parse_environment(doc, query: Optional[Query]):
         return RandomEnvFactory(query=query, **given), query, seed
     if kind == "preset":
         name = _object(doc, "environment", ("kind", "name")).get("name", "irregular-a")
-        if name not in preset_names():
-            raise FormatError(f"unknown preset {name!r}; available: {', '.join(preset_names())}")
-        env, own_query = irregular_preset(name)
+        try:
+            env, own_query = irregular_preset(name)
+        except PresetLookupError as exc:
+            raise FormatError(str(exc)) from None
         source = f"preset {name}"
     elif kind == "file":
         source = _object(doc, "environment", ("kind", "path")).get("path")

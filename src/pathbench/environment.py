@@ -1,6 +1,6 @@
 """Workspace construction: bounds, obstacles, queries, presets, and files.
 
-An environment document (used for files on disk and the built-in presets)
+An environment document (a file on disk, or a preset in `presets/`)
 is JSON with exactly these fields::
 
     {
@@ -14,8 +14,9 @@ is JSON with exactly these fields::
 
 Unknown fields are rejected rather than ignored. JSON files are read by
 `read_json` and written by `write_json`, as strict JSON: no NaN or Infinity
-either way. Every coordinate and radius must pass `geometry.check_real`,
-or the document is a FormatError.
+either way. `Circle`, `Polygon`, `Query` and `Environment` check the values
+in a document, and each error is a FormatError that names the obstacle
+("obstacle i: ...") and, from `load_environment`, the file.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import sys
 from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -99,8 +100,8 @@ class Environment:
             if not isinstance(obs, Obstacle):
                 raise InvalidObstacleError(f"obstacle {i} is not a Circle or Polygon: {obs!r}")
             if not _obstacle_touches_rect(obs, self.bounds):
-                raise InvalidObstacleError(
-                    f"obstacle {obs!r} lies entirely outside bounds {self.bounds}")
+                raise InvalidObstacleError(f"obstacle {i}: {type(obs).__name__.lower()} "
+                                           "lies entirely outside the bounds")
 
     @cached_property
     def collision_field(self) -> CollisionField:
@@ -239,14 +240,15 @@ def _object(doc, where: str, allowed, required=()) -> dict:
 def query_from_dict(doc) -> Query:
     """Parse a {"start": [x, y], "target": [x, y]} query object."""
     doc = _object(doc, "query", ("start", "target"), ("start", "target"))
-    return Query(_plain_point(doc["start"], "query start", FormatError),
-                 _plain_point(doc["target"], "query target", FormatError))
+    try:
+        return Query(doc["start"], doc["target"])
+    except InvalidQueryError as exc:
+        raise FormatError(str(exc)) from None
 
 
 def environment_from_dict(doc: dict) -> tuple[Environment, Optional[Query]]:
     """Parse an environment document; unknown fields are an error."""
     _object(doc, "environment document", ("bounds", "obstacles", "query"), ("bounds",))
-    bounds = _check_bounds(doc["bounds"])
     entries = doc.get("obstacles", [])
     if not isinstance(entries, (list, tuple)):
         raise FormatError(f"obstacles must be a list, got {entries!r}")
@@ -255,21 +257,24 @@ def environment_from_dict(doc: dict) -> tuple[Environment, Optional[Query]]:
     for i, entry in enumerate(entries):
         where = f"obstacle {i}"
         kind = _object(entry, where, entry, ("kind",))["kind"]
-        if kind == "circle":
-            _object(entry, where, ("kind", "center", "radius"), ("center", "radius"))
-            obstacles.append(Circle(_plain_point(entry["center"], f"{where} center", FormatError),
-                                    check_real(f"{where} radius", entry["radius"], FormatError)))
-        elif kind == "polygon":
-            verts = _object(entry, where, ("kind", "vertices"), ("vertices",))["vertices"]
-            if not isinstance(verts, list):
-                raise FormatError(f"{where} needs a 'vertices' list")
-            obstacles.append(Polygon(tuple(_plain_point(v, f"{where} vertex", FormatError)
-                                           for v in verts)))
-        else:
-            raise FormatError(f"{where} has unknown kind {kind!r}")
-
-    query = query_from_dict(doc["query"]) if "query" in doc else None
-    return Environment(bounds, tuple(obstacles)), query
+        try:
+            if kind == "circle":
+                _object(entry, where, ("kind", "center", "radius"), ("center", "radius"))
+                obstacles.append(Circle(entry["center"], entry["radius"]))
+            elif kind == "polygon":
+                verts = _object(entry, where, ("kind", "vertices"), ("vertices",))["vertices"]
+                if not isinstance(verts, list):
+                    raise FormatError(f"{where} needs a 'vertices' list")
+                obstacles.append(Polygon(verts))
+            else:
+                raise FormatError(f"{where} has unknown kind {kind!r}")
+        except InvalidObstacleError as exc:
+            raise FormatError(f"{where}: {exc}") from None
+    try:  # the one obstacle error left names its obstacle already
+        env = Environment(doc["bounds"], tuple(obstacles))
+    except InvalidObstacleError as exc:
+        raise FormatError(str(exc)) from None
+    return env, query_from_dict(doc["query"]) if "query" in doc else None
 
 
 def save_environment(path, env: Environment, query: Optional[Query] = None) -> None:
@@ -300,40 +305,26 @@ def write_json(path, doc) -> None:
 
 
 def load_environment(path) -> tuple[Environment, Optional[Query]]:
-    return environment_from_dict(read_json(path))
-
-
-def _load_preset_file(name: str) -> tuple[Environment, Query]:
-    env, query = load_environment(resources.files("pathbench") / "presets" / f"{name}.json")
-    assert query is not None, f"preset {name} ships without a query"
-    return env, query
-
-
-def _empty_preset() -> tuple[Environment, Query]:
-    env = Environment(DEFAULT_BOUNDS, ())
-    return env, Query(Point2(12.0, -35.0), Point2(-15.0, 10.0))
-
-
-_PRESETS: dict[str, Callable[[], tuple[Environment, Query]]] = {
-    "empty": _empty_preset,
-    "irregular-a": lambda: _load_preset_file("irregular-a"),
-}
+    doc = read_json(path)
+    try:
+        return environment_from_dict(doc)
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from None
 
 
 def preset_names() -> tuple[str, ...]:
-    return tuple(sorted(_PRESETS))
+    shipped = (resources.files("pathbench") / "presets").iterdir()
+    return tuple(sorted(f.name[:-len(".json")] for f in shipped if f.name.endswith(".json")))
 
 
 def irregular_preset(name: str) -> tuple[Environment, Query]:
-    """Look up a named built-in scenario.
+    """Load a shipped scenario by name.
 
     "empty" is an obstacle-free workspace; "irregular-a" is a fixed wall
     maze whose two offset gaps force an S-shaped route between the default
-    start and target. Raises PresetLookupError for unknown names.
+    start and target. Raises PresetLookupError for a name not in preset_names().
     """
-    try:
-        factory = _PRESETS[name]
-    except KeyError:
+    if name not in preset_names():
         raise PresetLookupError(
-            f"unknown preset {name!r}; available: {', '.join(preset_names())}") from None
-    return factory()
+            f"unknown preset {name!r}; available: {', '.join(preset_names())}")
+    return load_environment(resources.files("pathbench") / "presets" / f"{name}.json")

@@ -24,6 +24,8 @@ class EnvironmentGenerationError(PathbenchError, RuntimeError):
 class PresetLookupError(PathbenchError, KeyError):
     """Requested environment preset does not exist."""
 
+    __str__ = Exception.__str__  # KeyError's would print the message's repr
+
 
 class InvalidStateError(PathbenchError, RuntimeError):
     """Internal structure (e.g. a tree parent chain) is inconsistent."""

@@ -20,8 +20,8 @@ from pathbench.benchmark import (FIELD_QUERY, FIELD_SEEDS, MAX_GRID_CELLS, RESUL
                                  result_record, run_trials, summarize,
                                  table1_suite, write_results_csv,
                                  write_summary, write_table1_csv)
-from pathbench.environment import (DEFAULT_BOUNDS, Environment, Query,
-                                   generate_random_env, irregular_preset, validate_query)
+from pathbench.environment import (DEFAULT_BOUNDS, Environment, Query, generate_random_env,
+                                   irregular_preset, read_json, validate_query)
 from pathbench.errors import FormatError, InvalidQueryError
 from pathbench.geometry import Bounds, Circle, Point2, dist
 from pathbench.pso import PsoParams
@@ -91,6 +91,22 @@ def test_summarize_shape():
     empty = summarize(TrialStats((_result(feasible=False),)))
     assert empty["no_feasible_runs"] is True
     assert "length" not in empty
+
+
+def test_summaries_are_strict_json(tmp_path):
+    # An empty batch's rate and times were nan, which write_summary refused.
+    write_summary(tmp_path / "none.json", summarize(TrialStats(())))
+    assert read_json(tmp_path / "none.json") == {
+        "planner": None, "n_trials": 0, "n_feasible": 0, "feasibility_rate": None,
+        "no_feasible_runs": True,
+        "time": {"mean": None, "median": None,
+                 "histogram": {"bin_width": 0.1, "edges": [0.0], "counts": []}}}
+    # A batch that ran keeps its numbers, an all-infeasible one included.
+    failed = TrialStats((_result(feasible=False, elapsed=0.25),))
+    write_summary(tmp_path / "failed.json", summarize(failed))
+    report = read_json(tmp_path / "failed.json")
+    assert (report["feasibility_rate"], report["time"]["mean"],
+            report["time"]["median"]) == (0.0, 0.25, 0.25)
 
 
 def test_plan_once_rejects_unknown_planner():

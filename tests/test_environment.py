@@ -12,6 +12,7 @@ import pytest
 
 import pathbench
 from pathbench.benchmark import FIELD_QUERY, RandomEnvFactory
+from pathbench.cli import main
 from pathbench.environment import (DEFAULT_BOUNDS, MAX_OBSTACLES, Environment,
                                    Query, environment_from_dict, environment_to_dict,
                                    generate_random_env, irregular_preset,
@@ -144,9 +145,21 @@ def test_collision_field_is_built_once_per_environment():
 
 
 def test_preset_names():
+    # The presets are the shipped documents, each with its own query.
+    shipped = resources.files("pathbench").joinpath("presets").iterdir()
     assert preset_names() == ("empty", "irregular-a")
-    with pytest.raises(PresetLookupError):
-        irregular_preset("nope")
+    assert sorted(f.name for f in shipped) == [f"{name}.json" for name in preset_names()]
+    for name in preset_names():
+        env, query = irregular_preset(name)
+        assert env.bounds == DEFAULT_BOUNDS and isinstance(query, Query)
+        validate_query(env, query)
+    assert irregular_preset("empty") == (Environment(DEFAULT_BOUNDS, ()),
+                                         Query(Point2(12.0, -35.0), Point2(-15.0, 10.0)))
+    # A name is looked up, never made into a path, so no other file is reachable.
+    for name in ("nope", "../presets/empty", "irregular-a.json", None):
+        with pytest.raises(PresetLookupError) as refused:
+            irregular_preset(name)
+        assert str(refused.value) == f"unknown preset {name!r}; available: empty, irregular-a"
 
 
 def test_empty_preset():
@@ -274,6 +287,45 @@ def test_malformed_documents():
                             "obstacle 0 needs a 'vertices' list")]:
         with pytest.raises(FormatError, match=f"^{message}$"):
             environment_from_dict({"bounds": [0, 10, 0, 10], "obstacles": [entry]})
+
+
+#: (obstacle 1 of a document, its type's message): each is refused by the type.
+BAD_OBSTACLES = {
+    "radius-0": ({"kind": "circle", "center": [5.0, 5.0], "radius": 0},
+                 "circle radius must be > 0, got 0.0"),
+    "radius-minus-1": ({"kind": "circle", "center": [5.0, 5.0], "radius": -1},
+                       "circle radius must be > 0, got -1.0"),
+    "two-vertices": ({"kind": "polygon", "vertices": [[1.0, 1.0], [2.0, 1.0]]},
+                     "polygon needs at least 3 vertices"),
+    "repeated-vertex": ({"kind": "polygon",
+                         "vertices": [[1.0, 1.0], [2.0, 1.0], [2.0, 1.0], [1.0, 2.0]]},
+                        "degenerate polygon: repeated consecutive vertex (2.0, 1.0)"),
+    "bowtie": ({"kind": "polygon", "vertices": [[1.0, 1.0], [2.0, 2.0], [2.0, 1.0], [1.0, 2.0]]},
+               "polygon is self-intersecting"),
+    "outside": ({"kind": "circle", "center": [50.0, 50.0], "radius": 1.0},
+                "circle lies entirely outside the bounds"),
+    "bad-centre": ({"kind": "circle", "center": [5.0, "5"], "radius": 1.0},
+                   "circle center must be a finite number, got '5'"),
+    "bad-vertex": ({"kind": "polygon", "vertices": [[1.0, 1.0], [2.0], [1.0, 2.0]]},
+                   "polygon vertex must be a [x, y] pair, got [2.0]"),
+}
+
+
+@pytest.mark.parametrize("entry, message", BAD_OBSTACLES.values(), ids=BAD_OBSTACLES)
+def test_a_bad_obstacle_is_a_format_error_naming_the_obstacle_and_file(
+        tmp_path, capsys, entry, message):
+    doc = {"bounds": [0.0, 10.0, 0.0, 10.0],
+           "obstacles": [{"kind": "circle", "center": [5.0, 5.0], "radius": 1.0}, entry]}
+    path = tmp_path / "env.json"
+    write_json(path, doc)
+    for load, source, where in ((environment_from_dict, doc, ""),
+                                (load_environment, path, f"{path}: ")):
+        with pytest.raises(FormatError) as refused:
+            load(source)
+        assert refused.type is FormatError
+        assert str(refused.value) == f"{where}obstacle 1: {message}"
+    assert main(["render", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {path}: obstacle 1: {message}\n"
 
 
 @pytest.mark.parametrize("bounds, valid", [

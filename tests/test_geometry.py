@@ -292,6 +292,8 @@ def test_every_entry_point_keeps_the_one_number_rule(name, call, error, kind, ba
 BOUNDED_SLOTS = [
     ("circle-radius", lambda v: Circle((0.0, 0.0), v), InvalidObstacleError, False,
      "circle radius must be > 0"),
+    ("document-radius", lambda v: environment_from_dict(_document(radius=v)), FormatError, False,
+     "obstacle 0: circle radius must be > 0"),
     ("grid-oracle-resolution", lambda v: grid_oracle(_BOX, _ACROSS, v), ValueError, False,
      "resolution must be > 0"),
     ("random-clearance", lambda v: generate_random_env(0, 1, clearance=v), FormatError, True,
