@@ -89,10 +89,7 @@ class RandomEnvFactory:
             object.__setattr__(self, name, value)
 
     def __call__(self, seed: int) -> Environment:
-        return generate_random_env(seed, n_obstacles=self.n_obstacles,
-                                   bounds=self.bounds,
-                                   radius_range=self.radius_range,
-                                   query=self.query, clearance=self.clearance)
+        return generate_random_env(seed, **vars(self))
 
 
 @dataclass(frozen=True)

@@ -32,12 +32,13 @@ the last of `bench` (seed + trials - 1) and `table1` (seed + 9) included.
 `parse_config` resolves the environment and query while it parses: a
 preset or file is loaded and an inline document is built (each falls
 back to its own query when the config gives none), and kind "random"
-becomes a RandomEnvFactory, whose defaults are the ones shown above and
-which needs the config's query. For a random field, `plan` draws it from
-`environment.seed` when given, else from the effective seed; `bench`
-draws each trial's field from that trial's seed and rejects
-`environment.seed`; `table1` rejects kind "random" and a config `query`
-(it runs its own ten). `n_obstacles` is at most 10,000.
+becomes a RandomEnvFactory, whose fields but `query` (defaults above)
+are its keys besides `seed`, and which needs the config's query. For a
+random field, `plan` draws it from `environment.seed` when given, else
+from the effective seed; `bench` draws each trial's field from that
+trial's seed and rejects `environment.seed`; `table1` rejects kind
+"random" and a config `query` (it runs its own ten). `n_obstacles` is at
+most 10,000.
 
 Every JSON file written is strict JSON: an infeasible run's `result.json`
 has `"length": null` and `"path": null`, and `render --results` skips it.
@@ -88,8 +89,8 @@ def _parse_environment(doc, query: Optional[Query]):
     """Return (environment, query, env_seed); the config's query wins."""
     kind = _object(doc, "environment", doc, ("kind",))["kind"]
     if kind == "random":
-        _object(doc, "environment", ("kind", "seed", "n_obstacles", "radius_range",
-                                     "bounds", "clearance"))
+        fields = {f.name for f in dataclasses.fields(RandomEnvFactory)} - {"query"}
+        _object(doc, "environment", {"kind", "seed", *fields})
         seed = (check_integer("environment.seed", doc["seed"], 0, error=FormatError)
                 if "seed" in doc else None)
         if query is None:

@@ -30,8 +30,12 @@ from .result import PlanResult, build_result, check_param_types, plan
 
 __all__ = [
     "PsoParams", "PsoRun", "plan_pso", "decode", "fitness",
-    "path_violation", "update_inertia",
+    "path_violation", "update_inertia", "MAX_SWARM_WAYPOINTS",
 ]
+
+#: Most waypoints a swarm may hold, population * n_waypoints: each
+#: (population, 2 * n_waypoints) array of a run is 16 MB at the cap.
+MAX_SWARM_WAYPOINTS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -57,19 +61,18 @@ class PsoParams:
              "penalty_lambda": {"at_least": 0}, "stop_epsilon": {"at_least": 0}})
         if not self.omega_start >= self.omega_end:
             raise ValueError("omega_start must be >= omega_end")
+        if self.population * self.n_waypoints > MAX_SWARM_WAYPOINTS:
+            raise ValueError(f"population * n_waypoints must be <= {MAX_SWARM_WAYPOINTS:,}, "
+                             f"got {self.population * self.n_waypoints:,}")
 
 
 def _waypoint_vector(position: Sequence[float]) -> np.ndarray:
     """A waypoint vector as flat float64: a positive, even number of entries,
-    each passing `check_real`; anything else is a ValueError. An all-finite
-    float64 ndarray passes in one vectorised test in place of the per-entry one."""
-    fast = (type(position) is np.ndarray and position.dtype == np.float64
-            and np.isfinite(position).all())
-    vec = position.ravel() if fast else np.asarray(position, dtype=object).ravel()
+    each passing `check_real`; anything else is a ValueError."""
+    vec = np.asarray(position, dtype=object).ravel()
     if vec.size == 0 or vec.size % 2 != 0:
         raise ValueError(f"waypoint vector length must be a positive even number, got {vec.size}")
-    return vec if fast else np.array([check_real("waypoint coordinate", v) for v in vec],
-                                     dtype=np.float64)
+    return np.array([check_real("waypoint coordinate", v) for v in vec], dtype=np.float64)
 
 
 def decode(position: Sequence[float], query: Query) -> tuple[Point2, ...]:
@@ -130,12 +133,7 @@ def update_inertia(iteration: int, max_iterations: int, omega_start: float,
     [-0.1, 0.1], clamped back into [omega_end, omega_start].
     max_iterations is an integer >= 1, else ValueError.
     """
-    return _inertia(iteration, check_integer("max_iterations", max_iterations, 1),
-                    omega_start, omega_end, stagnant, rng)
-
-
-def _inertia(iteration, max_iterations, omega_start, omega_end, stagnant, rng) -> float:
-    """`update_inertia`'s formula, with max_iterations already checked."""
+    max_iterations = check_integer("max_iterations", max_iterations, 1)
     frac = min(max(iteration / max_iterations, 0.0), 1.0)
     omega = omega_start - (omega_start - omega_end) * frac
     if stagnant:
@@ -211,8 +209,8 @@ class PsoRun:
     def step(self) -> None:
         """Inertia, velocity, position, fitness, and best-tracking update."""
         p = self.params
-        self.omega = _inertia(self.iteration, p.max_iterations, p.omega_start, p.omega_end,
-                              self.stagnant, self.rng)
+        self.omega = update_inertia(self.iteration, p.max_iterations, p.omega_start,
+                                    p.omega_end, self.stagnant, self.rng)
         # One r1, r2 pair per particle, drawn in index order. The velocity
         # update omega v + (c1 r1) (pbest - x) + (c2 r2) (gbest - x) runs in
         # place, in that order of operations.

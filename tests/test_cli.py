@@ -150,6 +150,9 @@ def test_parse_config_resolves_the_environment(tmp_path):
     {"query": {"start": [10**400, 0.0], "target": [1.0, 1.0]}},
     {"environment": {"kind": "random", "clearance": float("nan")},
      "query": {"start": [0.0, 0.0], "target": [1.0, 1.0]}},
+    # The factory's own query field is not a config key.
+    {"environment": {"kind": "random", "query": {"start": [0.0, 0.0], "target": [1.0, 1.0]}},
+     "query": {"start": [0.0, 0.0], "target": [1.0, 1.0]}},
     # These died with a TypeError from iterating the obstacles.
     {"environment": dict(EMPTY_INLINE, obstacles=5)},
     {"environment": dict(EMPTY_INLINE, obstacles=None)},
@@ -278,6 +281,18 @@ def test_a_file_path_that_is_not_a_string_exits_two(tmp_path, capsys, monkeypatc
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1 and "path" in err
     assert not (tmp_path / "x").exists()
+
+
+def test_a_swarm_too_large_to_build_is_one_error_line(tmp_path, capsys):
+    # It died with numpy's "Unable to allocate 71.1 PiB" traceback and exit 1.
+    cfg = write_config(tmp_path, {"environment": EMPTY_INLINE,
+                                  "pso": {"population": 10**15}})
+    out = tmp_path / "x"
+    assert main(["plan", "--config", cfg, "--planner", "pso", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: pso: population * n_waypoints must be <= 1,000,000, got ")
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_missing_config_exits_two(tmp_path, capsys):

@@ -87,6 +87,19 @@ def test_params_reject_an_integer_above_maxsize():
     assert PsoParams(rng_seed=sys.maxsize).rng_seed == sys.maxsize
 
 
+def test_params_cap_the_swarm_size():
+    # Each of these died in numpy or in building the bounds rows, as a
+    # MemoryError or "array is too big", not as a refused parameter.
+    # Only records are built here: no swarm near the cap is run.
+    assert pso.MAX_SWARM_WAYPOINTS == 1_000_000
+    PsoParams(population=1000, n_waypoints=1000)
+    PsoParams(population=1_000_000, n_waypoints=1)
+    for bad in (dict(population=1001, n_waypoints=1000), dict(population=10**15),
+                dict(population=sys.maxsize), dict(n_waypoints=2**62)):
+        with pytest.raises(ValueError, match="population \\* n_waypoints must be <= 1,000,000"):
+            PsoParams(**bad)
+
+
 def test_decode():
     path = decode((1.0, 2.0, 3.0, 4.0), Q_EAST)
     assert path == (Point2(0, 0), Point2(1, 2), Point2(3, 4), Point2(10, 0))
@@ -204,6 +217,19 @@ def test_update_inertia_stagnation_jolt():
     # Clamped at both rails.
     assert update_inertia(0, 2000, 0.9, 0.4, True, StubRng(0.09)) == pytest.approx(0.9)
     assert update_inertia(2000, 2000, 0.9, 0.4, True, StubRng(-0.09)) == pytest.approx(0.4)
+
+
+def test_the_run_takes_its_inertia_from_update_inertia(monkeypatch):
+    calls = []
+
+    def spy(iteration, *args):
+        calls.append(iteration)
+        return update_inertia(iteration, *args)
+
+    monkeypatch.setattr(pso, "update_inertia", spy)
+    result = plan_pso(EMPTY, Q_EAST, PsoParams(max_iterations=40))
+    assert result.iterations_used > 0
+    assert calls == list(range(result.iterations_used))
 
 
 def test_anchor_particle_sits_on_the_straight_line():
