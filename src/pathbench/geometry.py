@@ -553,7 +553,8 @@ class CollisionField:
         obstacle or on a seam (so overlaps count once), times the segment's
         `np.hypot` length; exactly 0.0 for a segment that meets nothing,
         however its roots round. The PSO fitness enters at
-        `_blocked_measure` with its paths' columns and the lengths it holds."""
+        `_blocked_measure` with its paths' columns and the lengths it holds,
+        and a swarm clipped into the bounds at `_obstacle_measure`."""
         ax, ay = _columns(starts).copy()
         ex, ey = _columns(ends)
         if len(ax) != len(ex):
@@ -563,13 +564,38 @@ class CollisionField:
 
     def _blocked_measure(self, ax, ay, ex, ey) -> np.ndarray:
         """Each row's measure of blocked t in [0, 1] for the segments from
-        (ax, ay) to (ex, ey), given as float64 columns, unchecked:
+        (ax, ay) to (ex, ey), given as float64 columns, unchecked: the
+        bounds, then `_obstacle_measure` for the rest.
 
         * Bounds, for segments whose box leaves them (each row's box is
           tested only when the whole batch's box leaves them): [0, t_in) and
           (t_out, 1] around the part the slab method (Liang & Barsky)
           keeps; all of [0, 1] if that is empty or b - a is not finite.
           An end out of bounds keeps at least a sliver of 2^-53 there.
+        """
+        x_lo, x_hi = np.minimum(ax, ex), np.maximum(ax, ex)
+        y_lo, y_hi = np.minimum(ay, ey), np.maximum(ay, ey)
+        b = self.bounds
+        # nan endpoints give nan box sides (and batch box sides), which fail
+        # every comparison: the per-row mask is built, with a row set, just
+        # when the batch's box leaves the bounds. (A ufunc's reduce costs
+        # less per call than the ndarray method.)
+        least, most, inf = np.minimum.reduce, np.maximum.reduce, math.inf
+        if (least(x_lo, initial=inf) >= b.x_min and most(x_hi, initial=-inf) <= b.x_max
+                and least(y_lo, initial=inf) >= b.y_min and most(y_hi, initial=-inf) <= b.y_max):
+            return self._obstacle_measure(ax, ay, ex, ey)
+        leaves = ~((x_lo >= b.x_min) & (x_hi <= b.x_max) & (y_lo >= b.y_min) & (y_hi <= b.y_max))
+        # Rows with nan or infinite endpoints are ordinary input here.
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            outside = self._bound_intervals(np.flatnonzero(leaves), ax, ay, ex, ey)
+        return self._obstacle_measure(ax, ay, ex, ey, outside)
+
+    def _obstacle_measure(self, ax, ay, ex, ey, outside=()) -> np.ndarray:
+        """The obstacle stage of `_blocked_measure`, which passes the bound
+        intervals of the rows that leave the bounds as `outside`. A caller
+        whose rows all lie inside the bounds may enter here, as the bounds
+        block none of them. Each row's measure of the union of `outside` and:
+
         * Disks: each disk's open root interval, clipped to [0, 1]. A
           (segment, disk) pair whose answer the rounded roots may get
           wrong gets `_meets_disk`: one that meets keeps an interval, at
@@ -587,27 +613,14 @@ class CollisionField:
         The disk and polygon passes work in blocks of about 2^14 (segment,
         obstacle) pairs and keep only what meets.
         """
-        x_lo, x_hi = np.minimum(ax, ex), np.maximum(ax, ex)
-        y_lo, y_hi = np.minimum(ay, ey), np.maximum(ay, ey)
-        b = self.bounds
-        # nan endpoints give nan box sides (and batch box sides), which fail
-        # every comparison: the per-row mask is built, with a row set, just
-        # when the batch's box leaves the bounds. (A ufunc's reduce costs
-        # less per call than the ndarray method.)
-        leaves, least, most, inf = None, np.minimum.reduce, np.maximum.reduce, math.inf
-        if not (least(x_lo, initial=inf) >= b.x_min and most(x_hi, initial=-inf) <= b.x_max
-                and least(y_lo, initial=inf) >= b.y_min and most(y_hi, initial=-inf) <= b.y_max):
-            leaves = ~((x_lo >= b.x_min) & (x_hi <= b.x_max)
-                       & (y_lo >= b.y_min) & (y_hi <= b.y_max))
-        elif not (self.disks or self.polygons):
-            return np.zeros(len(ax))
-        # Rows with nan or infinite endpoints are ordinary input here.
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             dx, dy = ex - ax, ey - ay
-            intervals = self._bound_intervals(leaves, ax, ay, ex, ey, dx, dy)
+            intervals = list(outside)
             if self.disks:
                 intervals += self._disk_intervals(ax, ay, ex, ey, dx, dy)
             if self.polygons:
+                x_lo, x_hi = np.minimum(ax, ex), np.maximum(ax, ex)
+                y_lo, y_hi = np.minimum(ay, ey), np.maximum(ay, ey)
                 boxes = self.polygon_boxes
                 near = ((x_lo[:, None] <= boxes[:, 1]) & (x_hi[:, None] >= boxes[:, 0])
                         & (y_lo[:, None] <= boxes[:, 3]) & (y_hi[:, None] >= boxes[:, 2]))
@@ -618,25 +631,23 @@ class CollisionField:
                 intervals += self._seam_intervals(ax, ay, ex, ey, dx, dy)
             return _union_measure(intervals, len(ax))
 
-    def _bound_intervals(self, leaves, ax, ay, ex, ey, dx, dy):
-        """[(row, lo, hi)]: the parts of the leaving rows out of bounds, or
-        none if `leaves` is None."""
-        if leaves is None:
-            return []
-        rows, b = np.flatnonzero(leaves), self.bounds
+    def _bound_intervals(self, rows, ax, ay, ex, ey):
+        """[(row, lo, hi)]: the parts of the given rows out of bounds."""
+        b = self.bounds
+        ax, ay, ex, ey = ax[rows], ay[rows], ex[rows], ey[rows]
+        dx, dy = ex - ax, ey - ay
         t_in, t_out = 0.0, 1.0
-        for lo, hi, p, q in ((b.x_min, b.x_max, ax[rows], dx[rows]),
-                             (b.y_min, b.y_max, ay[rows], dy[rows])):
+        for lo, hi, p, q in ((b.x_min, b.x_max, ax, dx), (b.y_min, b.y_max, ay, dy)):
             # Parallel to the slab, the cuts are infinite, or nan on its side
             # lines, which fmax and fmin skip: no constraint.
             lo, hi = (lo - p) / q, (hi - p) / q
             t_in = np.fmax(t_in, np.minimum(lo, hi))
             t_out = np.fmin(t_out, np.maximum(lo, hi))
-        whole = ~(np.isfinite(dx[rows]) & np.isfinite(dy[rows]) & (t_in < t_out))
+        whole = ~(np.isfinite(dx) & np.isfinite(dy) & (t_in < t_out))
         t_in[whole] = t_out[whole] = 1.0
         # An end out of bounds keeps at least a sliver, however its cut rounds.
         a_out, e_out = (~((x >= b.x_min) & (x <= b.x_max) & (y >= b.y_min) & (y <= b.y_max))
-                        for x, y in ((ax[rows], ay[rows]), (ex[rows], ey[rows])))
+                        for x, y in ((ax, ay), (ex, ey)))
         t_in = np.maximum(t_in, a_out * 2.0 ** -53)
         t_out = np.minimum(t_out, 1.0 - e_out * 2.0 ** -53)
         head, tail = t_in > 0.0, t_out < 1.0

@@ -7,12 +7,15 @@ length of path lying inside obstacles (or out of bounds), computed
 exactly in one pass over a run's path buffer: each segment's `np.hypot`
 length, taken once, adds to the path length and scales the blocked
 measure in t that `CollisionField._blocked_measure` gives the segment.
-As the penalty is never negative, a particle whose length alone reaches
-its personal best (+inf for the first swarm) cannot improve on it and
-skips the collision kernel. The swarm stops early once the global best
-has been flat for a full stagnation window. `build_result` judges the
-decoded global best with `audit_path`, as it does RRT*'s path; only an
-infeasible one is measured.
+A step's swarm is clipped into the bounds, so it enters the kernel past
+its bounds stage, at `_obstacle_measure`; on a map with no obstacle its
+paths are free and skip the kernel. As the penalty is never negative, a
+particle whose length alone reaches its personal best (+inf for the
+first swarm) cannot improve on it and skips the collision kernel. The
+swarm stops early once the global best has been flat for a full
+stagnation window. `build_result` judges the decoded global best with
+`audit_path`, as it does RRT*'s path; only an infeasible one is
+measured.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import numpy as np
 
 from .environment import Environment, Query, validate_query
 from .errors import InvalidPathError
-from .geometry import CollisionField, Point2, check_integer, check_real
+from .geometry import Point2, check_integer, check_real
 from .result import PlanResult, build_result, check_param_types, plan
 
 __all__ = [
@@ -82,22 +85,25 @@ def decode(position: Sequence[float], query: Query) -> tuple[Point2, ...]:
     return (query.start, *map(Point2, xy[0::2], xy[1::2]), query.target)
 
 
-def _scores(paths: np.ndarray, field: CollisionField, penalty_lambda: float,
+def _scores(paths: np.ndarray, measure, penalty_lambda: float,
             bests: np.ndarray | float) -> np.ndarray:
     """Per-path length plus penalty_lambda times the exact blocked length of
-    an (m, n + 2, 2) waypoint tensor, in the one pass the module describes. A
-    path whose length is not below its entry of `bests` (nan included)
-    keeps its length and skips the collision kernel."""
+    an (m, n + 2, 2) waypoint tensor, in the one pass the module describes,
+    with `measure` a kernel entry of the collision field, or None where
+    every path is free. A path whose length is not below its entry of
+    `bests` (nan included) keeps its length and skips the kernel."""
     seg = paths[:, 1:] - paths[:, :-1]
     seg_len = np.hypot(seg[:, :, 0], seg[:, :, 1])
     scores = seg_len.sum(axis=1)
+    if measure is None:
+        return scores
     open_ = scores < bests
     k = np.count_nonzero(open_)
     if k:
         xy = paths.compress(open_, axis=0).transpose(2, 0, 1)  # (x or y, path, waypoint)
         (ax, ay), (ex, ey) = xy[:, :, :-1].reshape(2, -1), xy[:, :, 1:].reshape(2, -1)
-        measure = field._blocked_measure(ax, ay, ex, ey).reshape(k, -1)
-        scores[open_] += penalty_lambda * (measure * seg_len.compress(open_, axis=0)).sum(axis=1)
+        blocked = measure(ax, ay, ex, ey).reshape(k, -1)
+        scores[open_] += penalty_lambda * (blocked * seg_len.compress(open_, axis=0)).sum(axis=1)
     return scores
 
 
@@ -119,7 +125,8 @@ def fitness(position: Sequence[float], query: Query, env: Environment,
     ValueError for a position `decode` refuses or a penalty_lambda `PsoParams` does."""
     wp = np.vstack((query.start, _waypoint_vector(position).reshape(-1, 2), query.target))
     penalty_lambda = PsoParams(penalty_lambda=penalty_lambda).penalty_lambda
-    return float(_scores(wp[None], env.collision_field, penalty_lambda, math.inf)[0])
+    return float(_scores(wp[None], env.collision_field._blocked_measure, penalty_lambda,
+                         math.inf)[0])
 
 
 def update_inertia(iteration: int, max_iterations: int, omega_start: float,
@@ -190,7 +197,13 @@ class PsoRun:
         self.pbest_fitnesses = np.full(m, math.inf)
         self.gbest_position = positions[0].copy()
         self.gbest_fitness = math.inf
-        self._evaluate()
+        # The first swarm is drawn, so it is measured in full. Every later
+        # swarm is clipped into the bounds, which hold the query's ends, so
+        # its paths skip the kernel's bounds stage (a nan waypoint gives a
+        # nan length, which is never open); with no obstacle, they are free.
+        field = env.collision_field
+        self._evaluate(field._blocked_measure)
+        self._measure = field._obstacle_measure if field.disks or field.polygons else None
 
         self.iteration = 0
         self.omega = params.omega_start
@@ -230,7 +243,7 @@ class PsoRun:
         np.maximum(np.minimum(x, self._hi, out=x), self._lo, out=x)
 
         previous = self.gbest_fitness
-        if self._evaluate():
+        if self._evaluate(self._measure):
             self._last_improvement = self.iteration + 1
         self.iteration += 1
         if previous - self.gbest_fitness < p.stop_epsilon:
@@ -240,13 +253,13 @@ class PsoRun:
         if self._flat_streak >= p.stagnation_window:
             self.stopped = True
 
-    def _evaluate(self) -> bool:
-        """Score the swarm at `positions` against the personal bests, take
-        every better personal best and then a better global best; True if
-        a personal best improved."""
+    def _evaluate(self, measure) -> bool:
+        """Score the swarm at `positions` against the personal bests through
+        `measure` (see `_scores`), take every better personal best and then
+        a better global best; True if a personal best improved."""
         self._paths[:, 1:-1] = self.positions.reshape(len(self._paths), -1, 2)
-        self.fitnesses = _scores(self._paths, self.env.collision_field,
-                                 self.params.penalty_lambda, self.pbest_fitnesses)
+        self.fitnesses = _scores(self._paths, measure, self.params.penalty_lambda,
+                                 self.pbest_fitnesses)
         improved = self.fitnesses < self.pbest_fitnesses
         if not np.count_nonzero(improved):
             return False

@@ -447,29 +447,59 @@ def test_construction_scores_the_first_swarm_in_full(name):
     assert run.gbest_fitness == full[g]
 
 
-def test_the_field_run_sends_only_open_particles_to_the_kernel(monkeypatch):
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """The collision kernel's calls by entry, each as its (field, ax, ay, ex,
+    ey) columns: "full" at `_blocked_measure`, and "obstacle" at
+    `_obstacle_measure` entered directly, not from within `_blocked_measure`."""
+    calls, nested = {"full": [], "obstacle": []}, []
+    full, obstacle = CollisionField._blocked_measure, CollisionField._obstacle_measure
+
+    def spy_full(self, *cols):
+        calls["full"].append((self, *cols))
+        nested.append(True)
+        try:
+            return full(self, *cols)
+        finally:
+            nested.pop()
+
+    def spy_obstacle(self, *cols):
+        if not nested:
+            calls["obstacle"].append((self, *cols))
+        return obstacle(self, *cols)
+
+    monkeypatch.setattr(CollisionField, "_blocked_measure", spy_full)
+    monkeypatch.setattr(CollisionField, "_obstacle_measure", spy_obstacle)
+    return calls
+
+
+def test_the_field_run_sends_only_open_particles_to_the_kernel(kernel_calls):
     # A particle whose length is not below its personal best skips the
-    # collision kernel, which the fitness enters at its column entry.
+    # collision kernel, which the fitness enters at its column entries.
     # Every particle of every step would be 300 + 146 * 300 = 44,100 rows
-    # here (construction, steps); the feasible result sends none, as only
-    # an infeasible one is measured.
-    rows = []
-    kernel = CollisionField._blocked_measure
-
-    def counted(self, ax, ay, ex, ey):
-        rows.append(len(ax))
-        return kernel(self, ax, ay, ex, ey)
-
-    monkeypatch.setattr(CollisionField, "_blocked_measure", counted)
-    env, query = _pinned_case("field-1000")
-    res = plan_pso(env, query, PsoParams())
+    # here (construction, steps): the drawn first swarm enters in full, and
+    # the clipped swarms of the steps past the bounds stage. The feasible
+    # result sends none, as only an infeasible one is measured.
+    res = plan_pso(*_pinned_case("field-1000"), PsoParams())
     assert res.iterations_used == 146
-    assert (len(rows), sum(rows)) == (147, 22_896)
+    full, obstacle = ([len(c[1]) for c in kernel_calls[e]] for e in ("full", "obstacle"))
+    assert full == [300]
+    assert (len(full + obstacle), sum(full + obstacle)) == (147, 22_896)
+
+
+def test_the_empty_run_sends_only_its_first_swarm_to_the_kernel(kernel_calls):
+    # With no obstacle, a path clipped into the bounds is free, so the
+    # steps skip the kernel.
+    res = plan_pso(*_pinned_case("empty"), PsoParams())
+    assert res.iterations_used == 30
+    assert [len(c[1]) for c in kernel_calls["full"]] == [300]
+    assert kernel_calls["obstacle"] == []
 
 
 def full_step(run):
     """Scalar oracle for PsoRun.step: per-particle updates, in index order,
-    and every particle's full `fitness`."""
+    and every particle's full `fitness`. A position with a nan coordinate,
+    which `fitness` refuses, has a nan length, so its fitness is nan."""
     p = run.params
     run.omega = update_inertia(run.iteration, p.max_iterations, p.omega_start,
                                p.omega_end, run.stagnant, run.rng)
@@ -479,7 +509,8 @@ def full_step(run):
                                             run.omega, p.c1, p.c2, run.rng, p.v_max)
         run.positions[i] = update_position(run.positions[i], run.velocities[i],
                                            run._lo, run._hi)
-        run.fitnesses[i] = fitness(run.positions[i], run.query, run.env, p.penalty_lambda)
+        run.fitnesses[i] = (fitness(run.positions[i], run.query, run.env, p.penalty_lambda)
+                            if not np.isnan(run.positions[i]).any() else math.nan)
         if run.fitnesses[i] < run.pbest_fitnesses[i]:
             run.pbest_positions[i] = run.positions[i]
             run.pbest_fitnesses[i] = run.fitnesses[i]
@@ -540,6 +571,42 @@ def test_a_pruned_step_equals_a_full_one(run):
     assert (run.fitnesses <= full.fitnesses).all()
 
 
+@pytest.mark.parametrize("name, params", [
+    ("field-1000", PsoParams()),
+    ("irregular-a", PsoParams()),
+    ("field-1000", PsoParams(c1=1e308, c2=1e308)),
+], ids=["field-1000", "irregular-a-case-1", "c1-c2-1e308"])
+def test_every_row_a_step_sends_past_the_bounds_stage_is_inside_them(kernel_calls, name,
+                                                                     params):
+    # Each step's swarm is clipped into the bounds just before it is scored,
+    # and validate_query accepted the query's ends, so a row that skips the
+    # bounds stage is finite and inside them. With c1 = c2 = 1e308 the
+    # velocities overflow and most of the swarm turns nan; a nan waypoint
+    # gives a nan length, which is never open, and the run is the scalar
+    # oracle's (checked on that run alone, as the oracle is slow).
+    env, query = _pinned_case(name)
+    nan_swarm = params.c1 == 1e308
+    with np.errstate(over="ignore", invalid="ignore"):
+        run = PsoRun(env, query, params)
+        oracle = copy.deepcopy(run)
+        while not run.should_stop:
+            run.step()
+        while nan_swarm and not oracle.should_stop:
+            full_step(oracle)
+    assert kernel_calls["obstacle"]
+    b = env.bounds
+    for _, ax, ay, ex, ey in kernel_calls["obstacle"]:
+        for x in (ax, ex):
+            assert ((b.x_min <= x) & (x <= b.x_max)).all()
+        for y in (ay, ey):
+            assert ((b.y_min <= y) & (y <= b.y_max)).all()
+    if nan_swarm:
+        assert np.isnan(run.positions).any()
+        assert run.iteration == oracle.iteration
+        assert run.pbest_fitnesses.tobytes() == oracle.pbest_fitnesses.tobytes()
+        assert run.result(0.0) == oracle.result(0.0)
+
+
 @st.composite
 def scored_swarms(draw):
     """Random waypoint vectors in the bounds of a drawn case, each with a
@@ -566,14 +633,21 @@ def test_an_open_particles_penalty_is_its_path_violation_bit_for_bit(swarm):
     # The swarm's one pass scales each segment's blocked measure by the
     # segment length it summed; that equals `path_violation` on the decoded
     # path, which measures the segments again through `blocked_lengths`.
+    # The paths lie inside the bounds, so each kernel entry a run uses gives
+    # those doubles: past the bounds stage, and none on an obstacle-free map.
     env, query, positions, paths, lengths, bests, penalty_lambda = swarm
-    scores = pso._scores(paths, env.collision_field, penalty_lambda, bests)
-    for x, length, best, score in zip(positions, lengths, bests, scores):
-        if length < best:
-            want = length + penalty_lambda * path_violation(decode(x, query), env)
-        else:
-            want = length
-        assert score.hex() == want.hex()
+    field = env.collision_field
+    entries = [field._blocked_measure, field._obstacle_measure]
+    if not (field.disks or field.polygons):
+        entries.append(None)
+    for measure in entries:
+        scores = pso._scores(paths, measure, penalty_lambda, bests)
+        for x, length, best, score in zip(positions, lengths, bests, scores):
+            if length < best:
+                want = length + penalty_lambda * path_violation(decode(x, query), env)
+            else:
+                want = length
+            assert score.hex() == want.hex()
 
 
 # Endpoints from the bounds' inside and outside, and non-finite ones.
@@ -596,6 +670,29 @@ def test_blocked_lengths_is_the_column_entry_times_hypot(data):
         want = field._blocked_measure(ax, ay, ex, ey) * np.hypot(ex - ax, ey - ay)
     assert field.blocked_lengths(starts, ends).tobytes() == want.tobytes()
     assert field.blocked_lengths(np.empty((0, 2)), np.empty((0, 2))).shape == (0,)
+
+
+def inside(lo, hi):
+    """Coordinates from [lo, hi], its ends and its middle included."""
+    return st.one_of(st.floats(lo, hi), st.sampled_from((lo, hi, (lo + hi) / 2)))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_the_obstacle_stage_is_the_column_entry_inside_the_bounds(data):
+    # PSO's clipped steps skip the bounds stage: on rows inside the bounds
+    # it adds nothing. Rows run along a bound line (irregular-a's seams lie
+    # on x = -40 and x = 40) or have zero length.
+    env, _ = drawn_cases(data.draw)
+    b = env.bounds
+    points = st.tuples(inside(b.x_min, b.x_max), inside(b.y_min, b.y_max))
+    starts = data.draw(st.lists(points, max_size=12))
+    ends = [data.draw(st.one_of(points, st.just(a), inside(b.y_min, b.y_max).map(
+        lambda y, x=a[0]: (x, y)))) for a in starts]
+    cols = np.array([(*a, *e) for a, e in zip(starts, ends)], dtype=np.float64).reshape(-1, 4)
+    field = env.collision_field
+    want = field._blocked_measure(*cols.T.copy())
+    assert field._obstacle_measure(*cols.T.copy()).tobytes() == want.tobytes()
 
 
 def test_rejects_bad_query():
