@@ -15,8 +15,8 @@ Conventions used throughout the package:
 
 This module owns the package's one number rule for every value taken
 from a caller or a document: `check_integer` (in a range), `check_real`
-(finite, and > `above` or >= `at_least` where given) and `_plain_point`
-(an exact pair), each raising its caller's error.
+(finite, and > `above`, >= `at_least` and <= `at_most` where given) and
+`_plain_point` (an exact pair), each raising its caller's error.
 
 Every polygon decision rests on one exact orientation sign, `_orient`,
 and every disk decision on one exact squared-distance sign, `_meets_disk`.
@@ -70,10 +70,11 @@ def check_integer(name: str, value, minimum: int, maximum: int = sys.maxsize,
     return int(value)
 
 
-def check_real(name: str, value, error=ValueError, *, above=None, at_least=None) -> float:
+def check_real(name: str, value, error=ValueError, *, above=None, at_least=None,
+               at_most=None) -> float:
     """`value` as a float if a finite real number, numpy's included, that is
-    > `above` and >= `at_least` where given, else `error`. A bool, a str and
-    an integer too large for a float are not finite real numbers."""
+    > `above`, >= `at_least` and <= `at_most` where given, else `error`. A
+    bool, a str and an integer too large for a float are not finite real numbers."""
     try:  # a plain float or int passes ahead of the slower ABC tests
         real = ((type(value) in (float, int) or isinstance(value, numbers.Real)
                  and not isinstance(value, bool)) and math.isfinite(value))
@@ -86,6 +87,8 @@ def check_real(name: str, value, error=ValueError, *, above=None, at_least=None)
         raise error(f"{name} must be > {above}, got {value!r}")
     if at_least is not None and value < at_least:
         raise error(f"{name} must be >= {at_least}, got {value!r}")
+    if at_most is not None and value > at_most:
+        raise error(f"{name} must be <= {at_most}, got {value!r}")
     return value
 
 
@@ -552,9 +555,9 @@ class CollisionField:
         of t in [0, 1] where a + t(b - a) is out of bounds, inside an
         obstacle or on a seam (so overlaps count once), times the segment's
         `np.hypot` length; exactly 0.0 for a segment that meets nothing,
-        however its roots round. The PSO fitness enters at
-        `_blocked_measure` with its paths' columns and the lengths it holds,
-        and a swarm clipped into the bounds at `_obstacle_measure`."""
+        however its roots round. `fitness` enters at `_blocked_measure`
+        with its path's columns and the lengths it holds, and a `PsoRun`,
+        whose swarm is clipped into the bounds, at `_obstacle_measure`."""
         ax, ay = _columns(starts).copy()
         ex, ey = _columns(ends)
         if len(ax) != len(ex):
@@ -567,34 +570,40 @@ class CollisionField:
         (ax, ay) to (ex, ey), given as float64 columns, unchecked: the
         bounds, then `_obstacle_measure` for the rest.
 
-        * Bounds, for segments whose box leaves them (each row's box is
-          tested only when the whole batch's box leaves them): [0, t_in) and
-          (t_out, 1] around the part the slab method (Liang & Barsky)
-          keeps; all of [0, 1] if that is empty or b - a is not finite.
-          An end out of bounds keeps at least a sliver of 2^-53 there.
+        * Bounds: [0, t_in) and (t_out, 1] around the part the slab method
+          (Liang & Barsky) keeps; all of [0, 1] if that is empty or b - a
+          is not finite. An end out of bounds keeps at least a sliver of
+          2^-53 there. A row inside the bounds gets nothing: each of its
+          cuts rounds to <= 0 or >= 1, as the bound lines lie beyond its ends.
         """
-        x_lo, x_hi = np.minimum(ax, ex), np.maximum(ax, ex)
-        y_lo, y_hi = np.minimum(ay, ey), np.maximum(ay, ey)
         b = self.bounds
-        # nan endpoints give nan box sides (and batch box sides), which fail
-        # every comparison: the per-row mask is built, with a row set, just
-        # when the batch's box leaves the bounds. (A ufunc's reduce costs
-        # less per call than the ndarray method.)
-        least, most, inf = np.minimum.reduce, np.maximum.reduce, math.inf
-        if (least(x_lo, initial=inf) >= b.x_min and most(x_hi, initial=-inf) <= b.x_max
-                and least(y_lo, initial=inf) >= b.y_min and most(y_hi, initial=-inf) <= b.y_max):
-            return self._obstacle_measure(ax, ay, ex, ey)
-        leaves = ~((x_lo >= b.x_min) & (x_hi <= b.x_max) & (y_lo >= b.y_min) & (y_hi <= b.y_max))
         # Rows with nan or infinite endpoints are ordinary input here.
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            outside = self._bound_intervals(np.flatnonzero(leaves), ax, ay, ex, ey)
+            dx, dy = ex - ax, ey - ay
+            t_in, t_out = 0.0, 1.0
+            for lo, hi, p, q in ((b.x_min, b.x_max, ax, dx), (b.y_min, b.y_max, ay, dy)):
+                # Parallel to the slab, the cuts are infinite, or nan on its
+                # side lines, which fmax and fmin skip: no constraint.
+                lo, hi = (lo - p) / q, (hi - p) / q
+                t_in = np.fmax(t_in, np.minimum(lo, hi))
+                t_out = np.fmin(t_out, np.maximum(lo, hi))
+            whole = ~(np.isfinite(dx) & np.isfinite(dy) & (t_in < t_out))
+            t_in[whole] = t_out[whole] = 1.0
+            # An end out of bounds keeps at least a sliver, however its cut rounds.
+            a_out, e_out = (~((x >= b.x_min) & (x <= b.x_max) & (y >= b.y_min) & (y <= b.y_max))
+                            for x, y in ((ax, ay), (ex, ey)))
+            t_in = np.maximum(t_in, a_out * 2.0 ** -53)
+            t_out = np.minimum(t_out, 1.0 - e_out * 2.0 ** -53)
+        head, tail = np.flatnonzero(t_in > 0.0), np.flatnonzero(t_out < 1.0)
+        outside = [(head, np.zeros(len(head)), t_in[head]),
+                   (tail, t_out[tail], np.ones(len(tail)))]
         return self._obstacle_measure(ax, ay, ex, ey, outside)
 
     def _obstacle_measure(self, ax, ay, ex, ey, outside=()) -> np.ndarray:
-        """The obstacle stage of `_blocked_measure`, which passes the bound
-        intervals of the rows that leave the bounds as `outside`. A caller
-        whose rows all lie inside the bounds may enter here, as the bounds
-        block none of them. Each row's measure of the union of `outside` and:
+        """The obstacle stage of `_blocked_measure`, which passes its bound
+        intervals as `outside`; a caller whose rows all lie inside the
+        bounds, as a `PsoRun`'s clipped swarm does, may enter here. Each
+        row's measure of the union of `outside` and:
 
         * Disks: each disk's open root interval, clipped to [0, 1]. A
           (segment, disk) pair whose answer the rounded roots may get
@@ -630,29 +639,6 @@ class CollisionField:
             if self.seams:
                 intervals += self._seam_intervals(ax, ay, ex, ey, dx, dy)
             return _union_measure(intervals, len(ax))
-
-    def _bound_intervals(self, rows, ax, ay, ex, ey):
-        """[(row, lo, hi)]: the parts of the given rows out of bounds."""
-        b = self.bounds
-        ax, ay, ex, ey = ax[rows], ay[rows], ex[rows], ey[rows]
-        dx, dy = ex - ax, ey - ay
-        t_in, t_out = 0.0, 1.0
-        for lo, hi, p, q in ((b.x_min, b.x_max, ax, dx), (b.y_min, b.y_max, ay, dy)):
-            # Parallel to the slab, the cuts are infinite, or nan on its side
-            # lines, which fmax and fmin skip: no constraint.
-            lo, hi = (lo - p) / q, (hi - p) / q
-            t_in = np.fmax(t_in, np.minimum(lo, hi))
-            t_out = np.fmin(t_out, np.maximum(lo, hi))
-        whole = ~(np.isfinite(dx) & np.isfinite(dy) & (t_in < t_out))
-        t_in[whole] = t_out[whole] = 1.0
-        # An end out of bounds keeps at least a sliver, however its cut rounds.
-        a_out, e_out = (~((x >= b.x_min) & (x <= b.x_max) & (y >= b.y_min) & (y <= b.y_max))
-                        for x, y in ((ax, ay), (ex, ey)))
-        t_in = np.maximum(t_in, a_out * 2.0 ** -53)
-        t_out = np.minimum(t_out, 1.0 - e_out * 2.0 ** -53)
-        head, tail = t_in > 0.0, t_out < 1.0
-        return [(rows[head], np.zeros(np.count_nonzero(head)), t_in[head]),
-                (rows[tail], t_out[tail], np.ones(np.count_nonzero(tail)))]
 
     def _disk_intervals(self, ax, ay, ex, ey, dx, dy):
         """[(row, lo, hi)]: the non-empty disk root intervals of the rows."""

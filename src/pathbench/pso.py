@@ -6,16 +6,16 @@ Fitness is geometric path length plus a penalty proportional to the
 length of path lying inside obstacles (or out of bounds), computed
 exactly in one pass over a run's path buffer: each segment's `np.hypot`
 length, taken once, adds to the path length and scales the blocked
-measure in t that `CollisionField._blocked_measure` gives the segment.
-A step's swarm is clipped into the bounds, so it enters the kernel past
-its bounds stage, at `_obstacle_measure`; on a map with no obstacle its
-paths are free and skip the kernel. As the penalty is never negative, a
-particle whose length alone reaches its personal best (+inf for the
-first swarm) cannot improve on it and skips the collision kernel. The
-swarm stops early once the global best has been flat for a full
-stagnation window. `build_result` judges the decoded global best with
-`audit_path`, as it does RRT*'s path; only an infeasible one is
-measured.
+measure in t that the collision kernel gives the segment. A run clips
+every swarm into the bounds before it scores it, so its paths enter the
+kernel past its bounds stage, at `CollisionField._obstacle_measure`; on
+a map with no obstacle they are free and skip the kernel. As the penalty
+is never negative, a particle whose length alone reaches its personal
+best (+inf for the first swarm) cannot improve on it and skips the
+collision kernel. The swarm stops early once the global best has been
+flat for a full stagnation window. `build_result` judges the decoded
+global best with `audit_path`, as it does RRT*'s path; only an
+infeasible one is measured.
 """
 
 from __future__ import annotations
@@ -33,12 +33,15 @@ from .result import PlanResult, build_result, check_param_types, plan
 
 __all__ = [
     "PsoParams", "PsoRun", "plan_pso", "decode", "fitness",
-    "path_violation", "update_inertia", "MAX_SWARM_WAYPOINTS",
+    "path_violation", "update_inertia", "MAX_SWARM_WAYPOINTS", "MAX_COEFFICIENT",
 ]
 
 #: Most waypoints a swarm may hold, population * n_waypoints: each
 #: (population, 2 * n_waypoints) array of a run is 16 MB at the cap.
 MAX_SWARM_WAYPOINTS = 1_000_000
+#: Largest magnitude of c1, c2, omega_start, omega_end, v_max and penalty_lambda: with
+#: the bounds' span under 1.35e154, no product of a run overflows (README, "Input rules").
+MAX_COEFFICIENT = 1e100
 
 
 @dataclass(frozen=True)
@@ -57,11 +60,13 @@ class PsoParams:
     rng_seed: int = 0
 
     def __post_init__(self):
+        coefficient = {"at_least": -MAX_COEFFICIENT, "at_most": MAX_COEFFICIENT}
         check_param_types(
             self, {"max_iterations": 1, "population": 1, "n_waypoints": 1,
                    "stagnation_window": 1, "rng_seed": 0},
-            {"c1": {}, "c2": {}, "omega_start": {}, "omega_end": {}, "v_max": {"above": 0},
-             "penalty_lambda": {"at_least": 0}, "stop_epsilon": {"at_least": 0}})
+            {"c1": coefficient, "c2": coefficient, "omega_start": coefficient,
+             "omega_end": coefficient, "v_max": dict(coefficient, above=0),
+             "penalty_lambda": dict(coefficient, at_least=0), "stop_epsilon": {"at_least": 0}})
         if not self.omega_start >= self.omega_end:
             raise ValueError("omega_start must be >= omega_end")
         if self.population * self.n_waypoints > MAX_SWARM_WAYPOINTS:
@@ -197,13 +202,11 @@ class PsoRun:
         self.pbest_fitnesses = np.full(m, math.inf)
         self.gbest_position = positions[0].copy()
         self.gbest_fitness = math.inf
-        # The first swarm is drawn, so it is measured in full. Every later
-        # swarm is clipped into the bounds, which hold the query's ends, so
-        # its paths skip the kernel's bounds stage (a nan waypoint gives a
-        # nan length, which is never open); with no obstacle, they are free.
+        # `_evaluate` clips each swarm into the bounds, which hold the query's ends, so
+        # its paths skip the kernel's bounds stage (a nan waypoint's length is never open).
         field = env.collision_field
-        self._evaluate(field._blocked_measure)
         self._measure = field._obstacle_measure if field.disks or field.polygons else None
+        self._evaluate()
 
         self.iteration = 0
         self.omega = params.omega_start
@@ -240,10 +243,9 @@ class PsoRun:
         # np.clip gives the same values, nan included, at a higher cost per call.
         np.maximum(np.minimum(v, p.v_max, out=v), -p.v_max, out=v)
         x += v
-        np.maximum(np.minimum(x, self._hi, out=x), self._lo, out=x)
 
         previous = self.gbest_fitness
-        if self._evaluate(self._measure):
+        if self._evaluate():
             self._last_improvement = self.iteration + 1
         self.iteration += 1
         if previous - self.gbest_fitness < p.stop_epsilon:
@@ -253,12 +255,14 @@ class PsoRun:
         if self._flat_streak >= p.stagnation_window:
             self.stopped = True
 
-    def _evaluate(self, measure) -> bool:
-        """Score the swarm at `positions` against the personal bests through
-        `measure` (see `_scores`), take every better personal best and then
-        a better global best; True if a personal best improved."""
-        self._paths[:, 1:-1] = self.positions.reshape(len(self._paths), -1, 2)
-        self.fitnesses = _scores(self._paths, measure, self.params.penalty_lambda,
+    def _evaluate(self) -> bool:
+        """Clip the swarm at `positions` into the bounds, score it against the
+        personal bests (see `_scores`), take every better personal best and
+        then a better global best; True if a personal best improved."""
+        x = self.positions
+        np.maximum(np.minimum(x, self._hi, out=x), self._lo, out=x)
+        self._paths[:, 1:-1] = x.reshape(len(self._paths), -1, 2)
+        self.fitnesses = _scores(self._paths, self._measure, self.params.penalty_lambda,
                                  self.pbest_fitnesses)
         improved = self.fitnesses < self.pbest_fitnesses
         if not np.count_nonzero(improved):

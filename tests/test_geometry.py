@@ -971,9 +971,8 @@ def bound_rows(draw):
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_the_batch_bounds_test_equals_the_per_row_one(kind, data):
-    # A batch whose box stays in bounds skips the per-row bounds mask, and
-    # a nan row makes the kernel build that mask for its whole batch. Each
-    # row gets the same doubles either way, and alone, and a row with a
+    # A row's measure does not depend on its batch: it gets the same doubles
+    # in the batch, with a nan row added to it, and alone, and a row with a
     # nan or infinite coordinate is blocked whole.
     field = data.draw(fields(kind)).collision_field
     cols = np.array(data.draw(st.lists(bound_rows(), min_size=1, max_size=16))).T  # ax, ay, ex, ey

@@ -100,6 +100,40 @@ def test_params_cap_the_swarm_size():
             PsoParams(**bad)
 
 
+def test_params_cap_the_coefficients():
+    # c1 = c2 = 1e308 overflowed a step's velocity update on field 1000, and
+    # penalty_lambda = 1e308 and omega_start = 1e308 overflowed on
+    # irregular-a: numpy's "overflow encountered in multiply".
+    cap = pso.MAX_COEFFICIENT
+    assert cap == 1e100
+    PsoParams(c1=cap, c2=-cap, omega_start=cap, omega_end=-cap, v_max=cap, penalty_lambda=cap)
+    above = math.nextafter(cap, math.inf)
+    for name, value, bound in (("c1", 1e308, "<= 1e+100"), ("c1", above, "<= 1e+100"),
+                               ("c2", -above, ">= -1e+100"), ("omega_start", 1e308, "<= 1e+100"),
+                               ("omega_end", -above, ">= -1e+100"), ("v_max", above, "<= 1e+100"),
+                               ("penalty_lambda", 1e308, "<= 1e+100")):
+        with pytest.raises(ValueError) as refused:
+            PsoParams(**{name: value})
+        assert str(refused.value) == f"{name} must be {bound}, got {value!r}"
+
+
+def test_a_run_at_the_coefficient_cap_overflows_nothing():
+    # Bounds about as wide as `_check_bounds` admits, every coefficient at
+    # its cap and a query through a disk, so the penalty is paid.
+    b = Bounds(-4.7e153, 4.7e153, -4.7e153, 4.7e153)
+    env = Environment(b, (Circle(Point2(0.0, 0.0), 1e153),))
+    query = Query(Point2(-4e153, 0.0), Point2(4e153, 0.0))
+    cap = pso.MAX_COEFFICIENT
+    params = PsoParams(max_iterations=50, population=10, n_waypoints=3, c1=cap, c2=cap,
+                       omega_start=cap, omega_end=-cap, v_max=cap, penalty_lambda=cap)
+    with np.errstate(over="raise", invalid="raise"):
+        run = PsoRun(env, query, params)
+        while not run.should_stop:
+            run.step()
+    assert np.isfinite(run.velocities).all() and np.isfinite(run.pbest_fitnesses).all()
+    assert run.iteration > 0
+
+
 def test_decode():
     path = decode((1.0, 2.0, 3.0, 4.0), Q_EAST)
     assert path == (Point2(0, 0), Point2(1, 2), Point2(3, 4), Point2(10, 0))
@@ -432,12 +466,15 @@ def test_seeded_runs_are_pinned(name, length, path_digest, iterations, pbest_dig
 
 
 @pytest.mark.parametrize("name", ["empty", "field-1000", "irregular-a"])
-def test_construction_scores_the_first_swarm_in_full(name):
-    # The first swarm is scored against +inf personal bests, so nothing is
-    # pruned: the state is that of scoring every particle with `fitness`.
+def test_construction_scores_the_first_swarm_in_full(kernel_calls, name):
+    # The first swarm is clipped into the bounds, as every later one is, so
+    # set-up never enters the kernel's bounds stage. It is scored against
+    # +inf personal bests, so nothing is pruned: the state is that of
+    # scoring every particle with `fitness`.
     env, query = _pinned_case(name)
     params = PsoParams()
     run = PsoRun(env, query, params)
+    assert kernel_calls["full"] == []
     full = np.array([fitness(x, query, env, params.penalty_lambda) for x in run.positions])
     assert run.fitnesses.tobytes() == full.tobytes()
     assert run.pbest_positions.tobytes() == run.positions.tobytes()
@@ -475,25 +512,24 @@ def kernel_calls(monkeypatch):
 
 def test_the_field_run_sends_only_open_particles_to_the_kernel(kernel_calls):
     # A particle whose length is not below its personal best skips the
-    # collision kernel, which the fitness enters at its column entries.
-    # Every particle of every step would be 300 + 146 * 300 = 44,100 rows
-    # here (construction, steps): the drawn first swarm enters in full, and
-    # the clipped swarms of the steps past the bounds stage. The feasible
-    # result sends none, as only an infeasible one is measured.
+    # collision kernel. Every particle of every swarm would be 300 + 146 *
+    # 300 = 44,100 rows here (construction, steps); every swarm, the first
+    # one included, is clipped into the bounds, so all of them enter past
+    # the bounds stage. The feasible result sends none, as only an
+    # infeasible one is measured.
     res = plan_pso(*_pinned_case("field-1000"), PsoParams())
     assert res.iterations_used == 146
-    full, obstacle = ([len(c[1]) for c in kernel_calls[e]] for e in ("full", "obstacle"))
-    assert full == [300]
-    assert (len(full + obstacle), sum(full + obstacle)) == (147, 22_896)
+    obstacle = [len(c[1]) for c in kernel_calls["obstacle"]]
+    assert kernel_calls["full"] == [] and obstacle[0] == 300
+    assert (len(obstacle), sum(obstacle)) == (147, 22_896)
 
 
-def test_the_empty_run_sends_only_its_first_swarm_to_the_kernel(kernel_calls):
-    # With no obstacle, a path clipped into the bounds is free, so the
-    # steps skip the kernel.
+def test_the_empty_run_sends_no_row_to_the_kernel(kernel_calls):
+    # With no obstacle, a path clipped into the bounds is free, so neither
+    # set-up nor a step enters the kernel.
     res = plan_pso(*_pinned_case("empty"), PsoParams())
     assert res.iterations_used == 30
-    assert [len(c[1]) for c in kernel_calls["full"]] == [300]
-    assert kernel_calls["obstacle"] == []
+    assert kernel_calls == {"full": [], "obstacle": []}
 
 
 def full_step(run):
@@ -571,29 +607,31 @@ def test_a_pruned_step_equals_a_full_one(run):
     assert (run.fitnesses <= full.fitnesses).all()
 
 
-@pytest.mark.parametrize("name, params", [
-    ("field-1000", PsoParams()),
-    ("irregular-a", PsoParams()),
-    ("field-1000", PsoParams(c1=1e308, c2=1e308)),
+@pytest.mark.parametrize("name, nan_swarm", [
+    ("field-1000", False), ("irregular-a", False), ("field-1000", True),
 ], ids=["field-1000", "irregular-a-case-1", "c1-c2-1e308"])
 def test_every_row_a_step_sends_past_the_bounds_stage_is_inside_them(kernel_calls, name,
-                                                                     params):
-    # Each step's swarm is clipped into the bounds just before it is scored,
-    # and validate_query accepted the query's ends, so a row that skips the
-    # bounds stage is finite and inside them. With c1 = c2 = 1e308 the
-    # velocities overflow and most of the swarm turns nan; a nan waypoint
-    # gives a nan length, which is never open, and the run is the scalar
-    # oracle's (checked on that run alone, as the oracle is slow).
+                                                                     nan_swarm):
+    # Every swarm is clipped into the bounds just before it is scored, and
+    # validate_query accepted the query's ends, so every row a run sends to
+    # the kernel skips the bounds stage and is finite and inside them.
+    # c1 = c2 = 1e308 overflowed the velocity update and turned 48 of the
+    # 50 particles nan; it is refused now, and nan velocities give that
+    # swarm. A nan waypoint gives a nan length, which is never open, and the
+    # run is the scalar oracle's (checked on that run alone, as the oracle is
+    # slow).
     env, query = _pinned_case(name)
-    nan_swarm = params.c1 == 1e308
-    with np.errstate(over="ignore", invalid="ignore"):
-        run = PsoRun(env, query, params)
-        oracle = copy.deepcopy(run)
-        while not run.should_stop:
-            run.step()
-        while nan_swarm and not oracle.should_stop:
-            full_step(oracle)
-    assert kernel_calls["obstacle"]
+    run = PsoRun(env, query, PsoParams())
+    if nan_swarm:
+        with pytest.raises(ValueError, match=r"^c1 must be <= 1e\+100, got 1e\+308$"):
+            PsoParams(c1=1e308, c2=1e308)
+        run.velocities[2:] = math.nan
+    oracle = copy.deepcopy(run)
+    while not run.should_stop:
+        run.step()
+    assert kernel_calls["full"] == [] and kernel_calls["obstacle"]
+    while nan_swarm and not oracle.should_stop:
+        full_step(oracle)
     b = env.bounds
     for _, ax, ay, ex, ey in kernel_calls["obstacle"]:
         for x in (ax, ex):
@@ -693,6 +731,26 @@ def test_the_obstacle_stage_is_the_column_entry_inside_the_bounds(data):
     field = env.collision_field
     want = field._blocked_measure(*cols.T.copy())
     assert field._obstacle_measure(*cols.T.copy()).tobytes() == want.tobytes()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_the_slab_adds_nothing_to_a_row_inside_the_bounds(data):
+    # Bounds whose sides are not exact, so each slab cut (bound - a) / (b - a)
+    # rounds; inside the bounds it rounds to <= 0 or >= 1 all the same, and
+    # `_blocked_measure` adds no interval to `_obstacle_measure`'s. Rows end
+    # on a bound line, run along one or parallel to one, or have zero length.
+    b = data.draw(st.sampled_from((Bounds(1e150, 1.5e150, -3e150, -1e150),
+                                   Bounds(0.1, 0.7, -0.3, 0.2))))
+    disk = Circle(Point2((b.x_min + b.x_max) / 2, (b.y_min + b.y_max) / 2), b.width / 4)
+    field = Environment(b, data.draw(st.sampled_from(((), (disk,))))).collision_field
+    xs, ys = inside(b.x_min, b.x_max), inside(b.y_min, b.y_max)
+    starts = data.draw(st.lists(st.tuples(xs, ys), min_size=1, max_size=12))
+    ends = [data.draw(st.one_of(st.tuples(xs, ys), st.just(a), xs.map(lambda x, y=a[1]: (x, y)),
+                                ys.map(lambda y, x=a[0]: (x, y)))) for a in starts]
+    cols = np.array([(*a, *e) for a, e in zip(starts, ends)], dtype=np.float64)
+    want = field._obstacle_measure(*cols.T.copy())
+    assert field._blocked_measure(*cols.T.copy()).tobytes() == want.tobytes()
 
 
 def test_rejects_bad_query():
