@@ -508,6 +508,22 @@ class CollisionField:
     outward. Every test is exact, so a segment whose box misses it cannot
     meet the obstacle: `edge_free` skips the obstacle, and
     `blocked_lengths` leaves out the polygons for such a segment.
+
+    `rescale_rows` says whether the disk pass rescales each row, decided
+    from the field's scale G, the larger of the bounds' longer side and
+    the largest radius. For a row inside the bounds |d| = |b - a| <= sqrt(2) G,
+    |f| = |a - c| <= |d| + r <= (1 + sqrt(2)) G (the disk meets the bounds)
+    and r <= G, so every product the pass forms, such as dd (|f|^2 + r^2)
+    and half_b^2, is below 16 G^4: finite while G <= 2^254. A row and a
+    disk at the field's scale round their discriminant by about
+    2^-46 G^4, and that must stay far above the band's floor of
+    `_ORIENT_TINY` (about 2^-997) and the subnormals; at G = 2^-200 it is
+    2^-846, which leaves room for rows 2^-75 of the field's scale. So
+    fields with G in [2^-200, 2^250] run the pass as it is, and others
+    scale each row's d, f and r by the power of two that brings its
+    larger |dx|, |dy| into [0.5, 1). A power of two leaves every root t
+    as it is, so blocked measures are equivariant under scaling the map
+    and its rows by a power of two.
     """
 
     def __init__(self, env: "Environment"):
@@ -526,6 +542,8 @@ class CollisionField:
         disks = np.array(circles, dtype=np.float64).reshape(-1, 3)
         self.disk_x, self.disk_y = disks[:, :1].copy(), disks[:, 1:2].copy()
         self.disk_r2 = disks[:, 2:] ** 2
+        scale = max(self.bounds.width, self.bounds.height, *disks[:, 2].tolist())
+        self.rescale_rows = not 2.0 ** -200 <= scale <= 2.0 ** 250
         self.vertex_xy = np.array([xy for vs in outlines for xy in vs],
                                   dtype=np.float64).reshape(-1, 2)
         counts = np.array([len(vs) for vs in outlines], dtype=np.intp)
@@ -649,8 +667,14 @@ class CollisionField:
             # on (disks, rows) arrays. In place, in the written-out formula's
             # order (so the same doubles): fx becomes dd (|a - c|^2 - r^2).
             dx_r, dy_r = dx[k:k + step], dy[k:k + step]
-            dd = dx_r * dx_r + dy_r * dy_r
             fx, fy = ax[k:k + step] - self.disk_x, ay[k:k + step] - self.disk_y
+            r2, r2_max = self.disk_r2, self.disk_r2.max()
+            if self.rescale_rows:
+                # Exact: each row's numbers times the power of two 2^e.
+                e = -np.frexp(np.maximum(np.abs(dx_r), np.abs(dy_r)))[1]
+                dx_r, dy_r, fx, fy = (np.ldexp(v, e) for v in (dx_r, dy_r, fx, fy))
+                r2, r2_max = np.ldexp(r2, 2 * e), np.ldexp(r2_max, 2 * e)
+            dd = dx_r * dx_r + dy_r * dy_r
             half_b = fx * dx_r
             half_b += fy * dy_r
             fx *= fx
@@ -659,8 +683,8 @@ class CollisionField:
             # Every term of disc is at most dd (|a - c|^2 + r^2) (half_b^2 by
             # Cauchy-Schwarz), so rounding moves disc by less than the row's
             # `band`. Per row, so one huge or nan row cannot widen the others'.
-            band = _DISK_BAND * dd * (fx.max(axis=0) + self.disk_r2.max()) + _ORIENT_TINY
-            fx -= self.disk_r2
+            band = _DISK_BAND * dd * (fx.max(axis=0) + r2_max) + _ORIENT_TINY
+            fx -= r2
             fx *= dd
             disc = half_b * half_b
             disc -= fx

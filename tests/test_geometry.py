@@ -3,7 +3,7 @@
 import math
 import tracemalloc
 import warnings
-from fractions import Fraction
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -23,7 +23,8 @@ from pathbench.geometry import (Bounds, Circle, CollisionField, Point2,
                                 segment_polygon_collides, segments_intersect)
 from pathbench.pso import PsoParams, decode, fitness, path_violation, update_inertia
 from pathbench.rrtstar import RrtParams
-from test_boundary import exact_disk_blocks
+from kernel_corpus import (FIELD_KINDS, WIDE, corpus, reference_point_free,
+                           reference_union_lengths, scaled)
 
 UNIT_SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
 
@@ -432,34 +433,6 @@ def test_edge_free_checks_far_endpoint(small_env):
     assert not edge_free((4.5, 8), (4.5, 4.5), small_env)
 
 
-def reference_disk_blocks(a, b, center, r):
-    """Oracle: True iff the closed segment enters the open disk. The float
-    nearest-point distance decides where it clears the radius by 1e-9 of
-    the squares involved, far above its rounding; the Fraction oracle
-    decides inside that band."""
-    fx, fy, dx, dy = a[0] - center[0], a[1] - center[1], b[0] - a[0], b[1] - a[1]
-    dd = dx * dx + dy * dy
-    t = 0.0 if dd == 0.0 else min(max(-(fx * dx + fy * dy) / dd, 0.0), 1.0)
-    px, py = fx + t * dx, fy + t * dy
-    gap = px * px + py * py - r * r
-    if abs(gap) > 1e-9 * (fx * fx + fy * fy + dd + r * r):
-        return gap < 0.0
-    return exact_disk_blocks(a, b, center, r)
-
-
-def reference_point_free(p, env):
-    """Oracle: the scalar point test, every obstacle tested."""
-    if not env.bounds.contains(p):
-        return False
-    for obs in env.obstacles:
-        if isinstance(obs, Circle):
-            if reference_disk_blocks(p, p, obs.center, obs.radius):
-                return False
-        elif point_in_polygon(p, obs.vertices):
-            return False
-    return True
-
-
 def test_collision_field_matches_scalar(small_env):
     rng = np.random.default_rng(3)
     pts = rng.uniform(-12, 12, size=(500, 2))
@@ -504,7 +477,6 @@ def test_translation_invariance():
 # Fixed examples keep the suite reproducible from run to run.
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True,
                     database=None)
-WIDE = Bounds(-12.0, 12.0, -12.0, 12.0)
 
 coords = st.floats(-14.0, 14.0, allow_nan=False, allow_infinity=False)
 points = st.tuples(coords, coords)
@@ -686,214 +658,6 @@ def reference_blocked_lengths(env, starts, ends):
     return (piece * blocked).sum(axis=1) * np.hypot(d[:, 0], d[:, 1])
 
 
-def on_line(a, b, p):
-    """Whether p lies on the line through a and b: exact, in rationals
-    where the float cross product is within rounding of 0."""
-    left, right = (b[0] - a[0]) * (p[1] - a[1]), (b[1] - a[1]) * (p[0] - a[0])
-    if abs(left - right) > 1e-12 * (abs(left) + abs(right)):
-        return False
-    (ax, ay), (bx, by), (px, py) = (map(Fraction, q) for q in (a, b, p))
-    return (bx - ax) * (py - ay) == (by - ay) * (px - ax)
-
-
-def reference_union_lengths(env, starts, ends):
-    """Oracle: every row's union of blocked intervals on plain floats.
-
-    For a + t(b - a), t in [0, 1]: the slab clip keeps [t_in, t_out] in
-    bounds, and a row with nothing in bounds or a non-finite b - a is
-    blocked whole; an end out of bounds keeps at least 2^-53 of t
-    outside; each disk `reference_disk_blocks` says the row meets
-    adds its open root interval clipped to [0, 1], or where the rounded
-    roots give nothing (0.5, 0.5 + 2^-53), or [0, 1] for a row whose
-    squared length rounds to 0; and the row is cut at every polygon
-    vertex on its line, at (v - a) / (b - a) in a coordinate the row
-    moves in, and where every other polygon edge crosses it, each piece
-    whose midpoint `point_in_polygon` puts inside a polygon blocked. The intervals are
-    sorted, merged while one starts at or before the furthest end so far,
-    and the runs' lengths added in order onto 0.0.
-    """
-    x_min, x_max, y_min, y_max = env.bounds
-    circles = [(o.center.x, o.center.y, o.radius) for o in env.obstacles if isinstance(o, Circle)]
-    outlines = [o.vertices for o in env.obstacles if isinstance(o, Polygon)]
-    out = []
-    for (ax, ay), (ex, ey) in zip(np.reshape(starts, (-1, 2)).tolist(),
-                                  np.reshape(ends, (-1, 2)).tolist()):
-        dx, dy = ex - ax, ey - ay
-        length = float(np.hypot(dx, dy))
-        if not (math.isfinite(dx) and math.isfinite(dy)):
-            out.append(length)
-            continue
-        t_in, t_out = 0.0, 1.0
-        for lo, hi, a, d in ((x_min, x_max, ax, dx), (y_min, y_max, ay, dy)):
-            if d != 0.0:
-                lo, hi = (lo - a) / d, (hi - a) / d
-                t_in, t_out = max(t_in, min(lo, hi)), min(t_out, max(lo, hi))
-            elif not lo <= a <= hi:
-                t_in = math.inf
-        if not t_in < t_out:
-            out.append(length)
-            continue
-        # An end out of bounds keeps at least a sliver, however its cut rounds.
-        if not env.bounds.contains((ax, ay)):
-            t_in = max(t_in, 2.0 ** -53)
-        if not env.bounds.contains((ex, ey)):
-            t_out = min(t_out, 1.0 - 2.0 ** -53)
-        intervals = [(0.0, t_in)] if t_in > 0.0 else []
-        if t_out < 1.0:
-            intervals.append((t_out, 1.0))
-        dd = dx * dx + dy * dy
-        for cx, cy, r in circles:
-            fx, fy = ax - cx, ay - cy
-            half_b = fx * dx + fy * dy
-            disc = half_b * half_b - dd * (fx * fx + fy * fy - r * r)
-            lo = hi = 0.0
-            if disc > 0.0 and dd > 0.0:
-                lo = max((-half_b - math.sqrt(disc)) / dd, 0.0)
-                hi = min((-half_b + math.sqrt(disc)) / dd, 1.0)
-            if reference_disk_blocks((ax, ay), (ex, ey), (cx, cy), r):
-                sliver = (0.5, 0.5 + 2.0 ** -53) if dd > 0.0 else (0.0, 1.0)
-                intervals.append((lo, hi) if lo < hi else sliver)
-        cuts, moves = [0.0, 1.0], dx != 0.0 or dy != 0.0
-        for vs in outlines:
-            for (vx, vy), (nx, ny) in zip(vs, vs[1:] + vs[:1]):
-                ux, uy, wx, wy = nx - vx, ny - vy, vx - ax, vy - ay
-                den = dx * uy - dy * ux
-                if moves and on_line((ax, ay), (ex, ey), (vx, vy)):
-                    s, t = 0.0, (wx / dx if dx != 0.0 else wy / dy)
-                elif den != 0.0 and not (moves and on_line((ax, ay), (ex, ey), (nx, ny))):
-                    s, t = (wx * dy - wy * dx) / den, (wx * uy - wy * ux) / den
-                else:
-                    continue
-                if 0.0 <= s <= 1.0 and 0.0 < t < 1.0:
-                    cuts.append(t)
-        cuts.sort()
-        for lo, hi in zip(cuts, cuts[1:]):
-            u = lo + 0.5 * (hi - lo)
-            if hi > lo and any(point_in_polygon((ax + u * dx, ay + u * dy), vs)
-                               for vs in outlines):
-                intervals.append((lo, hi))
-        runs = []
-        for lo, hi in sorted(intervals):
-            if runs and lo <= runs[-1][1]:
-                runs[-1][1] = max(runs[-1][1], hi)
-            else:
-                runs.append([lo, hi])
-        covered = 0.0
-        for lo, hi in runs:
-            covered += hi - lo
-        out.append(covered * length)
-    return np.array(out)
-
-
-def reference_edge_free(a, b, env):
-    """Oracle: every obstacle tested."""
-    if not (env.bounds.contains(a) and env.bounds.contains(b)):
-        return False
-    for obs in env.obstacles:
-        if isinstance(obs, Circle):
-            if reference_disk_blocks(a, b, obs.center, obs.radius):
-                return False
-        elif segment_polygon_collides((a, b), obs.vertices):
-            return False
-    return True
-
-
-SEGMENT_KINDS = ("random", "tangent", "rim", "zero", "tiny", "outside")
-
-
-@st.composite
-def segment_batches(draw, env, depth=st.floats(-1e-13, 1e-13)):
-    """A shuffled batch of clear, hitting, grazing and degenerate segments.
-
-    Tangent rows sit within `depth` (by default 1e-13, relative to the
-    radius) of a disk's rim, on either side; rim rows start or end on a
-    rim. Fields without disks aim those rows at a phantom unit disk.
-    """
-    rims = [o for o in env.obstacles if isinstance(o, Circle)] or [Circle(Point2(0, 0), 1.0)]
-    rows = []
-    for kind in draw(st.lists(st.sampled_from(SEGMENT_KINDS), min_size=1, max_size=24)):
-        disk = draw(st.sampled_from(rims))
-        (cx, cy), r = disk.center, disk.radius
-        if kind == "random":
-            a, b = draw(points), draw(points)
-        elif kind == "tangent":
-            th = draw(angles)
-            rr = r * (1.0 + draw(depth))
-            px, py = cx + rr * math.cos(th), cy + rr * math.sin(th)
-            s1 = draw(st.floats(-6.0, 6.0))
-            # Symmetric rows put the only piece midpoint on the tangent point.
-            s2 = -s1 if draw(st.booleans()) else draw(st.floats(-6.0, 6.0))
-            a = (px - s1 * math.sin(th), py + s1 * math.cos(th))
-            b = (px - s2 * math.sin(th), py + s2 * math.cos(th))
-        elif kind == "rim":
-            th = draw(angles)
-            a, b = (cx + r * math.cos(th), cy + r * math.sin(th)), draw(points)
-            if draw(st.booleans()):
-                a, b = b, a
-        elif kind == "zero":
-            a = b = draw(points)
-        elif kind == "tiny":
-            th = draw(angles)
-            a = (cx + r * math.cos(th), cy + r * math.sin(th))
-            step = st.floats(-1e-9, 1e-9)
-            b = (a[0] + draw(step), a[1] + draw(step))
-        else:
-            a = (draw(st.floats(12.5, 30.0)) * draw(st.sampled_from((-1, 1))), draw(coords))
-            b = draw(points)
-        rows.append((a, b))
-    return np.array([a for a, _ in rows]), np.array([b for _, b in rows])
-
-
-@st.composite
-def fields(draw, kind):
-    if kind == "disks":
-        obstacles = draw(st.lists(disks, min_size=1, max_size=5))
-    elif kind == "polygons":
-        obstacles = draw(st.lists(polygons(), min_size=1, max_size=3))
-    elif kind == "mixed":
-        obstacles = draw(st.lists(disks, min_size=1, max_size=3)) + draw(
-            st.lists(polygons(), min_size=1, max_size=2))
-    else:
-        obstacles = []
-    return Environment(WIDE, tuple(obstacles))
-
-
-FIELD_KINDS = ("disks", "polygons", "mixed", "empty")
-
-
-@pytest.mark.parametrize("kind", FIELD_KINDS)
-@PROPERTY
-@given(data=st.data())
-def test_row_skip_and_disk_table_match_the_oracles(kind, data):
-    env = data.draw(fields(kind))
-    starts, ends = data.draw(segment_batches(env))
-    want = reference_union_lengths(env, starts, ends)
-    got = CollisionField(env).blocked_lengths(starts, ends)
-    assert got.tolist() == want.tolist()
-    for a, b in zip(starts.tolist(), ends.tolist()):
-        assert edge_free(a, b, env) == reference_edge_free(a, b, env)
-    if kind in ("polygons", "empty"):
-        # Without disks the old cut-and-classify kernel differs from the
-        # union only by rounding: its pieces were summed column by column.
-        lengths = np.hypot(*(ends - starts).T)
-        old = reference_blocked_lengths(env, starts, ends)
-        assert (np.abs(got - old) <= 1e-12 * np.maximum(1.0, lengths)).all()
-
-
-@pytest.mark.parametrize("kind", ("disks", "mixed"))
-@PROPERTY
-@given(data=st.data())
-def test_edge_free_iff_blocked_length_is_zero(kind, data):
-    # Rows inside the bounds, of positive length: tangent, from the rim,
-    # 1e-9 long from the rim, and any.
-    env = data.draw(fields(kind))
-    starts, ends = data.draw(segment_batches(env))
-    blocked = CollisionField(env).blocked_lengths(starts, ends)
-    for a, b, length in zip(starts.tolist(), ends.tolist(), blocked.tolist()):
-        if a != b and env.bounds.contains(a) and env.bounds.contains(b):
-            assert edge_free(a, b, env) == (length == 0.0)
-
-
 @pytest.mark.parametrize("obstacles, a, b, want", [
     # Tangent up to rounding: the discriminant comes out negative. A cut
     # pass classified the only piece midpoint, the tangent point, as
@@ -949,46 +713,162 @@ def test_rows_to_just_past_a_bound_are_blocked():
     assert blocked[some].tolist() == reference_union_lengths(env, starts[some], ends[some]).tolist()
 
 
-@st.composite
-def bound_rows(draw):
-    """A row inside WIDE, along or onto one of its bound lines, out of it, or
-    with a nan or infinite coordinate."""
-    kind = draw(st.sampled_from(("inside", "line", "outside", "non-finite")))
-    row = [draw(st.floats(-12.0, 12.0)) for _ in range(4)]
-    k = draw(st.integers(0, 3))
-    if kind == "line":
-        row[k] = draw(st.sampled_from((-12.0, 12.0)))
-        if draw(st.booleans()):  # both ends on that line
-            row[k ^ 2] = row[k]
-    elif kind == "outside":
-        row[k] = draw(st.floats(12.0, 30.0, exclude_min=True)) * draw(st.sampled_from((-1, 1)))
-    elif kind == "non-finite":
-        row[k] = draw(st.sampled_from((math.nan, math.inf, -math.inf)))
-    return row
+# --- the kernel against its oracles, on the corpus --------------------------
+
+@pytest.mark.parametrize("kind", FIELD_KINDS)
+def test_blocked_lengths_and_edge_free_match_the_oracles(kind):
+    for field in corpus(kind):
+        env, rows = field.env, field.rows("segment")
+        starts, ends = field.starts[rows], field.ends[rows]
+        got = env.collision_field.blocked_lengths(starts, ends)
+        field.check(rows, got, field.union[rows])
+        field.check(rows, [edge_free(a, b, env) for a, b in zip(starts.tolist(), ends.tolist())],
+                    field.edge_free[rows])
+        if kind in ("polygons", "empty"):
+            # Without disks the old cut-and-classify kernel differs from the
+            # union only by rounding: its pieces were summed column by column.
+            lengths = np.hypot(*(ends - starts).T)
+            old = reference_blocked_lengths(env, starts, ends)
+            field.check(rows, np.abs(got - old) <= 1e-12 * np.maximum(1.0, lengths), True)
+
+
+@pytest.mark.parametrize("kind", ("disks", "mixed"))
+def test_edge_free_iff_blocked_length_is_zero(kind):
+    # Rows inside the bounds, of positive length: tangent, from the rim,
+    # 1e-9 long from the rim, and any.
+    for field in corpus(kind):
+        env, rows = field.env, field.rows("segment")
+        blocked = env.collision_field.blocked_lengths(field.starts[rows], field.ends[rows])
+        for row, length in zip(rows.tolist(), blocked.tolist()):
+            a, b = field.starts[row].tolist(), field.ends[row].tolist()
+            if a != b and env.bounds.contains(a) and env.bounds.contains(b):
+                assert edge_free(a, b, env) == (length == 0.0), field.where(row)
+
+
+@pytest.mark.parametrize("kind", ("disks", "polygons", "mixed"))
+def test_a_row_reads_the_same_in_any_sub_batch(kind):
+    # PSO sends only some of its rows. A tangent row 1e-16 to 1e-6 of the
+    # radius deep sits where the disk pass hands over from the rounded
+    # roots to `_meets_disk`, and a rounding band taken over the block
+    # would be wider with the corner-to-corner row, or a nan or infinite
+    # one, than without it.
+    for field in corpus(kind):
+        measure, keep = field.env.collision_field.blocked_lengths, field.keep
+        whole = measure(field.starts, field.ends)
+        field.check(np.flatnonzero(keep), measure(field.starts[keep], field.ends[keep]),
+                    whole[keep], same_bytes=True)
+
+
+@pytest.mark.parametrize("kind", ("disks", "polygons", "mixed"))
+def test_box_skips_match_the_oracles_at_box_edges(kind):
+    for field in corpus(kind):
+        env, rows = field.env, field.rows("box")
+        starts, ends = field.starts[rows].tolist(), field.ends[rows].tolist()
+        got = env.collision_field.blocked_lengths(field.starts[rows], field.ends[rows])
+        field.check(rows, got, field.union[rows])
+        field.check(rows, [edge_free(a, b, env) for a, b in zip(starts, ends)],
+                    field.edge_free[rows])
+        field.check(rows, [point_free(a, env) for a in starts], field.point_free[rows, 0])
+        field.check(rows, [point_free(b, env) for b in ends], field.point_free[rows, 1])
 
 
 @pytest.mark.parametrize("kind", FIELD_KINDS)
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@given(data=st.data())
-def test_the_batch_bounds_test_equals_the_per_row_one(kind, data):
+def test_a_bound_row_measures_the_same_alone_as_in_its_batch(kind):
     # A row's measure does not depend on its batch: it gets the same doubles
     # in the batch, with a nan row added to it, and alone, and a row with a
     # nan or infinite coordinate is blocked whole.
-    field = data.draw(fields(kind)).collision_field
-    cols = np.array(data.draw(st.lists(bound_rows(), min_size=1, max_size=16))).T  # ax, ay, ex, ey
+    for field in corpus(kind):
+        rows = field.rows("bound")
+        cols = field.columns(rows)
+        measure = field.env.collision_field._blocked_measure
+        got = measure(*cols)
+        forced = measure(*np.column_stack((cols, np.full(4, math.nan))))
+        assert forced[-1] == 1.0, f"{kind} field {field.index}: the nan row"
+        field.check(rows, forced[:-1], got, same_bytes=True)
+        field.check(rows, [measure(*cols[:, i:i + 1])[0] for i in range(len(rows))], got,
+                    same_bytes=True)
+        finite = np.isfinite(cols).all(axis=0)
+        field.check(rows[~finite], got[~finite], 1.0)
+        inside = finite & (np.abs(cols) <= 12.0).all(axis=0)
+        field.check(rows[inside], measure(*cols[:, inside]), got[inside], same_bytes=True)
 
-    def measure(cols):
-        return field._blocked_measure(*np.array(cols, dtype=np.float64))
 
-    got = measure(cols)
-    forced = measure(np.column_stack((cols, np.full(4, math.nan))))
-    alone = [measure(cols[:, i:i + 1])[0] for i in range(cols.shape[1])]
-    assert got.tobytes() == forced[:-1].tobytes() == np.array(alone).tobytes()
-    assert forced[-1] == 1.0
-    finite = np.isfinite(cols).all(axis=0)
-    assert (got[~finite] == 1.0).all()
-    inside = finite & (np.abs(cols) <= 12.0).all(axis=0)
-    assert measure(cols[:, inside]).tobytes() == got[inside].tobytes()
+@pytest.mark.parametrize("kind", ("disks", "mixed"))
+def test_pso_sized_batches_match_the_oracle(kind):
+    # 12 to 40 disks, polygons too when mixed, and the shapes the planners'
+    # fitness batches have (50 particles, 6 segments each): half the rows
+    # are PSO-length steps, half span the map.
+    for field in corpus("pso-" + kind):
+        assert np.count_nonzero(field.union), f"pso-{kind} field {field.index}"
+        got = field.env.collision_field.blocked_lengths(field.starts, field.ends)
+        field.check(np.arange(len(got)), got, field.union, same_bytes=True)
+
+
+#: The rows the hypothesis strategies that this corpus replaced drew, per
+#: map kind and row kind, summed over their tests (300 examples each; 100
+#: for the bound rows, 80 for the obstacle stage, 40 for the PSO-sized
+#: batches). The obstacle stage drew its "disks" rows on 12-disk fields and
+#: its "empty" ones in DEFAULT_BOUNDS.
+DRAWN_KINDS = ("fields", *(f"segment/{k}" for k in (
+    "outside", "random", "rim", "tangent", "tangent-band", "tiny", "zero")),
+    *(f"box/{k}" for k in ("corner", "point", "random", "tangent")),
+    *(f"bound/{k}" for k in ("inside", "line", "non-finite", "outside", "zero", "axis")),
+    "pso/step", "pso/span")
+DRAWN = {
+    "disks": (314, 823, 922, 796, 410, 270, 828, 914, 383, 505, 383, 439, 110, 38, 138, 81, 30, 61),
+    "polygons": (329, 491, 705, 575, 239, 390, 646, 620, 323, 317, 370, 383, 124, 151, 92, 96),
+    "mixed": (321, 737, 1126, 782, 426, 299, 779, 849, 300, 373, 275, 439, 178, 175, 134, 131),
+    "empty": (300, 296, 283, 369, 280, 0, 283, 279, 0, 0, 0, 0, 107, 89, 113, 142, 35, 94),
+    "pso-disks": (40, *[0] * 17, 6000, 6000),
+    "pso-mixed": (40, *[0] * 17, 6000, 6000),
+    "irregular-a": (0, *[0] * 11, 53, 0, 0, 0, 132, 81),
+    "inexact": (100, *[0] * 11, 101, 0, 0, 0, 153, 273),
+}
+
+
+@pytest.mark.parametrize("kind", DRAWN)
+def test_the_corpus_holds_at_least_the_rows_the_strategies_drew(kind):
+    fields = corpus(kind)
+    have = Counter(row for field in fields for row in field.kinds)
+    have["fields"] = len(fields)
+    short = {k: (have[k], n) for k, n in zip(DRAWN_KINDS, DRAWN[kind]) if have[k] < n}
+    assert not short, f"{kind}: (rows, drawn) {short}"
+
+
+@pytest.mark.parametrize("k", (-300, 300, 500))
+@pytest.mark.parametrize("kind", ("disks", "mixed"))
+def test_blocked_measures_are_equivariant_under_power_of_two_scaling(kind, k):
+    # Far from unit scale the disk pass's degree-4 products overflow or
+    # turn subnormal unless each row is rescaled; a power of two leaves
+    # every root t as it is.
+    for field in corpus(kind):
+        rows = np.arange(len(field.kinds))
+        cols = field.columns(rows)
+        want = field.env.collision_field._blocked_measure(*cols)
+        got = scaled(field.env, k).collision_field._blocked_measure(*np.ldexp(cols, k))
+        field.check(rows, got, want, same_bytes=True)
+
+
+@pytest.mark.parametrize("s", (1e77, 1e100, 4.7e153, 1e-80, 1e-150))
+def test_a_chord_keeps_its_length_far_from_unit_scale(s):
+    # The row y = s / 10 across the map meets the disk of radius s / 5 at
+    # the origin on a chord of 2 sqrt(0.03) s. Its degree-4 products
+    # overflow from s = 1e77 and lose bits to subnormals from s = 1e-80.
+    env = Environment(Bounds(-s, s, -s, s), (Circle(Point2(0.0, 0.0), s / 5),))
+    got = env.collision_field.blocked_lengths([(-s, s / 10)], [(s, s / 10)])
+    assert got[0] == pytest.approx(2.0 * math.sqrt(0.03) * s, rel=1e-12, abs=0.0)
+
+
+def test_a_far_field_keeps_the_chords_of_a_unit_disk_and_a_huge_one():
+    # One scale for the whole map would shrink the unit disk's chord of
+    # 2 sqrt(0.75), on the row y = 0.5, to a sliver.
+    s = 1e100
+    env = Environment(Bounds(-s, s, -s, s), (Circle(Point2(0.0, 0.0), 1.0),
+                                             Circle(Point2(s / 2, s / 2), s / 10)))
+    got = env.collision_field.blocked_lengths([(-2.0, 0.5), (0.3 * s, 0.55 * s)],
+                                              [(2.0, 0.5), (0.7 * s, 0.55 * s)])
+    assert got[0] == pytest.approx(2.0 * math.sqrt(0.75), rel=1e-12, abs=0.0)
+    assert got[1] == pytest.approx(2.0 * math.sqrt(0.0075) * s, rel=1e-12, abs=0.0)
 
 
 def union_oracle(intervals, n):
@@ -1171,55 +1051,6 @@ def test_polygon_pass_runs_in_bounded_pair_blocks():
     assert peak < 2 << 20
 
 
-@st.composite
-def pso_batches(draw, kind):
-    """A field of 12 to 40 disks, polygons too when mixed, and 300 in-bounds rows.
-
-    The shapes the planners' fitness batches have (50 particles, 6
-    segments each): half the rows are PSO-length steps, half span the map.
-    """
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    n = draw(st.integers(12, 40))
-    obstacles = [Circle(Point2(*c), r) for c, r in zip(rng.uniform(-10.0, 10.0, (n, 2)).tolist(),
-                                                       rng.uniform(0.5, 3.0, n).tolist())]
-    if kind == "mixed":
-        obstacles += draw(st.lists(polygons(), min_size=1, max_size=3))
-    starts = rng.uniform(-12.0, 12.0, (300, 2))
-    ends = rng.uniform(-12.0, 12.0, (300, 2))
-    ends[:150] = np.clip(starts[:150] + rng.uniform(-4.0, 4.0, (150, 2)), -12.0, 12.0)
-    return Environment(WIDE, tuple(obstacles)), starts, ends
-
-
-@pytest.mark.parametrize("kind", ("disks", "mixed"))
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(data=st.data())
-def test_pso_sized_batches_match_the_oracle(kind, data):
-    env, starts, ends = data.draw(pso_batches(kind))
-    want = reference_union_lengths(env, starts, ends)
-    assert np.count_nonzero(want)
-    assert CollisionField(env).blocked_lengths(starts, ends).tobytes() == want.tobytes()
-
-
-@pytest.mark.parametrize("kind", ("disks", "polygons", "mixed"))
-@PROPERTY
-@given(data=st.data())
-def test_a_row_reads_the_same_in_any_sub_batch(kind, data):
-    # PSO sends only some of its rows. A tangent row 1e-16 to 1e-6 of the
-    # radius deep sits where the disk pass hands over from the rounded
-    # roots to `_meets_disk`, and a rounding band taken over the block
-    # would be wider with the corner-to-corner row than without it.
-    env = data.draw(fields(kind))
-    depth = st.builds(lambda e, sign: sign * 10.0 ** e, st.floats(-16.0, -6.0),
-                      st.sampled_from((-1.0, 1.0)))
-    starts, ends = data.draw(segment_batches(env, depth))
-    starts, ends = np.vstack((starts, [(-12.0, -12.0)])), np.vstack((ends, [(12.0, 12.0)]))
-    keep = np.array(data.draw(st.lists(st.booleans(), min_size=len(starts),
-                                       max_size=len(starts))))
-    field = CollisionField(env)
-    whole = field.blocked_lengths(starts, ends)
-    assert field.blocked_lengths(starts[keep], ends[keep]).tobytes() == whole[keep].tobytes()
-
-
 @pytest.mark.parametrize("end", (0, 1), ids=("start", "end"))
 @pytest.mark.parametrize("wild", (math.nan, math.inf, 1e150))
 def test_one_wild_row_leaves_the_other_rows_disk_bands(monkeypatch, wild, end):
@@ -1268,73 +1099,3 @@ def test_both_kernels_read_only_n_by_2_points():
     with pytest.raises(ValueError, match=r"\(2, 3\)"):
         field.free(bad)
     assert field.free([]).shape == field.blocked_lengths([], np.empty((0, 2))).shape == (0,)
-
-
-def _box(obs):
-    if isinstance(obs, Circle):
-        (cx, cy), r = obs.center, obs.radius
-        return cx - r, cx + r, cy - r, cy + r
-    xs = [v.x for v in obs.vertices]
-    ys = [v.y for v in obs.vertices]
-    return min(xs), max(xs), min(ys), max(ys)
-
-
-BOX_KINDS = ("tangent", "corner", "point", "random")
-
-
-@st.composite
-def box_edge_batches(draw, env):
-    """A batch of segments whose boxes sit on an obstacle's box edge.
-
-    Each box edge is moved by up to 1e-13 relative to max(1, |edge|), on
-    either side. Tangent rows run along a box edge (for a disk, an
-    axis-aligned tangent); corner rows span an outside quarter at a box
-    corner, so their box meets the obstacle's only there; point rows are
-    zero-length, on a box edge.
-    """
-    def near(v):
-        return v + draw(st.floats(-1e-13, 1e-13)) * max(1.0, abs(v))
-
-    rows = []
-    for kind in draw(st.lists(st.sampled_from(BOX_KINDS), min_size=1, max_size=16)):
-        x0, x1, y0, y1 = _box(draw(st.sampled_from(env.obstacles)))
-        side = draw(st.integers(0, 3))
-        if kind == "tangent":
-            u, v = draw(coords), draw(coords)
-            if side < 2:
-                x = near((x0, x1)[side])
-                a, b = (x, u), (x, v)
-            else:
-                y = near((y0, y1)[side - 2])
-                a, b = (u, y), (v, y)
-        elif kind == "corner":
-            sx, sy = (-1.0, -1.0, 1.0, 1.0)[side], (-1.0, 1.0, -1.0, 1.0)[side]
-            x, y = near(x0 if sx < 0 else x1), near(y0 if sy < 0 else y1)
-            a = (x + sx * draw(st.floats(0.0, 6.0)), y)
-            b = (x, y + sy * draw(st.floats(0.0, 6.0)))
-        elif kind == "point":
-            if side < 2:
-                a = (near((x0, x1)[side]), draw(st.floats(y0, y1)))
-            else:
-                a = (draw(st.floats(x0, x1)), near((y0, y1)[side - 2]))
-            b = a
-        else:
-            a, b = draw(points), draw(points)
-        if draw(st.booleans()):
-            a, b = b, a
-        rows.append((a, b))
-    return np.array([a for a, _ in rows]), np.array([b for _, b in rows])
-
-
-@pytest.mark.parametrize("kind", ("disks", "polygons", "mixed"))
-@PROPERTY
-@given(data=st.data())
-def test_box_skips_match_the_oracles_at_box_edges(kind, data):
-    env = data.draw(fields(kind))
-    starts, ends = data.draw(box_edge_batches(env))
-    want = reference_union_lengths(env, starts, ends)
-    assert CollisionField(env).blocked_lengths(starts, ends).tolist() == want.tolist()
-    for a, b in zip(starts.tolist(), ends.tolist()):
-        assert edge_free(a, b, env) == reference_edge_free(a, b, env)
-        assert point_free(a, env) == reference_point_free(a, env)
-        assert point_free(b, env) == reference_point_free(b, env)

@@ -19,6 +19,7 @@ from pathbench.geometry import (Bounds, Circle, CollisionField, Point2, Polygon,
                                 path_length)
 from pathbench.pso import (PsoParams, PsoRun, decode, fitness, path_violation,
                            plan_pso, update_inertia)
+from kernel_corpus import FIELD_KINDS, INSIDE, corpus, scaled
 
 EMPTY = Environment(Bounds(-40.0, 40.0, -40.0, 20.0), ())
 Q_EAST = Query(Point2(0.0, 0.0), Point2(10.0, 0.0))
@@ -710,47 +711,49 @@ def test_blocked_lengths_is_the_column_entry_times_hypot(data):
     assert field.blocked_lengths(np.empty((0, 2)), np.empty((0, 2))).shape == (0,)
 
 
-def inside(lo, hi):
-    """Coordinates from [lo, hi], its ends and its middle included."""
-    return st.one_of(st.floats(lo, hi), st.sampled_from((lo, hi, (lo + hi) / 2)))
-
-
-@settings(max_examples=80, deadline=None, derandomize=True, database=None)
-@given(data=st.data())
-def test_the_obstacle_stage_is_the_column_entry_inside_the_bounds(data):
+def test_the_obstacle_stage_is_the_column_entry_inside_the_bounds():
     # PSO's clipped steps skip the bounds stage: on rows inside the bounds
     # it adds nothing. Rows run along a bound line (irregular-a's seams lie
-    # on x = -40 and x = 40) or have zero length.
-    env, _ = drawn_cases(data.draw)
-    b = env.bounds
-    points = st.tuples(inside(b.x_min, b.x_max), inside(b.y_min, b.y_max))
-    starts = data.draw(st.lists(points, max_size=12))
-    ends = [data.draw(st.one_of(points, st.just(a), inside(b.y_min, b.y_max).map(
-        lambda y, x=a[0]: (x, y)))) for a in starts]
-    cols = np.array([(*a, *e) for a, e in zip(starts, ends)], dtype=np.float64).reshape(-1, 4)
-    field = env.collision_field
-    want = field._blocked_measure(*cols.T.copy())
-    assert field._obstacle_measure(*cols.T.copy()).tobytes() == want.tobytes()
+    # on x = -40 and x = 40), parallel to one, or have zero length.
+    for kind in (*FIELD_KINDS, "pso-disks", "pso-mixed", "irregular-a"):
+        for field in corpus(kind):
+            rows = field.rows(*INSIDE)
+            entry = field.env.collision_field
+            field.check(rows, entry._obstacle_measure(*field.columns(rows)),
+                        entry._blocked_measure(*field.columns(rows)), same_bytes=True)
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@given(data=st.data())
-def test_the_slab_adds_nothing_to_a_row_inside_the_bounds(data):
+def test_the_slab_adds_nothing_to_a_row_inside_the_bounds():
     # Bounds whose sides are not exact, so each slab cut (bound - a) / (b - a)
     # rounds; inside the bounds it rounds to <= 0 or >= 1 all the same, and
     # `_blocked_measure` adds no interval to `_obstacle_measure`'s. Rows end
     # on a bound line, run along one or parallel to one, or have zero length.
-    b = data.draw(st.sampled_from((Bounds(1e150, 1.5e150, -3e150, -1e150),
-                                   Bounds(0.1, 0.7, -0.3, 0.2))))
-    disk = Circle(Point2((b.x_min + b.x_max) / 2, (b.y_min + b.y_max) / 2), b.width / 4)
-    field = Environment(b, data.draw(st.sampled_from(((), (disk,))))).collision_field
-    xs, ys = inside(b.x_min, b.x_max), inside(b.y_min, b.y_max)
-    starts = data.draw(st.lists(st.tuples(xs, ys), min_size=1, max_size=12))
-    ends = [data.draw(st.one_of(st.tuples(xs, ys), st.just(a), xs.map(lambda x, y=a[1]: (x, y)),
-                                ys.map(lambda y, x=a[0]: (x, y)))) for a in starts]
-    cols = np.array([(*a, *e) for a, e in zip(starts, ends)], dtype=np.float64)
-    want = field._obstacle_measure(*cols.T.copy())
-    assert field._blocked_measure(*cols.T.copy()).tobytes() == want.tobytes()
+    for field in corpus("inexact"):
+        rows = field.rows(*INSIDE)
+        entry = field.env.collision_field
+        field.check(rows, entry._blocked_measure(*field.columns(rows)),
+                    entry._obstacle_measure(*field.columns(rows)), same_bytes=True)
+
+
+@pytest.mark.parametrize("k", (-300, 300))
+def test_a_run_on_a_map_scaled_by_a_power_of_two_is_the_same_run_scaled(k):
+    # Every number of the run scales exactly with the map, the blocked
+    # measures too, as the disk pass rescales each row of a map this far
+    # from unit scale. Without that rescale the disk chords turned into
+    # slivers, and this map planned infeasible at 2^300 and 2^-300.
+    env, params = generate_random_env(1003, n_obstacles=9, query=FIELD_QUERY), PsoParams()
+    want = plan_pso(env, FIELD_QUERY, params)
+    assert want.feasible and want.iterations_used == 142
+
+    def times(p):
+        return Point2(math.ldexp(p[0], k), math.ldexp(p[1], k))
+
+    got = plan_pso(scaled(env, k), Query(times(FIELD_QUERY.start), times(FIELD_QUERY.target)),
+                   PsoParams(v_max=math.ldexp(params.v_max, k),
+                             stop_epsilon=math.ldexp(params.stop_epsilon, k)))
+    assert got.feasible and got.iterations_used == want.iterations_used
+    assert got.path == tuple(map(times, want.path))
+    assert got.length == math.ldexp(want.length, k)
 
 
 def test_rejects_bad_query():
