@@ -1,14 +1,21 @@
-"""The collision kernel's seeded corpus, and the oracles whose answers it carries.
+"""The collision kernel's seeded corpus, and every oracle its tests read.
 
 `corpus(kind)` holds the fields of one map kind: an environment and a
 shuffled batch of rows on it, drawn once per session with
 `numpy.random.default_rng`. A field computes its oracle answers once, when
 first asked. The map kinds are "disks" (1-5 disks), "polygons" (1-3
-star-shaped polygons), "mixed" (1-3 disks, 1-2 polygons), "empty", all in WIDE;
-"pso-disks" and "pso-mixed" (12-40 disks, and 1-3 polygons) with 300
-in-bounds rows, a PSO fitness batch; "irregular-a"; and "inexact", bounds
-whose sides are not exact, with or without a disk. `ROWS` names the row
-kinds, family/kind, and how many of each a field holds.
+star-shaped polygons), "mixed" (1-3 disks, 1-2 polygons), "empty" and
+"tangent" (one disk), all in WIDE, where one field with disks in four has a
+rim through the origin; "pso-disks" and "pso-mixed" (12-40 disks, and 1-3
+polygons) with 300 in-bounds rows, a PSO fitness batch; "irregular-a"; and
+"inexact", bounds whose sides are not exact, with or without a disk.
+`ROWS` names the row kinds, family/kind, and how many of each a field holds.
+
+The Fraction oracle (`exact_*`) is exact and shares no code with the
+package. The float references (`reference_*`, `union_measure`) follow the
+kernel's rounding, defer to it near a rim or a polygon piece too thin for
+its cuts, and ask the package's `segment_polygon_collides` about polygons;
+so graze rows and `DISK_GRAZES` rows are checked against the Fraction oracle.
 """
 
 import functools
@@ -20,37 +27,174 @@ import numpy as np
 
 from pathbench.environment import Environment, irregular_preset
 from pathbench.geometry import (_ORIENT_BAND, Bounds, Circle, Polygon, point_in_polygon,
-                                segment_polygon_collides)
-from test_boundary import exact_disk_blocks, exact_side
+                                segment_circle_collides, segment_polygon_collides)
 
 WIDE = Bounds(-12.0, 12.0, -12.0, 12.0)
+# Concave L: a 4x4 square with the top-right 3x3 corner cut away; (1, 1) is reflex.
+L_SHAPE = ((0.0, 0.0), (4.0, 0.0), (4.0, 1.0), (1.0, 1.0), (1.0, 4.0), (0.0, 4.0))
 FIELD_KINDS = ("disks", "polygons", "mixed", "empty")
 INEXACT = (Bounds(1e150, 1.5e150, -3e150, -1e150), Bounds(0.1, 0.7, -0.3, 0.2))
 
-#: Segment rows: random; tangent to a rim within 1e-13 of the radius, or
-#: 1e-16 to 1e-6 deep (band); from a rim; of zero length; 1e-9 long from a
-#: rim; from outside the bounds; and corner to corner. Box rows sit within
-#: 1e-13 of an obstacle's box edge: along it, across a corner, a point on
-#: it, or random. Bound rows lie inside the bounds, end on or run along a
-#: bound line, leave them, hold a nan or an infinity, have zero length or
-#: run parallel to an axis.
+#: Segment rows: random; tangent to a rim within 1e-13 of the radius (half
+#: of them moved out by one of `TANGENT_OFFSETS` times it), or 1e-16 to 1e-6
+#: deep (band); from a rim; from a rim out, in, along the tangent or any
+#: way; a point on a rim; of zero length; 1e-9 long from a rim; so short
+#: that the squared length underflows, within 1e-160 of the origin; from
+#: outside the bounds; and corner to corner. Each rim point is moved by up
+#: to 1e-13 of the radius in each coordinate, or not at all. Box rows sit
+#: within 1e-13 of an obstacle's box edge: along it, across a corner, a
+#: point on it, or random. Bound rows lie inside the bounds, end on or run
+#: along a bound line, leave them, hold a nan or an infinity, have zero
+#: length or run parallel to an axis.
 SEGMENT = {"segment/random": 4, "segment/tangent": 2, "segment/tangent-band": 2,
-           "segment/rim": 3, "segment/zero": 3, "segment/tiny": 3, "segment/outside": 3,
-           "segment/diagonal": 1}
+           "segment/rim": 3, "segment/rim-end": 1, "segment/rim-point": 1, "segment/zero": 3,
+           "segment/tiny": 3, "segment/underflow": 1, "segment/outside": 3, "segment/diagonal": 1}
+TANGENT_OFFSETS = (0.0, 1e-16, -1e-16, 1e-15, -1e-15, 1e-13, -1e-13)
 BOX = {"box/tangent": 2, "box/corner": 2, "box/point": 2, "box/random": 2}
 BOUND = {"bound/inside": 1, "bound/line": 1, "bound/outside": 1, "bound/non-finite": 1,
          "bound/zero": 1, "bound/axis": 1}
+#: Graze rows, on polygon outlines: from vertex to vertex, through a
+#: vertex, along an edge, from outline to outline; each end moved by up to
+#: 1e-13, or not at all. The Fraction oracle checks them, and the segment
+#: rows that graze a rim.
+GRAZE = {"graze/vertex": 1, "graze/through-vertex": 1, "graze/along-edge": 1, "graze/outline": 1}
+DISK_GRAZES = ("segment/tangent", "segment/rim-end", "segment/rim-point", "segment/underflow")
 #: (fields, rows per field) by map kind.
-ROWS = {**{kind: (330, {**SEGMENT, **BOX, **BOUND}) for kind in ("disks", "polygons", "mixed")},
+ROWS = {"disks": (330, {**SEGMENT, **BOX, **BOUND}),
+        "polygons": (330, {**SEGMENT, **BOX, **BOUND, **GRAZE}),
+        "mixed": (330, {**SEGMENT, **BOX, **BOUND, **GRAZE}),
         "empty": (330, {**SEGMENT, **BOUND}),
+        "tangent": (300, {"segment/tangent": 68}),
         "pso-disks": (40, {"pso/step": 150, "pso/span": 150}),
         "pso-mixed": (40, {"pso/step": 150, "pso/span": 150}),
         "irregular-a": (40, {"bound/inside": 2, "bound/line": 2, "bound/outside": 1,
-                             "bound/non-finite": 1, "bound/zero": 4, "bound/axis": 3}),
+                             "bound/non-finite": 2, "bound/zero": 5, "bound/axis": 3}),
         "inexact": (100, {"bound/inside": 2, "bound/line": 1, "bound/zero": 2, "bound/axis": 3})}
 
 
-# --- the oracles ----------------------------------------------------------------
+def blocked_length(env, a, b):
+    """The kernel's blocked length of the one row from a to b."""
+    return float(env.collision_field.blocked_lengths(np.array([a]), np.array([b]))[0])
+
+
+def collides(a, b, obstacle):
+    """The package's own test of the segment against one obstacle."""
+    if isinstance(obstacle, Circle):
+        return segment_circle_collides((a, b), obstacle.center, obstacle.radius)
+    return segment_polygon_collides((a, b), obstacle.vertices)
+
+
+# --- the Fraction oracle --------------------------------------------------------
+
+def _cross(ux, uy, vx, vy):
+    return ux * vy - uy * vx
+
+
+def _lattice(*values):
+    """The values, floats or Fractions, times their least common denominator:
+    integers, on which every sign below and every ratio is exact."""
+    qs = [Fraction(v) for v in values]
+    scale = math.lcm(*(q.denominator for q in qs))
+    return [q.numerator * (scale // q.denominator) for q in qs]
+
+
+def exact_side(p, vertices):
+    """1 strictly inside, 0 on the outline, -1 outside, decided exactly."""
+    px, py, *cs = _lattice(p[0], p[1], *(c for v in vertices for c in v))
+    vs = list(zip(cs[::2], cs[1::2]))
+    edges = list(zip(vs, vs[1:] + vs[:1]))
+    for (x0, y0), (x1, y1) in edges:
+        if (min(x0, x1) <= px <= max(x0, x1) and min(y0, y1) <= py <= max(y0, y1)
+                and _cross(x1 - x0, y1 - y0, px - x0, py - y0) == 0):
+            return 0
+    inside = False
+    for (x0, y0), (x1, y1) in edges:
+        # The edge crosses the ray from p to the right, not dividing by y1 - y0.
+        if (y0 > py) != (y1 > py) and (y1 - y0) * _cross(x1 - x0, y1 - y0, px - x0, py - y0) > 0:
+            inside = not inside
+    return 1 if inside else -1
+
+
+@functools.cache
+def exact_inside_pieces(a, b, vertices):
+    """((t0, t1), ...): the Fraction pieces of a + t(b - a), t in [0, 1],
+    strictly inside; cached, as a row's check asks twice, so a and b are tuples."""
+    ax, ay, bx, by, *cs = _lattice(*a, *b, *(c for v in vertices for c in v))
+    dx, dy = bx - ax, by - ay
+    if dx == 0 and dy == 0:
+        return ()
+    vs = list(zip(cs[::2], cs[1::2]))
+    (x_lo, x_hi), (y_lo, y_hi) = sorted((ax, bx)), sorted((ay, by))
+    cuts = {Fraction(0), Fraction(1)}
+    for (x0, y0), (x1, y1) in zip(vs, vs[1:] + vs[:1]):
+        if max(x0, x1) < x_lo or min(x0, x1) > x_hi or max(y0, y1) < y_lo or min(y0, y1) > y_hi:
+            continue  # the edge, its first vertex too, is apart from the segment
+        ux, uy = x1 - x0, y1 - y0
+        den = _cross(dx, dy, ux, uy)
+        if den != 0:
+            t = Fraction(_cross(x0 - ax, y0 - ay, ux, uy), den)
+            s = Fraction(_cross(x0 - ax, y0 - ay, dx, dy), den)
+            if 0 <= s <= 1 and 0 < t < 1:
+                cuts.add(t)
+        if _cross(dx, dy, x0 - ax, y0 - ay) == 0:
+            t = Fraction((x0 - ax) * dx + (y0 - ay) * dy, dx * dx + dy * dy)
+            if 0 < t < 1:
+                cuts.add(t)
+    cuts = sorted(cuts)
+    return tuple((t0, t1) for t0, t1 in zip(cuts, cuts[1:])
+                 if exact_side((ax + (t0 + t1) / 2 * dx, ay + (t0 + t1) / 2 * dy), vs) > 0)
+
+
+def exact_blocks(a, b, vertices):
+    """True iff some point of the closed segment lies strictly inside."""
+    if a[0] == b[0] and a[1] == b[1]:
+        return exact_side(a, vertices) > 0
+    return bool(exact_inside_pieces(a, b, vertices))
+
+
+def exact_disk_blocks(a, b, center, radius):
+    """True iff some point of the closed segment lies strictly inside the
+    disk: the nearest point's squared distance to the center, exactly."""
+    ax, ay, bx, by, cx, cy, r = _lattice(*a, *b, *center, radius)
+    dx, dy = bx - ax, by - ay
+    # The nearest point is a + t (b - a), t = num / den clipped to [0, 1].
+    den = dx * dx + dy * dy or 1
+    num = min(max((cx - ax) * dx + (cy - ay) * dy, 0), den)
+    px, py = den * (ax - cx) + num * dx, den * (ay - cy) + num * dy
+    return px * px + py * py < (den * r) ** 2
+
+
+def exact_measure(a, b, outlines):
+    """The measure of the union of the inside pieces over the polygons, times
+    the segment's `math.hypot` length."""
+    pieces = sorted(p for vs in outlines for p in exact_inside_pieces(a, b, vs))
+    total, end = Fraction(0), Fraction(0)
+    for t0, t1 in pieces:
+        t0 = max(t0, end)
+        if t1 > t0:
+            total += t1 - t0
+            end = t1
+    return float(total) * math.hypot(b[0] - a[0], b[1] - a[1])
+
+
+def exact_seams(vertices, bounds):
+    """(axis, value, lo, hi) per edge on a bound line, for a polygon inside the bounds."""
+    edges = zip(vertices, vertices[1:] + vertices[:1])
+    return [(axis, v[axis], min(v[1 - axis], w[1 - axis]), max(v[1 - axis], w[1 - axis]))
+            for v, w in edges
+            for axis, lines in ((0, bounds[:2]), (1, bounds[2:]))
+            if v[axis] == w[axis] in lines]
+
+
+def exact_hits(a, b, obstacles):
+    """Per obstacle, whether the closed segment meets its interior:
+    `exact_blocks`, or for a disk `reference_disk_blocks`, which leaves each
+    segment near the rim to `exact_disk_blocks`."""
+    return [reference_disk_blocks(a, b, o.center, o.radius) if isinstance(o, Circle)
+            else exact_blocks(a, b, o.vertices) for o in obstacles]
+
+
+# --- the float references -------------------------------------------------------
 
 def reference_disk_blocks(a, b, center, r):
     """Oracle: True iff the closed segment enters the open disk. The float
@@ -67,28 +211,16 @@ def reference_disk_blocks(a, b, center, r):
     return exact_disk_blocks(a, b, center, r)
 
 
-def reference_point_free(p, env):
-    """Oracle: the scalar point test, every obstacle tested."""
-    if not env.bounds.contains(p):
-        return False
-    for obs in env.obstacles:
-        if isinstance(obs, Circle):
-            if reference_disk_blocks(p, p, obs.center, obs.radius):
-                return False
-        elif point_in_polygon(p, obs.vertices):
-            return False
-    return True
-
-
 def reference_edge_free(a, b, env):
-    """Oracle: every obstacle tested."""
+    """Oracle: every obstacle tested; from a point to itself, the point test."""
     if not (env.bounds.contains(a) and env.bounds.contains(b)):
         return False
     for obs in env.obstacles:
         if isinstance(obs, Circle):
             if reference_disk_blocks(a, b, obs.center, obs.radius):
                 return False
-        elif segment_polygon_collides((a, b), obs.vertices):
+        elif (point_in_polygon(a, obs.vertices) if a == b
+              else segment_polygon_collides((a, b), obs.vertices)):
             return False
     return True
 
@@ -224,23 +356,29 @@ def reference_union_lengths(env, starts, ends):
                     hi = math.nextafter(lo, 1.0)
             if inside and hi > lo:
                 intervals.append((lo, hi))
-        runs = []
-        for lo, hi in sorted(intervals):
-            if runs and lo <= runs[-1][1]:
-                runs[-1][1] = max(runs[-1][1], hi)
-            else:
-                runs.append([lo, hi])
-        covered = 0.0
-        for lo, hi in runs:
-            covered += hi - lo
-        out.append(covered * length)
+        out.append(union_measure(intervals) * length)
     return np.array(out)
+
+
+def union_measure(intervals):
+    """Oracle: the measure of a union of (lo, hi) intervals, merged in order
+    of their starts (touching ones too), each run's length added onto 0.0
+    in turn."""
+    total, run = 0.0, None
+    for lo, hi in sorted(intervals):
+        if run and lo <= run[1]:
+            run[1] = max(run[1], hi)
+            continue
+        if run:
+            total += run[1] - run[0]
+        run = [lo, hi]
+    return total + (run[1] - run[0]) if run else total
 
 
 # --- the corpus -----------------------------------------------------------------
 
 #: The row kinds that lie inside the bounds.
-INSIDE = ("segment/diagonal", "bound/inside", "bound/line", "bound/zero", "bound/axis", "pso/")
+INSIDE = ("segment/diagonal", "bound/inside", "bound/line", "bound/zero", "bound/axis", "pso")
 
 
 @dataclass(eq=False)
@@ -256,8 +394,8 @@ class Field:
     keep: np.ndarray  # a random half of the rows
 
     def rows(self, *kinds):
-        """The rows whose "family/kind" starts with one of these."""
-        return np.flatnonzero([k.startswith(kinds) for k in self.kinds])
+        """The rows whose family or "family/kind" is one of these."""
+        return np.flatnonzero([k in kinds or k.split("/")[0] in kinds for k in self.kinds])
 
     def columns(self, rows):
         """The rows' ax, ay, ex and ey, each a contiguous float64 array."""
@@ -287,7 +425,7 @@ class Field:
     @functools.cached_property
     def point_free(self):
         """Whether the start and the end of each row are free."""
-        return np.array([[reference_point_free(p, self.env) for p in row]
+        return np.array([[reference_edge_free(p, p, self.env) for p in row]
                          for row in zip(self.starts.tolist(), self.ends.tolist())])
 
 
@@ -311,8 +449,8 @@ def _polygon(rng):
 
 #: The (fewest, most) disks and polygons of a field, by map kind.
 OBSTACLES = {"disks": ((1, 5), (0, 0)), "polygons": ((0, 0), (1, 3)), "mixed": ((1, 3), (1, 2)),
-             "empty": ((0, 0), (0, 0)), "pso-disks": ((12, 40), (0, 0)),
-             "pso-mixed": ((12, 40), (1, 3))}
+             "empty": ((0, 0), (0, 0)), "tangent": ((1, 1), (0, 0)),
+             "pso-disks": ((12, 40), (0, 0)), "pso-mixed": ((12, 40), (1, 3))}
 
 
 def _environment(rng, kind, index):
@@ -328,6 +466,9 @@ def _environment(rng, kind, index):
         centres, radii = rng.uniform(-10.0, 10.0, (n, 2)), rng.uniform(0.5, 3.0, n)
     else:
         centres, radii = _values(rng, -8.0, 8.0, (n, 2)), _values(rng, 0.2, 4.0, n)
+        if n and rng.random() < 0.25:  # a rim through the origin, for the underflow rows
+            centres[0] = 0.0
+            centres[0, rng.integers(2)] = radii[0] * rng.choice((-1.0, 1.0))
     polygons = [_polygon(rng) for _ in range(rng.integers(fewest_polygons, most_polygons + 1))]
     return Environment(WIDE, (*map(Circle, centres.tolist(), radii.tolist()), *polygons))
 
@@ -339,18 +480,29 @@ def _segment_rows(rng, kind, n, env):
     cx, cy, r = np.array(disks or [(0.0, 0.0, 1.0)])[rng.integers(max(1, len(disks)), size=n)].T
     th = rng.uniform(0.0, 2.0 * np.pi, n)
     out, centre = np.column_stack((np.cos(th), np.sin(th))), np.column_stack((cx, cy))
-    rim, point = centre + r[:, None] * out, _values(rng, -14.0, 14.0, (n, 2))
+    jitter = np.where(rng.random((n, 2)) < 0.5, 0.0, rng.uniform(-1e-13, 1e-13, (n, 2)))
+    rim, point = centre + r[:, None] * (1.0 + jitter) * out, _values(rng, -14.0, 14.0, (n, 2))
     if kind in ("tangent", "tangent-band"):
-        depth = (rng.uniform(-1e-13, 1e-13, n) if kind == "tangent"
+        depth = (np.where(rng.random(n) < 0.5, rng.choice(TANGENT_OFFSETS, n),
+                          rng.uniform(-1e-13, 1e-13, n)) if kind == "tangent"
                  else np.copysign(10.0 ** rng.uniform(-16.0, -6.0, n), rng.random(n) - 0.5))
         p, along = centre + (r * (1.0 + depth))[:, None] * out, out[:, ::-1] * (-1.0, 1.0)
         # Symmetric rows put the only piece midpoint on the tangent point.
         s1 = rng.uniform(-6.0, 6.0, n)
         s2 = np.where(rng.random(n) < 0.5, -s1, rng.uniform(-6.0, 6.0, n))
         return p + s1[:, None] * along, p + s2[:, None] * along
-    if kind == "rim":
+    if kind == "rim-end":  # out, in, along the tangent, or any way
+        th += np.where(rng.random(n) < 0.5, rng.choice((0.0, np.pi, np.pi / 2, -np.pi / 2), n),
+                       rng.uniform(0.0, 2.0 * np.pi, n))
+        point = rim + rng.uniform(0.0, 3.0, (n, 1)) * np.column_stack((np.cos(th), np.sin(th)))
+    if kind in ("rim", "rim-end"):
         first = rng.random((n, 1)) < 0.5
         return np.where(first, rim, point), np.where(first, point, rim)
+    if kind == "rim-point":
+        return rim, rim
+    if kind == "underflow":
+        a, step = rng.uniform(-1e-160, 1e-160, (n, 2)), 10.0 ** rng.uniform(-170.0, -161.0, (n, 2))
+        return a, a + np.copysign(step, rng.random((n, 2)) - 0.5)
     if kind == "tiny":
         return rim, rim + rng.uniform(-1e-9, 1e-9, (n, 2))
     if kind == "zero":
@@ -427,9 +579,29 @@ def _pso_rows(rng, kind, n, env):
     return starts, ends
 
 
+def _graze_rows(rng, kind, n, env):
+    """n rows of one `GRAZE` kind, on the outlines of env's polygons."""
+    edges = np.array([(v, w) for o in env.obstacles if isinstance(o, Polygon)
+                      for v, w in zip(o.vertices, o.vertices[1:] + o.vertices[:1])])
+    e, f = edges[rng.integers(len(edges), size=(2, n))]
+    if kind == "vertex":
+        a, b = e[:, 0], f[:, 0]
+    elif kind == "through-vertex":
+        th, s = rng.uniform(0.0, 2.0 * np.pi, n), rng.uniform(0.0, 3.0, (2, n, 1))
+        out = np.column_stack((np.cos(th), np.sin(th)))
+        a, b = e[:, 0] - s[0] * out, e[:, 0] + s[1] * out
+    else:  # u of the way along one edge, or along two
+        f, u = (e, _values(rng, -0.5, 1.5, (2, n, 1))) if kind == "along-edge" else (
+            f, _values(rng, 0.0, 1.0, (2, n, 1)))
+        a, b = e[:, 0] + u[0] * (e[:, 1] - e[:, 0]), f[:, 0] + u[1] * (f[:, 1] - f[:, 0])
+    return tuple(p + np.where(rng.random((n, 2)) < 0.5, 0.0, rng.uniform(-1e-13, 1e-13, (n, 2)))
+                 for p in (a, b))
+
+
 def _field(rng, kind, index):
     env, counts = _environment(rng, kind, index), ROWS[kind][1]
-    draw = {"segment": _segment_rows, "box": _box_rows, "bound": _bound_rows, "pso": _pso_rows}
+    draw = {"segment": _segment_rows, "box": _box_rows, "bound": _bound_rows, "pso": _pso_rows,
+            "graze": _graze_rows}
     parts = [draw[k.split("/")[0]](rng, k.split("/")[1], n, env) for k, n in counts.items()]
     kinds = [k for k, n in counts.items() for _ in range(n)]
     order = rng.permutation(len(kinds))

@@ -23,13 +23,11 @@ from pathbench.geometry import (Bounds, Circle, CollisionField, Point2,
                                 segment_polygon_collides, segments_intersect)
 from pathbench.pso import PsoParams, decode, fitness, path_violation, update_inertia
 from pathbench.rrtstar import RrtParams
-from kernel_corpus import (FIELD_KINDS, WIDE, corpus, reference_point_free,
-                           reference_union_lengths, scaled)
+from kernel_corpus import (FIELD_KINDS, L_SHAPE, WIDE, blocked_length, collides, corpus,
+                           exact_disk_blocks, reference_edge_free, reference_union_lengths,
+                           scaled, union_measure)
 
 UNIT_SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
-
-# Concave L: a 4x4 square with the top-right 3x3 corner cut away.
-L_SHAPE = [(0.0, 0.0), (4.0, 0.0), (4.0, 1.0), (1.0, 1.0), (1.0, 4.0), (0.0, 4.0)]
 
 
 def test_dist_examples():
@@ -433,34 +431,6 @@ def test_edge_free_checks_far_endpoint(small_env):
     assert not edge_free((4.5, 8), (4.5, 4.5), small_env)
 
 
-def test_collision_field_matches_scalar(small_env):
-    rng = np.random.default_rng(3)
-    pts = rng.uniform(-12, 12, size=(500, 2))
-    want = np.array([reference_point_free(p, small_env) for p in pts])
-    got = CollisionField(small_env).free(pts)
-    assert np.array_equal(want, got)
-
-
-def test_collision_field_many_random_envs():
-    rng = np.random.default_rng(19)
-    for _ in range(10):
-        n_obs = rng.integers(1, 5)
-        obstacles = []
-        for _ in range(n_obs):
-            if rng.random() < 0.5:
-                obstacles.append(Circle(Point2(*rng.uniform(-8, 8, 2)),
-                                        float(rng.uniform(0.5, 3))))
-            else:
-                cx, cy = rng.uniform(-6, 6, 2)
-                obstacles.append(Polygon((Point2(cx, cy), Point2(cx + 3, cy),
-                                          Point2(cx + 3, cy + 1), Point2(cx + 1, cy + 1),
-                                          Point2(cx + 1, cy + 3), Point2(cx, cy + 3))))
-        env = Environment(Bounds(-10, 10, -10, 10), tuple(obstacles))
-        pts = rng.uniform(-11, 11, size=(300, 2))
-        want = np.array([reference_point_free(p, env) for p in pts])
-        assert np.array_equal(CollisionField(env).free(pts), want)
-
-
 def test_translation_invariance():
     rng = np.random.default_rng(23)
     for _ in range(200):
@@ -478,106 +448,60 @@ def test_translation_invariance():
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True,
                     database=None)
 
-coords = st.floats(-14.0, 14.0, allow_nan=False, allow_infinity=False)
-points = st.tuples(coords, coords)
-angles = st.floats(0.0, 2.0 * math.pi)
-disks = st.builds(lambda c, r: Circle(Point2(*c), r),
-                  st.tuples(st.floats(-8.0, 8.0), st.floats(-8.0, 8.0)),
-                  st.floats(0.2, 4.0))
-
-
-@st.composite
-def polygons(draw):
-    """Star-shaped about its center, so always simple; often concave."""
-    cx = draw(st.floats(-7.0, 7.0))
-    cy = draw(st.floats(-7.0, 7.0))
-    radii = draw(st.lists(st.floats(0.5, 3.5), min_size=3, max_size=7))
-    turn = draw(st.floats(0.0, 2.0 * math.pi))
-    n = len(radii)
-    return Polygon(tuple(
-        Point2(cx + r * math.cos(turn + 2.0 * math.pi * k / n),
-               cy + r * math.sin(turn + 2.0 * math.pi * k / n))
-        for k, r in enumerate(radii)))
-
-
 #: A disk and a row tangent to it up to rounding.
 TANGENT_DISK = Circle(Point2(0.1418594964030806, 5.405564355911224), 0.7478065283346083)
 TANGENT_ROW = ((0.49838956270877044, 7.701438949529752), (-1.5400582402416354, 3.802658692759802))
 
 
-def _blocked(env, a, b):
-    return float(CollisionField(env).blocked_lengths(np.array([a]), np.array([b]))[0])
+#: The rows, by map kind, that the hypothesis version of the dense test drew.
+DENSE = {"disks": 65, "polygons": 48, "mixed": 94, "empty": 93}
 
 
-@PROPERTY
-@given(a=points, b=points, obstacles=st.lists(disks | polygons(), max_size=4))
-def test_blocked_length_matches_dense_sampling(a, b, obstacles):
-    env = Environment(WIDE, tuple(obstacles))
-    a, b = np.array(a), np.array(b)
+def test_blocked_length_matches_dense_sampling():
+    # The first random rows of each map kind, as many as `DENSE` says, each
+    # against 20,000 samples of `free`. Each boundary crossing (2 per disk,
+    # 1 per polygon edge, 1 per bound line) can shift the sampled sum by at
+    # most one sample pitch.
     n = 20_000
     ts = (np.arange(n) + 0.5) / n
-    length = float(np.hypot(*(b - a)))
-    dense = float((~CollisionField(env).free(a + ts[:, None] * (b - a))).mean()) * length
-    # Each boundary crossing (2 per disk, 1 per polygon edge, 1 per bound
-    # line) can shift the sampled sum by at most one sample pitch.
-    crossings = 4 + sum(2 if isinstance(o, Circle) else len(o.vertices)
-                        for o in obstacles)
-    assert abs(_blocked(env, a, b) - dense) <= crossings * length / n + 1e-9
-
-
-@PROPERTY
-@given(a=points, b=points, disk=disks)
-def test_blocked_length_is_zero_when_clear_of_a_disk(a, b, disk):
-    if not segment_circle_collides((a, b), disk.center, disk.radius):
-        assert _blocked(Environment(Bounds(-20, 20, -20, 20), (disk,)), a, b) == 0.0
-
-
-@PROPERTY
-@given(a=points, b=points, polygon=polygons())
-def test_blocked_length_is_zero_when_clear_of_a_polygon(a, b, polygon):
-    if not segment_polygon_collides((a, b), polygon.vertices):
-        assert _blocked(Environment(Bounds(-20, 20, -20, 20), (polygon,)), a, b) == 0.0
+    for kind, drawn in DENSE.items():
+        for field, row in [(f, r) for f in corpus(kind) for r in f.rows("segment/random")][:drawn]:
+            env, a, b = field.env, field.starts[row], field.ends[row]
+            crossings = 4 + sum(2 if isinstance(o, Circle) else len(o.vertices)
+                                for o in env.obstacles)
+            length = float(np.hypot(*(b - a)))
+            dense = float((~env.collision_field.free(a + ts[:, None] * (b - a))).mean()) * length
+            got = blocked_length(env, a, b)
+            assert abs(got - dense) <= crossings * length / n + 1e-9, field.where(row)
 
 
 def test_overlapping_disks_count_once():
     # The disks overlap on x in (-1, 2); their union covers x in (-2, 3).
     pair = Environment(WIDE, (Circle(Point2(0, 0), 2.0), Circle(Point2(1, 0), 2.0)))
-    assert _blocked(pair, (-5, 0), (5, 0)) == pytest.approx(5.0, abs=1e-12)
+    assert blocked_length(pair, (-5, 0), (5, 0)) == pytest.approx(5.0, abs=1e-12)
     twice = Environment(WIDE, (Circle(Point2(0, 0), 2.0), Circle(Point2(0, 0), 2.0)))
-    assert _blocked(twice, (-5, 0), (5, 0)) == pytest.approx(4.0, abs=1e-12)
+    assert blocked_length(twice, (-5, 0), (5, 0)) == pytest.approx(4.0, abs=1e-12)
 
 
 def test_blocked_length_counts_out_of_bounds():
-    assert _blocked(Environment(WIDE), (10, 0), (15, 0)) == pytest.approx(3.0)
+    assert blocked_length(Environment(WIDE), (10, 0), (15, 0)) == pytest.approx(3.0)
     # The bounds are inclusive: a row along a bound line is in bounds
     # until it passes the corner.
-    assert _blocked(Environment(WIDE), (12, 0), (12, 5)) == 0.0
-    assert _blocked(Environment(WIDE), (-5, -12), (0, -12)) == 0.0
-    assert _blocked(Environment(WIDE), (12, 0), (12, -20)) == 8.0
-    assert _blocked(Environment(WIDE), (13, 0), (13, 5)) == 5.0
-
-
-@PROPERTY
-@given(disk=disks, th=angles, rel=st.floats(-1e-13, 1e-13),
-       s1=st.floats(-6.0, 6.0), s2=st.floats(-6.0, 6.0), symmetric=st.booleans())
-def test_tangent_rows_block_next_to_nothing(disk, th, rel, s1, s2, symmetric):
-    # A line within 1e-13 r of the rim meets the disk on a chord of at
-    # most 2 r sqrt(2e-13), about 9e-7 r. Symmetric rows put the midpoint
-    # of the segment on the tangent point.
-    (cx, cy), r = disk.center, disk.radius
-    px, py = cx + r * (1.0 + rel) * math.cos(th), cy + r * (1.0 + rel) * math.sin(th)
-    s2 = -s1 if symmetric else s2
-    a = (px - s1 * math.sin(th), py + s1 * math.cos(th))
-    b = (px - s2 * math.sin(th), py + s2 * math.cos(th))
-    assert _blocked(Environment(Bounds(-20, 20, -20, 20), (disk,)), a, b) <= 1e-5 * r
+    assert blocked_length(Environment(WIDE), (12, 0), (12, 5)) == 0.0
+    assert blocked_length(Environment(WIDE), (-5, -12), (0, -12)) == 0.0
+    assert blocked_length(Environment(WIDE), (12, 0), (12, -20)) == 8.0
+    assert blocked_length(Environment(WIDE), (13, 0), (13, 5)) == 5.0
 
 
 def test_non_finite_rows_raise_no_floating_point_warnings():
+    # The last row's ends are finite, its length is not.
     env = Environment(WIDE, (Circle(Point2(0, 0), 1.0),))
-    starts = np.array([[-5.0, 0.0], [np.inf, 0.0], [np.nan, 1.0], [-np.inf, np.inf], [np.inf, 0.0]])
-    ends = np.array([[5.0, 0.0], [0.0, 0.0], [0.0, 0.0], [np.inf, -np.inf], [np.inf, 0.0]])
+    starts = np.array([[-5.0, 0.0], [np.inf, 0.0], [np.nan, 1.0], [-np.inf, np.inf], [np.inf, 0.0],
+                       [1e308, 0.0]])
+    ends = np.array([[5.0, 0.0], [0.0, 0.0], [0.0, 0.0], [np.inf, -np.inf], [np.inf, 0.0],
+                     [-1e308, 0.0]])
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        want = reference_blocked_lengths(env, starts, ends)
+        want = reference_union_lengths(env, starts, ends)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = CollisionField(env).blocked_lengths(starts, ends)
@@ -614,59 +538,16 @@ def test_an_overflowing_orientation_keeps_its_sign():
 
 # --- the kernel against its oracles -----------------------------------------
 
-def cross(u, v):
-    return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
-
-
-def reference_blocked_lengths(env, starts, ends):
-    """The old cut-and-classify kernel: every row is cut at every bound line,
-    disk rim and polygon edge, and each piece is classified by its midpoint."""
-    field = CollisionField(env)
-    circles = [o for o in env.obstacles if isinstance(o, Circle)]
-    circle_xy = np.array([[c.center.x, c.center.y] for c in circles],
-                         dtype=np.float64).reshape(len(circles), 2)
-    circle_r = np.array([c.radius for c in circles], dtype=np.float64)
-    polygons = [np.asarray(o.vertices, dtype=np.float64)
-                for o in env.obstacles if isinstance(o, Polygon)]
-    a = np.asarray(starts, dtype=np.float64).reshape(-1, 2)
-    d = np.asarray(ends, dtype=np.float64).reshape(-1, 2) - a
-    b = env.bounds
-    cuts = [np.zeros((len(a), 1)), np.ones((len(a), 1))]
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        cuts.append((np.array([[b.x_min, b.x_max]]) - a[:, :1]) / d[:, :1])
-        cuts.append((np.array([[b.y_min, b.y_max]]) - a[:, 1:]) / d[:, 1:])
-        if circle_r.size:
-            f = a[:, None, :] - circle_xy[None, :, :]
-            dd = (d * d).sum(axis=1)[:, None]
-            half_b = (f * d[:, None, :]).sum(axis=2)
-            root = np.sqrt(half_b * half_b
-                           - dd * ((f * f).sum(axis=2) - circle_r ** 2))
-            cuts += [(-half_b - root) / dd, (-half_b + root) / dd]
-        for verts in polygons:
-            e = (np.roll(verts, -1, axis=0) - verts)[None, :, :]
-            w = verts[None, :, :] - a[:, None, :]
-            den = cross(d[:, None, :], e)
-            s = cross(w, d[:, None, :]) / den
-            cuts.append(np.where((s >= 0.0) & (s <= 1.0), cross(w, e) / den, np.nan))
-    t = np.concatenate(cuts, axis=1)
-    t = np.sort(np.clip(np.nan_to_num(t, nan=1.0), 0.0, 1.0), axis=1)
-    piece = np.diff(t, axis=1)
-    mid = a[:, None, :] + (t[:, :-1] + 0.5 * piece)[:, :, None] * d[:, None, :]
-    keep = piece > 0.0
-    blocked = np.zeros(piece.shape, dtype=bool)
-    blocked[keep] = ~field.free(mid[keep])
-    return (piece * blocked).sum(axis=1) * np.hypot(d[:, 0], d[:, 1])
-
-
 @pytest.mark.parametrize("obstacles, a, b, want", [
-    # Tangent up to rounding: the discriminant comes out negative. A cut
-    # pass classified the only piece midpoint, the tangent point, as
-    # inside and blocked all 4.3995 units of the row; the union of the
-    # (empty) root intervals blocks nothing.
-    ((TANGENT_DISK,), *TANGENT_ROW, 0.0),
+    # Tangent up to rounding: the discriminant comes out negative, but the
+    # row meets the disk, so it keeps the sliver of 2^-53 of its length. A
+    # cut pass classified the only piece midpoint, the tangent point, as
+    # inside and blocked all 4.3995 units of the row.
+    ((TANGENT_DISK,), *TANGENT_ROW, 4.884445966809718e-16),
     # The same row next to a triangle about 1.3 units away, whose box
     # meets the row's box: the cut pass blocked 4.399517807207114 here.
-    ((TANGENT_DISK, Polygon(((-1.5, 7.0), (-1.2, 7.0), (-1.2, 7.5)))), *TANGENT_ROW, 0.0),
+    ((TANGENT_DISK, Polygon(((-1.5, 7.0), (-1.2, 7.0), (-1.2, 7.5)))), *TANGENT_ROW,
+     4.884445966809718e-16),
     # Inside a disk and so short that its squared length underflows to
     # zero: the roots see nothing, the exact test blocks the row.
     ((Circle(Point2(0.3, 0.0), 1.0),), (0.0, 0.0), (1e-170, 0.0), 1e-170),
@@ -678,9 +559,10 @@ def test_tangent_and_underflowing_rows_match_the_oracle(obstacles, a, b, want):
     x_lo, x_hi, y_lo, y_hi = min(a[0], b[0]), max(a[0], b[0]), min(a[1], b[1]), max(a[1], b[1])
     assert all(x_lo <= p[1] and x_hi >= p[0] and y_lo <= p[3] and y_hi >= p[2]
                for p in field.polygons)
+    assert exact_disk_blocks(a, b, obstacles[0].center, obstacles[0].radius)
     a, b = np.array([a]), np.array([b])
     reference = reference_union_lengths(env, a, b)
-    assert reference[0] == pytest.approx(want, rel=1e-12)
+    assert reference[0] == pytest.approx(want, rel=1e-12, abs=0.0)
     assert field.blocked_lengths(a, b).tolist() == reference.tolist()
 
 
@@ -717,32 +599,32 @@ def test_rows_to_just_past_a_bound_are_blocked():
 
 @pytest.mark.parametrize("kind", FIELD_KINDS)
 def test_blocked_lengths_and_edge_free_match_the_oracles(kind):
+    # Segment rows, and box rows within 1e-13 of an obstacle's box edge.
     for field in corpus(kind):
-        env, rows = field.env, field.rows("segment")
+        env, rows = field.env, field.rows("segment", "box")
         starts, ends = field.starts[rows], field.ends[rows]
         got = env.collision_field.blocked_lengths(starts, ends)
         field.check(rows, got, field.union[rows])
         field.check(rows, [edge_free(a, b, env) for a, b in zip(starts.tolist(), ends.tolist())],
                     field.edge_free[rows])
-        if kind in ("polygons", "empty"):
-            # Without disks the old cut-and-classify kernel differs from the
-            # union only by rounding: its pieces were summed column by column.
-            lengths = np.hypot(*(ends - starts).T)
-            old = reference_blocked_lengths(env, starts, ends)
-            field.check(rows, np.abs(got - old) <= 1e-12 * np.maximum(1.0, lengths), True)
+        # `free` at both ends of every row.
+        free = env.collision_field.free(np.vstack((field.starts, field.ends)))
+        field.check(np.tile(np.arange(len(field.kinds)), 2), free, field.point_free.T.ravel())
 
 
-@pytest.mark.parametrize("kind", ("disks", "mixed"))
+@pytest.mark.parametrize("kind", FIELD_KINDS)
 def test_edge_free_iff_blocked_length_is_zero(kind):
     # Rows inside the bounds, of positive length: tangent, from the rim,
-    # 1e-9 long from the rim, and any.
+    # 1e-9 long from the rim, and any. Each is free where no obstacle's own
+    # segment test says that it collides.
     for field in corpus(kind):
         env, rows = field.env, field.rows("segment")
         blocked = env.collision_field.blocked_lengths(field.starts[rows], field.ends[rows])
         for row, length in zip(rows.tolist(), blocked.tolist()):
             a, b = field.starts[row].tolist(), field.ends[row].tolist()
             if a != b and env.bounds.contains(a) and env.bounds.contains(b):
-                assert edge_free(a, b, env) == (length == 0.0), field.where(row)
+                clear = not any(collides(a, b, o) for o in env.obstacles)
+                assert edge_free(a, b, env) == clear == (length == 0.0), field.where(row)
 
 
 @pytest.mark.parametrize("kind", ("disks", "polygons", "mixed"))
@@ -759,29 +641,22 @@ def test_a_row_reads_the_same_in_any_sub_batch(kind):
                     whole[keep], same_bytes=True)
 
 
-@pytest.mark.parametrize("kind", ("disks", "polygons", "mixed"))
-def test_box_skips_match_the_oracles_at_box_edges(kind):
-    for field in corpus(kind):
-        env, rows = field.env, field.rows("box")
-        starts, ends = field.starts[rows].tolist(), field.ends[rows].tolist()
-        got = env.collision_field.blocked_lengths(field.starts[rows], field.ends[rows])
-        field.check(rows, got, field.union[rows])
-        field.check(rows, [edge_free(a, b, env) for a, b in zip(starts, ends)],
-                    field.edge_free[rows])
-        field.check(rows, [point_free(a, env) for a in starts], field.point_free[rows, 0])
-        field.check(rows, [point_free(b, env) for b in ends], field.point_free[rows, 1])
-
-
-@pytest.mark.parametrize("kind", FIELD_KINDS)
+@pytest.mark.parametrize("kind", (*FIELD_KINDS, "irregular-a"))
 def test_a_bound_row_measures_the_same_alone_as_in_its_batch(kind):
     # A row's measure does not depend on its batch: it gets the same doubles
     # in the batch, with a nan row added to it, and alone, and a row with a
-    # nan or infinite coordinate is blocked whole.
+    # nan or infinite coordinate is blocked whole. `blocked_lengths` is the
+    # measure times the row's length, bit for bit.
     for field in corpus(kind):
         rows = field.rows("bound")
         cols = field.columns(rows)
-        measure = field.env.collision_field._blocked_measure
+        entry = field.env.collision_field
+        measure = entry._blocked_measure
         got = measure(*cols)
+        with np.errstate(invalid="ignore", over="ignore"):
+            length = np.hypot(cols[2] - cols[0], cols[3] - cols[1])
+        field.check(rows, entry.blocked_lengths(field.starts[rows], field.ends[rows]), got * length,
+                    same_bytes=True)
         forced = measure(*np.column_stack((cols, np.full(4, math.nan))))
         assert forced[-1] == 1.0, f"{kind} field {field.index}: the nan row"
         field.check(rows, forced[:-1], got, same_bytes=True)
@@ -806,22 +681,31 @@ def test_pso_sized_batches_match_the_oracle(kind):
 
 #: The rows the hypothesis strategies that this corpus replaced drew, per
 #: map kind and row kind, summed over their tests (300 examples each; 100
-#: for the bound rows, 80 for the obstacle stage, 40 for the PSO-sized
-#: batches). The obstacle stage drew its "disks" rows on 12-disk fields and
-#: its "empty" ones in DEFAULT_BOUNDS.
+#: for the bound rows, 80 for the obstacle stage and the column entry, 40
+#: for the PSO-sized batches), with the rows of the random tests folded in
+#: later: 300 for each clear-of-an-obstacle test, 20,000 and 300 tangent
+#: rows on one-disk fields, and the 3,500 points of the two collision-field
+#: tests. Each folded test drew at most 300 fields. The obstacle stage and
+#: the column entry drew their "disks" rows on 12-disk fields and their
+#: "empty" ones in DEFAULT_BOUNDS.
 DRAWN_KINDS = ("fields", *(f"segment/{k}" for k in (
     "outside", "random", "rim", "tangent", "tangent-band", "tiny", "zero")),
     *(f"box/{k}" for k in ("corner", "point", "random", "tangent")),
     *(f"bound/{k}" for k in ("inside", "line", "non-finite", "outside", "zero", "axis")),
-    "pso/step", "pso/span")
+    "pso/step", "pso/span", "segment/rim-end", "segment/rim-point", "segment/underflow",
+    *(f"graze/{k}" for k in ("vertex", "through-vertex", "along-edge", "outline")), "points")
 DRAWN = {
-    "disks": (314, 823, 922, 796, 410, 270, 828, 914, 383, 505, 383, 439, 110, 38, 138, 81, 30, 61),
-    "polygons": (329, 491, 705, 575, 239, 390, 646, 620, 323, 317, 370, 383, 124, 151, 92, 96),
-    "mixed": (321, 737, 1126, 782, 426, 299, 779, 849, 300, 373, 275, 439, 178, 175, 134, 131),
-    "empty": (300, 296, 283, 369, 280, 0, 283, 279, 0, 0, 0, 0, 107, 89, 113, 142, 35, 94),
+    "disks": (314, 823, 1287, 796, 475, 270, 828, 914, 383, 505, 383, 439, 113, 38, 174, 81, 54,
+              61, 0, 0, 64, 69, 102),
+    "polygons": (329, 491, 1053, 575, 239, 390, 646, 620, 323, 317, 370, 383, 124, 151, 92, 96,
+                 *[0] * 7, 58, 96, 67, 79),
+    "mixed": (321, 737, 1220, 782, 426, 299, 779, 849, 300, 373, 275, 439, 178, 175, 134, 131,
+              *[0] * 11, 3500),
+    "empty": (300, 296, 376, 369, 280, 0, 283, 279, 0, 0, 0, 0, 108, 89, 159, 210, 123, 94),
+    "tangent": (300, 0, 0, 0, 20300),
     "pso-disks": (40, *[0] * 17, 6000, 6000),
     "pso-mixed": (40, *[0] * 17, 6000, 6000),
-    "irregular-a": (0, *[0] * 11, 53, 0, 0, 0, 132, 81),
+    "irregular-a": (30, *[0] * 11, 54, 0, 57, 30, 178, 81),
     "inexact": (100, *[0] * 11, 101, 0, 0, 0, 153, 273),
 }
 
@@ -830,7 +714,7 @@ DRAWN = {
 def test_the_corpus_holds_at_least_the_rows_the_strategies_drew(kind):
     fields = corpus(kind)
     have = Counter(row for field in fields for row in field.kinds)
-    have["fields"] = len(fields)
+    have["fields"], have["points"] = len(fields), 2 * sum(len(f.kinds) for f in fields)
     short = {k: (have[k], n) for k, n in zip(DRAWN_KINDS, DRAWN[kind]) if have[k] < n}
     assert not short, f"{kind}: (rows, drawn) {short}"
 
@@ -841,8 +725,10 @@ def test_blocked_measures_are_equivariant_under_power_of_two_scaling(kind, k):
     # Far from unit scale the disk pass's degree-4 products overflow or
     # turn subnormal unless each row is rescaled; a power of two leaves
     # every root t as it is.
+    # A row whose squared length underflows is blocked whole where it meets
+    # a disk; scaled up, it is not, so those rows stay out.
     for field in corpus(kind):
-        rows = np.arange(len(field.kinds))
+        rows = np.flatnonzero([row != "segment/underflow" for row in field.kinds])
         cols = field.columns(rows)
         want = field.env.collision_field._blocked_measure(*cols)
         got = scaled(field.env, k).collision_field._blocked_measure(*np.ldexp(cols, k))
@@ -871,27 +757,6 @@ def test_a_far_field_keeps_the_chords_of_a_unit_disk_and_a_huge_one():
     assert got[1] == pytest.approx(2.0 * math.sqrt(0.0075) * s, rel=1e-12, abs=0.0)
 
 
-def union_oracle(intervals, n):
-    """Each of n rows' union measure: its intervals merged in order of their
-    starts (touching ones too), each run's length added onto 0.0 in turn."""
-    spans = [[] for _ in range(n)]
-    for row, lo, hi in intervals:
-        for r, a, b in zip(row.tolist(), lo.tolist(), hi.tolist()):
-            spans[r].append((a, b))
-    out = []
-    for row_spans in spans:
-        total, run = 0.0, None
-        for a, b in sorted(row_spans):
-            if run is not None and a <= run[1]:
-                run[1] = max(run[1], b)
-                continue
-            if run is not None:
-                total += run[1] - run[0]
-            run = [a, b]
-        out.append(total if run is None else total + (run[1] - run[0]))
-    return np.array(out)
-
-
 @st.composite
 def interval_sets(draw, repeats):
     """n rows and their (row, lo, hi) parts; a row holds at most one interval
@@ -917,26 +782,18 @@ def test_the_one_interval_union_equals_the_sweep(data, repeats):
     # A copy of the first interval leaves every union as it was but makes
     # its row hold two, which takes the sweep.
     n, parts = data.draw(interval_sets(repeats))
+    spans = [[] for _ in range(n)]
+    for row, lo, hi in parts:
+        for r, a, b in zip(row.tolist(), lo.tolist(), hi.tolist()):
+            spans[r].append((a, b))
     got = geometry._union_measure(parts, n)
-    assert got.tobytes() == union_oracle(parts, n).tobytes()
+    assert got.tobytes() == np.array([union_measure(s) for s in spans]).tobytes()
     row, lo, hi = parts[0]
     swept = geometry._union_measure(parts + [(row[:1], lo[:1], hi[:1])], n)
     assert swept.tobytes() == got.tobytes()
 
 
-class CountingField(CollisionField):
-    """Records how many points each `free` call classifies."""
-
-    def __init__(self, env):
-        super().__init__(env)
-        self.calls = []
-
-    def free(self, points):
-        self.calls.append(len(points))
-        return super().free(points)
-
-
-def test_blocked_lengths_never_calls_free():
+def test_blocked_lengths_never_calls_free(monkeypatch):
     # Disk rows clear, blocked, or grazing a rim from either side; a row
     # too short for the disk roots; a row that leaves the bounds; rows
     # across a polygon. None of them is classified by `free`.
@@ -948,9 +805,8 @@ def test_blocked_lengths_never_calls_free():
     ends = np.array([[-10.0, 10.0], [10.0, 10.0], [5.0, 0.0], [10.0, 4.5],
                      [5.0, 1.0 + 1e-12], [5.0, 1.0 - 1e-12], [5.0, 1.0],
                      [1e-170, 0.0], [15.0, 0.0], [10.0, -7.5], [-4.5, 0.0]])
-    field = CountingField(env)
-    got = field.blocked_lengths(starts, ends)
-    assert field.calls == []
+    monkeypatch.setattr(CollisionField, "free", lambda *args: pytest.fail("free was called"))
+    got = CollisionField(env).blocked_lengths(starts, ends)
     assert got.tolist() == reference_union_lengths(env, starts, ends).tolist()
     assert [got[i] for i in (0, 1, 4, 6)] == [0.0] * 4
     assert got[2] == pytest.approx(2.0)
@@ -975,11 +831,11 @@ def _forty_stars():
         for cx in np.arange(-10.5, 11.0, 3.0) for cy in np.arange(-10.0, 11.0, 5.0)))
 
 
-def test_free_matches_point_free_across_point_blocks():
+def test_free_matches_the_point_oracle_on_forty_concave_polygons():
     # 1,010 points on 40 concave polygons, against the scalar reference.
     env = _forty_stars()
     pts = np.random.default_rng(3).uniform(-12.5, 12.5, size=(1010, 2))
-    want = [reference_point_free(p, env) for p in pts.tolist()]
+    want = [reference_edge_free(p, p, env) for p in pts.tolist()]
     assert 0 < want.count(False) < len(want)
     assert CollisionField(env).free(pts).tolist() == want
 
@@ -990,7 +846,16 @@ def _thousand_disks(rng):
     return Environment(Bounds(-40.0, 40.0, -40.0, 40.0), disks)
 
 
-def test_free_runs_the_disk_pass_in_bounded_point_blocks():
+def _traced(call):
+    """call()'s result, and the peak of the memory tracemalloc saw it take."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_free_holds_no_array_of_points_by_disks():
     # One (points x disks) array of doubles would take 24 MB here; a
     # 10,000-disk PSO field asked for 24.6 GiB. `free` checks one point at
     # a time, so it holds no such array.
@@ -998,57 +863,37 @@ def test_free_runs_the_disk_pass_in_bounded_point_blocks():
     env = _thousand_disks(rng)
     pts = rng.uniform(-41.0, 41.0, size=(3000, 2))
     field = CollisionField(env)
-    tracemalloc.start()
-    try:
-        got = field.free(pts)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    got, peak = _traced(lambda: field.free(pts))
     want = [point_free(p, env) for p in pts.tolist()]
     assert 0 < want.count(False) < len(want)
     assert got.tolist() == want
     assert peak < 1 << 20
 
 
+def _pso_batch_peak(env, rng, span):
+    """The peak memory of one PSO-sized batch on env: 300 rows across the
+    map, half of them PSO-length steps, which match the oracle."""
+    starts = rng.uniform(-span, span, size=(300, 2))
+    ends = rng.uniform(-span, span, size=(300, 2))
+    ends[:150] = np.clip(starts[:150] + rng.uniform(-4.0, 4.0, (150, 2)), -span, span)
+    field = CollisionField(env)
+    got, peak = _traced(lambda: field.blocked_lengths(starts, ends))
+    want = reference_union_lengths(env, starts, ends)
+    assert 0 < np.count_nonzero(want) < len(want)
+    assert got.tobytes() == want.tobytes()
+    return peak
+
+
 def test_disk_union_runs_in_bounded_pair_blocks():
     # One (disks x rows) array of doubles would take 2.4 MB here, one PSO
     # batch; a 10,000-disk field took 370 MB with such arrays.
     rng = np.random.default_rng(6)
-    env = _thousand_disks(rng)
-    starts = rng.uniform(-40.0, 40.0, size=(300, 2))
-    ends = rng.uniform(-40.0, 40.0, size=(300, 2))
-    ends[:150] = np.clip(starts[:150] + rng.uniform(-4.0, 4.0, (150, 2)), -40.0, 40.0)
-    field = CollisionField(env)
-    tracemalloc.start()
-    try:
-        got = field.blocked_lengths(starts, ends)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    want = reference_union_lengths(env, starts, ends)
-    assert 0 < np.count_nonzero(want) < len(want)
-    assert got.tobytes() == want.tobytes()
-    assert peak < 2 << 20
+    assert _pso_batch_peak(_thousand_disks(rng), rng, 40.0) < 2 << 20
 
 
 def test_polygon_pass_runs_in_bounded_pair_blocks():
     # Cutting every row at every edge at once took 11.3 MiB here.
-    rng = np.random.default_rng(7)
-    env = _forty_stars()
-    starts = rng.uniform(-12.0, 12.0, size=(300, 2))
-    ends = rng.uniform(-12.0, 12.0, size=(300, 2))
-    ends[:150] = np.clip(starts[:150] + rng.uniform(-4.0, 4.0, (150, 2)), -12.0, 12.0)
-    field = CollisionField(env)
-    tracemalloc.start()
-    try:
-        got = field.blocked_lengths(starts, ends)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    want = reference_union_lengths(env, starts, ends)
-    assert 0 < np.count_nonzero(want) < len(want)
-    assert got.tobytes() == want.tobytes()
-    assert peak < 2 << 20
+    assert _pso_batch_peak(_forty_stars(), np.random.default_rng(7), 12.0) < 2 << 20
 
 
 @pytest.mark.parametrize("end", (0, 1), ids=("start", "end"))

@@ -689,50 +689,18 @@ def test_an_open_particles_penalty_is_its_path_violation_bit_for_bit(swarm):
             assert score.hex() == want.hex()
 
 
-# Endpoints from the bounds' inside and outside, and non-finite ones.
-COORDINATES = st.one_of(st.floats(-60.0, 60.0), st.sampled_from(
-    (math.nan, math.inf, -math.inf, 0.0, -40.0, 20.0, 1e308, -1e308)))
-
-
-@settings(max_examples=80, deadline=None, derandomize=True, database=None)
-@given(data=st.data())
-def test_blocked_lengths_is_the_column_entry_times_hypot(data):
-    env, _ = drawn_cases(data.draw)
-    points = st.tuples(COORDINATES, COORDINATES)
-    starts = data.draw(st.lists(points, max_size=12))
-    # Each row ends at a new point or at its start (zero length).
-    ends = [data.draw(st.one_of(points, st.just(a))) for a in starts]
-    starts, ends = np.array(starts).reshape(-1, 2), np.array(ends).reshape(-1, 2)
-    field = env.collision_field
-    (ax, ay), (ex, ey) = starts.T.copy(), ends.T.copy()
-    with np.errstate(invalid="ignore", over="ignore"):
-        want = field._blocked_measure(ax, ay, ex, ey) * np.hypot(ex - ax, ey - ay)
-    assert field.blocked_lengths(starts, ends).tobytes() == want.tobytes()
-    assert field.blocked_lengths(np.empty((0, 2)), np.empty((0, 2))).shape == (0,)
-
-
 def test_the_obstacle_stage_is_the_column_entry_inside_the_bounds():
     # PSO's clipped steps skip the bounds stage: on rows inside the bounds
     # it adds nothing. Rows run along a bound line (irregular-a's seams lie
-    # on x = -40 and x = 40), parallel to one, or have zero length.
-    for kind in (*FIELD_KINDS, "pso-disks", "pso-mixed", "irregular-a"):
+    # on x = -40 and x = 40), parallel to one, or have zero length. On
+    # "inexact" bounds, whose sides are not exact, each slab cut
+    # (bound - a) / (b - a) rounds, to <= 0 or >= 1 all the same.
+    for kind in (*FIELD_KINDS, "pso-disks", "pso-mixed", "irregular-a", "inexact"):
         for field in corpus(kind):
             rows = field.rows(*INSIDE)
             entry = field.env.collision_field
             field.check(rows, entry._obstacle_measure(*field.columns(rows)),
                         entry._blocked_measure(*field.columns(rows)), same_bytes=True)
-
-
-def test_the_slab_adds_nothing_to_a_row_inside_the_bounds():
-    # Bounds whose sides are not exact, so each slab cut (bound - a) / (b - a)
-    # rounds; inside the bounds it rounds to <= 0 or >= 1 all the same, and
-    # `_blocked_measure` adds no interval to `_obstacle_measure`'s. Rows end
-    # on a bound line, run along one or parallel to one, or have zero length.
-    for field in corpus("inexact"):
-        rows = field.rows(*INSIDE)
-        entry = field.env.collision_field
-        field.check(rows, entry._blocked_measure(*field.columns(rows)),
-                    entry._obstacle_measure(*field.columns(rows)), same_bytes=True)
 
 
 @pytest.mark.parametrize("k", (-300, 300))
