@@ -431,6 +431,12 @@ def test_edge_free_checks_far_endpoint(small_env):
     assert not edge_free((4.5, 8), (4.5, 4.5), small_env)
 
 
+def test_collision_field_matches_scalar(small_env):
+    pts = np.random.default_rng(3).uniform(-12, 12, size=(500, 2)).tolist()
+    want = [reference_edge_free(p, p, small_env) for p in pts]
+    assert CollisionField(small_env).free(pts).tolist() == want
+
+
 def test_translation_invariance():
     rng = np.random.default_rng(23)
     for _ in range(200):
@@ -597,18 +603,35 @@ def test_rows_to_just_past_a_bound_are_blocked():
 
 # --- the kernel against its oracles, on the corpus --------------------------
 
+def _match_the_oracles(field, rows):
+    """`blocked_lengths` and `edge_free` on the rows; their ends as lists."""
+    env, starts, ends = field.env, field.starts[rows].tolist(), field.ends[rows].tolist()
+    got = env.collision_field.blocked_lengths(field.starts[rows], field.ends[rows])
+    field.check(rows, got, field.union[rows])
+    field.check(rows, [edge_free(a, b, env) for a, b in zip(starts, ends)], field.edge_free[rows])
+    return starts, ends
+
+
 @pytest.mark.parametrize("kind", FIELD_KINDS)
 def test_blocked_lengths_and_edge_free_match_the_oracles(kind):
-    # Segment rows, and box rows within 1e-13 of an obstacle's box edge.
     for field in corpus(kind):
-        env, rows = field.env, field.rows("segment", "box")
-        starts, ends = field.starts[rows], field.ends[rows]
-        got = env.collision_field.blocked_lengths(starts, ends)
-        field.check(rows, got, field.union[rows])
-        field.check(rows, [edge_free(a, b, env) for a, b in zip(starts.tolist(), ends.tolist())],
-                    field.edge_free[rows])
-        # `free` at both ends of every row.
-        free = env.collision_field.free(np.vstack((field.starts, field.ends)))
+        _match_the_oracles(field, field.rows("segment"))
+
+
+@pytest.mark.parametrize("kind", ("disks", "polygons", "mixed"))
+def test_box_skips_match_the_oracles_at_box_edges(kind):
+    # Rows within 1e-13 of an obstacle's box edge.
+    for field in corpus(kind):
+        rows = field.rows("box")
+        starts, ends = _match_the_oracles(field, rows)
+        field.check(rows, [point_free(a, field.env) for a in starts], field.point_free[rows, 0])
+        field.check(rows, [point_free(b, field.env) for b in ends], field.point_free[rows, 1])
+
+
+def test_collision_field_many_random_envs():
+    # `free` at both ends of every row of every field.
+    for field in [f for kind in FIELD_KINDS for f in corpus(kind)]:
+        free = field.env.collision_field.free(np.vstack((field.starts, field.ends)))
         field.check(np.tile(np.arange(len(field.kinds)), 2), free, field.point_free.T.ravel())
 
 
@@ -625,6 +648,32 @@ def test_edge_free_iff_blocked_length_is_zero(kind):
             if a != b and env.bounds.contains(a) and env.bounds.contains(b):
                 clear = not any(collides(a, b, o) for o in env.obstacles)
                 assert edge_free(a, b, env) == clear == (length == 0.0), field.where(row)
+
+
+def _one_disk_fields():
+    """Each one-disk field, its disk, and its rows in bounds, as an index and
+    the rows' starts and ends; each row is within 1e-13 r of the rim."""
+    for field in corpus("tangent"):
+        inside = field.env.bounds.contains
+        rows = np.flatnonzero([inside(a) and inside(b) for a, b in
+                               zip(field.starts.tolist(), field.ends.tolist())])
+        yield field, field.env.obstacles[0], rows, field.starts[rows], field.ends[rows]
+
+
+def test_blocked_length_is_zero_when_clear_of_a_disk():
+    for field, disk, rows, starts, ends in _one_disk_fields():
+        blocked = field.env.collision_field.blocked_lengths(starts, ends)
+        clear = np.array([not segment_circle_collides((a, b), disk.center, disk.radius)
+                          for a, b in zip(starts.tolist(), ends.tolist())])
+        field.check(rows[clear], blocked[clear], 0.0)
+
+
+def test_tangent_rows_block_next_to_nothing():
+    # A line within 1e-13 r of the rim meets the disk on a chord of at most
+    # 2 r sqrt(2e-13), about 9e-7 r.
+    for field, disk, rows, starts, ends in _one_disk_fields():
+        blocked = field.env.collision_field.blocked_lengths(starts, ends)
+        field.check(rows, blocked <= 1e-5 * disk.radius, True)
 
 
 @pytest.mark.parametrize("kind", ("disks", "polygons", "mixed"))
@@ -645,18 +694,12 @@ def test_a_row_reads_the_same_in_any_sub_batch(kind):
 def test_a_bound_row_measures_the_same_alone_as_in_its_batch(kind):
     # A row's measure does not depend on its batch: it gets the same doubles
     # in the batch, with a nan row added to it, and alone, and a row with a
-    # nan or infinite coordinate is blocked whole. `blocked_lengths` is the
-    # measure times the row's length, bit for bit.
+    # nan or infinite coordinate is blocked whole.
     for field in corpus(kind):
         rows = field.rows("bound")
         cols = field.columns(rows)
-        entry = field.env.collision_field
-        measure = entry._blocked_measure
+        measure = field.env.collision_field._blocked_measure
         got = measure(*cols)
-        with np.errstate(invalid="ignore", over="ignore"):
-            length = np.hypot(cols[2] - cols[0], cols[3] - cols[1])
-        field.check(rows, entry.blocked_lengths(field.starts[rows], field.ends[rows]), got * length,
-                    same_bytes=True)
         forced = measure(*np.column_stack((cols, np.full(4, math.nan))))
         assert forced[-1] == 1.0, f"{kind} field {field.index}: the nan row"
         field.check(rows, forced[:-1], got, same_bytes=True)

@@ -689,18 +689,37 @@ def test_an_open_particles_penalty_is_its_path_violation_bit_for_bit(swarm):
             assert score.hex() == want.hex()
 
 
+def test_blocked_lengths_is_the_column_entry_times_hypot():
+    # Bit for bit, on every bound row: nan, infinite and zero-length ones too.
+    for kind in (*FIELD_KINDS, "irregular-a"):
+        for field in corpus(kind):
+            rows = field.rows("bound")
+            entry, (ax, ay, ex, ey) = field.env.collision_field, field.columns(rows)
+            with np.errstate(invalid="ignore", over="ignore"):
+                want = entry._blocked_measure(ax, ay, ex, ey) * np.hypot(ex - ax, ey - ay)
+            field.check(rows, entry.blocked_lengths(field.starts[rows], field.ends[rows]), want,
+                        same_bytes=True)
+
+
+def _the_obstacle_stage_is_the_column_entry(kinds):
+    for field in [f for kind in kinds for f in corpus(kind)]:
+        rows = field.rows(*INSIDE)
+        entry = field.env.collision_field
+        field.check(rows, entry._obstacle_measure(*field.columns(rows)),
+                    entry._blocked_measure(*field.columns(rows)), same_bytes=True)
+
+
 def test_the_obstacle_stage_is_the_column_entry_inside_the_bounds():
     # PSO's clipped steps skip the bounds stage: on rows inside the bounds
     # it adds nothing. Rows run along a bound line (irregular-a's seams lie
-    # on x = -40 and x = 40), parallel to one, or have zero length. On
-    # "inexact" bounds, whose sides are not exact, each slab cut
+    # on x = -40 and x = 40), parallel to one, or have zero length.
+    _the_obstacle_stage_is_the_column_entry((*FIELD_KINDS, "pso-disks", "pso-mixed", "irregular-a"))
+
+
+def test_the_slab_adds_nothing_to_a_row_inside_the_bounds():
+    # On "inexact" bounds, whose sides are not exact, each slab cut
     # (bound - a) / (b - a) rounds, to <= 0 or >= 1 all the same.
-    for kind in (*FIELD_KINDS, "pso-disks", "pso-mixed", "irregular-a", "inexact"):
-        for field in corpus(kind):
-            rows = field.rows(*INSIDE)
-            entry = field.env.collision_field
-            field.check(rows, entry._obstacle_measure(*field.columns(rows)),
-                        entry._blocked_measure(*field.columns(rows)), same_bytes=True)
+    _the_obstacle_stage_is_the_column_entry(("inexact",))
 
 
 @pytest.mark.parametrize("k", (-300, 300))
