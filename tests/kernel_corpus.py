@@ -4,11 +4,12 @@
 shuffled batch of rows on it, drawn once per session with
 `numpy.random.default_rng`. A field computes its oracle answers once, when
 first asked. The map kinds are "disks" (1-5 disks), "polygons" (1-3
-star-shaped polygons), "mixed" (1-3 disks, 1-2 polygons), "empty" and
-"tangent" (one disk), all in WIDE, where one field with disks in four has a
-rim through the origin; "pso-disks" and "pso-mixed" (12-40 disks, and 1-3
-polygons) with 300 in-bounds rows, a PSO fitness batch; "irregular-a"; and
-"inexact", bounds whose sides are not exact, with or without a disk.
+star-shaped polygons), "mixed" (1-3 disks, 1-2 polygons), "empty", all in
+WIDE, and "tangent" (one disk, in ONE_DISK, which holds all of its rows),
+where one field with disks in two has a rim through the origin; "pso-disks"
+and "pso-mixed" (12-40 disks, and 1-3 polygons) with 300 in-bounds rows, a
+PSO fitness batch; "irregular-a"; and "inexact", bounds whose sides are
+not exact, with or without a disk.
 `ROWS` names the row kinds, family/kind, and how many of each a field holds.
 
 The Fraction oracle (`exact_*`) is exact and shares no code with the
@@ -30,17 +31,21 @@ from pathbench.geometry import (_ORIENT_BAND, Bounds, Circle, Polygon, point_in_
                                 segment_circle_collides, segment_polygon_collides)
 
 WIDE = Bounds(-12.0, 12.0, -12.0, 12.0)
+#: The one-disk fields' bounds: their disks sit within 8 of the origin, with
+#: radii up to 4, and their rows reach 6 along the tangent, so within 16.
+ONE_DISK = Bounds(-20.0, 20.0, -20.0, 20.0)
 # Concave L: a 4x4 square with the top-right 3x3 corner cut away; (1, 1) is reflex.
 L_SHAPE = ((0.0, 0.0), (4.0, 0.0), (4.0, 1.0), (1.0, 1.0), (1.0, 4.0), (0.0, 4.0))
 FIELD_KINDS = ("disks", "polygons", "mixed", "empty")
 INEXACT = (Bounds(1e150, 1.5e150, -3e150, -1e150), Bounds(0.1, 0.7, -0.3, 0.2))
 
 #: Segment rows: random; tangent to a rim within 1e-13 of the radius (half
-#: of them moved out by one of `TANGENT_OFFSETS` times it), or 1e-16 to 1e-6
-#: deep (band); from a rim; from a rim out, in, along the tangent or any
-#: way; a point on a rim; of zero length; 1e-9 long from a rim; so short
-#: that the squared length underflows, within 1e-160 of the origin; from
-#: outside the bounds; and corner to corner. Each rim point is moved by up
+#: of them moved out by one of `TANGENT_OFFSETS` times it; all of them, for
+#: offset rows), or 1e-16 to 1e-6 deep (band); from a rim; from a rim out,
+#: in, along the tangent or any way; a point on a rim; of zero length; 1e-9
+#: long from a rim; so short that the squared length underflows, within
+#: 1e-160 of the origin; from outside the bounds; and corner to corner.
+#: (Offset rows lie on the one-disk fields only.) Each rim point is moved by up
 #: to 1e-13 of the radius in each coordinate, or not at all. Box rows sit
 #: within 1e-13 of an obstacle's box edge: along it, across a corner, a
 #: point on it, or random. Bound rows lie inside the bounds, end on or run
@@ -64,7 +69,7 @@ ROWS = {"disks": (330, {**SEGMENT, **BOX, **BOUND}),
         "polygons": (330, {**SEGMENT, **BOX, **BOUND, **GRAZE}),
         "mixed": (330, {**SEGMENT, **BOX, **BOUND, **GRAZE}),
         "empty": (330, {**SEGMENT, **BOUND}),
-        "tangent": (300, {"segment/tangent": 68}),
+        "tangent": (300, {"segment/tangent": 1, "segment/offset": 67, "segment/random": 1}),
         "pso-disks": (40, {"pso/step": 150, "pso/span": 150}),
         "pso-mixed": (40, {"pso/step": 150, "pso/span": 150}),
         "irregular-a": (40, {"bound/inside": 2, "bound/line": 2, "bound/outside": 1,
@@ -466,11 +471,12 @@ def _environment(rng, kind, index):
         centres, radii = rng.uniform(-10.0, 10.0, (n, 2)), rng.uniform(0.5, 3.0, n)
     else:
         centres, radii = _values(rng, -8.0, 8.0, (n, 2)), _values(rng, 0.2, 4.0, n)
-        if n and rng.random() < 0.25:  # a rim through the origin, for the underflow rows
+        if n and rng.random() < 0.5:  # a rim through the origin, for the underflow rows
             centres[0] = 0.0
             centres[0, rng.integers(2)] = radii[0] * rng.choice((-1.0, 1.0))
     polygons = [_polygon(rng) for _ in range(rng.integers(fewest_polygons, most_polygons + 1))]
-    return Environment(WIDE, (*map(Circle, centres.tolist(), radii.tolist()), *polygons))
+    return Environment(ONE_DISK if kind == "tangent" else WIDE,
+                       (*map(Circle, centres.tolist(), radii.tolist()), *polygons))
 
 
 def _segment_rows(rng, kind, n, env):
@@ -482,9 +488,10 @@ def _segment_rows(rng, kind, n, env):
     out, centre = np.column_stack((np.cos(th), np.sin(th))), np.column_stack((cx, cy))
     jitter = np.where(rng.random((n, 2)) < 0.5, 0.0, rng.uniform(-1e-13, 1e-13, (n, 2)))
     rim, point = centre + r[:, None] * (1.0 + jitter) * out, _values(rng, -14.0, 14.0, (n, 2))
-    if kind in ("tangent", "tangent-band"):
-        depth = (np.where(rng.random(n) < 0.5, rng.choice(TANGENT_OFFSETS, n),
-                          rng.uniform(-1e-13, 1e-13, n)) if kind == "tangent"
+    if kind in ("tangent", "offset", "tangent-band"):
+        depth = (rng.choice(TANGENT_OFFSETS, n) if kind == "offset"
+                 else np.where(rng.random(n) < 0.5, rng.choice(TANGENT_OFFSETS, n),
+                               rng.uniform(-1e-13, 1e-13, n)) if kind == "tangent"
                  else np.copysign(10.0 ** rng.uniform(-16.0, -6.0, n), rng.random(n) - 0.5))
         p, along = centre + (r * (1.0 + depth))[:, None] * out, out[:, ::-1] * (-1.0, 1.0)
         # Symmetric rows put the only piece midpoint on the tangent point.

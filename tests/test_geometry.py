@@ -650,30 +650,22 @@ def test_edge_free_iff_blocked_length_is_zero(kind):
                 assert edge_free(a, b, env) == clear == (length == 0.0), field.where(row)
 
 
-def _one_disk_fields():
-    """Each one-disk field, its disk, and its rows in bounds, as an index and
-    the rows' starts and ends; each row is within 1e-13 r of the rim."""
-    for field in corpus("tangent"):
-        inside = field.env.bounds.contains
-        rows = np.flatnonzero([inside(a) and inside(b) for a, b in
-                               zip(field.starts.tolist(), field.ends.tolist())])
-        yield field, field.env.obstacles[0], rows, field.starts[rows], field.ends[rows]
-
-
 def test_blocked_length_is_zero_when_clear_of_a_disk():
-    for field, disk, rows, starts, ends in _one_disk_fields():
-        blocked = field.env.collision_field.blocked_lengths(starts, ends)
-        clear = np.array([not segment_circle_collides((a, b), disk.center, disk.radius)
-                          for a, b in zip(starts.tolist(), ends.tolist())])
-        field.check(rows[clear], blocked[clear], 0.0)
+    # The random row of each one-disk field.
+    for field in corpus("tangent"):
+        (row,), (disk,) = field.rows("segment/random"), field.env.obstacles
+        a, b = field.starts[row].tolist(), field.ends[row].tolist()
+        if not segment_circle_collides((a, b), disk.center, disk.radius):
+            assert blocked_length(field.env, a, b) == 0.0, field.where(row)
 
 
 def test_tangent_rows_block_next_to_nothing():
     # A line within 1e-13 r of the rim meets the disk on a chord of at most
     # 2 r sqrt(2e-13), about 9e-7 r.
-    for field, disk, rows, starts, ends in _one_disk_fields():
-        blocked = field.env.collision_field.blocked_lengths(starts, ends)
-        field.check(rows, blocked <= 1e-5 * disk.radius, True)
+    for field in corpus("tangent"):
+        rows = field.rows("segment/tangent", "segment/offset")
+        blocked = field.env.collision_field.blocked_lengths(field.starts[rows], field.ends[rows])
+        field.check(rows, blocked <= 1e-5 * field.env.obstacles[0].radius, True)
 
 
 @pytest.mark.parametrize("kind", ("disks", "polygons", "mixed"))
@@ -726,26 +718,28 @@ def test_pso_sized_batches_match_the_oracle(kind):
 #: map kind and row kind, summed over their tests (300 examples each; 100
 #: for the bound rows, 80 for the obstacle stage and the column entry, 40
 #: for the PSO-sized batches), with the rows of the random tests folded in
-#: later: 300 for each clear-of-an-obstacle test, 20,000 and 300 tangent
-#: rows on one-disk fields, and the 3,500 points of the two collision-field
-#: tests. Each folded test drew at most 300 fields. The obstacle stage and
-#: the column entry drew their "disks" rows on 12-disk fields and their
-#: "empty" ones in DEFAULT_BOUNDS.
+#: later: 300 random rows for each clear-of-an-obstacle test, 20,000
+#: offset and 300 tangent rows (the disk's random rows too on one-disk
+#: fields), and the 3,500 points of the two collision-field tests. Each
+#: folded test drew at most 300 fields. The obstacle stage and the column
+#: entry drew their "disks" rows on 12-disk fields and their "empty" ones
+#: in DEFAULT_BOUNDS.
 DRAWN_KINDS = ("fields", *(f"segment/{k}" for k in (
     "outside", "random", "rim", "tangent", "tangent-band", "tiny", "zero")),
     *(f"box/{k}" for k in ("corner", "point", "random", "tangent")),
     *(f"bound/{k}" for k in ("inside", "line", "non-finite", "outside", "zero", "axis")),
     "pso/step", "pso/span", "segment/rim-end", "segment/rim-point", "segment/underflow",
-    *(f"graze/{k}" for k in ("vertex", "through-vertex", "along-edge", "outline")), "points")
+    *(f"graze/{k}" for k in ("vertex", "through-vertex", "along-edge", "outline")), "points",
+    "segment/offset")
 DRAWN = {
-    "disks": (314, 823, 1287, 796, 475, 270, 828, 914, 383, 505, 383, 439, 113, 38, 174, 81, 54,
+    "disks": (314, 823, 987, 796, 475, 270, 828, 914, 383, 505, 383, 439, 113, 38, 174, 81, 54,
               61, 0, 0, 64, 69, 102),
     "polygons": (329, 491, 1053, 575, 239, 390, 646, 620, 323, 317, 370, 383, 124, 151, 92, 96,
                  *[0] * 7, 58, 96, 67, 79),
     "mixed": (321, 737, 1220, 782, 426, 299, 779, 849, 300, 373, 275, 439, 178, 175, 134, 131,
               *[0] * 11, 3500),
     "empty": (300, 296, 376, 369, 280, 0, 283, 279, 0, 0, 0, 0, 108, 89, 159, 210, 123, 94),
-    "tangent": (300, 0, 0, 0, 20300),
+    "tangent": (300, 0, 300, 0, 300, *[0] * 23, 20000),
     "pso-disks": (40, *[0] * 17, 6000, 6000),
     "pso-mixed": (40, *[0] * 17, 6000, 6000),
     "irregular-a": (30, *[0] * 11, 54, 0, 57, 30, 178, 81),
@@ -758,6 +752,12 @@ def test_the_corpus_holds_at_least_the_rows_the_strategies_drew(kind):
     fields = corpus(kind)
     have = Counter(row for field in fields for row in field.kinds)
     have["fields"], have["points"] = len(fields), 2 * sum(len(f.kinds) for f in fields)
+    # An underflow row grazes something only next to a rim through the origin.
+    have["segment/underflow"] = sum(len(f.rows("segment/underflow")) for f in fields if any(
+        isinstance(o, Circle) and math.hypot(*o.center) == o.radius for o in f.env.obstacles))
+    # The one-disk tests read every row of the "tangent" fields as in bounds.
+    assert kind != "tangent" or all(f.env.bounds.contains(p) for f in fields
+                                    for p in np.vstack((f.starts, f.ends)).tolist())
     short = {k: (have[k], n) for k, n in zip(DRAWN_KINDS, DRAWN[kind]) if have[k] < n}
     assert not short, f"{kind}: (rows, drawn) {short}"
 
