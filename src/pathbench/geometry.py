@@ -523,7 +523,9 @@ class CollisionField:
     scale each row's d, f and r by the power of two that brings its
     larger |dx|, |dy| into [0.5, 1). A power of two leaves every root t
     as it is, so blocked measures are equivariant under scaling the map
-    and its rows by a power of two.
+    and its rows by a power of two, save on a row whose squared length
+    underflows (|b - a| below about 1.6e-162): at unit scale it is blocked
+    whole where it meets a disk, while scaled by 2^k it can measure less.
     """
 
     def __init__(self, env: "Environment"):

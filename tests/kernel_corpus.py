@@ -17,6 +17,7 @@ package. The float references (`reference_*`, `union_measure`) follow the
 kernel's rounding, defer to it near a rim or a polygon piece too thin for
 its cuts, and ask the package's `segment_polygon_collides` about polygons;
 so graze rows and `DISK_GRAZES` rows are checked against the Fraction oracle.
+`EMPTY` and `_pinned_case` are the maps the planners' tests share.
 """
 
 import functools
@@ -26,11 +27,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from pathbench.environment import Environment, irregular_preset
+from pathbench.benchmark import FIELD_QUERY
+from pathbench.environment import Environment, generate_random_env, irregular_preset
 from pathbench.geometry import (_ORIENT_BAND, Bounds, Circle, Polygon, point_in_polygon,
                                 segment_circle_collides, segment_polygon_collides)
 
 WIDE = Bounds(-12.0, 12.0, -12.0, 12.0)
+EMPTY = Environment(Bounds(-40.0, 40.0, -40.0, 20.0), ())
 #: The one-disk fields' bounds: their disks sit within 8 of the origin, with
 #: radii up to 4, and their rows reach 6 along the tangent, so within 16.
 ONE_DISK = Bounds(-20.0, 20.0, -20.0, 20.0)
@@ -638,3 +641,10 @@ def corpus(kind):
     """The fields of one map kind, each drawn from the kind's own seed."""
     rng = np.random.default_rng(list(ROWS).index(kind))
     return tuple(_field(rng, kind, i) for i in range(ROWS[kind][0]))
+
+
+def _pinned_case(name):
+    """The environment and query of a pinned run: field 1000 or a preset."""
+    if name == "field-1000":
+        return generate_random_env(1000, query=FIELD_QUERY), FIELD_QUERY
+    return irregular_preset(name)

@@ -7,8 +7,6 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from pathbench import geometry
 from pathbench.benchmark import FIELD_QUERY, RandomEnvFactory, grid_oracle, run_trials
@@ -450,16 +448,12 @@ def test_translation_invariance():
 
 # --- exact blocked length ---------------------------------------------------
 
-# Fixed examples keep the suite reproducible from run to run.
-PROPERTY = settings(max_examples=300, deadline=None, derandomize=True,
-                    database=None)
-
 #: A disk and a row tangent to it up to rounding.
 TANGENT_DISK = Circle(Point2(0.1418594964030806, 5.405564355911224), 0.7478065283346083)
 TANGENT_ROW = ((0.49838956270877044, 7.701438949529752), (-1.5400582402416354, 3.802658692759802))
 
 
-#: The rows, by map kind, that the hypothesis version of the dense test drew.
+#: The rows, by map kind, that the dense test drew before the corpus.
 DENSE = {"disks": 65, "polygons": 48, "mixed": 94, "empty": 93}
 
 
@@ -714,7 +708,7 @@ def test_pso_sized_batches_match_the_oracle(kind):
         field.check(np.arange(len(got)), got, field.union, same_bytes=True)
 
 
-#: The rows the hypothesis strategies that this corpus replaced drew, per
+#: The rows the property strategies that this corpus replaced drew, per
 #: map kind and row kind, summed over their tests (300 examples each; 100
 #: for the bound rows, 80 for the obstacle stage and the column entry, 40
 #: for the PSO-sized batches), with the rows of the random tests folded in
@@ -800,40 +794,44 @@ def test_a_far_field_keeps_the_chords_of_a_unit_disk_and_a_huge_one():
     assert got[1] == pytest.approx(2.0 * math.sqrt(0.0075) * s, rel=1e-12, abs=0.0)
 
 
-@st.composite
-def interval_sets(draw, repeats):
-    """n rows and their (row, lo, hi) parts; a row holds at most one interval
-    unless `repeats`. Ends come from a few shared values and anywhere in
-    [0, 1], so intervals overlap, touch and nest."""
-    n = draw(st.integers(1, 8))
-    rows = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=16, unique=not repeats))
-    ends = st.sampled_from((0.0, 0.25, 0.5, 1.0)) | st.floats(0.0, 1.0)
-    spans = [sorted(draw(st.tuples(ends, ends).filter(lambda e: e[0] != e[1]))) for _ in rows]
-    cuts = sorted(draw(st.sets(st.integers(1, len(rows)), max_size=2)) | {len(rows)})
-    parts, start = [], 0
-    for cut in cuts:
-        lo, hi = np.array(spans[start:cut]).reshape(-1, 2).T
-        parts.append((np.array(rows[start:cut], dtype=np.intp), lo, hi))
-        start = cut
-    return n, parts
+def interval_sets(rng, repeats):
+    """(n, rows, spans, part ends): 1-16 intervals on n rows, at most one a
+    row unless `repeats`, in 1-3 parts. Ends come from a few shared values
+    and anywhere in [0, 1], so intervals overlap, touch and nest."""
+    n = int(rng.integers(1, 9))
+    size = int(rng.integers(1, 17 if repeats else n + 1))
+    rows = rng.integers(0, n, size) if repeats else rng.permutation(n)[:size]
+    spans = np.zeros((size, 2))
+    while (same := spans[:, 0] == spans[:, 1]).any():
+        shared = rng.choice((0.0, 0.25, 0.5, 1.0), (size, 2))
+        spans[same] = np.where(rng.random((size, 2)) < 0.5, shared, rng.random((size, 2)))[same]
+    cuts = sorted({*rng.integers(1, size + 1, rng.integers(3)).tolist(), size})
+    return n, rows.tolist(), np.sort(spans).tolist(), cuts
 
 
-@PROPERTY
-@given(data=st.data(), repeats=st.booleans())
-def test_the_one_interval_union_equals_the_sweep(data, repeats):
+def test_the_one_interval_union_equals_the_sweep():
     # Where no row holds two intervals, each row's measure is its hi - lo.
     # A copy of the first interval leaves every union as it was but makes
-    # its row hold two, which takes the sweep.
-    n, parts = data.draw(interval_sets(repeats))
-    spans = [[] for _ in range(n)]
-    for row, lo, hi in parts:
-        for r, a, b in zip(row.tolist(), lo.tolist(), hi.tolist()):
-            spans[r].append((a, b))
-    got = geometry._union_measure(parts, n)
-    assert got.tobytes() == np.array([union_measure(s) for s in spans]).tobytes()
-    row, lo, hi = parts[0]
-    swept = geometry._union_measure(parts + [(row[:1], lo[:1], hi[:1])], n)
-    assert swept.tobytes() == got.tobytes()
+    # its row hold two, which takes the sweep. A single row and a single
+    # interval; touching intervals in two rows and in one, across parts;
+    # nested ones; then 300 drawn sets, half of them with repeated rows.
+    rng = np.random.default_rng(43)
+    drawn = [interval_sets(rng, repeats) for repeats in (False, True) * 150]
+    for n, rows, ends, cuts in [(1, [0], [[0.0, 1.0]], [1]),
+                                (2, [1, 0], [[0.0, 0.25], [0.25, 0.5]], [2]),
+                                (1, [0, 0], [[0.0, 0.5], [0.5, 1.0]], [1, 2]),
+                                (3, [2, 2, 2], [[0.0, 1.0], [0.25, 0.5], [0.5, 1.0]], [3]), *drawn]:
+        parts = [(np.array(rows[i:j], dtype=np.intp), *np.array(ends[i:j]).T)
+                 for i, j in zip([0, *cuts], cuts)]
+        spans = [[] for _ in range(n)]
+        for row, lo, hi in parts:
+            for r, a, b in zip(row.tolist(), lo.tolist(), hi.tolist()):
+                spans[r].append((a, b))
+        got = geometry._union_measure(parts, n)
+        assert got.tobytes() == np.array([union_measure(s) for s in spans]).tobytes()
+        row, lo, hi = parts[0]
+        swept = geometry._union_measure(parts + [(row[:1], lo[:1], hi[:1])], n)
+        assert swept.tobytes() == got.tobytes()
 
 
 def test_blocked_lengths_never_calls_free(monkeypatch):

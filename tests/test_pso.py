@@ -7,8 +7,6 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from pathbench import pso
 from pathbench.benchmark import FIELD_QUERY, audit_path
@@ -19,9 +17,8 @@ from pathbench.geometry import (Bounds, Circle, CollisionField, Point2, Polygon,
                                 path_length)
 from pathbench.pso import (PsoParams, PsoRun, decode, fitness, path_violation,
                            plan_pso, update_inertia)
-from kernel_corpus import FIELD_KINDS, INSIDE, corpus, scaled
+from kernel_corpus import EMPTY, FIELD_KINDS, INSIDE, _pinned_case, corpus, scaled
 
-EMPTY = Environment(Bounds(-40.0, 40.0, -40.0, 20.0), ())
 Q_EAST = Query(Point2(0.0, 0.0), Point2(10.0, 0.0))
 
 
@@ -160,17 +157,25 @@ def _decoded(position):
 ], ids=["plain", "extremes", "nan", "inf-then-nan", "minus-inf", "odd", "empty",
         "2-d", "2-d-odd", "2-d-minus-inf"])
 def test_decode_of_a_float64_array_is_that_of_its_list(values):
-    # A float64 array takes one finiteness test in place of a check per
-    # entry; the path, or the first bad entry's message, is the list's.
+    # An array and its list pass the same check of every entry, in order,
+    # so both give one path or the first bad entry's message; so does `.T`.
     array = np.array(values, dtype=np.float64)
     assert _decoded(array) == _decoded(values)
     assert _decoded(array.T) == _decoded(array.T.tolist())
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@given(values=st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=9))
-def test_decode_of_any_float64_array_is_that_of_its_list(values):
-    assert _decoded(np.array(values)) == _decoded(values)
+def test_decode_of_any_float64_array_is_that_of_its_list():
+    # The empty list, an odd length, and each special value decoded or the
+    # first bad entry; then 100 lists of 0-9 entries, each a special value
+    # or any float64 bit pattern.
+    special = [0.0, -0.0, 5e-324, sys.float_info.max, -sys.float_info.max, math.inf, -math.inf,
+               math.nan]
+    rng = np.random.default_rng(43)
+    drawn = [np.where(rng.random(k) < 0.3, rng.choice(special, k),
+                      rng.integers(0, 2**64, k, dtype=np.uint64).view(np.float64)).tolist()
+             for k in rng.integers(0, 10, 100)]
+    for values in [[], special[:4], special[:5], special, special[::-1], [1.0, -math.inf], *drawn]:
+        assert _decoded(np.array(values)) == _decoded(values)
 
 
 def test_fitness_and_update_inertia_keep_the_params_ranges():
@@ -432,12 +437,6 @@ def test_a_generated_field_and_its_first_plan_build_one_collision_field(monkeypa
     assert len(built) == 1 and built[0] is env.collision_field
 
 
-def _pinned_case(name):
-    if name == "field-1000":
-        return generate_random_env(1000, query=FIELD_QUERY), FIELD_QUERY
-    return irregular_preset(name)
-
-
 # Seeded runs at default params, recorded before the collision kernel
 # learned to skip segments that reach no disk: the length, a sha256 of
 # repr((path, length)), the iteration count and a sha256 of the final
@@ -563,49 +562,44 @@ def full_step(run):
         run.stopped = True
 
 
-def drawn_cases(draw):
+MAPS, LAMBDAS = ("disks", "irregular-a", "empty"), (0.0, 1.0, 1000.0)
+
+
+def drawn_case(kind, rng):
     """A random 12-disk field, irregular-a or the empty map, with its query."""
-    kind = draw(st.sampled_from(("disks", "irregular-a", "empty")))
     if kind == "disks":
-        return generate_random_env(draw(st.integers(0, 10**6)), query=FIELD_QUERY), FIELD_QUERY
-    if kind == "irregular-a":
-        return irregular_preset("irregular-a")
-    return EMPTY, Q_EAST
+        return generate_random_env(int(rng.integers(10**6 + 1)), query=FIELD_QUERY), FIELD_QUERY
+    return irregular_preset("irregular-a") if kind == "irregular-a" else (EMPTY, Q_EAST)
 
 
-@st.composite
-def mid_run_swarms(draw):
-    """A PsoRun on a random 12-disk field, irregular-a or the empty map,
-    after 0 to 40 steps."""
-    env, query = drawn_cases(draw)
-    params = PsoParams(population=draw(st.integers(1, 24)), n_waypoints=draw(st.integers(1, 6)),
-                       penalty_lambda=draw(st.sampled_from((0.0, 1.0, 1000.0))),
-                       rng_seed=draw(st.integers(0, 2**32 - 1)))
-    run = PsoRun(env, query, params)
-    for _ in range(draw(st.integers(0, 40))):
+def test_a_pruned_step_equals_a_full_one():
+    # One particle before any step on each map, and 24 after 40 steps; then
+    # 60 drawn runs of 1-24 particles of 1-6 waypoints after 0-40 steps.
+    rng = np.random.default_rng(43)
+    drawn = [(str(rng.choice(MAPS)), *rng.integers(1, (25, 7)).tolist(),
+              float(rng.choice(LAMBDAS)), int(rng.integers(41))) for _ in range(60)]
+    for kind, m, n, lam, steps in [
+            *[(kind, 1, 1, 0.0, 0) for kind in MAPS], ("disks", 24, 6, 1000.0, 40), *drawn]:
+        run = PsoRun(*drawn_case(kind, rng), PsoParams(
+            population=m, n_waypoints=n, penalty_lambda=lam, rng_seed=int(rng.integers(2**32))))
+        for _ in range(steps):
+            run.step()
+        pbest = run.pbest_fitnesses.copy()
+        full = copy.deepcopy(run)
+        full_step(full)
         run.step()
-    return run
-
-
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(run=mid_run_swarms())
-def test_a_pruned_step_equals_a_full_one(run):
-    pbest = run.pbest_fitnesses.copy()
-    full = copy.deepcopy(run)
-    full_step(full)
-    run.step()
-    for name in ("positions", "velocities", "pbest_positions", "pbest_fitnesses",
-                 "gbest_position"):
-        assert getattr(run, name).tobytes() == getattr(full, name).tobytes(), name
-    for name in ("gbest_fitness", "omega", "iteration", "_last_improvement",
-                 "_flat_streak", "stopped"):
-        assert getattr(run, name) == getattr(full, name), name
-    # A particle below its personal best was evaluated in full; every other
-    # one cannot improve on it.
-    below = run.fitnesses < pbest
-    assert run.fitnesses[below].tobytes() == full.fitnesses[below].tobytes()
-    assert (full.fitnesses[~below] >= pbest[~below]).all()
-    assert (run.fitnesses <= full.fitnesses).all()
+        for name in ("positions", "velocities", "pbest_positions", "pbest_fitnesses",
+                     "gbest_position"):
+            assert getattr(run, name).tobytes() == getattr(full, name).tobytes(), name
+        for name in ("gbest_fitness", "omega", "iteration", "_last_improvement",
+                     "_flat_streak", "stopped"):
+            assert getattr(run, name) == getattr(full, name), name
+        # A particle below its personal best was evaluated in full; every other
+        # one cannot improve on it.
+        below = run.fitnesses < pbest
+        assert run.fitnesses[below].tobytes() == full.fitnesses[below].tobytes()
+        assert (full.fitnesses[~below] >= pbest[~below]).all()
+        assert (run.fitnesses <= full.fitnesses).all()
 
 
 @pytest.mark.parametrize("name, nan_swarm", [
@@ -646,47 +640,41 @@ def test_every_row_a_step_sends_past_the_bounds_stage_is_inside_them(kernel_call
         assert run.result(0.0) == oracle.result(0.0)
 
 
-@st.composite
-def scored_swarms(draw):
-    """Random waypoint vectors in the bounds of a drawn case, each with a
-    personal best that leaves it open (+inf, or one ulp above its length)
-    or prunes it (its length, -inf, nan)."""
-    env, query = drawn_cases(draw)
-    m, n = draw(st.integers(1, 24)), draw(st.integers(1, 12))
-    b = env.bounds
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    positions = rng.uniform(np.tile((b.x_min, b.y_min), n), np.tile((b.x_max, b.y_max), n),
-                            size=(m, 2 * n))
-    paths = np.array([decode(x, query) for x in positions])
-    seg = np.diff(paths, axis=1)
-    lengths = np.hypot(seg[:, :, 0], seg[:, :, 1]).sum(axis=1)
-    bests = np.array([draw(st.sampled_from((math.inf, math.nextafter(length, math.inf),
-                                            length, -math.inf, math.nan)))
-                      for length in lengths.tolist()])
-    return env, query, positions, paths, lengths, bests, draw(st.sampled_from((0.0, 1.0, 1000.0)))
-
-
-@settings(max_examples=80, deadline=None, derandomize=True, database=None)
-@given(swarm=scored_swarms())
-def test_an_open_particles_penalty_is_its_path_violation_bit_for_bit(swarm):
+def test_an_open_particles_penalty_is_its_path_violation_bit_for_bit():
     # The swarm's one pass scales each segment's blocked measure by the
     # segment length it summed; that equals `path_violation` on the decoded
     # path, which measures the segments again through `blocked_lengths`.
     # The paths lie inside the bounds, so each kernel entry a run uses gives
     # those doubles: past the bounds stage, and none on an obstacle-free map.
-    env, query, positions, paths, lengths, bests, penalty_lambda = swarm
-    field = env.collision_field
-    entries = [field._blocked_measure, field._obstacle_measure]
-    if not (field.disks or field.polygons):
-        entries.append(None)
-    for measure in entries:
-        scores = pso._scores(paths, measure, penalty_lambda, bests)
-        for x, length, best, score in zip(positions, lengths, bests, scores):
-            if length < best:
-                want = length + penalty_lambda * path_violation(decode(x, query), env)
-            else:
-                want = length
-            assert score.hex() == want.hex()
+    # Bests leave a particle open (+inf, one ulp above its length) or prune
+    # it (its length, -inf, nan), dealt in turn and shuffled: five particles
+    # on each map, then 80 drawn swarms of 1-24 particles of 1-12 waypoints.
+    rng = np.random.default_rng(43)
+    drawn = [(str(rng.choice(MAPS)), *rng.integers(1, (25, 13)).tolist(),
+              float(rng.choice(LAMBDAS))) for _ in range(80)]
+    for kind, m, n, penalty_lambda in [*zip(MAPS, (5, 5, 5), (1, 12, 6), LAMBDAS), *drawn]:
+        env, query = drawn_case(kind, rng)
+        b = env.bounds
+        positions = rng.uniform(np.tile((b.x_min, b.y_min), n), np.tile((b.x_max, b.y_max), n),
+                                size=(m, 2 * n))
+        paths = np.array([decode(x, query) for x in positions])
+        seg = np.diff(paths, axis=1)
+        lengths = np.hypot(seg[:, :, 0], seg[:, :, 1]).sum(axis=1)
+        picks = rng.permutation(np.arange(m) % 5)
+        bests = np.array([(math.inf, math.nextafter(length, math.inf), length, -math.inf,
+                           math.nan)[k] for length, k in zip(lengths.tolist(), picks)])
+        field = env.collision_field
+        entries = [field._blocked_measure, field._obstacle_measure]
+        if not (field.disks or field.polygons):
+            entries.append(None)
+        for measure in entries:
+            scores = pso._scores(paths, measure, penalty_lambda, bests)
+            for x, length, best, score in zip(positions, lengths, bests, scores):
+                if length < best:
+                    want = length + penalty_lambda * path_violation(decode(x, query), env)
+                else:
+                    want = length
+                assert score.hex() == want.hex()
 
 
 def test_blocked_lengths_is_the_column_entry_times_hypot():

@@ -11,7 +11,7 @@ from pathbench.environment import Query, irregular_preset
 from pathbench.geometry import audit_path, path_length
 from pathbench.pso import PsoParams, PsoRun, plan_pso
 from pathbench.rrtstar import RrtParams, RrtStarRun, plan_rrt_star
-from test_rrtstar import _pinned_case
+from kernel_corpus import _pinned_case
 
 
 @pytest.mark.parametrize("name", ["empty", "field-1000", "irregular-a"])

@@ -6,13 +6,10 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
-from hypothesis import strategies as st
 
 from pathbench import rrtstar
 from pathbench.benchmark import FIELD_QUERY, audit_path
-from pathbench.environment import (Environment, Query, generate_random_env,
-                                   irregular_preset)
+from pathbench.environment import Environment, Query, generate_random_env
 from pathbench.errors import InvalidQueryError, InvalidStateError
 from pathbench.geometry import (Bounds, Circle, Point2, Polygon, dist, edge_free,
                                 path_length)
@@ -20,8 +17,7 @@ from pathbench.rrtstar import (RrtParams, RrtStarRun, RrtTree, choose_parent,
                                find_nearest, get_neighbors,
                                get_optimized_path, plan_rrt_star,
                                random_sample, rewire, steering)
-
-EMPTY = Environment(Bounds(-40.0, 40.0, -40.0, 20.0), ())
+from kernel_corpus import EMPTY, _pinned_case
 
 
 def test_params_validation():
@@ -99,13 +95,12 @@ def test_tree_accessors_check_the_node_index(accessor, where):
 
 def test_find_nearest_tie_goes_low():
     tree = RrtTree((0.0, 0.0))
-    tree.add((2.0, 0.0), 0)    # index 1
-    tree.add((-2.0, 0.0), 0)   # index 2, equidistant from (0, 1)... not quite
+    tree.add((2.0, 0.0), 0)
+    tree.add((-2.0, 0.0), 0)
     # (0, 1) is 1 from the root and sqrt(5) from both others.
     assert find_nearest(tree, (0.0, 1.0)) == 0
-    # Equidistant pair: (0, 5) sits sqrt(29) from both index 1 and 2,
-    # but 5 from the root, so move the probe off-axis.
     assert find_nearest(tree, (2.0, 3.0)) == 1
+    # (0, 7) is as far from both nodes: the tie goes to index 0.
     tree2 = RrtTree((1.0, 0.0))
     tree2.add((-1.0, 0.0), 0)
     assert find_nearest(tree2, (0.0, 7.0)) == 0
@@ -143,30 +138,39 @@ def neighbors_oracle(points, p, radius):
 # exactly on integer radii; taking up to 169 of its points grows the tree
 # past its initial array capacity.
 LATTICE = [(float(i % 13 - 6), float(i // 13 - 6)) for i in range(169)]
-scan_coords = st.one_of(st.integers(-6, 6).map(float),
-                        st.floats(-50.0, 50.0, allow_nan=False))
-scan_points = st.tuples(scan_coords, scan_coords)
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(st.lists(scan_points, min_size=1, max_size=40),
-       st.integers(0, len(LATTICE)), scan_points,
-       st.one_of(st.integers(0, 9).map(float), st.floats(0.0, 80.0)))
-def test_scans_match_scalar_oracle(drawn, n_lattice, p, radius):
-    points = drawn + LATTICE[:n_lattice]
-    tree = RrtTree(points[0])
-    for q in points[1:]:
-        tree.add(q, 0)
-    assert len(tree) == len(points)
-    for i in (0, len(points) // 2, len(points) - 1):
-        pos = tree.position(i)
-        assert pos == points[i] and type(pos.x) is float and type(pos.y) is float
-    nearest = find_nearest(tree, p)
-    assert type(nearest) is int
-    assert nearest == nearest_oracle(points, p)
-    found = get_neighbors(tree, p, radius)
-    assert all(type(i) is int for i in found)
-    assert found == neighbors_oracle(points, p, radius)
+def scan_points(rng, size, k=6, lo=-50.0, hi=50.0):
+    """size points, each coordinate an integer in [-k, k] or uniform in [lo, hi]."""
+    return list(map(tuple, np.where(rng.random((size, 2)) < 0.5, rng.integers(-k, k + 1, (size, 2)),
+                                    rng.uniform(lo, hi, (size, 2))).tolist()))
+
+
+def test_scans_match_scalar_oracle():
+    # One point, found at radius 0; the lattice, with points at an integer
+    # radius and a four-way tie; then 300 drawn trees of 1-40 points and a
+    # lattice prefix, with an integer radius in [0, 9] or one in [0, 80].
+    rng = np.random.default_rng(43)
+    draws = [(scan_points(rng, int(rng.integers(1, 41))), int(rng.integers(len(LATTICE) + 1)),
+              scan_points(rng, 1)[0], float(rng.integers(10)) if rng.random() < 0.5
+              else rng.uniform(0.0, 80.0)) for _ in range(300)]
+    for drawn, n_lattice, p, radius in [([(0.0, 0.0)], 0, (0.0, 0.0), 0.0),
+                                        ([(3.0, 4.0)], 169, (0.0, 0.0), 5.0),
+                                        ([(0.5, -0.5)], 169, (0.5, 0.5), 1.0), *draws]:
+        points = drawn + LATTICE[:n_lattice]
+        tree = RrtTree(points[0])
+        for q in points[1:]:
+            tree.add(q, 0)
+        assert len(tree) == len(points)
+        for i in (0, len(points) // 2, len(points) - 1):
+            pos = tree.position(i)
+            assert pos == points[i] and type(pos.x) is float and type(pos.y) is float
+        nearest = find_nearest(tree, p)
+        assert type(nearest) is int
+        assert nearest == nearest_oracle(points, p)
+        found = get_neighbors(tree, p, radius)
+        assert all(type(i) is int for i in found)
+        assert found == neighbors_oracle(points, p, radius)
 
 
 def test_scan_memo_sees_new_nodes():
@@ -209,46 +213,50 @@ def rebuilt_costs(tree):
     return [cost(i) for i in range(len(tree))]
 
 
-tree_coords = st.one_of(st.integers(-4, 4).map(float), st.floats(-30.0, 15.0))
-
-
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(st.lists(st.tuples(st.tuples(tree_coords, tree_coords), st.integers(0, 10 ** 6),
-                          st.lists(st.integers(0, 10 ** 6), max_size=12)),
-                min_size=1, max_size=60))
-def test_costs_follow_the_parent_links_after_adds_and_rewires(steps):
+def test_costs_follow_the_parent_links_after_adds_and_rewires():
     # Each step adds a node under a drawn parent, then rewires a drawn set
-    # of nodes, in drawn order, through it.
-    tree = RrtTree((0.0, 0.0))
-    for p, parent, picks in steps:
-        new = tree.add(p, parent % len(tree))
-        nb = list(dict.fromkeys(k % len(tree) for k in picks))
-        rewire(tree, nb, edge_lengths(tree, nb, tree.position(new)), new, EMPTY)
-        assert tree.all_costs() == rebuilt_costs(tree)
-    for i in range(len(tree)):
-        assert get_optimized_path(tree, i)[0] == (0.0, 0.0)
-        assert all(tree.parent(c) == i for c in tree.children(i))
+    # of nodes, in drawn order, through it. A node on the root; a chain whose
+    # middle is rewired with its subtree; then 150 drawn runs of 1-60 steps.
+    rng = np.random.default_rng(43)
+    draws = [[(p, int(rng.integers(10**6)), rng.integers(10**6, size=rng.integers(13)).tolist())
+              for p in scan_points(rng, rng.integers(1, 61), 4, -30.0, 15.0)] for _ in range(150)]
+    chain = [((-2.0, 0.0), 0, []), ((-2.0, 2.0), 1, []), ((0.0, 2.0), 2, []), ((2.0, 2.0), 3, []),
+             ((0.0, 1.0), 0, [2])]
+    for steps in [[((0.0, 0.0), 0, [])], chain, *draws]:
+        tree = RrtTree((0.0, 0.0))
+        for p, parent, picks in steps:
+            new = tree.add(p, parent % len(tree))
+            nb = list(dict.fromkeys(k % len(tree) for k in picks))
+            rewire(tree, nb, edge_lengths(tree, nb, tree.position(new)), new, EMPTY)
+            assert tree.all_costs() == rebuilt_costs(tree)
+        for i in range(len(tree)):
+            assert get_optimized_path(tree, i)[0] == (0.0, 0.0)
+            assert all(tree.parent(c) == i for c in tree.children(i))
 
 
 # A 20x20 lattice, to grow the tree past three doublings of its arrays.
 GRID = [(float(i % 20 - 10), float(i // 20 - 10)) for i in range(400)]
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(st.lists(scan_points, min_size=1, max_size=10), st.integers(0, len(GRID)),
-       st.lists(scan_points, min_size=1, max_size=4))
-def test_squared_distances_match_the_scalar_oracle_as_the_tree_grows(drawn, n_grid, probes):
-    points = drawn + GRID[:n_grid]
-    tree = RrtTree(points[0])
-    for n, q in enumerate(points[1:], 2):
-        tree.add(q, 0)
-        # Every 29th size, so a scan follows each doubling, and the last:
-        # successive scans at other points, then the first one again.
-        if n % 29 == 0 or n == len(points):
-            for p in probes + probes[:1]:
-                want = [(x - p[0]) * (x - p[0]) + (y - p[1]) * (y - p[1])
-                        for x, y in points[:n]]
-                assert tree.squared_distances(p).tolist() == want
+def test_squared_distances_match_the_scalar_oracle_as_the_tree_grows():
+    # Two points and no grid; one point and the whole grid; then 40 drawn
+    # trees of 1-10 points and a grid prefix, probed at 1-4 points.
+    rng = np.random.default_rng(43)
+    draws = [(scan_points(rng, int(rng.integers(1, 11))), int(rng.integers(len(GRID) + 1)),
+              scan_points(rng, int(rng.integers(1, 5)))) for _ in range(40)]
+    for drawn, n_grid, probes in [([(0.0, 0.0), (1.0, 1.0)], 0, [(0.5, 0.5)]),
+                                  ([(0.0, 0.0)], len(GRID), [(0.0, 0.0), (3.0, 4.0)]), *draws]:
+        points = drawn + GRID[:n_grid]
+        tree = RrtTree(points[0])
+        for n, q in enumerate(points[1:], 2):
+            tree.add(q, 0)
+            # Every 29th size, so a scan follows each doubling, and the last:
+            # successive scans at other points, then the first one again.
+            if n % 29 == 0 or n == len(points):
+                for p in probes + probes[:1]:
+                    want = [(x - p[0]) * (x - p[0]) + (y - p[1]) * (y - p[1])
+                            for x, y in points[:n]]
+                    assert tree.squared_distances(p).tolist() == want
 
 
 def edge_lengths(tree, neighbors, p):
@@ -390,27 +398,28 @@ def test_random_sample_stays_in_bounds():
         assert EMPTY.bounds.contains(p)
 
 
-# Bounds ends from wide, narrow and offset ranges: the sampler must give
-# numpy's uniform doubles at every scale a valid Bounds allows, which
-# keeps width**2 + height**2 a finite normal float.
-bound_ends = st.one_of(st.floats(-4e153, 4e153), st.floats(-1e-3, 1e-3),
-                       st.floats(1e9, 1e9 + 1.0))
-
-
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(st.integers(0, 2**64 - 1), st.tuples(bound_ends, bound_ends),
-       st.tuples(bound_ends, bound_ends))
-def test_random_sample_draws_what_numpy_uniform_draws(seed, xs, ys):
-    (x_min, x_max), (y_min, y_max) = sorted(xs), sorted(ys)
-    assume(x_min < x_max and y_min < y_max)
-    assume((x_max - x_min) ** 2 + (y_max - y_min) ** 2 >= sys.float_info.min)
-    env = Environment(Bounds(x_min, x_max, y_min, y_max), ())
-    rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
-    for _ in range(3):
-        p = random_sample(env, rng)
-        want = (twin.uniform(x_min, x_max), twin.uniform(y_min, y_max))
-        assert [float(v).hex() for v in p] == [float(v).hex() for v in want]
-    assert rng.bit_generator.state == twin.bit_generator.state
+def test_random_sample_draws_what_numpy_uniform_draws():
+    # Bounds ends from wide, narrow and offset ranges: the sampler must give
+    # numpy's uniform doubles at every scale a valid Bounds allows, which
+    # keeps width**2 + height**2 a finite normal float. The ranges' ends and
+    # a subnormal width, then 300 bounds mixing the ranges, and any seed.
+    source = np.random.default_rng(43)
+    ranges = np.array([(-4e153, 4e153), (-1e-3, 1e-3), (1e9, 1e9 + 1.0)])
+    cases = [(0, (-4e153, 4e153), (-4e153, 4e153)), (2**64 - 1, (-1e-3, 1e-3), (1e9, 1e9 + 1.0)),
+             (1, (0.0, 5e-324), (-1e-3, 1e-3))]
+    while len(cases) < 303:
+        ends = source.uniform(*ranges[source.integers(3, size=4)].T)
+        (x0, x1), (y0, y1) = np.sort(ends.reshape(2, 2)).tolist()
+        if x0 < x1 and y0 < y1 and (x1 - x0) ** 2 + (y1 - y0) ** 2 >= sys.float_info.min:
+            cases.append((int(source.integers(2**64, dtype=np.uint64)), (x0, x1), (y0, y1)))
+    for seed, (x_min, x_max), (y_min, y_max) in cases:
+        env = Environment(Bounds(x_min, x_max, y_min, y_max), ())
+        rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):
+            p = random_sample(env, rng)
+            want = (twin.uniform(x_min, x_max), twin.uniform(y_min, y_max))
+            assert [float(v).hex() for v in p] == [float(v).hex() for v in want]
+        assert rng.bit_generator.state == twin.bit_generator.state
 
 
 def test_rejects_bad_query():
@@ -449,12 +458,6 @@ def test_determinism():
     assert a.path == b.path
     assert a.length == b.length
     assert a.iterations_used == b.iterations_used == 300
-
-
-def _pinned_case(name):
-    if name == "field-1000":
-        return generate_random_env(1000, query=FIELD_QUERY), FIELD_QUERY
-    return irregular_preset(name)
 
 
 def _sha(value):
