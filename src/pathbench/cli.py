@@ -12,8 +12,8 @@ A scenario config is a JSON object; every field is optional::
       "environment": {"kind": "preset", "name": "irregular-a"}
                    | {"kind": "file", "path": "env.json"}
                    | {"kind": "inline", "bounds": ..., "obstacles": ..., "query": ...}
-                   | {"kind": "random", "seed": 7, "n_obstacles": 12,
-                      "radius_range": [2.0, 6.0], "bounds": [...], "clearance": 1.0},
+                   | {"kind": "random", "n_obstacles": 12, "radius_range": [2.0, 6.0],
+                      "bounds": [...], "clearance": 1.0},
       "query": {"start": [x, y], "target": [x, y]},
       "rrtstar": {"iterations_num": 2000, "step_size": 2.0, ...},
       "pso": {"max_iterations": 2000, "population": 50, ...},
@@ -24,21 +24,19 @@ A scenario config is a JSON object; every field is optional::
 
 The planner keys and `--planner` choices are `benchmark._PLANNERS`'s ids,
 and `plan` runs the table's first planner unless `--planner` names one.
-Unknown keys anywhere are an error. The seed precedence is config
-base_seed, then the PATHBENCH_SEED environment variable, then --seed.
-Every seed is an integer from 0 to sys.maxsize, `environment.seed` and
-the last of `bench` (seed + trials - 1) and `table1` (seed + 9) included.
+Unknown keys anywhere are an error. Every command plans from one seed:
+--seed, or else the config's base_seed. Every seed is an integer from 0
+to sys.maxsize, the last of `bench` (seed + trials - 1) and `table1`
+(seed + 9) included.
 
 `parse_config` resolves the environment and query while it parses: a
 preset or file is loaded and an inline document is built (each falls
 back to its own query when the config gives none), and kind "random"
 becomes a RandomEnvFactory, whose fields but `query` (defaults above)
-are its keys besides `seed`, and which needs the config's query. For a
-random field, `plan` draws it from `environment.seed` when given, else
-from the effective seed; `bench` draws each trial's field from that
-trial's seed and rejects `environment.seed`; `table1` rejects kind
-"random" and a config `query` (it runs its own ten). `n_obstacles` is at
-most 10,000.
+are its keys, and which needs the config's query. `plan` draws a random
+field from its seed and `bench` each trial's field from that trial's
+seed; `table1` rejects kind "random" and a config `query` (it runs its
+own ten). `n_obstacles` is at most 10,000.
 
 Every JSON file written is strict JSON: an infeasible run's `result.json`
 has `"length": null` and `"path": null`, and `render --results` skips it.
@@ -63,41 +61,34 @@ from .errors import FormatError, PathbenchError, PresetLookupError
 from .geometry import _plain_point, check_integer
 from .render import environment_svg
 
-SEED_ENV_VAR = "PATHBENCH_SEED"
-
-
 @dataclass(frozen=True)
 class ScenarioConfig:
     """A parsed config: the environment and query are already resolved.
 
     `environment` is an Environment, or for kind "random" a
     RandomEnvFactory that builds one per seed; `params` maps each planner
-    id to its parameter record, in table order; `env_seed` is the random
-    kind's optional `seed` field (None for every other kind).
+    id to its parameter record, in table order.
     """
 
     environment: EnvSource
     query: Query
     params: dict[str, PlannerParams]
-    env_seed: Optional[int] = None
     trials: int = 50
     base_seed: int = 0
     out: str = "output"
 
 
 def _parse_environment(doc, query: Optional[Query]):
-    """Return (environment, query, env_seed); the config's query wins."""
+    """Return (environment, query); the config's query wins."""
     kind = _object(doc, "environment", doc, ("kind",))["kind"]
     if kind == "random":
         fields = {f.name for f in dataclasses.fields(RandomEnvFactory)} - {"query"}
-        _object(doc, "environment", {"kind", "seed", *fields})
-        seed = (check_integer("environment.seed", doc["seed"], 0, error=FormatError)
-                if "seed" in doc else None)
+        _object(doc, "environment", {"kind", *fields})
         if query is None:
             raise FormatError("a random environment needs an explicit query")
         # RandomEnvFactory holds the defaults and checks the fields given.
-        given = {k: v for k, v in doc.items() if k not in ("kind", "seed")}
-        return RandomEnvFactory(query=query, **given), query, seed
+        given = {k: v for k, v in doc.items() if k != "kind"}
+        return RandomEnvFactory(query=query, **given), query
     if kind == "preset":
         name = _object(doc, "environment", ("kind", "name")).get("name", "irregular-a")
         try:
@@ -118,7 +109,7 @@ def _parse_environment(doc, query: Optional[Query]):
     query = query or own_query
     if query is None:
         raise FormatError(f"{source} has no query and the config gives none")
-    return env, query, None
+    return env, query
 
 
 def _parse_params(doc, defaults, where: str):
@@ -133,7 +124,7 @@ def _parse_params(doc, defaults, where: str):
 def parse_config(doc: dict) -> ScenarioConfig:
     _object(doc, "config", ("environment", "query", *_PLANNERS, "trials", "base_seed", "out"))
     query = query_from_dict(doc["query"]) if "query" in doc else None
-    environment, query, env_seed = _parse_environment(
+    environment, query = _parse_environment(
         doc.get("environment", {"kind": "preset"}), query)
     params = {planner: _parse_params(doc.get(planner, {}), run.params_type(), planner)
               for planner, run in _PLANNERS.items()}
@@ -144,7 +135,7 @@ def parse_config(doc: dict) -> ScenarioConfig:
     if not isinstance(out, str):
         raise FormatError(f"out must be a string, got {out!r}")
     return ScenarioConfig(environment=environment, query=query, params=params,
-                          env_seed=env_seed, trials=trials, base_seed=base_seed, out=out)
+                          trials=trials, base_seed=base_seed, out=out)
 
 
 def load_config(path) -> ScenarioConfig:
@@ -153,16 +144,7 @@ def load_config(path) -> ScenarioConfig:
 
 def _effective_seed(cfg: ScenarioConfig, flag_seed: Optional[int], runs: int = 1) -> int:
     """The first of the `runs` consecutive seeds a command plans with."""
-    seed, where = cfg.base_seed, "base_seed"
-    env_value = os.environ.get(SEED_ENV_VAR)
-    if env_value is not None:
-        try:
-            seed = int(env_value)
-        except ValueError:
-            raise FormatError(f"{SEED_ENV_VAR} must be an integer, got {env_value!r}")
-        seed, where = check_integer(SEED_ENV_VAR, seed, 0, error=FormatError), SEED_ENV_VAR
-    if flag_seed is not None:
-        seed, where = flag_seed, "--seed"
+    seed, where = (cfg.base_seed, "base_seed") if flag_seed is None else (flag_seed, "--seed")
     return check_integer(where, seed, 0, sys.maxsize - runs + 1, FormatError)
 
 
@@ -184,7 +166,7 @@ def cmd_plan(args) -> int:
     seed = _effective_seed(cfg, args.seed)
     env, query = cfg.environment, cfg.query
     if isinstance(env, RandomEnvFactory):
-        env = env(cfg.env_seed if cfg.env_seed is not None else seed)
+        env = env(seed)
     planner = args.planner
     result = plan_once(env, query, planner, cfg.params[planner], seed)
     out = _ensure_out(args.out or cfg.out)
@@ -210,9 +192,6 @@ def cmd_bench(args) -> int:
     for flag, value in (("--trials", trials), ("--jobs", args.jobs)):
         check_integer(flag, value, 1, error=FormatError)
     seed = _effective_seed(cfg, args.seed, trials)
-    if cfg.env_seed is not None:
-        raise FormatError("bench draws each trial's random field from the trial "
-                          "seed; remove environment.seed")
     planners = [args.planner] if args.planner else list(cfg.params)
     records, report = [], {}
     for planner in planners:

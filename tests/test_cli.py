@@ -7,8 +7,9 @@ import time
 
 import pytest
 
-from pathbench.benchmark import _PLANNERS, FIELD_QUERY, RESULT_FIELDS, RandomEnvFactory
-from pathbench.cli import SEED_ENV_VAR, build_parser, load_config, main, parse_config
+from pathbench.benchmark import (_PLANNERS, FIELD_QUERY, RESULT_FIELDS, RandomEnvFactory,
+                                 read_results_csv)
+from pathbench.cli import build_parser, load_config, main, parse_config
 from pathbench.environment import (Environment, Query, irregular_preset,
                                    save_environment)
 from pathbench.errors import FormatError
@@ -23,11 +24,7 @@ EMPTY_INLINE = {
 }
 FAST_PSO = {"max_iterations": 40, "population": 10}
 FAST_RRT = {"iterations_num": 600}
-
-
-@pytest.fixture(autouse=True)
-def _no_ambient_seed(monkeypatch):
-    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+FIELD_QUERY_DOC = {"start": [20.0, -15.0], "target": [-25.0, 15.0]}
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -39,7 +36,6 @@ def write_config(tmp_path, doc, name="config.json"):
 def test_parse_config_defaults():
     cfg = parse_config({})
     assert (cfg.environment, cfg.query) == irregular_preset("irregular-a")
-    assert cfg.env_seed is None
     assert cfg.trials == 50
     assert cfg.base_seed == 0
     assert cfg.out == "output"
@@ -67,10 +63,10 @@ def test_the_cli_reads_its_planners_from_the_planner_table():
     {"environment": {"kind": "preset", "name": "empty"}},
     {"environment": {"kind": "file", "path": "somewhere/env.json"}},
     {"environment": EMPTY_INLINE, "trials": 3},
-    {"environment": {"kind": "random", "seed": 7, "n_obstacles": 5,
+    {"environment": {"kind": "random", "n_obstacles": 5,
                      "radius_range": [1.0, 2.0],
                      "bounds": [-30.0, 30.0, -30.0, 30.0], "clearance": 0.5},
-     "query": {"start": [20.0, -15.0], "target": [-25.0, 15.0]}},
+     "query": FIELD_QUERY_DOC},
     {"rrtstar": {"iterations_num": 100, "step_size": 1.5},
      "pso": {"population": 20, "omega_start": 0.8},
      "base_seed": 4, "out": "elsewhere"},
@@ -86,28 +82,25 @@ def test_config_round_trip(doc, tmp_path, monkeypatch):
 
 
 def test_parse_config_resolves_the_environment(tmp_path):
-    query_doc = {"start": [20.0, -15.0], "target": [-25.0, 15.0]}
-    cfg = parse_config({"environment": {"kind": "random", "seed": 7,
-                                        "n_obstacles": 5,
+    cfg = parse_config({"environment": {"kind": "random", "n_obstacles": 5,
                                         "radius_range": [1.0, 2.0],
                                         "bounds": [-30, 30, -30, 30],
                                         "clearance": 0.5},
-                        "query": query_doc})
+                        "query": FIELD_QUERY_DOC})
     assert cfg.environment == RandomEnvFactory(
         query=FIELD_QUERY, n_obstacles=5, radius_range=(1.0, 2.0),
         bounds=Bounds(-30.0, 30.0, -30.0, 30.0), clearance=0.5)
-    assert (cfg.query, cfg.env_seed) == (FIELD_QUERY, 7)
-    cfg = parse_config({"environment": {"kind": "random"}, "query": query_doc})
+    assert cfg.query == FIELD_QUERY
+    cfg = parse_config({"environment": {"kind": "random"}, "query": FIELD_QUERY_DOC})
     assert cfg.environment == RandomEnvFactory(query=FIELD_QUERY)
-    assert cfg.env_seed is None
 
     env, own_query = irregular_preset("empty")
     save_environment(tmp_path / "env.json", env, own_query)
     file_doc = {"kind": "file", "path": str(tmp_path / "env.json")}
     cfg = parse_config({"environment": file_doc})
-    assert (cfg.environment, cfg.query, cfg.env_seed) == (env, own_query, None)
+    assert (cfg.environment, cfg.query) == (env, own_query)
     # The config's own query wins over the one the environment carries.
-    cfg = parse_config({"environment": file_doc, "query": query_doc})
+    cfg = parse_config({"environment": file_doc, "query": FIELD_QUERY_DOC})
     assert cfg.query == FIELD_QUERY
 
 
@@ -358,7 +351,8 @@ def seed_of(out_dir):
     return json.loads((out_dir / "result.json").read_text(encoding="utf-8"))["seed"]
 
 
-def test_seed_precedence(tmp_path, monkeypatch):
+def test_seed_precedence(tmp_path):
+    # One seed per run: --seed, or else the config's base_seed.
     cfg = write_config(tmp_path, {"environment": EMPTY_INLINE,
                                   "pso": FAST_PSO, "base_seed": 7})
     base = ["plan", "--config", cfg, "--planner", "pso"]
@@ -367,36 +361,16 @@ def test_seed_precedence(tmp_path, monkeypatch):
     assert main(base + ["--out", str(out)]) == 0
     assert seed_of(out) == 7
 
-    monkeypatch.setenv(SEED_ENV_VAR, "11")
-    out = tmp_path / "from-env"
-    assert main(base + ["--out", str(out)]) == 0
-    assert seed_of(out) == 11
-
     out = tmp_path / "from-flag"
     assert main(base + ["--out", str(out), "--seed", "13"]) == 0
     assert seed_of(out) == 13
 
 
-def test_non_integer_seed_env_var_exits_two(tmp_path, monkeypatch, capsys):
-    cfg = write_config(tmp_path, {"environment": EMPTY_INLINE, "pso": FAST_PSO})
-    monkeypatch.setenv(SEED_ENV_VAR, "lucky")
-    assert main(["plan", "--config", cfg, "--planner", "pso",
-                 "--out", str(tmp_path / "run")]) == 2
-    assert SEED_ENV_VAR in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("doc, env_value, flags, name", [
-    ({"environment": EMPTY_INLINE}, None, ["--seed", "-1"], "--seed"),
-    ({"environment": EMPTY_INLINE}, "-3", [], SEED_ENV_VAR),
-    ({"environment": EMPTY_INLINE, "base_seed": -2}, None, [], "base_seed"),
-    ({"environment": {"kind": "random", "seed": -4},
-      "query": {"start": [20.0, -15.0], "target": [-25.0, 15.0]}},
-     None, [], "environment.seed"),
-], ids=["flag", "env-var", "base_seed", "environment.seed"])
-def test_negative_seed_exits_two(tmp_path, monkeypatch, capsys, doc, env_value,
-                                 flags, name):
-    if env_value is not None:
-        monkeypatch.setenv(SEED_ENV_VAR, env_value)
+@pytest.mark.parametrize("doc, flags, name", [
+    ({"environment": EMPTY_INLINE}, ["--seed", "-1"], "--seed"),
+    ({"environment": EMPTY_INLINE, "base_seed": -2}, [], "base_seed"),
+], ids=["flag", "base_seed"])
+def test_negative_seed_exits_two(tmp_path, capsys, doc, flags, name):
     cfg = write_config(tmp_path, {**doc, "pso": FAST_PSO})
     assert main(["plan", "--config", cfg, "--planner", "pso",
                  "--out", str(tmp_path / "run")] + flags) == 2
@@ -405,15 +379,13 @@ def test_negative_seed_exits_two(tmp_path, monkeypatch, capsys, doc, env_value,
     assert name in err and ">= 0" in err
 
 
-@pytest.mark.parametrize("argv, env_value, name", [
-    (["plan", "--planner", "pso", "--seed", "99999999999999999999999"], None, "--seed"),
-    (["table1"], "99999999999999999999999", SEED_ENV_VAR),
-    (["table1", "--seed", str(sys.maxsize - 8)], None, "--seed"),
-    (["bench", "--planner", "pso", "--trials", "2", "--seed", str(sys.maxsize)],
-     None, "--seed"),
-], ids=["plan", "table1-env-var", "table1-last-case", "bench-last-trial"])
+@pytest.mark.parametrize("argv", [
+    ["plan", "--planner", "pso", "--seed", "99999999999999999999999"],
+    ["table1", "--seed", str(sys.maxsize - 8)],
+    ["bench", "--planner", "pso", "--trials", "2", "--seed", str(sys.maxsize)],
+], ids=["plan", "table1-last-case", "bench-last-trial"])
 def test_a_seed_above_maxsize_exits_two_before_any_plan(tmp_path, monkeypatch, capsys,
-                                                       argv, env_value, name):
+                                                       argv):
     # Each ended in a ValueError traceback with exit 1, bench and table1
     # after planning with the seeds still in range.
     def no_plan(*args, **kwargs):
@@ -421,12 +393,10 @@ def test_a_seed_above_maxsize_exits_two_before_any_plan(tmp_path, monkeypatch, c
 
     monkeypatch.setattr("pathbench.cli.plan_once", no_plan)
     monkeypatch.setattr("pathbench.benchmark.plan_once", no_plan)
-    if env_value is not None:
-        monkeypatch.setenv(SEED_ENV_VAR, env_value)
     out = tmp_path / "run"
     assert main(argv + ["--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:") and f"{name} must be <=" in err
+    assert err.startswith("error:") and "--seed must be <=" in err
     assert not out.exists()
 
 
@@ -459,7 +429,7 @@ def test_bench_single_planner_and_trial_flag(tmp_path):
 
 
 def test_bench_random_env_needs_a_query(tmp_path, capsys):
-    cfg = write_config(tmp_path, {"environment": {"kind": "random", "seed": 1}})
+    cfg = write_config(tmp_path, {"environment": {"kind": "random"}})
     assert main(["bench", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
     assert "query" in capsys.readouterr().err
 
@@ -475,26 +445,44 @@ def test_bench_rejects_a_non_positive_count(tmp_path, capsys, flag):
 
 
 def test_bench_rejects_a_random_field_seed(tmp_path, capsys):
-    cfg = write_config(tmp_path, {
-        "environment": {"kind": "random", "seed": 2},
-        "query": {"start": [20.0, -15.0], "target": [-25.0, 15.0]}})
-    assert main(["bench", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
-    assert "environment.seed" in capsys.readouterr().err
+    # A random field is drawn from the run's seed, so `seed` is no key of
+    # the random kind: every command refuses it as an unknown field.
+    cfg = write_config(tmp_path, {"environment": {"kind": "random", "seed": 2},
+                                  "query": FIELD_QUERY_DOC})
+    for command in ("plan", "bench", "table1"):
+        out = tmp_path / command
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: unknown field(s) ['seed'] in environment"]
+        assert not out.exists()
 
 
 def test_plan_draws_a_random_field_from_its_seed(tmp_path):
-    doc = {"environment": {"kind": "random", "seed": 5},
-           "query": {"start": [20.0, -15.0], "target": [-25.0, 15.0]},
+    doc = {"environment": {"kind": "random"}, "query": FIELD_QUERY_DOC,
            "rrtstar": {"iterations_num": 50}}
     out = tmp_path / "run"
     main(["plan", "--config", write_config(tmp_path, doc), "--out", str(out),
-          "--seed", "1"])
+          "--seed", "5"])
     field = RandomEnvFactory(query=FIELD_QUERY)(5)
 
     def circles(svg):
         return [ln for ln in svg.splitlines() if "<circle " in ln]
     drawn = circles((out / "plan.svg").read_text(encoding="utf-8"))
     assert drawn and drawn == circles(environment_svg(field, query=FIELD_QUERY))
+
+
+@pytest.mark.parametrize("planner", list(_PLANNERS))
+def test_plan_writes_the_record_of_the_bench_trial_with_its_seed(tmp_path, planner):
+    # plan --seed S plans field S with seed S, as bench's trial of seed S does.
+    cfg = write_config(tmp_path, {"environment": {"kind": "random"}, "query": FIELD_QUERY_DOC,
+                                  "rrtstar": FAST_RRT, "pso": FAST_PSO})
+    flags = ["--config", cfg, "--planner", planner, "--seed", "1005"]
+    assert main(["plan", *flags, "--out", str(tmp_path / "plan")]) == 0
+    assert main(["bench", *flags, "--trials", "1", "--out", str(tmp_path / "bench")]) == 0
+    planned, = read_results_csv(tmp_path / "plan" / "result.csv")
+    benched, = read_results_csv(tmp_path / "bench" / "results.csv")
+    del planned["elapsed_s"], benched["elapsed_s"]
+    assert planned == benched
 
 
 def test_table1_runs_the_suite(tmp_path, capsys):
@@ -512,9 +500,8 @@ def test_table1_runs_the_suite(tmp_path, capsys):
 
 
 def test_table1_rejects_random_environments(tmp_path, capsys):
-    cfg = write_config(tmp_path, {
-        "environment": {"kind": "random", "seed": 2},
-        "query": {"start": [20.0, -15.0], "target": [-25.0, 15.0]}})
+    cfg = write_config(tmp_path, {"environment": {"kind": "random"},
+                                  "query": FIELD_QUERY_DOC})
     assert main(["table1", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
     assert "fixed environment" in capsys.readouterr().err
 
@@ -627,7 +614,7 @@ def test_bench_rejects_a_huge_obstacle_count_promptly(tmp_path, capsys):
     # Generation used to run until a timeout killed it.
     cfg = write_config(tmp_path, {
         "environment": {"kind": "random", "n_obstacles": 10**12},
-        "query": {"start": [20.0, -15.0], "target": [-25.0, 15.0]}})
+        "query": FIELD_QUERY_DOC})
     out = tmp_path / "x"
     t0 = time.perf_counter()
     assert main(["bench", "--planner", "pso", "--config", cfg, "--out", str(out)]) == 2
