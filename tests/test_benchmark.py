@@ -2,6 +2,7 @@
 
 import hashlib
 import importlib
+import inspect
 import math
 import os
 import pickle
@@ -287,6 +288,15 @@ def test_every_public_name_resolves(module):
     # `from module import *`.
     mod = importlib.import_module(module)
     assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+    if module == "pathbench":
+        # The package loads each name from the module its table files it
+        # under; a module that only re-imports the name (audit_path in
+        # benchmark) would be loaded whole for it.
+        assert set(mod.__all__) <= set(dir(mod))
+        objects = {name: getattr(mod, name) for name in mod.__all__}
+        assert {name: obj.__module__ for name, obj in objects.items()
+                if (inspect.isclass(obj) or inspect.isfunction(obj))
+                and obj.__module__ != "pathbench." + mod._HOME[name]} == {}
 
 
 def test_a_short_rrt_star_plan_reaches_every_traced_layer(monkeypatch):
@@ -336,15 +346,30 @@ def test_a_reimported_package_frees_the_old_one():
     _run_in_a_fresh_interpreter(_REIMPORT)
 
 
-# The process pool's import loads multiprocessing and about 30 more
-# modules; only a parallel run_trials call needs it.
+# `import pathbench` loads each public name's module on first use: the
+# quick start loads neither the harness (with csv and heapq) nor the
+# renderer. The process pool's import loads multiprocessing and about 30
+# more modules; only a parallel run_trials call needs it.
 _IMPORT_FOOTPRINT = """
 import sys
 import pathbench
+env, query = pathbench.irregular_preset("empty")
+pathbench.PsoParams(), pathbench.plan_pso
+pathbench.plan_rrt_star(env, query, pathbench.RrtParams(iterations_num=20))
+loaded = [m for m in ("pathbench.benchmark", "pathbench.render", "csv", "heapq")
+          if m in sys.modules]
+assert loaded == [], f"the quick start loaded {loaded}"
+pathbench.plan_once
+assert "pathbench.benchmark" in sys.modules, "plan_once did not load pathbench.benchmark"
+try:
+    pathbench.no_such_name
+except AttributeError:
+    pass
+else:
+    raise AssertionError("pathbench.no_such_name resolved")
 pool_modules = ("multiprocessing", "concurrent.futures")
 loaded = [m for m in pool_modules if m in sys.modules]
-assert loaded == [], f"import pathbench loaded {loaded}"
-env, query = pathbench.irregular_preset("empty")
+assert loaded == [], f"pathbench loaded {loaded} before a parallel run"
 pathbench.run_trials(env, query, "rrtstar", pathbench.RrtParams(iterations_num=20),
                      n_trials=2, base_seed=0, jobs=2)
 assert "concurrent.futures" in sys.modules, "a parallel run imported no pool"
@@ -356,13 +381,9 @@ def test_import_pathbench_loads_the_process_pool_only_for_a_parallel_run():
 
 
 # environment.py takes its number rule from geometry.py, not from the
-# planners' result module. The package's __init__ imports every module, so
-# an empty package on the same path stands in for it.
+# planners' result module.
 _ENVIRONMENT_IMPORTS = """
-import importlib.util, sys, types
-package = types.ModuleType("pathbench")
-package.__path__ = importlib.util.find_spec("pathbench").submodule_search_locations
-sys.modules["pathbench"] = package
+import sys
 import pathbench.environment
 assert "pathbench.result" not in sys.modules, "pathbench.environment loaded pathbench.result"
 """
