@@ -24,14 +24,14 @@ _PUBLIC = {
                  "segment_polygon_collides", "point_free", "edge_free", "audit_path",
                  "CollisionField"),
     "environment": ("DEFAULT_BOUNDS", "Environment", "Query", "validate_query",
-                    "generate_random_env", "environment_to_dict", "environment_from_dict",
-                    "save_environment", "load_environment", "irregular_preset",
-                    "preset_names"),
+                    "generate_random_env", "RandomEnvFactory", "environment_to_dict",
+                    "environment_from_dict", "save_environment", "load_environment",
+                    "irregular_preset", "preset_names"),
     "rrtstar": ("RrtParams", "RrtTree", "RrtStarRun", "plan_rrt_star"),
     "pso": ("PsoParams", "PsoRun", "plan_pso"),
     "result": ("PlanResult",),
     "benchmark": ("TABLE1_CASES", "FIELD_QUERY", "FIELD_SEEDS", "TIME_HISTOGRAM_BIN",
-                  "CaseRow", "TrialStats", "RandomEnvFactory", "plan_once", "run_trials",
+                  "CaseRow", "TrialStats", "plan_once", "run_trials",
                   "table1_suite", "grid_oracle", "summarize", "result_record",
                   "write_results_csv", "read_results_csv", "write_table1_csv",
                   "write_summary"),

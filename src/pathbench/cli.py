@@ -51,12 +51,12 @@ import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .benchmark import (_PLANNERS, TABLE1_CASES, EnvSource, PlannerParams,
-                        RandomEnvFactory, plan_once, result_record, run_trials,
-                        summarize, table1_suite, write_results_csv, write_summary,
-                        write_table1_csv)
-from .environment import (Query, _object, environment_from_dict, irregular_preset,
-                          load_environment, query_from_dict, read_json, write_json)
+from .benchmark import (_PLANNERS, TABLE1_CASES, EnvSource, PlannerParams, plan_once,
+                        result_record, run_trials, summarize, table1_suite,
+                        write_results_csv, write_summary, write_table1_csv)
+from .environment import (Query, RandomEnvFactory, _object, environment_from_dict,
+                          irregular_preset, load_environment, query_from_dict, read_json,
+                          write_json)
 from .errors import FormatError, PathbenchError, PresetLookupError
 from .geometry import _plain_point, check_integer
 from .render import environment_svg

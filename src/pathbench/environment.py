@@ -1,4 +1,4 @@
-"""Workspace construction: bounds, obstacles, queries, presets, and files.
+"""Workspace construction: bounds, obstacles, queries, random fields, presets, and files.
 
 An environment document (a file on disk, or a preset in `presets/`)
 is JSON with exactly these fields::
@@ -138,8 +138,8 @@ def validate_query(env: Environment, query: Query) -> None:
         raise InvalidQueryError("; ".join(reasons))
 
 
-def check_random_field(n_obstacles, bounds, radius_range, clearance
-                       ) -> tuple[int, Bounds, tuple[float, float], float]:
+def _check_random_field(n_obstacles, bounds, radius_range, clearance
+                        ) -> tuple[int, Bounds, tuple[float, float], float]:
     """Return the random generator's field arguments checked, as int, Bounds and floats.
 
     Raises FormatError naming the first bad argument.
@@ -169,13 +169,13 @@ def generate_random_env(seed: int,
     x, center y, radius per attempt). Obstacles are accepted when neither
     query endpoint lies within `clearance` of the inflated disk. Raises
     FormatError for a bad seed (an integer in [0, sys.maxsize]) or field
-    argument (see `check_random_field`), EnvironmentGenerationError when
+    argument (see `_check_random_field`), EnvironmentGenerationError when
     an obstacle cannot be placed within MAX_PLACEMENT_ATTEMPTS attempts,
     and InvalidQueryError for a query `validate_query` refuses on the
     returned field, so every field returned passes it for its query.
     """
     seed = check_integer("seed", seed, 0, error=FormatError)
-    n_obstacles, b, (r_lo, r_hi), clearance = check_random_field(
+    n_obstacles, b, (r_lo, r_hi), clearance = _check_random_field(
         n_obstacles, bounds, radius_range, clearance)
 
     rng = np.random.default_rng(seed)
@@ -201,6 +201,26 @@ def generate_random_env(seed: int,
     if query is not None:
         validate_query(env, query)
     return env
+
+
+@dataclass(frozen=True)
+class RandomEnvFactory:
+    """Picklable seed -> Environment callable; its field arguments are checked on construction."""
+
+    query: Query
+    n_obstacles: int = 12
+    bounds: Bounds = DEFAULT_BOUNDS
+    radius_range: tuple[float, float] = (2.0, 6.0)
+    clearance: float = 1.0
+
+    def __post_init__(self):
+        names = ("n_obstacles", "bounds", "radius_range", "clearance")
+        checked = _check_random_field(*(getattr(self, n) for n in names))
+        for name, value in zip(names, checked):
+            object.__setattr__(self, name, value)
+
+    def __call__(self, seed: int) -> Environment:
+        return generate_random_env(seed, **vars(self))
 
 
 def environment_to_dict(env: Environment, query: Optional[Query] = None) -> dict:

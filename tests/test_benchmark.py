@@ -16,15 +16,15 @@ import numpy as np
 import pytest
 
 from pathbench.benchmark import (FIELD_QUERY, FIELD_SEEDS, MAX_GRID_CELLS, RESULT_FIELDS,
-                                 TABLE1_CASES, CaseRow, RandomEnvFactory, TrialStats,
-                                 audit_path, grid_oracle, plan_once, read_results_csv,
-                                 result_record, run_trials, summarize,
-                                 table1_suite, write_results_csv,
+                                 TABLE1_CASES, CaseRow, TrialStats, audit_path, grid_oracle,
+                                 plan_once, read_results_csv, result_record, run_trials,
+                                 summarize, table1_suite, write_results_csv,
                                  write_summary, write_table1_csv)
-from pathbench.environment import (DEFAULT_BOUNDS, Environment, Query, generate_random_env,
-                                   irregular_preset, read_json, validate_query)
+from pathbench.environment import (DEFAULT_BOUNDS, Environment, Query, RandomEnvFactory,
+                                   generate_random_env, irregular_preset, read_json,
+                                   validate_query)
 from pathbench.errors import FormatError, InvalidQueryError
-from pathbench.geometry import Bounds, Circle, Point2, dist
+from pathbench.geometry import Bounds, Circle, Point2, Polygon, dist
 from pathbench.pso import PsoParams
 from pathbench.result import PlanResult
 from pathbench.rrtstar import RrtParams, plan_rrt_star
@@ -347,18 +347,24 @@ def test_a_reimported_package_frees_the_old_one():
 
 
 # `import pathbench` loads each public name's module on first use: the
-# quick start loads neither the harness (with csv and heapq) nor the
-# renderer. The process pool's import loads multiprocessing and about 30
-# more modules; only a parallel run_trials call needs it.
+# quick start, and a random field drawn from its factory, load neither the
+# harness (with csv and heapq) nor the renderer. The field's query is
+# written out, since FIELD_QUERY lives in the harness. The process pool's
+# import loads multiprocessing and about 30 more modules; only a parallel
+# run_trials call needs it.
 _IMPORT_FOOTPRINT = """
 import sys
 import pathbench
 env, query = pathbench.irregular_preset("empty")
 pathbench.PsoParams(), pathbench.plan_pso
 pathbench.plan_rrt_star(env, query, pathbench.RrtParams(iterations_num=20))
+field_query = pathbench.Query(pathbench.Point2(20.0, -15.0), pathbench.Point2(-25.0, 15.0))
+field = pathbench.RandomEnvFactory(query=field_query)(1000)
+assert len(field.obstacles) == 12
+pathbench.RrtParams(), pathbench.PsoParams()
 loaded = [m for m in ("pathbench.benchmark", "pathbench.render", "csv", "heapq")
           if m in sys.modules]
-assert loaded == [], f"the quick start loaded {loaded}"
+assert loaded == [], f"the quick start or a random field loaded {loaded}"
 pathbench.plan_once
 assert "pathbench.benchmark" in sys.modules, "plan_once did not load pathbench.benchmark"
 try:
@@ -426,6 +432,27 @@ def test_grid_oracle_detour_beats_straight_line():
     q = Query(Point2(0.0, 0.0), Point2(10.0, 0.0))
     length = grid_oracle(env, q, 0.5)
     assert 10.0 < length < 16.0
+
+
+@pytest.mark.parametrize("axis", ["column", "row"])
+def test_grid_oracle_passes_through_the_first_column_or_row(axis):
+    # A 10 x 10 map at resolution 1 whose only passage between y < 4 and
+    # y > 6 is the first column of cells; "row" transposes it.
+    wall = [(1.0, 4.0), (10.0, 4.0), (10.0, 6.0), (1.0, 6.0)]
+    start, target = (5.0, 1.0), (5.0, 9.0)
+    if axis == "row":
+        wall = [(y, x) for x, y in wall]
+        start, target = start[::-1], target[::-1]
+    env = Environment(Bounds(0.0, 10.0, 0.0, 10.0), (Polygon(tuple(Point2(*v) for v in wall)),))
+    # Cell (5, 1) to (0, 4), up one cell, then to (5, 9), or its transpose:
+    # 7 diagonal and 4 straight moves.
+    assert grid_oracle(env, Query(start, target), 1.0) == pytest.approx(7 * math.sqrt(2.0) + 4)
+
+
+def test_grid_oracle_plans_a_grid_of_exactly_the_cell_cap():
+    env = Environment(Bounds(0.0, 1000.0, 0.0, 1000.0))
+    assert 1000 * 1000 == MAX_GRID_CELLS
+    assert grid_oracle(env, Query(Point2(0.5, 0.5), Point2(3.5, 0.5)), 1.0) == 3.0
 
 
 def test_grid_oracle_unreachable():

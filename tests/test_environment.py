@@ -11,11 +11,11 @@ import numpy as np
 import pytest
 
 import pathbench
-from pathbench.benchmark import FIELD_QUERY, RandomEnvFactory
+from pathbench.benchmark import FIELD_QUERY
 from pathbench.cli import main
 from pathbench.environment import (DEFAULT_BOUNDS, MAX_OBSTACLES, Environment,
-                                   Query, environment_from_dict, environment_to_dict,
-                                   generate_random_env, irregular_preset,
+                                   Query, RandomEnvFactory, environment_from_dict,
+                                   environment_to_dict, generate_random_env, irregular_preset,
                                    load_environment, preset_names,
                                    save_environment, validate_query, write_json)
 from pathbench.errors import (EnvironmentGenerationError, FormatError,
