@@ -31,11 +31,9 @@ def main():
         print(f"{planner_id:8s} {stats.n_feasible:5d}/10 "
               f"{stats.mean_length:9.3f} {stats.std_length:8.3f} "
               f"{stats.median_time:8.2f}s")
-        report = summarize(stats)
-        edges = report["time"]["histogram"]["edges"]
-        counts = report["time"]["histogram"]["counts"]
-        bars = " ".join(f"{e:.1f}s:{c}" for e, c in zip(edges, counts) if c)
-        print(f"         time histogram: {bars}")
+        time = summarize(stats)["time"]
+        print(f"         time quartiles: {time['q1']:.3f}s {time['median']:.3f}s "
+              f"{time['q3']:.3f}s")
 
     csv_path = os.path.join(OUT, "head-to-head.csv")
     write_results_csv(csv_path, records)

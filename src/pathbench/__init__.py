@@ -30,8 +30,8 @@ _PUBLIC = {
     "rrtstar": ("RrtParams", "RrtTree", "RrtStarRun", "plan_rrt_star"),
     "pso": ("PsoParams", "PsoRun", "plan_pso"),
     "result": ("PlanResult",),
-    "benchmark": ("TABLE1_CASES", "FIELD_QUERY", "FIELD_SEEDS", "TIME_HISTOGRAM_BIN",
-                  "CaseRow", "TrialStats", "plan_once", "run_trials",
+    "benchmark": ("TABLE1_CASES", "FIELD_QUERY", "FIELD_SEEDS",
+                  "CaseRow", "TrialStats", "plan_once", "plan_grid", "run_trials",
                   "table1_suite", "grid_oracle", "summarize", "result_record",
                   "write_results_csv", "read_results_csv", "write_table1_csv",
                   "write_summary"),

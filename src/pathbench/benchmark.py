@@ -1,4 +1,7 @@
-"""Trial harness, summary statistics, the ten-case suite, and a grid oracle.
+"""Plan grid, trial batches, summary statistics, the ten-case suite, and a grid oracle.
+
+Every experiment is one `plan_grid` of seeded plans: `run_trials` and
+`table1_suite` check their arguments and build its rows.
 
 The oracle, a feasibility check and near-optimal length yardstick, runs
 its own A* over an 8-connected grid. Only its cell test is shared: cells
@@ -33,13 +36,10 @@ from .rrtstar import RrtParams, RrtStarRun
 
 __all__ = [
     "TABLE1_CASES", "FIELD_QUERY", "FIELD_SEEDS", "TrialStats", "CaseRow", "RandomEnvFactory",
-    "plan_once", "run_trials", "table1_suite", "grid_oracle", "summarize",
+    "plan_once", "plan_grid", "run_trials", "table1_suite", "grid_oracle", "summarize",
     "audit_path", "result_record", "write_results_csv", "read_results_csv",
-    "write_table1_csv", "write_summary", "TIME_HISTOGRAM_BIN", "MAX_GRID_CELLS",
+    "write_table1_csv", "write_summary", "MAX_GRID_CELLS",
 ]
-
-#: Histogram bin width (seconds) for run-time summaries.
-TIME_HISTOGRAM_BIN = 0.1
 
 #: Most cells `grid_oracle` builds: 52 times the default 160 x 120 grid, about
 #: 0.1 GB at the oracle's ~105 bytes per cell.
@@ -117,18 +117,6 @@ class TrialStats:
     def median_time(self) -> float:
         return float(np.median(self.times)) if self.results else math.nan
 
-    def time_histogram(self) -> tuple[list[float], list[int]]:
-        """(edges, counts) with fixed-width TIME_HISTOGRAM_BIN bins from 0.
-        A time on an inner edge counts in the bin above it; the last bin is
-        closed."""
-        ts = self.times
-        if not ts.size:
-            return [0.0], []
-        n_bins = max(1, int(math.ceil(ts.max() / TIME_HISTOGRAM_BIN)))
-        edges = [round(i * TIME_HISTOGRAM_BIN, 10) for i in range(n_bins + 1)]
-        bins = np.clip(np.searchsorted(edges, ts, side="right") - 1, 0, n_bins - 1)
-        return edges, np.bincount(bins, minlength=n_bins).tolist()
-
 
 def _planner(planner_id: str, params: PlannerParams) -> type:
     """`planner_id`'s run class; ValueError for an unknown id or another planner's params."""
@@ -164,6 +152,28 @@ def ProcessPoolExecutor(max_workers: int):
     return pool(max_workers=max_workers)
 
 
+def plan_grid(rows: Sequence[tuple], jobs: int = 1) -> list[PlanResult]:
+    """Plan each row, `plan_once`'s arguments (environment or factory, query,
+    planner id, params, seed), and return the results in row order.
+
+    `jobs` and every row's planner and params are checked before the first
+    plan. `jobs` > 1 fans the rows out over min(jobs, len(rows),
+    os.cpu_count()) processes, importing the pool on the first such call;
+    otherwise rows go through this module's `plan_once`. The first error
+    in row order is raised for every `jobs`.
+    """
+    jobs = check_integer("jobs", jobs, 1)
+    for _, _, planner_id, params, _ in rows:
+        _planner(planner_id, params)
+    # Under fork every worker starts with the pool, so never ask for idle
+    # ones, nor for more than the CPUs can run at once.
+    workers = min(jobs, len(rows), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(plan_once, *zip(*rows)))
+    return [plan_once(*row) for row in rows]
+
+
 def run_trials(env: EnvSource, query: Query, planner_id: str,
                params: PlannerParams, n_trials: int, base_seed: int,
                jobs: int = 1) -> TrialStats:
@@ -171,33 +181,22 @@ def run_trials(env: EnvSource, query: Query, planner_id: str,
 
     `env` may be a fixed Environment or a seed -> Environment callable, in
     which case each trial gets the environment built from its own seed.
-    Trials are independent, so `jobs` > 1 fans them out over at most
-    min(jobs, n_trials, os.cpu_count()) processes; the process pool is
-    imported on the first such call. Results always come back in seed
-    order. The first trial error, in seed order, is raised for every
-    `jobs`. The planner, its params and the integer arguments (up to a
-    last seed of sys.maxsize) are checked before any plan.
+    The trials are one `plan_grid`, so `jobs` fans them out as it does,
+    and results come back in seed order. The planner, its params and the
+    integer arguments (up to a last seed of sys.maxsize) are checked
+    before any plan.
     """
     _planner(planner_id, params)
     n_trials, jobs = check_integer("n_trials", n_trials, 1), check_integer("jobs", jobs, 1)
     check_integer("base_seed", base_seed, 0, sys.maxsize - n_trials + 1)
-    seeds = [base_seed + i for i in range(n_trials)]
-    # Under fork every worker starts with the pool, so never ask for idle
-    # ones, nor for more than the CPUs can run at once.
-    workers = min(jobs, n_trials, os.cpu_count() or 1)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(plan_once, [env] * n_trials,
-                                    [query] * n_trials, [planner_id] * n_trials,
-                                    [params] * n_trials, seeds))
-    else:
-        results = [plan_once(env, query, planner_id, params, s) for s in seeds]
-    return TrialStats(tuple(results))
+    rows = [(env, query, planner_id, params, base_seed + i) for i in range(n_trials)]
+    return TrialStats(tuple(plan_grid(rows, jobs)))
 
 
 def summarize(stats: TrialStats) -> dict:
-    """Plain-dict report of a trial batch, ready for JSON serialization; an
-    empty batch has None for its planner, feasibility rate and time mean and median."""
+    """Plain-dict report of a trial batch, ready for JSON serialization; `time`
+    holds the mean and quartiles. An empty batch has None for its planner,
+    feasibility rate and each time."""
     ran = bool(stats.results)
     report: dict = {
         "planner": stats.results[0].planner_id if ran else None,
@@ -215,12 +214,12 @@ def summarize(stats: TrialStats) -> dict:
         }
     else:
         report["no_feasible_runs"] = True
-    edges, counts = stats.time_histogram()
+    q1, q3 = np.percentile(stats.times, [25, 75]).tolist() if ran else (None, None)
     report["time"] = {
         "mean": stats.mean_time if ran else None,
+        "q1": q1,
         "median": stats.median_time if ran else None,
-        "histogram": {"bin_width": TIME_HISTOGRAM_BIN,
-                      "edges": edges, "counts": counts},
+        "q3": q3,
     }
     return report
 
@@ -258,14 +257,11 @@ def table1_suite(env: Optional[Environment] = None,
         validate_query(env, q)
     for planner_id, params in specs:
         _planner(planner_id, params)
-    rows: list[CaseRow] = []
-    for case_idx, q in enumerate(cases, start=1):
-        for planner_id, params in specs:
-            res = plan_once(env, q, planner_id, params, seed + case_idx - 1)
-            rows.append(CaseRow(case_id=case_idx, planner_id=planner_id,
-                                start=q.start, target=q.target,
-                                feasible=res.feasible, length=res.length))
-    return rows
+    rows = [(env, q, planner_id, params, seed + k)
+            for k, q in enumerate(cases) for planner_id, params in specs]
+    return [CaseRow(case_id=s - seed + 1, planner_id=p, start=q.start, target=q.target,
+                    feasible=res.feasible, length=res.length)
+            for (_, q, p, _, s), res in zip(rows, plan_grid(rows))]
 
 
 def grid_oracle(env: Environment, query: Query, resolution: float = 0.5) -> float:

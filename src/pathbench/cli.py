@@ -51,8 +51,8 @@ import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .benchmark import (_PLANNERS, TABLE1_CASES, EnvSource, PlannerParams, plan_once,
-                        result_record, run_trials, summarize, table1_suite,
+from .benchmark import (_PLANNERS, TABLE1_CASES, EnvSource, PlannerParams, TrialStats,
+                        plan_grid, plan_once, result_record, summarize, table1_suite,
                         write_results_csv, write_summary, write_table1_csv)
 from .environment import (Query, RandomEnvFactory, _object, environment_from_dict,
                           irregular_preset, load_environment, query_from_dict, read_json,
@@ -193,10 +193,12 @@ def cmd_bench(args) -> int:
         check_integer(flag, value, 1, error=FormatError)
     seed = _effective_seed(cfg, args.seed, trials)
     planners = [args.planner] if args.planner else list(cfg.params)
+    # Every planner's trials are one grid, so --jobs starts one pool per run.
+    results = plan_grid([(cfg.environment, cfg.query, planner, cfg.params[planner], seed + i)
+                         for planner in planners for i in range(trials)], args.jobs)
     records, report = [], {}
-    for planner in planners:
-        stats = run_trials(cfg.environment, cfg.query, planner, cfg.params[planner],
-                           trials, seed, jobs=args.jobs)
+    for k, planner in enumerate(planners):
+        stats = TrialStats(tuple(results[k * trials:(k + 1) * trials]))
         records.extend(result_record(r) for r in stats.results)
         report[planner] = summarize(stats)
         feas = f"{stats.n_feasible}/{stats.n_trials}"

@@ -17,7 +17,7 @@ import pytest
 
 from pathbench.benchmark import (FIELD_QUERY, FIELD_SEEDS, MAX_GRID_CELLS, RESULT_FIELDS,
                                  TABLE1_CASES, CaseRow, TrialStats, audit_path, grid_oracle,
-                                 plan_once, read_results_csv, result_record, run_trials,
+                                 plan_grid, plan_once, read_results_csv, result_record, run_trials,
                                  summarize, table1_suite, write_results_csv,
                                  write_summary, write_table1_csv)
 from pathbench.environment import (DEFAULT_BOUNDS, Environment, Query, RandomEnvFactory,
@@ -65,30 +65,19 @@ def test_stats_skip_infeasible_lengths():
     assert math.isnan(none.std_length)
 
 
-def test_time_histogram():
-    stats = TrialStats(tuple(_result(seed=i, elapsed=t)
-                             for i, t in enumerate([0.05, 0.15, 0.17, 0.31])))
-    edges, counts = stats.time_histogram()
-    assert edges == [0.0, 0.1, 0.2, 0.3, 0.4]
-    assert counts == [1, 2, 0, 1]
-    # A time on an inner edge counts in the bin above it (0.3 / 0.1 rounds
-    # below 3), and one on the last edge in the last bin.
-    edges, counts = TrialStats(tuple(_result(seed=i, elapsed=t) for i, t in
-                                     enumerate([0.3, 0.45, 0.7]))).time_histogram()
-    assert edges == [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7]
-    assert counts == [0, 0, 0, 1, 1, 0, 1]
-    assert stats.median_time == pytest.approx(0.16)
-    assert TrialStats(()).time_histogram() == ([0.0], [])
-
-
 def test_summarize_shape():
-    stats = TrialStats((_result(length=8.0), _result(seed=1, length=12.0)))
+    stats = TrialStats(tuple(_result(seed=i, length=length, elapsed=t) for i, (length, t)
+                             in enumerate([(8.0, 0.05), (12.0, 0.15), (8.0, 0.17), (12.0, 0.31)])))
     report = summarize(stats)
     assert report["planner"] == "rrtstar"
-    assert report["n_trials"] == 2
+    assert report["n_trials"] == 4
     assert report["length"]["mean"] == pytest.approx(10.0)
     assert report["length"]["std"] == pytest.approx(2.0)
-    assert report["time"]["histogram"]["bin_width"] == 0.1
+    # Quartiles interpolate linearly between the sorted times.
+    assert list(report["time"]) == ["mean", "q1", "median", "q3"]
+    assert [report["time"][k] for k in ("q1", "median", "q3")] == pytest.approx(
+        [0.125, 0.16, 0.205])
+    assert report["time"]["median"] == stats.median_time
     empty = summarize(TrialStats((_result(feasible=False),)))
     assert empty["no_feasible_runs"] is True
     assert "length" not in empty
@@ -100,14 +89,13 @@ def test_summaries_are_strict_json(tmp_path):
     assert read_json(tmp_path / "none.json") == {
         "planner": None, "n_trials": 0, "n_feasible": 0, "feasibility_rate": None,
         "no_feasible_runs": True,
-        "time": {"mean": None, "median": None,
-                 "histogram": {"bin_width": 0.1, "edges": [0.0], "counts": []}}}
+        "time": {"mean": None, "q1": None, "median": None, "q3": None}}
     # A batch that ran keeps its numbers, an all-infeasible one included.
     failed = TrialStats((_result(feasible=False, elapsed=0.25),))
     write_summary(tmp_path / "failed.json", summarize(failed))
     report = read_json(tmp_path / "failed.json")
-    assert (report["feasibility_rate"], report["time"]["mean"],
-            report["time"]["median"]) == (0.0, 0.25, 0.25)
+    assert (report["feasibility_rate"], report["time"]) == (
+        0.0, {"mean": 0.25, "q1": 0.25, "median": 0.25, "q3": 0.25})
 
 
 def test_plan_once_rejects_unknown_planner():
@@ -263,6 +251,62 @@ def test_run_trials_caps_and_checks_jobs(monkeypatch):
                        base_seed=0, jobs=jobs)
 
 
+def _outcome(result):
+    """Everything of a PlanResult but its wall time; a nan length compares equal."""
+    return (result.planner_id, result.seed, result.feasible, result.length.hex(), result.path,
+            result.iterations_used, result.closest_approach, result.params)
+
+
+def test_plan_grid_gives_the_same_results_for_every_jobs():
+    # Both planners, a factory row and a fixed-environment row, seeds out of order.
+    factory = RandomEnvFactory(query=FIELD_QUERY)
+    empty, query = irregular_preset("empty")
+    rrt, pso = RrtParams(iterations_num=60), PsoParams(max_iterations=30, population=8)
+    rows = [(factory, FIELD_QUERY, "pso", pso, 1003), (empty, query, "rrtstar", rrt, 7),
+            (factory, FIELD_QUERY, "rrtstar", rrt, 1001), (empty, query, "pso", pso, 2)]
+    serial = plan_grid(rows, jobs=1)
+    assert [(r.planner_id, r.seed) for r in serial] == [(row[2], row[4]) for row in rows]
+    assert [_outcome(r) for r in serial] == [_outcome(plan_once(*row)) for row in rows]
+    assert [_outcome(r) for r in plan_grid(rows, jobs=2)] == [_outcome(r) for r in serial]
+    assert plan_grid([], jobs=4) == []
+
+
+def test_plan_grid_checks_every_row_and_jobs_before_any_plan(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool started for a refused call")
+
+    def no_plan(*args, **kwargs):
+        raise AssertionError("a plan ran for a refused call")
+
+    monkeypatch.setattr("pathbench.benchmark.ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr("pathbench.benchmark.plan_once", no_plan)
+    env = generate_random_env(0, n_obstacles=0)
+    good = [(env, FIELD_QUERY, "rrtstar", RrtParams(), 0),
+            (env, FIELD_QUERY, "pso", PsoParams(), 1)]
+    for last, match in [
+            ((env, FIELD_QUERY, "pso", RrtParams(), 2), "'pso' takes PsoParams, got RrtParams"),
+            ((env, FIELD_QUERY, "dijkstra", RrtParams(), 2), "unknown planner 'dijkstra'")]:
+        for jobs in (1, 2):
+            with pytest.raises(ValueError, match=match):
+                plan_grid([*good, last], jobs=jobs)
+    for jobs in (0, -1, True, 2.5, np.float64(2)):
+        with pytest.raises(ValueError, match="^jobs must be an integer"):
+            plan_grid(good, jobs=jobs)
+
+
+def test_plan_grid_raises_the_first_error_in_row_order():
+    inside = (buried_start_env, FIELD_QUERY, "pso", PsoParams(max_iterations=5), 0)
+    outside = (buried_start_env, Query(Point2(0.0, 35.0), FIELD_QUERY.target),
+               "rrtstar", RrtParams(iterations_num=20), 1)
+    ok = (RandomEnvFactory(query=FIELD_QUERY), FIELD_QUERY, "rrtstar",
+          RrtParams(iterations_num=20), 1000)
+    for rows, match in [([ok, inside, outside], "start .* inside an obstacle"),
+                        ([ok, outside, inside], "start .* outside bounds")]:
+        for jobs in (1, 2):
+            with pytest.raises(InvalidQueryError, match=match):
+                plan_grid(rows, jobs=jobs)
+
+
 def test_perfbench_tracer_installs_on_the_package(monkeypatch):
     # perfbench/tracer.py wraps package globals by name (validate_query in
     # pathbench.benchmark, say); without this test, deleting one would
@@ -350,8 +394,8 @@ def test_a_reimported_package_frees_the_old_one():
 # quick start, and a random field drawn from its factory, load neither the
 # harness (with csv and heapq) nor the renderer. The field's query is
 # written out, since FIELD_QUERY lives in the harness. The process pool's
-# import loads multiprocessing and about 30 more modules; only a parallel
-# run_trials call needs it.
+# import loads multiprocessing and about 30 more modules; a serial
+# plan_grid (jobs=1, or one row) never needs it, a parallel run_trials does.
 _IMPORT_FOOTPRINT = """
 import sys
 import pathbench
@@ -376,6 +420,11 @@ else:
 pool_modules = ("multiprocessing", "concurrent.futures")
 loaded = [m for m in pool_modules if m in sys.modules]
 assert loaded == [], f"pathbench loaded {loaded} before a parallel run"
+row = (env, query, "rrtstar", pathbench.RrtParams(iterations_num=20), 0)
+pathbench.plan_grid([row, row[:4] + (1,)], jobs=1)
+pathbench.plan_grid([row], jobs=4)
+loaded = [m for m in pool_modules if m in sys.modules]
+assert loaded == [], f"a serial plan_grid loaded {loaded}"
 pathbench.run_trials(env, query, "rrtstar", pathbench.RrtParams(iterations_num=20),
                      n_trials=2, base_seed=0, jobs=2)
 assert "concurrent.futures" in sys.modules, "a parallel run imported no pool"

@@ -428,6 +428,45 @@ def test_bench_single_planner_and_trial_flag(tmp_path):
     assert all(ln.startswith("pso,") for ln in lines[1:])
 
 
+@pytest.mark.parametrize("cpus, pools", [(8, [3]), (2, [2]), (None, [])])
+def test_bench_plans_every_planner_in_one_pool(tmp_path, monkeypatch, cpus, pools):
+    # Both planners' trials are one grid: --jobs 3 over 2 x 2 trials starts
+    # one pool of min(3, 4, CPUs) workers, none when that is one.
+    started = []
+
+    class SerialPool:
+        """ProcessPoolExecutor stand-in: records max_workers, maps serially."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr("pathbench.benchmark.ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr("os.cpu_count", lambda: cpus)
+    cfg = write_config(tmp_path, {"environment": EMPTY_INLINE, "pso": FAST_PSO,
+                                  "rrtstar": {"iterations_num": 150}})
+    runs = {}
+    for jobs in ("3", "1"):
+        out = tmp_path / f"jobs{jobs}"
+        assert main(["bench", "--config", cfg, "--out", str(out),
+                     "--trials", "2", "--jobs", jobs]) == 0
+        runs[jobs] = read_results_csv(out / "results.csv")
+        for record in runs[jobs]:
+            del record["elapsed_s"]
+    assert started == pools
+    assert [(r["planner"], r["seed"]) for r in runs["3"]] == [
+        ("rrtstar", 0), ("rrtstar", 1), ("pso", 0), ("pso", 1)]
+    assert runs["3"] == runs["1"]
+
+
 def test_bench_random_env_needs_a_query(tmp_path, capsys):
     cfg = write_config(tmp_path, {"environment": {"kind": "random"}})
     assert main(["bench", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
