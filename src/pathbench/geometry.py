@@ -502,7 +502,8 @@ class CollisionField:
     `vertex_xy` per polygon vertex, all polygons in one array, with
     `vertex_next` and `vertex_prev` (the row of the vertex after and
     before it in its polygon) and `vertex_polygon` (its polygon);
-    `polygon_boxes` as x_lo, x_hi, y_lo, y_hi rows.
+    `polygon_boxes` as x_lo, x_hi, y_lo, y_hi rows. `obstacle_free` says
+    the field has no disk and no polygon, so no seam: only the bounds block.
 
     Each box is the obstacle's closed bounding box, a disk's rounded
     outward. Every test is exact, so a segment whose box misses it cannot
@@ -541,6 +542,7 @@ class CollisionField:
                                min(v.y for v in vs), max(v.y for v in vs), vs)
                               for vs in outlines)
         self.seams = _seams(self.bounds, outlines)
+        self.obstacle_free = not (circles or outlines)
         disks = np.array(circles, dtype=np.float64).reshape(-1, 3)
         self.disk_x, self.disk_y = disks[:, :1].copy(), disks[:, 1:2].copy()
         self.disk_r2 = disks[:, 2:] ** 2

@@ -205,7 +205,7 @@ class PsoRun:
         # `_evaluate` clips each swarm into the bounds, which hold the query's ends, so
         # its paths skip the kernel's bounds stage (a nan waypoint's length is never open).
         field = env.collision_field
-        self._measure = field._obstacle_measure if field.disks or field.polygons else None
+        self._measure = None if field.obstacle_free else field._obstacle_measure
         self._evaluate()
 
         self.iteration = 0

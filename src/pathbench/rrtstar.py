@@ -191,7 +191,7 @@ def get_neighbors(tree: RrtTree, p: Sequence[float], radius: float) -> list[int]
 
 
 def choose_parent(tree: RrtTree, neighbors: Sequence[int], lengths: Sequence[float],
-                  p_near_idx: int, p_new: Sequence[float], env: Environment) -> int:
+                  p_near_idx: int, p_new: Sequence[float], env: Optional[Environment]) -> int:
     """Cheapest collision-free parent for p_new among the neighbors.
 
     Candidates are ranked by cost_to_come + edge length (`lengths`, one
@@ -199,7 +199,8 @@ def choose_parent(tree: RrtTree, neighbors: Sequence[int], lengths: Sequence[flo
     free wins. Falls back to p_near_idx when no neighbor qualifies, an
     empty list included. The caller has found the edge p_near -> p_new
     free, so p_near_idx is taken unchecked. The cheapest edge is usually
-    free, so the ranking is sorted only when it is not.
+    free, so the ranking is sorted only when it is not. With `env` None
+    every edge is taken as free (see `RrtStarRun`).
     """
     if not neighbors:
         return p_near_idx
@@ -209,7 +210,7 @@ def choose_parent(tree: RrtTree, neighbors: Sequence[int], lengths: Sequence[flo
     best = neighbors[totals.index(least)]
     if totals.count(least) > 1:  # a tie, which goes to the lowest index
         best = min(i for i, total in zip(neighbors, totals) if total == least)
-    if best == p_near_idx or edge_free((xs[best], ys[best]), p_new, env):
+    if env is None or best == p_near_idx or edge_free((xs[best], ys[best]), p_new, env):
         return best
     for _, i in sorted(zip(totals, neighbors))[1:]:
         if i == p_near_idx or edge_free((xs[i], ys[i]), p_new, env):
@@ -230,7 +231,7 @@ def _propagate_cost(tree: RrtTree, start: int) -> None:
 
 
 def rewire(tree: RrtTree, neighbors: Sequence[int], lengths: Sequence[float],
-           new_index: int, env: Environment) -> None:
+           new_index: int, env: Optional[Environment]) -> None:
     """Reroute neighbors through the new node where that lowers their cost.
 
     `lengths` gives each neighbor's edge length to the new node. Costs
@@ -239,6 +240,7 @@ def rewire(tree: RrtTree, neighbors: Sequence[int], lengths: Sequence[float],
     now never will be; the others are visited in ascending index order
     against live costs, so a cost drop propagated to a later neighbor's
     subtree is taken into account. The new node never undercuts itself.
+    With `env` None every edge is taken as free (see `RrtStarRun`).
     """
     xs, ys, cost = tree._xs, tree._ys, tree._cost
     new_cost = cost[new_index]
@@ -249,7 +251,7 @@ def rewire(tree: RrtTree, neighbors: Sequence[int], lengths: Sequence[float],
     p_new = (xs[new_index], ys[new_index])
     for i, length in better:
         cand = new_cost + length
-        if cand < cost[i] and edge_free(p_new, (xs[i], ys[i]), env):
+        if cand < cost[i] and (env is None or edge_free(p_new, (xs[i], ys[i]), env)):
             tree._children[tree._parent[i]].remove(i)
             tree._parent[i] = new_index
             tree._children[new_index].append(i)
@@ -302,6 +304,12 @@ class RrtStarRun:
     and passes node positions on as plain `(x, y)` tuples, so an iteration
     builds two `Point2`s: the sample and the steered point. Samples draw
     from `rng` a block of doubles at a time, so `rng` runs up to a block ahead.
+
+    On a map with no obstacle (`CollisionField.obstacle_free`) `step` hands
+    `choose_parent` and `rewire` None for the environment, and they check no
+    edge. That is exact: the root passed `validate_query`, every other node
+    passed step's `edge_free` from p_near, which tests the bounds, and the
+    bounds are convex, so no edge between two nodes leaves them.
     """
 
     planner_id = "rrtstar"
@@ -316,6 +324,7 @@ class RrtStarRun:
         self._uniforms = _UniformBlocks(self.rng)
         self.tree = RrtTree(query.start)
         self.iteration = 0
+        self._tree_env = None if env.collision_field.obstacle_free else env
 
     @property
     def should_stop(self) -> bool:
@@ -338,8 +347,9 @@ class RrtStarRun:
         x, y = p_new
         # hypot ignores signs, so one length per edge serves both calls.
         lengths = [math.hypot(xs[i] - x, ys[i] - y) for i in neighbors]
-        idx = tree.add(p_new, choose_parent(tree, neighbors, lengths, near_idx, p_new, env))
-        rewire(tree, neighbors, lengths, idx, env)
+        tree_env = self._tree_env
+        idx = tree.add(p_new, choose_parent(tree, neighbors, lengths, near_idx, p_new, tree_env))
+        rewire(tree, neighbors, lengths, idx, tree_env)
         return idx
 
     def _target_distances(self) -> Iterator[float]:

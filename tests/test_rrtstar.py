@@ -1,5 +1,6 @@
 """RRT* primitives against hand-worked cases, then whole-run behavior."""
 
+import copy
 import hashlib
 import math
 import sys
@@ -9,7 +10,7 @@ import pytest
 
 from pathbench import rrtstar
 from pathbench.benchmark import FIELD_QUERY, audit_path
-from pathbench.environment import Environment, Query, generate_random_env
+from pathbench.environment import Environment, Query, generate_random_env, irregular_preset
 from pathbench.errors import InvalidQueryError, InvalidStateError
 from pathbench.geometry import (Bounds, Circle, Point2, Polygon, dist, edge_free,
                                 path_length)
@@ -507,11 +508,37 @@ def test_a_run_with_empty_neighbour_sets_is_pinned():
         "c418a96dd84a6b89fe8f9a4fccde862619d7e157962d04e8ccf5ff900e25d851")
 
 
+def _edge_record(monkeypatch, name, iterations, forced):
+    """(caller, a, b, answer) per collision check of a seeded run on a pinned
+    map, in call order; caller is the function that asked (step,
+    choose_parent or rewire). A forced run counts its map as having
+    obstacles, so it checks every edge."""
+    record = []
+    edge_free = rrtstar.edge_free
+
+    def recording(a, b, env):
+        caller = sys._getframe(1).f_code.co_name
+        record.append((caller, tuple(a), tuple(b), edge_free(a, b, env)))
+        return record[-1][-1]
+
+    env, query = _pinned_case(name)
+    with monkeypatch.context() as m:
+        m.setattr(rrtstar, "edge_free", recording)
+        if forced:
+            m.setattr(env.collision_field, "obstacle_free", False)
+        run = RrtStarRun(env, query, RrtParams(iterations_num=iterations))
+        for _ in range(iterations):
+            run.step()
+    return record
+
+
 # The collision checks of seeded runs, recorded before the tree kept
 # float mirrors and a scan memo: their number and a sha256 of the
 # repr of their (a, b) endpoints in call order. The record was then
 # cut by the calls in which choose_parent repeated step's own check of
-# p_near -> p_new (135 and 235 of them), which it now skips.
+# p_near -> p_new (135 and 235 of them), which it now skips. Each run is
+# forced to check every edge; a default run on the empty map checks fewer
+# (`test_an_obstacle_free_run_checks_only_steps_edges`).
 @pytest.mark.parametrize("name, iterations, calls, edge_digest", [
     ("empty", 600, 1247,
      "b555d50e7e3216bad295a1fc217a666fc9d10fe868beb4ff8ff39d2e877a2bf3"),
@@ -520,18 +547,7 @@ def test_a_run_with_empty_neighbour_sets_is_pinned():
 ], ids=["empty", "field-1000"])
 def test_seeded_edge_checks_are_pinned(monkeypatch, name, iterations, calls,
                                        edge_digest):
-    checked = []
-    edge_free = rrtstar.edge_free
-
-    def counting(a, b, env):
-        checked.append((tuple(a), tuple(b)))
-        return edge_free(a, b, env)
-
-    monkeypatch.setattr(rrtstar, "edge_free", counting)
-    env, query = _pinned_case(name)
-    run = RrtStarRun(env, query, RrtParams(iterations_num=iterations))
-    for _ in range(iterations):
-        run.step()
+    checked = [(a, b) for _, a, b, _ in _edge_record(monkeypatch, name, iterations, True)]
     assert len(checked) == calls
     assert _sha(checked) == edge_digest
 
@@ -550,20 +566,57 @@ def test_seeded_edge_checks_are_pinned(monkeypatch, name, iterations, calls,
 ], ids=["empty", "field-1000", "irregular-a"])
 def test_seeded_edge_answers_are_pinned(monkeypatch, name, iterations, calls,
                                         answer_digest):
-    answers = []
-    edge_free = rrtstar.edge_free
-
-    def recording(a, b, env):
-        answers.append(edge_free(a, b, env))
-        return answers[-1]
-
-    monkeypatch.setattr(rrtstar, "edge_free", recording)
-    env, query = _pinned_case(name)
-    run = RrtStarRun(env, query, RrtParams(iterations_num=iterations))
-    for _ in range(iterations):
-        run.step()
+    answers = [answer for *_, answer in _edge_record(monkeypatch, name, iterations, True)]
     assert len(answers) == calls
     assert _sha(answers) == answer_digest
+
+
+# On a map with no obstacle a default run checks only step's edge from
+# p_near, one per step that moved to a new point: the forced record of the
+# pins above without its choose_parent and rewire calls, which all answered True.
+def test_an_obstacle_free_run_checks_only_steps_edges(monkeypatch):
+    forced = _edge_record(monkeypatch, "empty", 600, True)
+    record = _edge_record(monkeypatch, "empty", 600, False)
+    assert len(record) == 600
+    assert [answer for *_, answer in record] == [True] * 600
+    assert _sha([(a, b) for _, a, b, _ in record]) == (
+        "64043fa38db4ce06fdc39585584f7d84043588f4faf7b32c1092a935bd13b372")
+    assert {caller for caller, *_ in forced} == {"step", "choose_parent", "rewire"}
+    assert record == [r for r in forced if r[0] == "step"]
+    assert all(answer for caller, *_, answer in forced if caller != "step")
+
+
+# An obstacle-free run checks no edge in choose_parent or rewire, which is
+# exact: it grows, bit for bit, the tree of a run forced to check them all,
+# on the empty preset and on a narrow map whose nodes crowd its bounds.
+@pytest.mark.parametrize("env, query", [
+    irregular_preset("empty"),
+    (Environment(Bounds(0.5, 7.0, -3.0, 30.0), ()), Query(Point2(1.0, -2.0), Point2(6.5, 29.0))),
+], ids=["empty", "narrow"])
+def test_an_obstacle_free_run_is_the_run_that_checks_every_edge(monkeypatch, env, query):
+    def finish(run):
+        while not run.should_stop:
+            run.step()
+        res, tree = run.result(0.0), run.tree
+        # repr keeps every float exactly.
+        return repr((tree.all_costs(), [tree.parent(i) for i in range(len(tree))],
+                     res.path, res.length, res.iterations_used))
+
+    # Seed 5's neighbour radius is the step size, so some sets are empty.
+    cases = [RrtParams(iterations_num=400, rng_seed=seed) for seed in range(5)]
+    cases.append(RrtParams(iterations_num=400, neighbor_radius=2.0, rng_seed=5))
+    for params in cases:
+        with monkeypatch.context() as m:
+            m.setattr(env.collision_field, "obstacle_free", False)
+            forced = RrtStarRun(env, query, params)
+        run = RrtStarRun(env, query, params)
+        for _ in range(150):
+            run.step()
+        copied = copy.deepcopy(run)
+        want = finish(forced)
+        assert finish(run) == want
+        assert finish(copied) == want
+        assert forced.result(0.0).feasible
 
 
 # The growth loop hands edge_free plain (x, y) tuples of the tree's floats
