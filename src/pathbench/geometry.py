@@ -22,9 +22,10 @@ Every polygon decision rests on one exact orientation sign, `_orient`,
 and every disk decision on one exact squared-distance sign, `_meets_disk`.
 
 The rule has two implementations. The scalar one is `edge_free`, on one
-closed segment; `point_free` and `CollisionField.free` are `edge_free` on
-the segment from each point to itself, and `audit_path`, the planners'
-feasibility test, on each segment of a path. The vectorised one is
+closed segment; `point_free` is `edge_free` on the segment from a point to
+itself, `CollisionField.free` too where its clearance grid does not clear
+the point, and `audit_path`, the planners' feasibility test, is `edge_free`
+on each segment of a path. The vectorised one is
 `CollisionField.blocked_lengths`, which measures each segment's union of
 open intervals out of bounds, inside a disk, inside a polygon and along
 a seam.
@@ -33,7 +34,10 @@ Each `Environment` builds one `CollisionField`, cached as
 `Environment.collision_field`: every disk's and polygon's numbers as
 plain floats and as arrays, with the obstacle's closed bounding box, and
 the seams. As every test is exact, `edge_free` may skip an obstacle whose
-box misses the box of the segment under test.
+box misses the box of the segment under test. On first use the field also
+builds its `Clearance` grid, a lower bound per cell on the distance to every
+blocked point: a segment between two in-bounds points that is shorter than
+the bound at one of its ends is free without a test.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from types import SimpleNamespace
 from typing import NamedTuple, Sequence, TYPE_CHECKING
 
@@ -50,6 +55,7 @@ import numpy as np
 from .errors import InvalidObstacleError, InvalidPathError
 
 if TYPE_CHECKING:
+    from .clearance import Clearance
     from .environment import Environment
 
 
@@ -488,9 +494,12 @@ class CollisionField:
     """Every obstacle of one environment, laid out for the collision tests.
 
     Read it as `Environment.collision_field`, built on first use and
-    cached. `free` tests many points, each with the scalar `edge_free`;
-    `blocked_lengths` measures many segments at once in arrays. Both keep
-    one rule: strict interior tests, inclusive bounds, blocked seams.
+    cached. `free` tests many points, each by its `clearance` cell or else
+    the scalar `edge_free`; `blocked_lengths` measures many segments at once
+    in arrays. Both keep one rule: strict interior tests, inclusive bounds,
+    blocked seams. `clearance`, built on first use too, is the `Clearance`
+    grid: a lower bound per cell on the distance to the nearest obstacle,
+    which RRT*'s growth loop reads to skip edge checks it certifies.
 
     For the scalar `edge_free`, in obstacle order: `disks` holds an
     (x_lo, x_hi, y_lo, y_hi, (cx, cy), r) tuple of plain floats per circle,
@@ -503,7 +512,8 @@ class CollisionField:
     `vertex_next` and `vertex_prev` (the row of the vertex after and
     before it in its polygon) and `vertex_polygon` (its polygon);
     `polygon_boxes` as x_lo, x_hi, y_lo, y_hi rows. `obstacle_free` says
-    the field has no disk and no polygon, so no seam: only the bounds block.
+    the field has no disk and no polygon, so no seam: only the bounds block,
+    and a PSO run skips the kernel.
 
     Each box is the obstacle's closed bounding box, a disk's rounded
     outward. Every test is exact, so a segment whose box misses it cannot
@@ -561,14 +571,24 @@ class CollisionField:
         self.polygon_boxes = np.array([p[:4] for p in self.polygons],
                                       dtype=np.float64).reshape(-1, 4)
 
+    @cached_property
+    def clearance(self) -> Clearance:
+        """The field's `Clearance` grid, built on first use."""
+        from .clearance import Clearance  # loaded with the first grid
+        return Clearance.build(self.bounds, [
+            *((cx, cx, cy, cy, r) for *_, (cx, cy), r in self.disks),
+            *((*polygon[:4], 0.0) for polygon in self.polygons)])
+
     def free(self, points: np.ndarray) -> np.ndarray:
-        """points: (N, 2) array -> boolean (N,) mask of free points, each
-        decided by `edge_free` on the segment from the point to itself."""
+        """points: (N, 2) array -> boolean (N,) mask of free points. A point
+        in the bounds whose `clearance` cell bound is positive is free; the
+        others are decided by `edge_free` on the segment from the point to itself."""
         # The field stands in for its environment: `edge_free` reads only
         # these two attributes, and the stand-in dies with the call.
         env = SimpleNamespace(bounds=self.bounds, collision_field=self)
+        at = self.clearance.at
         xs, ys = _columns(points).tolist()
-        return np.array([edge_free(p, p, env) for p in zip(xs, ys)], dtype=bool)
+        return np.array([at(*p) > 0.0 or edge_free(p, p, env) for p in zip(xs, ys)], dtype=bool)
 
     def blocked_lengths(self, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
         """(N, 2) start and end points -> (N,) exact blocked length per segment.

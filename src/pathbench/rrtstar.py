@@ -11,7 +11,11 @@ its goal nodes are read off the tree when the result is asked for, and
 The loop hands `edge_free` plain `(x, y)` tuples of the tree's floats;
 `Point2` is built only for what the API returns (`random_sample`,
 `steering`, `RrtTree.position`, `get_optimized_path` and the result's
-path).
+path). It checks only the edges that the new point's clearance does not
+certify as free, a safety certificate (Bialkowski, Otte, Karaman &
+Frazzoli, IJRR 2016) over RRT* (Karaman & Frazzoli, IJRR 2011); see
+`RrtStarRun`. The trees, paths and lengths are those of a loop that checks
+every edge.
 """
 
 from __future__ import annotations
@@ -305,11 +309,24 @@ class RrtStarRun:
     builds two `Point2`s: the sample and the steered point. Samples draw
     from `rng` a block of doubles at a time, so `rng` runs up to a block ahead.
 
-    On a map with no obstacle (`CollisionField.obstacle_free`) `step` hands
-    `choose_parent` and `rewire` None for the environment, and they check no
-    edge. That is exact: the root passed `validate_query`, every other node
-    passed step's `edge_free` from p_near, which tests the bounds, and the
-    bounds are convex, so no edge between two nodes leaves them.
+    `step` reads the clearance of p_new's cell (`Clearance.at`, 0.0 for a
+    point out of bounds) once. It skips its `edge_free` from p_near when
+    that edge is shorter than the clearance, and hands `choose_parent` and
+    `rewire` None for the environment, so that they check no edge, when
+    every neighbour edge is. That is exact: such an edge lies in the ball
+    around p_new whose radius is its length, which holds no blocked point,
+    and both of its ends lie in the convex bounds, since the root passed
+    `validate_query` and every other node was in bounds when added. The
+    grid's margins (see `Clearance`) cover the rounding of the lookup, of
+    the bound and of the `math.hypot` length. On a map with no obstacle
+    every clearance is +inf, so the loop checks no edge at all.
+
+    A neighbour's squared distance rounds to at most the radius squared,
+    so its `math.hypot` length is at most `_reach`: the radius widened by
+    2^-40 of itself, for the rounding, and by 2^-500, for squares that
+    underflow. A clearance above `_reach` thus clears every neighbour edge
+    without the scan of `lengths`, which on the empty map's large
+    neighbour sets cost more than the checks it saves.
     """
 
     planner_id = "rrtstar"
@@ -324,7 +341,8 @@ class RrtStarRun:
         self._uniforms = _UniformBlocks(self.rng)
         self.tree = RrtTree(query.start)
         self.iteration = 0
-        self._tree_env = None if env.collision_field.obstacle_free else env
+        self._clearance = env.collision_field.clearance
+        self._reach = params.neighbor_radius * (1.0 + 2.0 ** -40) + 2.0 ** -500
 
     @property
     def should_stop(self) -> bool:
@@ -341,13 +359,15 @@ class RrtStarRun:
         p_new = steering(p_rand, p_near, params.step_size)
         if p_new == p_near:
             return None
-        if not edge_free(p_near, p_new, env):
+        x, y = p_new
+        clear = self._clearance.at(x, y)  # 0.0 out of bounds
+        if not (math.hypot(x - p_near[0], y - p_near[1]) < clear
+                or edge_free(p_near, p_new, env)):
             return None
         neighbors = get_neighbors(tree, p_new, params.neighbor_radius)
-        x, y = p_new
         # hypot ignores signs, so one length per edge serves both calls.
         lengths = [math.hypot(xs[i] - x, ys[i] - y) for i in neighbors]
-        tree_env = self._tree_env
+        tree_env = env if clear <= self._reach and lengths and max(lengths) >= clear else None
         idx = tree.add(p_new, choose_parent(tree, neighbors, lengths, near_idx, p_new, tree_env))
         rewire(tree, neighbors, lengths, idx, tree_env)
         return idx

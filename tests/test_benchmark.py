@@ -345,10 +345,11 @@ def test_every_public_name_resolves(module):
 
 def test_a_short_rrt_star_plan_reaches_every_traced_layer(monkeypatch):
     # A speed-up that inlines a traced function would silently drop its
-    # span from `perfbench/run.py --trace 1`.
+    # span from `perfbench/run.py --trace 1`. On a map with obstacles: a
+    # short run on the empty map checks no edge.
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
     import tracer
-    env, query = irregular_preset("empty")
+    env, query = irregular_preset("irregular-a")
     params = RrtParams(iterations_num=50)
     tr = tracer.Tracer()
     with tr:

@@ -11,7 +11,7 @@ import pytest
 from pathbench import geometry
 from pathbench.benchmark import FIELD_QUERY, RandomEnvFactory, grid_oracle, run_trials
 from pathbench.environment import (Environment, Query, environment_from_dict,
-                                   generate_random_env)
+                                   generate_random_env, irregular_preset)
 from pathbench.errors import (FormatError, InvalidObstacleError, InvalidPathError,
                               InvalidQueryError)
 from pathbench.geometry import (Bounds, Circle, CollisionField, Point2,
@@ -859,6 +859,156 @@ def test_blocked_lengths_never_calls_free(monkeypatch):
     # The L's foot, 4 units long, and its post and foot, 4 units again.
     assert got[9] == pytest.approx(4.0)
     assert got[10] == pytest.approx(4.0)
+
+
+# --- the clearance grid ------------------------------------------------------
+
+def _certified(env, points, turns=8):
+    """(p, q) per segment the clearance grid certifies: from each point p
+    with a finite positive bound c, to a q in the bounds with hypot(q - p) < c,
+    as RRT*'s step compares them, about c long and aimed at each obstacle
+    (a disk's centre, a polygon's vertices and the nearest point of its box)
+    and in `turns` other directions."""
+    at = env.collision_field.clearance.at
+    found = []
+    for px, py in points:
+        c = at(px, py)
+        if not 0.0 < c < math.inf:
+            continue
+        aims = [(math.cos(k * math.tau / turns), math.sin(k * math.tau / turns))
+                for k in range(turns)]
+        for o in env.obstacles:
+            if isinstance(o, Circle):
+                aims.append((o.center.x - px, o.center.y - py))
+            else:
+                xs, ys = [v.x for v in o.vertices], [v.y for v in o.vertices]
+                aims += [(x - px, y - py) for x, y in zip(xs, ys)]
+                aims.append((min(max(px, min(xs)), max(xs)) - px,
+                             min(max(py, min(ys)), max(ys)) - py))
+        for ux, uy in aims:
+            n = math.hypot(ux, uy)
+            if not 0.0 < n < math.inf:
+                continue
+            ux, uy, length, shrink = ux / n, uy / n, c, 2.0 ** -52
+            while True:
+                q = (px + ux * length, py + uy * length)
+                if math.hypot(q[0] - px, q[1] - py) < c:
+                    break
+                length, shrink = length - c * shrink, shrink * 4.0
+            if env.bounds.contains(q):
+                found.append(((px, py), q))
+    return found
+
+
+def _corners(env, points):
+    """Each point moved onto the nearest corner of a clearance cell, where a
+    lookup may round into either cell."""
+    grid = env.collision_field.clearance
+    b, side = env.bounds, 1.0 / grid.scale
+    return [(b.x_min + round((x - b.x_min) * grid.scale) * side,
+             b.y_min + round((y - b.y_min) * grid.scale) * side)
+            for x, y in points if math.isfinite(x) and math.isfinite(y)]
+
+
+def _assert_certified_free(env, points):
+    """The certified segments from the points and their cells' corners, each
+    asserted free."""
+    segments = _certified(env, [*points, *_corners(env, points)])
+    assert [s for s in segments if not edge_free(*s, env)] == []
+    return segments
+
+
+def _mapped(p, k, dx):
+    """p times 2^k, then moved by dx along both axes."""
+    return math.ldexp(p[0], k) + dx, math.ldexp(p[1], k) + dx
+
+
+def _mapped_env(env, k, dx):
+    """env with every point `_mapped` and every radius times 2^k."""
+    b = env.bounds
+    (x_min, y_min), (x_max, y_max) = (_mapped(p, k, dx) for p in ((b.x_min, b.y_min),
+                                                                    (b.x_max, b.y_max)))
+    return Environment(Bounds(x_min, x_max, y_min, y_max), tuple(
+        Circle(_mapped(o.center, k, dx), math.ldexp(o.radius, k)) if isinstance(o, Circle)
+        else Polygon(tuple(_mapped(v, k, dx) for v in o.vertices)) for o in env.obstacles))
+
+
+@pytest.mark.parametrize("kind", [*FIELD_KINDS, "tangent", "irregular-a", "inexact"])
+def test_no_segment_shorter_than_its_clearance_is_blocked_on_the_corpus(kind):
+    # From both ends of every row of every third field: rows aimed at rims,
+    # box edges and bound lines, and their cells' corners. With no obstacle,
+    # every point in the bounds is clear without limit.
+    certified = 0
+    for field in corpus(kind)[::3]:
+        points = np.vstack((field.starts, field.ends)).tolist()
+        if field.env.obstacles:
+            certified += len(_assert_certified_free(field.env, points))
+        else:
+            inside = [p for p in points if field.env.bounds.contains(p)]
+            assert {field.env.collision_field.clearance.at(*p) for p in inside} == {math.inf}
+    assert kind == "empty" or certified > 1000
+
+
+def test_no_segment_shorter_than_its_clearance_is_blocked_at_irregular_seams():
+    # Points on and beside x = -40 and x = 40, where walls meet the bounds
+    # and their outline is a seam, and segments along those lines.
+    env = irregular_preset("irregular-a")[0]
+    ys = np.linspace(-40.0, 20.0, 601).tolist()
+    points = [(x, y) for x in (-40.0, -39.9, 39.9, 40.0) for y in ys]
+    segments = _assert_certified_free(env, points)
+    assert sum(a[0] == b[0] in (-40.0, 40.0) for a, b in segments) > 100
+
+
+def test_no_segment_shorter_than_its_clearance_is_blocked_by_near_tangent_disks():
+    # A disk whose rim lies 1e-15 to 1e-6 of a cell's side beyond a cell's
+    # edge, and points on that edge and within a few ulps of it, aimed at the
+    # disk: each certified segment ends within the margins of the rim.
+    rng = np.random.default_rng(11)
+    tight = 0
+    for _ in range(150):
+        x_min, y_min = rng.uniform(-30.0, -10.0, 2).tolist()
+        x_max, y_max = rng.uniform(10.0, 30.0, 2).tolist()
+        side = max(x_max - x_min, y_max - y_min) / 48
+        i, j = rng.integers(2, 20, 2).tolist()
+        edge, y = x_min + i * side, y_min + (j + rng.random()) * side
+        r = rng.uniform(0.1, 3.0) * side
+        disk = Circle((edge + side * 10.0 ** rng.uniform(-15.0, -6.0) + r, y), r)
+        env = Environment(Bounds(x_min, x_max, y_min, y_max), (disk,))
+        points = [(float(x), y) for x in edge + np.arange(-3, 4) * np.spacing(edge)]
+        ends = [q for _, q in _assert_certified_free(env, points)]
+        tight += any(dist(q, disk.center) - r < 1e-6 * side for q in ends)
+    assert tight > 10
+
+
+@pytest.mark.parametrize("k, dx", [(0, 1e12), (-200, 0.0), (500, 0.0)],
+                         ids=["moved 1e12", "scaled 2^-200", "scaled 2^500"])
+def test_no_segment_shorter_than_its_clearance_is_blocked_far_from_unit_scale(k, dx):
+    # The first disk and mixed fields, moved far from the origin or scaled.
+    certified = 0
+    for field in corpus("disks")[:60] + corpus("mixed")[:60]:
+        points = [_mapped(p, k, dx) for p in np.vstack((field.starts, field.ends)).tolist()
+                  if field.env.bounds.contains(p)]
+        certified += len(_assert_certified_free(_mapped_env(field.env, k, dx), points))
+    assert certified > 1000
+
+
+def test_no_segment_shorter_than_its_clearance_is_blocked_on_bounds_one_cell_thin():
+    # 1e154 by 1e-200: the short side's cell count rounds to 0 before it is
+    # raised to one row (or column).
+    for b in (Bounds(0.0, 1e154, 0.0, 1e-200), Bounds(0.0, 1e-200, 0.0, 1e154)):
+        env = Environment(b, (Circle((b.x_max / 2, b.y_max / 2), 1e152),))
+        assert len(env.collision_field.clearance.cells) == 2 * 49
+        u = np.linspace(0.0, 1.0, 97).tolist()
+        points = [(b.x_max * s, b.y_max * t) for s in u for t in (0.0, 0.5, 1.0)]
+        assert len(_assert_certified_free(env, points)) > 100
+
+
+def test_clearance_is_zero_off_the_bounds():
+    env = irregular_preset("irregular-a")[0]
+    at = env.collision_field.clearance.at
+    off = [(-40.5, 0.0), (0.0, 20.5), (math.nan, 0.0), (0.0, math.inf)]
+    assert [at(*p) for p in off] == [0.0] * 4
+    assert at(0.0, 19.0) > 0.0
 
 
 # --- obstacle boxes against the full walks ----------------------------------

@@ -10,6 +10,7 @@ import pytest
 
 from pathbench import rrtstar
 from pathbench.benchmark import FIELD_QUERY, audit_path
+from pathbench.clearance import Clearance
 from pathbench.environment import Environment, Query, generate_random_env, irregular_preset
 from pathbench.errors import InvalidQueryError, InvalidStateError
 from pathbench.geometry import (Bounds, Circle, Point2, Polygon, dist, edge_free,
@@ -508,11 +509,19 @@ def test_a_run_with_empty_neighbour_sets_is_pinned():
         "c418a96dd84a6b89fe8f9a4fccde862619d7e157962d04e8ccf5ff900e25d851")
 
 
+def _clear_nowhere(m, env):
+    """Give env a clearance grid that clears no cell, through m, a monkeypatch
+    context: a run built while it holds checks every edge."""
+    field, grid = env.collision_field, env.collision_field.clearance
+    m.setattr(field, "clearance", Clearance(grid.bounds, grid.scale, grid.stride,
+                                            [0.0] * len(grid.cells)))
+
+
 def _edge_record(monkeypatch, name, iterations, forced):
     """(caller, a, b, answer) per collision check of a seeded run on a pinned
     map, in call order; caller is the function that asked (step,
-    choose_parent or rewire). A forced run counts its map as having
-    obstacles, so it checks every edge."""
+    choose_parent or rewire). A forced run's map clears nowhere, so it
+    checks every edge."""
     record = []
     edge_free = rrtstar.edge_free
 
@@ -525,7 +534,7 @@ def _edge_record(monkeypatch, name, iterations, forced):
     with monkeypatch.context() as m:
         m.setattr(rrtstar, "edge_free", recording)
         if forced:
-            m.setattr(env.collision_field, "obstacle_free", False)
+            _clear_nowhere(m, env)
         run = RrtStarRun(env, query, RrtParams(iterations_num=iterations))
         for _ in range(iterations):
             run.step()
@@ -537,8 +546,8 @@ def _edge_record(monkeypatch, name, iterations, forced):
 # repr of their (a, b) endpoints in call order. The record was then
 # cut by the calls in which choose_parent repeated step's own check of
 # p_near -> p_new (135 and 235 of them), which it now skips. Each run is
-# forced to check every edge; a default run on the empty map checks fewer
-# (`test_an_obstacle_free_run_checks_only_steps_edges`).
+# forced to check every edge; a default run checks fewer
+# (`test_a_default_run_skips_only_edges_that_are_free`).
 @pytest.mark.parametrize("name, iterations, calls, edge_digest", [
     ("empty", 600, 1247,
      "b555d50e7e3216bad295a1fc217a666fc9d10fe868beb4ff8ff39d2e877a2bf3"),
@@ -571,29 +580,45 @@ def test_seeded_edge_answers_are_pinned(monkeypatch, name, iterations, calls,
     assert _sha(answers) == answer_digest
 
 
-# On a map with no obstacle a default run checks only step's edge from
-# p_near, one per step that moved to a new point: the forced record of the
-# pins above without its choose_parent and rewire calls, which all answered True.
-def test_an_obstacle_free_run_checks_only_steps_edges(monkeypatch):
-    forced = _edge_record(monkeypatch, "empty", 600, True)
-    record = _edge_record(monkeypatch, "empty", 600, False)
-    assert len(record) == 600
-    assert [answer for *_, answer in record] == [True] * 600
-    assert _sha([(a, b) for _, a, b, _ in record]) == (
-        "64043fa38db4ce06fdc39585584f7d84043588f4faf7b32c1092a935bd13b372")
-    assert {caller for caller, *_ in forced} == {"step", "choose_parent", "rewire"}
-    assert record == [r for r in forced if r[0] == "step"]
-    assert all(answer for caller, *_, answer in forced if caller != "step")
+# A default run skips the checks its clearance grid answers: its record is
+# the forced record of the pins above without calls that all answered True.
+# On a map with no obstacle it checks no edge.
+@pytest.mark.parametrize("name, iterations, calls, edge_digest", [
+    ("empty", 600, 0,
+     "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+    ("field-1000", 2000, 1689,
+     "c1b3ff2689b037dbbba430ad04c0c234ee70a757ba988a53ccad476d2b7cf0e0"),
+    ("irregular-a", 2000, 2032,
+     "b14f92a5c02fcf9e973a273bb0e095dd10b4fde215e4f5be547a52b6f0975e38"),
+], ids=["empty", "field-1000", "irregular-a"])
+def test_a_default_run_skips_only_edges_that_are_free(monkeypatch, name, iterations, calls,
+                                                      edge_digest):
+    forced = _edge_record(monkeypatch, name, iterations, True)
+    record = _edge_record(monkeypatch, name, iterations, False)
+    assert len(record) == calls
+    assert _sha(record) == edge_digest
+    kept = iter(record)
+    want = next(kept, None)
+    for r in forced:
+        if r == want:
+            want = next(kept, None)
+        else:
+            assert r[-1], r
+    assert want is None
 
 
-# An obstacle-free run checks no edge in choose_parent or rewire, which is
-# exact: it grows, bit for bit, the tree of a run forced to check them all,
-# on the empty preset and on a narrow map whose nodes crowd its bounds.
-@pytest.mark.parametrize("env, query", [
-    irregular_preset("empty"),
-    (Environment(Bounds(0.5, 7.0, -3.0, 30.0), ()), Query(Point2(1.0, -2.0), Point2(6.5, 29.0))),
-], ids=["empty", "narrow"])
-def test_an_obstacle_free_run_is_the_run_that_checks_every_edge(monkeypatch, env, query):
+# A default run checks no edge its clearance grid clears, which is exact: it
+# grows, bit for bit, the tree of a run forced to check them all, on the
+# empty preset, on a narrow map whose nodes crowd its bounds, on field 1000
+# and on the polygon map.
+@pytest.mark.parametrize("env, query, iterations", [
+    (*irregular_preset("empty"), 400),
+    (Environment(Bounds(0.5, 7.0, -3.0, 30.0), ()), Query(Point2(1.0, -2.0), Point2(6.5, 29.0)),
+     400),
+    (*_pinned_case("field-1000"), 800),
+    (*_pinned_case("irregular-a"), 1600),
+], ids=["empty", "narrow", "field-1000", "irregular-a"])
+def test_a_default_run_is_the_run_that_checks_every_edge(monkeypatch, env, query, iterations):
     def finish(run):
         while not run.should_stop:
             run.step()
@@ -603,11 +628,11 @@ def test_an_obstacle_free_run_is_the_run_that_checks_every_edge(monkeypatch, env
                      res.path, res.length, res.iterations_used))
 
     # Seed 5's neighbour radius is the step size, so some sets are empty.
-    cases = [RrtParams(iterations_num=400, rng_seed=seed) for seed in range(5)]
-    cases.append(RrtParams(iterations_num=400, neighbor_radius=2.0, rng_seed=5))
+    cases = [RrtParams(iterations_num=iterations, rng_seed=seed) for seed in range(5)]
+    cases.append(RrtParams(iterations_num=iterations, neighbor_radius=2.0, rng_seed=5))
     for params in cases:
         with monkeypatch.context() as m:
-            m.setattr(env.collision_field, "obstacle_free", False)
+            _clear_nowhere(m, env)
             forced = RrtStarRun(env, query, params)
         run = RrtStarRun(env, query, params)
         for _ in range(150):
@@ -617,6 +642,33 @@ def test_an_obstacle_free_run_is_the_run_that_checks_every_edge(monkeypatch, env
         assert finish(run) == want
         assert finish(copied) == want
         assert forced.result(0.0).feasible
+
+
+# A clearance above a run's `_reach` clears every neighbour edge unscanned,
+# so no neighbour edge may be longer: on field 1000, and with a radius of
+# 3e-162, whose squared distances round at subnormal spacing, so that a
+# node 1.28 radii away counts as a neighbour and only `_reach`'s absolute
+# term covers it.
+@pytest.mark.parametrize("env, query, params", [
+    (*_pinned_case("field-1000"), RrtParams(iterations_num=600)),
+    (Environment(Bounds(0.0, 1e-150, 0.0, 1e-150), ()),
+     Query(Point2(5e-151, 5e-151), Point2(9e-151, 9e-151)),
+     RrtParams(iterations_num=2000, step_size=2e-162, neighbor_radius=3e-162)),
+], ids=["field-1000", "subnormal-squares"])
+def test_every_neighbour_edge_lies_within_the_runs_reach(monkeypatch, env, query, params):
+    lengths = []
+    choose_parent = rrtstar.choose_parent
+
+    def recording(tree, neighbors, edge_lengths, *args):
+        lengths.extend(edge_lengths)
+        return choose_parent(tree, neighbors, edge_lengths, *args)
+
+    monkeypatch.setattr(rrtstar, "choose_parent", recording)
+    run = RrtStarRun(env, query, params)
+    for _ in range(params.iterations_num):
+        run.step()
+    assert len(lengths) > 1000
+    assert max(lengths) <= run._reach
 
 
 # The growth loop hands edge_free plain (x, y) tuples of the tree's floats
