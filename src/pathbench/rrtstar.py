@@ -195,29 +195,31 @@ def get_neighbors(tree: RrtTree, p: Sequence[float], radius: float) -> list[int]
 
 
 def choose_parent(tree: RrtTree, neighbors: Sequence[int], lengths: Sequence[float],
-                  p_near_idx: int, p_new: Sequence[float], env: Optional[Environment]) -> int:
+                  p_near_idx: int, p_new: Sequence[float], env: Environment,
+                  clear: float) -> int:
     """Cheapest collision-free parent for p_new among the neighbors.
 
     Candidates are ranked by cost_to_come + edge length (`lengths`, one
     per neighbor; ties by lower index); the first whose edge to p_new is
-    free wins. Falls back to p_near_idx when no neighbor qualifies, an
-    empty list included. The caller has found the edge p_near -> p_new
-    free, so p_near_idx is taken unchecked. The cheapest edge is usually
-    free, so the ranking is sorted only when it is not. With `env` None
-    every edge is taken as free (see `RrtStarRun`).
+    free wins. An edge shorter than `clear`, p_new's clearance, is free
+    unchecked (see `RrtStarRun`). Falls back to p_near_idx when no neighbor
+    qualifies, an empty list included. The caller has found the edge
+    p_near -> p_new free, so p_near_idx is taken unchecked. The cheapest
+    edge is usually free, so the ranking is sorted only when it is not.
     """
     if not neighbors:
         return p_near_idx
     xs, ys, cost = tree._xs, tree._ys, tree._cost
     totals = [cost[i] + length for i, length in zip(neighbors, lengths)]
     least = min(totals)
-    best = neighbors[totals.index(least)]
+    k = totals.index(least)
     if totals.count(least) > 1:  # a tie, which goes to the lowest index
-        best = min(i for i, total in zip(neighbors, totals) if total == least)
-    if env is None or best == p_near_idx or edge_free((xs[best], ys[best]), p_new, env):
+        k = neighbors.index(min(i for i, total in zip(neighbors, totals) if total == least))
+    best = neighbors[k]
+    if best == p_near_idx or lengths[k] < clear or edge_free((xs[best], ys[best]), p_new, env):
         return best
-    for _, i in sorted(zip(totals, neighbors))[1:]:
-        if i == p_near_idx or edge_free((xs[i], ys[i]), p_new, env):
+    for _, i, length in sorted(zip(totals, neighbors, lengths))[1:]:
+        if i == p_near_idx or length < clear or edge_free((xs[i], ys[i]), p_new, env):
             return i
     return p_near_idx
 
@@ -235,7 +237,7 @@ def _propagate_cost(tree: RrtTree, start: int) -> None:
 
 
 def rewire(tree: RrtTree, neighbors: Sequence[int], lengths: Sequence[float],
-           new_index: int, env: Optional[Environment]) -> None:
+           new_index: int, env: Environment, clear: float) -> None:
     """Reroute neighbors through the new node where that lowers their cost.
 
     `lengths` gives each neighbor's edge length to the new node. Costs
@@ -244,7 +246,8 @@ def rewire(tree: RrtTree, neighbors: Sequence[int], lengths: Sequence[float],
     now never will be; the others are visited in ascending index order
     against live costs, so a cost drop propagated to a later neighbor's
     subtree is taken into account. The new node never undercuts itself.
-    With `env` None every edge is taken as free (see `RrtStarRun`).
+    An edge shorter than `clear`, the new node's clearance, is free
+    unchecked (see `RrtStarRun`).
     """
     xs, ys, cost = tree._xs, tree._ys, tree._cost
     new_cost = cost[new_index]
@@ -255,7 +258,7 @@ def rewire(tree: RrtTree, neighbors: Sequence[int], lengths: Sequence[float],
     p_new = (xs[new_index], ys[new_index])
     for i, length in better:
         cand = new_cost + length
-        if cand < cost[i] and (env is None or edge_free(p_new, (xs[i], ys[i]), env)):
+        if cand < cost[i] and (length < clear or edge_free(p_new, (xs[i], ys[i]), env)):
             tree._children[tree._parent[i]].remove(i)
             tree._parent[i] = new_index
             tree._children[new_index].append(i)
@@ -310,23 +313,15 @@ class RrtStarRun:
     from `rng` a block of doubles at a time, so `rng` runs up to a block ahead.
 
     `step` reads the clearance of p_new's cell (`Clearance.at`, 0.0 for a
-    point out of bounds) once. It skips its `edge_free` from p_near when
-    that edge is shorter than the clearance, and hands `choose_parent` and
-    `rewire` None for the environment, so that they check no edge, when
-    every neighbour edge is. That is exact: such an edge lies in the ball
-    around p_new whose radius is its length, which holds no blocked point,
-    and both of its ends lie in the convex bounds, since the root passed
-    `validate_query` and every other node was in bounds when added. The
-    grid's margins (see `Clearance`) cover the rounding of the lookup, of
-    the bound and of the `math.hypot` length. On a map with no obstacle
-    every clearance is +inf, so the loop checks no edge at all.
-
-    A neighbour's squared distance rounds to at most the radius squared,
-    so its `math.hypot` length is at most `_reach`: the radius widened by
-    2^-40 of itself, for the rounding, and by 2^-500, for squares that
-    underflow. A clearance above `_reach` thus clears every neighbour edge
-    without the scan of `lengths`, which on the empty map's large
-    neighbour sets cost more than the checks it saves.
+    point out of bounds) once, and every edge from p_new that is shorter
+    than it, to p_near or to a neighbour, is free without an `edge_free`
+    call. That is exact: such an edge lies in the ball around p_new whose
+    radius is its length, which holds no blocked point, and both of its
+    ends lie in the convex bounds, since the root passed `validate_query`
+    and every other node was in bounds when added. The grid's margins (see
+    `Clearance`) cover the rounding of the lookup, of the bound and of the
+    `math.hypot` length. On a map with no obstacle every clearance is +inf,
+    so the loop checks no edge at all.
     """
 
     planner_id = "rrtstar"
@@ -342,7 +337,6 @@ class RrtStarRun:
         self.tree = RrtTree(query.start)
         self.iteration = 0
         self._clearance = env.collision_field.clearance
-        self._reach = params.neighbor_radius * (1.0 + 2.0 ** -40) + 2.0 ** -500
 
     @property
     def should_stop(self) -> bool:
@@ -367,9 +361,8 @@ class RrtStarRun:
         neighbors = get_neighbors(tree, p_new, params.neighbor_radius)
         # hypot ignores signs, so one length per edge serves both calls.
         lengths = [math.hypot(xs[i] - x, ys[i] - y) for i in neighbors]
-        tree_env = env if clear <= self._reach and lengths and max(lengths) >= clear else None
-        idx = tree.add(p_new, choose_parent(tree, neighbors, lengths, near_idx, p_new, tree_env))
-        rewire(tree, neighbors, lengths, idx, tree_env)
+        idx = tree.add(p_new, choose_parent(tree, neighbors, lengths, near_idx, p_new, env, clear))
+        rewire(tree, neighbors, lengths, idx, env, clear)
         return idx
 
     def _target_distances(self) -> Iterator[float]:

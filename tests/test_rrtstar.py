@@ -4,6 +4,7 @@ import copy
 import hashlib
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -229,7 +230,7 @@ def test_costs_follow_the_parent_links_after_adds_and_rewires():
         for p, parent, picks in steps:
             new = tree.add(p, parent % len(tree))
             nb = list(dict.fromkeys(k % len(tree) for k in picks))
-            rewire(tree, nb, edge_lengths(tree, nb, tree.position(new)), new, EMPTY)
+            rewire(tree, nb, edge_lengths(tree, nb, tree.position(new)), new, EMPTY, 0.0)
             assert tree.all_costs() == rebuilt_costs(tree)
         for i in range(len(tree)):
             assert get_optimized_path(tree, i)[0] == (0.0, 0.0)
@@ -274,20 +275,20 @@ def test_choose_parent_prefers_cheapest_total():
     # Totals: root 5.0, a 2+sqrt(13)=5.606.., b 4+3=7.0 -> root wins.
     nb = [0, a, b]
     lengths = edge_lengths(tree, nb, p_new)
-    parent = choose_parent(tree, nb, lengths, a, p_new, EMPTY)
+    parent = choose_parent(tree, nb, lengths, a, p_new, EMPTY, 0.0)
     assert parent == 0
     # A disc at (2, 1.5) r=0.9 blocks the root edge (passes through the
     # center) and the edge from a (clearance 3/sqrt(13) ~ 0.83), leaving
     # only b's vertical edge free. The nearest node's edge is free, as
     # step has checked it, so here the nearest is b.
     wall = Environment(EMPTY.bounds, (Circle(Point2(2.0, 1.5), 0.9),))
-    parent = choose_parent(tree, nb, lengths, b, p_new, wall)
+    parent = choose_parent(tree, nb, lengths, b, p_new, wall, 0.0)
     assert parent == b
     # No neighbour reachable, and the nearest node (a, out of the
     # neighbour radius here) is the fallback.
     boxed = Environment(EMPTY.bounds, (Circle(Point2(4.0, 1.5), 1.2),
                                        Circle(Point2(2.0, 1.5), 1.2)))
-    assert choose_parent(tree, [0, b], [lengths[0], lengths[2]], a, p_new, boxed) == a
+    assert choose_parent(tree, [0, b], [lengths[0], lengths[2]], a, p_new, boxed, 0.0) == a
 
 
 def test_choose_parent_ties_go_to_the_lower_index():
@@ -298,22 +299,22 @@ def test_choose_parent_ties_go_to_the_lower_index():
     # a and b tie at 2 + sqrt(13) exactly; the root is cheaper at 3.
     nb = [b, a, 0]
     lengths = edge_lengths(tree, nb, p_new)
-    assert choose_parent(tree, nb[:2], lengths[:2], 0, p_new, EMPTY) == a
-    assert choose_parent(tree, nb, lengths, a, p_new, EMPTY) == 0
+    assert choose_parent(tree, nb[:2], lengths[:2], 0, p_new, EMPTY, 0.0) == a
+    assert choose_parent(tree, nb, lengths, a, p_new, EMPTY, 0.0) == 0
     # A disc on the root edge, clear of both slanted edges (3/sqrt(13)
     # ~ 0.83 away), blocks the cheapest candidate; the tie then decides.
     wall = Environment(EMPTY.bounds, (Circle(Point2(0.0, 1.5), 0.5),))
-    assert choose_parent(tree, nb, lengths, b, p_new, wall) == a
+    assert choose_parent(tree, nb, lengths, b, p_new, wall, 0.0) == a
     # With a's edge blocked as well, b is the one left.
     walls = Environment(EMPTY.bounds, (Circle(Point2(0.0, 1.5), 0.5),
                                        Circle(Point2(1.0, 1.5), 0.3)))
-    assert choose_parent(tree, nb, lengths, b, p_new, walls) == b
+    assert choose_parent(tree, nb, lengths, b, p_new, walls, 0.0) == b
 
 
 def test_choose_parent_without_neighbours_falls_back_to_the_nearest():
     tree = RrtTree((0.0, 0.0))
     a = tree.add((2.0, 0.0), 0)
-    assert choose_parent(tree, [], [], a, (3.0, 0.0), EMPTY) == a
+    assert choose_parent(tree, [], [], a, (3.0, 0.0), EMPTY, 0.0) == a
 
 
 def test_rewire_lowers_cost_and_propagates():
@@ -324,7 +325,7 @@ def test_rewire_lowers_cost_and_propagates():
     b = tree.add((4.0, 6.0), a)        # cost 10 via the detour
     c = tree.add((4.0, 8.0), b)        # cost 12
     new = tree.add((4.0, 3.0), 0)      # cost 5
-    rewire(tree, [a, b], edge_lengths(tree, [a, b], tree.position(new)), new, EMPTY)
+    rewire(tree, [a, b], edge_lengths(tree, [a, b], tree.position(new)), new, EMPTY, 0.0)
     assert tree.parent(b) == new
     assert tree.cost_to_come(b) == pytest.approx(8.0)
     assert tree.cost_to_come(c) == pytest.approx(10.0)
@@ -340,7 +341,7 @@ def test_rewire_leaves_the_new_node_where_it_is():
     c = tree.add((2.0, 7.0), tree.add((5.0, 0.0), 0))  # cost 5 + sqrt(58)
     new = tree.add((1.0, 6.0), a)                       # cost 7
     nodes = [0, a, c, new]
-    rewire(tree, nodes, edge_lengths(tree, nodes, tree.position(new)), new, EMPTY)
+    rewire(tree, nodes, edge_lengths(tree, nodes, tree.position(new)), new, EMPTY, 0.0)
     assert tree.parent(new) == a and tree.children(new) == (c,)
     assert tree.cost_to_come(new) == pytest.approx(7.0)
     assert tree.cost_to_come(c) == pytest.approx(7.0 + math.sqrt(2.0))
@@ -352,9 +353,94 @@ def test_rewire_respects_obstacles():
     b = tree.add((4.0, 6.0), a)
     new = tree.add((4.0, 3.0), 0)
     blocked = Environment(EMPTY.bounds, (Circle(Point2(4.0, 4.5), 0.5),))
-    rewire(tree, [a, b], edge_lengths(tree, [a, b], tree.position(new)), new, blocked)
+    rewire(tree, [a, b], edge_lengths(tree, [a, b], tree.position(new)), new, blocked, 0.0)
     assert tree.parent(b) == a
     assert tree.cost_to_come(b) == pytest.approx(10.0)
+
+
+def _checks(monkeypatch, answer=None):
+    """The (a, b) ends of each edge_free call the helpers make once this
+    returns; each call answers `answer`, or edge_free's answer if None."""
+    checked = []
+    edge_free = rrtstar.edge_free
+
+    def spy(a, b, env):
+        checked.append((tuple(a), tuple(b)))
+        return edge_free(a, b, env) if answer is None else answer
+
+    monkeypatch.setattr(rrtstar, "edge_free", spy)
+    return checked
+
+
+def _parent_case():
+    # Three neighbours of p_new = (10, 0) ranked a, b, c by total, so by
+    # falling edge length (4, sqrt(5), sqrt(1.25)), and a nearest node d that
+    # is no neighbour.
+    tree = RrtTree((0.0, 0.0))
+    a, b, c = (tree.add(p, 0) for p in [(6.0, 0.0), (8.0, 1.0), (9.5, 1.0)])
+    d = tree.add((-5.0, 0.0), 0)
+    p_new = (10.0, 0.0)
+    return tree, [c, a, b], edge_lengths(tree, [c, a, b], p_new), d, p_new
+
+
+# Every edge refused: choose_parent takes the first candidate, by total,
+# shorter than clear without a check, after checking each one before it.
+@pytest.mark.parametrize("clear, checked, parent", [
+    (0.0, "abc", "d"), (3.0, "a", "b"), (math.sqrt(5.0), "ab", "c"), (math.inf, "", "a"),
+])
+def test_choose_parent_checks_only_the_edges_not_shorter_than_clear(monkeypatch, clear,
+                                                                   checked, parent):
+    tree, nb, lengths, d, p_new = _parent_case()
+    node = dict(zip("abcd", [*sorted(nb), d]))
+    calls = _checks(monkeypatch, False)
+    assert choose_parent(tree, nb, lengths, d, p_new, EMPTY, clear) == node[parent]
+    assert calls == [(tree.position(node[k]), p_new) for k in checked]
+
+
+def test_choose_parent_refuses_a_blocked_edge_as_long_as_clear(monkeypatch):
+    # A disc on a's edge; its length 4 is the clearance, so it is checked.
+    tree, (c, a, b), lengths, d, p_new = _parent_case()
+    wall = Environment(EMPTY.bounds, (Circle(Point2(8.0, 0.0), 0.3),))
+    calls = _checks(monkeypatch)
+    assert choose_parent(tree, [c, a, b], lengths, d, p_new, wall, 4.0) == b
+    assert calls == [(tree.position(a), p_new)]
+
+
+def _rewire_case():
+    # A new node n at cost 1 and, behind a detour of cost 10, the neighbours
+    # p, q and r at lengths 0.5, 1 and 2 from n, all three undercut by n. The
+    # root is a neighbour that n does not undercut.
+    tree = RrtTree((0.0, 0.0))
+    new = tree.add((0.0, 1.0), 0)
+    detour = tree.add((0.0, -10.0), 0)
+    p, q, r = (tree.add(x, detour) for x in [(0.0, 1.5), (1.0, 1.0), (-2.0, 1.0)])
+    nb = [0, p, q, r]
+    return tree, nb, edge_lengths(tree, nb, tree.position(new)), new
+
+
+# Every edge refused: rewire reroutes the undercut neighbours whose edges are
+# shorter than clear without a check, and checks the others.
+@pytest.mark.parametrize("clear, checked, rewired", [
+    (0.0, "pqr", ""), (1.0, "qr", "p"), (math.inf, "", "pqr"),
+])
+def test_rewire_checks_only_the_edges_not_shorter_than_clear(monkeypatch, clear, checked,
+                                                            rewired):
+    tree, nb, lengths, new = _rewire_case()
+    node = dict(zip("pqr", nb[1:]))
+    calls = _checks(monkeypatch, False)
+    rewire(tree, nb, lengths, new, EMPTY, clear)
+    assert calls == [(tree.position(new), tree.position(node[k])) for k in checked]
+    assert [k for k in "pqr" if tree.parent(node[k]) == new] == list(rewired)
+
+
+def test_rewire_refuses_a_blocked_edge_as_long_as_clear(monkeypatch):
+    # A disc on r's edge; its length 2 is the clearance, so it is checked.
+    tree, nb, lengths, new = _rewire_case()
+    wall = Environment(EMPTY.bounds, (Circle(Point2(-1.0, 1.0), 0.2),))
+    calls = _checks(monkeypatch)
+    rewire(tree, nb, lengths, new, wall, 2.0)
+    assert calls == [(tree.position(new), tree.position(nb[3]))]
+    assert [tree.parent(i) == new for i in nb] == [False, True, True, False]
 
 
 def test_get_optimized_path():
@@ -586,10 +672,10 @@ def test_seeded_edge_answers_are_pinned(monkeypatch, name, iterations, calls,
 @pytest.mark.parametrize("name, iterations, calls, edge_digest", [
     ("empty", 600, 0,
      "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
-    ("field-1000", 2000, 1689,
-     "c1b3ff2689b037dbbba430ad04c0c234ee70a757ba988a53ccad476d2b7cf0e0"),
-    ("irregular-a", 2000, 2032,
-     "b14f92a5c02fcf9e973a273bb0e095dd10b4fde215e4f5be547a52b6f0975e38"),
+    ("field-1000", 2000, 1450,
+     "2102f56a7792280c968fd7a4e82cd4891afde2c2d46cb67c6cb517ef38ac13c3"),
+    ("irregular-a", 2000, 1782,
+     "4c8db343d18b4dfbd95042b40bf7ffeb1ee7b82d9d639fa3e2ad4f390dcb42a1"),
 ], ids=["empty", "field-1000", "irregular-a"])
 def test_a_default_run_skips_only_edges_that_are_free(monkeypatch, name, iterations, calls,
                                                       edge_digest):
@@ -609,16 +695,20 @@ def test_a_default_run_skips_only_edges_that_are_free(monkeypatch, name, iterati
 
 # A default run checks no edge its clearance grid clears, which is exact: it
 # grows, bit for bit, the tree of a run forced to check them all, on the
-# empty preset, on a narrow map whose nodes crowd its bounds, on field 1000
-# and on the polygon map.
-@pytest.mark.parametrize("env, query, iterations", [
-    (*irregular_preset("empty"), 400),
+# empty preset, on a narrow map whose nodes crowd its bounds, on field 1000,
+# on the polygon map, and on a map so small that squared distances round at
+# subnormal spacing.
+@pytest.mark.parametrize("env, query, params", [
+    (*irregular_preset("empty"), RrtParams(iterations_num=400)),
     (Environment(Bounds(0.5, 7.0, -3.0, 30.0), ()), Query(Point2(1.0, -2.0), Point2(6.5, 29.0)),
-     400),
-    (*_pinned_case("field-1000"), 800),
-    (*_pinned_case("irregular-a"), 1600),
-], ids=["empty", "narrow", "field-1000", "irregular-a"])
-def test_a_default_run_is_the_run_that_checks_every_edge(monkeypatch, env, query, iterations):
+     RrtParams(iterations_num=400)),
+    (*_pinned_case("field-1000"), RrtParams(iterations_num=800)),
+    (*_pinned_case("irregular-a"), RrtParams(iterations_num=1600)),
+    (Environment(Bounds(0.0, 1e-150, 0.0, 1e-150), ()),
+     Query(Point2(5e-151, 5e-151), Point2(9e-151, 9e-151)),
+     RrtParams(iterations_num=2000, step_size=2e-162, neighbor_radius=3e-162)),
+], ids=["empty", "narrow", "field-1000", "irregular-a", "subnormal-squares"])
+def test_a_default_run_is_the_run_that_checks_every_edge(monkeypatch, env, query, params):
     def finish(run):
         while not run.should_stop:
             run.step()
@@ -628,8 +718,8 @@ def test_a_default_run_is_the_run_that_checks_every_edge(monkeypatch, env, query
                      res.path, res.length, res.iterations_used))
 
     # Seed 5's neighbour radius is the step size, so some sets are empty.
-    cases = [RrtParams(iterations_num=iterations, rng_seed=seed) for seed in range(5)]
-    cases.append(RrtParams(iterations_num=iterations, neighbor_radius=2.0, rng_seed=5))
+    cases = [replace(params, rng_seed=seed) for seed in range(5)]
+    cases.append(replace(params, neighbor_radius=params.step_size, rng_seed=5))
     for params in cases:
         with monkeypatch.context() as m:
             _clear_nowhere(m, env)
@@ -642,33 +732,6 @@ def test_a_default_run_is_the_run_that_checks_every_edge(monkeypatch, env, query
         assert finish(run) == want
         assert finish(copied) == want
         assert forced.result(0.0).feasible
-
-
-# A clearance above a run's `_reach` clears every neighbour edge unscanned,
-# so no neighbour edge may be longer: on field 1000, and with a radius of
-# 3e-162, whose squared distances round at subnormal spacing, so that a
-# node 1.28 radii away counts as a neighbour and only `_reach`'s absolute
-# term covers it.
-@pytest.mark.parametrize("env, query, params", [
-    (*_pinned_case("field-1000"), RrtParams(iterations_num=600)),
-    (Environment(Bounds(0.0, 1e-150, 0.0, 1e-150), ()),
-     Query(Point2(5e-151, 5e-151), Point2(9e-151, 9e-151)),
-     RrtParams(iterations_num=2000, step_size=2e-162, neighbor_radius=3e-162)),
-], ids=["field-1000", "subnormal-squares"])
-def test_every_neighbour_edge_lies_within_the_runs_reach(monkeypatch, env, query, params):
-    lengths = []
-    choose_parent = rrtstar.choose_parent
-
-    def recording(tree, neighbors, edge_lengths, *args):
-        lengths.extend(edge_lengths)
-        return choose_parent(tree, neighbors, edge_lengths, *args)
-
-    monkeypatch.setattr(rrtstar, "choose_parent", recording)
-    run = RrtStarRun(env, query, params)
-    for _ in range(params.iterations_num):
-        run.step()
-    assert len(lengths) > 1000
-    assert max(lengths) <= run._reach
 
 
 # The growth loop hands edge_free plain (x, y) tuples of the tree's floats
