@@ -25,7 +25,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from importlib import resources
 from typing import Optional
 
@@ -138,22 +138,67 @@ def validate_query(env: Environment, query: Query) -> None:
         raise InvalidQueryError("; ".join(reasons))
 
 
-def _check_random_field(n_obstacles, bounds, radius_range, clearance
-                        ) -> tuple[int, Bounds, tuple[float, float], float]:
-    """Return the random generator's field arguments checked, as int, Bounds and floats.
+@dataclass(frozen=True)
+class RandomEnvFactory:
+    """Picklable seed -> Environment callable that rejection-samples circular
+    obstacles keeping the query endpoints clear; `query` may be None.
 
-    Raises FormatError naming the first bad argument.
+    Identical fields and seed always produce the identical environment (the
+    generator is a seeded PCG64 stream, consumed in a fixed order: center
+    x, center y, radius per attempt). Obstacles are accepted when neither
+    query endpoint lies within `clearance` of the inflated disk. Raises
+    FormatError naming the first bad field on construction, or a bad seed
+    (an integer in [0, sys.maxsize]) on a call; EnvironmentGenerationError
+    when an obstacle cannot be placed within MAX_PLACEMENT_ATTEMPTS
+    attempts; and InvalidQueryError for a query `validate_query` refuses on
+    the drawn field, so every field returned passes it for its query.
     """
-    n_obstacles = check_integer("n_obstacles", n_obstacles, 0, MAX_OBSTACLES, FormatError)
-    b = _check_bounds(bounds)
-    rr = radius_range
-    if not (isinstance(rr, (list, tuple)) and len(rr) == 2):
-        raise FormatError(f"radius_range must be [lo, hi], got {rr!r}")
-    lo, hi = (check_real("radius_range", v, FormatError) for v in rr)
-    if not 0 < lo <= hi:
-        raise FormatError(f"radius_range must satisfy 0 < lo <= hi, got {rr!r}")
-    clearance = check_real("clearance", clearance, FormatError, at_least=0)
-    return n_obstacles, b, (lo, hi), clearance
+
+    query: Optional[Query]
+    n_obstacles: int = 12
+    bounds: Bounds = DEFAULT_BOUNDS
+    radius_range: tuple[float, float] = (2.0, 6.0)
+    clearance: float = 1.0
+
+    def __post_init__(self):
+        store = partial(object.__setattr__, self)
+        store("n_obstacles", check_integer("n_obstacles", self.n_obstacles, 0, MAX_OBSTACLES,
+                                           FormatError))
+        store("bounds", _check_bounds(self.bounds))
+        rr = self.radius_range
+        if not (isinstance(rr, (list, tuple)) and len(rr) == 2):
+            raise FormatError(f"radius_range must be [lo, hi], got {rr!r}")
+        lo, hi = (check_real("radius_range", v, FormatError) for v in rr)
+        if not 0 < lo <= hi:
+            raise FormatError(f"radius_range must satisfy 0 < lo <= hi, got {rr!r}")
+        store("radius_range", (lo, hi))
+        store("clearance", check_real("clearance", self.clearance, FormatError, at_least=0))
+
+    def __call__(self, seed: int) -> Environment:
+        rng = np.random.default_rng(check_integer("seed", seed, 0, error=FormatError))
+        b, (r_lo, r_hi), query = self.bounds, self.radius_range, self.query
+        obstacles: list[Obstacle] = []
+        for _ in range(self.n_obstacles):
+            for attempt in range(MAX_PLACEMENT_ATTEMPTS):
+                cx = float(rng.uniform(b.x_min, b.x_max))
+                cy = float(rng.uniform(b.y_min, b.y_max))
+                r = float(rng.uniform(r_lo, r_hi))
+                if query is not None:
+                    keep_out = r + self.clearance
+                    if dist((cx, cy), query.start) < keep_out:
+                        continue
+                    if dist((cx, cy), query.target) < keep_out:
+                        continue
+                obstacles.append(Circle(Point2(cx, cy), r))
+                break
+            else:
+                raise EnvironmentGenerationError(
+                    f"could not place obstacle {len(obstacles) + 1} of {self.n_obstacles} "
+                    f"after {MAX_PLACEMENT_ATTEMPTS} attempts")
+        env = Environment(b, tuple(obstacles))
+        if query is not None:
+            validate_query(env, query)
+        return env
 
 
 def generate_random_env(seed: int,
@@ -162,65 +207,8 @@ def generate_random_env(seed: int,
                         radius_range: tuple[float, float] = (2.0, 6.0),
                         query: Optional[Query] = None,
                         clearance: float = 1.0) -> Environment:
-    """Rejection-sample circular obstacles that keep the query endpoints clear.
-
-    Identical arguments always produce the identical environment (the
-    generator is a seeded PCG64 stream, consumed in a fixed order: center
-    x, center y, radius per attempt). Obstacles are accepted when neither
-    query endpoint lies within `clearance` of the inflated disk. Raises
-    FormatError for a bad seed (an integer in [0, sys.maxsize]) or field
-    argument (see `_check_random_field`), EnvironmentGenerationError when
-    an obstacle cannot be placed within MAX_PLACEMENT_ATTEMPTS attempts,
-    and InvalidQueryError for a query `validate_query` refuses on the
-    returned field, so every field returned passes it for its query.
-    """
-    seed = check_integer("seed", seed, 0, error=FormatError)
-    n_obstacles, b, (r_lo, r_hi), clearance = _check_random_field(
-        n_obstacles, bounds, radius_range, clearance)
-
-    rng = np.random.default_rng(seed)
-    obstacles: list[Obstacle] = []
-    for _ in range(n_obstacles):
-        for attempt in range(MAX_PLACEMENT_ATTEMPTS):
-            cx = float(rng.uniform(b.x_min, b.x_max))
-            cy = float(rng.uniform(b.y_min, b.y_max))
-            r = float(rng.uniform(r_lo, r_hi))
-            if query is not None:
-                keep_out = r + clearance
-                if dist((cx, cy), query.start) < keep_out:
-                    continue
-                if dist((cx, cy), query.target) < keep_out:
-                    continue
-            obstacles.append(Circle(Point2(cx, cy), r))
-            break
-        else:
-            raise EnvironmentGenerationError(
-                f"could not place obstacle {len(obstacles) + 1} of {n_obstacles} "
-                f"after {MAX_PLACEMENT_ATTEMPTS} attempts")
-    env = Environment(b, tuple(obstacles))
-    if query is not None:
-        validate_query(env, query)
-    return env
-
-
-@dataclass(frozen=True)
-class RandomEnvFactory:
-    """Picklable seed -> Environment callable; its field arguments are checked on construction."""
-
-    query: Query
-    n_obstacles: int = 12
-    bounds: Bounds = DEFAULT_BOUNDS
-    radius_range: tuple[float, float] = (2.0, 6.0)
-    clearance: float = 1.0
-
-    def __post_init__(self):
-        names = ("n_obstacles", "bounds", "radius_range", "clearance")
-        checked = _check_random_field(*(getattr(self, n) for n in names))
-        for name, value in zip(names, checked):
-            object.__setattr__(self, name, value)
-
-    def __call__(self, seed: int) -> Environment:
-        return generate_random_env(seed, **vars(self))
+    """The field that `RandomEnvFactory` with these arguments draws for `seed`."""
+    return RandomEnvFactory(query, n_obstacles, bounds, radius_range, clearance)(seed)
 
 
 def environment_to_dict(env: Environment, query: Optional[Query] = None) -> dict:

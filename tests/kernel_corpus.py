@@ -22,6 +22,7 @@ so graze rows and `DISK_GRAZES` rows are checked against the Fraction oracle.
 
 import functools
 import math
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -200,6 +201,89 @@ def exact_hits(a, b, obstacles):
     segment near the rim to `exact_disk_blocks`."""
     return [reference_disk_blocks(a, b, o.center, o.radius) if isinstance(o, Circle)
             else exact_blocks(a, b, o.vertices) for o in obstacles]
+
+
+# --- the clearance grid, exactly -------------------------------------------------
+
+def _ordinal(x):
+    """The float x's place among all floats in order, as an int; ±0.0 share 0."""
+    n = struct.unpack("<q", struct.pack("<d", x))[0]
+    return n if n >= 0 else -(n & 0x7FFF_FFFF_FFFF_FFFF)
+
+
+def _float(n):
+    return struct.unpack("<d", struct.pack("<q", n if n >= 0 else -n | -2 ** 63))[0]
+
+
+def cell_spans(lo, hi, scale):
+    """[(i, first, last), ...]: each index i that `Clearance.at`'s
+    int((x - lo) * scale) takes on the floats x in [lo, hi], with the least
+    and greatest such x. The index does not fall as x grows, so bisection
+    over the floats in order finds where each span ends."""
+    def index(n):
+        return int((_float(n) - lo) * scale)
+
+    spans, start, end = [], _ordinal(lo), _ordinal(hi)
+    while start <= end:
+        i, low, high = index(start), start, end
+        while low < high:
+            mid = (low + high + 1) // 2
+            low, high = (mid, high) if index(mid) == i else (low, mid - 1)
+        spans.append((i, _float(start), _float(low)))
+        start = low + 1
+    return spans
+
+
+def clearance_violations(env, sample=None, seed=0):
+    """The cells of env's clearance grid that break its promise, as
+    (column, row, bound): a positive bound above the exact distance from the
+    box of coordinates that `Clearance.at` maps to the cell to some
+    obstacle, its closed disk or a polygon's closed box; and a cell that the
+    lookup cannot reach in its row. All in rationals, so what is left to
+    the grid's margin argument is only a rounded `math.hypot` length
+    compared with a bound.
+
+    sample=None checks every positive cell. Otherwise the positive cells
+    next to a zero one, which hug the obstacles, and `sample` others drawn
+    with `default_rng(seed)`.
+    """
+    grid, b = env.collision_field.clearance, env.bounds
+    xs, ys = cell_spans(b.x_min, b.x_max, grid.scale), cell_spans(b.y_min, b.y_max, grid.scale)
+    bound = {(ix, iy): grid.cells[iy * grid.stride + ix] for ix, *_ in xs for iy, *_ in ys}
+    last = xs[-1][0]
+    wrapped = [(last, iy, bound[last, iy]) for iy, *_ in ys] if last >= grid.stride else []
+    positive = [c for c, v in bound.items() if v > 0.0]
+    if sample is not None:
+        near = {c for c in positive
+                if any(bound.get((c[0] + i, c[1] + j), 1.0) == 0.0
+                       for i in (-1, 0, 1) for j in (-1, 0, 1))}
+        rest = sorted(set(positive) - near)
+        picked = np.random.default_rng(seed).permutation(len(rest))[:sample]
+        positive = sorted(near) + [rest[k] for k in picked]
+    # Per obstacle, its closed box and how far it reaches beyond: a disk is
+    # its centre and radius.
+    boxes = []
+    for o in env.obstacles:
+        if isinstance(o, Circle):
+            (cx, cy), r = map(Fraction, o.center), Fraction(o.radius)
+            boxes.append((cx, cx, cy, cy, r))
+        else:
+            vx, vy = ([Fraction(v[k]) for v in o.vertices] for k in (0, 1))
+            boxes.append((min(vx), max(vx), min(vy), max(vy), Fraction(0)))
+    if not boxes:  # every bound may be +inf
+        return wrapped
+
+    def gaps2(spans, k):
+        # The squared gap along one axis from each span to each obstacle's box.
+        return {i: [max(box[k] - Fraction(hi), Fraction(lo) - box[k + 1], 0) ** 2
+                    for box in boxes] for i, lo, hi in spans}
+
+    gx2, gy2 = gaps2(xs, 0), gaps2(ys, 2)
+    return wrapped + [
+        (ix, iy, bound[ix, iy]) for ix, iy in positive
+        if not math.isfinite(bound[ix, iy]) or any(
+            (Fraction(bound[ix, iy]) + box[4]) ** 2 > gx + gy
+            for box, gx, gy in zip(boxes, gx2[ix], gy2[iy]))]
 
 
 # --- the float references -------------------------------------------------------

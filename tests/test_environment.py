@@ -4,6 +4,7 @@ import ast
 import hashlib
 import json
 import math
+import pickle
 from importlib import resources
 from pathlib import Path
 
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 import pathbench
+from pathbench import environment
 from pathbench.benchmark import FIELD_QUERY
 from pathbench.cli import main
 from pathbench.environment import (DEFAULT_BOUNDS, MAX_OBSTACLES, Environment,
@@ -105,6 +107,22 @@ def test_random_env_factory_stores_normalised_fields():
     assert type(factory.bounds) is Bounds
     assert type(factory.radius_range) is tuple
     assert type(factory.clearance) is float
+
+
+def test_random_env_factory_checks_its_fields_once(monkeypatch):
+    # Building the factory checks its bounds; each field it draws checks them
+    # once more, in the Environment it returns, and not the factory's fields.
+    calls, check = [], environment._check_bounds
+    monkeypatch.setattr(environment, "_check_bounds", lambda b: calls.append(b) or check(b))
+    for query in (None, FIELD_QUERY):
+        fields = dict(query=query, n_obstacles=3, radius_range=(1.0, 3.0), clearance=0.5)
+        calls.clear()
+        factory = RandomEnvFactory(**fields)
+        assert len(calls) == 1
+        drawn = [factory(s) for s in range(3)]
+        assert len(calls) == 1 + 3
+        assert [generate_random_env(s, **fields) for s in range(3)] == drawn
+        assert [pickle.loads(pickle.dumps(factory))(s) for s in range(3)] == drawn
 
 
 def test_environment_rejects_outside_obstacles():

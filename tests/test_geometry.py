@@ -21,9 +21,9 @@ from pathbench.geometry import (Bounds, Circle, CollisionField, Point2,
                                 segment_polygon_collides, segments_intersect)
 from pathbench.pso import PsoParams, decode, fitness, path_violation, update_inertia
 from pathbench.rrtstar import RrtParams
-from kernel_corpus import (FIELD_KINDS, L_SHAPE, WIDE, blocked_length, collides, corpus,
-                           exact_disk_blocks, reference_edge_free, reference_union_lengths,
-                           scaled, union_measure)
+from kernel_corpus import (FIELD_KINDS, L_SHAPE, WIDE, blocked_length, clearance_violations,
+                           collides, corpus, exact_disk_blocks, reference_edge_free,
+                           reference_union_lengths, scaled, union_measure)
 
 UNIT_SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
 
@@ -992,11 +992,16 @@ def test_no_segment_shorter_than_its_clearance_is_blocked_far_from_unit_scale(k,
     assert certified > 1000
 
 
+def _one_cell_thin():
+    """1e154 by 1e-200, both ways round, with a disk in the middle: the short
+    side's cell count rounds to 0 before it is raised to one row (or column)."""
+    return [Environment(b, (Circle((b.x_max / 2, b.y_max / 2), 1e152),))
+            for b in (Bounds(0.0, 1e154, 0.0, 1e-200), Bounds(0.0, 1e-200, 0.0, 1e154))]
+
+
 def test_no_segment_shorter_than_its_clearance_is_blocked_on_bounds_one_cell_thin():
-    # 1e154 by 1e-200: the short side's cell count rounds to 0 before it is
-    # raised to one row (or column).
-    for b in (Bounds(0.0, 1e154, 0.0, 1e-200), Bounds(0.0, 1e-200, 0.0, 1e154)):
-        env = Environment(b, (Circle((b.x_max / 2, b.y_max / 2), 1e152),))
+    for env in _one_cell_thin():
+        b = env.bounds
         assert len(env.collision_field.clearance.cells) == 2 * 49
         u = np.linspace(0.0, 1.0, 97).tolist()
         points = [(b.x_max * s, b.y_max * t) for s in u for t in (0.0, 0.5, 1.0)]
@@ -1009,6 +1014,25 @@ def test_clearance_is_zero_off_the_bounds():
     off = [(-40.5, 0.0), (0.0, 20.5), (math.nan, 0.0), (0.0, math.inf)]
     assert [at(*p) for p in off] == [0.0] * 4
     assert at(0.0, 19.0) > 0.0
+
+
+@pytest.mark.parametrize("kind", [*FIELD_KINDS, "tangent", "pso-disks", "pso-mixed",
+                                  "irregular-a", "inexact"])
+def test_every_clearance_bound_holds_exactly_on_the_corpus(kind):
+    # Every 30th field, and each distinct map of irregular-a and inexact: on
+    # each, the positive cells next to a zero one and 20 others, in rationals.
+    fields = corpus(kind)[:4] if kind in ("irregular-a", "inexact") else corpus(kind)[::30]
+    for field in fields:
+        assert clearance_violations(field.env, sample=20, seed=field.index) == [], field.index
+
+
+def test_every_clearance_bound_holds_exactly_far_from_unit_scale():
+    # The maps of the tests above: moved by 1e12, scaled by 2^-200 and by
+    # 2^500, and one cell thin.
+    maps = [_mapped_env(field.env, k, dx) for k, dx in ((0, 1e12), (-200, 0.0), (500, 0.0))
+            for field in corpus("disks")[:60:30] + corpus("mixed")[:60:30]]
+    for i, env in enumerate(maps + _one_cell_thin()):
+        assert clearance_violations(env, sample=20, seed=i) == [], env.bounds
 
 
 # --- obstacle boxes against the full walks ----------------------------------
