@@ -1,7 +1,7 @@
 """Plan grid, trial batches, summary statistics, the ten-case suite, and a grid oracle.
 
-Every experiment is one `plan_grid` of seeded plans: `run_trials` and
-`table1_suite` check their arguments and build its rows.
+Every experiment is one `plan_grid` of seeded plans, which checks every
+row before the first; `run_trials` and `table1_suite` only build its rows.
 
 The oracle, a feasibility check and near-optimal length yardstick, runs
 its own A* over an 8-connected grid. Only its cell test is shared: cells
@@ -156,15 +156,19 @@ def plan_grid(rows: Sequence[tuple], jobs: int = 1) -> list[PlanResult]:
     """Plan each row, `plan_once`'s arguments (environment or factory, query,
     planner id, params, seed), and return the results in row order.
 
-    `jobs` and every row's planner and params are checked before the first
-    plan. `jobs` > 1 fans the rows out over min(jobs, len(rows),
-    os.cpu_count()) processes, importing the pool on the first such call;
-    otherwise rows go through this module's `plan_once`. The first error
-    in row order is raised for every `jobs`.
+    Before the first plan or pool it checks `jobs`, every row's planner
+    and params, then each fixed map's query (a factory checks its query on
+    each field it draws). `jobs` > 1 fans the rows out over min(jobs,
+    len(rows), os.cpu_count()) processes, importing the pool on the first
+    such call; otherwise rows go through this module's `plan_once`. The
+    first error in row order is raised for every `jobs`.
     """
     jobs = check_integer("jobs", jobs, 1)
     for _, _, planner_id, params, _ in rows:
         _planner(planner_id, params)
+    for env, query, *_ in rows:
+        if not callable(env):
+            validate_query(env, query)
     # Under fork every worker starts with the pool, so never ask for idle
     # ones, nor for more than the CPUs can run at once.
     workers = min(jobs, len(rows), os.cpu_count() or 1)
@@ -181,13 +185,12 @@ def run_trials(env: EnvSource, query: Query, planner_id: str,
 
     `env` may be a fixed Environment or a seed -> Environment callable, in
     which case each trial gets the environment built from its own seed.
-    The trials are one `plan_grid`, so `jobs` fans them out as it does,
-    and results come back in seed order. The planner, its params and the
-    integer arguments (up to a last seed of sys.maxsize) are checked
-    before any plan.
+    The trials are one `plan_grid`, which checks `jobs`, the planner, its
+    params and a fixed map's query; results come back in seed order.
+    `n_trials` and `base_seed` (up to a last seed of sys.maxsize) are
+    checked first.
     """
-    _planner(planner_id, params)
-    n_trials, jobs = check_integer("n_trials", n_trials, 1), check_integer("jobs", jobs, 1)
+    n_trials = check_integer("n_trials", n_trials, 1)
     check_integer("base_seed", base_seed, 0, sys.maxsize - n_trials + 1)
     rows = [(env, query, planner_id, params, base_seed + i) for i in range(n_trials)]
     return TrialStats(tuple(plan_grid(rows, jobs)))
@@ -243,20 +246,16 @@ def table1_suite(env: Optional[Environment] = None,
     """Run every case with every planner; rows come back in case order.
 
     Case k uses rng seed `seed + k - 1` for both planners, so a suite is
-    reproducible from a single integer. All case queries must be valid in
-    the environment (the irregular preset by default); the seeds, queries
-    and (planner, params) specs, by default each planner's defaults, are
-    checked before the first plan.
+    reproducible from a single integer. The seeds are checked first; the
+    rows are one `plan_grid`, which checks the (planner, params) specs, by
+    default each planner's defaults, and then each case's query on the
+    environment (the irregular preset by default).
     """
     check_integer("seed", seed, 0, sys.maxsize - len(cases) + 1)
     if env is None:
         env, _ = irregular_preset("irregular-a")
     if specs is None:
         specs = [(planner_id, run.params_type()) for planner_id, run in _PLANNERS.items()]
-    for q in cases:
-        validate_query(env, q)
-    for planner_id, params in specs:
-        _planner(planner_id, params)
     rows = [(env, q, planner_id, params, seed + k)
             for k, q in enumerate(cases) for planner_id, params in specs]
     return [CaseRow(case_id=s - seed + 1, planner_id=p, start=q.start, target=q.target,

@@ -163,9 +163,6 @@ class PsoRun:
     path length, a lower bound on its fitness that is still at least its
     personal best, so the personal and global bests are those of a full
     evaluation.
-
-    Set-up draws the first swarm as numpy's `uniform` does, lo + (hi - lo)
-    times `rng.random`, in place: the same doubles and generator state.
     """
 
     planner_id = "pso"
@@ -182,9 +179,7 @@ class PsoRun:
         self._lo = np.array((b.x_min, b.y_min) * n)
         self._hi = np.array((b.x_max, b.y_max) * n)
         self._c = np.array((params.c1, params.c2))
-        positions = self.rng.random((m, 2 * n))
-        positions *= self._hi - self._lo
-        positions += self._lo
+        positions = self.rng.uniform(self._lo, self._hi, (m, 2 * n))
         # Particle 0 starts on the straight line so a trivially clear
         # query is solved from the first evaluation.
         ts = np.arange(1, n + 1) / (n + 1)

@@ -294,6 +294,34 @@ def test_plan_grid_checks_every_row_and_jobs_before_any_plan(monkeypatch):
             plan_grid(good, jobs=jobs)
 
 
+def test_plan_grid_checks_every_fixed_maps_query_before_any_plan(monkeypatch):
+    # A fixed map's invalid query was caught only by the plan that reached
+    # it. A factory row is not checked: the factory checks each field it draws.
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool started for a refused call")
+
+    def no_plan(*args, **kwargs):
+        raise AssertionError("a plan ran for a refused call")
+
+    monkeypatch.setattr("pathbench.benchmark.ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr("pathbench.benchmark.plan_once", no_plan)
+    env, buried = generate_random_env(0, n_obstacles=0), buried_start_env(0)
+    good = [(RandomEnvFactory(query=FIELD_QUERY), FIELD_QUERY, "pso", PsoParams(), 1000),
+            (env, FIELD_QUERY, "rrtstar", RrtParams(), 0)]
+    bad_planner = (env, FIELD_QUERY, "pso", RrtParams(), 3)
+    for last, match in [
+            ((buried, FIELD_QUERY, "pso", PsoParams(), 2), r"^start \(.*\) inside an obstacle$"),
+            ((buried, Query(Point2(0.0, 35.0), FIELD_QUERY.target), "rrtstar", RrtParams(), 2),
+             r"^start \(.*\) outside bounds$")]:
+        for jobs in (1, 2):
+            with pytest.raises(InvalidQueryError, match=match):
+                plan_grid([*good, last], jobs=jobs)
+            # A bad planner in any row is reported ahead of the bad query.
+            for rows in ([*good, last, bad_planner], [bad_planner, *good, last]):
+                with pytest.raises(ValueError, match="'pso' takes PsoParams, got RrtParams"):
+                    plan_grid(rows, jobs=jobs)
+
+
 def test_plan_grid_raises_the_first_error_in_row_order():
     inside = (buried_start_env, FIELD_QUERY, "pso", PsoParams(max_iterations=5), 0)
     outside = (buried_start_env, Query(Point2(0.0, 35.0), FIELD_QUERY.target),

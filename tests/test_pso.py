@@ -286,8 +286,8 @@ def test_anchor_particle_sits_on_the_straight_line():
 ], ids=["default", "wide-1e150", "offset-1e150"])
 @pytest.mark.parametrize("seed", [0, 1, 12345, 2**32 - 1])
 def test_the_first_swarm_is_numpys_uniform_draw(bounds, seed):
-    # Set-up draws the swarm in place by numpy's own uniform formula: the
-    # same doubles, and the generator left where `uniform` leaves it.
+    # Set-up draws the swarm with one `uniform` call over the bounds: the
+    # same doubles, and the generator left where that draw leaves it.
     # Particle 0 is then moved onto the straight line.
     b = bounds
     query = Query(Point2(b.x_min, b.y_min), Point2(b.x_max, b.y_max))
