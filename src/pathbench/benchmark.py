@@ -156,12 +156,13 @@ def plan_grid(rows: Sequence[tuple], jobs: int = 1) -> list[PlanResult]:
     """Plan each row, `plan_once`'s arguments (environment or factory, query,
     planner id, params, seed), and return the results in row order.
 
-    Before the first plan or pool it checks `jobs`, every row's planner
-    and params, then each fixed map's query (a factory checks its query on
-    each field it draws). `jobs` > 1 fans the rows out over min(jobs,
-    len(rows), os.cpu_count()) processes, importing the pool on the first
-    such call; otherwise rows go through this module's `plan_once`. The
-    first error in row order is raised for every `jobs`.
+    Before the first plan or pool it checks `jobs`, then every row's
+    planner and params, then each fixed map's query (a factory checks its
+    query on each field it draws). After these checks the first error a
+    plan raises, in row order, is raised for every `jobs`. `jobs` > 1 fans
+    the rows out over min(jobs, len(rows), os.cpu_count()) processes,
+    importing the pool on the first such call; otherwise rows go through
+    this module's `plan_once`.
     """
     jobs = check_integer("jobs", jobs, 1)
     for _, _, planner_id, params, _ in rows:

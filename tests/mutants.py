@@ -1,6 +1,6 @@
 """Re-run the recorded mutants: each must still fail every test named for it.
 
-    python tests/mutants.py [name ...]
+    python tests/mutants.py
 
 A mutant replaces one exact text in one source file. The script copies
 `src/`, `tests/` and `pyproject.toml` into a temporary directory and first
@@ -9,7 +9,6 @@ each mutant in turn, runs its named tests with pytest, and restores the
 file. A mutant is killed when every named test fails. The script exits 1
 naming each mutant that survives, and each entry of either table whose old
 text no longer occurs exactly once in its file; otherwise it exits 0.
-Names on the command line pick mutants from the table.
 
 This module is a script, not a `test_*.py` module, so pytest does not
 collect it. It uses no mutation package: text edits and `subprocess`.
@@ -93,18 +92,13 @@ def run_tests(tree: Path, tests) -> dict[str, str]:
     return outcomes
 
 
-def main(argv: list[str]) -> int:
-    unknown = set(argv) - {m.name for m in MUTANTS}
-    if unknown:
-        print(f"unknown mutants: {sorted(unknown)}; expected some of "
-              f"{[m.name for m in MUTANTS]}")
-        return 2
+def main() -> int:
     stale = {}
     for entry in (*MUTANTS, *EQUIVALENT):
         count = (ROOT / entry.file).read_text(encoding="utf-8").count(entry.old)
         if count != 1:
             stale[entry.name] = f"{entry.old!r} occurs {count} times in {entry.file}"
-    chosen = [m for m in MUTANTS if (not argv or m.name in argv) and m.name not in stale]
+    chosen = [m for m in MUTANTS if m.name not in stale]
     survived = {}
     with tempfile.TemporaryDirectory(prefix="pathbench-mutants-") as tmp:
         tree = Path(tmp)
@@ -140,4 +134,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
