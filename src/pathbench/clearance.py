@@ -62,6 +62,17 @@ class Clearance:
         scale = self.scale
         return self.cells[int((y - y_min) * scale) * self.stride + int((x - x_min) * scale)]
 
+    def at_points(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """`at` of each point of two float64 columns, in one array pass
+        (`astype` truncates toward 0, as `int` does)."""
+        x_min, x_max, y_min, y_max = self.bounds
+        bound = np.zeros(len(xs))
+        inside = np.flatnonzero((xs >= x_min) & (xs <= x_max) & (ys >= y_min) & (ys <= y_max))
+        cols = ((xs[inside] - x_min) * self.scale).astype(np.intp)
+        rows = ((ys[inside] - y_min) * self.scale).astype(np.intp)
+        bound[inside] = np.asarray(self.cells)[rows * self.stride + cols]
+        return bound
+
     @classmethod
     def build(cls, b: Bounds, obstacles: Sequence[tuple]) -> "Clearance":
         """The grid over bounds b of obstacles given as (x_lo, x_hi, y_lo,

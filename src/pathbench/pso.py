@@ -8,11 +8,11 @@ exactly in one pass over a run's path buffer: each segment's `np.hypot`
 length, taken once, adds to the path length and scales the blocked
 measure in t that the collision kernel gives the segment. A run clips
 every swarm into the bounds before it scores it, so its paths enter the
-kernel past its bounds stage, at `CollisionField._obstacle_measure`; on
-a map with no obstacle they are free and skip the kernel. As the penalty
-is never negative, a particle whose length alone reaches its personal
-best (+inf for the first swarm) cannot improve on it and skips the
-collision kernel. The swarm stops early once the global best has been
+field's `Kernel` past its bounds stage, at `_obstacle_measure`; on a map
+with no obstacle they are free, and the run never loads the kernel. As
+the penalty is never negative, a particle whose length alone reaches its
+personal best (+inf for the first swarm) cannot improve on it and skips
+the collision kernel. The swarm stops early once the global best has been
 flat for a full stagnation window. `build_result` judges the decoded
 global best with `audit_path`, as it does RRT*'s path; only an
 infeasible one is measured.
@@ -130,7 +130,7 @@ def fitness(position: Sequence[float], query: Query, env: Environment,
     ValueError for a position `decode` refuses or a penalty_lambda `PsoParams` does."""
     wp = np.vstack((query.start, _waypoint_vector(position).reshape(-1, 2), query.target))
     penalty_lambda = PsoParams(penalty_lambda=penalty_lambda).penalty_lambda
-    return float(_scores(wp[None], env.collision_field._blocked_measure, penalty_lambda,
+    return float(_scores(wp[None], env.collision_field.kernel._blocked_measure, penalty_lambda,
                          math.inf)[0])
 
 
@@ -198,9 +198,10 @@ class PsoRun:
         self.gbest_position = positions[0].copy()
         self.gbest_fitness = math.inf
         # `_evaluate` clips each swarm into the bounds, which hold the query's ends, so
-        # its paths skip the kernel's bounds stage (a nan waypoint's length is never open).
+        # its paths skip the kernel's bounds stage (a nan waypoint's length is never open);
+        # a map with no obstacle never builds the kernel.
         field = env.collision_field
-        self._measure = None if field.obstacle_free else field._obstacle_measure
+        self._measure = None if field.obstacle_free else field.kernel._obstacle_measure
         self._evaluate()
 
         self.iteration = 0

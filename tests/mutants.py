@@ -51,6 +51,11 @@ _CLEARANCE_CHECKS = (
         "irregular-a", "inexact")),
     f"{_EXACT}far_from_unit_scale",
 )
+_GEOMETRY, _BOUNDARY, _PSO = (f"tests/test_{name}.py::test_" for name in (
+    "geometry", "boundary", "pso"))
+_ORACLE = f"{_GEOMETRY}blocked_lengths_and_edge_free_match_the_oracles"
+_IFF = f"{_GEOMETRY}edge_free_iff_blocked_length_is_zero"
+_AT_POINTS = f"{_GEOMETRY}the_clearance_array_form_is_at_point_by_point"
 
 MUTANTS = (
     Mutant("margin-zero", "src/pathbench/clearance.py",
@@ -63,10 +68,69 @@ MUTANTS = (
     Mutant("rewire-trusts-clear", "src/pathbench/rrtstar.py",
            "(length < clear or", "(length <= clear or",
            ("tests/test_rrtstar.py::test_rewire_refuses_a_blocked_edge_as_long_as_clear",)),
+    # The batch kernel's disk pass, bounds stage and union.
+    Mutant("no-exact-test-for-unsure-disk-pairs", "src/pathbench/kernel.py",
+           "if not sure.all():", "if False:",
+           (f"{_ORACLE}[disks]", f"{_ORACLE}[mixed]", f"{_IFF}[disks]", f"{_IFF}[mixed]",
+            f"{_GEOMETRY}blocked_length_is_zero_when_clear_of_a_disk",
+            f"{_BOUNDARY}disk_grazes_match_the_fraction_oracle")),
+    Mutant("no-margin-in-the-disk-hand-off", "src/pathbench/kernel.py",
+           "4.0 * np.sqrt(band[i])", "0.0 * np.sqrt(band[i])",
+           (f"{_ORACLE}[disks]", f"{_ORACLE}[mixed]", f"{_IFF}[disks]",
+            f"{_GEOMETRY}box_skips_match_the_oracles_at_box_edges[disks]",
+            f"{_GEOMETRY}blocked_length_is_zero_when_clear_of_a_disk",
+            f"{_BOUNDARY}disk_grazes_match_the_fraction_oracle")),
+    Mutant("disk-sliver-of-2^-20", "src/pathbench/kernel.py",
+           "(0.5, 0.5 + 2.0 ** -53)", "(0.5, 0.5 + 2.0 ** -20)",
+           (f"{_ORACLE}[disks]", f"{_GEOMETRY}tangent_rows_block_next_to_nothing",
+            f"{_GEOMETRY}tangent_and_underflowing_rows_match_the_oracle"
+            "[tangent-midpoint-rounds-inside]")),
+    Mutant("x-min-counted-outside", "src/pathbench/kernel.py",
+           "(x >= b.x_min)", "(x > b.x_min)",
+           (f"{_ORACLE}[empty]", f"{_IFF}[empty]", f"{_BOUNDARY}the_maze_polygon_pass_is_pinned",
+            f"{_PSO}the_obstacle_stage_is_the_column_entry_inside_the_bounds",
+            f"{_PSO}the_slab_adds_nothing_to_a_row_inside_the_bounds")),
+    Mutant("one-interval-path-at-two", "src/pathbench/kernel.py",
+           "np.bincount(row, minlength=n).max() == 1", "np.bincount(row, minlength=n).max() <= 2",
+           (f"{_ORACLE}[mixed]", f"{_GEOMETRY}the_one_interval_union_equals_the_sweep",
+            f"{_GEOMETRY}overlapping_disks_count_once",
+            f"{_GEOMETRY}a_row_reads_the_same_in_any_sub_batch[mixed]",
+            f"{_PSO}an_open_particles_penalty_is_its_path_violation_bit_for_bit")),
+    Mutant("one-interval-weights-hi", "src/pathbench/kernel.py",
+           "weights=hi - lo", "weights=hi",
+           (f"{_ORACLE}[polygons]", f"{_GEOMETRY}the_one_interval_union_equals_the_sweep",
+            f"{_GEOMETRY}blocked_length_counts_out_of_bounds", f"{_PSO}path_violation")),
+    # The scalar disk test that the kernel hands its unsure pairs to.
+    Mutant("scalar-disk-test-trusts-its-floats", "src/pathbench/geometry.py",
+           "if abs(gap) > _DISK_BAND * size + _ORIENT_TINY:", "if True:",
+           (f"{_ORACLE}[disks]", f"{_GEOMETRY}collision_field_many_random_envs",
+            f"{_BOUNDARY}disk_grazes_match_the_fraction_oracle")),
+    Mutant("exact-disk-test-blocks-a-tangent", "src/pathbench/geometry.py",
+           "(cx, cy), r)[0] < 0", "(cx, cy), r)[0] <= 0",
+           (f"{_ORACLE}[disks]", f"{_GEOMETRY}segment_circle_tangency_is_free",
+            f"{_GEOMETRY}edge_free", f"{_GEOMETRY}point_free")),
+    # The clearance grid's array lookup, which `CollisionField.free` reads.
+    Mutant("at-points-open-at-x-min", "src/pathbench/clearance.py",
+           "(xs >= x_min)", "(xs > x_min)",
+           (f"{_AT_POINTS}[disks]", f"{_AT_POINTS}[empty]", f"{_AT_POINTS}[irregular-a]")),
+    Mutant("at-points-open-at-y-max", "src/pathbench/clearance.py",
+           "(ys <= y_max)", "(ys < y_max)",
+           (f"{_AT_POINTS}[disks]", f"{_AT_POINTS}[empty]", f"{_AT_POINTS}[irregular-a]")),
+    Mutant("at-points-rounds-to-the-nearest-column", "src/pathbench/clearance.py",
+           "(xs[inside] - x_min) * self.scale)", "(xs[inside] - x_min) * self.scale + 0.5)",
+           (f"{_AT_POINTS}[disks]", f"{_GEOMETRY}collision_field_many_random_envs",
+            f"{_GEOMETRY}free_holds_no_array_of_points_by_disks")),
+    # A PSO run on a map with no obstacle builds no kernel.
+    Mutant("pso-builds-the-kernel-on-an-empty-map", "src/pathbench/pso.py",
+           "self._measure = None if field.obstacle_free else field.kernel._obstacle_measure",
+           "self._measure = field.kernel._obstacle_measure",
+           ("tests/test_benchmark.py::"
+            "test_the_batch_kernel_loads_with_the_first_pso_plan_on_obstacles",
+            f"{_PSO}the_empty_run_sends_no_row_to_the_kernel")),
 )
 
 EQUIVALENT = (
-    Equivalent("disk-hand-off-halved", "src/pathbench/geometry.py",
+    Equivalent("disk-hand-off-halved", "src/pathbench/kernel.py",
                "4.0 * np.sqrt(band[i])", "2.0 * np.sqrt(band[i])",
                "_DISK_BAND is 2^-46 = 128 eps against about 22 eps by the error "
                "analysis, about 6x, so a float root is off by well under "

@@ -464,6 +464,30 @@ def test_import_pathbench_loads_the_process_pool_only_for_a_parallel_run():
     _run_in_a_fresh_interpreter(_IMPORT_FOOTPRINT)
 
 
+# The batch kernel loads with the first `CollisionField.kernel`: field-h2h's
+# set-up, RRT* and `grid_oracle` check one point or edge at a time, and PSO on
+# a map with no obstacle skips the kernel, so none of them loads it.
+_KERNEL_ON_FIRST_USE = """
+import sys
+import pathbench
+query = pathbench.Query(pathbench.Point2(20.0, -15.0), pathbench.Point2(-25.0, 15.0))
+factory = pathbench.RandomEnvFactory(query=query)
+pathbench.RrtParams(), pathbench.PsoParams()
+field = factory(1000)
+pathbench.plan_rrt_star(field, query, pathbench.RrtParams())
+pathbench.grid_oracle(field, query)
+pathbench.plan_pso(*pathbench.irregular_preset("empty"), pathbench.PsoParams())
+assert "pathbench.kernel" not in sys.modules, "the kernel loaded before a PSO plan on obstacles"
+pathbench.plan_pso(field, query, pathbench.PsoParams())
+assert "pathbench.kernel" in sys.modules, "a PSO plan on field 1000 did not load the kernel"
+assert field.collision_field.kernel is field.collision_field.kernel
+"""
+
+
+def test_the_batch_kernel_loads_with_the_first_pso_plan_on_obstacles():
+    _run_in_a_fresh_interpreter(_KERNEL_ON_FIRST_USE)
+
+
 # environment.py takes its number rule from geometry.py, not from the
 # planners' result module.
 _ENVIRONMENT_IMPORTS = """

@@ -8,7 +8,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from pathbench import geometry
+from pathbench import kernel
 from pathbench.benchmark import FIELD_QUERY, RandomEnvFactory, grid_oracle, run_trials
 from pathbench.environment import (Environment, Query, environment_from_dict,
                                    generate_random_env, irregular_preset)
@@ -21,9 +21,9 @@ from pathbench.geometry import (Bounds, Circle, CollisionField, Point2,
                                 segment_polygon_collides, segments_intersect)
 from pathbench.pso import PsoParams, decode, fitness, path_violation, update_inertia
 from pathbench.rrtstar import RrtParams
-from kernel_corpus import (FIELD_KINDS, L_SHAPE, WIDE, blocked_length, clearance_violations,
-                           collides, corpus, exact_disk_blocks, reference_edge_free,
-                           reference_union_lengths, scaled, union_measure)
+from kernel_corpus import (FIELD_KINDS, L_SHAPE, WIDE, blocked_length, cell_spans,
+                           clearance_violations, collides, corpus, exact_disk_blocks,
+                           reference_edge_free, reference_union_lengths, scaled, union_measure)
 
 UNIT_SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
 
@@ -684,7 +684,7 @@ def test_a_bound_row_measures_the_same_alone_as_in_its_batch(kind):
     for field in corpus(kind):
         rows = field.rows("bound")
         cols = field.columns(rows)
-        measure = field.env.collision_field._blocked_measure
+        measure = field.env.collision_field.kernel._blocked_measure
         got = measure(*cols)
         forced = measure(*np.column_stack((cols, np.full(4, math.nan))))
         assert forced[-1] == 1.0, f"{kind} field {field.index}: the nan row"
@@ -767,8 +767,8 @@ def test_blocked_measures_are_equivariant_under_power_of_two_scaling(kind, k):
     for field in corpus(kind):
         rows = np.flatnonzero([row != "segment/underflow" for row in field.kinds])
         cols = field.columns(rows)
-        want = field.env.collision_field._blocked_measure(*cols)
-        got = scaled(field.env, k).collision_field._blocked_measure(*np.ldexp(cols, k))
+        want = field.env.collision_field.kernel._blocked_measure(*cols)
+        got = scaled(field.env, k).collision_field.kernel._blocked_measure(*np.ldexp(cols, k))
         field.check(rows, got, want, same_bytes=True)
 
 
@@ -827,10 +827,10 @@ def test_the_one_interval_union_equals_the_sweep():
         for row, lo, hi in parts:
             for r, a, b in zip(row.tolist(), lo.tolist(), hi.tolist()):
                 spans[r].append((a, b))
-        got = geometry._union_measure(parts, n)
+        got = kernel._union_measure(parts, n)
         assert got.tobytes() == np.array([union_measure(s) for s in spans]).tobytes()
         row, lo, hi = parts[0]
-        swept = geometry._union_measure(parts + [(row[:1], lo[:1], hi[:1])], n)
+        swept = kernel._union_measure(parts + [(row[:1], lo[:1], hi[:1])], n)
         assert swept.tobytes() == got.tobytes()
 
 
@@ -1026,6 +1026,30 @@ def test_every_clearance_bound_holds_exactly_on_the_corpus(kind):
         assert clearance_violations(field.env, sample=20, seed=field.index) == [], field.index
 
 
+@pytest.mark.parametrize("kind", [*FIELD_KINDS, "tangent", "pso-disks", "pso-mixed",
+                                  "irregular-a", "inexact"])
+def test_the_clearance_array_form_is_at_point_by_point(kind):
+    # On each axis, the first and last coordinate of every cell, the
+    # floats just outside the bounds, nan and the infinities, each paired
+    # with a coordinate drawn from the other axis's; then every row end.
+    fields = corpus(kind)[:4] if kind in ("irregular-a", "inexact") else corpus(kind)[::30]
+    for field in fields:
+        grid, b = field.env.collision_field.clearance, field.env.bounds
+        rng = np.random.default_rng(field.index)
+        axes = [np.array([*(v for _, first, last in cell_spans(lo, hi, grid.scale)
+                            for v in (first, last)),
+                          math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf),
+                          math.nan, math.inf, -math.inf])
+                for lo, hi in ((b.x_min, b.x_max), (b.y_min, b.y_max))]
+        xs = np.concatenate((axes[0], rng.choice(axes[0], len(axes[1])),
+                             field.starts[:, 0], field.ends[:, 0]))
+        ys = np.concatenate((rng.choice(axes[1], len(axes[0])), axes[1],
+                             field.starts[:, 1], field.ends[:, 1]))
+        want = np.array([grid.at(x, y) for x, y in zip(xs.tolist(), ys.tolist())])
+        assert grid.at_points(xs, ys).tobytes() == want.tobytes(), field.index
+        assert (want > 0.0).any() and (want == 0.0).any(), field.index
+
+
 def test_every_clearance_bound_holds_exactly_far_from_unit_scale():
     # The maps of the tests above: moved by 1e12, scaled by 2^-200 and by
     # 2^500, and one cell thin.
@@ -1123,13 +1147,13 @@ def test_one_wild_row_leaves_the_other_rows_disk_bands(monkeypatch, wild, end):
     ends = np.clip(starts + rng.uniform(-4.0, 4.0, (1000, 2)),
                    (b.x_min, b.y_min), (b.x_max, b.y_max))
     calls = []
-    meets_disk = geometry._meets_disk
+    meets_disk = kernel._meets_disk
 
     def counting(a, b, c, r):
         calls.append((tuple(map(float, a)), tuple(map(float, b))))
         return meets_disk(a, b, c, r)
 
-    monkeypatch.setattr(geometry, "_meets_disk", counting)
+    monkeypatch.setattr(kernel, "_meets_disk", counting)
     field = CollisionField(env)
     clean = field.blocked_lengths(starts, ends)
     assert calls == []

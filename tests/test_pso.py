@@ -15,6 +15,7 @@ from pathbench.environment import (Environment, Query, generate_random_env,
 from pathbench.errors import InvalidPathError, InvalidQueryError
 from pathbench.geometry import (Bounds, Circle, CollisionField, Point2, Polygon,
                                 path_length)
+from pathbench.kernel import Kernel
 from pathbench.pso import (PsoParams, PsoRun, decode, fitness, path_violation,
                            plan_pso, update_inertia)
 from kernel_corpus import EMPTY, FIELD_KINDS, INSIDE, _pinned_case, corpus, scaled
@@ -490,7 +491,7 @@ def kernel_calls(monkeypatch):
     ey) columns: "full" at `_blocked_measure`, and "obstacle" at
     `_obstacle_measure` entered directly, not from within `_blocked_measure`."""
     calls, nested = {"full": [], "obstacle": []}, []
-    full, obstacle = CollisionField._blocked_measure, CollisionField._obstacle_measure
+    full, obstacle = Kernel._blocked_measure, Kernel._obstacle_measure
 
     def spy_full(self, *cols):
         calls["full"].append((self, *cols))
@@ -505,8 +506,8 @@ def kernel_calls(monkeypatch):
             calls["obstacle"].append((self, *cols))
         return obstacle(self, *cols)
 
-    monkeypatch.setattr(CollisionField, "_blocked_measure", spy_full)
-    monkeypatch.setattr(CollisionField, "_obstacle_measure", spy_obstacle)
+    monkeypatch.setattr(Kernel, "_blocked_measure", spy_full)
+    monkeypatch.setattr(Kernel, "_obstacle_measure", spy_obstacle)
     return calls
 
 
@@ -664,7 +665,7 @@ def test_an_open_particles_penalty_is_its_path_violation_bit_for_bit():
         bests = np.array([(math.inf, math.nextafter(length, math.inf), length, -math.inf,
                            math.nan)[k] for length, k in zip(lengths.tolist(), picks)])
         field = env.collision_field
-        entries = [field._blocked_measure, field._obstacle_measure]
+        entries = [field.kernel._blocked_measure, field.kernel._obstacle_measure]
         if not (field.disks or field.polygons):
             entries.append(None)
         for measure in entries:
@@ -684,7 +685,7 @@ def test_blocked_lengths_is_the_column_entry_times_hypot():
             rows = field.rows("bound")
             entry, (ax, ay, ex, ey) = field.env.collision_field, field.columns(rows)
             with np.errstate(invalid="ignore", over="ignore"):
-                want = entry._blocked_measure(ax, ay, ex, ey) * np.hypot(ex - ax, ey - ay)
+                want = entry.kernel._blocked_measure(ax, ay, ex, ey) * np.hypot(ex - ax, ey - ay)
             field.check(rows, entry.blocked_lengths(field.starts[rows], field.ends[rows]), want,
                         same_bytes=True)
 
@@ -692,7 +693,7 @@ def test_blocked_lengths_is_the_column_entry_times_hypot():
 def _the_obstacle_stage_is_the_column_entry(kinds):
     for field in [f for kind in kinds for f in corpus(kind)]:
         rows = field.rows(*INSIDE)
-        entry = field.env.collision_field
+        entry = field.env.collision_field.kernel
         field.check(rows, entry._obstacle_measure(*field.columns(rows)),
                     entry._blocked_measure(*field.columns(rows)), same_bytes=True)
 
