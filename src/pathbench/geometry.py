@@ -549,7 +549,12 @@ class CollisionField:
         the measure of the union of the open intervals of t in [0, 1] where
         a + t(b - a) is out of bounds, inside an obstacle or on a seam, times
         the segment's `np.hypot` length; exactly 0.0 if it meets nothing."""
-        return self.kernel.blocked_lengths(starts, ends)
+        ax, ay = _columns(starts).copy()
+        ex, ey = _columns(ends)
+        if len(ax) != len(ex):
+            raise ValueError(f"starts and ends must hold as many points: {len(ax)} != {len(ex)}")
+        with np.errstate(invalid="ignore", over="ignore"):
+            return self.kernel._blocked_measure(ax, ay, ex, ey) * np.hypot(ex - ax, ey - ay)
 
 
 def _columns(points) -> np.ndarray:

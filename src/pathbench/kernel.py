@@ -1,8 +1,4 @@
-"""The batch collision kernel: exact blocked measures of many segments at once.
-
-Loaded with the first `CollisionField.kernel`: RRT*, `audit_path`,
-`validate_query` and `grid_oracle` check one point or edge at a time.
-"""
+"""The batch collision kernel, loaded with the first `CollisionField.kernel`."""
 
 from __future__ import annotations
 
@@ -10,8 +6,7 @@ import math
 
 import numpy as np
 
-from .geometry import (_DISK_BAND, _ORIENT_BAND, _ORIENT_TINY, _columns, _meets_disk, _orient,
-                       _orient_exact)
+from .geometry import _DISK_BAND, _ORIENT_BAND, _ORIENT_TINY, _meets_disk, _orient, _orient_exact
 
 
 class Kernel:
@@ -22,9 +17,8 @@ class Kernel:
     `vertex_xy` per polygon vertex, all polygons in one array, with
     `vertex_next` and `vertex_prev` (the row of the vertex after and before
     it in its polygon) and `vertex_polygon` (its polygon); `polygon_boxes`
-    as x_lo, x_hi, y_lo, y_hi rows. `fitness` enters at `_blocked_measure`
-    with its path's columns and the lengths it holds, and a `PsoRun`, whose
-    swarm is clipped into the bounds, at `_obstacle_measure`.
+    as x_lo, x_hi, y_lo, y_hi rows. `CollisionField.blocked_lengths` and
+    `fitness` enter at `_blocked_measure`, a `PsoRun` at `_obstacle_measure`.
 
     `rescale_rows` says whether the disk pass rescales each row, decided
     from the field's scale G, the larger of the bounds' longer side and
@@ -66,15 +60,6 @@ class Kernel:
         self.vertex_prev[starts] = last
         self.polygon_boxes = np.array([p[:4] for p in self.polygons],
                                       dtype=np.float64).reshape(-1, 4)
-
-    def blocked_lengths(self, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
-        """`CollisionField.blocked_lengths`: `_blocked_measure` times `np.hypot`."""
-        ax, ay = _columns(starts).copy()
-        ex, ey = _columns(ends)
-        if len(ax) != len(ex):
-            raise ValueError(f"starts and ends must hold as many points: {len(ax)} != {len(ex)}")
-        with np.errstate(invalid="ignore", over="ignore"):
-            return self._blocked_measure(ax, ay, ex, ey) * np.hypot(ex - ax, ey - ay)
 
     def _blocked_measure(self, ax, ay, ex, ey) -> np.ndarray:
         """Each row's measure of blocked t in [0, 1] for the segments from
