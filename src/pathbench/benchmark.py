@@ -1,7 +1,8 @@
 """Plan grid, trial batches, summary statistics, the ten-case suite, and a grid oracle.
 
 Every experiment is one `plan_grid` of seeded plans, which checks every
-row before the first; `run_trials` and `table1_suite` only build its rows.
+row before the first; `run_trials` and `table1_suite` check the integers
+that size and seed their rows, and build them.
 
 The oracle, a feasibility check and near-optimal length yardstick, runs
 its own A* over an 8-connected grid. Only its cell test is shared: cells
@@ -33,13 +34,6 @@ from .geometry import Point2, audit_path, check_integer, check_real, dist, edge_
 from .pso import PsoParams, PsoRun
 from .result import PlanResult, plan
 from .rrtstar import RrtParams, RrtStarRun
-
-__all__ = [
-    "TABLE1_CASES", "FIELD_QUERY", "FIELD_SEEDS", "TrialStats", "CaseRow", "RandomEnvFactory",
-    "plan_once", "plan_grid", "run_trials", "table1_suite", "grid_oracle", "summarize",
-    "audit_path", "result_record", "write_results_csv", "read_results_csv",
-    "write_table1_csv", "write_summary", "MAX_GRID_CELLS",
-]
 
 #: Most cells `grid_oracle` builds: 52 times the default 160 x 120 grid, about
 #: 0.1 GB at the oracle's ~105 bytes per cell.
@@ -157,16 +151,17 @@ def plan_grid(rows: Sequence[tuple], jobs: int = 1) -> list[PlanResult]:
     planner id, params, seed), and return the results in row order.
 
     Before the first plan or pool it checks `jobs`, then every row's
-    planner and params, then each fixed map's query (a factory checks its
-    query on each field it draws). After these checks the first error a
+    planner, params and seed, then each fixed map's query (a factory checks
+    its query on each field it draws). After these checks the first error a
     plan raises, in row order, is raised for every `jobs`. `jobs` > 1 fans
     the rows out over min(jobs, len(rows), os.cpu_count()) processes,
     importing the pool on the first such call; otherwise rows go through
     this module's `plan_once`.
     """
     jobs = check_integer("jobs", jobs, 1)
-    for _, _, planner_id, params, _ in rows:
+    for _, _, planner_id, params, seed in rows:
         _planner(planner_id, params)
+        replace(params, rng_seed=seed)
     for env, query, *_ in rows:
         if not callable(env):
             validate_query(env, query)
@@ -360,25 +355,19 @@ def _read_bool(cell: str) -> bool:
     return cell == "true"
 
 
-#: The results-file columns, each with the parser read_results_csv applies.
-_RESULT_PARSERS = {"planner": str, "seed": int,
-                   "feasible": _read_bool, "length": float, "elapsed_s": float,
-                   "iterations_used": int, "closest_approach": float}
-RESULT_FIELDS = tuple(_RESULT_PARSERS)
+#: The plan record's columns, in file order: column -> (the PlanResult field
+#: it holds, the parser read_results_csv applies).
+_RESULT_COLUMNS = {"planner": ("planner_id", str), "seed": ("seed", int),
+                   "feasible": ("feasible", _read_bool), "length": ("length", float),
+                   "elapsed_s": ("elapsed", float), "iterations_used": ("iterations_used", int),
+                   "closest_approach": ("closest_approach", float)}
+RESULT_FIELDS = tuple(_RESULT_COLUMNS)
 
 
 def result_record(result: PlanResult) -> dict:
     """Flatten a PlanResult into the plan record: the RESULT_FIELDS row of
     the results files, which `pathbench plan`'s result.json extends."""
-    return {
-        "planner": result.planner_id,
-        "seed": result.seed,
-        "feasible": result.feasible,
-        "length": result.length,
-        "elapsed_s": result.elapsed,
-        "iterations_used": result.iterations_used,
-        "closest_approach": result.closest_approach,
-    }
+    return {column: getattr(result, field) for column, (field, _) in _RESULT_COLUMNS.items()}
 
 
 def _fmt(value) -> str:
@@ -425,7 +414,7 @@ def read_results_csv(path) -> list[dict]:
             if None in row or None in row.values():
                 raise FormatError(f"{where}: the row and the header differ in length")
             record = {}
-            for k, parse in _RESULT_PARSERS.items():
+            for k, (_, parse) in _RESULT_COLUMNS.items():
                 try:
                     record[k] = parse(row[k])
                 except ValueError:

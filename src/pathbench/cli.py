@@ -73,9 +73,9 @@ class ScenarioConfig:
     environment: EnvSource
     query: Query
     params: dict[str, PlannerParams]
-    trials: int = 50
-    base_seed: int = 0
-    out: str = "output"
+    trials: int
+    base_seed: int
+    out: str
 
 
 def _parse_environment(doc, query: Optional[Query]):

@@ -31,11 +31,6 @@ from .errors import InvalidPathError
 from .geometry import Point2, check_integer, check_real
 from .result import PlanResult, build_result, check_param_types, plan
 
-__all__ = [
-    "PsoParams", "PsoRun", "plan_pso", "decode", "fitness",
-    "path_violation", "update_inertia", "MAX_SWARM_WAYPOINTS", "MAX_COEFFICIENT",
-]
-
 #: Most waypoints a swarm may hold, population * n_waypoints: each
 #: (population, 2 * n_waypoints) array of a run is 16 MB at the cap.
 MAX_SWARM_WAYPOINTS = 1_000_000

@@ -31,12 +31,6 @@ from .errors import InvalidStateError
 from .geometry import Point2, edge_free
 from .result import PlanResult, build_result, check_param_types, plan
 
-__all__ = [
-    "RrtParams", "RrtTree", "RrtStarRun", "plan_rrt_star", "random_sample",
-    "find_nearest", "steering", "get_neighbors", "choose_parent", "rewire",
-    "get_optimized_path", "edge_free",
-]
-
 
 @dataclass(frozen=True)
 class RrtParams:

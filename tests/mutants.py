@@ -56,6 +56,9 @@ _GEOMETRY, _BOUNDARY, _PSO = (f"tests/test_{name}.py::test_" for name in (
 _ORACLE = f"{_GEOMETRY}blocked_lengths_and_edge_free_match_the_oracles"
 _IFF = f"{_GEOMETRY}edge_free_iff_blocked_length_is_zero"
 _AT_POINTS = f"{_GEOMETRY}the_clearance_array_form_is_at_point_by_point"
+_BENCHMARK = "tests/test_benchmark.py::test_"
+_FIRST_LINE = f"{_BENCHMARK}grid_oracle_passes_through_the_first_column_or_row"
+_CELL_CAP = f"{_BENCHMARK}grid_oracle_plans_a_grid_of_exactly_the_cell_cap"
 
 MUTANTS = (
     Mutant("margin-zero", "src/pathbench/clearance.py",
@@ -127,6 +130,20 @@ MUTANTS = (
            ("tests/test_benchmark.py::"
             "test_the_batch_kernel_loads_with_the_first_pso_plan_on_obstacles",
             f"{_PSO}the_empty_run_sends_no_row_to_the_kernel")),
+    # The grid oracle's moves and its cell cap.
+    Mutant("oracle-never-enters-the-first-column", "src/pathbench/benchmark.py",
+           "(0 <= jx < nx", "(0 < jx < nx", (f"{_FIRST_LINE}[column]",)),
+    Mutant("oracle-never-enters-the-first-row", "src/pathbench/benchmark.py",
+           "0 <= jy < ny)", "0 < jy < ny)", (f"{_FIRST_LINE}[row]", _CELL_CAP)),
+    Mutant("oracle-refuses-a-grid-of-exactly-the-cap", "src/pathbench/benchmark.py",
+           "    if cells <= MAX_GRID_CELLS:", "    if cells < MAX_GRID_CELLS:", (_CELL_CAP,)),
+    # plan_grid's row checks and the plan record's columns.
+    Mutant("plan-grid-leaves-the-seed-to-the-plan", "src/pathbench/benchmark.py",
+           "        replace(params, rng_seed=seed)\n", "",
+           (f"{_BENCHMARK}plan_grid_checks_every_rows_seed_before_any_plan",)),
+    Mutant("elapsed-column-holds-the-closest-approach", "src/pathbench/benchmark.py",
+           '"elapsed_s": ("elapsed", float)', '"elapsed_s": ("closest_approach", float)',
+           (f"{_BENCHMARK}result_record_is_the_plan_records_columns_in_order",)),
 )
 
 EQUIVALENT = (

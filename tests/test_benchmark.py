@@ -294,6 +294,32 @@ def test_plan_grid_checks_every_row_and_jobs_before_any_plan(monkeypatch):
             plan_grid(good, jobs=jobs)
 
 
+def test_plan_grid_checks_every_rows_seed_before_any_plan(monkeypatch):
+    # A bad seed was caught only by the plan that reached it, after the
+    # rows ahead of it had planned; a factory row's surfaced as the
+    # factory's FormatError. A row's seed now ranks with its planner.
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool started for a refused call")
+
+    def no_plan(*args, **kwargs):
+        raise AssertionError("a plan ran for a refused call")
+
+    monkeypatch.setattr("pathbench.benchmark.ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr("pathbench.benchmark.plan_once", no_plan)
+    env, factory = generate_random_env(0, n_obstacles=0), RandomEnvFactory(query=FIELD_QUERY)
+    good = [(env, FIELD_QUERY, "rrtstar", RrtParams(), 0),
+            (factory, FIELD_QUERY, "pso", PsoParams(), 1000)]
+    buried = (buried_start_env(0), FIELD_QUERY, "pso", PsoParams(), 2)
+    for seed in (-1, True, 2.5, sys.maxsize + 1):
+        for source in (env, factory):
+            last = (source, FIELD_QUERY, "rrtstar", RrtParams(), seed)
+            for jobs in (1, 2):
+                # A bad fixed-map query, even ahead of it, ranks after it.
+                for rows in ([*good, last], [*good, buried, last]):
+                    with pytest.raises(ValueError, match="^rng_seed must be"):
+                        plan_grid(rows, jobs=jobs)
+
+
 def test_plan_grid_checks_every_fixed_maps_query_before_any_plan(monkeypatch):
     # A fixed map's invalid query was caught only by the plan that reached
     # it. A factory row is not checked: the factory checks each field it draws.
@@ -353,22 +379,23 @@ def test_perfbench_tracer_installs_on_the_package(monkeypatch):
     assert benchmark.plan_once is original
 
 
-@pytest.mark.parametrize("module", ["pathbench", "pathbench.benchmark", "pathbench.rrtstar",
-                                    "pathbench.pso"])
+@pytest.mark.parametrize("module", ["pathbench"])
 def test_every_public_name_resolves(module):
     # A name deleted from a module but left in its __all__ breaks only
-    # `from module import *`.
+    # `from module import *`. The package's `_PUBLIC` is its one list of
+    # public names: no submodule keeps an `__all__`.
     mod = importlib.import_module(module)
     assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
-    if module == "pathbench":
-        # The package loads each name from the module its table files it
-        # under; a module that only re-imports the name (audit_path in
-        # benchmark) would be loaded whole for it.
-        assert set(mod.__all__) <= set(dir(mod))
-        objects = {name: getattr(mod, name) for name in mod.__all__}
-        assert {name: obj.__module__ for name, obj in objects.items()
-                if (inspect.isclass(obj) or inspect.isfunction(obj))
-                and obj.__module__ != "pathbench." + mod._HOME[name]} == {}
+    # The package loads each name from the module its table files it
+    # under; a module that only re-imports the name (audit_path in
+    # benchmark) would be loaded whole for it.
+    assert set(mod.__all__) <= set(dir(mod))
+    assert [home for home in mod._PUBLIC
+            if hasattr(importlib.import_module(f"pathbench.{home}"), "__all__")] == []
+    objects = {name: getattr(mod, name) for name in mod.__all__}
+    assert {name: obj.__module__ for name, obj in objects.items()
+            if (inspect.isclass(obj) or inspect.isfunction(obj))
+            and obj.__module__ != "pathbench." + mod._HOME[name]} == {}
 
 
 def test_a_short_rrt_star_plan_reaches_every_traced_layer(monkeypatch):
@@ -733,6 +760,16 @@ def test_results_csv_round_trip(tmp_path):
     assert back[1]["feasible"] is False
     assert math.isnan(back[1]["length"])
     assert back[1]["closest_approach"] == math.inf
+
+
+def test_result_record_is_the_plan_records_columns_in_order():
+    # The round trip cannot tell which PlanResult field each column holds.
+    record = result_record(_result(planner="pso", seed=7, feasible=False, elapsed=0.25,
+                                   closest=3.5))
+    assert list(record) == list(RESULT_FIELDS)
+    assert record == {"planner": "pso", "seed": 7, "feasible": False, "length": record["length"],
+                      "elapsed_s": 0.25, "iterations_used": 100, "closest_approach": 3.5}
+    assert math.isnan(record["length"])
 
 
 def test_write_results_csv_leaves_the_file_as_it_was_when_it_refuses(tmp_path):
