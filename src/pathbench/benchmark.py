@@ -27,7 +27,7 @@ import numpy as np
 # Acceptance imports RandomEnvFactory, defined in environment, from this module.
 # perfbench's tracer wraps generate_random_env as a name of this module.
 from .environment import (Environment, Query, RandomEnvFactory, generate_random_env,  # noqa: F401
-                          irregular_preset, validate_query, write_json)
+                          _write_text, irregular_preset, validate_query, write_json)
 from .errors import FormatError, InvalidQueryError
 # perfbench's tracer wraps audit_path and edge_free as names of this module.
 from .geometry import Point2, audit_path, check_integer, check_real, dist, edge_free  # noqa: F401
@@ -379,15 +379,12 @@ def _fmt(value) -> str:
 
 
 def _write_csv(path, header: Sequence[str], rows) -> None:
-    """Write `header` and then `rows`, each cell formatted by `_fmt`. The
-    text is built before the file is opened, so a row that fails leaves
-    the file as it was."""
+    """Write `header` and then `rows`, each cell formatted by `_fmt`, in one `_write_text`."""
     text = io.StringIO()
     writer = csv.writer(text, lineterminator="\n")
     writer.writerow(header)
     writer.writerows([_fmt(v) for v in row] for row in rows)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text.getvalue())
+    _write_text(path, text.getvalue())
 
 
 def write_results_csv(path, records: Sequence[dict]) -> None:
@@ -398,28 +395,32 @@ def write_results_csv(path, records: Sequence[dict]) -> None:
 def read_results_csv(path) -> list[dict]:
     """Inverse of write_results_csv (floats parsed back, bools restored).
 
-    A missing column, a row longer or shorter than the header, and a cell
-    that does not parse are each a FormatError naming the file, line and
-    column. `feasible` is `true` or `false`; a float may be `nan`, as the
-    length of an infeasible row is written.
+    A file that is not UTF-8, a missing or repeated column, a row longer or
+    shorter than the header, and a cell that does not parse are each a
+    FormatError naming the file, and the line and column where there is one.
+    `feasible` is `true` or `false`; a float may be `nan`, as an infeasible length is written.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        for k in RESULT_FIELDS:
-            if k not in (reader.fieldnames or ()):
-                raise FormatError(f"{path} line 1: no column {k!r}")
-        records = []
-        for row in reader:
-            where = f"{path} line {reader.line_num}"
-            if None in row or None in row.values():
-                raise FormatError(f"{where}: the row and the header differ in length")
-            record = {}
-            for k, (_, parse) in _RESULT_COLUMNS.items():
-                try:
-                    record[k] = parse(row[k])
-                except ValueError:
-                    raise FormatError(f"{where}, column {k!r}: cannot read {row[k]!r}") from None
-            records.append(record)
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.DictReader(io.StringIO(fh.read(), newline=""))
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path} is not UTF-8 ({exc})") from None
+    header = reader.fieldnames or []
+    for k in RESULT_FIELDS:
+        if header.count(k) != 1:
+            raise FormatError(f"{path} line 1: {'a second' if k in header else 'no'} column {k!r}")
+    records = []
+    for row in reader:
+        where = f"{path} line {reader.line_num}"
+        if None in row or None in row.values():
+            raise FormatError(f"{where}: the row and the header differ in length")
+        record = {}
+        for k, (_, parse) in _RESULT_COLUMNS.items():
+            try:
+                record[k] = parse(row[k])
+            except ValueError:
+                raise FormatError(f"{where}, column {k!r}: cannot read {row[k]!r}") from None
+        records.append(record)
     return records
 
 

@@ -54,7 +54,7 @@ from typing import Optional, Sequence
 from .benchmark import (_PLANNERS, TABLE1_CASES, EnvSource, PlannerParams, TrialStats,
                         plan_grid, plan_once, result_record, summarize, table1_suite,
                         write_results_csv, write_summary, write_table1_csv)
-from .environment import (Query, RandomEnvFactory, _object, environment_from_dict,
+from .environment import (Query, RandomEnvFactory, _object, _write_text, environment_from_dict,
                           irregular_preset, load_environment, query_from_dict, read_json,
                           write_json)
 from .errors import FormatError, PathbenchError, PresetLookupError
@@ -132,8 +132,8 @@ def parse_config(doc: dict) -> ScenarioConfig:
     # numpy's generators take non-negative seeds only.
     base_seed = check_integer("base_seed", doc.get("base_seed", 0), 0, error=FormatError)
     out = doc.get("out", "output")
-    if not isinstance(out, str):
-        raise FormatError(f"out must be a string, got {out!r}")
+    if not (isinstance(out, str) and out):
+        raise FormatError(f"out must be a non-empty string, got {out!r}")
     return ScenarioConfig(environment=environment, query=query, params=params,
                           trials=trials, base_seed=base_seed, out=out)
 
@@ -153,14 +153,6 @@ def _ensure_out(out: str) -> str:
     return out
 
 
-def _write_svg(path: str, env, query: Query, paths) -> str:
-    # Rendered before the file is opened, so a render that fails leaves the file as it was.
-    svg = environment_svg(env, query=query, paths=paths)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(svg)
-    return path
-
-
 def cmd_plan(args) -> int:
     cfg = load_config(args.config) if args.config else parse_config({})
     seed = _effective_seed(cfg, args.seed)
@@ -176,7 +168,8 @@ def cmd_plan(args) -> int:
     write_json(os.path.join(out, "result.json"),
                {**record, "length": result.length if path else None,
                 "path": path, "params": result.params})
-    _write_svg(os.path.join(out, "plan.svg"), env, query, [result.path] if path else [])
+    _write_text(os.path.join(out, "plan.svg"),
+                environment_svg(env, query=query, paths=[result.path] if path else []))
     if result.feasible:
         print(f"{planner}: feasible, length {result.length:.4f} "
               f"({result.iterations_used} iterations, {result.elapsed:.2f}s)")
@@ -242,8 +235,9 @@ def cmd_render(args) -> int:
             if path:
                 paths.append([_plain_point(p, f"{args.results}: path point", FormatError)
                               for p in path])
-    out = _ensure_out(args.out or "output")
-    print(_write_svg(os.path.join(out, "render.svg"), env, query, paths))
+    svg = os.path.join(_ensure_out(args.out or "output"), "render.svg")
+    _write_text(svg, environment_svg(env, query=query, paths=paths))
+    print(svg)
     return 0
 
 
@@ -288,6 +282,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.out == "":  # refused before any command plans
+            raise FormatError("--out must be a non-empty string, got ''")
         return args.func(args)
     except (PathbenchError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

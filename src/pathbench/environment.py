@@ -304,12 +304,17 @@ def read_json(path):
             raise FormatError(f"{path}: not valid JSON ({exc})") from None
 
 
+def _write_text(path, text: str) -> None:
+    """Write `text`, built whole by the caller, to `path` as UTF-8 with Unix line
+    ends on every platform: the one place pathbench opens a file to write."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+
+
 def write_json(path, doc) -> None:
     """Write `doc` to `path` as strict JSON: NaN and infinities are a
     ValueError, raised before the file is opened."""
-    text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    _write_text(path, json.dumps(doc, indent=2, allow_nan=False) + "\n")
 
 
 def load_environment(path) -> tuple[Environment, Optional[Query]]:

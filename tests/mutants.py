@@ -59,6 +59,8 @@ _AT_POINTS = f"{_GEOMETRY}the_clearance_array_form_is_at_point_by_point"
 _BENCHMARK = "tests/test_benchmark.py::test_"
 _FIRST_LINE = f"{_BENCHMARK}grid_oracle_passes_through_the_first_column_or_row"
 _CELL_CAP = f"{_BENCHMARK}grid_oracle_plans_a_grid_of_exactly_the_cell_cap"
+_BAD_CSV = f"{_BENCHMARK}read_results_csv_rejects_a_bad_file"
+_EMPTY_OUT = "tests/test_cli.py::test_an_empty_out_exits_two_before_any_plan"
 
 MUTANTS = (
     Mutant("margin-zero", "src/pathbench/clearance.py",
@@ -144,6 +146,18 @@ MUTANTS = (
     Mutant("elapsed-column-holds-the-closest-approach", "src/pathbench/benchmark.py",
            '"elapsed_s": ("elapsed", float)', '"elapsed_s": ("closest_approach", float)',
            (f"{_BENCHMARK}result_record_is_the_plan_records_columns_in_order",)),
+    # The input checks: an empty output directory and a results CSV.
+    Mutant("config-accepts-an-empty-out", "src/pathbench/cli.py",
+           "if not (isinstance(out, str) and out):", "if not isinstance(out, str):",
+           tuple(f"{_EMPTY_OUT}[{c}]" for c in ("plan", "bench", "table1"))),
+    Mutant("cli-accepts-an-empty-out-flag", "src/pathbench/cli.py",
+           'if args.out == "":', "if False:",
+           tuple(f"{_EMPTY_OUT}[{c}]" for c in ("plan", "bench", "table1", "render"))),
+    Mutant("reader-keeps-the-last-of-a-repeated-column", "src/pathbench/benchmark.py",
+           "if header.count(k) != 1:", "if k not in header:", (f"{_BAD_CSV}[repeated-column]",)),
+    Mutant("reader-lets-a-decode-error-through", "src/pathbench/benchmark.py",
+           'raise FormatError(f"{path} is not UTF-8 ({exc})") from None', "raise",
+           (f"{_BAD_CSV}[not-utf8]",)),
 )
 
 EQUIVALENT = (
@@ -152,6 +166,11 @@ EQUIVALENT = (
                "_DISK_BAND is 2^-46 = 128 eps against about 22 eps by the error "
                "analysis, about 6x, so a float root is off by well under "
                "sqrt(band) / dd and the factor of 2 is spare"),
+    Equivalent("write-text-with-the-platform-newline", "src/pathbench/environment.py",
+               'open(path, "w", encoding="utf-8", newline="")',
+               'open(path, "w", encoding="utf-8", newline=None)',
+               "on Linux text mode writes \\n either way, so no test here can tell the two "
+               "apart; on Windows newline=None would write \\r\\n"),
 )
 
 

@@ -798,10 +798,18 @@ GOOD_ROW = "pso,2,false,nan,0.010000,40,3.000000"
      "line 2: the row and the header differ in length"),
     ([",".join(RESULT_FIELDS), GOOD_ROW + ",extra"],
      "line 2: the row and the header differ in length"),
-], ids=["missing-column", "bad-int", "feasible-yes", "short-row", "long-row"])
+    # These two raised a bare UnicodeDecodeError, and read back seed 7.
+    ([",".join(RESULT_FIELDS), GOOD_ROW.replace("pso", "psé")],
+     "is not UTF-8 ('utf-8' codec can't decode byte 0xe9 in position 74: "
+     "invalid continuation byte)"),
+    ([",".join(RESULT_FIELDS) + ",seed", "pso,1,false,nan,0.010000,40,3.000000,7"],
+     "line 1: a second column 'seed'"),
+], ids=["missing-column", "bad-int", "feasible-yes", "short-row", "long-row", "not-utf8",
+        "repeated-column"])
 def test_read_results_csv_rejects_a_bad_file(tmp_path, lines, message):
     target = tmp_path / "results.csv"
-    target.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    # Latin-1 writes ASCII as UTF-8 does, and the "é" as a byte UTF-8 refuses.
+    target.write_text("\n".join(lines) + "\n", encoding="latin-1")
     with pytest.raises(FormatError, match=f"^{re.escape(f'{target} {message}')}$"):
         read_results_csv(target)
 

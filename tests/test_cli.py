@@ -1,5 +1,6 @@
 """End-to-end command tests: configs, seed precedence, exit codes, files."""
 
+import hashlib
 import json
 import math
 import sys
@@ -7,14 +8,16 @@ import time
 
 import pytest
 
-from pathbench.benchmark import (_PLANNERS, FIELD_QUERY, RESULT_FIELDS, RandomEnvFactory,
-                                 read_results_csv)
+from pathbench.benchmark import (_PLANNERS, FIELD_QUERY, RESULT_FIELDS, CaseRow,
+                                 RandomEnvFactory, TrialStats, read_results_csv, result_record,
+                                 summarize, write_results_csv, write_summary, write_table1_csv)
 from pathbench.cli import build_parser, load_config, main, parse_config
 from pathbench.environment import (Environment, Query, irregular_preset,
                                    save_environment)
 from pathbench.errors import FormatError
 from pathbench.geometry import Bounds, Circle, Point2
 from pathbench.render import environment_svg
+from pathbench.result import PlanResult
 
 EMPTY_INLINE = {
     "kind": "inline",
@@ -619,6 +622,28 @@ def test_json_files_refuse_non_finite_constants(tmp_path, capsys, constant):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["plan", "bench", "table1", "render"])
+def test_an_empty_out_exits_two_before_any_plan(tmp_path, monkeypatch, capsys, command):
+    # An empty --out fell back to the config's out or render's "output", and
+    # a config's empty out failed only after every plan had run.
+    def no_plan(*args, **kwargs):
+        raise AssertionError("a plan ran for an empty output directory")
+
+    for name in ("plan_once", "plan_grid", "table1_suite"):
+        monkeypatch.setattr(f"pathbench.cli.{name}", no_plan)
+    monkeypatch.chdir(tmp_path)
+    if command == "render":
+        save_environment("env.json", Environment(Bounds(-5.0, 5.0, -5.0, 5.0), ()))
+        forms = [(["env.json", "--out", ""], "--out")]
+    else:
+        config = write_config(tmp_path, {"out": ""})
+        forms = [(["--out", ""], "--out"), (["--config", config], "out")]
+    for argv, name in forms:
+        assert main([command, *argv]) == 2
+        assert capsys.readouterr().err == f"error: {name} must be a non-empty string, got ''\n"
+    assert not [p for p in tmp_path.iterdir() if p.is_dir()]
+
+
 def test_default_out_comes_from_config(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     cfg = write_config(tmp_path, {"environment": EMPTY_INLINE,
@@ -686,3 +711,51 @@ def test_a_config_that_is_not_utf8_is_one_error_line(tmp_path, capsys):
     assert main(["plan", "--config", str(broken)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1 and str(broken) in err
+
+
+# The saved maze and its render are long, so they are pinned by digest.
+SAVED_MAZE_SHA256 = "3ec6a70e98c77d9451c0fc16023fc467089f563e6b27d717ba5440758966be0a"
+RENDERED_MAZE_SHA256 = "23fb877d86df5d791a26c09bc9865f03ceb9786f35339daea802a2979781b82e"
+
+
+def test_every_writer_writes_its_golden_bytes(tmp_path):
+    def result(seed, feasible, length, elapsed):
+        return PlanResult(planner_id="pso", seed=seed, feasible=feasible,
+                          length=length if feasible else math.nan, elapsed=elapsed,
+                          iterations_used=40 + seed, closest_approach=0.0 if feasible else 1.5,
+                          path=None, params={})
+
+    batch = (result(1, True, 10.0, 0.25), result(2, False, 0.0, 0.5), result(3, True, 12.5, 0.75))
+    write_results_csv(tmp_path / "results.csv", [result_record(r) for r in batch])
+    start, target = Point2(12.0, -35.0), Point2(-15.0, 10.0)
+    write_table1_csv(tmp_path / "table1.csv", [CaseRow(1, "rrtstar", start, target, True, 61.25),
+                                               CaseRow(1, "pso", start, target, False, math.nan)])
+    write_summary(tmp_path / "summary.json", {"pso": summarize(TrialStats(batch))})
+    save_environment(tmp_path / "maze.json", *irregular_preset("irregular-a"))
+    path = tmp_path / "path.json"
+    path.write_text(json.dumps({"path": [[20.0, -15.0], [0.0, 0.0], [-25.0, 15.0]]}),
+                    encoding="utf-8")
+    assert main(["render", str(tmp_path / "maze.json"), "--results", str(path),
+                 "--out", str(tmp_path)]) == 0
+
+    files = {name: (tmp_path / name).read_bytes() for name in (
+        "results.csv", "table1.csv", "summary.json", "maze.json", "render.svg")}
+    for name, data in files.items():
+        text = data.decode("utf-8")
+        assert text.endswith("\n") and "\r" not in text, name
+    assert files["results.csv"] == (
+        b"planner,seed,feasible,length,elapsed_s,iterations_used,closest_approach\n"
+        b"pso,1,true,10.000000,0.250000,41,0.000000\n"
+        b"pso,2,false,nan,0.500000,42,1.500000\n"
+        b"pso,3,true,12.500000,0.750000,43,0.000000\n")
+    assert files["table1.csv"] == (
+        b"case_id,planner,start_x,start_y,target_x,target_y,feasible,length\n"
+        b"1,rrtstar,12.000000,-35.000000,-15.000000,10.000000,true,61.250000\n"
+        b"1,pso,12.000000,-35.000000,-15.000000,10.000000,false,nan\n")
+    summary = {"planner": "pso", "n_trials": 3, "n_feasible": 2,
+               "feasibility_rate": 0.6666666666666666,
+               "length": {"mean": 11.25, "std": 1.25, "min": 10.0, "max": 12.5},
+               "time": {"mean": 0.5, "q1": 0.375, "median": 0.5, "q3": 0.625}}
+    assert files["summary.json"] == (json.dumps({"pso": summary}, indent=2) + "\n").encode()
+    assert hashlib.sha256(files["maze.json"]).hexdigest() == SAVED_MAZE_SHA256
+    assert hashlib.sha256(files["render.svg"]).hexdigest() == RENDERED_MAZE_SHA256
